@@ -1,12 +1,15 @@
 """Modular evaluation engine behind the solver's "probe" mode.
 
 The solve loop of solver._extend_core is generic in its coefficient
-domain.  This module supplies a domain whose values are numpy vectors
-of evaluations at random points q = x_j modulo a 31-bit prime, so one
-step costs a handful of vectorized convolutions instead of exact Q(q)
-arithmetic.  A nonzero lane proves a value nonzero; an all-zero vector
-means zero with overwhelming likelihood, and every "zero" the engine
-acts on is later backed by verification:
+domain, and so is the substitution engine nonlinear.Evaluator that
+computes its residuals; the exact domain lives beside the evaluator, in
+nonlinear.  This module supplies ProbeDomain, a domain whose values are
+numpy vectors of evaluations at random points q = x_j modulo a 31-bit
+prime, so one step costs a handful of vectorized convolutions instead
+of exact Q(q) arithmetic.  The verification and check below run the
+same evaluator in fresh probe domains.  A nonzero lane proves a value
+nonzero; an all-zero vector means zero with overwhelming likelihood,
+and every "zero" the engine acts on is later backed by verification:
 
 * the run is repeated over at least two primes and the event sequences
   must agree;
@@ -31,9 +34,8 @@ import numpy as np
 
 from . import _intpoly as K
 from .errors import EngineError
-from .nonlinear import eval_at
+from .nonlinear import Evaluator
 from .ratfunc import QPoly, RatQ
-from .series import TruncSeries
 
 _RESERVE = 64  # lanes per prime kept out of every interpolation
 
@@ -461,20 +463,9 @@ def _reconstruct_coeff(runs, h, n_start):
     return value, n_try
 
 
-def _sanitize_events(events):
-    out = []
-    for e in events:
-        kept = {}
-        for key, v in e.items():
-            if key == "cleared":
-                continue
-            kept[key] = v if isinstance(v, (int, str)) else "(modular)"
-        out.append(kept)
-    return out
-
-
 def solve(F, seed, N):
-    """Probe-mode extend: returns (exact coefficient list, events)."""
+    """Probe-mode extend: returns (exact coefficient list, events); event
+    values such as residuals stay probe-domain vectors."""
     nlanes = 576
     while nlanes <= 42000:
         try:
@@ -514,7 +505,7 @@ def _solve_at(F, seed, N, nlanes):
         h += 1
 
     _verify_fresh(F, exact, prime_iter, {run.prime for run in runs}, nlanes)
-    return exact, _sanitize_events(runs[0].events)
+    return exact, runs[0].events
 
 
 def _verify_fresh(F, exact, prime_iter, used, nlanes):
@@ -523,9 +514,8 @@ def _verify_fresh(F, exact, prime_iter, used, nlanes):
         prime = next(prime_iter)
     rng = np.random.default_rng(prime ^ 0x9E3779B97F4A7C15)
     dom = ProbeDomain(prime, _lane_points(prime, 128, rng))
-    from .solver import _eval_poly
     vals = [dom.from_ratq(c) for c in exact]
-    res = _eval_poly(F, vals, len(exact) - 1, dom)
+    res = Evaluator(vals, len(exact) - 1, dom).eval(F)
     if not dom.healthy():
         raise EngineError("verification lanes died")
     for m, v in enumerate(res):
@@ -535,7 +525,6 @@ def _verify_fresh(F, exact, prime_iter, used, nlanes):
 
 def check(F, phi, primes=2, lanes=160):
     """Probe-mode check_solution: largest V with residual zero through V."""
-    from .solver import _eval_poly
     best = phi.trunc
     prime_iter = K.primes_31()
     for _ in range(primes):
@@ -543,19 +532,12 @@ def check(F, phi, primes=2, lanes=160):
         rng = np.random.default_rng(prime ^ 0xD1B54A32D192ED03)
         dom = ProbeDomain(prime, _lane_points(prime, lanes, rng))
         vals = [dom.from_ratq(c) for c in phi.coeffs]
-        res = _eval_poly(F, vals, phi.trunc, dom)
+        res = Evaluator(vals, phi.trunc, dom).eval(F)
         if not dom.healthy():
-            return check_exact_fallback(F, phi)
+            from .solver import check_solution
+            return check_solution(F, phi, mode="exact")
         for m, v in enumerate(res):
             if not dom.is_zero(v):
                 best = min(best, m - 1)
                 break
     return best
-
-
-def check_exact_fallback(F, phi):
-    r = eval_at(F, phi)
-    for m, c in enumerate(r.coeffs):
-        if not c.is_zero():
-            return m - 1
-    return phi.trunc

@@ -181,33 +181,6 @@ def _orders_from_slopes(slopes):
     return s, sp
 
 
-def log_norm(y, order, weight, side):
-    """Weighted sup-norm of a series, in exponent form.
-
-    For the norm sup_h |y_h| * |q|^(h*weight - order*h(h-1)/2) the
-    exponent of the h-th term is the valuation of y_h plus the weight
-    term.  side = "deg" uses deg_q and takes the max (the norm seen
-    through |.|_{1/q}); side = "ord" uses ord_q and takes the min.
-
-    Zero coefficients contribute nothing; the zero series returns
-    NEG_INF on the deg side and POS_INF on the ord side.
-    """
-    _check_side(side)
-    order = Fraction(order)
-    weight = Fraction(weight)
-    best = None
-    for h, c in enumerate(y.coeffs):
-        v = deg_q(c) if side == "deg" else ord_q(c)
-        if not _finite(v):
-            continue
-        w = v + h * weight - order * _tri(h)
-        if best is None or (w > best if side == "deg" else w < best):
-            best = w
-    if best is None:
-        return NEG_INF if side == "deg" else POS_INF
-    return Fraction(best)
-
-
 class GrowthReport:
     """Measured growth of one series solution, with verdicts.
 

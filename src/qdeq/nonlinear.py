@@ -12,29 +12,29 @@ with the shift exponents sorted by index and all k_j >= 1; zero
 coefficients are never stored.  The window may be wider than the set of
 indices actually used, but never narrower.
 
+This module also holds the one substitution engine of the package.
+Evaluator computes F(phi) order by order in a coefficient domain: the
+ExactDomain defined here (Q(q) itself) or the probe engine's
+ProbeDomain (modular evaluations, in _probes).  A domain supplies the
+ring operations, q-powers, zero tests and a truncated series_mul.
+Everything that substitutes a series into a QdeqPoly runs on it: the
+solve loop in solver, the probe engine's verification and checks, and
+the two exact entry points below.
+
 eval_at substitutes a truncated series phi for y (so w_i becomes
 phi(q^i x)) and returns a series with the same truncation as phi.
 linearize produces the series-flavor SkewOp of partial derivatives
 along phi; a partial that is structurally zero (the symbol w_i never
 occurs) contributes no term, while one that merely evaluates to zero
 through the truncation is kept and lands in the polygon's uncertain
-set.
+set.  partial_rows computes those partials' values, and the solver's
+linearization diagnostics use it too.
 """
 
-import enum
-
 from .errors import IndexOutOfWindow, NegativeXPower
-from .ratfunc import RatQ
+from .ratfunc import RatQ, is_compound
 from .series import TruncSeries
 from .skewop import SkewOp
-
-
-class Vanishing(enum.Enum):
-    """Three-valued answer for 'does this derivative vanish along phi?'."""
-
-    YES_STRUCTURAL = "yes_structural"
-    NO = "no"
-    UNKNOWN_THROUGH_TRUNC = "unknown_through_trunc"
 
 
 def _ratq(v):
@@ -224,16 +224,9 @@ class QdeqPoly:
                 factors.append("x" if e == 1 else f"x^{e}")
             for i, k in exps:
                 factors.append(f"y[{i}]" if k == 1 else f"y[{i}]^{k}")
-            t = c.to_text()
-            if factors:
-                if not c.is_one():
-                    if "+" in t or "-" in t[1:] or t.startswith("-") or "/" in t:
-                        t = f"({t})"
-                    factors.insert(0, t)
-            else:
-                if "+" in t or "-" in t[1:] or t.startswith("-") or "/" in t:
-                    t = f"({t})"
-                factors.append(t)
+            if not factors or not c.is_one():
+                t = c.to_text()
+                factors.insert(0, f"({t})" if is_compound(t) else t)
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -242,61 +235,131 @@ class QdeqPoly:
 
 
 # ---------------------------------------------------------------------------
-# evaluation and linearization along a series
+# coefficient domains and the substitution engine
 
 
-class _Evaluator:
-    """Substitution engine for one base series.
+class ExactDomain:
+    """Coefficient domain Q(q) itself; zero tests are definitive."""
 
-    Caches sigma-shifts, powers, and whole monomial products so that
-    evaluating several polynomials along the same phi (as linearize does
-    with every partial) never recomputes a product.
+    name = "exact"
+
+    def __init__(self):
+        self._qpow = {0: RatQ(1)}
+
+    def from_ratq(self, r):
+        return r
+
+    def from_int(self, v):
+        return RatQ(v)
+
+    def zero(self):
+        return RatQ(0)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def div(self, a, b):
+        return a / b
+
+    def is_zero(self, a):
+        return a.is_zero()
+
+    def qpow(self, e):
+        got = self._qpow.get(e)
+        if got is None:
+            got = self._qpow[e] = RatQ(1).shift_q(e)
+        return got
+
+    def series_mul(self, a, b, width):
+        """Cauchy product through x^(width-1), skipping zero coefficients."""
+        out = [RatQ(0)] * width
+        for i, ai in enumerate(a[:width]):
+            if ai.is_zero():
+                continue
+            for j in range(width - i):
+                bj = b[j]
+                if not bj.is_zero():
+                    out[i + j] = out[i + j] + ai * bj
+        return out
+
+
+class Evaluator:
+    """Substitution of one coefficient list phi into polynomials F.
+
+    Works in any coefficient domain (ExactDomain here, the probe engine's
+    ProbeDomain in _probes) and returns F(phi) as a coefficient list
+    through x^trunc.  Sigma-shifts of phi and the prefix products of the
+    monomials (powers included) are cached, so evaluating several
+    polynomials along the same phi, as the partials of a linearization
+    are, never recomputes a product.
     """
 
-    def __init__(self, phi):
-        if not isinstance(phi, TruncSeries):
-            raise TypeError("eval_at expects a TruncSeries")
-        self.phi = phi
-        self.powers = {}
-        self.products = {}
+    def __init__(self, phi, trunc, dom):
+        self.dom = dom
+        self.width = trunc + 1
+        base = list(phi[:self.width])
+        base += [dom.zero()] * (self.width - len(base))
+        self._shifts = {0: base}
+        self._products = {}
 
-    def _power(self, i, k):
-        got = self.powers.get((i, k))
+    def _shift(self, i):
+        got = self._shifts.get(i)
         if got is None:
-            got = self._power(i, k - 1) * self._power(i, 1) if k > 1 \
-                else self.phi.sigma(i)
-            self.powers[(i, k)] = got
+            dom = self.dom
+            got = self._shifts[i] = [dom.mul(c, dom.qpow(i * h))
+                                     for h, c in enumerate(self._shifts[0])]
         return got
 
     def _product(self, exps):
-        got = self.products.get(exps)
+        got = self._products.get(exps)
         if got is None:
-            if len(exps) == 1:
-                got = self._power(*exps[0])
+            mul = self.dom.series_mul
+            i, k = exps[-1]
+            if len(exps) > 1:
+                got = mul(self._product(exps[:-1]), self._product(exps[-1:]),
+                          self.width)
+            elif k > 1:
+                got = mul(self._product(((i, k - 1),)), self._shift(i),
+                          self.width)
             else:
-                got = self._product(exps[:-1]) * self._power(*exps[-1])
-            self.products[exps] = got
+                got = self._shift(i)
+            self._products[exps] = got
         return got
 
     def eval(self, F):
-        N = self.phi.trunc
-        acc = TruncSeries.zero(N)
-        for (e, exps), c in F.monomials.items():
-            if e > N:
+        dom, width = self.dom, self.width
+        acc = [dom.zero()] * width
+        for (e, exps), coeff in F.monomials.items():
+            if e >= width:
                 continue
-            if exps:
-                term = self._product(exps) * c
-            else:
-                term = TruncSeries.constant(c, N)
-            if e:
-                term = term.shift_x(e).truncate(N)
-            acc = acc + term
+            c = dom.from_ratq(coeff)
+            if not exps:
+                acc[e] = dom.add(acc[e], c)
+                continue
+            term = self._product(exps)
+            for h in range(width - e):
+                acc[e + h] = dom.add(acc[e + h], dom.mul(term[h], c))
         return acc
+
+
+def _exact_evaluator(phi):
+    if not isinstance(phi, TruncSeries):
+        raise TypeError("expected a TruncSeries to substitute")
+    return Evaluator(phi.coeffs, phi.trunc, ExactDomain())
 
 
 def eval_at(F, phi):
     """Substitute w_i -> phi(q^i x); the result keeps phi's truncation."""
-    return _Evaluator(phi).eval(F)
+    return TruncSeries(_exact_evaluator(phi).eval(F), phi.trunc)
 
 
 def partial(F, i):
@@ -320,6 +383,12 @@ def partial(F, i):
     return QdeqPoly((m, n), out)
 
 
+def partial_rows(F, ev):
+    """{i: (dF/dw_i)(phi)} through one evaluator, for every index i whose
+    partial is not structurally zero (the symbol w_i occurs in F)."""
+    return {i: ev.eval(partial(F, i)) for i in sorted(F.used_indices())}
+
+
 def linearize(F, phi):
     """Series-flavor operator of partials along phi:  sum_i (dF/dw_i)(phi) sigma^i.
 
@@ -327,23 +396,5 @@ def linearize(F, phi):
     merely evaluate to zero through the truncation stay, flagged later by
     the polygon as uncertain.
     """
-    m, n = F.window
-    ev = _Evaluator(phi)  # one product cache across all the partials
-    terms = {}
-    for i in range(m, n + 1):
-        P = partial(F, i)
-        if P.is_zero():
-            continue
-        terms[i] = ev.eval(P)
-    return SkewOp(terms)
-
-
-def derivative_vanishes(F, i, phi):
-    """Does dF/dw_i vanish along phi?  Never upgrades a truncated zero to
-    a structural claim."""
-    P = partial(F, i)
-    if P.is_zero():
-        return Vanishing.YES_STRUCTURAL
-    if eval_at(P, phi).is_zero_through_trunc():
-        return Vanishing.UNKNOWN_THROUGH_TRUNC
-    return Vanishing.NO
+    rows = partial_rows(F, _exact_evaluator(phi))
+    return SkewOp({i: TruncSeries(row, phi.trunc) for i, row in rows.items()})

@@ -113,6 +113,12 @@ def _fmt_terms(pairs, var="q"):
     return text[1:] if text[0] == "+" else text
 
 
+def is_compound(text):
+    """Does a coefficient's text need parentheses before "*x"-style
+    factors?  True for sums, differences, negations and quotients."""
+    return "+" in text or "-" in text or "/" in text
+
+
 class QPoly:
     """Polynomial in q over Q.  See the module docstring for the layout."""
 
@@ -575,9 +581,6 @@ class RatQ:
 #: the rational function q itself
 Q = RatQ(QPoly((0, 1)))
 
-ZERO = RatQ(0)
-ONE = RatQ(1)
-
 
 def deg_q(a):
     """Degree valuation on Q(q); NEG_INF for zero.  Additive on products."""
@@ -599,23 +602,6 @@ def ord_q(a):
     if isinstance(a, QPoly):
         return a.ord
     return RatQ.from_value(a).ord_q
-
-
-def norm(a, which, d):
-    """Ultrametric norm of a in Q(q), in exact log form.
-
-    Returns the exponent e such that the norm equals d**e: ord_q(a) for
-    which="at_q" and -deg_q(a) for which="at_q_inv".  The base d only
-    has to be a valid one (0 < d < 1); it never enters the arithmetic.
-    Zero maps to the POS_INF exponent (norm 0) in both cases.
-    """
-    if not 0 < d < 1:
-        raise ValueError("norm base d must satisfy 0 < d < 1")
-    if which == "at_q":
-        return ord_q(a)
-    if which == "at_q_inv":
-        return -deg_q(a)
-    raise ValueError(f"unknown norm {which!r}; use 'at_q' or 'at_q_inv'")
 
 
 def pochhammer(a, base, k):

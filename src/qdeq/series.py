@@ -14,7 +14,7 @@ XPoly is the exact companion: a genuine polynomial in x over Q(q), with
 no truncation, used for operator coefficients that are known exactly.
 """
 
-from .ratfunc import NEG_INF, POS_INF, RatQ
+from .ratfunc import NEG_INF, POS_INF, RatQ, is_compound
 
 
 class _AboveTruncation:
@@ -96,13 +96,6 @@ class TruncSeries:
         if m == self.trunc:
             return self
         return TruncSeries(list(self.coeffs[:m + 1]), m)
-
-    def _pad(self, m):
-        """Assert-zero padding to truncation m; the solver uses this when
-        the missing coefficients are provably irrelevant.  Not public API."""
-        if m <= self.trunc:
-            return self.truncate(m)
-        return TruncSeries(list(self.coeffs), m)
 
     def shift_x(self, k):
         """Multiply by x**k (k >= 0); knowledge extends to trunc + k."""
@@ -189,7 +182,7 @@ class TruncSeries:
             if c.is_one():
                 parts.append(xs)
             else:
-                if "+" in t or "-" in t[1:] or t.startswith("-") or "/" in t:
+                if is_compound(t):
                     t = f"({t})"
                 parts.append(f"{t}*{xs}")
         body = " + ".join(parts) if parts else "0"
@@ -197,11 +190,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self.to_text()})"
-
-
-def sigma_pow(s, i):
-    """Apply sigma_q^i to a series or x-polynomial; i may be negative."""
-    return s.sigma(i)
 
 
 class XPoly:

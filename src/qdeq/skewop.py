@@ -19,7 +19,7 @@ uncertain by the polygon routines instead of being silently dropped.
 from fractions import Fraction
 
 from .errors import EmptyOperator, UncertainOrder
-from .ratfunc import RatQ
+from .ratfunc import RatQ, is_compound
 from .series import ABOVE_TRUNCATION, TruncSeries, XPoly
 
 
@@ -37,7 +37,7 @@ def _fmt_coeff_poly(coeffs, var):
         if c.is_one():
             parts.append(vs)
         else:
-            if "+" in t or "-" in t[1:] or t.startswith("-") or "/" in t:
+            if is_compound(t):
                 t = f"({t})"
             parts.append(f"{t}*{vs}")
     return " + ".join(parts) if parts else "0"
@@ -136,7 +136,7 @@ class SkewOp:
         for i in sorted(self.terms):
             a = self.terms[i]
             t = a.to_text()
-            if "+" in t or "-" in t[1:] or t.startswith("-") or "/" in t or "*" in t:
+            if is_compound(t) or "*" in t:
                 t = f"({t})"
             parts.append(f"{t}*S[{i}]")
         return " + ".join(parts)
@@ -386,27 +386,3 @@ def _top_index(a):
     if isinstance(a, TruncSeries):
         return a.trunc
     return len(a.coeffs) - 1
-
-
-def bb_polynomial(op):
-    """(T - 1) times the per-coefficient lowest-order polynomial.
-
-    Exact flavor only: each a_i contributes its own lowest coefficient
-    a_{i, j_i} at exponent i, after the same support normalization as
-    resonance_poly; the result has degree span + 1.
-    """
-    if op.flavor != "exact":
-        raise ValueError("bb_polynomial needs exact polynomial coefficients")
-    if op.is_zero():
-        raise EmptyOperator("cannot form the boundary polynomial of zero")
-    m0 = op.support_min
-    span = op.support_max - m0
-    body = [RatQ(0)] * (span + 1)
-    for i, a in op.terms.items():
-        j = a.ord_x
-        body[i - m0] = a.coeff(j).shift_q(-m0 * j)
-    out = [RatQ(0)] * (span + 2)
-    for k, c in enumerate(body):
-        out[k] = out[k] - c
-        out[k + 1] = out[k + 1] + c
-    return ResonancePoly(out)

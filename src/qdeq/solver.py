@@ -23,111 +23,24 @@ Outcomes per step (the events of the report):
                              constraining order; the run stops
 
 The same control flow runs over two coefficient domains: exact Q(q)
-arithmetic, and (for large nonlinear runs) vectors of modular
-evaluations handled by the companion probe engine, whose results are
-reconstructed to exact coefficients and verified before being reported.
+arithmetic (nonlinear.ExactDomain), and (for large nonlinear runs)
+vectors of modular evaluations (_probes.ProbeDomain) handled by the
+companion probe engine, whose results are reconstructed to exact
+coefficients and verified before being reported.  Every residual and
+every linearization row comes from the one substitution engine,
+nonlinear.Evaluator; _eval_poly is the solve loop's entry point to it.
 """
 
 from .errors import EngineError, SeedRejected
-from .nonlinear import eval_at, partial
+from .nonlinear import Evaluator, ExactDomain, eval_at, partial_rows
 from .ratfunc import RatQ
 from .series import TruncSeries
 from .skewop import ResonancePoly
 
 
-class ExactDomain:
-    """Coefficient domain Q(q) itself; zero tests are definitive."""
-
-    name = "exact"
-
-    def __init__(self):
-        self._qpow = {0: RatQ(1)}
-
-    def from_ratq(self, r):
-        return r
-
-    def from_int(self, v):
-        return RatQ(v)
-
-    def zero(self):
-        return RatQ(0)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def div(self, a, b):
-        return a / b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def qpow(self, e):
-        got = self._qpow.get(e)
-        if got is None:
-            got = self._qpow[e] = RatQ(1).shift_q(e)
-        return got
-
-    def healthy(self):
-        return True
-
-
 def _eval_poly(F, phi, trunc, dom):
     """Evaluate F along the coefficient list phi, through x^trunc, in dom."""
-    width = trunc + 1
-    base = list(phi[:width]) + [dom.zero()] * max(0, width - len(phi))
-    sig_cache = {0: base}
-    pow_cache = {}
-    bulk = getattr(dom, "series_mul", None)
-
-    def sig(i):
-        got = sig_cache.get(i)
-        if got is None:
-            got = sig_cache[i] = [dom.mul(c, dom.qpow(i * h))
-                                  for h, c in enumerate(base)]
-        return got
-
-    def smul(a, b):
-        if bulk is not None:
-            return bulk(a, b, width)
-        out = [dom.zero()] * width
-        for i, ai in enumerate(a):
-            for j in range(width - i):
-                out[i + j] = dom.add(out[i + j], dom.mul(ai, b[j]))
-        return out
-
-    def spow(i, k):
-        got = pow_cache.get((i, k))
-        if got is None:
-            got = sig(i)
-            for _ in range(k - 1):
-                got = smul(got, sig(i))
-            pow_cache[(i, k)] = got
-        return got
-
-    acc = [dom.zero()] * width
-    for (e, exps), coeff in F.monomials.items():
-        if e > trunc:
-            continue
-        term = None
-        for i, k in exps:
-            p = spow(i, k)
-            term = p if term is None else smul(term, p)
-        cval = dom.from_ratq(coeff)
-        if term is None:
-            acc[e] = dom.add(acc[e], cval)
-        else:
-            for idx in range(width - e):
-                acc[e + idx] = dom.add(acc[e + idx], dom.mul(term[idx], cval))
-    return acc
+    return Evaluator(phi, trunc, dom).eval(F)
 
 
 def _w_degree(F):
@@ -145,14 +58,12 @@ class _Diag:
         self.alpha = None
 
 
-def _refresh_diag(F, partials, phi, dom, diag):
+def _refresh_diag(F, phi, dom, diag):
     trunc = len(phi) - 1
-    rows = {}
+    rows = partial_rows(F, Evaluator(phi, trunc, dom))
     uncertain = []
     certain_ord = {}
-    for i, P in partials.items():
-        row = _eval_poly(P, phi, trunc, dom)
-        rows[i] = row
+    for i, row in rows.items():
         o = None
         for m, v in enumerate(row):
             if not dom.is_zero(v):
@@ -191,10 +102,7 @@ class _Stop(Exception):
 
 def _extend_core(F, seed, N, dom):
     """Run the solve loop; returns (coefficient list in dom, events, cleared)."""
-    partials = {i: partial(F, i)
-                for i in range(F.window[0], F.window[1] + 1)}
-    partials = {i: P for i, P in partials.items() if not P.is_zero()}
-    if not partials:
+    if not F.used_indices():
         raise SeedRejected("the equation does not involve the unknown at all")
     k = len(seed) - 1
     phi = [dom.from_ratq(c) for c in seed]
@@ -213,7 +121,7 @@ def _extend_core(F, seed, N, dom):
     try:
         for h in range(k + 1, N + 1):
             if not diag.certified:
-                _refresh_diag(F, partials, phi, dom, diag)
+                _refresh_diag(F, phi, dom, diag)
             if diag.certified:
                 W = h + diag.l
             else:
@@ -290,6 +198,21 @@ def _scan_step(F, phi, dom, diag, h, W, cleared, first_step, k, events):
 # public API
 
 
+def _plain_event(e):
+    """An event with JSON-ready values: RatQ as its text, probe-domain
+    vectors as "(modular)"; the internal "cleared" mark is dropped."""
+    out = {}
+    for key, v in e.items():
+        if key == "cleared":
+            continue
+        if isinstance(v, RatQ):
+            v = v.to_text()
+        elif not isinstance(v, (int, str)):
+            v = "(modular)"
+        out[key] = v
+    return out
+
+
 class SolveReport:
     """Outcome of extend(): the solution found and the per-step events."""
 
@@ -308,17 +231,7 @@ class SolveReport:
             "obstruction_no_solution", "nonaffine_step")
 
     def to_json(self):
-        def clean(v):
-            if isinstance(v, RatQ):
-                return v.to_text()
-            if isinstance(v, (int, str)):
-                return v
-            return "(modular data)"
-
-        events = []
-        for e in self.events:
-            events.append({key: clean(v) for key, v in e.items()
-                           if key != "cleared"})
+        events = [_plain_event(e) for e in self.events]
         return {
             "coeffs": [c.to_text() for c in self.solution.coeffs],
             "resolved_through": self.resolved_through,
@@ -371,7 +284,8 @@ def extend(F, seed, N, engine="auto"):
             engine = "exact"
         else:
             resolved = len(coeffs) - 1
-            return SolveReport(TruncSeries(coeffs, resolved), resolved, events)
+            return SolveReport(TruncSeries(coeffs, resolved), resolved,
+                               [_plain_event(e) for e in events])
     dom = ExactDomain()
     coeffs, events, _ = _extend_core(F, seed, N, dom)
     resolved = len(coeffs) - 1

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from qdeq.errors import InsufficientData, UncertainPolygon
-from qdeq.growth import (analyze, estimate_order, fit_slack, log_norm,
-                         predicted_orders, valuation_profile, verify_bound)
+from qdeq.growth import (analyze, estimate_order, fit_slack, predicted_orders,
+                         valuation_profile, verify_bound)
 from qdeq.nonlinear import linearize
 from qdeq.ratfunc import NEG_INF, POS_INF, Q, RatQ
 from qdeq.series import TruncSeries
@@ -208,39 +208,6 @@ def test_predicted_wired_through_operator():
     assert P.uncertain_bounds == {2: 6}
     with pytest.raises(UncertainPolygon):
         predicted_orders(P)
-
-
-# ---------------------------------------------------------------------------
-# log_norm
-
-
-def test_log_norm_constant():
-    one = TruncSeries([RatQ(1)], trunc=0)
-    assert log_norm(one, 0, 0, "deg") == 0
-    assert log_norm(one, 0, 0, "ord") == 0
-
-
-def test_log_norm_tower_cancels():
-    y = qpow_tower(10)
-    assert log_norm(y, 1, 0, "deg") == 0
-    assert log_norm(y, 1, 0, "ord") == 0
-
-
-def test_log_norm_tower_unrescaled():
-    assert log_norm(qpow_tower(10), 0, 0, "deg") == 45
-
-
-def test_log_norm_weight_shifts():
-    # with order 1 the tower's own valuation cancels, leaving exponent 3h
-    assert log_norm(qpow_tower(10), 1, 3, "deg") == 30
-    # fractional order stays exact: exponent tri(h)/2 maxed at h = 10
-    assert log_norm(qpow_tower(10), Fraction(1, 2), 0, "deg") == Fraction(45, 2)
-
-
-def test_log_norm_zero_series():
-    z = TruncSeries.zero(4)
-    assert log_norm(z, 0, 0, "deg") is NEG_INF
-    assert log_norm(z, 0, 0, "ord") is POS_INF
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdeq import _probes
+from qdeq.dsl import parse
 from qdeq.errors import IndexOutOfWindow, NegativeXPower
 from qdeq.nonlinear import (
+    Evaluator,
     QdeqPoly,
-    Vanishing,
-    derivative_vanishes,
     eval_at,
     linearize,
     partial,
@@ -16,6 +20,8 @@ from qdeq.nonlinear import (
 from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
 from qdeq.skewop import newton_polygon, resonance_poly
+
+from test_properties import COMMON, qdeq_polys, ratq_any
 
 
 def qp2():
@@ -111,15 +117,6 @@ def test_linearize_drops_structural_zeros():
     assert sorted(L.terms) == [1]
 
 
-def test_derivative_vanishes_three_values():
-    F = (QdeqPoly.w(0) - 1) * QdeqPoly.w(1)
-    phi = TruncSeries.constant(1, 2)
-    assert derivative_vanishes(F, 1, phi) is Vanishing.UNKNOWN_THROUGH_TRUNC
-    assert derivative_vanishes(F, 0, phi) is Vanishing.NO
-    G = QdeqPoly((-1, 1), {(0, ((1, 1),)): RatQ(1)})
-    assert derivative_vanishes(G, -1, phi) is Vanishing.YES_STRUCTURAL
-
-
 def test_json_shape():
     F = QdeqPoly.w(0) * QdeqPoly.w(1) - QdeqPoly.x()
     obj = F.to_json()
@@ -152,3 +149,60 @@ def test_from_operator_rejects_series_flavor():
     op = SkewOp({0: TruncSeries.constant(1, 3)})
     with pytest.raises(ValueError):
         QdeqPoly.from_operator(op)
+
+
+# ---------------------------------------------------------------------------
+# differential check of the substitution engine
+
+
+def reference_residual(F, phi):
+    """F(phi) from TruncSeries sigma, products, x-shifts and sums alone."""
+    acc = TruncSeries.zero(phi.trunc)
+    for (e, exps), c in F.monomials.items():
+        term = TruncSeries.constant(c, phi.trunc)
+        for i, k in exps:
+            for _ in range(k):
+                term = term * phi.sigma(i)
+        acc = acc + term.shift_x(e)
+    return acc
+
+
+def assert_engine_matches_reference(F, phi):
+    want = reference_residual(F, phi)
+    assert eval_at(F, phi) == want
+    # the same evaluator in the probe domain: values at random points
+    # modulo a prime must be the images of the exact coefficients
+    prime = 2147483647
+    rng = np.random.default_rng(5)
+    dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 128, rng))
+    vals = [dom.from_ratq(c) for c in phi.coeffs]
+    got = Evaluator(vals, phi.trunc, dom).eval(F)
+    images = [dom.from_ratq(c) for c in want.coeffs]
+    assert dom.healthy()
+    for g, w in zip(got, images):
+        assert (g == w)[dom.alive].all()
+
+
+# a generic series, not a solution, so every residual order is nonzero
+PHI_GENERIC = TruncSeries([RatQ(1), Q / (1 + Q), RatQ(0), Q ** 2 - 3,
+                           (1 - Q) / (2 + Q ** 3), -Q ** -2, RatQ(Fraction(5, 7))])
+
+
+def test_engine_matches_reference_qp2():
+    assert_engine_matches_reference(qp2(), PHI_GENERIC)
+
+
+def test_engine_matches_reference_phi11():
+    op = parse("S[-2]*(S[1]-1)*(S[1]+1) - 2*q^-2*x").parsed
+    assert_engine_matches_reference(QdeqPoly.from_operator(op), PHI_GENERIC)
+
+
+def test_engine_matches_reference_linear():
+    F = parse("x*y[1] - y[0] + 1").parsed
+    assert_engine_matches_reference(F, PHI_GENERIC)
+
+
+@settings(max_examples=40, **COMMON)
+@given(qdeq_polys(), st.lists(ratq_any, min_size=1, max_size=6))
+def test_engine_matches_reference_generated(F, coeffs):
+    assert_engine_matches_reference(F, TruncSeries(coeffs))

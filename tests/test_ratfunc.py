@@ -15,7 +15,6 @@ from qdeq.ratfunc import (
     QPoly,
     RatQ,
     deg_q,
-    norm,
     ord_q,
     pochhammer,
 )
@@ -321,7 +320,7 @@ def test_ratq_hash_eq():
 
 
 # ---------------------------------------------------------------------------
-# sentinels, norm, pochhammer
+# sentinels, pochhammer
 
 
 def test_sentinel_algebra():
@@ -337,21 +336,6 @@ def test_sentinel_algebra():
         POS_INF + NEG_INF
     assert max(NEG_INF, 5) == 5
     assert min(POS_INF, 5) == 5
-
-
-def test_norm_exact_log_form():
-    assert norm(Q, "at_q", 0.5) == 1
-    assert norm(Q ** 2 * 3, "at_q", Fraction(1, 2)) == 2
-    assert norm(Q ** 2 * 3, "at_q_inv", 0.5) == -2
-    assert norm(RatQ(QPoly((1, 1)), QPoly((0, 0, 1))), "at_q", 0.9) == -2
-    assert norm(RatQ(0), "at_q", 0.5) is POS_INF
-    assert norm(RatQ(0), "at_q_inv", 0.5) is POS_INF
-    with pytest.raises(ValueError):
-        norm(Q, "at_q", 1.5)
-    with pytest.raises(ValueError):
-        norm(Q, "at_q", 0)
-    with pytest.raises(ValueError):
-        norm(Q, "somewhere", 0.5)
 
 
 def test_pochhammer():

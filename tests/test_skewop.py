@@ -12,7 +12,6 @@ from qdeq.skewop import (
     ResonancePoly,
     SkewOp,
     apply,
-    bb_polynomial,
     lowest_vertex,
     newton_polygon,
     op_mul,
@@ -170,26 +169,6 @@ def test_resonance_poly_eval():
 def test_resonance_poly_trims_lead():
     assert ResonancePoly([RatQ(1), RatQ(0)]).degree == 0
     assert ResonancePoly([]).degree == -1
-
-
-def test_bb_polynomial():
-    # x*S[1] - 1: body -1 + T, so (T-1)*(T-1) = 1 - 2T + T^2
-    A = SkewOp({1: X, 0: -ONE})
-    P = bb_polynomial(A)
-    assert P.coeffs == (RatQ(1), RatQ(-2), RatQ(1))
-    with pytest.raises(ValueError):
-        bb_polynomial(SkewOp({0: TruncSeries([RatQ(1)], 1)}))
-    with pytest.raises(EmptyOperator):
-        bb_polynomial(SkewOp({}))
-
-
-def test_bb_polynomial_support_shift():
-    # lowest coefficients scale by q^{-m0*j_i} under the normalization:
-    # a_{-1} = x has j = 1 and becomes q; a_0 = 1 has j = 0 and stays 1;
-    # body = q + T, so (T-1)(q + T) = -q + (q-1)T + T^2
-    A = SkewOp({-1: X, 0: ONE})
-    P = bb_polynomial(A)
-    assert P.coeffs == (-Q, Q - 1, RatQ(1))
 
 
 def test_operator_text():
