@@ -257,17 +257,27 @@ def _is_prime(n):
     return True
 
 
-def primes_31(skip=0):
-    """Yield primes descending from just below 2**31, skipping the first few."""
-    n = (1 << 31) - 1
-    while n > (1 << 30):
-        if _is_prime(n):
-            if skip:
-                skip -= 1
-            else:
-                yield n
-        n -= 2
-    raise RuntimeError("ran out of 31-bit primes")
+_PRIMES_31 = []  # the primes primes_31 has found so far, descending
+
+
+def primes_31():
+    """Yield primes descending from just below 2**31.
+
+    Each candidate is tested once per process: the primes found are kept
+    in a module-level list that every later call replays before it
+    searches further down.
+    """
+    i = 0
+    while True:
+        if i == len(_PRIMES_31):
+            n = _PRIMES_31[-1] - 2 if _PRIMES_31 else (1 << 31) - 1
+            while not _is_prime(n):
+                n -= 2
+                if n <= 1 << 30:
+                    raise RuntimeError("ran out of 31-bit primes")
+            _PRIMES_31.append(n)
+        yield _PRIMES_31[i]
+        i += 1
 
 
 def np_mod(a, p):

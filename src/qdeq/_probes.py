@@ -172,10 +172,10 @@ class ProbeDomain:
         return got
 
     def from_ratq(self, r):
-        num = K.eval_many_mod(r.num.ints, self.q, self.p)
-        num = num * pow(r.num.den, self.p - 2, self.p) % self.p
-        den = K.eval_many_mod(r.den.ints, self.q, self.p)
-        return self.div(num, den)
+        num = K.eval_many_mod(r.n.ints, self.q, self.p)
+        num = num * pow(r.n.den, self.p - 2, self.p) % self.p
+        den = K.eval_many_mod(r.d.ints, self.q, self.p)
+        return self.mul(self.div(num, den), self.qpow(r.v))
 
     def from_int(self, v):
         return np.full(self.n, v % self.p, dtype=np.int64)

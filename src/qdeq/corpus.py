@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .dsl import parse, parse_ratq
 from .nonlinear import QdeqPoly, eval_at, linearize
-from .ratfunc import RatQ, QLaurent, pochhammer
+from .ratfunc import Q, QLaurent, RatQ, pochhammer
 from .series import TruncSeries
 from .skewop import apply, newton_polygon
 from . import growth
@@ -48,12 +48,12 @@ def jones(n):
     """
     if n < 0:
         raise ValueError("color must be a nonnegative integer")
-    total = QLaurent.q_power(0) - QLaurent.q_power(0)
+    total = RatQ(0)
     for k in range(n + 1):
-        total = total + (QLaurent.q_power(n * k)
-                         * pochhammer(QLaurent.q_power(-n - 1), "q_inv", k)
-                         * pochhammer(QLaurent.q_power(-n + 1), "q", k))
-    return total
+        total = total + (RatQ(1).shift_q(n * k)
+                         * pochhammer(RatQ(1).shift_q(-n - 1), "q_inv", k)
+                         * pochhammer(RatQ(1).shift_q(-n + 1), "q", k))
+    return QLaurent(total)
 
 
 def jones_series(order):
@@ -433,9 +433,7 @@ def _entry_qp2():
 
 def _phi11_coeff(h):
     num = RatQ(1).shift_q(h * (h - 1))
-    den = (pochhammer(-QLaurent.q_power(1), "q", h)
-           * pochhammer(QLaurent.q_power(1), "q", h)).to_ratq()
-    return num / den
+    return num / (pochhammer(-Q, "q", h) * pochhammer(Q, "q", h))
 
 
 def _entry_phi11():

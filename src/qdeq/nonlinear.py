@@ -37,10 +37,6 @@ from .series import TruncSeries
 from .skewop import SkewOp
 
 
-def _ratq(v):
-    return v if isinstance(v, RatQ) else RatQ.from_value(v)
-
-
 def _canon_exps(exps):
     if isinstance(exps, dict):
         items = exps.items()
@@ -70,7 +66,7 @@ class QdeqPoly:
             e = int(e)
             if e < 0:
                 raise NegativeXPower("monomials cannot carry negative x-powers")
-            c = _ratq(c)
+            c = RatQ.from_value(c)
             if c.is_zero():
                 continue
             exps = _canon_exps(exps)
@@ -94,7 +90,7 @@ class QdeqPoly:
 
     @classmethod
     def const(cls, v):
-        return cls((0, 0), {(0, ()): _ratq(v)})
+        return cls((0, 0), {(0, ()): RatQ.from_value(v)})
 
     @classmethod
     def x(cls, e=1):
@@ -243,9 +239,6 @@ class ExactDomain:
 
     name = "exact"
 
-    def __init__(self):
-        self._qpow = {0: RatQ(1)}
-
     def from_ratq(self, r):
         return r
 
@@ -274,10 +267,7 @@ class ExactDomain:
         return a.is_zero()
 
     def qpow(self, e):
-        got = self._qpow.get(e)
-        if got is None:
-            got = self._qpow[e] = RatQ(1).shift_q(e)
-        return got
+        return RatQ(1).shift_q(e)
 
     def series_mul(self, a, b, width):
         """Cauchy product through x^(width-1), skipping zero coefficients."""

@@ -1,21 +1,25 @@
 """Exact arithmetic in Q[q], Z[q, q^-1] and the fraction field Q(q).
 
-Three immutable value types:
+Two immutable value types:
 
 * QPoly     polynomial in q with rational coefficients, stored as a tuple
             of integers over one positive integer denominator with
             gcd(content, den) = 1 and no trailing zero coefficient;
-* QLaurent  Laurent polynomial body * q**shift, where the body has a
-            nonzero constant term, so shift is the exact ord_q;
-* RatQ      reduced fraction num/den of q-polynomials.  The denominator
-            is primitive with integer coefficients and positive leading
-            coefficient; all rational scalar content lives in num; the
-            zero element is 0/1.
+* RatQ      the element q^v * n/d of Q(q), with QPolys n and d that have
+            nonzero constant terms, so v is the exact ord_q and a
+            q-power shift touches v alone.  n/d is reduced, d is
+            primitive with integer coefficients and positive leading
+            coefficient, and all rational scalar content lives in n.
+            The zero element is v = 0, n = 0, d = 1.  The num and den
+            properties give the dense reduced pair (q^v folded into
+            whichever side it belongs to) for printing and evaluation.
+
+QLaurent is a RatQ with d = 1 that prints term by term ("q-1+q^-1");
+it adds no arithmetic of its own, and RatQ.from_value turns it back into
+a plain RatQ.
 
 The two valuations deg_q and ord_q take values in Z extended by the
-NEG_INF / POS_INF sentinels defined here (never magic integers), and
-norm() reports ultrametric norms in exact log form: the exponent of the
-base d, with no real arithmetic involved.
+NEG_INF / POS_INF sentinels defined here (never magic integers).
 """
 
 import math
@@ -258,259 +262,196 @@ class QPoly:
         return f"QPoly({self.to_text()})"
 
 
-class QLaurent:
-    """Laurent polynomial in q: body * q**shift with body(0) != 0."""
-
-    __slots__ = ("shift", "body")
-
-    def __init__(self, body, shift=0):
-        if not isinstance(body, QPoly):
-            body = QPoly.from_value(body)
-        if body.is_zero():
-            self.body = body
-            self.shift = 0
-            return
-        o = body.ord
-        if o:
-            body = QPoly(body.ints[o:], body.den)
-        self.body = body
-        self.shift = shift + o
-
-    @classmethod
-    def q_power(cls, k):
-        return cls(QPoly((1,)), k)
-
-    @classmethod
-    def from_value(cls, v):
-        if isinstance(v, QLaurent):
-            return v
-        return cls(QPoly.from_value(v))
-
-    def is_zero(self):
-        return self.body.is_zero()
-
-    @property
-    def deg_q(self):
-        return NEG_INF if self.is_zero() else self.shift + self.body.degree
-
-    @property
-    def ord_q(self):
-        return POS_INF if self.is_zero() else self.shift
-
-    def coeff(self, e):
-        return self.body.coeff(e - self.shift)
-
-    def terms(self):
-        """[(exponent, Fraction)] for nonzero coefficients, ascending."""
-        return [(e + self.shift, Fraction(c, self.body.den))
-                for e, c in enumerate(self.body.ints) if c]
-
-    def __add__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent)):
-            return NotImplemented
-        other = QLaurent.from_value(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        m = min(self.shift, other.shift)
-        a = self.body.shift_q(self.shift - m)
-        b = other.body.shift_q(other.shift - m)
-        return QLaurent(a + b, m)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QLaurent(-self.body, self.shift)
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent)):
-            return NotImplemented
-        return self + (-QLaurent.from_value(other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent)):
-            return NotImplemented
-        return QLaurent.from_value(other) + (-self)
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent)):
-            return NotImplemented
-        other = QLaurent.from_value(other)
-        return QLaurent(self.body * other.body, self.shift + other.shift)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a QLaurent")
-        out = QLaurent.q_power(0)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QPoly)):
-            other = QLaurent.from_value(other)
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        return self.shift == other.shift and self.body == other.body
-
-    def __hash__(self):
-        return hash((self.shift, self.body))
-
-    def to_ratq(self):
-        if self.shift >= 0:
-            return RatQ(self.body.shift_q(self.shift))
-        return RatQ(self.body, QPoly((1,)).shift_q(-self.shift))
-
-    def to_text(self):
-        return _fmt_terms(self.terms()[::-1])
-
-    def __repr__(self):
-        return f"QLaurent({self.to_text()})"
+def _qpoly(ints, den=1):
+    """QPoly from an already normalized integer list; no checks."""
+    p = object.__new__(QPoly)
+    p.ints = tuple(ints)
+    p.den = den
+    return p
 
 
-def _coerce_qpoly(v):
-    if isinstance(v, QLaurent):
-        if v.shift < 0:
-            raise ValueError("negative q-power needs a RatQ")
-        return v.body.shift_q(v.shift)
-    return QPoly.from_value(v)
+def _lowest_terms(n, d):
+    """n and d divided by their gcd, as integer lists."""
+    n, d = list(n), list(d)
+    if len(n) > 1 and len(d) > 1:
+        g = K.gcd(n, d)
+        if len(g) > 1:
+            return K.divexact(n, g), K.divexact(d, g)
+    return n, d
+
+
+def _ratq(v, n, d):
+    r = object.__new__(RatQ)
+    r.v = v
+    r.n = n
+    r.d = d
+    return r
 
 
 class RatQ:
-    """Reduced fraction of q-polynomials; the carrier of deg_q and ord_q."""
+    """Element q^v * n/d of Q(q); the carrier of deg_q and ord_q.
 
-    __slots__ = ("num", "den")
+    See the module docstring for the layout.  num and den give the dense
+    reduced pair for printing and evaluation.
+    """
+
+    __slots__ = ("v", "n", "d")
 
     def __init__(self, num, den=1):
-        if isinstance(num, QLaurent) and not isinstance(den, QLaurent) and den == 1:
-            r = num.to_ratq()
-            self.num, self.den = r.num, r.den
-            return
-        num = _coerce_qpoly(num)
-        den = _coerce_qpoly(den)
+        num = QPoly.from_value(num)
+        den = QPoly.from_value(den)
         if den.is_zero():
             raise DivisionByZero("zero denominator in Q(q)")
         if num.is_zero():
-            self.num = QPoly()
-            self.den = QPoly((1,))
+            self.v, self.n, self.d = 0, _qpoly(()), _qpoly((1,))
             return
         n_ints = list(num.ints)
         d_ints = list(den.ints)
-        if len(d_ints) > 1:
-            g = K.gcd(n_ints, d_ints)
-            if len(g) > 1 or g[0] != 1:
-                n_ints = K.divexact(n_ints, g)
-                d_ints = K.divexact(d_ints, g)
+        o = K.low(n_ints)
+        p = K.low(d_ints)
+        self.v = o - p
+        n_ints, d_ints = _lowest_terms(n_ints[o:], d_ints[p:])
         c = K.content(d_ints)
         if d_ints[-1] < 0:
             c = -c
         if c != 1:
             d_ints = K.exact_scal_div(d_ints, c)
         # scalar bookkeeping: value = (n_ints/num.den) * (den.den/(c*d_ints))
-        self.num = QPoly(K.scal(n_ints, den.den), num.den * c)
-        self.den = QPoly(d_ints, 1)
+        self.n = QPoly(K.scal(n_ints, den.den), num.den * c)
+        self.d = _qpoly(d_ints)
 
-    @classmethod
-    def from_value(cls, v):
-        if isinstance(v, RatQ):
+    @staticmethod
+    def from_value(v):
+        """v as a plain RatQ; a QLaurent loses its Laurent print form."""
+        if type(v) is RatQ:
             return v
-        return cls(v)
+        if isinstance(v, RatQ):
+            return _ratq(v.v, v.n, v.d)
+        return RatQ(v)
+
+    def to_ratq(self):
+        """This value as a plain RatQ (a QLaurent drops its print form)."""
+        return RatQ.from_value(self)
+
+    @property
+    def num(self):
+        """Dense reduced numerator: q^v * n when v > 0, else n."""
+        if self.v > 0:
+            return _qpoly(K.shift(self.n.ints, self.v), self.n.den)
+        return self.n
+
+    @property
+    def den(self):
+        """Dense reduced denominator: q^-v * d when v < 0, else d."""
+        if self.v < 0:
+            return _qpoly(K.shift(self.d.ints, -self.v))
+        return self.d
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.n.ints
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.v == 0 and self.n.is_one() and self.d.is_one()
 
     @property
     def deg_q(self):
         if self.is_zero():
             return NEG_INF
-        return self.num.degree - self.den.degree
+        return self.v + len(self.n.ints) - len(self.d.ints)
 
     @property
     def ord_q(self):
         if self.is_zero():
             return POS_INF
-        return self.num.ord - self.den.ord
+        return self.v
 
     def __add__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent, RatQ)):
+        if not isinstance(other, (int, Fraction, QPoly, RatQ)):
             return NotImplemented
         other = RatQ.from_value(other)
         if self.is_zero():
             return other
         if other.is_zero():
-            return self
-        if self.den == other.den:
-            return RatQ(self.num + other.num, self.den)
+            return RatQ.from_value(self)
+        v = min(self.v, other.v)
+        l = math.lcm(self.n.den, other.n.den)
+        a = K.shift(K.scal(self.n.ints, l // self.n.den), self.v - v)
+        b = K.shift(K.scal(other.n.ints, l // other.n.den), other.v - v)
         # reduce by the denominator gcd first (Knuth 4.5.1): with both
         # operands already reduced, the only factor the naive num/den
         # cross product can share is inside g, so the one gcd left to
         # take is gcd(t, g) instead of a gcd against d1*d2
-        g = K.gcd(list(self.den.ints), list(other.den.ints))
-        if len(g) == 1:  # coprime denominators (g is content-free)
-            return RatQ(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-        d1 = K.divexact(list(self.den.ints), g)
-        d2 = K.divexact(list(other.den.ints), g)
-        t = self.num * QPoly(d2) + other.num * QPoly(d1)
-        if t.is_zero():
-            return RatQ(0)
-        h = K.gcd(list(t.ints), g)
-        if len(h) > 1:
-            t = QPoly(K.divexact(list(t.ints), h), t.den)
-            g = K.divexact(g, h)
-        r = object.__new__(RatQ)
-        r.num = t
-        r.den = QPoly(K.mul(K.mul(d1, d2), g))
-        return r
+        d1, d2 = list(self.d.ints), list(other.d.ints)
+        if d1 == d2:
+            g, d1, d2 = d1, [1], [1]
+        else:
+            g = K.gcd(d1, d2)
+            if len(g) > 1:
+                d1 = K.divexact(d1, g)
+                d2 = K.divexact(d2, g)
+        t = K.add(K.mul(a, d2), K.mul(b, d1))
+        if not t:
+            return _ZERO
+        o = K.low(t)  # the constant terms cancelled: q^o moves into v
+        if o:
+            t = t[o:]
+            v += o
+        if len(g) > 1:
+            h = K.gcd(t, g)
+            if len(h) > 1:
+                t = K.divexact(t, h)
+                g = K.divexact(g, h)
+        return _ratq(v, QPoly(t, l), _qpoly(K.mul(K.mul(d1, d2), g)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = object.__new__(RatQ)
-        r.num = -self.num
-        r.den = self.den
-        return r
+        return _ratq(self.v, -self.n, self.d)
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent, RatQ)):
+        if not isinstance(other, (int, Fraction, QPoly, RatQ)):
             return NotImplemented
         return self + (-RatQ.from_value(other))
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent, RatQ)):
+        if not isinstance(other, (int, Fraction, QPoly, RatQ)):
             return NotImplemented
         return RatQ.from_value(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent, RatQ)):
+        if not isinstance(other, (int, Fraction, QPoly, RatQ)):
             return NotImplemented
         other = RatQ.from_value(other)
-        # cross-reduce before multiplying to keep intermediates small
-        a = RatQ(self.num, other.den)
-        b = RatQ(other.num, self.den)
-        r = object.__new__(RatQ)
-        r.num = a.num * b.num
-        r.den = a.den * b.den
-        return r
+        if self.is_zero() or other.is_zero():
+            return _ZERO
+        # cross-reduce before multiplying to keep intermediates small;
+        # by Gauss's lemma the product of the primitive denominators is
+        # primitive, so only the numerator's scalar needs reducing
+        n1, d2 = _lowest_terms(self.n.ints, other.d.ints)
+        n2, d1 = _lowest_terms(other.n.ints, self.d.ints)
+        return _ratq(self.v + other.v,
+                     QPoly(K.mul(n1, n2), self.n.den * other.n.den),
+                     _qpoly(K.mul(d1, d2)))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent, RatQ)):
-            return NotImplemented
-        other = RatQ.from_value(other)
-        if other.is_zero():
+    def _inverse(self):
+        if self.is_zero():
             raise DivisionByZero("division by zero in Q(q)")
-        return self * RatQ(other.den, other.num)
+        n = list(self.n.ints)
+        c = K.content(n)
+        if n[-1] < 0:
+            c = -c
+        return _ratq(-self.v, QPoly(K.scal(list(self.d.ints), self.n.den), c),
+                     _qpoly(K.exact_scal_div(n, c)))
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction, QPoly, RatQ)):
+            return NotImplemented
+        return self * RatQ.from_value(other)._inverse()
 
     def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly, QLaurent, RatQ)):
+        if not isinstance(other, (int, Fraction, QPoly, RatQ)):
             return NotImplemented
         return RatQ.from_value(other) / self
 
@@ -518,7 +459,7 @@ class RatQ:
         if k < 0:
             if self.is_zero():
                 raise DivisionByZero("zero to a negative power in Q(q)")
-            return RatQ(self.den, self.num) ** (-k)
+            return self._inverse() ** (-k)
         out = RatQ(1)
         base = self
         while k:
@@ -530,31 +471,32 @@ class RatQ:
 
     def shift_q(self, k):
         """Multiply by q**k (either sign of k)."""
-        if k >= 0:
-            return RatQ(self.num.shift_q(k), self.den)
-        return RatQ(self.num, self.den.shift_q(-k))
+        if self.is_zero():
+            return _ZERO
+        return _ratq(self.v + k, self.n, self.d)
 
     def eval(self, v):
         """Numeric evaluation at q = v; raises ZeroDivisionError at poles."""
         return self.num.eval(v) / self.den.eval(v)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QPoly, QLaurent)):
-            other = RatQ.from_value(other)
+        if isinstance(other, (int, Fraction, QPoly)):
+            other = RatQ(other)
         if not isinstance(other, RatQ):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.v == other.v and self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.v, self.n, self.d))
 
     def __bool__(self):
         return not self.is_zero()
 
     def to_text(self):
         """Integer-ratio text form, e.g. (q^2-1)/(q^3+2*q); round-trips by value."""
-        p = list(self.num.ints)
-        d = K.scal(list(self.den.ints), self.num.den)
+        num = self.num
+        p = list(num.ints)
+        d = K.scal(list(self.den.ints), num.den)
         if len(d) == 1 and d[0] == 1:
             return _fmt_ipoly(p)
         ptxt = _fmt_ipoly(p)
@@ -578,6 +520,41 @@ class RatQ:
         return f"RatQ({self.to_text()})"
 
 
+_ZERO = RatQ(0)
+
+
+class QLaurent(RatQ):
+    """A Laurent polynomial body * q**shift that prints term by term.
+
+    It is a RatQ with denominator 1 and differs only in to_text, which
+    writes "q-1+q^-1" where RatQ writes "(q^2-q+1)/q".  Arithmetic on it
+    returns plain RatQ values.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, body, shift=0):
+        r = RatQ.from_value(body).shift_q(shift)
+        if not r.d.is_one():
+            raise ValueError("a QLaurent has denominator 1")
+        self.v, self.n, self.d = r.v, r.n, r.d
+
+    @classmethod
+    def q_power(cls, k):
+        return cls(1, k)
+
+    def terms(self):
+        """[(exponent, Fraction)] for nonzero coefficients, ascending."""
+        return [(e + self.v, Fraction(c, self.n.den))
+                for e, c in enumerate(self.n.ints) if c]
+
+    def to_text(self):
+        return _fmt_terms(self.terms()[::-1])
+
+    def __repr__(self):
+        return f"QLaurent({self.to_text()})"
+
+
 #: the rational function q itself
 Q = RatQ(QPoly((0, 1)))
 
@@ -585,8 +562,6 @@ Q = RatQ(QPoly((0, 1)))
 def deg_q(a):
     """Degree valuation on Q(q); NEG_INF for zero.  Additive on products."""
     if isinstance(a, RatQ):
-        return a.deg_q
-    if isinstance(a, QLaurent):
         return a.deg_q
     if isinstance(a, QPoly):
         return a.degree
@@ -597,18 +572,18 @@ def ord_q(a):
     """Order-at-zero valuation on Q(q); POS_INF for zero."""
     if isinstance(a, RatQ):
         return a.ord_q
-    if isinstance(a, QLaurent):
-        return a.ord_q
     if isinstance(a, QPoly):
         return a.ord
     return RatQ.from_value(a).ord_q
 
 
 def pochhammer(a, base, k):
-    """(a; q)_k = (1-a)(1-a*q)...(1-a*q^(k-1)), exactly, as a QLaurent.
+    """(a; q)_k = (1-a)(1-a*q)...(1-a*q^(k-1)) for a Laurent polynomial a.
 
     base="q_inv" uses ratio q^-1 instead of q.  The empty product (k=0)
-    is 1.
+    is 1.  a*q^(±j) is a q-shift of a, which moves its ord_q alone.  The
+    product is taken in RatQ and returned as a QLaurent; a product with a
+    nontrivial denominator raises ValueError.
     """
     if k < 0:
         raise ValueError("pochhammer length must be nonnegative")
@@ -618,8 +593,8 @@ def pochhammer(a, base, k):
         step = -1
     else:
         raise ValueError(f"unknown base {base!r}; use 'q' or 'q_inv'")
-    a = QLaurent.from_value(a)
-    out = QLaurent(QPoly((1,)))
+    a = RatQ.from_value(a)
+    out = RatQ(1)
     for j in range(k):
-        out = out * (QLaurent(QPoly((1,))) - a * QLaurent.q_power(step * j))
-    return out
+        out = out * (1 - a.shift_q(step * j))
+    return QLaurent(out)

@@ -42,17 +42,13 @@ class _AboveTruncation:
 ABOVE_TRUNCATION = _AboveTruncation()
 
 
-def _ratq(v):
-    return v if isinstance(v, RatQ) else RatQ.from_value(v)
-
-
 class TruncSeries:
     """c_0 + c_1 x + ... + c_N x^N + O(x^(N+1)) with c_h in Q(q)."""
 
     __slots__ = ("coeffs", "trunc")
 
     def __init__(self, coeffs, trunc=None):
-        coeffs = [_ratq(c) for c in coeffs]
+        coeffs = [RatQ.from_value(c) for c in coeffs]
         if trunc is None:
             if not coeffs:
                 raise ValueError("empty series needs an explicit truncation")
@@ -72,7 +68,7 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, v, trunc):
-        return cls([_ratq(v)], trunc)
+        return cls([RatQ.from_value(v)], trunc)
 
     def coeff(self, h):
         if not 0 <= h <= self.trunc:
@@ -132,7 +128,7 @@ class TruncSeries:
                     if not b.is_zero():
                         out[i + j] = out[i + j] + a * b
             return TruncSeries(out, n)
-        c = _ratq(other)
+        c = RatQ.from_value(other)
         return TruncSeries([c * a for a in self.coeffs], self.trunc)
 
     def __rmul__(self, other):
@@ -148,7 +144,7 @@ class TruncSeries:
 
     def scale_x(self, lam):
         """x -> lam * x: coefficient c_h picks up lam**h."""
-        lam = _ratq(lam)
+        lam = RatQ.from_value(lam)
         out = []
         p = RatQ(1)
         for c in self.coeffs:
@@ -198,7 +194,7 @@ class XPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = [_ratq(c) for c in coeffs]
+        coeffs = [RatQ.from_value(c) for c in coeffs]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = tuple(coeffs)
@@ -246,7 +242,7 @@ class XPoly:
                     if not b.is_zero():
                         out[i + j] = out[i + j] + a * b
             return XPoly(out)
-        c = _ratq(other)
+        c = RatQ.from_value(other)
         return XPoly([c * a for a in self.coeffs])
 
     def __rmul__(self, other):
@@ -268,7 +264,7 @@ class XPoly:
         return XPoly([RatQ(0)] * k + list(self.coeffs))
 
     def scale_x(self, lam):
-        lam = _ratq(lam)
+        lam = RatQ.from_value(lam)
         out = []
         p = RatQ(1)
         for c in self.coeffs:

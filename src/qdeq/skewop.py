@@ -308,7 +308,7 @@ class ResonancePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = [c if isinstance(c, RatQ) else RatQ.from_value(c) for c in coeffs]
+        coeffs = [RatQ.from_value(c) for c in coeffs]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = tuple(coeffs)

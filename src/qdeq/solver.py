@@ -266,7 +266,7 @@ def extend(F, seed, N, engine="auto"):
     exact coefficients and verified, falling back to exact on any
     engine failure).
     """
-    seed = [c if isinstance(c, RatQ) else RatQ.from_value(c) for c in seed]
+    seed = [RatQ.from_value(c) for c in seed]
     if not seed:
         raise ValueError("seed must contain at least c_0")
     k = len(seed) - 1

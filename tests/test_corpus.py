@@ -64,6 +64,12 @@ def test_jones_series_shape():
         - qp(-1).to_ratq() + qp(-2).to_ratq()
 
 
+def test_jones_frozen_text():
+    assert jones(2).to_text() == "q^2-q+1-q^-1+q^-2"
+    assert jones_series(2).coeffs[2].to_text() == "(q^4-q^3+q^2-q+1)/q^2"
+    assert type(RatQ.from_value(jones(2))) is RatQ
+
+
 # -- the three operator variants ---------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Randomized invariants, at least 200 cases per suite.
 
-Suites: valuation additivity in Q(q), skew composition soundness,
+Suites: valuation additivity in Q(q), the q^v * n/d layout of RatQ
+against its dense reduced pair, skew composition soundness,
 polygon translation invariance, first-order Taylor agreement of the
 linearization, parser round-trip, and exactness of the growth-order
 estimator on synthetic quadratic profiles.
@@ -11,10 +12,10 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from qdeq.dsl import parse
+from qdeq.dsl import parse, parse_ratq
 from qdeq.growth import estimate_order
 from qdeq.nonlinear import QdeqPoly, eval_at, linearize
-from qdeq.ratfunc import QPoly, RatQ
+from qdeq.ratfunc import Q, QPoly, RatQ
 from qdeq.series import TruncSeries, XPoly
 from qdeq.skewop import SkewOp, apply, newton_polygon, op_mul
 
@@ -59,6 +60,27 @@ def test_valuations_ultrametric_on_sums(a, b):
         assert s.deg_q == max(a.deg_q, b.deg_q)
     if a.ord_q != b.ord_q:
         assert s.ord_q == min(a.ord_q, b.ord_q)
+
+
+# -- the q^v * n/d layout against the dense reduced pair -----------------
+
+ratq_shifted = st.builds(lambda r, k: r.shift_q(k), ratq_nonzero,
+                         st.integers(-40, 40))
+
+
+@settings(max_examples=250, **COMMON)
+@given(ratq_shifted, ratq_shifted, st.integers(-40, 40))
+def test_layout_matches_dense_pair(a, b, k):
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    for got, want in ((a + b, RatQ(an * bd + bn * ad, ad * bd)),
+                      (a * b, RatQ(an * bn, ad * bd)),
+                      (a / b, RatQ(an * bd, ad * bn))):
+        assert got == want and hash(got) == hash(want)
+    # the constant terms cancel whenever ord_q(a) > ord_q(b)
+    assert (a + b) - b == a
+    assert a.shift_q(k).shift_q(-k) == a
+    assert a.shift_q(k) == a * Q ** k
+    assert parse_ratq(a.to_text()) == a
 
 
 # -- skew composition soundness ------------------------------------------

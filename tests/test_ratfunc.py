@@ -179,12 +179,11 @@ def test_qpoly_eval():
 
 def test_qlaurent_normalizes_shift():
     l = QLaurent(QPoly((0, 1, 1)), -3)
-    assert l.shift == -2
-    assert l.body == QPoly((1, 1))
+    assert l.terms() == [(-2, 1), (-1, 1)]
     assert l.deg_q == -1
     assert l.ord_q == -2
     z = QLaurent(QPoly(), 5)
-    assert z.is_zero() and z.shift == 0
+    assert z.is_zero() and z.terms() == [] and z == RatQ(0)
     assert z.deg_q is NEG_INF and z.ord_q is POS_INF
 
 
@@ -192,16 +191,23 @@ def test_qlaurent_arith():
     qinv = QLaurent.q_power(-1)
     qq = QLaurent.q_power(1)
     s = qinv + qq
-    assert s.shift == -1 and s.body == QPoly((1, 0, 1))
+    assert type(s) is RatQ  # arithmetic leaves the print form behind
+    assert ord_q(s) == -1 and deg_q(s) == 1
+    assert QLaurent(s).terms() == [(-1, 1), (1, 1)]
     assert (qq * qinv) == QLaurent.q_power(0)
-    assert (qinv ** 3).shift == -3
+    cube = qinv ** 3
+    assert ord_q(cube) == deg_q(cube) == -3
+    assert cube.to_ratq() == RatQ(1, QPoly((0, 0, 0, 1)))
     assert (s - s).is_zero()
-    assert qq.coeff(1) == 1 and qq.coeff(0) == 0
+    assert qq.terms() == [(1, 1)]
 
 
 def test_qlaurent_to_ratq():
     l = QLaurent(QPoly((1, 1)), -2)
     r = l.to_ratq()
+    assert type(r) is RatQ and r == l
+    assert r.to_text() == "(q+1)/q^2"
+    assert ord_q(r) == -2 and deg_q(r) == -1
     assert r.num == QPoly((1, 1))
     assert r.den == QPoly((0, 0, 1))
     assert QLaurent(QPoly((1, 1)), 2).to_ratq() == RatQ(QPoly((0, 0, 1, 1)))
@@ -211,6 +217,11 @@ def test_qlaurent_text():
     assert QLaurent(QPoly((1, -1, 1)), -1).to_text() == "q-1+q^-1"
     assert QLaurent(QPoly((1,), 2), -2).to_text() == "1/2*q^-2"
     assert QLaurent(QPoly()).to_text() == "0"
+    v = Q - 1 + 1 / Q
+    assert v.to_text() == "(q^2-q+1)/q"
+    assert QLaurent(v).to_text() == "q-1+q^-1"
+    with pytest.raises(ValueError):
+        QLaurent(1 / (Q + 1))
 
 
 # ---------------------------------------------------------------------------
