@@ -52,18 +52,6 @@ class _NeedPrimes(Exception):
 # vectorized GF(p) helpers
 
 
-def _pow_vec(a, e, p):
-    """Elementwise a**e mod p for scalar e >= 0."""
-    out = np.ones(len(a), dtype=np.int64)
-    base = a % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
-
-
 def _prefix_prod(a, p):
     out = a.copy()
     s = 1
@@ -154,9 +142,8 @@ class ProbeDomain:
         self.q = qvals.astype(np.int64) % prime
         self.n = len(qvals)
         self.alive = np.ones(self.n, dtype=bool)
-        qinv = _pow_vec(self.q, prime - 2, prime)
         self._qpow = {0: np.ones(self.n, dtype=np.int64),
-                      1: self.q, -1: qinv}
+                      1: self.q, -1: _batch_inv(self.q, prime)}
         self._zero = np.zeros(self.n, dtype=np.int64)
 
     def qpow(self, e):
@@ -174,8 +161,9 @@ class ProbeDomain:
     def from_ratq(self, r):
         num = K.eval_many_mod(r.n.ints, self.q, self.p)
         num = num * pow(r.n.den, self.p - 2, self.p) % self.p
-        den = K.eval_many_mod(r.d.ints, self.q, self.p)
-        return self.mul(self.div(num, den), self.qpow(r.v))
+        if not r.d.is_one():
+            num = self.div(num, K.eval_many_mod(r.d.ints, self.q, self.p))
+        return self.mul(num, self.qpow(r.v))
 
     def from_int(self, v):
         return np.full(self.n, v % self.p, dtype=np.int64)
@@ -200,7 +188,7 @@ class ProbeDomain:
         if hit.any():
             self.alive &= ~hit
         safe = np.where(b == 0, 1, b)
-        return a * _pow_vec(safe, self.p - 2, self.p) % self.p
+        return a * _batch_inv(safe, self.p) % self.p
 
     def is_zero(self, a):
         return not a[self.alive].any()

@@ -34,6 +34,9 @@ DISTANCE_TOL = 1e-9
 # |.| within this of 1 counts as "on the unit circle"
 CIRCLE_TOL = 1e-6
 
+# n per vectorized scan step; |q^n| is renormalized to 1 once per chunk
+SCAN_CHUNK = 4096
+
 
 def unit_q(theta):
     """exp(2*pi*i*theta) for a rational or float rotation number."""
@@ -99,6 +102,36 @@ def roots_of(poly, q_numeric, residual_tol=1e-6, cluster_tol=1e-7):
             f"root candidates {bad} have residuals above tolerance; "
             f"the evaluation at q = {q_numeric} is too ill-conditioned")
     return out
+
+
+def _dist(zs, u):
+    """|z - u| elementwise, rounded as Python's abs(complex) rounds it.
+
+    np.hypot goes to the C library's hypot like abs(complex) does;
+    np.abs on a complex array may take a SIMD path that differs in the
+    last bit.
+    """
+    w = zs - u
+    return np.hypot(w.real, w.imag)
+
+
+def _weighted_min(d, w, n0, cf):
+    """(min, earliest argmin n) of d[k] * (n0 + k) ** cf over k.
+
+    w[k] is numpy's (n0 + k) ** cf, which may differ in the last bits
+    from the C library's pow that Python's ** calls.  It only narrows
+    the search: every k within a relative 1e-12 of the least score is
+    scored again with Python's **, so the result is the one a scalar
+    loop over n finds.  A score past the float range is infinite and
+    never a minimum, where Python's ** would raise OverflowError.
+    """
+    with np.errstate(over="ignore"):
+        approx = d * w[: len(d)]
+    least = approx.min()
+    if least == math.inf:
+        return least, n0
+    near = np.flatnonzero(approx <= least * (1.0 + 1e-12))
+    return min((float(d[k]) * (n0 + k) ** cf, n0 + k) for k in near.tolist())
 
 
 class DiophantineScan:
@@ -215,34 +248,49 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
     # per root, per grid exponent: (min score, argmin)
     mins = {i: {c: (math.inf, 0) for c in grid} for i in live}
     hard_fail = {}  # root index -> witness n
+    exponents = [(c, float(c)) for c in grid]
 
     z = 1.0 + 0j
-    for n in range(1, N + 1):
-        z *= q_numeric
-        if n % 4096 == 0:
+    for n0 in range(1, N + 1, SCAN_CHUNK):
+        m = min(SCAN_CHUNK, N + 1 - n0)
+        # z_n = z_(n-1) * q, every product rounded as the scalar
+        # recurrence rounds it; |z| is renormalized at each chunk's end
+        zs = np.full(m, q_numeric, dtype=complex)
+        zs[0] = z * q_numeric
+        np.multiply.accumulate(zs, out=zs)
+        z = complex(zs[-1])
+        if m == SCAN_CHUNK:
             z /= abs(z)
-        if abs(z - 1.0) <= tol:
-            raise RootOfUnityDetected(n)
+            zs[-1] = z
+        hit = np.flatnonzero(_dist(zs, 1.0) <= tol)
+        if len(hit):
+            raise RootOfUnityDetected(n0 + int(hit[0]))
+        ns = np.arange(n0, n0 + m, dtype=float)
+        with np.errstate(over="ignore"):
+            weights = [(c, cf, ns ** cf) for c, cf in exponents]
         for i in live:
             if i in hard_fail:
                 continue
-            d = abs(z - roots[i])
-            if d < best_dist[i]:
-                best_dist[i] = d
-                records[i].append((n, d, n * d))
-                if d <= tol:
+            d = _dist(zs, roots[i])
+            prior = np.empty(m)  # least distance over every earlier n
+            prior[0] = best_dist[i]
+            np.minimum(np.minimum.accumulate(d[:-1]), best_dist[i],
+                       out=prior[1:])
+            for k in np.flatnonzero(d < prior).tolist():
+                n, dk = n0 + k, float(d[k])
+                records[i].append((n, dk, n * dk))
+                best_dist[i] = dk
+                if dk <= tol:
+                    # the hit ends this root's scan: no minimum counts it
                     hard_fail[i] = n
-                    continue
-                for c in grid:
-                    s = d * n ** float(c)
-                    if s < mins[i][c][0]:
-                        mins[i][c] = (s, n)
-            else:
-                # a non-record distance can still set a new weighted low
-                for c in grid:
-                    s = d * n ** float(c)
-                    if s < mins[i][c][0]:
-                        mins[i][c] = (s, n)
+                    d = d[:k]
+                    break
+            if not len(d):
+                continue
+            for c, cf, w in weights:
+                low = _weighted_min(d, w, n0, cf)
+                if low[0] < mins[i][c][0]:
+                    mins[i][c] = low
 
     per_root = []
     overall_c2 = grid[0]

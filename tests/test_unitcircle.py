@@ -1,14 +1,16 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qdeq.errors import DegenerateAfterEvaluation, RootOfUnityDetected
 from qdeq.ratfunc import Q, RatQ
 from qdeq.skewop import ResonancePoly
-from qdeq.unitcircle import (DiophantineScan, roots_of, scan_condition_H,
-                             unit_q)
+from qdeq.unitcircle import (DEFAULT_C2_GRID, DiophantineScan, _weighted_min,
+                             roots_of, scan_condition_H, unit_q)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # fractional part of the golden ratio
 
@@ -189,3 +191,194 @@ def test_empty_root_list():
     scan = scan_condition_H(unit_q(GOLDEN), [], 100)
     assert scan.passed()
     assert scan.verdict["c1"] is None
+
+
+# ---------------------------------------------------------------------------
+# the chunked scan against the per-n loop it replaced
+
+
+def _loop_scan(q_numeric, roots, N, c2_grid=None, tol=1e-9):
+    """scan_condition_H as a plain loop over n, one n at a time: the
+    reference the chunked numpy scan must reproduce."""
+    grid = tuple(sorted(Fraction(c) for c in (c2_grid or DEFAULT_C2_GRID)))
+    roots = [complex(u) for u in roots]
+    on_circle = [abs(abs(u) - 1.0) <= 1e-6 for u in roots]
+    live = [i for i in range(len(roots)) if on_circle[i]]
+
+    records = {i: [] for i in range(len(roots))}
+    best_dist = {i: math.inf for i in live}
+    mins = {i: {c: (math.inf, 0) for c in grid} for i in live}
+    hard_fail = {}
+
+    z = 1.0 + 0j
+    for n in range(1, N + 1):
+        z *= q_numeric
+        if n % 4096 == 0:
+            z /= abs(z)
+        if abs(z - 1.0) <= tol:
+            raise RootOfUnityDetected(n)
+        for i in live:
+            if i in hard_fail:
+                continue
+            d = abs(z - roots[i])
+            if d < best_dist[i]:
+                best_dist[i] = d
+                records[i].append((n, d, n * d))
+                if d <= tol:
+                    hard_fail[i] = n
+                    continue
+            for c in grid:
+                s = d * n ** float(c)
+                if s < mins[i][c][0]:
+                    mins[i][c] = (s, n)
+
+    per_root = []
+    overall_c2 = grid[0]
+    overall_witness = None
+    for i, u in enumerate(roots):
+        if not on_circle[i]:
+            per_root.append({"root": [u.real, u.imag], "status": "pass",
+                             "c2": None, "c1": abs(1.0 - abs(u)),
+                             "witness": None, "reason": "off the unit circle"})
+            continue
+        if i in hard_fail:
+            n0 = hard_fail[i]
+            per_root.append({"root": [u.real, u.imag], "status": "fail",
+                             "c2": None, "c1": 0.0, "witness": n0,
+                             "reason": f"|q^n - u| <= {tol} at n = {n0}"})
+            if overall_witness is None or n0 < overall_witness:
+                overall_witness = n0
+            continue
+        chosen = None
+        for c in grid:
+            s, argmin = mins[i][c]
+            if s > tol and 2 * argmin <= N:
+                chosen = c
+                break
+        if chosen is None:
+            s, argmin = mins[i][grid[-1]]
+            per_root.append({"root": [u.real, u.imag], "status": "fail",
+                             "c2": None, "c1": s, "witness": argmin,
+                             "reason": "weighted minimum still falling at "
+                                       "every grid exponent"})
+            if overall_witness is None or argmin < overall_witness:
+                overall_witness = argmin
+            continue
+        per_root.append({"root": [u.real, u.imag], "status": "pass",
+                         "c2": chosen, "c1": mins[i][chosen][0],
+                         "witness": None, "reason": None})
+        overall_c2 = max(overall_c2, chosen)
+
+    if overall_witness is not None:
+        verdict = {"status": "fail", "c1": None, "c2": None,
+                   "witness": overall_witness}
+    else:
+        c1s = [abs(1.0 - abs(u)) if not on_circle[i]
+               else mins[i][overall_c2][0] for i, u in enumerate(roots)]
+        verdict = {"status": "pass", "c1": min(c1s) if c1s else None,
+                   "c2": overall_c2 if c1s else None, "witness": None}
+    return records, per_root, verdict
+
+
+def _assert_same(got, want, where="scan"):
+    """Equal structure, ints and strings; floats to a relative 1e-12."""
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0), where
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for k in want:
+            _assert_same(got[k], want[k], f"{where}[{k!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            _assert_same(a, b, f"{where}[{k}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def _assert_matches_loop(q, roots, N, **kw):
+    scan = scan_condition_H(q, roots, N, **kw)
+    records, per_root, verdict = _loop_scan(q, roots, N, **kw)
+    _assert_same(scan.records, records, "records")
+    _assert_same(scan.per_root, per_root, "per_root")
+    _assert_same(scan.verdict, verdict, "verdict")
+    return scan
+
+
+ON_AND_OFF = [1.0 + 0j, 1j, cmath.exp(0.6j * math.pi), 2.0 + 0j, 0.5j]
+
+
+@pytest.mark.parametrize("N", [1, 4095, 4096, 4097, 9000])
+def test_chunked_scan_matches_loop_around_chunk_ends(N):
+    scan = _assert_matches_loop(unit_q(GOLDEN), ON_AND_OFF, N)
+    # one record list keeps falling across the chunk end at 4096
+    if N == 9000:
+        assert scan.records[2][-1][0] > 4096
+
+
+def test_chunked_scan_matches_loop_hard_fail_mid_chunk():
+    q = unit_q(GOLDEN)
+    scan = _assert_matches_loop(q, [1j, q ** 5000], 9000)
+    assert scan.per_root[1]["witness"] == 5000
+
+
+def test_chunked_scan_stops_records_at_the_hit():
+    # 1/pi is close to 113/355: q^355 turns by s, and the orbit passes u
+    # in steps of s at n = 5000, 5355, 5710.  With tol = 0.95 s the hit
+    # is at 5355, mid-chunk, and the record at 5710 must not follow.
+    q = unit_q(1 / math.pi)
+    s = cmath.phase(q ** 355)
+    u = q ** 5000 * cmath.exp(1.9j * s)
+    scan = _assert_matches_loop(q, [u, 1j], 9000, tol=0.95 * s)
+    assert scan.records[0][-1][0] == scan.per_root[0]["witness"] == 5355
+    assert scan_condition_H(q, [u], 9000, tol=0.0).records[0][-1][0] == 5710
+
+
+def test_chunked_scan_root_of_unity_in_later_chunk():
+    # theta = 2002/6003 as a float, near 1/3: q^6003 = 1 to rounding
+    q = unit_q(2002 / 6003)
+    with pytest.raises(RootOfUnityDetected) as want:
+        _loop_scan(q, [1j], 9000)
+    with pytest.raises(RootOfUnityDetected) as got:
+        scan_condition_H(q, [1j], 9000)
+    assert got.value.n == want.value.n == 6003
+
+
+def test_chunked_scan_matches_loop_custom_grid():
+    q = unit_q(GOLDEN)
+    grid = [Fraction(1, 3), Fraction(3, 2)]
+    # q^n comes within 1e-8 of the last root at n = 7000 > N/2
+    roots = ON_AND_OFF + [q ** 7000 * cmath.exp(1e-8j)]
+    scan = _assert_matches_loop(q, roots, 9000, c2_grid=grid)
+    assert scan.per_root[-1]["status"] == "fail"
+    assert scan.per_root[-1]["witness"] == 7000
+    assert scan.per_root[0]["c2"] == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("roots", [[], [2.0 + 0j, 0.25 - 0.25j]])
+def test_chunked_scan_matches_loop_without_live_roots(roots):
+    _assert_matches_loop(unit_q(GOLDEN), roots, 9000)
+
+
+@pytest.mark.parametrize("cf", [0.5, 4.0, 1 / 3, 2.5])
+def test_weighted_min_rounds_like_python_pow(cf):
+    # scores d * n**cf that all agree to a few ulps, so the argmin rests
+    # on how the power was rounded
+    n0, m = 5000, 4096
+    d = np.array([1.0 / (n0 + k) ** cf for k in range(m)])
+    w = np.arange(n0, n0 + m, dtype=float) ** cf
+    want = min((float(d[k]) * (n0 + k) ** cf, n0 + k) for k in range(m))
+    assert _weighted_min(d, w, n0, cf) == want
+
+
+def test_scores_past_float_range_never_count():
+    # n^200 overflows a float from n = 35 on; the per-n loop raised
+    # OverflowError there, the chunked scan treats those scores as inf
+    q = unit_q(GOLDEN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        long = scan_condition_H(q, [1j], 100, c2_grid=[200])
+    short = _assert_matches_loop(q, [1j], 30, c2_grid=[200])
+    assert long.per_root == short.per_root
+    assert long.passed()
