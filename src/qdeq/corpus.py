@@ -48,13 +48,11 @@ def jones(n):
     """
     if n < 0:
         raise ValueError("color must be a nonnegative integer")
-    one = RatQ(1)
     total = RatQ(0)
-    prods = one  # the two Pochhammer products at k, one factor more each k
     for k in range(n + 1):
-        total = total + prods.shift_q(n * k)
-        prods = (prods * (1 - one.shift_q(-n - 1 - k))
-                 * (1 - one.shift_q(-n + 1 + k)))
+        total = total + (RatQ(1).shift_q(n * k)
+                         * pochhammer(RatQ(1).shift_q(-n - 1), "q_inv", k)
+                         * pochhammer(RatQ(1).shift_q(-n + 1), "q", k))
     return QLaurent(total)
 
 

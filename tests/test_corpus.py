@@ -18,7 +18,7 @@ from qdeq.corpus import (
     jones_series,
 )
 from qdeq.dsl import parse, parse_ratq
-from qdeq.ratfunc import RatQ, QLaurent, pochhammer
+from qdeq.ratfunc import RatQ, QLaurent
 from qdeq.series import TruncSeries
 from qdeq.skewop import apply, newton_polygon, op_mul
 from qdeq.solver import check_solution, extend
@@ -217,16 +217,3 @@ def test_run_order_override():
     rep = get_entry("q-euler").run(order=5)
     assert rep.passed()
     assert any("through order 5" in d for _, _, _, d in rep.results)
-
-
-def test_jones_matches_pochhammer_sum():
-    # the defining sum, with both Pochhammer products built from scratch
-    for n in range(13):
-        want = RatQ(0)
-        for k in range(n + 1):
-            want = want + (RatQ(1).shift_q(n * k)
-                           * pochhammer(RatQ(1).shift_q(-n - 1), "q_inv", k)
-                           * pochhammer(RatQ(1).shift_q(-n + 1), "q", k))
-        got = jones(n)
-        assert got == want
-        assert got.to_text() == QLaurent(want).to_text()
