@@ -45,17 +45,6 @@ def add(a, b):
     return trim(out)
 
 
-def sub(a, b):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return trim(out)
-
-
-def neg(a):
-    return [-c for c in a]
-
-
 def scal(a, k):
     if k == 0:
         return []

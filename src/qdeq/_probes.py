@@ -38,6 +38,9 @@ from .nonlinear import Evaluator
 from .ratfunc import QPoly, RatQ
 
 _RESERVE = 64  # lanes per prime kept out of every interpolation
+_VERIFY_LANES = 128  # lanes of the fresh-prime verification
+_CHECK_PRIMES = 2  # primes and lanes per prime of the probe-mode check
+_CHECK_LANES = 160
 
 
 class _NeedLanes(Exception):
@@ -72,13 +75,6 @@ def _batch_inv(a, p):
     right = np.ones(n, dtype=np.int64)
     right[:-1] = suff[1:]
     return left * total_inv % p * right % p
-
-
-def _np_eval(poly, xs, p):
-    acc = np.zeros(len(xs), dtype=np.int64)
-    for c in poly[::-1]:
-        acc = (acc * xs + int(c)) % p
-    return acc
 
 
 def _trim_np(a):
@@ -290,10 +286,10 @@ def _rat_interp(xs, ys, p, tables=None):
 
 
 def _check_fit(num, den, xs, ys, p):
-    dv = _np_eval(den, xs, p)
+    dv = K.eval_many_mod(den, xs, p)
     if (dv == 0).any():
         return False
-    return bool((_np_eval(num, xs, p) == dv * ys % p).all())
+    return bool((K.eval_many_mod(num, xs, p) == dv * ys % p).all())
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +389,7 @@ def _start_run(F, seed, N, prime, nlanes):
         rng = np.random.default_rng(
             _fingerprint(F, seed, N, prime, attempt, nlanes))
         dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
-        coeffs, events, _ = _extend_core(F, seed, N, dom)
+        coeffs, events = _extend_core(F, seed, N, dom)
         if dom.healthy():
             return _Run(prime, dom, coeffs, events)
     raise EngineError(f"lanes kept dying at prime {prime}")
@@ -492,40 +488,44 @@ def _solve_at(F, seed, N, nlanes):
         exact.append(value)
         h += 1
 
-    _verify_fresh(F, exact, prime_iter, {run.prime for run in runs}, nlanes)
+    _verify_fresh(F, exact, prime_iter, {run.prime for run in runs})
     return exact, runs[0].events
 
 
-def _verify_fresh(F, exact, prime_iter, used, nlanes):
+def _first_nonzero(F, coeffs, prime, salt, nlanes):
+    """Lowest order at which F along coeffs is nonzero on fresh lanes mod
+    prime, through x^(len(coeffs) - 1); len(coeffs) when no order is, and
+    None when too many lanes die."""
+    rng = np.random.default_rng(prime ^ salt)
+    dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
+    vals = [dom.from_ratq(c) for c in coeffs]
+    res = Evaluator(vals, len(coeffs) - 1, dom).eval(F)
+    if not dom.healthy():
+        return None
+    return next((m for m, v in enumerate(res) if not dom.is_zero(v)),
+                len(coeffs))
+
+
+def _verify_fresh(F, exact, prime_iter, used):
     prime = next(prime_iter)
     while prime in used:
         prime = next(prime_iter)
-    rng = np.random.default_rng(prime ^ 0x9E3779B97F4A7C15)
-    dom = ProbeDomain(prime, _lane_points(prime, 128, rng))
-    vals = [dom.from_ratq(c) for c in exact]
-    res = Evaluator(vals, len(exact) - 1, dom).eval(F)
-    if not dom.healthy():
+    m = _first_nonzero(F, exact, prime, 0x9E3779B97F4A7C15, _VERIFY_LANES)
+    if m is None:
         raise EngineError("verification lanes died")
-    for m, v in enumerate(res):
-        if not dom.is_zero(v):
-            raise EngineError(f"reconstructed solution fails at order {m}")
+    if m < len(exact):
+        raise EngineError(f"reconstructed solution fails at order {m}")
 
 
-def check(F, phi, primes=2, lanes=160):
-    """Probe-mode check_solution: largest V with residual zero through V."""
+def check(F, phi):
+    """Probe-mode check_solution: largest V with residual zero through V,
+    or None when too many lanes die."""
     best = phi.trunc
     prime_iter = K.primes_31()
-    for _ in range(primes):
-        prime = next(prime_iter)
-        rng = np.random.default_rng(prime ^ 0xD1B54A32D192ED03)
-        dom = ProbeDomain(prime, _lane_points(prime, lanes, rng))
-        vals = [dom.from_ratq(c) for c in phi.coeffs]
-        res = Evaluator(vals, phi.trunc, dom).eval(F)
-        if not dom.healthy():
-            from .solver import check_solution
-            return check_solution(F, phi, mode="exact")
-        for m, v in enumerate(res):
-            if not dom.is_zero(v):
-                best = min(best, m - 1)
-                break
+    for _ in range(_CHECK_PRIMES):
+        m = _first_nonzero(F, phi.coeffs, next(prime_iter),
+                           0xD1B54A32D192ED03, _CHECK_LANES)
+        if m is None:
+            return None
+        best = min(best, m - 1)
     return best

@@ -27,6 +27,7 @@ row 1's trailing factor, has right slope 1 instead of 1/2, and is kept
 for comparison.  Residual status is reported by run(), never asserted.
 """
 
+import functools
 from fractions import Fraction
 
 from .dsl import parse, parse_ratq
@@ -285,6 +286,7 @@ JONES_ANNIHILATOR_TEXT = " + ".join((
 
 def _entry_jones():
     src = parse(JONES_OPERATOR_TEXT)
+    dense = parse(JONES_ANNIHILATOR_TEXT)
 
     def _invariants(ctx, nmax):
         key = ("jones", nmax)
@@ -316,8 +318,7 @@ def _entry_jones():
         ser = jones_series(depth)
         out = []
         for label, op in (("factored text", src.parsed),
-                          ("dense-annihilator variant",
-                           parse(JONES_ANNIHILATOR_TEXT).parsed)):
+                          ("dense-annihilator variant", dense.parsed)):
             res = apply(op, ser)
             bad = [h for h, c in enumerate(res.coeffs) if not c.is_zero()]
             if bad:
@@ -351,7 +352,7 @@ def _entry_jones():
                      " [-1, 8] is too narrow to carry an annihilator of the"
                      " invariant series"),
             "dense-annihilator": Variant(
-                source=parse(JONES_ANNIHILATOR_TEXT),
+                source=dense,
                 note="minimal annihilator reconstructed from the series"
                      " itself; window [-1, 9], same slopes {-1/2, 0, 1/2},"
                      " residual identically zero"),
@@ -484,13 +485,20 @@ def _entry_phi11():
     )
 
 
+@functools.cache
+def _entries():
+    # built on first use, not at import: parsing the entries is most of
+    # what they cost, and importing qdeq should not pay for it
+    return (_entry_qeuler(), _entry_jones(), _entry_qp2(), _entry_phi11())
+
+
 def corpus():
-    """All bundled entries, in a stable order."""
-    return [_entry_qeuler(), _entry_jones(), _entry_qp2(), _entry_phi11()]
+    """All bundled entries, in a stable order, as a new list each call."""
+    return list(_entries())
 
 
 def get_entry(entry_id):
-    for e in corpus():
+    for e in _entries():
         if e.id == entry_id:
             return e
     raise KeyError(f"no corpus entry named {entry_id!r}")

@@ -20,6 +20,10 @@ a plain RatQ.
 
 The two valuations deg_q and ord_q take values in Z extended by the
 NEG_INF / POS_INF sentinels defined here (never magic integers).
+
+fmt_coeff_poly is the one printer for polynomials over Q(q) in another
+variable: truncated series and x-polynomials (series) and resonance
+polynomials in T (skewop) all print through it.
 """
 
 import math
@@ -77,29 +81,9 @@ NEG_INF = _Inf(-1)
 POS_INF = _Inf(+1)
 
 
-def _fmt_ipoly(ints, var="q"):
-    """Integer coefficient list (ascending) -> text, descending powers."""
-    if not ints:
-        return "0"
-    out = []
-    for e in range(len(ints) - 1, -1, -1):
-        c = ints[e]
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if e == 0:
-            body = str(c)
-        else:
-            v = var if e == 1 else f"{var}^{e}"
-            body = v if c == 1 else f"{c}*{v}"
-        out.append(sign + body)
-    text = "".join(out)
-    return text[1:] if text[0] == "+" else text
-
-
 def _fmt_terms(pairs, var="q"):
-    """[(exponent, nonzero Fraction)] descending -> text; exponents may be < 0."""
+    """[(exponent, nonzero int or Fraction)] descending -> text; exponents
+    may be < 0."""
     if not pairs:
         return "0"
     out = []
@@ -121,6 +105,27 @@ def is_compound(text):
     """Does a coefficient's text need parentheses before "*x"-style
     factors?  True for sums, differences, negations and quotients."""
     return "+" in text or "-" in text or "/" in text
+
+
+def fmt_coeff_poly(coeffs, var):
+    """Ascending coefficients over Q(q) -> text in powers of var, such as
+    "1 + (q/(q+1))*x + x^3"; "0" when every coefficient is zero."""
+    parts = []
+    for k, c in enumerate(coeffs):
+        if c.is_zero():
+            continue
+        t = c.to_text()
+        if k == 0:
+            parts.append(t)
+            continue
+        vs = var if k == 1 else f"{var}^{k}"
+        if c.is_one():
+            parts.append(vs)
+        else:
+            if is_compound(t):
+                t = f"({t})"
+            parts.append(f"{t}*{vs}")
+    return " + ".join(parts) if parts else "0"
 
 
 class QPoly:
@@ -495,12 +500,12 @@ class RatQ:
     def to_text(self):
         """Integer-ratio text form, e.g. (q^2-1)/(q^3+2*q); round-trips by value."""
         num = self.num
-        p = list(num.ints)
-        d = K.scal(list(self.den.ints), num.den)
-        if len(d) == 1 and d[0] == 1:
-            return _fmt_ipoly(p)
-        ptxt = _fmt_ipoly(p)
-        dtxt = _fmt_ipoly(d)
+        p = num.ints
+        d = K.scal(self.den.ints, num.den)
+        ptxt, dtxt = (_fmt_terms([(e, c) for e, c in enumerate(a) if c][::-1])
+                      for a in (p, d))
+        if d == [1]:
+            return ptxt
         if sum(1 for c in p if c) > 1:
             ptxt = f"({ptxt})"
         # "1/2*q" would reparse as (1/2)*q, so a monomial like 2*q needs

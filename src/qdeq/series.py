@@ -14,7 +14,7 @@ XPoly is the exact companion: a genuine polynomial in x over Q(q), with
 no truncation, used for operator coefficients that are known exactly.
 """
 
-from .ratfunc import NEG_INF, POS_INF, RatQ, is_compound
+from .ratfunc import NEG_INF, POS_INF, RatQ, fmt_coeff_poly
 
 
 class _AboveTruncation:
@@ -40,6 +40,19 @@ class _AboveTruncation:
 
 
 ABOVE_TRUNCATION = _AboveTruncation()
+
+
+def _mul_coeffs(a, b, n):
+    """Coefficients 0..n-1 of the product of two ascending coefficient
+    lists, skipping zero factors."""
+    out = [RatQ(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b[:n - i]):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return out
 
 
 class TruncSeries:
@@ -119,15 +132,7 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             n = min(self.trunc, other.trunc)
-            out = [RatQ(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs[:n + 1]):
-                if a.is_zero():
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return TruncSeries(out, n)
+            return TruncSeries(_mul_coeffs(self.coeffs, other.coeffs, n + 1), n)
         c = RatQ.from_value(other)
         return TruncSeries([c * a for a in self.coeffs], self.trunc)
 
@@ -141,16 +146,6 @@ class TruncSeries:
 
     def __hash__(self):
         return hash((self.trunc, self.coeffs))
-
-    def scale_x(self, lam):
-        """x -> lam * x: coefficient c_h picks up lam**h."""
-        lam = RatQ.from_value(lam)
-        out = []
-        p = RatQ(1)
-        for c in self.coeffs:
-            out.append(c * p)
-            p = p * lam
-        return TruncSeries(out, self.trunc)
 
     def sigma(self, i):
         """The q-shift sigma^i: y(x) -> y(q^i x), so c_h -> c_h * q^(i*h)."""
@@ -166,23 +161,7 @@ class TruncSeries:
         return cls([parse_ratq(t) for t in obj["coeffs"]], obj["trunc"])
 
     def to_text(self):
-        parts = []
-        for h, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            t = c.to_text()
-            if h == 0:
-                parts.append(t)
-                continue
-            xs = "x" if h == 1 else f"x^{h}"
-            if c.is_one():
-                parts.append(xs)
-            else:
-                if is_compound(t):
-                    t = f"({t})"
-                parts.append(f"{t}*{xs}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(x^{self.trunc + 1})"
+        return f"{fmt_coeff_poly(self.coeffs, 'x')} + O(x^{self.trunc + 1})"
 
     def __repr__(self):
         return f"TruncSeries({self.to_text()})"
@@ -234,14 +213,8 @@ class XPoly:
         if isinstance(other, XPoly):
             if self.is_zero() or other.is_zero():
                 return XPoly()
-            out = [RatQ(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return XPoly(out)
+            return XPoly(_mul_coeffs(self.coeffs, other.coeffs,
+                                     len(self.coeffs) + len(other.coeffs) - 1))
         c = RatQ.from_value(other)
         return XPoly([c * a for a in self.coeffs])
 
@@ -263,15 +236,6 @@ class XPoly:
             return self
         return XPoly([RatQ(0)] * k + list(self.coeffs))
 
-    def scale_x(self, lam):
-        lam = RatQ.from_value(lam)
-        out = []
-        p = RatQ(1)
-        for c in self.coeffs:
-            out.append(c * p)
-            p = p * lam
-        return XPoly(out)
-
     def sigma(self, i):
         """a(x) -> a(q^i x)."""
         return XPoly([c.shift_q(i * h) for h, c in enumerate(self.coeffs)])
@@ -280,7 +244,7 @@ class XPoly:
         return TruncSeries([self.coeff(h) for h in range(trunc + 1)], trunc)
 
     def to_text(self):
-        return self.to_series(max(0, len(self.coeffs) - 1)).to_text().rsplit(" + O(", 1)[0]
+        return fmt_coeff_poly(self.coeffs, "x")
 
     def __repr__(self):
         return f"XPoly({self.to_text()})"

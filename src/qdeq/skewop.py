@@ -14,33 +14,17 @@ In series flavor, a coefficient whose stored part is identically zero is
 not discarded: the truncated data cannot distinguish a structural zero
 from a series of high order, so such indices are kept and reported as
 uncertain by the polygon routines instead of being silently dropped.
+
+ResonancePoly, the polynomial L(T) over Q(q) read off the lowest vertex
+of the Newton polygon, prints through ratfunc.fmt_coeff_poly, the same
+printer series and x-polynomials use.
 """
 
 from fractions import Fraction
 
 from .errors import EmptyOperator, UncertainOrder
-from .ratfunc import RatQ, is_compound
+from .ratfunc import RatQ, fmt_coeff_poly, is_compound
 from .series import ABOVE_TRUNCATION, TruncSeries, XPoly
-
-
-def _fmt_coeff_poly(coeffs, var):
-    """Polynomial over RatQ -> text, ascending powers of var."""
-    parts = []
-    for k, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        t = c.to_text()
-        if k == 0:
-            parts.append(t)
-            continue
-        vs = var if k == 1 else f"{var}^{k}"
-        if c.is_one():
-            parts.append(vs)
-        else:
-            if is_compound(t):
-                t = f"({t})"
-            parts.append(f"{t}*{vs}")
-    return " + ".join(parts) if parts else "0"
 
 
 class SkewOp:
@@ -70,10 +54,6 @@ class SkewOp:
         else:
             self.terms = exact
             self.flavor = "exact"
-
-    @classmethod
-    def single(cls, i, coeff):
-        return cls({i: coeff})
 
     @classmethod
     def identity(cls):
@@ -324,19 +304,6 @@ class ResonancePoly:
             out = out + c.shift_q(j * h)
         return out
 
-    def eval_ratq(self, v):
-        out = RatQ(0)
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
-
-    def eval_numeric(self, qv, tv):
-        """Value at q = qv, T = tv (floats/complex)."""
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * tv + c.eval(qv)
-        return out
-
     def coeffs_at(self, qv):
         """Numeric coefficient list at q = qv, ascending in T."""
         return [c.eval(qv) for c in self.coeffs]
@@ -350,7 +317,7 @@ class ResonancePoly:
         return hash(self.coeffs)
 
     def to_text(self):
-        return _fmt_coeff_poly(self.coeffs, "T")
+        return fmt_coeff_poly(self.coeffs, "T")
 
     def __repr__(self):
         return f"ResonancePoly({self.to_text()})"

@@ -43,8 +43,11 @@ def _eval_poly(F, phi, trunc, dom):
     return Evaluator(phi, trunc, dom).eval(F)
 
 
-def _w_degree(F):
-    return max((sum(k for _, k in exps) for (_, exps) in F.monomials), default=0)
+def _auto_engine(F, N):
+    """What engine="auto" runs through order N: probe for nonlinear F
+    past order 12, exact otherwise."""
+    w = max((sum(k for _, k in exps) for (_, exps) in F.monomials), default=0)
+    return "probe" if w >= 2 and N > 12 else "exact"
 
 
 class _Diag:
@@ -101,7 +104,7 @@ class _Stop(Exception):
 
 
 def _extend_core(F, seed, N, dom):
-    """Run the solve loop; returns (coefficient list in dom, events, cleared)."""
+    """Run the solve loop; returns (coefficient list in dom, events)."""
     if not F.used_indices():
         raise SeedRejected("the equation does not involve the unknown at all")
     k = len(seed) - 1
@@ -134,12 +137,13 @@ def _extend_core(F, seed, N, dom):
                 c = _scan_step(F, phi, dom, diag, h, W, cleared,
                                first_step, k, events)
             phi.append(c)
-            cleared = events[-1].get("cleared", W)
+            # every step event's order is the highest residual order it
+            # certified zero
+            cleared = events[-1]["order"]
             first_step = False
     except _Stop as stop:
         events.append(stop.event)
-        return phi, events, cleared
-    return phi, events, cleared
+    return phi, events
 
 
 def _steady_step(F, phi, dom, diag, h, W, cleared, first_step, k, events):
@@ -155,12 +159,11 @@ def _steady_step(F, phi, dom, diag, h, W, cleared, first_step, k, events):
     A = _linear_slope(dom, diag, h)
     if dom.is_zero(A):
         if dom.is_zero(B):
-            events.append({"h": h, "kind": "resonant_free", "order": W,
-                           "cleared": W})
+            events.append({"h": h, "kind": "resonant_free", "order": W})
             return dom.zero()
         raise _Stop({"h": h, "kind": "obstruction_no_solution", "order": W,
                      "residual": B})
-    events.append({"h": h, "kind": "unique", "order": W, "cleared": W})
+    events.append({"h": h, "kind": "unique", "order": W})
     return dom.div(dom.neg(B), A)
 
 
@@ -188,9 +191,9 @@ def _scan_step(F, phi, dom, diag, h, W, cleared, first_step, k, events):
         if not dom.is_zero(alpha):
             raise _Stop({"h": h, "kind": "nonaffine_step", "order": m,
                          "alpha": alpha, "beta": beta, "gamma": g})
-        events.append({"h": h, "kind": "unique", "order": m, "cleared": m})
+        events.append({"h": h, "kind": "unique", "order": m})
         return dom.div(dom.neg(g), beta)
-    events.append({"h": h, "kind": "resonant_free", "order": W, "cleared": W})
+    events.append({"h": h, "kind": "resonant_free", "order": W})
     return dom.zero()
 
 
@@ -200,11 +203,9 @@ def _scan_step(F, phi, dom, diag, h, W, cleared, first_step, k, events):
 
 def _plain_event(e):
     """An event with JSON-ready values: RatQ as its text, probe-domain
-    vectors as "(modular)"; the internal "cleared" mark is dropped."""
+    vectors as "(modular)"."""
     out = {}
     for key, v in e.items():
-        if key == "cleared":
-            continue
         if isinstance(v, RatQ):
             v = v.to_text()
         elif not isinstance(v, (int, str)):
@@ -275,7 +276,7 @@ def extend(F, seed, N, engine="auto"):
     if engine not in ("auto", "exact", "probe"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "auto":
-        engine = "probe" if (_w_degree(F) >= 2 and N > 12) else "exact"
+        engine = _auto_engine(F, N)
     if engine == "probe":
         from . import _probes
         try:
@@ -287,7 +288,7 @@ def extend(F, seed, N, engine="auto"):
             return SolveReport(TruncSeries(coeffs, resolved), resolved,
                                [_plain_event(e) for e in events])
     dom = ExactDomain()
-    coeffs, events, _ = _extend_core(F, seed, N, dom)
+    coeffs, events = _extend_core(F, seed, N, dom)
     resolved = len(coeffs) - 1
     return SolveReport(TruncSeries(coeffs, resolved), resolved, events)
 
@@ -298,15 +299,18 @@ def check_solution(F, phi, mode="auto"):
     mode "exact" recomputes the residual in Q(q); mode "probe" tests it
     at random modular points (sound for nonzero detection, zero with
     overwhelming likelihood), which is the default for large nonlinear
-    inputs.
+    inputs, and recomputes it in Q(q) when too many of those points hit
+    a pole.
     """
     if mode not in ("auto", "exact", "probe"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "auto":
-        mode = "probe" if (_w_degree(F) >= 2 and phi.trunc > 12) else "exact"
+        mode = _auto_engine(F, phi.trunc)
     if mode == "probe":
         from . import _probes
-        return _probes.check(F, phi)
+        got = _probes.check(F, phi)
+        if got is not None:
+            return got
     r = eval_at(F, phi)
     for m, c in enumerate(r.coeffs):
         if not c.is_zero():

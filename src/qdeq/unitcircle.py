@@ -23,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _intpoly as K
 from .errors import DegenerateAfterEvaluation, RootOfUnityDetected
 from .skewop import ResonancePoly
 
@@ -90,13 +91,7 @@ def roots_of(poly, q_numeric, residual_tol=1e-6, cluster_tol=1e-7):
             clusters.append([r])
     out = [complex(np.mean(c)) for c in clusters]
 
-    def value(t):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * t + c
-        return acc
-
-    bad = [t for t in out if abs(value(t)) > residual_tol * scale]
+    bad = [t for t in out if abs(K.eval_at(cs, t)) > residual_tol * scale]
     if bad:
         raise DegenerateAfterEvaluation(
             f"root candidates {bad} have residuals above tolerance; "

@@ -161,9 +161,12 @@ def test_resonance_poly_eval():
     L = ResonancePoly([RatQ(-1), RatQ(0), RatQ(1)])  # T^2 - 1
     assert L.at_qpow(0).is_zero()
     assert L.at_qpow(3) == Q ** 6 - 1
-    assert L.eval_ratq(RatQ(2)) == RatQ(3)
     assert L.degree == 2
-    assert abs(L.eval_numeric(0.5 + 0j, 1.0 + 0j)) < 1e-15
+
+
+def test_resonance_poly_text():
+    L = ResonancePoly([Q ** 2, Q + Q ** 2, Q, 0, -RatQ(1) / 2])
+    assert L.to_text() == "q^2 + (q^2+q)*T + q*T^2 + (-1/2)*T^4"
 
 
 def test_resonance_poly_trims_lead():

@@ -81,6 +81,15 @@ def test_roots_residual_invariant():
         assert abs(val) <= 1e-6 * scale
 
 
+def test_roots_rejects_a_non_root(monkeypatch):
+    # whatever the root finder returns is re-substituted; a candidate
+    # that is not a root must not come back as one
+    monkeypatch.setattr("qdeq.unitcircle.np.roots",
+                        lambda coeffs: np.array([0.5 + 0j]))
+    with pytest.raises(DegenerateAfterEvaluation):
+        roots_of([1j, -(1 + 1j), 1], unit_q(GOLDEN))
+
+
 def test_roots_constant_poly():
     assert roots_of([5.0], unit_q(0.1)) == []
 
