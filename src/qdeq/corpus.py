@@ -27,7 +27,6 @@ row 1's trailing factor, has right slope 1 instead of 1/2, and is kept
 for comparison.  Residual status is reported by run(), never asserted.
 """
 
-import functools
 from fractions import Fraction
 
 from .dsl import parse, parse_ratq
@@ -485,20 +484,13 @@ def _entry_phi11():
     )
 
 
-@functools.cache
-def _entries():
-    # built on first use, not at import: parsing the entries is most of
-    # what they cost, and importing qdeq should not pay for it
-    return (_entry_qeuler(), _entry_jones(), _entry_qp2(), _entry_phi11())
-
-
 def corpus():
-    """All bundled entries, in a stable order, as a new list each call."""
-    return list(_entries())
+    """All bundled entries, in a stable order."""
+    return [_entry_qeuler(), _entry_jones(), _entry_qp2(), _entry_phi11()]
 
 
 def get_entry(entry_id):
-    for e in _entries():
+    for e in corpus():
         if e.id == entry_id:
             return e
     raise KeyError(f"no corpus entry named {entry_id!r}")

@@ -136,15 +136,6 @@ def test_corpus_ids_and_lookup():
         get_entry("nope")
 
 
-def test_entries_are_built_once():
-    assert get_entry("jones-figure8") is get_entry("jones-figure8")
-    first = corpus()
-    first.clear()
-    assert [e.id for e in corpus()] == [
-        "q-euler", "jones-figure8", "q-painleve-2", "phi11-basic"]
-    assert corpus()[1] is get_entry("jones-figure8")
-
-
 def test_all_entries_pass():
     for e in corpus():
         rep = e.run()
