@@ -6,7 +6,8 @@ computes its residuals; the exact domain lives beside the evaluator, in
 nonlinear.  This module supplies ProbeDomain, a domain whose values are
 numpy vectors of evaluations at random points q = x_j modulo a 31-bit
 prime, so one step costs a handful of vectorized convolutions instead
-of exact Q(q) arithmetic.  The verification and check below run the
+of exact Q(q) arithmetic; the evaluator caches its series as 2-D
+arrays, one row per order.  The verification and check below run the
 same evaluator in fresh probe domains.  A nonzero lane proves a value
 nonzero; an all-zero vector means zero with overwhelming likelihood,
 and every "zero" the engine acts on is later backed by verification:
@@ -189,13 +190,15 @@ class ProbeDomain:
     def is_zero(self, a):
         return not a[self.alive].any()
 
-    def series_mul(self, a, b, width):
-        A = np.stack(a)
-        B = np.stack(b)
-        out = []
-        for m in range(width):
-            t = A[: m + 1] * B[m::-1] % self.p
-            out.append(t.sum(axis=0) % self.p)
+    def zeros(self, k):
+        return np.zeros((k, self.n), dtype=np.int64)
+
+    def series_mul(self, a, b, lo, hi):
+        """Orders lo..hi-1 of the Cauchy product of two series held as
+        2-D arrays, one row per order."""
+        out = np.empty((hi - lo, self.n), dtype=np.int64)
+        for m in range(lo, hi):
+            out[m - lo] = (a[: m + 1] * b[m::-1] % self.p).sum(axis=0) % self.p
         return out
 
     def healthy(self):

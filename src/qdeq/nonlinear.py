@@ -16,10 +16,12 @@ This module also holds the one substitution engine of the package.
 Evaluator computes F(phi) order by order in a coefficient domain: the
 ExactDomain defined here (Q(q) itself) or the probe engine's
 ProbeDomain (modular evaluations, in _probes).  A domain supplies the
-ring operations, q-powers, zero tests and a truncated series_mul.
-Everything that substitutes a series into a QdeqPoly runs on it: the
-solve loop in solver, the probe engine's verification and checks, and
-the two exact entry points below.
+ring operations, q-powers, zero tests, zero-filled series buffers and
+a series_mul that computes orders lo..hi-1 of a product.  Everything
+that substitutes a series into a QdeqPoly runs on it: the solve loop
+in solver, through one evaluator per run that recomputes only the
+orders a new coefficient changes, the probe engine's verification and
+checks, and the two exact entry points below.
 
 eval_at substitutes a truncated series phi for y (so w_i becomes
 phi(q^i x)) and returns a series with the same truncation as phi.
@@ -269,16 +271,19 @@ class ExactDomain:
     def qpow(self, e):
         return RatQ(1).shift_q(e)
 
-    def series_mul(self, a, b, width):
-        """Cauchy product through x^(width-1), skipping zero coefficients."""
-        out = [RatQ(0)] * width
-        for i, ai in enumerate(a[:width]):
+    def zeros(self, k):
+        return [RatQ(0)] * k
+
+    def series_mul(self, a, b, lo, hi):
+        """Orders lo..hi-1 of the Cauchy product, skipping zero coefficients."""
+        out = [RatQ(0)] * (hi - lo)
+        for i, ai in enumerate(a[:hi]):
             if ai.is_zero():
                 continue
-            for j in range(width - i):
-                bj = b[j]
+            for m in range(max(lo, i), hi):
+                bj = b[m - i]
                 if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
+                    out[m - lo] = out[m - lo] + ai * bj
         return out
 
 
@@ -287,57 +292,72 @@ class Evaluator:
 
     Works in any coefficient domain (ExactDomain here, the probe engine's
     ProbeDomain in _probes) and returns F(phi) as a coefficient list
-    through x^trunc.  Sigma-shifts of phi and the prefix products of the
-    monomials (powers included) are cached, so evaluating several
-    polynomials along the same phi, as the partials of a linearization
-    are, never recomputes a product.
+    through x^(width-1).  It owns phi and caches the images of F's
+    coefficients and the prefix products of the monomials (powers
+    included; a shift w_i is the product ((i, 1),)), so the partials of
+    a linearization share every product.  The caches are relaxed
+    (online, van der Hoeven 2002): order m of a product depends on
+    phi[0..m] alone, so set(h, c) marks only orders >= h stale, and
+    eval recomputes just those, up to the current width.
     """
 
     def __init__(self, phi, trunc, dom):
         self.dom = dom
+        self.phi = list(phi)
         self.width = trunc + 1
-        base = list(phi[:self.width])
-        base += [dom.zero()] * (self.width - len(base))
-        self._shifts = {0: base}
-        self._products = {}
+        self._products = {}  # exps -> [buffer of orders, count still valid]
+        self._coeffs = {}    # RatQ -> its image in dom
 
-    def _shift(self, i):
-        got = self._shifts.get(i)
-        if got is None:
-            dom = self.dom
-            got = self._shifts[i] = [dom.mul(c, dom.qpow(i * h))
-                                     for h, c in enumerate(self._shifts[0])]
-        return got
+    def set(self, h, c):
+        """Set c_h of phi, appending it when h == len(phi)."""
+        self.phi[h:h + 1] = [c]
+        for entry in self._products.values():
+            entry[1] = min(entry[1], h)
 
     def _product(self, exps):
-        got = self._products.get(exps)
-        if got is None:
-            mul = self.dom.series_mul
-            i, k = exps[-1]
-            if len(exps) > 1:
-                got = mul(self._product(exps[:-1]), self._product(exps[-1:]),
-                          self.width)
-            elif k > 1:
-                got = mul(self._product(((i, k - 1),)), self._shift(i),
-                          self.width)
-            else:
-                got = self._shift(i)
-            self._products[exps] = got
-        return got
+        dom, width = self.dom, self.width
+        entry = self._products.get(exps)
+        if entry is None:
+            entry = self._products[exps] = [dom.zeros(width), 0]
+        buf, lo = entry
+        if lo >= width:
+            return buf
+        if len(buf) < width:
+            entry[0] = grown = dom.zeros(2 * width)
+            grown[:lo] = buf[:lo]
+            buf = grown
+        entry[1] = width
+        i, k = exps[-1]
+        if len(exps) > 1:
+            buf[lo:width] = dom.series_mul(self._product(exps[:-1]),
+                                           self._product(exps[-1:]), lo, width)
+        elif k > 1:
+            buf[lo:width] = dom.series_mul(self._product(((i, k - 1),)),
+                                           self._product(((i, 1),)), lo, width)
+        else:
+            for h in range(lo, width):
+                c = self.phi[h] if h < len(self.phi) else dom.zero()
+                buf[h] = c if i == 0 else dom.mul(c, dom.qpow(i * h))
+        return buf
 
-    def eval(self, F):
+    def eval(self, F, lo=0):
+        """F(phi) through x^(width-1), accumulated from order lo up;
+        orders below lo are left zero."""
         dom, width = self.dom, self.width
         acc = [dom.zero()] * width
         for (e, exps), coeff in F.monomials.items():
             if e >= width:
                 continue
-            c = dom.from_ratq(coeff)
+            c = self._coeffs.get(coeff)
+            if c is None:
+                c = self._coeffs[coeff] = dom.from_ratq(coeff)
             if not exps:
-                acc[e] = dom.add(acc[e], c)
+                if e >= lo:
+                    acc[e] = dom.add(acc[e], c)
                 continue
             term = self._product(exps)
-            for h in range(width - e):
-                acc[e + h] = dom.add(acc[e + h], dom.mul(term[h], c))
+            for m in range(max(lo, e), width):
+                acc[m] = dom.add(acc[m], dom.mul(term[m - e], c))
         return acc
 
 

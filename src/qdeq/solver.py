@@ -29,6 +29,9 @@ companion probe engine, whose results are reconstructed to exact
 coefficients and verified before being reported.  Every residual and
 every linearization row comes from the one substitution engine,
 nonlinear.Evaluator; _eval_poly is the solve loop's entry point to it.
+A run keeps one evaluator, which owns the coefficient list; setting c_h
+(or a scan sample of it) changes only orders >= h, so each step
+recomputes and checks just the orders it can change.
 """
 
 from .errors import EngineError, SeedRejected
@@ -38,9 +41,10 @@ from .series import TruncSeries
 from .skewop import ResonancePoly
 
 
-def _eval_poly(F, phi, trunc, dom):
-    """Evaluate F along the coefficient list phi, through x^trunc, in dom."""
-    return Evaluator(phi, trunc, dom).eval(F)
+def _eval_poly(F, ev, trunc, dom, lo=0):
+    """F along ev's coefficients in dom, orders lo..trunc (lower ones 0)."""
+    ev.width = trunc + 1
+    return ev.eval(F, lo)
 
 
 def _auto_engine(F, N):
@@ -61,9 +65,9 @@ class _Diag:
         self.alpha = None
 
 
-def _refresh_diag(F, phi, dom, diag):
-    trunc = len(phi) - 1
-    rows = partial_rows(F, Evaluator(phi, trunc, dom))
+def _refresh_diag(F, ev, dom, diag):
+    ev.width = len(ev.phi)
+    rows = partial_rows(F, ev)
     uncertain = []
     certain_ord = {}
     for i, row in rows.items():
@@ -82,8 +86,8 @@ def _refresh_diag(F, phi, dom, diag):
         return
     l = min(certain_ord.values())
     diag.l = l
-    # an all-zero row only hides coefficient orders > trunc
-    diag.certified = (not uncertain) or trunc + 1 > l
+    # an all-zero row only hides coefficient orders >= width
+    diag.certified = (not uncertain) or ev.width > l
     if diag.certified:
         diag.alpha = {i: row[l] for i, row in rows.items()}
 
@@ -108,11 +112,11 @@ def _extend_core(F, seed, N, dom):
     if not F.used_indices():
         raise SeedRejected("the equation does not involve the unknown at all")
     k = len(seed) - 1
-    phi = [dom.from_ratq(c) for c in seed]
+    ev = Evaluator([dom.from_ratq(c) for c in seed], k, dom)
     events = []
 
     # orders 0..k depend on the seed alone: reject now if any is nonzero
-    r = _eval_poly(F, phi, k, dom)
+    r = _eval_poly(F, ev, k, dom)
     for m, v in enumerate(r):
         if not dom.is_zero(v):
             raise SeedRejected(
@@ -124,30 +128,31 @@ def _extend_core(F, seed, N, dom):
     try:
         for h in range(k + 1, N + 1):
             if not diag.certified:
-                _refresh_diag(F, phi, dom, diag)
+                _refresh_diag(F, ev, dom, diag)
             if diag.certified:
                 W = h + diag.l
             else:
                 W = h + max(diag.l if diag.l is not None else 0, k + 1)
             steady = diag.certified and h > diag.l
             if steady:
-                c = _steady_step(F, phi, dom, diag, h, W, cleared,
+                c = _steady_step(F, ev, dom, diag, h, W, cleared,
                                  first_step, k, events)
             else:
-                c = _scan_step(F, phi, dom, diag, h, W, cleared,
+                c = _scan_step(F, ev, dom, diag, h, W, cleared,
                                first_step, k, events)
-            phi.append(c)
+            ev.set(h, c)
             # every step event's order is the highest residual order it
             # certified zero
             cleared = events[-1]["order"]
             first_step = False
     except _Stop as stop:
         events.append(stop.event)
-    return phi, events
+        return ev.phi[:h], events  # without a scan sample left at c_h
+    return ev.phi, events
 
 
-def _steady_step(F, phi, dom, diag, h, W, cleared, first_step, k, events):
-    R = _eval_poly(F, phi, W, dom)
+def _steady_step(F, ev, dom, diag, h, W, cleared, first_step, k, events):
+    R = _eval_poly(F, ev, W, dom, cleared + 1)
     for m in range(cleared + 1, W):
         if not dom.is_zero(R[m]):
             if first_step and m <= k + diag.l:
@@ -167,11 +172,12 @@ def _steady_step(F, phi, dom, diag, h, W, cleared, first_step, k, events):
     return dom.div(dom.neg(B), A)
 
 
-def _scan_step(F, phi, dom, diag, h, W, cleared, first_step, k, events):
-    samples = {}
+def _scan_step(F, ev, dom, diag, h, W, cleared, first_step, k, events):
+    samples = []
     for cv in (0, 1, 2):
-        samples[cv] = _eval_poly(F, phi + [dom.from_int(cv)], W, dom)
-    r0, r1, r2 = samples[0], samples[1], samples[2]
+        ev.set(h, dom.from_int(cv))  # the samples share all orders < h
+        samples.append(_eval_poly(F, ev, W, dom, cleared + 1))
+    r0, r1, r2 = samples
     seed_bound = k + diag.l if (first_step and diag.certified) else k
     for m in range(cleared + 1, W + 1):
         g = r0[m]

@@ -12,10 +12,12 @@ from qdeq.dsl import parse
 from qdeq.errors import IndexOutOfWindow, NegativeXPower
 from qdeq.nonlinear import (
     Evaluator,
+    ExactDomain,
     QdeqPoly,
     eval_at,
     linearize,
     partial,
+    partial_rows,
 )
 from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
@@ -206,3 +208,50 @@ def test_engine_matches_reference_linear():
 @given(qdeq_polys(), st.lists(ratq_any, min_size=1, max_size=6))
 def test_engine_matches_reference_generated(F, coeffs):
     assert_engine_matches_reference(F, TruncSeries(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the relaxed evaluator against a fresh one on the same prefix
+
+
+def _same(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(g, w) if isinstance(g, np.ndarray) else g == w
+        for g, w in zip(got, want))
+
+
+# (what, value, index or width, lo): "append" c_h, "replace" one earlier
+# coefficient, as a scan sample is replaced, or change the width, to a
+# smaller one too, as the linearization diagnostics do
+evaluator_ops = st.lists(
+    st.tuples(st.sampled_from(["append", "replace", "width"]), ratq_any,
+              st.integers(0, 8), st.integers(0, 9)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=60, **COMMON)
+@given(qdeq_polys(), st.lists(ratq_any, min_size=1, max_size=3),
+       evaluator_ops, st.sampled_from(["exact", "probe"]))
+def test_relaxed_evaluator_matches_fresh(F, seed, ops, domain):
+    if domain == "exact":
+        dom = ExactDomain()
+    else:
+        prime = 2147483647
+        rng = np.random.default_rng(11)
+        dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 48, rng))
+    ev = Evaluator([dom.from_ratq(c) for c in seed], len(seed), dom)
+    for what, c, n, lo in ops:
+        if what == "append":
+            ev.set(len(ev.phi), dom.from_ratq(c))
+        elif what == "replace":
+            ev.set(n % len(ev.phi), dom.from_ratq(c))
+        else:
+            ev.width = n + 1
+        lo = min(lo, ev.width)
+        fresh = Evaluator(ev.phi, ev.width - 1, dom)
+        got, want = ev.eval(F, lo), fresh.eval(F)
+        assert _same(got[lo:], want[lo:])
+        assert all(dom.is_zero(v) for v in got[:lo])
+        rows, want_rows = partial_rows(F, ev), partial_rows(F, fresh)
+        assert rows.keys() == want_rows.keys()
+        assert all(_same(rows[i], want_rows[i]) for i in rows)

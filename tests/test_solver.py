@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from qdeq import _probes, solver
+from qdeq.dsl import parse
 from qdeq.errors import SeedRejected
-from qdeq.nonlinear import QdeqPoly, linearize
+from qdeq.nonlinear import Evaluator, QdeqPoly, linearize, partial_rows
 from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
 from qdeq.skewop import resonance_poly
@@ -84,6 +86,45 @@ def test_obstruction_stops_with_partial_solution():
     assert rep.kinds() == ["unique", "unique", "obstruction_no_solution"]
     assert rep.events[-1]["h"] == 3
     assert rep.halted()
+
+
+QP2_TEXT = "(y[0]+x)*(y[0]*y[1]-1)*(y[0]*y[-1]-1) - {c}*x^2*y[0]"
+
+
+def _solve_plain(F, seed, N, engine):
+    """(coefficient texts, plain events, resolved order) of one run."""
+    if engine == "probe":
+        coeffs, events = _probes.solve(F, [RatQ.from_value(c) for c in seed], N)
+        resolved = len(coeffs) - 1
+    else:
+        rep = extend(F, seed, N, engine="exact")
+        coeffs, events, resolved = rep.solution.coeffs, rep.events, rep.resolved_through
+    return ([c.to_text() for c in coeffs],
+            [solver._plain_event(e) for e in events], resolved)
+
+
+@pytest.mark.parametrize("engine", ["exact", "probe"])
+@pytest.mark.parametrize("F, seed, N", [
+    # order-4 branch points of the q-Painleve II family
+    (parse(QP2_TEXT.format(c="4*q^3")).parsed, [1], 4),
+    (parse(QP2_TEXT.format(c="9*q")).parsed, [1], 4),
+    # the A5 equation
+    (parse(QP2_TEXT.format(c="q")).parsed, [1], 10),
+    (shifted_eigen(3, forced=True), [0], 10),
+], ids=["branch-1", "branch-2", "a5", "obstruction"])
+def test_halted_run_matches_fresh_per_step(F, seed, N, engine, monkeypatch):
+    got = _solve_plain(F, seed, N, engine)
+    coeffs, events, resolved = got
+    assert events[-1]["kind"] in ("nonaffine_step", "obstruction_no_solution")
+    # no scan sample of the halting step is returned as a coefficient
+    assert resolved == events[-1]["h"] - 1
+    assert len(coeffs) == resolved + 1
+    # the same run with a fresh evaluator on the current prefix per step
+    monkeypatch.setattr(solver, "_eval_poly", lambda F, ev, trunc, dom, lo=0:
+                        Evaluator(ev.phi, trunc, dom).eval(F))
+    monkeypatch.setattr(solver, "partial_rows", lambda F, ev: partial_rows(
+        F, Evaluator(ev.phi, ev.width - 1, ev.dom)))
+    assert _solve_plain(F, seed, N, engine) == got
 
 
 def test_resonant_free_continues():
