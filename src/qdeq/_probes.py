@@ -22,8 +22,12 @@ and every "zero" the engine acts on is later backed by verification:
 * the reconstructed solution's residual is re-probed on a fresh prime.
 
 Any failure raises EngineError and the caller falls back to the exact
-domain.  Lane counts and prime counts escalate on demand, so small
-answers stay cheap and large ones stay correct.
+domain.  Prime counts escalate on demand.  Each fit is sized from the
+degrees of the coefficients already reconstructed, grows by half when it
+fails, and tries the whole lane pool once; only when even that is too
+small does the solve restart with four times the lanes.  Per prime, one
+table of difference inverses grows with the largest fit, so no size
+rebuilds it.
 """
 
 import hashlib
@@ -114,13 +118,6 @@ def _poly_divmod(u, v, p):
     return q, _trim_np(r[:dv] if dv else r[:0])
 
 
-def _poly_divexact(u, v, p):
-    q, r = _poly_divmod(u, v, p)
-    if len(r):
-        raise _NeedPrimes("inexact division during normalization")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # the lane domain
 
@@ -209,27 +206,29 @@ class ProbeDomain:
 # rational function reconstruction inside one prime
 
 
-def _dd_inverses(xs, p):
-    """Flat inverse table of the node differences Newton's scheme divides by."""
+def _dd_inverses(xs, p, start=0):
+    """Inverses of the node differences Newton's scheme divides by: row j
+    (j = 1..n-1) holds 1/(xs[t] - xs[t-j]) for t >= max(j, start), so the
+    table of a prefix of xs grows by the pairs of its new nodes alone."""
     n = len(xs)
-    if n == 1:
-        return np.zeros(0, dtype=np.int64)
-    diffs = np.concatenate([(xs[j:] - xs[:n - j]) % p for j in range(1, n)])
-    return _batch_inv(diffs, p)
+    lo = [max(j, start) for j in range(1, n)]
+    inv = _batch_inv(np.concatenate([(xs[t:] - xs[t - j: n - j]) % p
+                                     for j, t in enumerate(lo, 1)]), p)
+    ends = np.cumsum([n - t for t in lo]).tolist()
+    return [inv[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _newton_interp(xs, ys, p, inv=None):
-    """Ascending GF(p) poly through (xs[i], ys[i]); distinct xs."""
+def _newton_interp(xs, ys, p, rows=None):
+    """Ascending GF(p) poly through (xs[i], ys[i]); distinct xs.  rows are
+    the _dd_inverses rows of xs or of any longer list that xs begins."""
     n = len(xs)
     c = ys.astype(np.int64).copy()
     if n == 1:
         return _trim_np(c)
-    if inv is None:
-        inv = _dd_inverses(xs, p)
-    off = 0
+    if rows is None:
+        rows = _dd_inverses(xs, p)
     for j in range(1, n):
-        c[j:] = (c[j:] - c[j - 1: n - 1]) % p * inv[off: off + n - j] % p
-        off += n - j
+        c[j:] = (c[j:] - c[j - 1: n - 1]) % p * rows[j - 1][: n - j] % p
     poly = np.array([c[n - 1]], dtype=np.int64)
     for i in range(n - 2, -1, -1):
         nxt = np.zeros(len(poly) + 1, dtype=np.int64)
@@ -240,8 +239,10 @@ def _newton_interp(xs, ys, p, inv=None):
     return _trim_np(poly)
 
 
-def _node_poly(xs, p):
-    m = np.ones(1, dtype=np.int64)
+def _node_poly(xs, p, m=None):
+    """m (default 1) times the product of (q - x) over the nodes xs."""
+    if m is None:
+        m = np.ones(1, dtype=np.int64)
     for xi in xs:
         nxt = np.zeros(len(m) + 1, dtype=np.int64)
         nxt[1:] = m
@@ -251,13 +252,14 @@ def _node_poly(xs, p):
 
 
 def _rat_interp(xs, ys, p, tables=None):
-    """(num, den) ascending GF(p) polys with num/den agreeing on the nodes,
-    den monic and coprime to num; None if n points cannot separate them."""
+    """(num, den) ascending GF(p) polys with den monic and num = den * ys
+    on the nodes; None if n points cannot separate them.  tables are the
+    (difference-inverse rows, node poly) of xs."""
     n = len(xs)
     if not ys.any():
         return np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64)
-    inv, node = tables if tables is not None else (None, None)
-    f = _newton_interp(xs, ys, p, inv)
+    rows, node = tables if tables is not None else (None, None)
+    f = _newton_interp(xs, ys, p, rows)
     r0, r1 = node if node is not None else _node_poly(xs, p), f
     v0 = np.zeros(0, dtype=np.int64)
     v1 = np.ones(1, dtype=np.int64)
@@ -274,14 +276,11 @@ def _rat_interp(xs, ys, p, tables=None):
     num, den = r1, v1
     if len(den) == 0 or len(num) == 0:
         return None
-    # clear any common factor, then make the denominator monic
-    g = K.np_gcd_monic(num, den, p)
-    if len(g) > 1:
-        try:
-            num = _poly_divexact(num, g, p)
-            den = _poly_divexact(den, g, p)
-        except _NeedPrimes:
-            return None
+    # No gcd is taken: every pair that agrees with the data within these
+    # degree bounds is a multiple of the one Euclid stops at (von zur
+    # Gathen and Gerhard, Modern Computer Algebra, Thm 5.16), so when the
+    # values come from a reduced num/den that fits, Euclid returns it
+    # reduced, and any other pair fails the hold-out check.
     inv = pow(int(den[-1]), p - 2, p)
     num = num * inv % p
     den = den * inv % p
@@ -319,15 +318,18 @@ def _wang(c, M):
 
 def _lift_poly(per_prime, primes):
     """CRT + rational reconstruction of one ascending coefficient list."""
-    deg = len(per_prime[0])
+    # the CRT factor of each later prime: its predecessors' product and
+    # that product's inverse modulo the prime
+    steps = []
+    modulus = primes[0]
+    for p in primes[1:]:
+        steps.append((p, modulus, pow(modulus % p, p - 2, p)))
+        modulus *= p
     out = []
-    for i in range(deg):
+    for i in range(len(per_prime[0])):
         residue = int(per_prime[0][i])
-        modulus = primes[0]
-        for arr, p in zip(per_prime[1:], primes[1:]):
-            t = (int(arr[i]) - residue) % p * pow(modulus % p, p - 2, p) % p
-            residue += modulus * t
-            modulus *= p
+        for arr, (p, before, inv) in zip(per_prime[1:], steps):
+            residue += before * ((int(arr[i]) - residue) % p * inv % p)
         frac = _wang(residue, modulus)
         if frac is None:
             raise _NeedPrimes(f"coefficient {i} exceeds the lifting bound")
@@ -355,15 +357,16 @@ def _lane_points(prime, nlanes, rng):
 
 
 class _Run:
-    __slots__ = ("prime", "dom", "coeffs", "events", "tables", "cands")
+    __slots__ = ("prime", "dom", "coeffs", "events", "rows", "nodes", "cands")
 
     def __init__(self, prime, dom, coeffs, events):
         self.prime = prime
         self.dom = dom
         self.coeffs = coeffs
         self.events = events
-        self.tables = {}  # n_try -> (dd inverse table, node poly), latest only
-        self.cands = {}   # (h, n_try) -> fitted (num, den) or None
+        self.rows = []  # _dd_inverses rows of the largest pool prefix fitted
+        self.nodes = {0: np.ones(1, dtype=np.int64)}  # prefix size -> node poly
+        self.cands = {}  # (h, n_try) -> fitted (num, den) or None
 
     def pool(self):
         idx = np.nonzero(self.dom.alive[: self.dom.n - _RESERVE])[0]
@@ -373,13 +376,23 @@ class _Run:
         base = self.dom.n - _RESERVE
         return base + np.nonzero(self.dom.alive[base:])[0]
 
-    def interp_tables(self, xs, n_try):
-        got = self.tables.get(n_try)
-        if got is None:
-            # coefficient degrees only grow, so smaller tables are spent
-            got = (_dd_inverses(xs, self.dom.p), _node_poly(xs, self.dom.p))
-            self.tables = {n_try: got}
-        return got
+    def interp_tables(self, xs):
+        """(difference-inverse rows, node poly) for xs, a prefix of the
+        pool's points.  The rows grow with the largest prefix seen, so a
+        larger fit inverts only the pairs its new nodes bring and a smaller
+        one reads a prefix of each row; a node poly extends the nearest
+        smaller cached one."""
+        n, p = len(xs), self.dom.p
+        have = len(self.rows) + 1  # nodes the rows cover
+        if n > have:
+            new = _dd_inverses(xs, p, have)
+            self.rows = [np.concatenate((old, part))
+                         for old, part in zip(self.rows, new)] + new[have - 1:]
+        node = self.nodes.get(n)
+        if node is None:
+            base = max(k for k in self.nodes if k < n)
+            node = self.nodes[n] = _node_poly(xs[base:], p, self.nodes[base])
+        return self.rows, node
 
 
 def _event_sig(events):
@@ -398,31 +411,39 @@ def _start_run(F, seed, N, prime, nlanes):
     raise EngineError(f"lanes kept dying at prime {prime}")
 
 
-def _reconstruct_coeff(runs, h, n_start):
-    """Exact RatQ for coefficient h from the runs' lane data."""
-    n_try = n_start
+def _fit_size(value):
+    """Fewest points whose balanced stop in _rat_interp admits the degrees
+    of value's numerator and denominator, with q^v folded into one."""
+    if value.is_zero():
+        return 1
+    a = len(value.n.ints) - 1 + max(value.v, 0)
+    b = len(value.d.ints) - 1 + max(-value.v, 0)
+    return max(2 * a + 1, 2 * b)
+
+
+def _reconstruct_coeff(runs, h, n_start, grow=1.5):
+    """Exact RatQ for coefficient h from the runs' lane data: fit n_start
+    points per prime, times grow after each failure, and the whole pool
+    once before asking for more lanes."""
+    cap = min(len(run.pool()) for run in runs) - 16
+    n_try = min(n_start, cap)
     while True:
         cands = []
         for run in runs:
             key = (h, n_try)
-            if key in run.cands:
-                cands.append(run.cands[key])
-                continue
-            pool = run.pool()
-            if n_try + 16 > len(pool):
-                raise _NeedLanes(f"coefficient {h} needs more than "
-                                 f"{len(pool)} lanes")
-            take = pool[:n_try]
-            hold = pool[n_try: n_try + 16]
-            xs = run.dom.q[take]
-            ys = run.coeffs[h][take]
-            got = _rat_interp(xs, ys, run.dom.p, run.interp_tables(xs, n_try))
-            if got is not None and not _check_fit(
-                    got[0], got[1], run.dom.q[hold],
-                    run.coeffs[h][hold], run.dom.p):
-                got = None
-            run.cands[key] = got
-            cands.append(got)
+            if key not in run.cands:
+                pool = run.pool()
+                take = pool[:n_try]
+                hold = pool[n_try: n_try + 16]
+                xs = run.dom.q[take]
+                ys = run.coeffs[h][take]
+                got = _rat_interp(xs, ys, run.dom.p, run.interp_tables(xs))
+                if got is not None and not _check_fit(
+                        got[0], got[1], run.dom.q[hold],
+                        run.coeffs[h][hold], run.dom.p):
+                    got = None
+                run.cands[key] = got
+            cands.append(run.cands[key])
         good = [c for c in cands if c is not None]
         if len(good) >= 2:
             # an unlucky prime can only lose leading coefficients, so the
@@ -434,18 +455,23 @@ def _reconstruct_coeff(runs, h, n_start):
                 raise _NeedPrimes(f"only one prime sees the full shape "
                                   f"of coefficient {h}")
             break
-        n_try *= 2
+        if n_try >= cap:
+            raise _NeedLanes(f"coefficient {h} needs more than "
+                             f"{cap + 16} lanes")
+        n_try = min(max(n_try + 1, int(n_try * grow)), cap)
     primes = [runs[i].prime for i in group]
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
     value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den))
+    # n == y * d on the reserved lanes, with y = c_h and n carrying q^v,
+    # wherever d is nonzero
     for run in runs:
-        saved = run.dom.alive.copy()
-        have = run.dom.from_ratq(value)
-        res = run.reserve()
-        ok = bool((run.coeffs[h][res] == have[res]).all())
-        run.dom.alive = saved
-        if not ok:
+        p, res = run.dom.p, run.reserve()
+        xs = run.dom.q[res]
+        n_at = (K.eval_many_mod(value.n.ints, xs, p) * pow(value.n.den, p - 2, p)
+                % p * run.dom.qpow(value.v)[res] % p)
+        d_at = K.eval_many_mod(value.d.ints, xs, p)
+        if ((n_at != run.coeffs[h][res] * d_at % p) & (d_at != 0)).any():
             raise _NeedPrimes(f"coefficient {h} fails the reserved-lane check")
     return value, n_try
 
@@ -478,17 +504,28 @@ def _solve_at(F, seed, N, nlanes):
     add_run()
     k = len(seed) - 1
     exact = list(seed)
+    # fit sizes: 32 and doubling until three coefficients show their need,
+    # then the last need plus the larger of its last two increments (they
+    # alternate with the parity of h on q-Painleve II) and a margin
+    needs = []
     n_hint = 32
     h = k + 1
     while h < len(runs[0].coeffs):
+        if len(needs) < 3:
+            n_start, grow = n_hint, 2
+        else:
+            n_start = needs[-1] + 16 + max(needs[-1] - needs[-2],
+                                           needs[-2] - needs[-3])
+            grow = 1.5
         try:
-            value, n_hint = _reconstruct_coeff(runs, h, n_hint)
+            value, n_hint = _reconstruct_coeff(runs, h, n_start, grow)
         except _NeedPrimes:
             add_run()
             if len(runs) >= 4:  # large integers: grow the modulus faster
                 add_run()
             continue
         exact.append(value)
+        needs.append(_fit_size(value))
         h += 1
 
     _verify_fresh(F, exact, prime_iter, {run.prime for run in runs})

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdeq import _intpoly as K
 from qdeq import _probes as P
-from qdeq.ratfunc import Q, RatQ
+from qdeq.ratfunc import Q, QPoly, RatQ
 from qdeq.series import TruncSeries
 from qdeq.solver import check_solution, extend
 
@@ -72,13 +76,25 @@ def test_probe_matches_exact_linear():
         assert c == RatQ(1).shift_q(h * (h - 1) // 2)
 
 
-def test_probe_matches_exact_nonlinear():
+def test_probe_matches_exact_nonlinear(monkeypatch):
     F = painleve_like()
-    a = RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))
-    fast = extend(F, [RatQ(1), a], 14, engine="probe")
-    slow = extend(F, [RatQ(1), a], 14, engine="exact")
-    assert fast.solution.coeffs == slow.solution.coeffs
-    assert fast.events == slow.events
+    lanes = []
+    inner = P._solve_at
+
+    def counted(*args):
+        lanes.append(args[3])
+        return inner(*args)
+
+    monkeypatch.setattr(P, "_solve_at", counted)
+    for sign in (1, -1):
+        a = sign * RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))
+        fast = extend(F, [RatQ(1), a], 14, engine="probe")
+        slow = extend(F, [RatQ(1), a], 14, engine="exact")
+        assert fast.solution.coeffs == slow.solution.coeffs
+        assert fast.events == slow.events
+    # c_14 needs 280 points: sized from the degree profile, each branch
+    # fits within its first 576 lanes, with no restart
+    assert lanes == [576, 576]
 
 
 def test_probe_deterministic():
@@ -98,3 +114,65 @@ def test_probe_check_solution():
     bad[9] = bad[9] + RatQ(1)
     # the linearized operator starts at x^1, so the damage surfaces at order 10
     assert check_solution(F, TruncSeries(bad, 16), mode="probe") == 9
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(2, 48), min_size=1, max_size=6))
+def test_grown_tables_match_fresh(seed, sizes):
+    # a run's tables grow with the largest prefix seen and serve smaller
+    # ones from the same rows; each must equal the fresh table
+    rng = np.random.default_rng(seed)
+    dom = P.ProbeDomain(MP, P._lane_points(MP, 48 + P._RESERVE, rng))
+    run = P._Run(MP, dom, [], [])
+    pool = run.pool()
+    ys = rng.integers(0, MP, size=len(pool), dtype=np.int64)
+    for n in sizes:
+        xs = dom.q[pool[:n]]
+        rows, node = run.interp_tables(xs)
+        fresh = P._dd_inverses(xs, MP)
+        assert len(rows) >= len(fresh) == n - 1
+        for j, want in enumerate(fresh, 1):
+            assert (rows[j - 1][: n - j] == want).all()
+        assert (node == P._node_poly(xs, MP)).all()
+        assert (P._newton_interp(xs, ys[:n], MP, rows)
+                == P._newton_interp(xs, ys[:n], MP)).all()
+
+
+def _runs_holding(value, h, nlanes):
+    """Two runs over distinct primes whose lanes hold value as c_h."""
+    runs = []
+    for prime in islice(K.primes_31(), 2):
+        rng = np.random.default_rng(prime)
+        dom = P.ProbeDomain(prime, P._lane_points(prime, nlanes, rng))
+        runs.append(P._Run(prime, dom, [None] * h + [dom.from_ratq(value)], []))
+    return runs
+
+
+def _planted_value():
+    # q^2 * n/d with deg n = 40 and deg d = 48: a fit needs 96 points
+    rnd = random.Random(5)
+    n = QPoly([rnd.randint(-9, 9) for _ in range(40)] + [1])
+    d = QPoly([1] + [rnd.randint(-9, 9) for _ in range(47)] + [2])
+    value = (RatQ(n) / RatQ(d)).shift_q(2)
+    assert P._fit_size(value) == 96
+    return value
+
+
+def test_reconstruct_grows_from_a_small_start():
+    value = _planted_value()
+    runs = _runs_holding(value, 3, 576)
+    got, n_used = P._reconstruct_coeff(runs, 3, 8)
+    assert got == value
+    assert 96 <= n_used < 96 * 3 // 2
+
+
+def test_need_lanes_only_after_the_whole_pool():
+    value = _planted_value()
+    runs = _runs_holding(value, 3, 160)
+    cap = min(len(run.pool()) for run in runs) - 16
+    assert cap < 96
+    with pytest.raises(P._NeedLanes):
+        P._reconstruct_coeff(runs, 3, 32)
+    # every run tried a fit over its whole usable pool first
+    assert all((3, cap) in run.cands for run in runs)
