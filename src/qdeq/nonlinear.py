@@ -29,8 +29,8 @@ linearize produces the series-flavor SkewOp of partial derivatives
 along phi; a partial that is structurally zero (the symbol w_i never
 occurs) contributes no term, while one that merely evaluates to zero
 through the truncation is kept and lands in the polygon's uncertain
-set.  partial_rows computes those partials' values, and the solver's
-linearization diagnostics use it too.
+set.  partial_rows computes those partials' values; the solver reads
+the lowest row of the linearization from it in its own domain.
 """
 
 from .errors import IndexOutOfWindow, NegativeXPower

@@ -17,7 +17,11 @@ uncertain by the polygon routines instead of being silently dropped.
 
 ResonancePoly, the polynomial L(T) over Q(q) read off the lowest vertex
 of the Newton polygon, prints through ratfunc.fmt_coeff_poly, the same
-printer series and x-polynomials use.
+printer series and x-polynomials use.  lowest_row finds that vertex's
+row in any coefficient domain.  lowest_vertex and resonance_poly read it
+from an operator, and the solver reads it from the linearization's
+values in its own domain, so both share one row and one certification
+rule (UncertainOrder).
 """
 
 from fractions import Fraction
@@ -263,19 +267,43 @@ def newton_polygon(op):
     return NewtonPolygon(hull, sides, pts[0][0], pts[-1][0], uncertain, bounds)
 
 
+def lowest_row(rows, is_zero):
+    """(l, alpha) of coefficient rows {i: [x^0, x^1, ...]} in any domain:
+    l the least order at which some row is nonzero, alpha = {i: row[l]}.
+    None when every row vanishes.  Raises UncertainOrder when a row stops
+    at or before l: it vanishes as far as it is known, so its x^l
+    coefficient is not."""
+    l = None
+    for row in rows.values():
+        for m, v in enumerate(row[:l]):  # once l is known, only below it
+            if not is_zero(v):
+                l = m
+                break
+    if l is None:
+        return None
+    for i, row in rows.items():
+        if len(row) <= l:
+            raise UncertainOrder(
+                f"coefficient of sigma^{i} vanishes through truncation "
+                f"{len(row) - 1}, not enough to certify orders below {l}")
+    return l, {i: row[l] for i, row in rows.items()}
+
+
+def _lowest(op):
+    """(m0, l, alpha): m0 the least index whose coefficient does not
+    vanish through its truncation, (l, alpha) the lowest_row of op."""
+    pts, _ = _points(op)
+    l, alpha = lowest_row({i: a.coeffs for i, a in op.terms.items()},
+                          RatQ.is_zero)
+    return pts[0][0], l, alpha
+
+
 def lowest_vertex(op):
     """(n', l): l the least coefficient order, n' the greatest index
     attaining it.  Raises UncertainOrder when a truncation-masked
     coefficient could change the answer."""
-    pts, uncertain = _points(op)
-    l = min(h for _, h in pts)
-    n1 = max(i for i, h in pts if h == l)
-    for i in uncertain:
-        if op.terms[i].trunc + 1 <= l:
-            raise UncertainOrder(
-                f"coefficient of sigma^{i} vanishes through truncation "
-                f"{op.terms[i].trunc}, not enough to certify orders below {l}")
-    return n1, l
+    _, l, alpha = _lowest(op)
+    return max(i for i, a in alpha.items() if not a.is_zero()), l
 
 
 # ---------------------------------------------------------------------------
@@ -329,27 +357,8 @@ def resonance_poly(op):
     Built from the lowest vertex (n', l): shift the support to start at 0
     by composing with sigma^(-m0) on the left (which also substitutes
     q^(-m0) x into every coefficient), then collect the x^l coefficient
-    of each term with index up to n'.
+    of each term; those past n' are zero and trimmed.
     """
-    n1, l = lowest_vertex(op)
-    m0 = min(i for i in op.terms
-             if not (op.flavor == "series" and op.terms[i].is_zero_through_trunc()))
-    coeffs = []
-    for i in range(m0, n1 + 1):
-        a = op.terms.get(i)
-        if a is None:
-            coeffs.append(RatQ(0))
-            continue
-        if op.flavor == "series" and a.is_zero_through_trunc():
-            # lowest_vertex certified trunc >= l here, so x^l is known zero
-            coeffs.append(RatQ(0))
-            continue
-        c = a.coeff(l) if l <= _top_index(a) else RatQ(0)
-        coeffs.append(c.shift_q(-m0 * l))
-    return ResonancePoly(coeffs)
-
-
-def _top_index(a):
-    if isinstance(a, TruncSeries):
-        return a.trunc
-    return len(a.coeffs) - 1
+    m0, l, alpha = _lowest(op)
+    return ResonancePoly([alpha.get(i, RatQ(0)).shift_q(-m0 * l)
+                          for i in range(m0, max(alpha) + 1)])

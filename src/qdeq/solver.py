@@ -4,14 +4,16 @@ extend() grows a seed c_0..c_k into a series solution of F = 0 through
 order N.  Each step treats the next coefficient c as an unknown and
 asks how the residual depends on it:
 
-* in the steady regime (certified lowest coefficient order l of the
-  linearization, step h > l) the dependence is exactly affine at the
-  single new residual order h + l, with slope A_h = sum_i alpha_i q^{ih}
-  built from the frozen x^l coefficients alpha_i of the linearized
-  operator, so one residual evaluation decides the step;
-* in the early or uncertain regime the solver samples the residual at
-  c = 0, 1, 2, fits a quadratic, and reads the outcome off the first
-  order where anything is nonzero or c-dependent.
+* in the steady regime some row of the linearization is nonzero below
+  the current width.  skewop.lowest_row, the row resonance_poly reads
+  L(T) from, gives the least such order l and the x^l coefficients
+  alpha_i, both final.  The residual is then affine in c at the single
+  new order h + l, with slope A_h = sum_i alpha_i q^{ih}, so one
+  residual evaluation decides the step;
+* while every row of the linearization vanishes through the current
+  width the solver samples the residual at c = 0, 1, 2, fits a
+  quadratic, and reads the outcome off the first order where anything
+  is nonzero or c-dependent.
 
 Outcomes per step (the events of the report):
 
@@ -34,11 +36,13 @@ A run keeps one evaluator, which owns the coefficient list; setting c_h
 recomputes and checks just the orders it can change.
 """
 
+from functools import reduce
+
 from .errors import EngineError, SeedRejected
 from .nonlinear import Evaluator, ExactDomain, eval_at, partial_rows
 from .ratfunc import RatQ
 from .series import TruncSeries
-from .skewop import ResonancePoly
+from .skewop import ResonancePoly, lowest_row
 
 
 def _eval_poly(F, ev, trunc, dom, lo=0):
@@ -52,52 +56,6 @@ def _auto_engine(F, N):
     past order 12, exact otherwise."""
     w = max((sum(k for _, k in exps) for (_, exps) in F.monomials), default=0)
     return "probe" if w >= 2 and N > 12 else "exact"
-
-
-class _Diag:
-    """Lazily-refreshed linearization diagnostics in a domain."""
-
-    __slots__ = ("l", "certified", "alpha")
-
-    def __init__(self):
-        self.l = None
-        self.certified = False
-        self.alpha = None
-
-
-def _refresh_diag(F, ev, dom, diag):
-    ev.width = len(ev.phi)
-    rows = partial_rows(F, ev)
-    uncertain = []
-    certain_ord = {}
-    for i, row in rows.items():
-        o = None
-        for m, v in enumerate(row):
-            if not dom.is_zero(v):
-                o = m
-                break
-        if o is None:
-            uncertain.append(i)
-        else:
-            certain_ord[i] = o
-    if not certain_ord:
-        diag.l = None
-        diag.certified = False
-        return
-    l = min(certain_ord.values())
-    diag.l = l
-    # an all-zero row only hides coefficient orders >= width
-    diag.certified = (not uncertain) or ev.width > l
-    if diag.certified:
-        diag.alpha = {i: row[l] for i, row in rows.items()}
-
-
-def _linear_slope(dom, diag, h):
-    out = None
-    for i, a in diag.alpha.items():
-        t = dom.mul(a, dom.qpow(i * h))
-        out = t if out is None else dom.add(out, t)
-    return out
 
 
 class _Stop(Exception):
@@ -123,23 +81,19 @@ def _extend_core(F, seed, N, dom):
                 f"seed leaves a nonzero residual at order {m}")
     cleared = k
 
-    diag = _Diag()
+    low = None
     first_step = True
     try:
         for h in range(k + 1, N + 1):
-            if not diag.certified:
-                _refresh_diag(F, ev, dom, diag)
-            if diag.certified:
-                W = h + diag.l
-            else:
-                W = h + max(diag.l if diag.l is not None else 0, k + 1)
-            steady = diag.certified and h > diag.l
-            if steady:
-                c = _steady_step(F, ev, dom, diag, h, W, cleared,
-                                 first_step, k, events)
-            else:
-                c = _scan_step(F, ev, dom, diag, h, W, cleared,
+            if low is None:
+                ev.width = len(ev.phi)  # == h: rows known through x^(h-1)
+                low = lowest_row(partial_rows(F, ev), dom.is_zero)
+            if low is None:
+                c = _scan_step(F, ev, dom, h, h + k + 1, cleared,
                                first_step, k, events)
+            else:
+                c = _steady_step(F, ev, dom, low, h, cleared,
+                                 first_step, k, events)
             ev.set(h, c)
             # every step event's order is the highest residual order it
             # certified zero
@@ -151,17 +105,25 @@ def _extend_core(F, seed, N, dom):
     return ev.phi, events
 
 
-def _steady_step(F, ev, dom, diag, h, W, cleared, first_step, k, events):
+def _steady_step(F, ev, dom, low, h, cleared, first_step, k, events):
+    """One step past the lowest row (l, alpha) of the linearization: the
+    residual is affine in c_h at order W = h + l with slope
+    A_h = sum_i alpha_i q^(ih) = q^(m0 (l+h)) L(q^h), where
+    L = resonance_poly of the linearization and m0 its least index whose
+    row does not vanish."""
+    l, alpha = low
+    W = h + l
     R = _eval_poly(F, ev, W, dom, cleared + 1)
     for m in range(cleared + 1, W):
         if not dom.is_zero(R[m]):
-            if first_step and m <= k + diag.l:
+            if first_step and m <= k + l:
                 raise SeedRejected(
                     f"seed leaves a nonzero residual at order {m}")
             raise _Stop({"h": h, "kind": "obstruction_no_solution",
                          "order": m})
     B = R[W]
-    A = _linear_slope(dom, diag, h)
+    A = reduce(dom.add, [dom.mul(a, dom.qpow(i * h))
+                         for i, a in alpha.items()])
     if dom.is_zero(A):
         if dom.is_zero(B):
             events.append({"h": h, "kind": "resonant_free", "order": W})
@@ -172,13 +134,12 @@ def _steady_step(F, ev, dom, diag, h, W, cleared, first_step, k, events):
     return dom.div(dom.neg(B), A)
 
 
-def _scan_step(F, ev, dom, diag, h, W, cleared, first_step, k, events):
+def _scan_step(F, ev, dom, h, W, cleared, first_step, k, events):
     samples = []
     for cv in (0, 1, 2):
         ev.set(h, dom.from_int(cv))  # the samples share all orders < h
         samples.append(_eval_poly(F, ev, W, dom, cleared + 1))
     r0, r1, r2 = samples
-    seed_bound = k + diag.l if (first_step and diag.certified) else k
     for m in range(cleared + 1, W + 1):
         g = r0[m]
         d1 = dom.sub(r1[m], g)
@@ -186,7 +147,7 @@ def _scan_step(F, ev, dom, diag, h, W, cleared, first_step, k, events):
         if dom.is_zero(d1) and dom.is_zero(d2):
             if dom.is_zero(g):
                 continue
-            if first_step and m <= seed_bound:
+            if first_step and m <= k:
                 raise SeedRejected(
                     f"seed leaves a nonzero residual at order {m}")
             raise _Stop({"h": h, "kind": "obstruction_no_solution",
@@ -252,9 +213,7 @@ class SolveReport:
             lines.append("steps: all unique")
         else:
             for e in self.events:
-                extra = "".join(f" {k}={v}" for k, v in e.items()
-                                if k in ("order", "witness"))
-                lines.append(f"  h={e['h']}  {e['kind']}{extra}")
+                lines.append(f"  h={e['h']}  {e['kind']} order={e['order']}")
         lines.append("coefficients:")
         for h, c in enumerate(self.solution.coeffs):
             lines.append(f"  c[{h}] = {c.to_text()}")

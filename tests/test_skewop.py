@@ -12,6 +12,7 @@ from qdeq.skewop import (
     ResonancePoly,
     SkewOp,
     apply,
+    lowest_row,
     lowest_vertex,
     newton_polygon,
     op_mul,
@@ -143,6 +144,17 @@ def test_lowest_vertex_uncertainty():
     B = SkewOp({0: TruncSeries([RatQ(0), RatQ(0), RatQ(1)], trunc=2),
                 1: TruncSeries.zero(5)})
     assert lowest_vertex(B) == (0, 2)
+    # the same rule on bare rows of mixed truncation, in any domain
+    def is_zero(v):
+        return v == 0
+    assert lowest_row({0: [0, 0, 1], 1: [0, 0, 0]}, is_zero) == (2, {0: 1, 1: 0})
+    assert lowest_row({0: [0, 0, 1, 5], 1: [0] * 6, 2: [0, 0, 4]},
+                      is_zero) == (2, {0: 1, 1: 0, 2: 4})
+    with pytest.raises(UncertainOrder):
+        lowest_row({0: [0, 0, 1], 1: [0, 0]}, is_zero)
+    # rows that vanish throughout have no lowest row
+    assert lowest_row({0: [0, 0], 1: [0]}, is_zero) is None
+    assert lowest_row({}, is_zero) is None
 
 
 def test_resonance_poly_support_shift():

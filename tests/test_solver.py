@@ -1,14 +1,18 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qdeq import _probes, solver
+from qdeq.corpus import get_entry
 from qdeq.dsl import parse
 from qdeq.errors import SeedRejected
-from qdeq.nonlinear import Evaluator, QdeqPoly, linearize, partial_rows
+from qdeq.nonlinear import (Evaluator, ExactDomain, QdeqPoly, linearize,
+                            partial_rows)
 from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
-from qdeq.skewop import resonance_poly
+from qdeq.skewop import (lowest_row, lowest_vertex, newton_polygon,
+                         resonance_poly)
 from qdeq.solver import check_solution, extend, resonance_set
 
 
@@ -134,6 +138,74 @@ def test_resonant_free_continues():
     assert kinds[2] == "resonant_free"
     assert kinds.count("resonant_free") == 1
     assert all(c.is_zero() for c in rep.solution.coeffs)
+
+
+def _corpus_solve(entry_id, N, variant=None):
+    """(F, seed, N) of a corpus solve entry or one of its variants."""
+    entry = get_entry(entry_id)
+    v = entry.variants[variant] if variant else None
+    src = v.source if v and v.source else entry.source
+    seed = v.seeds if v and v.seeds else entry.seeds
+    F = src.parsed
+    if not isinstance(F, QdeqPoly):
+        F = QdeqPoly.from_operator(F)
+    return F, list(seed), N
+
+
+@pytest.mark.parametrize("F, seed, N, resonant", [
+    _corpus_solve("q-euler", 30) + (set(),),
+    _corpus_solve("q-painleve-2", 8) + (set(),),
+    _corpus_solve("q-painleve-2", 8, "alternate-branch") + (set(),),
+    _corpus_solve("phi11-basic", 20) + (set(),),
+    _corpus_solve("phi11-basic", 20, "alternate-sign") + (set(),),
+] + [(shifted_eigen(h0, forced), [0], 6, {h0})
+     for h0 in range(1, 5) for forced in (False, True)],
+    ids=["q-euler", "qp2", "qp2-alternate", "phi11", "phi11-alternate"]
+    + [f"eigen-{h0}-{'forced' if forced else 'free'}"
+       for h0 in range(1, 5) for forced in (False, True)])
+def test_vanishing_slopes_are_the_resonance_set(F, seed, N, resonant):
+    rep = extend(F, seed, N, engine="exact")
+    k = len(seed) - 1
+    lin = linearize(F, rep.solution)
+    _, l = lowest_vertex(lin)
+    # the steps past the lowest row's order l are steady, and each one
+    # decides at its slope order h + l
+    steady = [e for e in rep.events if e["h"] > l]
+    last = rep.events[-1]["h"]
+    assert [e["h"] for e in steady] == list(range(max(k, l) + 1, last + 1))
+    assert all(e["order"] == e["h"] + l for e in steady)
+    vanished = {e["h"] for e in steady if e["kind"] != "unique"}
+    assert vanished == {h for h in resonance_set(resonance_poly(lin), N)
+                        if k < h <= last}
+    assert vanished == resonant
+
+
+def test_steady_slope_is_unit_times_resonance_poly():
+    # qp2: A_h = q^(m0 (l+h)) L(q^h) with m0 = -1, l = 1, so the steady
+    # slope and L(q^h) differ by the unit q^-(h+1)
+    F = parse(QP2_TEXT.format(c="q")).parsed
+    seed = [RatQ(1), Q / (1 + Q)]
+    lin = linearize(F, TruncSeries(seed))
+    L = resonance_poly(lin)
+    m0 = newton_polygon(lin).support_min
+    prime = 2147483647
+    probe = _probes.ProbeDomain(prime, _probes._lane_points(
+        prime, 32, np.random.default_rng(3)))
+    for dom in (ExactDomain(), probe):
+        # the row the solver freezes at its first step, h = 2
+        ev = Evaluator([dom.from_ratq(c) for c in seed], 1, dom)
+        l, alpha = lowest_row(partial_rows(F, ev), dom.is_zero)
+        assert (m0, l) == (-1, 1)
+        for h in range(2, 13):
+            A = dom.zero()
+            for i, a in alpha.items():
+                A = dom.add(A, dom.mul(a, dom.qpow(i * h)))
+            want = L.at_qpow(h).shift_q(m0 * (l + h))
+            if dom is probe:
+                assert (A == dom.from_ratq(want))[dom.alive].all()
+            else:
+                assert A == want
+                assert A / L.at_qpow(h) == RatQ(1).shift_q(-(h + 1))
 
 
 def test_seed_rejected():
