@@ -35,16 +35,7 @@ def _diag(**fields):
 
 
 def _emit(payload, fmt):
-    if fmt == "json":
-        obj = payload.to_json() if hasattr(payload, "to_json") else payload
-        print(json.dumps(obj))
-    else:
-        if hasattr(payload, "to_text"):
-            print(payload.to_text())
-        elif isinstance(payload, str):
-            print(payload)
-        else:
-            print(json.dumps(payload, indent=2))
+    print(json.dumps(payload.to_json()) if fmt == "json" else payload.to_text())
     return 0
 
 

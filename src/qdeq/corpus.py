@@ -145,12 +145,6 @@ class CorpusEntry:
         self.default_order = default_order
         self._notes = notes
 
-    def expectation(self, name):
-        for e in self.expected:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def run(self, order=None):
         order = self.default_order if order is None else order
         ctx = {}

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .errors import InsufficientData, UncertainPolygon
 from .ratfunc import NEG_INF, POS_INF, deg_q, ord_q
-from .skewop import _lower_hull
+from .skewop import NewtonPolygon
 
 _SIDES = ("deg", "ord")
 
@@ -145,31 +145,21 @@ def predicted_orders(polygon):
 
     Coefficients masked by truncation could hide extra polygon points.
     Each such point is re-added at the lowest order it could still have
-    (one past its truncation) and the hull recomputed: if the hypothetical
-    polygon predicts a different pair, UncertainPolygon is raised.  Any
-    higher position for a hidden point only moves the hull toward the
-    certain one, so agreement at the lowest position settles every case.
+    (its entry in polygon.uncertain_bounds, one past its truncation) and
+    the hull rebuilt through NewtonPolygon from the vertices and those
+    points: if the hypothetical polygon predicts a different pair,
+    UncertainPolygon is raised.  Any higher position for a hidden point
+    only moves the hull toward the certain one, so agreement at the
+    lowest position settles every case.  The vertices carry the whole
+    certain hull: its other points sit on or above it.
     """
     base = _orders_from_slopes(polygon.slopes)
-    if polygon.uncertain:
-        extra = []
-        for i in polygon.uncertain:
-            bound = polygon.uncertain_bounds.get(i)
-            if bound is None:
-                raise UncertainPolygon(
-                    f"coefficient at index {i} vanishes through its "
-                    f"truncation and carries no bound to reason with")
-            extra.append((i, bound))
-        # hull vertices carry the whole hull: non-vertex points sit on
-        # or above it and cannot change the recomputation
-        pts = sorted(set(polygon.vertices) | set(extra))
-        hull = _lower_hull(pts)
-        slopes = [Fraction(y2 - y1, x2 - x1)
-                  for (x1, y1), (x2, y2) in zip(hull, hull[1:])]
-        if _orders_from_slopes(slopes) != base:
-            raise UncertainPolygon(
-                "coefficients masked by truncation could change the "
-                "extremal slopes of the polygon")
+    hidden = NewtonPolygon(polygon.vertices
+                           + list(polygon.uncertain_bounds.items()))
+    if _orders_from_slopes(hidden.slopes) != base:
+        raise UncertainPolygon(
+            "coefficients masked by truncation could change the "
+            "extremal slopes of the polygon")
     return base
 
 

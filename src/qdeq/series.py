@@ -14,7 +14,7 @@ XPoly is the exact companion: a genuine polynomial in x over Q(q), with
 no truncation, used for operator coefficients that are known exactly.
 """
 
-from .ratfunc import NEG_INF, POS_INF, RatQ, fmt_coeff_poly
+from .ratfunc import POS_INF, RatQ, fmt_coeff_poly
 
 
 class _AboveTruncation:
@@ -95,17 +95,6 @@ class TruncSeries:
                 return h
         return ABOVE_TRUNCATION
 
-    def is_zero_through_trunc(self):
-        return self.ord_x is ABOVE_TRUNCATION
-
-    def truncate(self, m):
-        """Forget coefficients above m (m <= current truncation)."""
-        if m > self.trunc:
-            raise ValueError(f"cannot extend truncation {self.trunc} to {m}")
-        if m == self.trunc:
-            return self
-        return TruncSeries(list(self.coeffs[:m + 1]), m)
-
     def shift_x(self, k):
         """Multiply by x**k (k >= 0); knowledge extends to trunc + k."""
         if k < 0:
@@ -182,10 +171,6 @@ class XPoly:
         return not self.coeffs
 
     @property
-    def deg_x(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    @property
     def ord_x(self):
         for h, c in enumerate(self.coeffs):
             if not c.is_zero():
@@ -228,13 +213,6 @@ class XPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def shift_x(self, k):
-        if k < 0:
-            raise ValueError("XPoly cannot absorb a negative x-power")
-        if self.is_zero():
-            return self
-        return XPoly([RatQ(0)] * k + list(self.coeffs))
 
     def sigma(self, i):
         """a(x) -> a(q^i x)."""

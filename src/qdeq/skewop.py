@@ -15,13 +15,18 @@ not discarded: the truncated data cannot distinguish a structural zero
 from a series of high order, so such indices are kept and reported as
 uncertain by the polygon routines instead of being silently dropped.
 
+NewtonPolygon builds the lower hull of whatever points it is given:
+newton_polygon passes it an operator's valuation diagram, and growth
+prediction passes it the same hull with the truncation-masked points
+added back at their lowest possible orders.
+
 ResonancePoly, the polynomial L(T) over Q(q) read off the lowest vertex
 of the Newton polygon, prints through ratfunc.fmt_coeff_poly, the same
 printer series and x-polynomials use.  lowest_row finds that vertex's
-row in any coefficient domain.  lowest_vertex and resonance_poly read it
-from an operator, and the solver reads it from the linearization's
-values in its own domain, so both share one row and one certification
-rule (UncertainOrder).
+row in any coefficient domain.  resonance_poly reads it from an
+operator, and the solver reads it from the linearization's values in
+its own domain, so both share one row and one certification rule
+(UncertainOrder).
 """
 
 from fractions import Fraction
@@ -65,18 +70,6 @@ class SkewOp:
 
     def is_zero(self):
         return not self.terms
-
-    @property
-    def support_min(self):
-        if not self.terms:
-            raise EmptyOperator("zero operator has no support")
-        return min(self.terms)
-
-    @property
-    def support_max(self):
-        if not self.terms:
-            raise EmptyOperator("zero operator has no support")
-        return max(self.terms)
 
     def __add__(self, other):
         if not isinstance(other, SkewOp):
@@ -176,49 +169,66 @@ def apply(A, y):
 class NewtonPolygon:
     """Lower convex hull of the points (i, ord_x a_i).
 
-    vertices   strictly convex corner points, left to right;
-    sides      (slope, horizontal_length) pairs, slopes strictly increasing
-               (vertical jumps at the ends are not stored);
-    uncertain  indices whose coefficient vanishes through its truncation,
-               excluded from the hull but reported so callers know the
-               picture could change beyond the truncation.
+    vertices          strictly convex corner points, left to right; the
+                      first and last are the least and greatest certain
+                      index;
+    uncertain_bounds  {index: lowest order its coefficient could still
+                      have}, for indices whose coefficient vanishes
+                      through its truncation (the bound is one past it).
+                      They are left out of the hull but reported, so
+                      callers know the picture could change beyond the
+                      truncation; growth prediction re-adds them to see
+                      whether a hidden point matters.
 
-    uncertain_bounds maps each uncertain index to the lowest order its
-    hidden coefficient could still have (one past the truncation); growth
-    prediction uses it to decide whether the hidden point matters.
+    sides are (slope, horizontal_length) pairs, slopes strictly
+    increasing (vertical jumps at the ends are not stored); uncertain is
+    the sorted list of uncertain indices.
     """
 
-    __slots__ = ("vertices", "sides", "support_min", "support_max", "uncertain",
-                 "uncertain_bounds")
+    __slots__ = ("vertices", "uncertain_bounds")
 
-    def __init__(self, vertices, sides, support_min, support_max, uncertain,
-                 uncertain_bounds=None):
-        self.vertices = list(vertices)
-        self.sides = list(sides)
-        self.support_min = support_min
-        self.support_max = support_max
-        self.uncertain = list(uncertain)
-        self.uncertain_bounds = dict(uncertain_bounds or {})
+    def __init__(self, points, uncertain_bounds=()):
+        hull = []
+        for p in sorted(points):
+            while len(hull) >= 2:
+                (x1, y1), (x2, y2) = hull[-2], hull[-1]
+                if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
+                    hull.pop()
+                else:
+                    break
+            hull.append(p)
+        self.vertices = hull
+        self.uncertain_bounds = dict(uncertain_bounds)
+
+    @property
+    def sides(self):
+        return [(Fraction(y2 - y1, x2 - x1), x2 - x1)
+                for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:])]
 
     @property
     def slopes(self):
         return [s for s, _ in self.sides]
 
+    @property
+    def uncertain(self):
+        return sorted(self.uncertain_bounds)
+
     def to_json(self):
         return {
             "vertices": [[i, str(Fraction(h))] for i, h in self.vertices],
             "slopes": [str(s) for s in self.slopes],
-            "uncertain": list(self.uncertain),
+            "uncertain": self.uncertain,
         }
 
     def to_text(self):
         vs = ", ".join(f"({i}, {h})" for i, h in self.vertices)
-        if not self.sides:
+        sides = self.sides
+        if not sides:
             return f"vertices: {vs}; no finite sides"
-        ss = ", ".join(f"slope {s} (length {l})" for s, l in self.sides)
+        ss = ", ".join(f"slope {s} (length {l})" for s, l in sides)
         out = f"vertices: {vs}; sides: {ss}"
-        if self.uncertain:
-            out += f"; uncertain indices: {sorted(self.uncertain)}"
+        if self.uncertain_bounds:
+            out += f"; uncertain indices: {self.uncertain}"
         return out
 
     def __repr__(self):
@@ -226,45 +236,27 @@ class NewtonPolygon:
 
 
 def _points(op):
-    """(certain points, uncertain indices) of the valuation diagram."""
+    """(certain points, {uncertain index: trunc + 1}) of the valuation
+    diagram."""
     if op.is_zero():
         raise EmptyOperator("cannot take the Newton polygon of the zero operator")
     pts = []
-    uncertain = []
-    for i in sorted(op.terms):
-        o = op.terms[i].ord_x
+    bounds = {}
+    for i, a in sorted(op.terms.items()):
+        o = a.ord_x
         if o is ABOVE_TRUNCATION:
-            uncertain.append(i)
+            bounds[i] = a.trunc + 1
         else:
             pts.append((i, o))
     if not pts:
         raise EmptyOperator(
             "every coefficient vanishes through its truncation; "
             "nothing certain to build a polygon from")
-    return pts, uncertain
-
-
-def _lower_hull(pts):
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
+    return pts, bounds
 
 
 def newton_polygon(op):
-    pts, uncertain = _points(op)
-    hull = _lower_hull(pts)
-    sides = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        sides.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
-    bounds = {i: op.terms[i].trunc + 1 for i in uncertain}
-    return NewtonPolygon(hull, sides, pts[0][0], pts[-1][0], uncertain, bounds)
+    return NewtonPolygon(*_points(op))
 
 
 def lowest_row(rows, is_zero):
@@ -298,14 +290,6 @@ def _lowest(op):
     return pts[0][0], l, alpha
 
 
-def lowest_vertex(op):
-    """(n', l): l the least coefficient order, n' the greatest index
-    attaining it.  Raises UncertainOrder when a truncation-masked
-    coefficient could change the answer."""
-    _, l, alpha = _lowest(op)
-    return max(i for i, a in alpha.items() if not a.is_zero()), l
-
-
 # ---------------------------------------------------------------------------
 # characteristic-style polynomials in T over Q(q)
 
@@ -320,10 +304,6 @@ class ResonancePoly:
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         self.coeffs = tuple(coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def at_qpow(self, h):
         """Exact value at T = q**h."""

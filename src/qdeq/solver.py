@@ -11,14 +11,19 @@ asks how the residual depends on it:
   new order h + l, with slope A_h = sum_i alpha_i q^{ih}, so one
   residual evaluation decides the step;
 * while every row of the linearization vanishes through the current
-  width the solver samples the residual at c = 0, 1, 2, fits a
-  quadratic, and reads the outcome off the first order where anything
-  is nonzero or c-dependent.
+  width (the scan regime) the solver samples the residual at
+  c = 0, 1, 2, fits a quadratic, and reads the outcome off the first
+  order where anything is nonzero or c-dependent.  Rows that vanish
+  through order h - 1 put c_h at order 2h or later, so only the first
+  step, h = k + 1 with window W = 2h, can see it; the scan regime is
+  that first step.  When no order through W depends on c_h there, the
+  seed is too short to decide it, and the run raises SeedRejected
+  rather than guess c_h = 0.
 
 Outcomes per step (the events of the report):
 
     unique                   affine with A != 0, c = -B/A
-    resonant_free            no constraint through the window; c = 0
+    resonant_free            a steady step with A = B = 0; c = 0
     obstruction_no_solution  a nonzero residual order no coefficient
                              can reach; the run stops
     nonaffine_step           c enters nonlinearly at its first
@@ -82,45 +87,40 @@ def _extend_core(F, seed, N, dom):
     cleared = k
 
     low = None
-    first_step = True
     try:
         for h in range(k + 1, N + 1):
             if low is None:
                 ev.width = len(ev.phi)  # == h: rows known through x^(h-1)
                 low = lowest_row(partial_rows(F, ev), dom.is_zero)
             if low is None:
-                c = _scan_step(F, ev, dom, h, h + k + 1, cleared,
-                               first_step, k, events)
+                c = _scan_step(F, ev, dom, h, h + k + 1, cleared, events)
             else:
-                c = _steady_step(F, ev, dom, low, h, cleared,
-                                 first_step, k, events)
+                c = _steady_step(F, ev, dom, low, h, cleared, events)
             ev.set(h, c)
             # every step event's order is the highest residual order it
             # certified zero
             cleared = events[-1]["order"]
-            first_step = False
     except _Stop as stop:
         events.append(stop.event)
         return ev.phi[:h], events  # without a scan sample left at c_h
     return ev.phi, events
 
 
-def _steady_step(F, ev, dom, low, h, cleared, first_step, k, events):
+def _steady_step(F, ev, dom, low, h, cleared, events):
     """One step past the lowest row (l, alpha) of the linearization: the
     residual is affine in c_h at order W = h + l with slope
     A_h = sum_i alpha_i q^(ih) = q^(m0 (l+h)) L(q^h), where
     L = resonance_poly of the linearization and m0 its least index whose
-    row does not vanish."""
+    row does not vanish.  Orders below W are left to clear only on the
+    first step, h = k + 1; they are at most k + l, so the seed alone
+    decides them."""
     l, alpha = low
     W = h + l
     R = _eval_poly(F, ev, W, dom, cleared + 1)
     for m in range(cleared + 1, W):
         if not dom.is_zero(R[m]):
-            if first_step and m <= k + l:
-                raise SeedRejected(
-                    f"seed leaves a nonzero residual at order {m}")
-            raise _Stop({"h": h, "kind": "obstruction_no_solution",
-                         "order": m})
+            raise SeedRejected(
+                f"seed leaves a nonzero residual at order {m}")
     B = R[W]
     A = reduce(dom.add, [dom.mul(a, dom.qpow(i * h))
                          for i, a in alpha.items()])
@@ -134,7 +134,7 @@ def _steady_step(F, ev, dom, low, h, cleared, first_step, k, events):
     return dom.div(dom.neg(B), A)
 
 
-def _scan_step(F, ev, dom, h, W, cleared, first_step, k, events):
+def _scan_step(F, ev, dom, h, W, cleared, events):
     samples = []
     for cv in (0, 1, 2):
         ev.set(h, dom.from_int(cv))  # the samples share all orders < h
@@ -147,9 +147,6 @@ def _scan_step(F, ev, dom, h, W, cleared, first_step, k, events):
         if dom.is_zero(d1) and dom.is_zero(d2):
             if dom.is_zero(g):
                 continue
-            if first_step and m <= k:
-                raise SeedRejected(
-                    f"seed leaves a nonzero residual at order {m}")
             raise _Stop({"h": h, "kind": "obstruction_no_solution",
                          "order": m, "residual": g})
         # fit r(c) = alpha c^2 + beta c + gamma through c = 0, 1, 2
@@ -160,8 +157,9 @@ def _scan_step(F, ev, dom, h, W, cleared, first_step, k, events):
                          "alpha": alpha, "beta": beta, "gamma": g})
         events.append({"h": h, "kind": "unique", "order": m})
         return dom.div(dom.neg(g), beta)
-    events.append({"h": h, "kind": "resonant_free", "order": W})
-    return dom.zero()
+    raise SeedRejected(
+        f"no residual order through {W} depends on c_{h}: the seed is "
+        f"too short to decide it")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,13 @@ DISTANCE_TOL = 1e-9
 # |.| within this of 1 counts as "on the unit circle"
 CIRCLE_TOL = 1e-6
 
+# roots_of merges roots closer than this into one
+CLUSTER_TOL = 1e-7
+
+# roots_of rejects a root whose residual is above this times the
+# coefficient scale
+RESIDUAL_TOL = 1e-6
+
 # n per vectorized scan step; |q^n| is renormalized to 1 once per chunk
 SCAN_CHUNK = 4096
 
@@ -44,15 +51,15 @@ def unit_q(theta):
     return cmath.exp(2j * math.pi * float(theta))
 
 
-def roots_of(poly, q_numeric, residual_tol=1e-6, cluster_tol=1e-7):
+def roots_of(poly, q_numeric):
     """Complex roots of a resonance polynomial at a numeric q.
 
     Accepts a ResonancePoly (coefficients in Q(q), evaluated at
     q_numeric first) or a plain sequence of complex coefficients
-    ascending in T.  Roots closer than cluster_tol are merged into one
+    ascending in T.  Roots closer than CLUSTER_TOL are merged into one
     representative (their mean), so a double root is reported once.
     Every returned root is re-substituted and must leave a residual
-    below residual_tol times the coefficient scale.
+    below RESIDUAL_TOL times the coefficient scale.
 
     Raises DegenerateAfterEvaluation when the leading coefficient dies
     at q_numeric (the degree is not what the exact side thought) or a
@@ -84,14 +91,14 @@ def roots_of(poly, q_numeric, residual_tol=1e-6, cluster_tol=1e-7):
     clusters = []
     for r in sorted(raw, key=lambda z: (z.real, z.imag)):
         for c in clusters:
-            if abs(r - c[-1]) <= cluster_tol:
+            if abs(r - c[-1]) <= CLUSTER_TOL:
                 c.append(r)
                 break
         else:
             clusters.append([r])
     out = [complex(np.mean(c)) for c in clusters]
 
-    bad = [t for t in out if abs(K.eval_at(cs, t)) > residual_tol * scale]
+    bad = [t for t in out if abs(K.eval_at(cs, t)) > RESIDUAL_TOL * scale]
     if bad:
         raise DegenerateAfterEvaluation(
             f"root candidates {bad} have residuals above tolerance; "

@@ -150,34 +150,26 @@ def test_fit_slack_never_negative():
 # predicted_orders
 
 
-def poly_from_slopes(vertices):
-    sides = [(Fraction(y2 - y1, x2 - x1), x2 - x1)
-             for (x1, y1), (x2, y2) in zip(vertices, vertices[1:])]
-    return NewtonPolygon(vertices, sides, vertices[0][0], vertices[-1][0], [])
-
-
 def test_predicted_single_slope():
-    P = poly_from_slopes([(0, 0), (1, 1)])
+    P = NewtonPolygon([(0, 0), (1, 1)])
     assert predicted_orders(P) == (Fraction(1), Fraction(0))
 
 
 def test_predicted_three_slopes():
-    P = poly_from_slopes([(0, 2), (2, 1), (4, 1), (6, 2)])
+    P = NewtonPolygon([(0, 2), (2, 1), (4, 1), (6, 2)])
     assert [s for s, _ in P.sides] == [Fraction(-1, 2), 0, Fraction(1, 2)]
     assert predicted_orders(P) == (Fraction(2), Fraction(2))
 
 
 def test_predicted_flat_only():
-    P = poly_from_slopes([(0, 0), (2, 0)])
+    P = NewtonPolygon([(0, 0), (2, 0)])
     assert predicted_orders(P) == (Fraction(0), Fraction(0))
 
 
 def test_predicted_uncertain_point_matters():
     # hidden coefficient at index 4 could sit as low as order 1,
     # creating a positive slope where none exists
-    P = poly_from_slopes([(0, 0), (2, 0)])
-    P.uncertain = [4]
-    P.uncertain_bounds = {4: 1}
+    P = NewtonPolygon([(0, 0), (2, 0)], {4: 1})
     with pytest.raises(UncertainPolygon):
         predicted_orders(P)
 
@@ -185,17 +177,8 @@ def test_predicted_uncertain_point_matters():
 def test_predicted_uncertain_point_harmless():
     # hidden point at (3, >= 2) can bend the middle of the hull but not
     # the extremal slopes 1/2 and (none negative)
-    P = poly_from_slopes([(0, 0), (2, 1), (4, 10)])
-    P.uncertain = [3]
-    P.uncertain_bounds = {3: 2}
+    P = NewtonPolygon([(0, 0), (2, 1), (4, 10)], {3: 2})
     assert predicted_orders(P) == (Fraction(2), Fraction(0))
-
-
-def test_predicted_uncertain_without_bound():
-    P = poly_from_slopes([(0, 0), (2, 0)])
-    P.uncertain = [4]
-    with pytest.raises(UncertainPolygon):
-        predicted_orders(P)
 
 
 def test_predicted_wired_through_operator():

@@ -1,46 +1,57 @@
-"""Source hygiene: every private name in src/qdeq is used by src/ itself.
+"""Source hygiene: every name src/qdeq defines is used by src/ itself.
 
 A private function, class, method or module constant that only its own
 definition mentions is dead code, or code that only tests call; either
-way it should go.
+way it should go.  The same holds for a public function or method,
+unless the package exports it or it is a reference kept for the tests.
 """
 
 import ast
 import re
 from pathlib import Path
 
+import qdeq
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "qdeq"
+
+# public names only tests call, kept because tests compare against them
+# (_intpoly.eval_mod, QLaurent.q_power, TruncSeries.shift_x)
+KEPT_TEST_REFERENCES = {"eval_mod", "q_power", "shift_x"}
 
 
 def _is_private(name):
     return name.startswith("_") and not name.startswith("__") and name != "_"
 
 
-def _private_definitions(tree):
-    """(name, first line, last line) of the private module-level names and
-    methods of one parsed module."""
+def _definitions(tree):
+    """(name, is_function, first line, last line) of the module-level
+    names and methods of one parsed module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            if _is_private(node.name):
-                yield node.name, node.lineno, node.end_lineno
+            yield (node.name, not isinstance(node, ast.ClassDef),
+                   node.lineno, node.end_lineno)
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and _is_private(item.name)):
-                        yield item.name, item.lineno, item.end_lineno
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield item.name, True, item.lineno, item.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for t in targets:
-                if isinstance(t, ast.Name) and _is_private(t.id):
-                    yield t.id, node.lineno, node.end_lineno
+                if isinstance(t, ast.Name):
+                    yield t.id, False, node.lineno, node.end_lineno
 
 
-def test_every_private_name_is_referenced_in_src():
+def _unreferenced(wanted):
+    """The definitions wanted(name, is_function) accepts that no line of
+    src/ mentions outside the definition itself."""
     sources = {p: p.read_text().splitlines() for p in sorted(SRC.glob("*.py"))}
     unused = []
     for path, lines in sources.items():
-        for name, first, last in _private_definitions(ast.parse("\n".join(lines))):
+        for name, is_function, first, last in _definitions(
+                ast.parse("\n".join(lines))):
+            if not wanted(name, is_function):
+                continue
             word = re.compile(rf"\b{re.escape(name)}\b")
             hits = 0
             for other, other_lines in sources.items():
@@ -52,4 +63,20 @@ def test_every_private_name_is_referenced_in_src():
                 hits += sum(len(word.findall(line)) for line in other_lines)
             if not hits:
                 unused.append(f"{path.name}:{first} {name}")
+    return unused
+
+
+def test_every_private_name_is_referenced_in_src():
+    unused = _unreferenced(lambda name, is_function: _is_private(name))
     assert not unused, f"private names no code in src/ uses: {unused}"
+
+
+def test_every_public_function_is_used_in_src_or_exported():
+    def wanted(name, is_function):
+        return (is_function and not name.startswith("_")
+                and name not in qdeq.__all__
+                and name not in KEPT_TEST_REFERENCES)
+
+    unused = _unreferenced(wanted)
+    assert not unused, (f"public functions and methods no code in src/ "
+                        f"uses and qdeq does not export: {unused}")

@@ -13,7 +13,6 @@ from qdeq.skewop import (
     SkewOp,
     apply,
     lowest_row,
-    lowest_vertex,
     newton_polygon,
     op_mul,
     resonance_poly,
@@ -52,7 +51,7 @@ def test_op_add_neg():
     assert (A - A).is_zero()
     assert (A + SkewOp({})) == A
     with pytest.raises(EmptyOperator):
-        SkewOp({}).support_min
+        resonance_poly(SkewOp({}))
 
 
 def test_apply_exact():
@@ -86,7 +85,6 @@ def test_newton_polygon_vertices_and_slopes():
     assert P.vertices == [(0, 1), (1, 0), (2, 2)]
     assert P.sides == [(Fraction(-1), 1), (Fraction(2), 1)]
     assert P.slopes == [Fraction(-1), Fraction(2)]
-    assert (P.support_min, P.support_max) == (0, 2)
     assert P.uncertain == []
 
 
@@ -130,8 +128,9 @@ def test_polygon_json():
 
 
 def test_lowest_vertex():
+    # least order l = 1, reached last at index 3, so L has degree 3
     A = SkewOp({0: xp(0, 0, 1), 2: xp(0, 3), 3: X})
-    assert lowest_vertex(A) == (3, 1)
+    assert resonance_poly(A) == ResonancePoly([0, 0, 3, 1])
 
 
 def test_lowest_vertex_uncertainty():
@@ -139,11 +138,12 @@ def test_lowest_vertex_uncertainty():
     A = SkewOp({0: TruncSeries([RatQ(0), RatQ(0), RatQ(1)], trunc=2),
                 1: TruncSeries.zero(1)})
     with pytest.raises(UncertainOrder):
-        lowest_vertex(A)
-    # with a deep enough truncation the same shape is fine
+        resonance_poly(A)
+    # with a deep enough truncation the same shape is fine: the lowest
+    # vertex is (0, 2), so L(T) = 1
     B = SkewOp({0: TruncSeries([RatQ(0), RatQ(0), RatQ(1)], trunc=2),
                 1: TruncSeries.zero(5)})
-    assert lowest_vertex(B) == (0, 2)
+    assert resonance_poly(B) == ResonancePoly([1])
     # the same rule on bare rows of mixed truncation, in any domain
     def is_zero(v):
         return v == 0
@@ -173,7 +173,6 @@ def test_resonance_poly_eval():
     L = ResonancePoly([RatQ(-1), RatQ(0), RatQ(1)])  # T^2 - 1
     assert L.at_qpow(0).is_zero()
     assert L.at_qpow(3) == Q ** 6 - 1
-    assert L.degree == 2
 
 
 def test_resonance_poly_text():
@@ -182,8 +181,8 @@ def test_resonance_poly_text():
 
 
 def test_resonance_poly_trims_lead():
-    assert ResonancePoly([RatQ(1), RatQ(0)]).degree == 0
-    assert ResonancePoly([]).degree == -1
+    assert ResonancePoly([RatQ(1), RatQ(0)]).coeffs == (RatQ(1),)
+    assert ResonancePoly([]).coeffs == ()
 
 
 def test_operator_text():

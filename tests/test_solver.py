@@ -6,13 +6,12 @@ import pytest
 from qdeq import _probes, solver
 from qdeq.corpus import get_entry
 from qdeq.dsl import parse
-from qdeq.errors import SeedRejected
+from qdeq.errors import EngineError, SeedRejected
 from qdeq.nonlinear import (Evaluator, ExactDomain, QdeqPoly, linearize,
                             partial_rows)
 from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
-from qdeq.skewop import (lowest_row, lowest_vertex, newton_polygon,
-                         resonance_poly)
+from qdeq.skewop import lowest_row, newton_polygon, resonance_poly
 from qdeq.solver import check_solution, extend, resonance_set
 
 
@@ -115,7 +114,9 @@ def _solve_plain(F, seed, N, engine):
     # the A5 equation
     (parse(QP2_TEXT.format(c="q")).parsed, [1], 10),
     (shifted_eigen(3, forced=True), [0], 10),
-], ids=["branch-1", "branch-2", "a5", "obstruction"])
+    # (y-1)^2 = x: the scan step finds order 1 nonzero, out of c_1's reach
+    (parse("(y[0]-1)^2 - x").parsed, [1], 4),
+], ids=["branch-1", "branch-2", "a5", "obstruction", "scan-obstruction"])
 def test_halted_run_matches_fresh_per_step(F, seed, N, engine, monkeypatch):
     got = _solve_plain(F, seed, N, engine)
     coeffs, events, resolved = got
@@ -167,7 +168,8 @@ def test_vanishing_slopes_are_the_resonance_set(F, seed, N, resonant):
     rep = extend(F, seed, N, engine="exact")
     k = len(seed) - 1
     lin = linearize(F, rep.solution)
-    _, l = lowest_vertex(lin)
+    l, _ = lowest_row({i: a.coeffs for i, a in lin.terms.items()},
+                      RatQ.is_zero)
     # the steps past the lowest row's order l are steady, and each one
     # decides at its slope order h + l
     steady = [e for e in rep.events if e["h"] > l]
@@ -187,7 +189,7 @@ def test_steady_slope_is_unit_times_resonance_poly():
     seed = [RatQ(1), Q / (1 + Q)]
     lin = linearize(F, TruncSeries(seed))
     L = resonance_poly(lin)
-    m0 = newton_polygon(lin).support_min
+    m0 = newton_polygon(lin).vertices[0][0]
     prime = 2147483647
     probe = _probes.ProbeDomain(prime, _probes._lane_points(
         prime, 32, np.random.default_rng(3)))
@@ -213,6 +215,49 @@ def test_seed_rejected():
         extend(shifted_eigen(3, forced=False), [1], 6)
     with pytest.raises(SeedRejected):
         extend(geometric_step(), [1, 5], 6)
+    # the x^1 row is nonzero, and the seed 1 + 0*x leaves -x^2, found by
+    # the first steady step rather than the check of orders 0..k
+    for engine in ("exact", "probe"):
+        with pytest.raises(SeedRejected, match="order 2"):
+            extend(parse("x*y[0] - x - x^2").parsed, [1, 0], 4,
+                   engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["exact", "probe"])
+@pytest.mark.parametrize("text, short, longer", [
+    ("x^5*y[0] - x^5 - x^6", [1], [1, 1, 0, 0, 0, 0]),
+    ("x^2*y[0] - x^2 - x^4", [1], [1, 0, 1]),
+], ids=["1+x", "1+x^2"])
+def test_scan_rejects_a_seed_too_short_to_decide(text, short, longer, engine):
+    # every row vanishes through x^(h-1), so c_h first enters at order
+    # 2h; with the short seed no order of the scan window decides c_1
+    F = parse(text).parsed
+    with pytest.raises(SeedRejected, match="too short"):
+        extend(F, short, 8, engine=engine)
+    rep = extend(F, longer, 8, engine=engine)
+    assert rep.resolved_through == 8
+    assert set(rep.kinds()) == {"unique"}
+    assert rep.solution.coeffs == TruncSeries(longer, 8).coeffs
+    assert check_solution(F, rep.solution, mode="exact") == 8
+
+
+@pytest.mark.parametrize("engine", ["exact", "probe"])
+def test_scan_step_unique(engine):
+    # x*y - x - x^2: every row vanishes at h = 1; c_1 = 1 at order 2
+    rep = extend(parse("x*y[0] - x - x^2").parsed, [1], 4, engine=engine)
+    assert rep.events[0] == {"h": 1, "kind": "unique", "order": 2}
+    assert rep.solution.coeffs == TruncSeries([1, 1], 4).coeffs
+
+
+def test_probe_failure_falls_back_to_exact(monkeypatch):
+    want = extend(geometric_step(), [1], 8, engine="exact")
+
+    def fail(F, seed, N):
+        raise EngineError("lanes kept dying")
+
+    monkeypatch.setattr(_probes, "solve", fail)
+    got = extend(geometric_step(), [1], 8, engine="probe")
+    assert got.to_json() == want.to_json()
 
 
 def test_seed_only_run():
