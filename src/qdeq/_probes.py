@@ -168,6 +168,16 @@ class ProbeDomain:
     def add(self, a, b):
         return (a + b) % self.p
 
+    def sum(self, terms):
+        """One mod p over the plain int64 sum: values below 2^31 leave
+        room for 2^32 terms."""
+        if not terms:
+            return self._zero
+        acc = terms[0].copy()
+        for t in terms[1:]:
+            acc += t
+        return acc % self.p
+
     def sub(self, a, b):
         return (a - b) % self.p
 

@@ -16,12 +16,13 @@ This module also holds the one substitution engine of the package.
 Evaluator computes F(phi) order by order in a coefficient domain: the
 ExactDomain defined here (Q(q) itself) or the probe engine's
 ProbeDomain (modular evaluations, in _probes).  A domain supplies the
-ring operations, q-powers, zero tests, zero-filled series buffers and
-a series_mul that computes orders lo..hi-1 of a product.  Everything
-that substitutes a series into a QdeqPoly runs on it: the solve loop
-in solver, through one evaluator per run that recomputes only the
-orders a new coefficient changes, the probe engine's verification and
-checks, and the two exact entry points below.
+ring operations, a sum over a list of terms (each residual order is
+collected and summed once), q-powers, zero tests, zero-filled series
+buffers and a series_mul that computes orders lo..hi-1 of a product.
+Everything that substitutes a series into a QdeqPoly runs on it: the
+solve loop in solver, through one evaluator per run that recomputes
+only the orders a new coefficient changes, the probe engine's
+verification and checks, and the two exact entry points below.
 
 eval_at substitutes a truncated series phi for y (so w_i becomes
 phi(q^i x)) and returns a series with the same truncation as phi.
@@ -34,7 +35,7 @@ the lowest row of the linearization from it in its own domain.
 """
 
 from .errors import IndexOutOfWindow, NegativeXPower
-from .ratfunc import RatQ, is_compound
+from .ratfunc import RatQ, is_compound, ratq_sum
 from .series import TruncSeries
 from .skewop import SkewOp
 
@@ -203,15 +204,6 @@ class QdeqPoly:
                          "coeff": c.to_text()})
         return {"window": list(self.window), "monomials": mons}
 
-    @classmethod
-    def from_json(cls, obj):
-        from .dsl import parse_ratq
-        mons = {}
-        for m in obj["monomials"]:
-            key = (m["x"], tuple((int(i), k) for i, k in m["w"].items()))
-            mons[key] = mons.get(key, RatQ(0)) + parse_ratq(m["coeff"])
-        return cls(tuple(obj["window"]), mons)
-
     def to_text(self):
         if not self.monomials:
             return "0"
@@ -253,6 +245,9 @@ class ExactDomain:
     def add(self, a, b):
         return a + b
 
+    def sum(self, terms):
+        return ratq_sum(terms)
+
     def sub(self, a, b):
         return a - b
 
@@ -275,16 +270,17 @@ class ExactDomain:
         return [RatQ(0)] * k
 
     def series_mul(self, a, b, lo, hi):
-        """Orders lo..hi-1 of the Cauchy product, skipping zero coefficients."""
-        out = [RatQ(0)] * (hi - lo)
+        """Orders lo..hi-1 of the Cauchy product, skipping zero coefficients;
+        each order's products are summed and reduced once."""
+        terms = [[] for _ in range(lo, hi)]
         for i, ai in enumerate(a[:hi]):
             if ai.is_zero():
                 continue
             for m in range(max(lo, i), hi):
                 bj = b[m - i]
                 if not bj.is_zero():
-                    out[m - lo] = out[m - lo] + ai * bj
-        return out
+                    terms[m - lo].append(ai * bj)
+        return [ratq_sum(t) for t in terms]
 
 
 class Evaluator:
@@ -344,7 +340,7 @@ class Evaluator:
         """F(phi) through x^(width-1), accumulated from order lo up;
         orders below lo are left zero."""
         dom, width = self.dom, self.width
-        acc = [dom.zero()] * width
+        terms = [[] for _ in range(width)]
         for (e, exps), coeff in F.monomials.items():
             if e >= width:
                 continue
@@ -353,12 +349,12 @@ class Evaluator:
                 c = self._coeffs[coeff] = dom.from_ratq(coeff)
             if not exps:
                 if e >= lo:
-                    acc[e] = dom.add(acc[e], c)
+                    terms[e].append(c)
                 continue
             term = self._product(exps)
             for m in range(max(lo, e), width):
-                acc[m] = dom.add(acc[m], dom.mul(term[m - e], c))
-        return acc
+                terms[m].append(dom.mul(term[m - e], c))
+        return [dom.sum(t) for t in terms]
 
 
 def _exact_evaluator(phi):

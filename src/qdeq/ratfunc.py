@@ -14,6 +14,15 @@ Two immutable value types:
             properties give the dense reduced pair (q^v folded into
             whichever side it belongs to) for printing and evaluation.
 
+ratq_sum adds a list of RatQ terms with one reduction at the end: it
+groups the terms by denominator, merges the groups over one common
+denominator and takes a single gcd, where a left fold of + would take
+one or two gcds per term.  The exact engine's Cauchy sums and residual
+orders go through it.  RatQ.__add__ keeps its own binary path: for two
+operands, reducing by the gcd of the denominators first and then by a
+gcd against that common factor alone (Knuth 4.5.1) works on smaller
+polynomials than one gcd against the full product.
+
 QLaurent is a RatQ with d = 1 that prints term by term ("q-1+q^-1");
 it adds no arithmetic of its own, and RatQ.from_value turns it back into
 a plain RatQ.
@@ -526,6 +535,56 @@ class RatQ:
 
 
 _ZERO = RatQ(0)
+
+
+def ratq_sum(terms):
+    """Sum of RatQ terms, reduced once (fraction-free inner product,
+    Knuth 4.5.1).
+
+    All terms are brought to q^v / l with v the least valuation and l the
+    lcm of the scalar denominators.  Terms that share a denominator d add
+    their numerators with no gcd.  The groups then merge, longest d first,
+    over one denominator D: a d that divides D scales its numerator by the
+    cofactor D/d, any other d multiplies into D.  The low zeros of the
+    numerator move into v and one gcd with D reduces the result.  D is a
+    product of primitive polynomials with positive leading coefficients,
+    so it is one too (Gauss), and the layout is the one RatQ.__add__
+    gives.
+    """
+    terms = [t for t in terms if t.n.ints]
+    if len(terms) < 2:
+        return RatQ.from_value(terms[0]) if terms else _ZERO
+    v = min(t.v for t in terms)
+    l = math.lcm(*(t.n.den for t in terms))
+    groups = {}
+    for t in terms:
+        acc = groups.setdefault(t.d.ints, [])
+        off, s = t.v - v, l // t.n.den
+        top = off + len(t.n.ints)
+        if len(acc) < top:
+            acc.extend([0] * (top - len(acc)))
+        for i, c in enumerate(t.n.ints, off):
+            acc[i] += c * s
+    D, N = [1], []
+    for d, a in sorted(groups.items(), key=lambda g: -len(g[0])):
+        if not K.trim(a):
+            continue
+        d = list(d)
+        if not N:
+            D, N = d, a
+            continue
+        try:
+            cofactor = K.divexact(D, d)
+        except ValueError:  # d does not divide D
+            N = K.add(K.mul(N, d), K.mul(a, D))
+            D = K.mul(D, d)
+        else:
+            N = K.add(N, K.mul(a, cofactor))
+    if not N:
+        return _ZERO
+    o = K.low(N)  # the constant terms cancelled: q^o moves into v
+    N, D = _lowest_terms(N[o:], D)
+    return _ratq(v + o, QPoly(N, l), _qpoly(D))
 
 
 class QLaurent(RatQ):

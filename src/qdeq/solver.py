@@ -41,8 +41,6 @@ A run keeps one evaluator, which owns the coefficient list; setting c_h
 recomputes and checks just the orders it can change.
 """
 
-from functools import reduce
-
 from .errors import EngineError, SeedRejected
 from .nonlinear import Evaluator, ExactDomain, eval_at, partial_rows
 from .ratfunc import RatQ
@@ -122,8 +120,7 @@ def _steady_step(F, ev, dom, low, h, cleared, events):
             raise SeedRejected(
                 f"seed leaves a nonzero residual at order {m}")
     B = R[W]
-    A = reduce(dom.add, [dom.mul(a, dom.qpow(i * h))
-                         for i, a in alpha.items()])
+    A = dom.sum([dom.mul(a, dom.qpow(i * h)) for i, a in alpha.items()])
     if dom.is_zero(A):
         if dom.is_zero(B):
             events.append({"h": h, "kind": "resonant_free", "order": W})

@@ -43,27 +43,35 @@ def _definitions(tree):
 
 
 def _unreferenced(wanted):
-    """The definitions wanted(name, is_function) accepts that no line of
-    src/ mentions outside the definition itself."""
+    """The definitions wanted(name, is_function) accepts whose name no
+    line of src/ mentions outside every definition of that name.
+
+    Blanking all same-named definitions, not only the one under test,
+    keeps two methods of one name (say, on two classes) from counting as
+    each other's uses, and recursion or a def line from counting at all.
+    """
     sources = {p: p.read_text().splitlines() for p in sorted(SRC.glob("*.py"))}
-    unused = []
+    spans = {}  # name -> [(path, is_function, first line, last line)]
     for path, lines in sources.items():
         for name, is_function, first, last in _definitions(
                 ast.parse("\n".join(lines))):
-            if not wanted(name, is_function):
-                continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            hits = 0
-            for other, other_lines in sources.items():
-                if other == path:
-                    # blank the definition itself, so recursion and the
-                    # def line do not count as uses
-                    other_lines = (other_lines[:first - 1]
-                                   + other_lines[last:])
-                hits += sum(len(word.findall(line)) for line in other_lines)
-            if not hits:
-                unused.append(f"{path.name}:{first} {name}")
-    return unused
+            spans.setdefault(name, []).append((path, is_function, first, last))
+    unused = []
+    for name, defs in spans.items():
+        defs = [d for d in defs if wanted(name, d[1])]
+        if not defs:
+            continue
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        hits = 0
+        for path, lines in sources.items():
+            blank = {i for p, _, first, last in spans[name] if p == path
+                     for i in range(first - 1, last)}
+            hits += sum(len(word.findall(line))
+                        for i, line in enumerate(lines) if i not in blank)
+        if not hits:
+            unused += [f"{path.name}:{first} {name}"
+                       for path, _, first, _ in defs]
+    return sorted(unused)
 
 
 def test_every_private_name_is_referenced_in_src():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 
 import numpy as np
@@ -9,10 +10,13 @@ from hypothesis import strategies as st
 
 from qdeq import _intpoly as K
 from qdeq import _probes as P
+from qdeq.errors import QdeqError
+from qdeq.nonlinear import QdeqPoly, eval_at
 from qdeq.ratfunc import Q, QPoly, RatQ
 from qdeq.series import TruncSeries
 from qdeq.solver import check_solution, extend
 
+from test_properties import COMMON, qdeq_polys, ratq_nonzero
 from test_solver import geometric_step, painleve_like
 
 MP = 2147483647  # 2**31 - 1, prime
@@ -176,3 +180,49 @@ def test_need_lanes_only_after_the_whole_pool():
         P._reconstruct_coeff(runs, 3, 32)
     # every run tried a fit over its whole usable pool first
     assert all((3, cap) in run.cands for run in runs)
+
+
+def test_probe_domain_sum_matches_folded_add():
+    rng = np.random.default_rng(11)
+    dom = P.ProbeDomain(MP, P._lane_points(MP, 64, rng))
+    for k in range(6):
+        terms = [rng.integers(0, MP, size=dom.n, dtype=np.int64)
+                 for _ in range(k)]
+        # the largest residue, so the plain int64 sum passes p
+        terms.append(np.full(dom.n, MP - 1, dtype=np.int64))
+        for some in (terms[:-1], terms):
+            want = reduce(dom.add, some, dom.zero())
+            assert (dom.sum(some) == want).all()
+
+
+# -- whole solves: exact against probe -------------------------------------
+
+
+@st.composite
+def seeded_equations(draw):
+    """A small QdeqPoly F, a seed c_0..c_k and a target order N, with
+    k < N <= 6; F's constant monomials move so that the seed clears
+    orders 0..k."""
+    F = draw(qdeq_polys())
+    seed = draw(st.lists(ratq_nonzero, min_size=1, max_size=3))
+    k = len(seed) - 1
+    r = eval_at(F, TruncSeries(seed, k))
+    F = F - QdeqPoly((0, 0), {(m, ()): c for m, c in enumerate(r.coeffs)})
+    return F, seed, draw(st.integers(k + 1, 6))
+
+
+def _outcome(F, seed, N, engine):
+    try:
+        rep = extend(F, seed, N, engine=engine)
+    except QdeqError as exc:
+        return type(exc)
+    # probe events carry "(modular)" where exact ones carry a value
+    return (rep.solution.coeffs,
+            [(e["h"], e["kind"], e["order"], sorted(e)) for e in rep.events])
+
+
+@settings(max_examples=30, **COMMON)
+@given(seeded_equations())
+def test_exact_and_probe_solves_agree(problem):
+    F, seed, N = problem
+    assert _outcome(F, seed, N, "exact") == _outcome(F, seed, N, "probe")

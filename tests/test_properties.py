@@ -1,13 +1,16 @@
 """Randomized invariants, at least 200 cases per suite.
 
 Suites: valuation additivity in Q(q), the q^v * n/d layout of RatQ
-against its dense reduced pair, skew composition soundness,
+against its dense reduced pair, the n-ary sum against a fold of +,
+skew composition soundness,
 polygon translation invariance, first-order Taylor agreement of the
 linearization, parser round-trip, and exactness of the growth-order
 estimator on synthetic quadratic profiles.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 from qdeq.dsl import parse, parse_ratq
 from qdeq.growth import estimate_order
 from qdeq.nonlinear import QdeqPoly, eval_at, linearize
-from qdeq.ratfunc import Q, QPoly, RatQ
+from qdeq.ratfunc import Q, QPoly, RatQ, ratq_sum
 from qdeq.series import TruncSeries, XPoly
 from qdeq.skewop import SkewOp, apply, newton_polygon, op_mul
 
@@ -81,6 +84,47 @@ def test_layout_matches_dense_pair(a, b, k):
     assert a.shift_q(k).shift_q(-k) == a
     assert a.shift_q(k) == a * Q ** k
     assert parse_ratq(a.to_text()) == a
+
+
+# -- the n-ary sum against a left fold of + -------------------------------
+
+# primitive factors whose products give identical, nested, overlapping and
+# coprime denominators
+SUM_FACTORS = (QPoly((1, 1)), QPoly((2, -1)), QPoly((1, 1, 1)),
+               QPoly((1, 0, 3)), QPoly((-1, 2, 0, 1)))
+
+
+@st.composite
+def sum_terms(draw):
+    """Terms q^v * n / (scalar * product of SUM_FACTORS), then maybe one
+    more that cancels the whole sum or its lowest-order coefficient."""
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        n = QPoly(draw(nz_ints), draw(st.sampled_from((1, 2, 3, 5, 6))))
+        d = QPoly((1,))
+        for f, used in zip(SUM_FACTORS, draw(st.lists(
+                st.booleans(), min_size=5, max_size=5))):
+            if used:
+                d = d * f
+        terms.append(RatQ(n, d).shift_q(draw(st.integers(-3, 3))))
+    total = reduce(operator.add, terms, RatQ(0))
+    tail = draw(st.sampled_from(("none", "all", "lowest")))
+    if tail == "all":
+        terms.append(-total)
+    elif tail == "lowest" and not total.is_zero():
+        lowest = RatQ(total.n.coeff(0)) / total.d.coeff(0)
+        terms.append(-lowest.shift_q(total.v))
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=300, **COMMON)
+@given(sum_terms())
+def test_ratq_sum_matches_fold(terms):
+    got = ratq_sum(terms)
+    want = reduce(operator.add, terms, RatQ(0))
+    assert got == want and hash(got) == hash(want)
+    assert (got.v, got.n.ints, got.n.den, got.d.ints) == (
+        want.v, want.n.ints, want.n.den, want.d.ints)
 
 
 # -- skew composition soundness ------------------------------------------

@@ -17,6 +17,7 @@ from qdeq.ratfunc import (
     deg_q,
     ord_q,
     pochhammer,
+    ratq_sum,
 )
 
 
@@ -328,6 +329,24 @@ def test_ratq_hash_eq():
     assert a == b and hash(a) == hash(b)
     assert RatQ(2) == 2
     assert RatQ(2) != Q
+
+
+def test_ratq_sum_cases():
+    assert ratq_sum([]).is_zero()
+    one = ratq_sum([QLaurent(QPoly((1, 2)), -3)])
+    assert type(one) is RatQ and one == (1 + 2 * Q) * Q ** -3
+    a = Q / (1 + Q)
+    b = 1 / ((1 + Q) * (2 - Q))
+    c = Q ** 2 / (1 + 3 * Q ** 2)
+    for terms in ([a, a, a],            # identical denominators
+                  [a, b, RatQ(Fraction(1, 6))],  # nested, mixed scalars
+                  [a, c, -a],           # coprime, cancelling in part
+                  [a, -a, b, -b],       # cancels to zero
+                  [Q ** -1, 1 - Q ** -1, Fraction(1, 3) * Q]):  # v moves
+        got = ratq_sum(terms)
+        want = sum(terms, RatQ(0))  # a left fold of +
+        assert got == want and hash(got) == hash(want)
+    assert ratq_sum([Q ** -1, 1 - Q ** -1, Q]).v == 0  # not -1
 
 
 # ---------------------------------------------------------------------------
