@@ -2,11 +2,12 @@
 
 Polynomials are plain Python lists of ints, lowest degree first, with no
 trailing zeros; [] is the zero polynomial.  This module is the speed
-floor of the package: multiplication dispatches between schoolbook and
-Kronecker substitution (one big-integer multiply per product), and gcd
-dispatches between a primitive remainder sequence for small operands and
-a small-prime modular algorithm (numpy inner loops, CRT lifting,
-verification by exact division).
+floor of the package: multiplication dispatches between schoolbook over
+the nonzero terms, nnz(a)*nnz(b) steps (small or sparse operands, such as
+1 - q^e), and Kronecker substitution (one big-integer multiply per
+product), and gcd dispatches between a primitive remainder sequence for
+small operands and a small-prime modular algorithm (numpy inner loops,
+CRT lifting, verification by exact division).
 
 Nothing here knows about q, x or fractions; ratfunc builds the public
 types on top.  Functions mutate nothing they receive except where noted.
@@ -59,12 +60,13 @@ def shift(a, k):
 
 
 def _school_mul(a, b):
+    """Schoolbook product over the nonzero terms: nnz(a)*nnz(b) steps."""
     out = [0] * (len(a) + len(b) - 1)
+    nzb = [(j, d) for j, d in enumerate(b) if d]
     for i, c in enumerate(a):
         if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
+            for j, d in nzb:
+                out[i + j] += c * d
     return out
 
 

@@ -184,6 +184,8 @@ class ProbeDomain:
     def mul(self, a, b):
         return a * b % self.p
 
+    mul_term = mul  # a product mod p has one form, reduced or not
+
     def neg(self, a):
         return (self.p - a) % self.p
 

@@ -17,8 +17,10 @@ Evaluator computes F(phi) order by order in a coefficient domain: the
 ExactDomain defined here (Q(q) itself) or the probe engine's
 ProbeDomain (modular evaluations, in _probes).  A domain supplies the
 ring operations, a sum over a list of terms (each residual order is
-collected and summed once), q-powers, zero tests, zero-filled series
-buffers and a series_mul that computes orders lo..hi-1 of a product.
+collected and summed once), a mul_term for products that only feed that
+sum (the exact domain leaves them unreduced), q-powers, zero tests,
+zero-filled series buffers and a series_mul that computes orders
+lo..hi-1 of a product.
 Everything that substitutes a series into a QdeqPoly runs on it: the
 solve loop in solver, through one evaluator per run that recomputes
 only the orders a new coefficient changes, the probe engine's
@@ -35,7 +37,7 @@ the lowest row of the linearization from it in its own domain.
 """
 
 from .errors import IndexOutOfWindow, NegativeXPower
-from .ratfunc import RatQ, is_compound, ratq_sum
+from .ratfunc import RatQ, _mul_unreduced, is_compound, ratq_sum
 from .series import TruncSeries
 from .skewop import SkewOp
 
@@ -254,6 +256,8 @@ class ExactDomain:
     def mul(self, a, b):
         return a * b
 
+    mul_term = staticmethod(_mul_unreduced)  # sum reduces the terms
+
     def neg(self, a):
         return -a
 
@@ -271,7 +275,8 @@ class ExactDomain:
 
     def series_mul(self, a, b, lo, hi):
         """Orders lo..hi-1 of the Cauchy product, skipping zero coefficients;
-        each order's products are summed and reduced once."""
+        each order's products are formed unreduced, then summed and
+        reduced once."""
         terms = [[] for _ in range(lo, hi)]
         for i, ai in enumerate(a[:hi]):
             if ai.is_zero():
@@ -279,7 +284,7 @@ class ExactDomain:
             for m in range(max(lo, i), hi):
                 bj = b[m - i]
                 if not bj.is_zero():
-                    terms[m - lo].append(ai * bj)
+                    terms[m - lo].append(_mul_unreduced(ai, bj))
         return [ratq_sum(t) for t in terms]
 
 
@@ -353,7 +358,7 @@ class Evaluator:
                 continue
             term = self._product(exps)
             for m in range(max(lo, e), width):
-                terms[m].append(dom.mul(term[m - e], c))
+                terms[m].append(dom.mul_term(term[m - e], c))
         return [dom.sum(t) for t in terms]
 
 

@@ -18,10 +18,12 @@ ratq_sum adds a list of RatQ terms with one reduction at the end: it
 groups the terms by denominator, merges the groups over one common
 denominator and takes a single gcd, where a left fold of + would take
 one or two gcds per term.  The exact engine's Cauchy sums and residual
-orders go through it.  RatQ.__add__ keeps its own binary path: for two
-operands, reducing by the gcd of the denominators first and then by a
-gcd against that common factor alone (Knuth 4.5.1) works on smaller
-polynomials than one gcd against the full product.
+orders go through it, their terms formed by _mul_unreduced with no gcd,
+where RatQ.__mul__ would cross-reduce with two.  RatQ.__add__ keeps its
+own binary path: for two operands, reducing by the gcd of the
+denominators first and then by a gcd against that common factor alone
+(Knuth 4.5.1) works on smaller polynomials than one gcd against the full
+product.
 
 QLaurent is a RatQ with d = 1 that prints term by term ("q-1+q^-1");
 it adds no arithmetic of its own, and RatQ.from_value turns it back into
@@ -537,9 +539,20 @@ class RatQ:
 _ZERO = RatQ(0)
 
 
+def _mul_unreduced(a, b):
+    """a*b with no gcd, as a term for ratq_sum: n/d and n's scalar are
+    left as the factors' products give them."""
+    return _ratq(a.v + b.v, _qpoly(K.mul(a.n.ints, b.n.ints), a.n.den * b.n.den),
+                 _qpoly(K.mul(a.d.ints, b.d.ints)))
+
+
 def ratq_sum(terms):
     """Sum of RatQ terms, reduced once (fraction-free inner product,
     Knuth 4.5.1).
+
+    The terms need not be reduced, only in the layout _mul_unreduced
+    gives (ExactDomain.series_mul and, through ExactDomain.mul_term,
+    Evaluator.eval pass such products), so a single term is reduced too.
 
     All terms are brought to q^v / l with v the least valuation and l the
     lcm of the scalar denominators.  Terms that share a denominator d add
@@ -552,8 +565,8 @@ def ratq_sum(terms):
     gives.
     """
     terms = [t for t in terms if t.n.ints]
-    if len(terms) < 2:
-        return RatQ.from_value(terms[0]) if terms else _ZERO
+    if not terms:
+        return _ZERO
     v = min(t.v for t in terms)
     l = math.lcm(*(t.n.den for t in terms))
     groups = {}

@@ -1,9 +1,14 @@
 """Exact q-rational arithmetic: kernel and public value types."""
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdeq import _intpoly as K
 from qdeq.errors import DivisionByZero
@@ -14,6 +19,7 @@ from qdeq.ratfunc import (
     QLaurent,
     QPoly,
     RatQ,
+    _mul_unreduced,
     deg_q,
     ord_q,
     pochhammer,
@@ -45,6 +51,87 @@ def test_kernel_mul_kronecker_agrees_with_schoolbook():
         a = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 200))]
         b = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 200))]
         assert K.trim(K._kron_mul(a, b)) == K.trim(K._school_mul(a, b))
+
+
+def _naive_mul(a, b):
+    """The plain double-loop convolution, trimmed."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return K.trim(out)
+
+
+nonzero = st.one_of(st.integers(-9, 9),
+                    st.integers(-2 ** 80, 2 ** 80)).filter(bool)
+
+
+def binomials(kmin):
+    """+-1 +- c*q^k with kmin <= k <= 300: a Pochhammer product's factor."""
+    return st.builds(lambda s, c, k: [s] + [0] * (k - 1) + [c],
+                     st.sampled_from((1, -1)), nonzero, st.integers(kmin, 300))
+
+
+# nonzero terms separated by zero runs of up to 80
+sparse_polys = st.lists(st.tuples(st.integers(0, 80), nonzero),
+                        min_size=1, max_size=8).map(
+    lambda runs: [x for gap, c in runs for x in [0] * gap + [c]])
+
+
+def dense_polys(lo, hi):
+    return st.lists(nonzero, min_size=lo, max_size=hi)
+
+
+any_polys = st.one_of(binomials(1), sparse_polys, dense_polys(1, 120))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_polys, any_polys)
+def test_kernel_mul_matches_convolution(a, b):
+    want = _naive_mul(a, b)
+    assert K.trim(K._school_mul(a, b)) == want
+    assert K.mul(a, b) == want == K.mul(b, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_polys(100, 160), st.one_of(binomials(1), sparse_polys),
+       st.booleans())
+def test_kernel_mul_dense_by_sparse(a, b, swap):
+    if swap:
+        a, b = b, a
+    want = _naive_mul(a, b)
+    assert K.trim(K._school_mul(a, b)) == want
+    assert K.mul(a, b) == want
+
+
+# operand pairs for each branch of K.mul, and the routine it should call
+MUL_BRANCHES = {
+    "school by size": (st.tuples(dense_polys(2, 64), dense_polys(2, 64)),
+                       "_school_mul"),
+    "school by sparsity": (st.tuples(dense_polys(100, 200), binomials(100)),
+                           "_school_mul"),
+    "kronecker": (st.tuples(dense_polys(70, 150), dense_polys(70, 150)),
+                  "_kron_mul"),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(MUL_BRANCHES))
+def test_kernel_mul_branches(branch):
+    pairs, routine = MUL_BRANCHES[branch]
+
+    @settings(max_examples=25, deadline=None)
+    @given(pairs)
+    def check(pair):
+        a, b = pair
+        with mock.patch.object(K, "_school_mul", wraps=K._school_mul) as school, \
+                mock.patch.object(K, "_kron_mul", wraps=K._kron_mul) as kron:
+            got = K.mul(a, b), K.mul(b, a)
+        called = [name for name, spy in (("_school_mul", school),
+                                         ("_kron_mul", kron)) if spy.called]
+        assert called == [routine]
+        assert got == (_naive_mul(a, b),) * 2
+
+    check()
 
 
 def test_kernel_kronecker_negative_coefficients():
@@ -347,6 +434,66 @@ def test_ratq_sum_cases():
         want = sum(terms, RatQ(0))  # a left fold of +
         assert got == want and hash(got) == hash(want)
     assert ratq_sum([Q ** -1, 1 - Q ** -1, Q]).v == 0  # not -1
+
+
+def _layout(r):
+    return r.v, r.n.ints, r.n.den, r.d.ints
+
+
+def _reduced_fold(pairs):
+    return reduce(operator.add, (a * b for a, b in pairs), RatQ(0))
+
+
+def test_ratq_sum_of_unreduced_products_cases():
+    shared = ((1 + Q) / (1 - Q), (1 - Q) / (1 + Q ** 2))
+    a = Fraction(3, 2) * Q / (1 + Q)
+    b = (1 + Q) ** 2 / (2 - Q)
+    for pairs in ([shared],                       # one term, shared factor
+                  [(a, b)],                       # one term, (1+q) cancels
+                  [(Q ** -2, 1 - Q)],             # one term, nothing to cancel
+                  [shared, (a, b), (b, a)],
+                  [(a, b), (-a, b)],              # cancels to zero
+                  [shared, (a, b), (-a, b), (Q ** 3, shared[1])]):
+        got = ratq_sum([_mul_unreduced(x, y) for x, y in pairs])
+        assert _layout(got) == _layout(_reduced_fold(pairs))
+    unreduced = _mul_unreduced(*shared)
+    assert unreduced.d.ints != ratq_sum([unreduced]).d.ints  # 1-q cancels
+    assert ratq_sum([_mul_unreduced(a, b), _mul_unreduced(-a, b)]).is_zero()
+
+
+# primitive factors that numerators and denominators share
+SHARED_FACTORS = (QPoly((1, 1)), QPoly((1, -1)), QPoly((1, 0, 1)),
+                  QPoly((2, -1)))
+
+
+@st.composite
+def factored_ratq(draw):
+    """c * q^v * product of SHARED_FACTORS^(+-1 or 0)."""
+    n = QPoly((draw(st.integers(-3, 3).filter(bool)),),
+              draw(st.sampled_from((1, 2, 3))))
+    d = QPoly((1,))
+    for f in SHARED_FACTORS:
+        k = draw(st.integers(-1, 1))
+        if k > 0:
+            n = n * f
+        elif k < 0:
+            d = d * f
+    return RatQ(n, d).shift_q(draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(factored_ratq(), factored_ratq()),
+                min_size=1, max_size=5),
+       st.sampled_from(("none", "first", "all")))
+def test_ratq_sum_of_unreduced_products_matches_fold(pairs, cancel):
+    if cancel == "first":
+        pairs = pairs + [(-pairs[0][0], pairs[0][1])]
+    elif cancel == "all":
+        pairs = pairs + [(-x, y) for x, y in pairs]
+    got = ratq_sum([_mul_unreduced(x, y) for x, y in pairs])
+    want = _reduced_fold(pairs)
+    assert _layout(got) == _layout(want)
+    assert cancel != "all" or got.is_zero()
 
 
 # ---------------------------------------------------------------------------
