@@ -127,6 +127,8 @@ class ProbeDomain:
 
     Lanes where a division hits zero are marked dead and ignored by
     zero tests from then on; healthy() reports whether enough survive.
+    Besides the domain members of nonlinear, qpow, mul and healthy are
+    this engine's own.
     """
 
     name = "probe"
@@ -157,16 +159,10 @@ class ProbeDomain:
         num = num * pow(r.n.den, self.p - 2, self.p) % self.p
         if not r.d.is_one():
             num = self.div(num, K.eval_many_mod(r.d.ints, self.q, self.p))
-        return self.mul(num, self.qpow(r.v))
-
-    def from_int(self, v):
-        return np.full(self.n, v % self.p, dtype=np.int64)
+        return self.shift(num, r.v)
 
     def zero(self):
         return self._zero
-
-    def add(self, a, b):
-        return (a + b) % self.p
 
     def sum(self, terms):
         """One mod p over the plain int64 sum: values below 2^31 leave
@@ -186,8 +182,8 @@ class ProbeDomain:
 
     mul_term = mul  # a product mod p has one form, reduced or not
 
-    def neg(self, a):
-        return (self.p - a) % self.p
+    def shift(self, a, e):
+        return a * self.qpow(e) % self.p
 
     def div(self, a, b):
         hit = (b == 0) & self.alive

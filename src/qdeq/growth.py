@@ -4,7 +4,10 @@ The objects of interest are the two valuation sequences of a solution
 y = sum y_h x^h: the q-degrees deg_q(y_h) and the q-orders ord_q(y_h).
 A solution has q-Gevrey growth of order s when deg_q(y_h) stays below
 s*h(h-1)/2 + C*h + C for some constant C, with a mirror-image lower
-bound on ord_q.  Everything here works on a finite truncation, so the
+bound on ord_q.  The two are valuations of one kind: a lower bound on
+ord_q is an upper bound on -ord_q, so every routine here is written for
+the deg side once and runs the ord side as the deg side of the negated
+profile.  Everything here works on a finite truncation, so the
 verdicts mean "consistent with order s through the computed range",
 never an asymptotic claim.
 
@@ -36,9 +39,13 @@ def _finite(v):
     return v is not NEG_INF and v is not POS_INF
 
 
-def _check_side(side):
+def _oriented(profile, side):
+    """The profile as the deg side sees it: ord_q bounds from below what
+    deg_q bounds from above, so the ord side is the deg side of -profile
+    (the sentinels swap, -POS_INF being NEG_INF)."""
     if side not in _SIDES:
         raise ValueError(f"side must be 'deg' or 'ord', not {side!r}")
+    return list(profile) if side == "deg" else [-v for v in profile]
 
 
 def valuation_profile(y):
@@ -68,8 +75,7 @@ def estimate_order(profile, side):
     Raises InsufficientData with fewer than 5 finite entries, or when
     gaps leave no three consecutive finite entries in the top half.
     """
-    _check_side(side)
-    profile = list(profile)
+    profile = _oriented(profile, side)
     if sum(1 for v in profile if _finite(v)) < 5:
         raise InsufficientData(
             "order estimation needs at least 5 nonzero coefficients")
@@ -87,7 +93,7 @@ def estimate_order(profile, side):
         med = deltas[k // 2]
     else:
         med = (deltas[k // 2 - 1] + deltas[k // 2]) / 2
-    return med if side == "deg" else -med
+    return med
 
 
 class BoundVerdict(NamedTuple):
@@ -104,15 +110,11 @@ def verify_bound(profile, order, slack, side):
     Zero coefficients (sentinel entries) satisfy any bound vacuously.
     Returns BoundVerdict(ok, witness) with the smallest violating h.
     """
-    _check_side(side)
+    profile = _oriented(profile, side)
     order = Fraction(order)
     slack = Fraction(slack)
     for h, v in enumerate(profile):
-        if not _finite(v):
-            continue
-        budget = order * _tri(h) + slack * h + slack
-        bad = v > budget if side == "deg" else v < -budget
-        if bad:
+        if _finite(v) and v > order * _tri(h) + slack * h + slack:
             return BoundVerdict(False, h)
     return BoundVerdict(True, None)
 
@@ -123,14 +125,13 @@ def fit_slack(profile, order, side):
     Solves profile[h] <= order*h(h-1)/2 + slack*(h+1) (deg side, mirror
     image for ord) for every finite entry and returns the max demand.
     """
-    _check_side(side)
+    profile = _oriented(profile, side)
     order = Fraction(order)
     best = Fraction(0)
     for h, v in enumerate(profile):
         if not _finite(v):
             continue
-        gap = v - order * _tri(h) if side == "deg" else -v - order * _tri(h)
-        need = Fraction(gap, h + 1)
+        need = Fraction(v - order * _tri(h), h + 1)
         if need > best:
             best = need
     return best
@@ -257,50 +258,41 @@ def analyze(y, order_deg=None, order_ord=None, slack_deg=None,
     true order, not necessarily attained).
     """
     degs, ords = valuation_profile(y)
+    profiles = dict(zip(_SIDES, (degs, ords)))
     notes = []
 
-    est_deg = est_ord = None
-    try:
-        est_deg = estimate_order(degs, "deg")
-    except InsufficientData:
-        notes.append("too few nonzero coefficients to estimate the "
-                     "deg-side order")
-    try:
-        est_ord = estimate_order(ords, "ord")
-    except InsufficientData:
-        notes.append("too few nonzero coefficients to estimate the "
-                     "ord-side order")
+    est = dict.fromkeys(_SIDES)
+    for side in _SIDES:
+        try:
+            est[side] = estimate_order(profiles[side], side)
+        except InsufficientData:
+            notes.append("too few nonzero coefficients to estimate the "
+                         f"{side}-side order")
 
     predicted = None
     if polygon is not None:
-        predicted = predicted_orders(polygon)
-        for name, est, pred in (("deg", est_deg, predicted[0]),
-                                ("ord", est_ord, predicted[1])):
-            if est is None:
+        predicted = dict(zip(_SIDES, predicted_orders(polygon)))
+        for side in _SIDES:
+            if est[side] is None:
                 continue
-            rel = "within" if est <= pred else "EXCEEDS"
-            notes.append(f"measured {name}-side order {est} {rel} "
-                         f"polygon prediction {pred}")
+            rel = "within" if est[side] <= predicted[side] else "EXCEEDS"
+            notes.append(f"measured {side}-side order {est[side]} {rel} "
+                         f"polygon prediction {predicted[side]}")
 
-    def pick(explicit, which):
-        if explicit is not None:
-            return Fraction(explicit)
-        if predicted is not None:
-            return predicted[0 if which == "deg" else 1]
-        est = est_deg if which == "deg" else est_ord
-        return est if est is not None else Fraction(0)
-
-    use_deg = pick(order_deg, "deg")
-    use_ord = pick(order_ord, "ord")
-    cd = Fraction(slack_deg) if slack_deg is not None else \
-        fit_slack(degs, use_deg, "deg")
-    co = Fraction(slack_ord) if slack_ord is not None else \
-        fit_slack(ords, use_ord, "ord")
-
-    verdicts = {
-        ("deg", use_deg, cd): verify_bound(degs, use_deg, cd, "deg"),
-        ("ord", use_ord, co): verify_bound(ords, use_ord, co, "ord"),
-    }
+    slacks, verdicts = {}, {}
+    for side, order, slack in zip(_SIDES, (order_deg, order_ord),
+                                  (slack_deg, slack_ord)):
+        if order is not None:
+            order = Fraction(order)
+        elif predicted is not None:
+            order = predicted[side]
+        else:
+            order = est[side] if est[side] is not None else Fraction(0)
+        profile = profiles[side]
+        slack = slacks[side] = Fraction(slack) if slack is not None else \
+            fit_slack(profile, order, side)
+        verdicts[side, order, slack] = verify_bound(profile, order, slack,
+                                                    side)
 
     last = None
     for h, v in enumerate(degs):
@@ -312,5 +304,5 @@ def analyze(y, order_deg=None, order_ord=None, slack_deg=None,
         notes.append(f"coefficients vanish from order {last + 1} on: "
                      f"possibly a polynomial solution of degree {last}")
 
-    return GrowthReport(degs, ords, est_deg, est_ord, cd, co,
-                        verdicts, notes)
+    return GrowthReport(degs, ords, est["deg"], est["ord"], slacks["deg"],
+                        slacks["ord"], verdicts, notes)

@@ -15,12 +15,24 @@ indices actually used, but never narrower.
 This module also holds the one substitution engine of the package.
 Evaluator computes F(phi) order by order in a coefficient domain: the
 ExactDomain defined here (Q(q) itself) or the probe engine's
-ProbeDomain (modular evaluations, in _probes).  A domain supplies the
-ring operations, a sum over a list of terms (each residual order is
-collected and summed once), a mul_term for products that only feed that
-sum (the exact domain leaves them unreduced), q-powers, zero tests,
-zero-filled series buffers and a series_mul that computes orders
-lo..hi-1 of a product.
+ProbeDomain (modular evaluations, in _probes).  A domain supplies
+eleven members and nothing else:
+
+    name                 "exact" or "probe"
+    from_ratq(r)         the image of an exact RatQ
+    zero(), zeros(k)     zero, and a zero-filled series buffer of k orders
+    is_zero(a)           the zero test
+    sub(a, b), div(a, b) difference and quotient
+    shift(a, e)          a * q^e (a q-shift, with no multiplication in Q(q))
+    mul_term(a, b)       a product that only feeds sum (the exact domain
+                         leaves it unreduced)
+    sum(terms)           one sum over a list of terms (each residual order
+                         is collected and summed once)
+    series_mul(a, b, lo, hi)
+                         orders lo..hi-1 of a Cauchy product
+
+Signs, constants and doublings are spelled with these: -b is
+sub(zero(), b) and the integer c is from_ratq(RatQ(c)).
 Everything that substitutes a series into a QdeqPoly runs on it: the
 solve loop in solver, through one evaluator per run that recomputes
 only the orders a new coefficient changes, the probe engine's
@@ -238,14 +250,8 @@ class ExactDomain:
     def from_ratq(self, r):
         return r
 
-    def from_int(self, v):
-        return RatQ(v)
-
     def zero(self):
         return RatQ(0)
-
-    def add(self, a, b):
-        return a + b
 
     def sum(self, terms):
         return ratq_sum(terms)
@@ -253,22 +259,16 @@ class ExactDomain:
     def sub(self, a, b):
         return a - b
 
-    def mul(self, a, b):
-        return a * b
-
     mul_term = staticmethod(_mul_unreduced)  # sum reduces the terms
-
-    def neg(self, a):
-        return -a
 
     def div(self, a, b):
         return a / b
 
+    def shift(self, a, e):
+        return a.shift_q(e)
+
     def is_zero(self, a):
         return a.is_zero()
-
-    def qpow(self, e):
-        return RatQ(1).shift_q(e)
 
     def zeros(self, k):
         return [RatQ(0)] * k
@@ -338,7 +338,7 @@ class Evaluator:
         else:
             for h in range(lo, width):
                 c = self.phi[h] if h < len(self.phi) else dom.zero()
-                buf[h] = c if i == 0 else dom.mul(c, dom.qpow(i * h))
+                buf[h] = c if i == 0 else dom.shift(c, i * h)
         return buf
 
     def eval(self, F, lo=0):

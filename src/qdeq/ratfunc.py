@@ -558,7 +558,10 @@ def ratq_sum(terms):
     lcm of the scalar denominators.  Terms that share a denominator d add
     their numerators with no gcd.  The groups then merge, longest d first,
     over one denominator D: a d that divides D scales its numerator by the
-    cofactor D/d, any other d multiplies into D.  The low zeros of the
+    cofactor D/d, any other d multiplies into D.  So D may exceed the lcm
+    of the denominators when two share a factor and neither divides the
+    other; the one final gcd strips that excess more cheaply than a gcd
+    per merge would keep D at the lcm.  The low zeros of the
     numerator move into v and one gcd with D reduces the result.  D is a
     product of primitive polynomials with positive leading coefficients,
     so it is one too (Gauss), and the layout is the one RatQ.__add__

@@ -120,7 +120,7 @@ def _steady_step(F, ev, dom, low, h, cleared, events):
             raise SeedRejected(
                 f"seed leaves a nonzero residual at order {m}")
     B = R[W]
-    A = dom.sum([dom.mul(a, dom.qpow(i * h)) for i, a in alpha.items()])
+    A = dom.sum([dom.shift(a, i * h) for i, a in alpha.items()])
     if dom.is_zero(A):
         if dom.is_zero(B):
             events.append({"h": h, "kind": "resonant_free", "order": W})
@@ -128,13 +128,13 @@ def _steady_step(F, ev, dom, low, h, cleared, events):
         raise _Stop({"h": h, "kind": "obstruction_no_solution", "order": W,
                      "residual": B})
     events.append({"h": h, "kind": "unique", "order": W})
-    return dom.div(dom.neg(B), A)
+    return dom.div(dom.sub(dom.zero(), B), A)
 
 
 def _scan_step(F, ev, dom, h, W, cleared, events):
     samples = []
     for cv in (0, 1, 2):
-        ev.set(h, dom.from_int(cv))  # the samples share all orders < h
+        ev.set(h, dom.from_ratq(RatQ(cv)))  # the samples share all orders < h
         samples.append(_eval_poly(F, ev, W, dom, cleared + 1))
     r0, r1, r2 = samples
     for m in range(cleared + 1, W + 1):
@@ -147,13 +147,13 @@ def _scan_step(F, ev, dom, h, W, cleared, events):
             raise _Stop({"h": h, "kind": "obstruction_no_solution",
                          "order": m, "residual": g})
         # fit r(c) = alpha c^2 + beta c + gamma through c = 0, 1, 2
-        alpha = dom.div(dom.sub(d2, dom.add(d1, d1)), dom.from_int(2))
+        alpha = dom.div(dom.sub(dom.sub(d2, d1), d1), dom.from_ratq(RatQ(2)))
         beta = dom.sub(d1, alpha)
         if not dom.is_zero(alpha):
             raise _Stop({"h": h, "kind": "nonaffine_step", "order": m,
                          "alpha": alpha, "beta": beta, "gamma": g})
         events.append({"h": h, "kind": "unique", "order": m})
-        return dom.div(dom.neg(g), beta)
+        return dom.div(dom.sub(dom.zero(), g), beta)
     raise SeedRejected(
         f"no residual order through {W} depends on c_{h}: the seed is "
         f"too short to decide it")
@@ -237,18 +237,17 @@ def extend(F, seed, N, engine="auto"):
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "auto":
         engine = _auto_engine(F, N)
+    coeffs = None
     if engine == "probe":
         from . import _probes
         try:
             coeffs, events = _probes.solve(F, seed, N)
         except EngineError:
-            engine = "exact"
+            pass  # the exact engine runs instead
         else:
-            resolved = len(coeffs) - 1
-            return SolveReport(TruncSeries(coeffs, resolved), resolved,
-                               [_plain_event(e) for e in events])
-    dom = ExactDomain()
-    coeffs, events = _extend_core(F, seed, N, dom)
+            events = [_plain_event(e) for e in events]
+    if coeffs is None:
+        coeffs, events = _extend_core(F, seed, N, ExactDomain())
     resolved = len(coeffs) - 1
     return SolveReport(TruncSeries(coeffs, resolved), resolved, events)
 

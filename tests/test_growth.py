@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdeq.errors import InsufficientData, UncertainPolygon
 from qdeq.growth import (analyze, estimate_order, fit_slack, predicted_orders,
@@ -11,6 +13,7 @@ from qdeq.series import TruncSeries
 from qdeq.skewop import NewtonPolygon, SkewOp, newton_polygon
 from qdeq.solver import extend
 
+from test_properties import COMMON
 from test_solver import geometric_step
 
 
@@ -144,6 +147,38 @@ def test_fit_slack_is_minimal():
 def test_fit_slack_never_negative():
     prof = [-10 * h for h in range(6)]
     assert fit_slack(prof, 0, "deg") == 0
+
+
+# ---------------------------------------------------------------------------
+# the ord side is the deg side of the negated profile
+
+gappy_profiles = st.lists(
+    st.one_of(st.integers(-80, 80), st.integers(-80, 80),
+              st.sampled_from([NEG_INF, POS_INF])),
+    max_size=14)
+small_fractions = st.fractions(-3, 3, max_denominator=4)
+
+
+def _or_insufficient(f, *args):
+    try:
+        return f(*args)
+    except InsufficientData:
+        return InsufficientData
+
+
+@settings(max_examples=250, **COMMON)
+@given(gappy_profiles, small_fractions, small_fractions)
+def test_ord_side_mirrors_deg_side(prof, order, slack):
+    neg = [-v for v in prof]
+    assert (_or_insufficient(estimate_order, prof, "ord")
+            == _or_insufficient(estimate_order, neg, "deg"))
+    got = verify_bound(prof, order, slack, "ord")
+    assert got == verify_bound(neg, order, slack, "deg")
+    assert fit_slack(prof, order, "ord") == fit_slack(neg, order, "deg")
+    # and the ord side is the lower bound its docstring states
+    bad = [h for h, v in enumerate(prof) if v is not NEG_INF
+           and v is not POS_INF and v < -(order * tri(h) + slack * (h + 1))]
+    assert got == (not bad, bad[0] if bad else None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from qdeq import _intpoly as K
 from qdeq import _probes as P
 from qdeq.errors import QdeqError
-from qdeq.nonlinear import QdeqPoly, eval_at
+from qdeq.nonlinear import ExactDomain, QdeqPoly, eval_at
 from qdeq.ratfunc import Q, QPoly, RatQ
 from qdeq.series import TruncSeries
 from qdeq.solver import check_solution, extend
 
-from test_properties import COMMON, qdeq_polys, ratq_nonzero
+from test_properties import (COMMON, qdeq_polys, ratq_any, ratq_nonzero,
+                             ratq_shifted)
 from test_solver import geometric_step, painleve_like
 
 MP = 2147483647  # 2**31 - 1, prime
@@ -191,8 +192,58 @@ def test_probe_domain_sum_matches_folded_add():
         # the largest residue, so the plain int64 sum passes p
         terms.append(np.full(dom.n, MP - 1, dtype=np.int64))
         for some in (terms[:-1], terms):
-            want = reduce(dom.add, some, dom.zero())
+            want = reduce(lambda a, b: (a + b) % MP, some, dom.zero())
             assert (dom.sum(some) == want).all()
+
+
+# -- the coefficient-domain protocol ---------------------------------------
+
+_PROTOCOL = {"name", "from_ratq", "zero", "zeros", "is_zero", "sub", "div",
+             "shift", "mul_term", "sum", "series_mul"}
+
+
+def _public(cls):
+    return {n for n in dir(cls) if not n.startswith("_")}
+
+
+def test_domains_expose_one_protocol():
+    assert _public(ExactDomain) == _PROTOCOL
+    # the probe engine's own internals, used outside the solve loop
+    assert _public(P.ProbeDomain) - {"qpow", "mul", "healthy"} == _PROTOCOL
+
+
+ratq_maybe_zero = st.builds(lambda r, k: r.shift_q(k), ratq_any,
+                            st.integers(-12, 12))
+
+
+@settings(max_examples=150, **COMMON)
+@given(ratq_maybe_zero, ratq_shifted, st.integers(-30, 30), st.integers(0, 2))
+def test_probe_domain_conforms_to_exact(a, b, e, lo):
+    ex = ExactDomain()
+    dom = P.ProbeDomain(MP, P._lane_points(MP, 48, np.random.default_rng(5)))
+
+    def same(got, want):
+        assert (got == dom.from_ratq(want))[dom.alive].all()
+
+    pa, pb = dom.from_ratq(a), dom.from_ratq(b)
+    same(dom.shift(pa, e), ex.shift(a, e))
+    same(dom.sub(pa, pb), ex.sub(a, b))
+    same(dom.div(pa, pb), ex.div(a, b))
+    pairs = [(a, b), (b, b), (a.shift_q(e), b)]
+    same(dom.sum([dom.mul_term(dom.from_ratq(x), dom.from_ratq(y))
+                  for x, y in pairs]),
+         ex.sum([ex.mul_term(x, y) for x, y in pairs]))
+    assert dom.is_zero(dom.sub(pa, pa)) and ex.is_zero(ex.sub(a, a))
+    assert dom.is_zero(dom.zero()) and ex.is_zero(ex.zero())
+    sa, sb = [a, b, a.shift_q(e)], [b, ex.zero(), a]
+    got = dom.series_mul(np.array([dom.from_ratq(x) for x in sa]),
+                         np.array([dom.from_ratq(x) for x in sb]), lo, 3)
+    want = ex.series_mul(sa, sb, lo, 3)
+    assert len(got) == len(want) == 3 - lo
+    for g, w in zip(got, want):
+        same(g, w)
+    assert dom.zeros(4).shape == (4, dom.n) and ex.zeros(4) == [0] * 4
+    assert int(dom.alive.sum()) > dom.n // 2
 
 
 # -- whole solves: exact against probe -------------------------------------

@@ -199,9 +199,7 @@ def test_steady_slope_is_unit_times_resonance_poly():
         l, alpha = lowest_row(partial_rows(F, ev), dom.is_zero)
         assert (m0, l) == (-1, 1)
         for h in range(2, 13):
-            A = dom.zero()
-            for i, a in alpha.items():
-                A = dom.add(A, dom.mul(a, dom.qpow(i * h)))
+            A = dom.sum([dom.shift(a, i * h) for i, a in alpha.items()])
             want = L.at_qpow(h).shift_q(m0 * (l + h))
             if dom is probe:
                 assert (A == dom.from_ratq(want))[dom.alive].all()
