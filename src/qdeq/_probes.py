@@ -542,14 +542,14 @@ def _solve_at(F, seed, N, nlanes):
 
 def _first_nonzero(F, coeffs, prime, salt, nlanes):
     """Lowest order at which F along coeffs is nonzero on fresh lanes mod
-    prime, through x^(len(coeffs) - 1); len(coeffs) when no order is, and
-    None when too many lanes die."""
+    prime, through x^(len(coeffs) - 1), or len(coeffs) when no order is.
+    Raises EngineError when too many lanes die."""
     rng = np.random.default_rng(prime ^ salt)
     dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
     vals = [dom.from_ratq(c) for c in coeffs]
     res = Evaluator(vals, len(coeffs) - 1, dom).eval(F)
     if not dom.healthy():
-        return None
+        raise EngineError(f"probe lanes died at prime {prime}")
     return next((m for m, v in enumerate(res) if not dom.is_zero(v)),
                 len(coeffs))
 
@@ -559,21 +559,17 @@ def _verify_fresh(F, exact, prime_iter, used):
     while prime in used:
         prime = next(prime_iter)
     m = _first_nonzero(F, exact, prime, 0x9E3779B97F4A7C15, _VERIFY_LANES)
-    if m is None:
-        raise EngineError("verification lanes died")
     if m < len(exact):
         raise EngineError(f"reconstructed solution fails at order {m}")
 
 
 def check(F, phi):
-    """Probe-mode check_solution: largest V with residual zero through V,
-    or None when too many lanes die."""
+    """Probe-mode check_solution: largest V with residual zero through V.
+    Raises EngineError when too many lanes die."""
     best = phi.trunc
     prime_iter = K.primes_31()
     for _ in range(_CHECK_PRIMES):
         m = _first_nonzero(F, phi.coeffs, next(prime_iter),
                            0xD1B54A32D192ED03, _CHECK_LANES)
-        if m is None:
-            return None
         best = min(best, m - 1)
     return best

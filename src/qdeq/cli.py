@@ -1,9 +1,22 @@
 """Command line interface.
 
-One equation per invocation, given as a positional argument or through
---input (a UTF-8 text file, or "-" for stdin).  Output goes to stdout
-in the format chosen by --format (text or json); diagnostics go to
-stderr as one JSON object per line.
+Output goes to stdout in the format chosen by --format (text or json);
+diagnostics go to stderr as one JSON object per line.  Each subcommand
+takes only the flags it reads, and any other flag is a usage error:
+
+    parse, polygon      EQUATION or --input, --format
+    linearize, solve    as parse, plus --seed, --order
+    growth              as solve, plus --s, --C, --predict-from-polygon
+    jones               --n, --format
+    corpus              --run, --entry, --order (with --run), --format
+    diophantine         [EQUATION or --input], --theta, --roots, --N,
+                        --c2-grid, --format
+
+EQUATION is one equation as text; --input names a UTF-8 file holding
+it, or "-" for stdin.  growth also reads a JSON series (a coefficient
+list, a series object or solve output), which takes none of --seed,
+--order and --predict-from-polygon.  diophantine scans the resonance
+roots of the operator it is given, or --roots (not both), or u = 1.
 
 Exit codes: 0 success, 1 error, 2 expectation failure (a corpus run
 with failing expectations, or a growth check against explicitly given
@@ -18,11 +31,7 @@ from fractions import Fraction
 from . import growth
 from .corpus import corpus, get_entry, jones
 from .dsl import parse, parse_ratq
-from .errors import (
-    DegenerateAfterEvaluation,
-    QdeqError,
-    RootOfUnityDetected,
-)
+from .errors import QdeqError, RootOfUnityDetected
 from .nonlinear import QdeqPoly, linearize
 from .series import TruncSeries
 from .skewop import newton_polygon, resonance_poly
@@ -40,7 +49,7 @@ def _emit(payload, fmt):
 
 
 def _read_text(args):
-    if getattr(args, "equation", None):
+    if args.equation:
         return args.equation
     if args.input:
         if args.input == "-":
@@ -67,8 +76,10 @@ def _as_equation(src):
     return QdeqPoly.from_operator(src.parsed)
 
 
-def _fraction(text):
-    return Fraction(text)
+def _extend(F, args):
+    """The solve report for F from --seed through --order (default 16)."""
+    order = args.order if args.order is not None else 16
+    return extend(F, _seed_coeffs(args.seed), order)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -104,21 +115,16 @@ def _cmd_linearize(args):
 
 
 def _cmd_solve(args):
-    src = _read_source(args)
-    F = _as_equation(src)
-    seed = _seed_coeffs(args.seed)
-    order = args.order if args.order is not None else 16
-    return _emit(extend(F, seed, order), args.format)
+    return _emit(_extend(_as_equation(_read_source(args)), args), args.format)
 
 
 def _load_series_json(obj):
     if isinstance(obj, list):
         return TruncSeries([parse_ratq(t) for t in obj])
-    if "trunc" in obj:
-        return TruncSeries.from_json(obj)
-    if "coeffs" in obj:  # solve output
-        return TruncSeries([parse_ratq(t) for t in obj["coeffs"]],
-                           obj.get("resolved_through", len(obj["coeffs"]) - 1))
+    if "coeffs" in obj:  # a series object, or solve output
+        coeffs = [parse_ratq(t) for t in obj["coeffs"]]
+        return TruncSeries(coeffs, obj.get(
+            "trunc", obj.get("resolved_through", len(coeffs) - 1)))
     raise QdeqError("unrecognized series JSON; expected a coefficient list,"
                     " a series object, or solve output")
 
@@ -128,16 +134,16 @@ def _cmd_growth(args):
     polygon = None
     if text.startswith(("[", "{")):
         y = _load_series_json(json.loads(text))
-        if args.predict_from_polygon:
-            raise QdeqError("--predict-from-polygon needs an equation, not"
-                            " a bare series")
+        for flag, given in (("--seed", args.seed is not None),
+                            ("--order", args.order is not None),
+                            ("--predict-from-polygon",
+                             args.predict_from_polygon)):
+            if given:
+                raise QdeqError(f"{flag} needs an equation, not a bare"
+                                " series")
     else:
-        src = parse(text)
-        F = _as_equation(src)
-        seed = _seed_coeffs(args.seed)
-        order = args.order if args.order is not None else 16
-        rep = extend(F, seed, order)
-        y = rep.solution
+        F = _as_equation(parse(text))
+        y = _extend(F, args).solution
         if args.predict_from_polygon:
             polygon = newton_polygon(linearize(F, y))
     report = growth.analyze(
@@ -163,6 +169,8 @@ def _cmd_jones(args):
 
 
 def _cmd_corpus(args):
+    if args.order is not None and not args.run:
+        raise QdeqError("--order needs --run")
     if args.entry:
         try:
             entries = [get_entry(args.entry)]
@@ -208,11 +216,13 @@ def _parse_theta(text):
 def _cmd_diophantine(args):
     theta = _parse_theta(args.theta)
     q = unit_q(theta)
-    if args.op:
-        with open(args.op, encoding="utf-8") as fh:
-            src = parse(fh.read().strip())
+    if args.equation or args.input:
+        if args.roots:
+            raise QdeqError("give an operator or --roots, not both")
+        src = _read_source(args)
         if src.kind != "linear_operator":
-            raise QdeqError("--op must contain a linear operator")
+            raise QdeqError("diophantine needs a linear operator, whose"
+                            " resonance roots it scans")
         roots = roots_of(resonance_poly(src.parsed), q)
     elif args.roots:
         roots = [complex(part.strip()) for part in args.roots.split(",")]
@@ -246,11 +256,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--input", help="equation file, or - for stdin")
-    common.add_argument("--order", type=int, help="truncation order")
-    common.add_argument("--seed", help="comma-separated seed coefficients")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("equation", nargs="?",
+                        help="equation text (or give --input)")
+    source.add_argument("--input", help="equation file, or - for stdin")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", help="comma-separated seed coefficients")
+    seeded.add_argument("--order", type=int, help="truncation order")
 
     top = _Parser(
         prog="qdeq",
@@ -258,57 +272,53 @@ def _build_parser():
                     " growth checks for q-difference equations.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[common],
+    p = sub.add_parser("parse", parents=[source, fmt],
                        help="echo the canonical form of an equation")
-    p.add_argument("equation", nargs="?")
     p.set_defaults(fn=_cmd_parse)
 
-    p = sub.add_parser("polygon", parents=[common],
+    p = sub.add_parser("polygon", parents=[source, fmt],
                        help="Newton polygon of a linear operator")
-    p.add_argument("equation", nargs="?")
     p.set_defaults(fn=_cmd_polygon)
 
-    p = sub.add_parser("linearize", parents=[common],
+    p = sub.add_parser("linearize", parents=[source, seeded, fmt],
                        help="operator of partial derivatives along a series")
-    p.add_argument("equation", nargs="?")
     p.set_defaults(fn=_cmd_linearize)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[source, seeded, fmt],
                        help="extend seed coefficients to a series solution")
-    p.add_argument("equation", nargs="?")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("growth", parents=[common],
-                       help="q-Gevrey growth report for a series or solution")
-    p.add_argument("equation", nargs="?",
-                   help="equation text, or JSON series/solve output")
-    p.add_argument("--s", type=_fraction,
+    p = sub.add_parser("growth", parents=[source, seeded, fmt],
+                       help="q-Gevrey growth report for an equation's"
+                            " solution, or for a JSON series or solve"
+                            " output")
+    p.add_argument("--s", type=Fraction,
                    help="assert this growth order on both sides")
-    p.add_argument("--C", type=_fraction,
+    p.add_argument("--C", type=Fraction,
                    help="assert this slack constant on both sides")
     p.add_argument("--predict-from-polygon", action="store_true",
                    help="compare against the linearized polygon prediction")
     p.set_defaults(fn=_cmd_growth)
 
-    p = sub.add_parser("jones", parents=[common],
+    p = sub.add_parser("jones", parents=[fmt],
                        help="figure-eight invariant at one color")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_jones)
 
-    p = sub.add_parser("corpus", parents=[common],
+    p = sub.add_parser("corpus", parents=[fmt],
                        help="list bundled examples, or run their checks")
     p.add_argument("--run", action="store_true")
     p.add_argument("--entry", help="restrict to one entry id")
+    p.add_argument("--order", type=int, help="truncation order of a run")
     p.set_defaults(fn=_cmd_corpus)
 
-    p = sub.add_parser("diophantine", parents=[common],
-                       help="scan |q^n - u| along the unit circle")
+    p = sub.add_parser("diophantine", parents=[source, fmt],
+                       help="scan |q^n - u| along the unit circle, for the"
+                            " resonance roots u of an operator")
     p.add_argument("--theta", required=True,
                    help="rotation number, rational p/r or float")
-    p.add_argument("--op", help="file with an operator whose resonance"
-                                " roots are scanned")
-    p.add_argument("--roots", help="comma-separated complex roots"
-                                   " (default: 1)")
+    p.add_argument("--roots", help="comma-separated complex roots, in place"
+                                   " of an operator (default: 1)")
     p.add_argument("--N", type=int, default=10000)
     p.add_argument("--c2-grid", dest="c2_grid",
                    help="comma-separated decay exponents")
@@ -321,16 +331,13 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DegenerateAfterEvaluation as exc:
-        _diag(error="DegenerateAfterEvaluation", message=str(exc))
-        return 1
     except QdeqError as exc:
         fields = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "pos"):
             fields["pos"] = exc.pos
         _diag(**fields)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         _diag(error=type(exc).__name__, message=str(exc))
         return 1
 

@@ -203,11 +203,6 @@ class QPoly:
     def ord(self):
         return K.low(list(self.ints)) if self.ints else POS_INF
 
-    def shift_q(self, k):
-        if k < 0:
-            raise ValueError("QPoly cannot absorb a negative q-power")
-        return QPoly(K.shift(list(self.ints), k), self.den)
-
     def __add__(self, other):
         if not isinstance(other, (int, Fraction, QPoly)):
             return NotImplemented

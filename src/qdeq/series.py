@@ -144,11 +144,6 @@ class TruncSeries:
     def to_json(self):
         return {"trunc": self.trunc, "coeffs": [c.to_text() for c in self.coeffs]}
 
-    @classmethod
-    def from_json(cls, obj):
-        from .dsl import parse_ratq
-        return cls([parse_ratq(t) for t in obj["coeffs"]], obj["trunc"])
-
     def to_text(self):
         return f"{fmt_coeff_poly(self.coeffs, 'x')} + O(x^{self.trunc + 1})"
 

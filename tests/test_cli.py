@@ -1,10 +1,16 @@
 """CLI: subcommands, formats, and the exit code contract."""
 
+import argparse
+import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from qdeq.cli import main
+from qdeq.cli import _build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -86,7 +92,6 @@ def test_input_file_and_stdin(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "polygon", "--input", str(eq))
     assert code == 0 and "slope 1" in out
 
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO("x*S[1] - 1"))
     code, out, _ = run(capsys, "polygon", "--input", "-")
     assert code == 0 and "slope 1" in out
@@ -210,7 +215,7 @@ def test_diophantine_op_file(capsys, tmp_path):
     f = tmp_path / "op.txt"
     f.write_text("S[2] - (1+q)*S[1] + q*S[0]", encoding="utf-8")
     code, out, _ = run(capsys, "diophantine", "--theta", "0.6180339887",
-                       "--op", str(f), "--N", "300", "--format", "json")
+                       "--input", str(f), "--N", "300", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["roots"]) == 2  # resonance roots 1 and q
 
@@ -239,3 +244,172 @@ def test_syntax_error_carries_position(capsys):
     assert code == 1
     obj = json.loads(err)
     assert obj["error"] == "EquationSyntaxError" and obj["pos"] == 4
+
+
+# -- flags per command ---------------------------------------------------------
+
+
+def _flag_sets():
+    top = _build_parser()
+    (sub,) = [a for a in top._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {name: {a.option_strings[0] if a.option_strings else a.dest
+                   for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+def test_each_command_declares_the_flags_it_reads():
+    source = {"equation", "--input", "--format"}
+    seeded = source | {"--seed", "--order"}
+    flags = _flag_sets()
+    assert flags == {
+        "parse": source,
+        "polygon": source,
+        "linearize": seeded,
+        "solve": seeded,
+        "growth": seeded | {"--s", "--C", "--predict-from-polygon"},
+        "jones": {"--n", "--format"},
+        "corpus": {"--run", "--entry", "--order", "--format"},
+        "diophantine": source | {"--theta", "--roots", "--N", "--c2-grid"},
+    }
+    assert sum(map(len, flags.values())) == 37
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "x*S[1] - 1", "--seed", "1"),
+    ("parse", "x*S[1] - 1", "--order", "3"),
+    ("polygon", "x*S[1] - 1", "--seed", "1"),
+    ("polygon", "x*S[1] - 1", "--order", "3"),
+    ("jones", "--n", "2", "--input", "eq.txt"),
+    ("jones", "--n", "2", "--seed", "1"),
+    ("jones", "--n", "2", "--order", "3"),
+    ("corpus", "--input", "eq.txt"),
+    ("corpus", "--seed", "1"),
+    ("diophantine", "--theta", "0.3", "--seed", "1"),
+    ("diophantine", "--theta", "0.3", "--order", "3"),
+    ("diophantine", "--theta", "0.3", "--op", "op.txt"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "UsageError"
+    # a value after the flag may be taken as the equation instead
+    assert obj["message"].startswith(f"unrecognized arguments: {argv[-2]}")
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--order"])
+def test_growth_series_rejects_seed_and_order(capsys, tmp_path, flag):
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps(["1", "q", "q^3"]), encoding="utf-8")
+    code, out, err = run(capsys, "growth", "--input", str(f), flag, "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "QdeqError",
+        "message": f"{flag} needs an equation, not a bare series"}
+
+
+def test_growth_series_object_truncation(capsys, tmp_path):
+    # one reader: "trunc" first, then "resolved_through", then the length
+    coeffs = ["1", "q", "q^3", "q^6", "q^10"]
+    for obj, through in (({"coeffs": coeffs, "trunc": 7}, 7),
+                         ({"coeffs": coeffs, "trunc": 2,
+                           "resolved_through": 3}, 2),
+                         ({"coeffs": coeffs, "resolved_through": 3}, 3),
+                         ({"coeffs": coeffs}, 4)):
+        f = tmp_path / "series.json"
+        f.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, _ = run(capsys, "growth", "--input", str(f))
+        assert code == 0
+        assert out.splitlines()[0] == f"profiles through order {through}"
+
+
+def test_growth_bound_usage_error_names_fraction(capsys):
+    code, _, err = run(capsys, "growth", "x*y[1] - y[0] + 1", "--seed", "1",
+                       "--s", "abc")
+    assert code == 1
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "message": "argument --s: invalid Fraction value: 'abc'"}
+
+
+def test_corpus_order_needs_run(capsys):
+    code, out, err = run(capsys, "corpus", "--order", "5")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "QdeqError",
+                               "message": "--order needs --run"}
+
+
+OP = "S[2] - (1+q)*S[1] + q*S[0]"
+GOLDEN = ("--theta", "0.6180339887", "--N", "300", "--format", "json")
+
+
+def test_diophantine_reads_the_operator_like_every_command(
+        capsys, tmp_path, monkeypatch):
+    f = tmp_path / "op.txt"
+    f.write_text(OP + "\n", encoding="utf-8")
+    outs = []
+    for argv in (("--input", str(f)), ("--input", "-"), (OP,)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(OP))
+        code, out, _ = run(capsys, "diophantine", *argv, *GOLDEN)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert len(json.loads(outs[0])["roots"]) == 2
+
+
+def test_diophantine_operator_conflicts_with_roots(capsys):
+    code, out, err = run(capsys, "diophantine", OP, "--roots", "2,1", *GOLDEN)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "QdeqError"
+    assert "--roots" in json.loads(err)["message"]
+
+
+def test_diophantine_needs_a_linear_operator(capsys):
+    code, _, err = run(capsys, "diophantine", "x*y[1] - y[0] + 1", *GOLDEN)
+    assert code == 1
+    assert "linear operator" in json.loads(err)["message"]
+
+
+# -- the README's CLI tour -----------------------------------------------------
+
+
+def _tour():
+    """(argv, file stdout is redirected to or None, expected lines) for
+    each "$ qdeq ..." line of the README's CLI tour."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI tour", 1)[1].split("```sh\n", 1)[1]
+    steps = []
+    for line in block.split("\n```", 1)[0].splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])
+            assert argv[0] == "qdeq"
+            target = None
+            if ">" in argv:
+                i = argv.index(">")
+                argv, target = argv[:i], argv[i + 1]
+            steps.append((argv[1:], target, []))
+        elif line:
+            steps[-1][2].append(line)
+    return steps
+
+
+def test_readme_cli_tour(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    steps = _tour()
+    assert len(steps) == 7
+    for argv, target, expected in steps:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if target is not None:
+            (tmp_path / target).write_text(out, encoding="utf-8")
+            assert expected == []
+            continue
+        got = out.splitlines()
+        assert len(got) == len(expected), argv
+        for g, want in zip(got, expected):
+            if "..." in want:  # the README elides the middle of this line
+                head, tail = want.split("...", 1)
+                assert g.startswith(head) and g.endswith(tail), argv
+            else:
+                assert g == want, argv

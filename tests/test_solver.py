@@ -258,6 +258,19 @@ def test_probe_failure_falls_back_to_exact(monkeypatch):
     assert got.to_json() == want.to_json()
 
 
+def test_probe_check_falls_back_to_exact(monkeypatch):
+    # dead probe lanes raise EngineError; check_solution then answers in Q(q)
+    F = geometric_step()
+    bad = list(extend(F, [1], 8).solution.coeffs)
+    bad[5] = bad[5] + RatQ(1)
+    phi = TruncSeries(bad, 8)
+    monkeypatch.setattr(_probes.ProbeDomain, "healthy", lambda self: False)
+    with pytest.raises(EngineError):
+        _probes.check(F, phi)
+    assert check_solution(F, phi, mode="probe") == 4
+    assert check_solution(F, phi, mode="exact") == 4
+
+
 def test_seed_only_run():
     rep = extend(geometric_step(), [1], 1)
     assert rep.resolved_through == 1
