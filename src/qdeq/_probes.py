@@ -82,6 +82,12 @@ def _batch_inv(a, p):
     return left * total_inv % p * right % p
 
 
+def _eval_qpoly(f, xs, p):
+    """A QPoly at the points xs modulo p; its scalar denominator is prime
+    to p."""
+    return K.eval_many_mod(f.ints, xs, p) * pow(f.den, p - 2, p) % p
+
+
 def _trim_np(a):
     nz = np.nonzero(a)[0]
     if len(nz) == 0:
@@ -155,11 +161,10 @@ class ProbeDomain:
         return got
 
     def from_ratq(self, r):
-        num = K.eval_many_mod(r.n.ints, self.q, self.p)
-        num = num * pow(r.n.den, self.p - 2, self.p) % self.p
-        if not r.d.is_one():
-            num = self.div(num, K.eval_many_mod(r.d.ints, self.q, self.p))
-        return self.shift(num, r.v)
+        num = _eval_qpoly(r.num, self.q, self.p)
+        if r.den.is_one():
+            return num
+        return self.div(num, _eval_qpoly(r.den, self.q, self.p))
 
     def zero(self):
         return self._zero
@@ -214,7 +219,7 @@ class ProbeDomain:
 # rational function reconstruction inside one prime
 
 
-def _dd_inverses(xs, p, start=0):
+def _dd_inverses(xs, p, start):
     """Inverses of the node differences Newton's scheme divides by: row j
     (j = 1..n-1) holds 1/(xs[t] - xs[t-j]) for t >= max(j, start), so the
     table of a prefix of xs grows by the pairs of its new nodes alone."""
@@ -226,15 +231,13 @@ def _dd_inverses(xs, p, start=0):
     return [inv[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _newton_interp(xs, ys, p, rows=None):
+def _newton_interp(xs, ys, p, rows):
     """Ascending GF(p) poly through (xs[i], ys[i]); distinct xs.  rows are
     the _dd_inverses rows of xs or of any longer list that xs begins."""
     n = len(xs)
     c = ys.astype(np.int64).copy()
     if n == 1:
         return _trim_np(c)
-    if rows is None:
-        rows = _dd_inverses(xs, p)
     for j in range(1, n):
         c[j:] = (c[j:] - c[j - 1: n - 1]) % p * rows[j - 1][: n - j] % p
     poly = np.array([c[n - 1]], dtype=np.int64)
@@ -247,10 +250,8 @@ def _newton_interp(xs, ys, p, rows=None):
     return _trim_np(poly)
 
 
-def _node_poly(xs, p, m=None):
-    """m (default 1) times the product of (q - x) over the nodes xs."""
-    if m is None:
-        m = np.ones(1, dtype=np.int64)
+def _node_poly(xs, p, m):
+    """m times the product of (q - x) over the nodes xs."""
     for xi in xs:
         nxt = np.zeros(len(m) + 1, dtype=np.int64)
         nxt[1:] = m
@@ -259,16 +260,15 @@ def _node_poly(xs, p, m=None):
     return m
 
 
-def _rat_interp(xs, ys, p, tables=None):
+def _rat_interp(xs, ys, p, tables):
     """(num, den) ascending GF(p) polys with den monic and num = den * ys
     on the nodes; None if n points cannot separate them.  tables are the
     (difference-inverse rows, node poly) of xs."""
     n = len(xs)
     if not ys.any():
         return np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64)
-    rows, node = tables if tables is not None else (None, None)
-    f = _newton_interp(xs, ys, p, rows)
-    r0, r1 = node if node is not None else _node_poly(xs, p), f
+    rows, node = tables
+    r0, r1 = node, _newton_interp(xs, ys, p, rows)
     v0 = np.zeros(0, dtype=np.int64)
     v1 = np.ones(1, dtype=np.int64)
     stop = (n - 1) // 2
@@ -377,8 +377,7 @@ class _Run:
         self.cands = {}  # (h, n_try) -> fitted (num, den) or None
 
     def pool(self):
-        idx = np.nonzero(self.dom.alive[: self.dom.n - _RESERVE])[0]
-        return idx
+        return np.nonzero(self.dom.alive[: self.dom.n - _RESERVE])[0]
 
     def reserve(self):
         base = self.dom.n - _RESERVE
@@ -421,15 +420,13 @@ def _start_run(F, seed, N, prime, nlanes):
 
 def _fit_size(value):
     """Fewest points whose balanced stop in _rat_interp admits the degrees
-    of value's numerator and denominator, with q^v folded into one."""
+    of value's numerator and denominator."""
     if value.is_zero():
         return 1
-    a = len(value.n.ints) - 1 + max(value.v, 0)
-    b = len(value.d.ints) - 1 + max(-value.v, 0)
-    return max(2 * a + 1, 2 * b)
+    return max(2 * value.num.degree + 1, 2 * value.den.degree)
 
 
-def _reconstruct_coeff(runs, h, n_start, grow=1.5):
+def _reconstruct_coeff(runs, h, n_start, grow):
     """Exact RatQ for coefficient h from the runs' lane data: fit n_start
     points per prime, times grow after each failure, and the whole pool
     once before asking for more lanes."""
@@ -471,14 +468,14 @@ def _reconstruct_coeff(runs, h, n_start, grow=1.5):
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
     value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den))
-    # n == y * d on the reserved lanes, with y = c_h and n carrying q^v,
-    # wherever d is nonzero
+    # num == y * den on the reserved lanes, with y = c_h, wherever den is
+    # nonzero
+    num, den = value.num, value.den
     for run in runs:
         p, res = run.dom.p, run.reserve()
         xs = run.dom.q[res]
-        n_at = (K.eval_many_mod(value.n.ints, xs, p) * pow(value.n.den, p - 2, p)
-                % p * run.dom.qpow(value.v)[res] % p)
-        d_at = K.eval_many_mod(value.d.ints, xs, p)
+        n_at = _eval_qpoly(num, xs, p)
+        d_at = _eval_qpoly(den, xs, p)
         if ((n_at != run.coeffs[h][res] * d_at % p) & (d_at != 0)).any():
             raise _NeedPrimes(f"coefficient {h} fails the reserved-lane check")
     return value, n_try

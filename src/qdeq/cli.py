@@ -36,7 +36,8 @@ from .nonlinear import QdeqPoly, linearize
 from .series import TruncSeries
 from .skewop import newton_polygon, resonance_poly
 from .solver import extend
-from .unitcircle import roots_of, scan_condition_H, unit_q
+from .unitcircle import (_raise_if_root_of_unity, roots_of,
+                         scan_condition_H, unit_q)
 
 
 def _diag(**fields):
@@ -107,10 +108,10 @@ def _cmd_linearize(args):
         raise QdeqError("linearize needs a nonlinear equation; an operator"
                         " is already linear")
     seed = _seed_coeffs(args.seed)
-    if args.order is not None and args.order > len(seed) - 1:
-        series = extend(src.parsed, seed, args.order).solution
-    else:
+    if args.order is None:
         series = TruncSeries(seed)
+    else:
+        series = extend(src.parsed, seed, args.order).solution
     return _emit(linearize(src.parsed, series), args.format)
 
 
@@ -146,12 +147,7 @@ def _cmd_growth(args):
         y = _extend(F, args).solution
         if args.predict_from_polygon:
             polygon = newton_polygon(linearize(F, y))
-    report = growth.analyze(
-        y,
-        order_deg=args.s, order_ord=args.s,
-        slack_deg=args.C, slack_ord=args.C,
-        polygon=polygon,
-    )
+    report = growth.analyze(y, order=args.s, slack=args.C, polygon=polygon)
     code = _emit(report, args.format)
     if (args.s is not None or args.C is not None) and not report.passed():
         return 2
@@ -216,22 +212,25 @@ def _parse_theta(text):
 def _cmd_diophantine(args):
     theta = _parse_theta(args.theta)
     q = unit_q(theta)
-    if args.equation or args.input:
-        if args.roots:
-            raise QdeqError("give an operator or --roots, not both")
-        src = _read_source(args)
-        if src.kind != "linear_operator":
-            raise QdeqError("diophantine needs a linear operator, whose"
-                            " resonance roots it scans")
-        roots = roots_of(resonance_poly(src.parsed), q)
-    elif args.roots:
-        roots = [complex(part.strip()) for part in args.roots.split(",")]
-    else:
-        roots = [1 + 0j]
-    grid = None
-    if args.c2_grid:
-        grid = [Fraction(part.strip()) for part in args.c2_grid.split(",")]
     try:
+        if args.equation or args.input:
+            if args.roots:
+                raise QdeqError("give an operator or --roots, not both")
+            src = _read_source(args)
+            if src.kind != "linear_operator":
+                raise QdeqError("diophantine needs a linear operator, whose"
+                                " resonance roots it scans")
+            # a q that is a root of unity is the verdict, even where the
+            # resonance polynomial degenerates at q
+            _raise_if_root_of_unity(theta, args.N)
+            roots = roots_of(resonance_poly(src.parsed), q)
+        elif args.roots:
+            roots = [complex(part.strip()) for part in args.roots.split(",")]
+        else:
+            roots = [1 + 0j]
+        grid = None
+        if args.c2_grid:
+            grid = [Fraction(part.strip()) for part in args.c2_grid.split(",")]
         scan = scan_condition_H(q, roots, args.N, c2_grid=grid, theta=theta)
     except RootOfUnityDetected as exc:
         payload = {"verdict": "root_of_unity", "n": exc.n}

@@ -243,15 +243,17 @@ class GrowthReport:
                 f"{len(self.verdicts)} bounds, {ok})")
 
 
-def analyze(y, order_deg=None, order_ord=None, slack_deg=None,
-            slack_ord=None, polygon=None):
+def analyze(y, order=None, slack=None, polygon=None):
     """Full growth workup of one truncated series.
 
-    Orders not supplied are taken from the polygon prediction when a
-    polygon is given, else from the measured estimate, else 0.  Slacks
-    not supplied are fitted as the smallest constants making the bounds
-    hold, so a default run documents the tightest (order, slack) pair
-    consistent with the data instead of gambling on a pass.
+    order and slack, when given, bound both sides: deg_q(y_h) <=
+    order*h(h-1)/2 + slack*h + slack and ord_q(y_h) >= its negation
+    (verify_bound checks one side, for bounds that differ).  Without
+    order, each side takes the polygon prediction when a polygon is
+    given, else its measured estimate, else 0.  Without slack, each side
+    fits the smallest constant making its bound hold, so a default run
+    documents the tightest (order, slack) pair consistent with the data
+    instead of gambling on a pass.
 
     With a polygon, the notes record whether each measured order stays
     within the predicted one (the prediction is an upper bound on the
@@ -280,19 +282,17 @@ def analyze(y, order_deg=None, order_ord=None, slack_deg=None,
                          f"polygon prediction {predicted[side]}")
 
     slacks, verdicts = {}, {}
-    for side, order, slack in zip(_SIDES, (order_deg, order_ord),
-                                  (slack_deg, slack_ord)):
+    for side in _SIDES:
         if order is not None:
-            order = Fraction(order)
+            s = Fraction(order)
         elif predicted is not None:
-            order = predicted[side]
+            s = predicted[side]
         else:
-            order = est[side] if est[side] is not None else Fraction(0)
+            s = est[side] if est[side] is not None else Fraction(0)
         profile = profiles[side]
-        slack = slacks[side] = Fraction(slack) if slack is not None else \
-            fit_slack(profile, order, side)
-        verdicts[side, order, slack] = verify_bound(profile, order, slack,
-                                                    side)
+        c = slacks[side] = Fraction(slack) if slack is not None else \
+            fit_slack(profile, s, side)
+        verdicts[side, s, c] = verify_bound(profile, s, c, side)
 
     last = None
     for h, v in enumerate(degs):

@@ -20,7 +20,10 @@ asks how the residual depends on it:
   seed is too short to decide it, and the run raises SeedRejected
   rather than guess c_h = 0.
 
-Outcomes per step (the events of the report):
+Each step returns its outcome, (c, event): the new coefficient and the
+event of the report, with c = None when the event halts the run.
+
+Outcomes per step:
 
     unique                   affine with A != 0, c = -B/A
     resonant_free            a steady step with A = B = 0; c = 0
@@ -54,18 +57,16 @@ def _eval_poly(F, ev, trunc, dom, lo=0):
     return ev.eval(F, lo)
 
 
-def _auto_engine(F, N):
-    """What engine="auto" runs through order N: probe for nonlinear F
-    past order 12, exact otherwise."""
+def _resolve_engine(choice, F, N):
+    """The engine that choice ("auto", "exact" or "probe") runs through
+    order N: "auto" is probe for nonlinear F past order 12, exact
+    otherwise."""
+    if choice not in ("auto", "exact", "probe"):
+        raise ValueError(f"unknown engine {choice!r}")
+    if choice != "auto":
+        return choice
     w = max((sum(k for _, k in exps) for (_, exps) in F.monomials), default=0)
     return "probe" if w >= 2 and N > 12 else "exact"
-
-
-class _Stop(Exception):
-    """Internal: a step event ends the run early."""
-
-    def __init__(self, event):
-        self.event = event
 
 
 def _extend_core(F, seed, N, dom):
@@ -85,26 +86,25 @@ def _extend_core(F, seed, N, dom):
     cleared = k
 
     low = None
-    try:
-        for h in range(k + 1, N + 1):
-            if low is None:
-                ev.width = len(ev.phi)  # == h: rows known through x^(h-1)
-                low = lowest_row(partial_rows(F, ev), dom.is_zero)
-            if low is None:
-                c = _scan_step(F, ev, dom, h, h + k + 1, cleared, events)
-            else:
-                c = _steady_step(F, ev, dom, low, h, cleared, events)
-            ev.set(h, c)
-            # every step event's order is the highest residual order it
-            # certified zero
-            cleared = events[-1]["order"]
-    except _Stop as stop:
-        events.append(stop.event)
-        return ev.phi[:h], events  # without a scan sample left at c_h
+    for h in range(k + 1, N + 1):
+        if low is None:
+            ev.width = len(ev.phi)  # == h: rows known through x^(h-1)
+            low = lowest_row(partial_rows(F, ev), dom.is_zero)
+        if low is None:
+            c, event = _scan_step(F, ev, dom, h, h + k + 1, cleared)
+        else:
+            c, event = _steady_step(F, ev, dom, low, h, cleared)
+        events.append(event)
+        if c is None:
+            return ev.phi[:h], events  # without a scan sample left at c_h
+        ev.set(h, c)
+        # every step event's order is the highest residual order it
+        # certified zero
+        cleared = event["order"]
     return ev.phi, events
 
 
-def _steady_step(F, ev, dom, low, h, cleared, events):
+def _steady_step(F, ev, dom, low, h, cleared):
     """One step past the lowest row (l, alpha) of the linearization: the
     residual is affine in c_h at order W = h + l with slope
     A_h = sum_i alpha_i q^(ih) = q^(m0 (l+h)) L(q^h), where
@@ -123,15 +123,14 @@ def _steady_step(F, ev, dom, low, h, cleared, events):
     A = dom.sum([dom.shift(a, i * h) for i, a in alpha.items()])
     if dom.is_zero(A):
         if dom.is_zero(B):
-            events.append({"h": h, "kind": "resonant_free", "order": W})
-            return dom.zero()
-        raise _Stop({"h": h, "kind": "obstruction_no_solution", "order": W,
-                     "residual": B})
-    events.append({"h": h, "kind": "unique", "order": W})
-    return dom.div(dom.sub(dom.zero(), B), A)
+            return dom.zero(), {"h": h, "kind": "resonant_free", "order": W}
+        return None, {"h": h, "kind": "obstruction_no_solution", "order": W,
+                      "residual": B}
+    return (dom.div(dom.sub(dom.zero(), B), A),
+            {"h": h, "kind": "unique", "order": W})
 
 
-def _scan_step(F, ev, dom, h, W, cleared, events):
+def _scan_step(F, ev, dom, h, W, cleared):
     samples = []
     for cv in (0, 1, 2):
         ev.set(h, dom.from_ratq(RatQ(cv)))  # the samples share all orders < h
@@ -144,16 +143,16 @@ def _scan_step(F, ev, dom, h, W, cleared, events):
         if dom.is_zero(d1) and dom.is_zero(d2):
             if dom.is_zero(g):
                 continue
-            raise _Stop({"h": h, "kind": "obstruction_no_solution",
-                         "order": m, "residual": g})
+            return None, {"h": h, "kind": "obstruction_no_solution",
+                          "order": m, "residual": g}
         # fit r(c) = alpha c^2 + beta c + gamma through c = 0, 1, 2
         alpha = dom.div(dom.sub(dom.sub(d2, d1), d1), dom.from_ratq(RatQ(2)))
         beta = dom.sub(d1, alpha)
         if not dom.is_zero(alpha):
-            raise _Stop({"h": h, "kind": "nonaffine_step", "order": m,
-                         "alpha": alpha, "beta": beta, "gamma": g})
-        events.append({"h": h, "kind": "unique", "order": m})
-        return dom.div(dom.sub(dom.zero(), g), beta)
+            return None, {"h": h, "kind": "nonaffine_step", "order": m,
+                          "alpha": alpha, "beta": beta, "gamma": g}
+        return (dom.div(dom.sub(dom.zero(), g), beta),
+                {"h": h, "kind": "unique", "order": m})
     raise SeedRejected(
         f"no residual order through {W} depends on c_{h}: the seed is "
         f"too short to decide it")
@@ -179,12 +178,15 @@ def _plain_event(e):
 class SolveReport:
     """Outcome of extend(): the solution found and the per-step events."""
 
-    __slots__ = ("solution", "resolved_through", "events")
+    __slots__ = ("solution", "events")
 
-    def __init__(self, solution, resolved_through, events):
+    def __init__(self, solution, events):
         self.solution = solution
-        self.resolved_through = resolved_through
         self.events = events
+
+    @property
+    def resolved_through(self):
+        return self.solution.trunc
 
     def kinds(self):
         return [e["kind"] for e in self.events]
@@ -233,12 +235,8 @@ def extend(F, seed, N, engine="auto"):
     k = len(seed) - 1
     if N < k:
         raise ValueError(f"target order {N} is below the seed order {k}")
-    if engine not in ("auto", "exact", "probe"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = _auto_engine(F, N)
     coeffs = None
-    if engine == "probe":
+    if _resolve_engine(engine, F, N) == "probe":
         from . import _probes
         try:
             coeffs, events = _probes.solve(F, seed, N)
@@ -248,8 +246,7 @@ def extend(F, seed, N, engine="auto"):
             events = [_plain_event(e) for e in events]
     if coeffs is None:
         coeffs, events = _extend_core(F, seed, N, ExactDomain())
-    resolved = len(coeffs) - 1
-    return SolveReport(TruncSeries(coeffs, resolved), resolved, events)
+    return SolveReport(TruncSeries(coeffs), events)
 
 
 def check_solution(F, phi, mode="auto"):
@@ -261,11 +258,7 @@ def check_solution(F, phi, mode="auto"):
     inputs, and recomputes it in Q(q) when too many of those points hit
     a pole.
     """
-    if mode not in ("auto", "exact", "probe"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "auto":
-        mode = _auto_engine(F, phi.trunc)
-    if mode == "probe":
+    if _resolve_engine(mode, F, phi.trunc) == "probe":
         from . import _probes
         try:
             return _probes.check(F, phi)

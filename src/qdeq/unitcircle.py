@@ -210,6 +210,15 @@ class DiophantineScan:
                 f"N = {self.scanned_to}, {self.verdict['status']})")
 
 
+def _raise_if_root_of_unity(theta, N):
+    """RootOfUnityDetected(r) for a rational theta = p/r in lowest terms
+    with r <= N, where q^r = 1 exactly; a float theta passes."""
+    if isinstance(theta, (int, Fraction)):
+        r = Fraction(theta).denominator
+        if r <= N:
+            raise RootOfUnityDetected(r)
+
+
 def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
                      theta=None):
     """Scan |q^n - u| for n = 1..N against the grid of decay exponents.
@@ -234,10 +243,7 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
     grid = tuple(sorted(Fraction(c) for c in (c2_grid or DEFAULT_C2_GRID)))
     if any(c <= 0 for c in grid):
         raise ValueError("decay exponents c2 must be positive")
-    if theta is not None and isinstance(theta, (int, Fraction)):
-        r = Fraction(theta).denominator
-        if r <= N:
-            raise RootOfUnityDetected(r)
+    _raise_if_root_of_unity(theta, N)
     if abs(abs(q_numeric) - 1.0) > CIRCLE_TOL:
         raise ValueError(f"|q| = {abs(q_numeric)} is not on the unit circle")
 

@@ -56,6 +56,29 @@ def test_linearize(capsys):
     assert "S[1]" in out and "S[0]" in out
 
 
+def test_linearize_order_below_the_seed_is_an_error(capsys):
+    code, out, err = run(capsys, "linearize", "x*y[1] - y[0] + 1",
+                         "--seed", "1,1,q", "--order", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "target order 1 is below the seed order 2"}
+
+
+def test_linearize_order_at_the_seed_validates_it(capsys):
+    eq = "x*y[1] - y[0] + 1"
+    plain = run(capsys, "linearize", eq, "--seed", "1,1,q")
+    assert run(capsys, "linearize", eq, "--seed", "1,1,q",
+               "--order", "2") == plain
+    # c_2 = q c_1 on this equation: without --order the seed is taken as
+    # given, with it extend rejects the seed
+    assert run(capsys, "linearize", eq, "--seed", "1,1,1")[0] == 0
+    code, out, err = run(capsys, "linearize", eq, "--seed", "1,1,1",
+                         "--order", "2")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "SeedRejected"
+
+
 def test_linearize_rejects_operator(capsys):
     code, _, err = run(capsys, "linearize", "x*S[1] - 1", "--seed", "1")
     assert code == 1
@@ -194,6 +217,20 @@ def test_diophantine_root_of_unity(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj == {"verdict": "root_of_unity", "n": 3}
+
+
+def test_diophantine_root_of_unity_before_the_roots(capsys):
+    # at q = -1 the leading coefficient 1+q of the operator vanishes, but
+    # q^2 = 1 is decided first, as it is without an operator
+    for argv in (("(1+q)*S[1] - 1",), ()):
+        assert run(capsys, "diophantine", *argv, "--theta", "1/2") == (
+            0, "root of unity: q^2 = 1\n", "")
+    # below n = 2 the scan range holds no root of unity, so the roots of
+    # the operator are looked for, and they degenerate
+    code, _, err = run(capsys, "diophantine", "(1+q)*S[1] - 1",
+                       "--theta", "1/2", "--N", "1")
+    assert code == 1
+    assert json.loads(err)["error"] == "DegenerateAfterEvaluation"
 
 
 def test_diophantine_golden_small(capsys):

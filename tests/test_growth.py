@@ -244,12 +244,11 @@ def test_analyze_tower_report():
 
 
 def test_analyze_explicit_bounds():
-    rep = analyze(qpow_tower(12), order_deg=1, slack_deg=0,
-                  order_ord=0, slack_ord=0)
+    rep = analyze(qpow_tower(12), order=1, slack=0)
     # rising orders satisfy the lower bound trivially
     assert all(v.ok for v in rep.verdicts.values())
     falling = TruncSeries([RatQ(1).shift_q(-tri(h)) for h in range(13)])
-    rep = analyze(falling, order_ord=0, slack_ord=0)
+    rep = analyze(falling, order=0, slack=0)
     vo = rep.verdicts[("ord", Fraction(0), Fraction(0))]
     assert not vo.ok and vo.witness == 2
 

@@ -35,7 +35,7 @@ def test_newton_interp_matches_eval():
     poly = rng.integers(0, MP, size=9, dtype=np.int64)
     xs = np.arange(2, 2 + 15, dtype=np.int64)
     ys = K.eval_many_mod(poly, xs, MP)
-    got = P._newton_interp(xs, ys, MP)
+    got = P._newton_interp(xs, ys, MP, P._dd_inverses(xs, MP, 0))
     assert len(got) <= 15
     assert (K.eval_many_mod(got, xs, MP) == ys).all()
     # degree-8 data through 15 points comes back exactly
@@ -48,7 +48,9 @@ def test_rat_interp_recovers_planted():
     xs = np.arange(2, 2 + 24, dtype=np.int64)
     ys = (K.eval_many_mod(num, xs, MP)
           * P._batch_inv(K.eval_many_mod(den, xs, MP), MP) % MP)
-    got = P._rat_interp(xs, ys, MP)
+    tables = (P._dd_inverses(xs, MP, 0),
+              P._node_poly(xs, MP, np.ones(1, dtype=np.int64)))
+    got = P._rat_interp(xs, ys, MP, tables)
     assert got is not None
     assert list(got[0]) == [1, 0, 3] and list(got[1]) == [5, 1]
 
@@ -132,16 +134,17 @@ def test_grown_tables_match_fresh(seed, sizes):
     run = P._Run(MP, dom, [], [])
     pool = run.pool()
     ys = rng.integers(0, MP, size=len(pool), dtype=np.int64)
+    ones = np.ones(1, dtype=np.int64)
     for n in sizes:
         xs = dom.q[pool[:n]]
         rows, node = run.interp_tables(xs)
-        fresh = P._dd_inverses(xs, MP)
+        fresh = P._dd_inverses(xs, MP, 0)
         assert len(rows) >= len(fresh) == n - 1
         for j, want in enumerate(fresh, 1):
             assert (rows[j - 1][: n - j] == want).all()
-        assert (node == P._node_poly(xs, MP)).all()
+        assert (node == P._node_poly(xs, MP, ones)).all()
         assert (P._newton_interp(xs, ys[:n], MP, rows)
-                == P._newton_interp(xs, ys[:n], MP)).all()
+                == P._newton_interp(xs, ys[:n], MP, fresh)).all()
 
 
 def _runs_holding(value, h, nlanes):
@@ -167,7 +170,7 @@ def _planted_value():
 def test_reconstruct_grows_from_a_small_start():
     value = _planted_value()
     runs = _runs_holding(value, 3, 576)
-    got, n_used = P._reconstruct_coeff(runs, 3, 8)
+    got, n_used = P._reconstruct_coeff(runs, 3, 8, 1.5)
     assert got == value
     assert 96 <= n_used < 96 * 3 // 2
 
@@ -178,7 +181,7 @@ def test_need_lanes_only_after_the_whole_pool():
     cap = min(len(run.pool()) for run in runs) - 16
     assert cap < 96
     with pytest.raises(P._NeedLanes):
-        P._reconstruct_coeff(runs, 3, 32)
+        P._reconstruct_coeff(runs, 3, 32, 1.5)
     # every run tried a fit over its whole usable pool first
     assert all((3, cap) in run.cands for run in runs)
 

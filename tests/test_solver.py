@@ -271,6 +271,16 @@ def test_probe_check_falls_back_to_exact(monkeypatch):
     assert check_solution(F, phi, mode="exact") == 4
 
 
+def test_one_resolver_rejects_an_unknown_engine():
+    F = geometric_step()
+    phi = extend(F, [1], 4).solution
+    for call in (lambda: extend(F, [1], 4, engine="bogus"),
+                 lambda: check_solution(F, phi, mode="bogus")):
+        with pytest.raises(ValueError, match="unknown engine 'bogus'") as exc:
+            call()
+        assert exc.traceback[-1].name == "_resolve_engine"
+
+
 def test_seed_only_run():
     rep = extend(geometric_step(), [1], 1)
     assert rep.resolved_through == 1
