@@ -158,11 +158,16 @@ def eval_mod(a, x, p):
 
 
 def eval_many_mod(a, xs, p):
-    """Horner at a vector of points; xs is a numpy int64 array with values in [0, p)."""
-    acc = np.zeros(len(xs), dtype=np.int64)
-    for c in reversed(a):
-        acc = (acc * xs + c % p) % p
-    return acc
+    """Horner at a vector of points; xs is a numpy int64 array with values
+    in [0, p).  a is one coefficient list, or a 2-D int64 stack of them
+    with entries in [0, p), one polynomial and one row of values per row."""
+    rows = a if getattr(a, "ndim", 1) == 2 else np_mod(a, p)[None, :]
+    acc = np.zeros((len(rows), len(xs)), dtype=np.int64)
+    for col in rows.T[::-1, :, None]:
+        acc *= xs
+        acc += col
+        acc %= p
+    return acc if rows is a else acc[0]
 
 
 def divexact(a, b):

@@ -1,38 +1,38 @@
 """Modular evaluation engine behind the solver's "probe" mode.
 
-The solve loop of solver._extend_core is generic in its coefficient
-domain, and so is the substitution engine nonlinear.Evaluator that
-computes its residuals; the exact domain lives beside the evaluator, in
-nonlinear.  This module supplies ProbeDomain, a domain whose values are
-numpy vectors of evaluations at random points q = x_j modulo a 31-bit
-prime, so one step costs a handful of vectorized convolutions instead
-of exact Q(q) arithmetic; the evaluator caches its series as 2-D
-arrays, one row per order.  The verification and check below run the
-same evaluator in fresh probe domains.  A nonzero lane proves a value
-nonzero; an all-zero vector means zero with overwhelming likelihood,
-and every "zero" the engine acts on is later backed by verification:
+The solve loop of solver._extend_core and the substitution engine
+nonlinear.Evaluator are generic in their coefficient domain.  This module
+supplies ProbeDomain, whose values are numpy vectors of evaluations at
+random points q = x_j modulo a 31-bit prime, so one step costs a handful
+of vectorized convolutions instead of exact Q(q) arithmetic; the
+verification and check run the same evaluator in fresh probe domains.
+A nonzero lane proves a value nonzero; an all-zero vector means zero with
+overwhelming likelihood, and every "zero" the engine acts on is later
+backed by verification:
 
 * the run is repeated over at least two primes and the event sequences
   must agree;
-* each solved coefficient, a rational function of q, is recovered by
-  Newton interpolation plus extended-Euclidean rational reconstruction
-  per prime, lifted to integer coefficients by CRT and rational number
-  reconstruction, then checked against reserved lanes that took no part
-  in the fit;
+* each solved coefficient is recovered per prime by Newton interpolation
+  and extended-Euclidean rational reconstruction, lifted by CRT and
+  rational number reconstruction, and checked on reserved lanes that
+  took no part in the fit;
 * the reconstructed solution's residual is re-probed on a fresh prime.
 
 Any failure raises EngineError and the caller falls back to the exact
-domain.  Prime counts escalate on demand.  Each fit is sized from the
-degrees of the coefficients already reconstructed, grows by half when it
-fails, and tries the whole lane pool once; only when even that is too
-small does the solve restart with four times the lanes.  Per prime, one
-table of difference inverses grows with the largest fit, so no size
-rebuilds it.
+domain.  Prime counts escalate on demand.  Fits are sized from the
+degrees already reconstructed, grow by half on failure and try the whole
+lane pool once before the solve restarts with four times the lanes.
+The kernels keep numpy calls few: per prime one table of difference
+inverses grows with the largest fit; a divided difference or a node
+reduces once; the Euclid steps take no inverse, one fused pass on a
+2-row (remainder, cofactor) buffer per degree-1 quotient; and one
+stacked Horner pass evaluates every polynomial a check needs.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt
 
 import numpy as np
@@ -82,46 +82,21 @@ def _batch_inv(a, p):
     return left * total_inv % p * right % p
 
 
-def _eval_qpoly(f, xs, p):
-    """A QPoly at the points xs modulo p; its scalar denominator is prime
-    to p."""
-    return K.eval_many_mod(f.ints, xs, p) * pow(f.den, p - 2, p) % p
+def _stack(rows):
+    """Ascending coefficient rows, zero-padded into one 2-D int64 array."""
+    out = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+    for dst, src in zip(out, rows):
+        dst[: len(src)] = src
+    return out
 
 
-def _trim_np(a):
-    nz = np.nonzero(a)[0]
-    if len(nz) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return a[: int(nz[-1]) + 1]
-
-
-def _poly_mul_mod(a, b, p):
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if len(a) > len(b):
-        a, b = b, a
-    out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-    for i, c in enumerate(a):
-        c = int(c)
-        if c:
-            out[i: i + len(b)] = (out[i: i + len(b)] + c * b) % p
-    return _trim_np(out)
-
-
-def _poly_divmod(u, v, p):
-    """(quotient, remainder) of ascending GF(p) polys; v nonzero."""
-    dv = len(v) - 1
-    if len(u) < len(v):
-        return np.zeros(0, dtype=np.int64), u.copy()
-    inv = pow(int(v[-1]), p - 2, p)
-    r = u.copy()
-    q = np.zeros(len(u) - dv, dtype=np.int64)
-    for k in range(len(u) - dv - 1, -1, -1):
-        c = int(r[k + dv]) * inv % p
-        if c:
-            q[k] = c
-            r[k: k + dv + 1] = (r[k: k + dv + 1] - c * v) % p
-    return q, _trim_np(r[:dv] if dv else r[:0])
+def _eval_qpolys(polys, xs, p):
+    """QPolys at the points xs modulo p, one row each, in one stacked
+    Horner pass; their scalar denominators are prime to p."""
+    at = K.eval_many_mod(_stack([[c % p for c in f.ints] for f in polys]),
+                         xs, p)
+    scale = np.array([pow(f.den, p - 2, p) for f in polys], dtype=np.int64)
+    return at * scale[:, None] % p
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +136,7 @@ class ProbeDomain:
         return got
 
     def from_ratq(self, r):
-        num = _eval_qpoly(r.num, self.q, self.p)
-        if r.den.is_one():
-            return num
-        return self.div(num, _eval_qpoly(r.den, self.q, self.p))
+        return _from_ratqs(self, [r])[0]
 
     def zero(self):
         return self._zero
@@ -191,11 +163,12 @@ class ProbeDomain:
         return a * self.qpow(e) % self.p
 
     def div(self, a, b):
-        hit = (b == 0) & self.alive
-        if hit.any():
-            self.alive &= ~hit
-        safe = np.where(b == 0, 1, b)
-        return a * _batch_inv(safe, self.p) % self.p
+        """a / b, row by row for 2-D stacks; a lane where some b is 0 dies."""
+        zero = b == 0
+        if zero.any():
+            self.alive &= ~zero.reshape(-1, self.n).any(axis=0)
+            b = np.where(zero, 1, b)
+        return a * _batch_inv(b.ravel(), self.p).reshape(b.shape) % self.p
 
     def is_zero(self, a):
         return not a[self.alive].any()
@@ -215,6 +188,16 @@ class ProbeDomain:
         return int(self.alive.sum()) >= max(self.n // 2, _RESERVE + 32)
 
 
+def _from_ratqs(dom, values):
+    """dom.from_ratq of each value, one row each: the numerators and
+    denominators in one stacked evaluation, and one division."""
+    k, dens = len(values), [r.den for r in values]
+    if all(d.is_one() for d in dens):
+        return _eval_qpolys([r.num for r in values], dom.q, dom.p)
+    at = _eval_qpolys([r.num for r in values] + dens, dom.q, dom.p)
+    return dom.div(at[:k], at[k:])
+
+
 # ---------------------------------------------------------------------------
 # rational function reconstruction inside one prime
 
@@ -231,75 +214,86 @@ def _dd_inverses(xs, p, start):
     return [inv[a:b] for a, b in zip([0] + ends, ends)]
 
 
+def _times_nodes(m, xs, adds, p):
+    """Ascending GF(p) poly m after m <- m * (q - x) + a, in turn for each
+    x, a of xs, adds."""
+    k = len(m)
+    buf = np.zeros(k + len(xs), dtype=np.int64)
+    buf[:k] = m[::-1]  # highest degree first
+    for k, x, a in zip(range(k, len(buf)), xs, adds):
+        buf[k] = a  # the constant term, before the shift lands on it
+        buf[1: k + 1] -= x * buf[:k]  # below 2^62: one reduction per node
+        buf[: k + 1] %= p
+    return buf[::-1]
+
+
 def _newton_interp(xs, ys, p, rows):
     """Ascending GF(p) poly through (xs[i], ys[i]); distinct xs.  rows are
     the _dd_inverses rows of xs or of any longer list that xs begins."""
     n = len(xs)
-    c = ys.astype(np.int64).copy()
-    if n == 1:
-        return _trim_np(c)
+    c = ys.astype(np.int64)
     for j in range(1, n):
-        c[j:] = (c[j:] - c[j - 1: n - 1]) % p * rows[j - 1][: n - j] % p
-    poly = np.array([c[n - 1]], dtype=np.int64)
-    for i in range(n - 2, -1, -1):
-        nxt = np.zeros(len(poly) + 1, dtype=np.int64)
-        nxt[1:] = poly
-        nxt[:-1] = (nxt[:-1] - xs[i] * poly) % p
-        nxt[0] = (nxt[0] + c[i]) % p
-        poly = nxt
-    return _trim_np(poly)
-
-
-def _node_poly(xs, p, m):
-    """m times the product of (q - x) over the nodes xs."""
-    for xi in xs:
-        nxt = np.zeros(len(m) + 1, dtype=np.int64)
-        nxt[1:] = m
-        nxt[:-1] = (nxt[:-1] - int(xi) * m) % p
-        m = nxt
-    return m
+        d = c[j:] - c[j - 1: -1]
+        d *= rows[j - 1][: n - j]  # |d| < p: one reduction per step
+        np.remainder(d, p, out=c[j:])
+    return np.trim_zeros(_times_nodes(c[-1:], xs[-2::-1], c[-2::-1], p), "b")
 
 
 def _rat_interp(xs, ys, p, tables):
     """(num, den) ascending GF(p) polys with den monic and num = den * ys
     on the nodes; None if n points cannot separate them.  tables are the
-    (difference-inverse rows, node poly) of xs."""
+    (difference-inverse rows, node poly) of xs.  The Euclid steps take no
+    inverse: each scales the older (remainder, cofactor) pair by lc^2, lc
+    the newer remainder's lead, before reducing it; the monic form removes
+    that scalar.  A degree-1 quotient is one fused pass, any other is
+    eliminated term by term."""
     n = len(xs)
     if not ys.any():
         return np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64)
     rows, node = tables
-    r0, r1 = node, _newton_interp(xs, ys, p, rows)
-    v0 = np.zeros(0, dtype=np.int64)
-    v1 = np.ones(1, dtype=np.int64)
-    stop = (n - 1) // 2
-    while len(r1) and len(r1) - 1 > stop:
-        quo, r2 = _poly_divmod(r0, r1, p)
-        v2 = (np.concatenate([v0, np.zeros(max(0, len(quo) + len(v1) - 1 - len(v0)),
-                                           dtype=np.int64)])
-              - np.concatenate([_poly_mul_mod(quo, v1, p),
-                                np.zeros(max(0, len(v0) - (len(quo) + len(v1) - 1)),
-                                         dtype=np.int64)])) % p
-        v2 = _trim_np(v2)
-        r0, r1, v0, v1 = r1, r2, v1, v2
-    num, den = r1, v1
-    if len(den) == 0 or len(num) == 0:
+    f = _newton_interp(xs, ys, p, rows)
+    # rows (r, v): deg r = dp in prev; deg r = dc, deg v = n - dp in cur
+    prev, cur = np.zeros((2, 2, n + 1), dtype=np.int64)
+    prev[0], cur[0, : len(f)], cur[1, 0] = node, f, 1
+    dp, dc = n, len(f) - 1
+    while dc > (n - 1) // 2:  # the balanced stop
+        lc = cur.item(0, dc)
+        # before the stop, no row of either pair reaches past degree dp
+        head, tail = prev[:, : dp + 1], cur[:, : dp + 1]
+        if dp == dc + 1:
+            t = prev.item(0, dp)
+            e = (lc * prev.item(0, dp - 1) - t * cur.item(0, dc - 1)) % p
+            # lc^2 (r0, v0) - (lc t q + e) (r1, v1); every term below 2^62
+            head *= lc * lc % p
+            head[:, 1:] -= lc * t % p * tail[:, :-1]
+            head -= e * tail
+            head %= p
+        else:
+            for d in range(dp, dc - 1, -1):
+                t = prev.item(0, d)
+                if t:
+                    head *= lc
+                    head[:, d - dc:] -= t * tail[:, : dp + 1 - d + dc]
+                    head %= p
+        d = dc - 1
+        while d >= 0 and not prev.item(0, d):
+            d -= 1
+        prev, cur, dp, dc = cur, prev, dc, d
+    if dc < 0:
         return None
+    num, den = cur[0, : dc + 1], cur[1, : n - dp + 1]
     # No gcd is taken: every pair that agrees with the data within these
     # degree bounds is a multiple of the one Euclid stops at (von zur
     # Gathen and Gerhard, Modern Computer Algebra, Thm 5.16), so when the
     # values come from a reduced num/den that fits, Euclid returns it
     # reduced, and any other pair fails the hold-out check.
-    inv = pow(int(den[-1]), p - 2, p)
-    num = num * inv % p
-    den = den * inv % p
-    return num, den
+    inv = pow(den.item(-1), p - 2, p)
+    return num * inv % p, den * inv % p
 
 
 def _check_fit(num, den, xs, ys, p):
-    dv = K.eval_many_mod(den, xs, p)
-    if (dv == 0).any():
-        return False
-    return bool((K.eval_many_mod(num, xs, p) == dv * ys % p).all())
+    n_at, d_at = K.eval_many_mod(_stack([num, den]), xs, p)
+    return bool((d_at != 0).all() and (n_at == d_at * ys % p).all())
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +392,8 @@ class _Run:
         node = self.nodes.get(n)
         if node is None:
             base = max(k for k in self.nodes if k < n)
-            node = self.nodes[n] = _node_poly(xs[base:], p, self.nodes[base])
+            node = self.nodes[n] = _times_nodes(self.nodes[base], xs[base:],
+                                                repeat(0), p)
         return self.rows, node
 
 
@@ -468,14 +463,11 @@ def _reconstruct_coeff(runs, h, n_start, grow):
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
     value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den))
-    # num == y * den on the reserved lanes, with y = c_h, wherever den is
-    # nonzero
+    # num == c_h * den on the reserved lanes wherever den is nonzero
     num, den = value.num, value.den
     for run in runs:
         p, res = run.dom.p, run.reserve()
-        xs = run.dom.q[res]
-        n_at = _eval_qpoly(num, xs, p)
-        d_at = _eval_qpoly(den, xs, p)
+        n_at, d_at = _eval_qpolys([num, den], run.dom.q[res], p)
         if ((n_at != run.coeffs[h][res] * d_at % p) & (d_at != 0)).any():
             raise _NeedPrimes(f"coefficient {h} fails the reserved-lane check")
     return value, n_try
@@ -543,8 +535,7 @@ def _first_nonzero(F, coeffs, prime, salt, nlanes):
     Raises EngineError when too many lanes die."""
     rng = np.random.default_rng(prime ^ salt)
     dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
-    vals = [dom.from_ratq(c) for c in coeffs]
-    res = Evaluator(vals, len(coeffs) - 1, dom).eval(F)
+    res = Evaluator(_from_ratqs(dom, coeffs), len(coeffs) - 1, dom).eval(F)
     if not dom.healthy():
         raise EngineError(f"probe lanes died at prime {prime}")
     return next((m for m, v in enumerate(res) if not dom.is_zero(v)),

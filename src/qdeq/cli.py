@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import growth
 from .corpus import corpus, get_entry, jones
 from .dsl import parse, parse_ratq
-from .errors import QdeqError, RootOfUnityDetected
+from .errors import DegenerateAfterEvaluation, QdeqError, RootOfUnityDetected
 from .nonlinear import QdeqPoly, linearize
 from .series import TruncSeries
 from .skewop import newton_polygon, resonance_poly
@@ -223,7 +223,11 @@ def _cmd_diophantine(args):
             # a q that is a root of unity is the verdict, even where the
             # resonance polynomial degenerates at q
             _raise_if_root_of_unity(theta, args.N)
-            roots = roots_of(resonance_poly(src.parsed), q)
+            try:
+                roots = roots_of(resonance_poly(src.parsed), q)
+            except DegenerateAfterEvaluation:
+                scan_condition_H(q, [], args.N)  # the test for a float theta
+                raise
         elif args.roots:
             roots = [complex(part.strip()) for part in args.roots.split(",")]
         else:

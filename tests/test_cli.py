@@ -233,6 +233,22 @@ def test_diophantine_root_of_unity_before_the_roots(capsys):
     assert json.loads(err)["error"] == "DegenerateAfterEvaluation"
 
 
+def test_diophantine_float_root_of_unity_before_the_roots(capsys):
+    # a float theta has no exact check; where the roots degenerate, the
+    # scan's own test decides, and gives the verdict the bare scan gives
+    for argv in (("(1+q)*S[1] - 1",), ()):
+        assert run(capsys, "diophantine", *argv, "--theta", "0.5") == (
+            0, "root of unity: q^2 = 1\n", "")
+        code, out, _ = run(capsys, "diophantine", *argv, "--theta", "0.5",
+                           "--format", "json")
+        assert (code, json.loads(out)) == (
+            0, {"verdict": "root_of_unity", "n": 2})
+    code, _, err = run(capsys, "diophantine", "(1+q)*S[1] - 1",
+                       "--theta", "0.5", "--N", "1")
+    assert code == 1
+    assert json.loads(err)["error"] == "DegenerateAfterEvaluation"
+
+
 def test_diophantine_golden_small(capsys):
     code, out, _ = run(capsys, "diophantine", "--theta", "0.6180339887",
                        "--N", "500", "--format", "json")

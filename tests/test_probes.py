@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 import pytest
@@ -23,11 +23,37 @@ from test_solver import geometric_step, painleve_like
 MP = 2147483647  # 2**31 - 1, prime
 
 
+def _node(xs, p):
+    """The node poly of xs, built in one pass."""
+    return P._times_nodes(np.ones(1, dtype=np.int64), xs, repeat(0), p)
+
+
 def test_batch_inv():
+    # the prefix products double their stride, so lengths at and around
+    # a power of two are the edges
     rng = np.random.default_rng(7)
-    a = rng.integers(1, MP, size=300, dtype=np.int64)
-    inv = P._batch_inv(a, MP)
-    assert (a * inv % MP == 1).all()
+    for n in (1, 2, 63, 64, 65, 300, 4097):
+        a = rng.integers(1, MP, size=n, dtype=np.int64)
+        inv = P._batch_inv(a, MP)
+        assert len(inv) == n
+        assert (a * inv % MP == 1).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+       width=st.integers(0, 24), m=st.integers(1, 40),
+       p=st.sampled_from([101, 65537, MP]))
+def test_stacked_eval_matches_rowwise(seed, k, width, m, p):
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, p, size=(k, width), dtype=np.int64)
+    xs = rng.integers(0, p, size=m, dtype=np.int64)
+    got = K.eval_many_mod(stack, xs, p)
+    assert got.shape == (k, m)
+    for row, values in zip(stack, got):
+        coeffs = row.tolist()
+        assert values.tolist() == [K.eval_mod(coeffs, int(x), p) for x in xs]
+        # one polynomial, as a list of Python ints, reads the same
+        assert (K.eval_many_mod(coeffs, xs, p) == values).all()
 
 
 def test_newton_interp_matches_eval():
@@ -48,11 +74,143 @@ def test_rat_interp_recovers_planted():
     xs = np.arange(2, 2 + 24, dtype=np.int64)
     ys = (K.eval_many_mod(num, xs, MP)
           * P._batch_inv(K.eval_many_mod(den, xs, MP), MP) % MP)
-    tables = (P._dd_inverses(xs, MP, 0),
-              P._node_poly(xs, MP, np.ones(1, dtype=np.int64)))
+    tables = (P._dd_inverses(xs, MP, 0), _node(xs, MP))
     got = P._rat_interp(xs, ys, MP, tables)
     assert got is not None
     assert list(got[0]) == [1, 0, 3] and list(got[1]) == [5, 1]
+
+
+# -- textbook extended Euclid, the reference for _rat_interp ----------------
+
+
+def _ref_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _ref_mul(a, b, p):
+    out = [0] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _ref_trim(out)
+
+
+def _ref_sub(a, b, p):
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % p
+    return _ref_trim(out)
+
+
+def _ref_divmod(u, v, p):
+    """(quotient, remainder) of ascending GF(p) lists by long division
+    with the inverse of v's leading coefficient; v nonzero."""
+    dv = len(v) - 1
+    if len(u) < len(v):
+        return [], list(u)
+    inv = pow(v[-1], p - 2, p)
+    r = list(u)
+    quo = [0] * (len(u) - dv)
+    for k in range(len(u) - dv - 1, -1, -1):
+        c = r[k + dv] * inv % p
+        quo[k] = c
+        for i, y in enumerate(v):
+            r[k + i] = (r[k + i] - c * y) % p
+    return _ref_trim(quo), _ref_trim(r[:dv])
+
+
+def _ref_rat_interp(xs, ys, p):
+    """(num, den) or None as _rat_interp returns them, by Lagrange
+    interpolation and the textbook remainder sequence; also the largest
+    quotient degree the sequence met."""
+    n = len(xs)
+    xs, ys = [int(x) for x in xs], [int(y) for y in ys]
+    if not any(ys):
+        return ([], [1]), 0
+    node = [1]
+    for x in xs:
+        node = _ref_mul(node, [-x % p, 1], p)
+    f = []
+    for i, x in enumerate(xs):
+        basis, _ = _ref_divmod(node, [-x % p, 1], p)
+        w = ys[i] * pow(K.eval_mod(basis, x, p), p - 2, p) % p
+        f = _ref_sub(f, [-w * c % p for c in basis], p)
+    r0, r1, v0, v1 = node, f, [], [1]
+    top = 0
+    while r1 and len(r1) - 1 > (n - 1) // 2:
+        quo, rem = _ref_divmod(r0, r1, p)
+        top = max(top, len(quo) - 1)
+        r0, r1, v0, v1 = r1, rem, v1, _ref_sub(v0, _ref_mul(quo, v1, p), p)
+    if not r1:
+        return None, top
+    inv = pow(v1[-1], p - 2, p)
+    return ([c * inv % p for c in r1], [c * inv % p for c in v1]), top
+
+
+def _interp_data(seed, p, dn, dd, extra, mode):
+    """Nodes and values for a fit: a planted num/den ("plain"), one in q^2
+    over nodes in +-x pairs, so values repeat in pairs and every quotient
+    has even degree ("even"), or values from {0, 1, 2} ("few")."""
+    rng = np.random.default_rng(seed)
+    step = 2 if mode == "even" else 1
+    n = max(2 * step * dn + 1, 2 * step * dd, 2) + extra
+    n += n % step  # whole pairs
+    num = np.zeros(step * dn + 1, dtype=np.int64)
+    num[::step] = rng.integers(0, p, size=dn + 1)
+    num[-1] = rng.integers(1, p)
+    den = np.zeros(step * dd + 1, dtype=np.int64)
+    den[::step] = rng.integers(0, p, size=dd + 1)
+    den[-1] = 1
+    pts = np.unique(rng.integers(2, (p - 1) // 2, size=4 * n, dtype=np.int64))
+    rng.shuffle(pts)
+    pts = pts[K.eval_many_mod(den, pts, p) != 0]
+    if mode == "even":
+        pts = pts[K.eval_many_mod(den, -pts % p, p) != 0]
+        xs = np.stack([pts, -pts % p], axis=1).ravel()[:n]
+    else:
+        xs = pts[:n]
+    if mode == "few":
+        ys = rng.integers(0, 3, size=len(xs), dtype=np.int64)
+    else:
+        ys = (K.eval_many_mod(num, xs, p)
+              * P._batch_inv(K.eval_many_mod(den, xs, p), p) % p)
+    return xs, ys
+
+
+def _fit(xs, ys, p):
+    tables = (P._dd_inverses(xs, p, 0), _node(xs, p))
+    got = P._rat_interp(xs, ys, p, tables)
+    return None if got is None else (got[0].tolist(), got[1].tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([101, 7919, MP]),
+       dn=st.integers(0, 10), dd=st.integers(0, 10), extra=st.integers(0, 20),
+       mode=st.sampled_from(["plain", "even", "few"]))
+def test_rat_interp_matches_textbook_euclid(seed, p, dn, dd, extra, mode):
+    xs, ys = _interp_data(seed, p, dn, dd, extra, mode)
+    got = _fit(xs, ys, p)
+    want, _ = _ref_rat_interp(xs, ys, p)
+    assert got == want
+    if got is not None:
+        num, den = got
+        assert (K.eval_many_mod(num, xs, p)
+                == K.eval_many_mod(den, xs, p) * ys % p).all()
+
+
+def test_rat_interp_takes_quotients_of_degree_two():
+    # values of a function of q^2 at +-x pairs: the remainder degrees
+    # drop by two, so no step has the normal degree-1 quotient
+    for seed in range(5):
+        xs, ys = _interp_data(seed, MP, 4, 5, 3, "even")
+        want, top = _ref_rat_interp(xs, ys, MP)
+        assert top >= 2
+        assert _fit(xs, ys, MP) == want
+        assert want is not None and len(want[1]) == 11
 
 
 def test_wang_lift():
@@ -134,7 +292,6 @@ def test_grown_tables_match_fresh(seed, sizes):
     run = P._Run(MP, dom, [], [])
     pool = run.pool()
     ys = rng.integers(0, MP, size=len(pool), dtype=np.int64)
-    ones = np.ones(1, dtype=np.int64)
     for n in sizes:
         xs = dom.q[pool[:n]]
         rows, node = run.interp_tables(xs)
@@ -142,7 +299,7 @@ def test_grown_tables_match_fresh(seed, sizes):
         assert len(rows) >= len(fresh) == n - 1
         for j, want in enumerate(fresh, 1):
             assert (rows[j - 1][: n - j] == want).all()
-        assert (node == P._node_poly(xs, MP, ones)).all()
+        assert (node == _node(xs, MP)).all()
         assert (P._newton_interp(xs, ys[:n], MP, rows)
                 == P._newton_interp(xs, ys[:n], MP, fresh)).all()
 
@@ -247,6 +404,19 @@ def test_probe_domain_conforms_to_exact(a, b, e, lo):
         same(g, w)
     assert dom.zeros(4).shape == (4, dom.n) and ex.zeros(4) == [0] * 4
     assert int(dom.alive.sum()) > dom.n // 2
+
+
+@settings(max_examples=100, **COMMON)
+@given(st.lists(ratq_maybe_zero, min_size=1, max_size=5),
+       st.sampled_from([101, MP]))
+def test_stacked_from_ratq_matches_one_by_one(values, p):
+    # the probe check converts all coefficients at once; each value and
+    # each dead lane must be what one conversion at a time gives
+    pts = P._lane_points(p, 48, np.random.default_rng(5))
+    one, stacked = P.ProbeDomain(p, pts), P.ProbeDomain(p, pts)
+    rows = [one.from_ratq(v) for v in values]
+    assert (P._from_ratqs(stacked, values) == np.array(rows)).all()
+    assert (stacked.alive == one.alive).all()
 
 
 # -- whole solves: exact against probe -------------------------------------
