@@ -5,9 +5,12 @@ trailing zeros; [] is the zero polynomial.  This module is the speed
 floor of the package: multiplication dispatches between schoolbook over
 the nonzero terms, nnz(a)*nnz(b) steps (small or sparse operands, such as
 1 - q^e), and Kronecker substitution (one big-integer multiply per
-product), and gcd dispatches between a primitive remainder sequence for
-small operands and a small-prime modular algorithm (numpy inner loops,
-CRT lifting, verification by exact division).
+product).  gcd returns its cofactors with it, (g, a/g, b/g), and
+dispatches between a primitive remainder sequence for small operands and
+a small-prime modular algorithm for large ones: per prime the GF(p)
+Euclid kernel euclid_mod, the one that also drives the probe engine's
+rational reconstruction, then CRT lifting by crt_join, and verification
+by exact division alone, whose quotients are the cofactors.
 
 Nothing here knows about q, x or fractions; ratfunc builds the public
 types on top.  Functions mutate nothing they receive except where noted.
@@ -281,72 +284,79 @@ def np_mod(a, p):
     return np.array([c % p for c in a], dtype=np.int64)
 
 
-def np_polymod(u, v, p):
-    """Remainder of u by v over GF(p); ascending numpy arrays, v[-1] != 0 mod p."""
-    dv = len(v) - 1
-    if dv == 0:
-        return np.zeros(0, dtype=np.int64)
-    inv = pow(int(v[-1]), p - 2, p)
-    u = u.copy()
-    for k in range(len(u) - 1, dv - 1, -1):
-        c = int(u[k])
-        if c:
-            q = c * inv % p
-            # q < p < 2**31 and |v| < 2**31, so products stay inside int64
-            u[k - dv:k] = (u[k - dv:k] - q * v[:-1]) % p
-            u[k] = 0
-    head = u[:dv]
-    nz = np.nonzero(head)[0]
-    if len(nz) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return head[: int(nz[-1]) + 1]
+def euclid_mod(prev, cur, dp, dc, stop, p):
+    """Euclid steps over GF(p), in place, while dc > stop.
+
+    prev and cur are (rows, L) int64 buffers with entries in [0, p), p a
+    prime below 2**31.  Row 0 of each is a remainder, of degree dp in prev
+    and dc <= dp in cur, zero above it; further rows (cofactors) take the
+    same row operations and stay inside the first dp + 1 columns.  A step
+    takes no inverse: it scales the older pair by lc, the lead of the
+    newer remainder, before each elimination, so every row carries a
+    nonzero scalar that the caller's one monic normalisation removes.  A
+    degree-1 quotient is one fused pass, any other is eliminated term by
+    term.  Returns (prev, cur, dp, dc) after the last step; dc is -1 when
+    the remainder reached zero, and prev then holds the gcd.
+    """
+    while dc > stop:
+        lc = cur.item(0, dc)
+        head, tail = prev[:, : dp + 1], cur[:, : dp + 1]
+        if dp == dc + 1:
+            t = prev.item(0, dp)
+            below = cur.item(0, dc - 1) if dc else 0
+            e = (lc * prev.item(0, dp - 1) - t * below) % p
+            # lc^2 (r0, v0) - (lc t x + e) (r1, v1); every term below 2^62
+            head *= lc * lc % p
+            head[:, 1:] -= lc * t % p * tail[:, :-1]
+            head -= e * tail
+            head %= p
+        else:
+            for d in range(dp, dc - 1, -1):
+                t = prev.item(0, d)
+                if t:
+                    head *= lc
+                    head[:, d - dc:] -= t * tail[:, : dp + 1 - d + dc]
+                    head %= p
+        d = dc - 1
+        while d >= 0 and not prev.item(0, d):
+            d -= 1
+        prev, cur, dp, dc = cur, prev, dc, d
+    return prev, cur, dp, dc
 
 
-def np_gcd_monic(a, b, p):
-    u, v = a, b
-    while len(v):
-        u, v = v, np_polymod(u, v, p)
-    inv = pow(int(u[-1]), p - 2, p)
-    return (u * inv) % p
+def crt_join(xs, M, ys, p):
+    """The residue modulo M*p of each pair x mod M (any representative),
+    y mod p (0 <= y < p): x plus the multiple of M that meets y."""
+    inv = pow(M % p, p - 2, p)
+    return [x + M * ((y - x) % p * inv % p) for x, y in zip(xs, ys)]
 
 
 def _sym(x, m):
     return x - m if x > m // 2 else x
 
 
-def _divides(a, g, probe_prime):
-    """Does g divide a over Z?  Cheap modular rejection, then exact division."""
-    p = probe_prime
-    if g[-1] % p and a[-1] % p:
-        rem = np_polymod(np_mod(a, p), np_mod(g, p), p)
-        if len(rem):
-            return False
-    try:
-        divexact(a, g)
-    except ValueError:
-        return False
-    return True
-
-
 def _modular_gcd(a, b):
-    """gcd of primitive a, b (both with nonzero constant term, deg >= 1)."""
+    """(g, a/g, b/g) for primitive a, b, both with nonzero constant term
+    and deg >= 1; g is primitive with positive leading coefficient.  g
+    is accepted once the CRT image stops changing and divides both
+    operands exactly; those quotients are the cofactors."""
     la, lb = a[-1], b[-1]
     lg = math.gcd(la, lb)
+    u, v = (a, b) if len(a) >= len(b) else (b, a)
     best_deg = None
     M = 0
     C = None
-    probe = None
     for p in primes_31():
         if la % p == 0 or lb % p == 0:
             continue
-        if probe is None:
-            probe = p
-            continue
-        gp = np_gcd_monic(np_mod(a, p), np_mod(b, p), p)
-        d = len(gp) - 1
+        prev, cur = np.zeros((2, 1, len(u)), dtype=np.int64)
+        prev[0], cur[0, : len(v)] = np_mod(u, p), np_mod(v, p)
+        r, _, d, _ = euclid_mod(prev, cur, len(u) - 1, len(v) - 1, -1, p)
         if d == 0:
-            return [1]  # coprime mod a good prime: certified coprime over Q
-        scaled = [int(x) * (lg % p) % p for x in gp]
+            return [1], a, b  # coprime mod a good prime: certified coprime over Q
+        # the monic gcd mod p, scaled to the leading coefficient lg
+        scaled = (r[0, : d + 1] * (pow(r.item(0, d), p - 2, p) * lg % p)
+                  % p).tolist()
         if best_deg is None or d < best_deg:
             best_deg = d
             M = p
@@ -354,45 +364,44 @@ def _modular_gcd(a, b):
             continue
         if d > best_deg:
             continue  # bad prime
-        # CRT-join C (mod M) with scaled (mod p), symmetric lift
-        Mp = M * p
-        inv = pow(M % p, p - 2, p)
-        changed = False
-        for i in range(len(C)):
-            delta = (scaled[i] - C[i]) % p
-            x = C[i] + M * (delta * inv % p)
-            x = _sym(x % Mp, Mp)
-            if x != C[i]:
-                changed = True
-            C[i] = x
-        M = Mp
-        if not changed:
+        joined = crt_join(C, M, scaled, p)
+        M *= p
+        joined = [_sym(x % M, M) for x in joined]  # symmetric lift
+        if joined == C:
             g = _pos(primitive_part(C))
-            if _divides(a, g, probe) and _divides(b, g, probe):
-                return g
+            try:
+                return g, divexact(a, g), divexact(b, g)
+            except ValueError:
+                pass
+        C = joined
     raise RuntimeError("modular gcd did not stabilize")
 
 
 def gcd(a, b):
-    """Primitive gcd over Z with positive leading coefficient.
+    """(g, a/g, b/g): g the primitive gcd over Z with positive leading
+    coefficient; a and b are not both zero.
 
-    Integer content of the inputs is ignored: the result is the gcd of
-    the primitive parts (times the common power of x).
+    Integer content of the inputs is ignored: g is the gcd of the
+    primitive parts (times the common power of x), so each cofactor
+    keeps its operand's content and sign.
     """
-    if not a and not b:
-        return []
     if not a:
-        return _pos(primitive_part(b))
+        g = _pos(primitive_part(b))
+        return g, [], [b[-1] // g[-1]]
     if not b:
-        return _pos(primitive_part(a))
+        g = _pos(primitive_part(a))
+        return g, [a[-1] // g[-1]], []
     oa, ob = low(a), low(b)
     m = min(oa, ob)
-    A = primitive_part(a[oa:])
-    B = primitive_part(b[ob:])
+    ca, cb = content(a), content(b)
+    A = exact_scal_div(a[oa:], ca)
+    B = exact_scal_div(b[ob:], cb)
     if len(A) == 1 or len(B) == 1:
         g = [1]
     elif max(len(A), len(B)) <= 24:
         g = _pos(_prs_gcd(A, B))
+        if len(g) > 1:
+            A, B = divexact(A, g), divexact(B, g)
     else:
-        g = _modular_gcd(A, B)
-    return shift(g, m)
+        g, A, B = _modular_gcd(A, B)
+    return shift(g, m), shift(scal(A, ca), oa - m), shift(scal(B, cb), ob - m)

@@ -24,9 +24,11 @@ degrees already reconstructed, grow by half on failure and try the whole
 lane pool once before the solve restarts with four times the lanes.
 The kernels keep numpy calls few: per prime one table of difference
 inverses grows with the largest fit; a divided difference or a node
-reduces once; the Euclid steps take no inverse, one fused pass on a
-2-row (remainder, cofactor) buffer per degree-1 quotient; and one
-stacked Horner pass evaluates every polynomial a check needs.
+reduces once; the Euclid steps run on _intpoly.euclid_mod, the GF(p)
+kernel that _intpoly.gcd runs too, here on a 2-row (remainder, cofactor)
+buffer with no inverse and one fused pass per degree-1 quotient; the CRT
+lift uses _intpoly.crt_join, as the modular gcd does; and one stacked
+Horner pass evaluates every polynomial a check needs.
 """
 
 import hashlib
@@ -242,43 +244,19 @@ def _newton_interp(xs, ys, p, rows):
 def _rat_interp(xs, ys, p, tables):
     """(num, den) ascending GF(p) polys with den monic and num = den * ys
     on the nodes; None if n points cannot separate them.  tables are the
-    (difference-inverse rows, node poly) of xs.  The Euclid steps take no
-    inverse: each scales the older (remainder, cofactor) pair by lc^2, lc
-    the newer remainder's lead, before reducing it; the monic form removes
-    that scalar.  A degree-1 quotient is one fused pass, any other is
-    eliminated term by term."""
+    (difference-inverse rows, node poly) of xs.  The extended Euclid is
+    K.euclid_mod on the (remainder, cofactor) pair down to the balanced
+    stop; the monic form removes the scalar its steps leave."""
     n = len(xs)
     if not ys.any():
         return np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64)
     rows, node = tables
     f = _newton_interp(xs, ys, p, rows)
-    # rows (r, v): deg r = dp in prev; deg r = dc, deg v = n - dp in cur
+    # rows (r, v): deg r = dp in prev; deg r = dc, deg v = n - dp in cur;
+    # before the stop, no row of either pair reaches past degree dp
     prev, cur = np.zeros((2, 2, n + 1), dtype=np.int64)
     prev[0], cur[0, : len(f)], cur[1, 0] = node, f, 1
-    dp, dc = n, len(f) - 1
-    while dc > (n - 1) // 2:  # the balanced stop
-        lc = cur.item(0, dc)
-        # before the stop, no row of either pair reaches past degree dp
-        head, tail = prev[:, : dp + 1], cur[:, : dp + 1]
-        if dp == dc + 1:
-            t = prev.item(0, dp)
-            e = (lc * prev.item(0, dp - 1) - t * cur.item(0, dc - 1)) % p
-            # lc^2 (r0, v0) - (lc t q + e) (r1, v1); every term below 2^62
-            head *= lc * lc % p
-            head[:, 1:] -= lc * t % p * tail[:, :-1]
-            head -= e * tail
-            head %= p
-        else:
-            for d in range(dp, dc - 1, -1):
-                t = prev.item(0, d)
-                if t:
-                    head *= lc
-                    head[:, d - dc:] -= t * tail[:, : dp + 1 - d + dc]
-                    head %= p
-        d = dc - 1
-        while d >= 0 and not prev.item(0, d):
-            d -= 1
-        prev, cur, dp, dc = cur, prev, dc, d
+    _, cur, dp, dc = K.euclid_mod(prev, cur, n, len(f) - 1, (n - 1) // 2, p)
     if dc < 0:
         return None
     num, den = cur[0, : dc + 1], cur[1, : n - dp + 1]
@@ -320,18 +298,13 @@ def _wang(c, M):
 
 def _lift_poly(per_prime, primes):
     """CRT + rational reconstruction of one ascending coefficient list."""
-    # the CRT factor of each later prime: its predecessors' product and
-    # that product's inverse modulo the prime
-    steps = []
+    residues = per_prime[0].tolist()
     modulus = primes[0]
-    for p in primes[1:]:
-        steps.append((p, modulus, pow(modulus % p, p - 2, p)))
+    for arr, p in zip(per_prime[1:], primes[1:]):
+        residues = K.crt_join(residues, modulus, arr.tolist(), p)
         modulus *= p
     out = []
-    for i in range(len(per_prime[0])):
-        residue = int(per_prime[0][i])
-        for arr, (p, before, inv) in zip(per_prime[1:], steps):
-            residue += before * ((int(arr[i]) - residue) % p * inv % p)
+    for i, residue in enumerate(residues):
         frac = _wang(residue, modulus)
         if frac is None:
             raise _NeedPrimes(f"coefficient {i} exceeds the lifting bound")

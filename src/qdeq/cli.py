@@ -209,12 +209,20 @@ def _parse_theta(text):
     return float(text)
 
 
+def _split_list(text, convert, flag):
+    """A comma-separated flag value, converted; empty text is an error
+    rather than the flag's default."""
+    if not text.strip():
+        raise QdeqError(f"{flag} is empty")
+    return [convert(part.strip()) for part in text.split(",")]
+
+
 def _cmd_diophantine(args):
     theta = _parse_theta(args.theta)
     q = unit_q(theta)
     try:
         if args.equation or args.input:
-            if args.roots:
+            if args.roots is not None:
                 raise QdeqError("give an operator or --roots, not both")
             src = _read_source(args)
             if src.kind != "linear_operator":
@@ -228,13 +236,13 @@ def _cmd_diophantine(args):
             except DegenerateAfterEvaluation:
                 scan_condition_H(q, [], args.N)  # the test for a float theta
                 raise
-        elif args.roots:
-            roots = [complex(part.strip()) for part in args.roots.split(",")]
+        elif args.roots is not None:
+            roots = _split_list(args.roots, complex, "--roots")
         else:
             roots = [1 + 0j]
         grid = None
-        if args.c2_grid:
-            grid = [Fraction(part.strip()) for part in args.c2_grid.split(",")]
+        if args.c2_grid is not None:
+            grid = _split_list(args.c2_grid, Fraction, "--c2-grid")
         scan = scan_condition_H(q, roots, args.N, c2_grid=grid, theta=theta)
     except RootOfUnityDetected as exc:
         payload = {"verdict": "root_of_unity", "n": exc.n}

@@ -147,6 +147,8 @@ class CorpusEntry:
 
     def run(self, order=None):
         order = self.default_order if order is None else order
+        if order < 0:
+            raise ValueError(f"order {order} is negative")
         ctx = {}
         results = [(e.name, e.basis) + e.run(ctx, order) for e in self.expected]
         notes = self._notes(ctx, order) if self._notes else []

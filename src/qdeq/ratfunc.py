@@ -283,12 +283,10 @@ def _qpoly(ints, den=1):
 
 def _lowest_terms(n, d):
     """n and d divided by their gcd, as integer lists."""
-    n, d = list(n), list(d)
     if len(n) > 1 and len(d) > 1:
-        g = K.gcd(n, d)
-        if len(g) > 1:
-            return K.divexact(n, g), K.divexact(d, g)
-    return n, d
+        _, n, d = K.gcd(n, d)
+        return n, d
+    return list(n), list(d)
 
 
 def _ratq(v, n, d):
@@ -396,10 +394,7 @@ class RatQ:
         if d1 == d2:
             g, d1, d2 = d1, [1], [1]
         else:
-            g = K.gcd(d1, d2)
-            if len(g) > 1:
-                d1 = K.divexact(d1, g)
-                d2 = K.divexact(d2, g)
+            g, d1, d2 = K.gcd(d1, d2)
         t = K.add(K.mul(a, d2), K.mul(b, d1))
         if not t:
             return _ZERO
@@ -408,10 +403,7 @@ class RatQ:
             t = t[o:]
             v += o
         if len(g) > 1:
-            h = K.gcd(t, g)
-            if len(h) > 1:
-                t = K.divexact(t, h)
-                g = K.divexact(g, h)
+            _, t, g = K.gcd(t, g)
         return _ratq(v, QPoly(t, l), _qpoly(K.mul(K.mul(d1, d2), g)))
 
     __radd__ = __add__

@@ -240,7 +240,11 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
     N = int(N)
     if N < 1:
         raise ValueError("scan range N must be at least 1")
-    grid = tuple(sorted(Fraction(c) for c in (c2_grid or DEFAULT_C2_GRID)))
+    if c2_grid is None:
+        c2_grid = DEFAULT_C2_GRID
+    grid = tuple(sorted(Fraction(c) for c in c2_grid))
+    if not grid:
+        raise ValueError("the grid of decay exponents c2 is empty")
     if any(c <= 0 for c in grid):
         raise ValueError("decay exponents c2 must be positive")
     _raise_if_root_of_unity(theta, N)

@@ -418,6 +418,21 @@ def test_diophantine_operator_conflicts_with_roots(capsys):
     assert "--roots" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("flag", ["--roots", "--c2-grid"])
+def test_diophantine_empty_list_is_an_error(capsys, flag):
+    # an empty value is bad input, not a request for the default
+    code, out, err = run(capsys, "diophantine", "--theta", "0.6180339887",
+                         flag, "")
+    assert code == 1 and out == ""
+    assert json.loads(err)["message"] == f"{flag} is empty"
+
+
+def test_corpus_negative_order_exits_1(capsys):
+    code, out, err = run(capsys, "corpus", "--run", "--order", "-1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_diophantine_needs_a_linear_operator(capsys):
     code, _, err = run(capsys, "diophantine", "x*y[1] - y[0] + 1", *GOLDEN)
     assert code == 1

@@ -213,6 +213,15 @@ def test_expectation_error_becomes_failure():
     assert not ok and "error" in detail
 
 
+def test_run_rejects_negative_order(monkeypatch):
+    ran = []
+    monkeypatch.setattr(Expectation, "run",
+                        lambda self, ctx, order: ran.append(self.name))
+    with pytest.raises(ValueError, match="negative"):
+        get_entry("q-euler").run(order=-1)
+    assert ran == []  # rejected before any expectation runs
+
+
 def test_run_order_override():
     rep = get_entry("q-euler").run(order=5)
     assert rep.passed()

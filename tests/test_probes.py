@@ -213,6 +213,72 @@ def test_rat_interp_takes_quotients_of_degree_two():
         assert want is not None and len(want[1]) == 11
 
 
+# -- the same kernel in gcd mode, against textbook long division --------
+
+
+def _ref_gcd(u, v, p):
+    """Monic gcd of ascending GF(p) lists by the textbook remainder
+    sequence."""
+    while v:
+        u, v = v, _ref_divmod(u, v, p)[1]
+    inv = pow(u[-1], p - 2, p)
+    return [c * inv % p for c in u]
+
+
+def _gcd_mod(a, b, p):
+    """K.euclid_mod run on one row each down to a zero remainder, made
+    monic; a, b nonzero ascending lists with entries in [0, p)."""
+    if len(a) < len(b):
+        a, b = b, a
+    prev, cur = np.zeros((2, 1, len(a)), dtype=np.int64)
+    prev[0], cur[0, : len(b)] = a, b
+    r, _, d, dc = K.euclid_mod(prev, cur, len(a) - 1, len(b) - 1, -1, p)
+    assert dc == -1
+    return (r[0, : d + 1] * pow(r.item(0, d), p - 2, p) % p).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([101, 7919, MP]),
+       dg=st.integers(0, 6), du=st.integers(0, 30), dv=st.integers(0, 30),
+       sparse=st.booleans())
+def test_euclid_mod_gcd_matches_textbook(seed, p, dg, du, dv, sparse):
+    # a planted common factor of degree dg; dg = 0 leaves coprime
+    # operands, whose remainder sequence ends at degree 0
+    rng = np.random.default_rng(seed)
+
+    def poly(d):
+        c = rng.integers(0, p, size=d + 1)
+        if sparse:  # long zero runs between the ends
+            c[1:d] *= rng.random(max(d - 1, 0)) < 0.15
+        c[d] = rng.integers(1, p)
+        return c.tolist()
+
+    g = poly(dg)
+    a, b = _ref_mul(g, poly(du), p), _ref_mul(g, poly(dv), p)
+    want = _ref_gcd(*sorted((a, b), key=len, reverse=True), p)
+    assert _gcd_mod(a, b, p) == want
+    assert len(want) >= dg + 1
+
+
+def test_euclid_mod_fused_step_at_degree_zero():
+    # x^2 + 1 and x + 1: remainders of degree 1, then 0, then zero; the
+    # last step is a degree-1 quotient whose divisor has degree 0, which
+    # the balanced stop of _rat_interp never reaches
+    for p in (101, 7919, MP):
+        assert _gcd_mod([1, 0, 1], [1, 1], p) == [1]
+        assert _gcd_mod([p - 1, 0, 1], [1, 1], p) == [1, 1]
+
+
+def test_crt_join():
+    # residues of either sign mod M, joined with residues mod a fresh prime
+    p1, p2, p = list(islice(K.primes_31(), 3))
+    M = p1 * p2
+    xs = [0, 5, -7, M - 1, -(M // 2), 12345678901234567]
+    ys = [3, 0, p - 1, 17, 2, p // 2]
+    for x, y, z in zip(xs, ys, K.crt_join(xs, M, ys, p)):
+        assert z % M == x % M and z % p == y
+
+
 def test_wang_lift():
     M = 2147483647 * 2147483629
     for frac in (Fraction(-3, 7), Fraction(22, 1), Fraction(0),

@@ -157,11 +157,11 @@ def test_kernel_divexact():
 
 
 def test_kernel_gcd_values():
-    assert K.gcd([-1, 0, 1], [1, -2, 1]) == [-1, 1]
-    assert K.gcd([0, 0, -1, 1], [0, 0, 1]) == [0, 0, 1]
-    assert K.gcd([2, 2], [4]) == [1]
-    assert K.gcd([], [3, -6]) == [-1, 2]
-    assert K.gcd([-2, 1], []) == [-2, 1]
+    assert K.gcd([-1, 0, 1], [1, -2, 1]) == ([-1, 1], [1, 1], [-1, 1])
+    assert K.gcd([0, 0, -1, 1], [0, 0, 1]) == ([0, 0, 1], [-1, 1], [1])
+    assert K.gcd([2, 2], [4]) == ([1], [2, 2], [4])
+    assert K.gcd([], [3, -6]) == ([-1, 2], [], [-3])
+    assert K.gcd([-2, 1], []) == ([-2, 1], [1], [])
 
 
 def test_kernel_gcd_prs_vs_modular():
@@ -174,9 +174,9 @@ def test_kernel_gcd_prs_vs_modular():
             continue
         pa, pb = K.primitive_part(a), K.primitive_part(b)
         g1 = K._pos(K._prs_gcd(list(pa), list(pb)))
-        g2 = K._modular_gcd(list(pa), list(pb))
+        g2, qa, qb = K._modular_gcd(list(pa), list(pb))
         assert g1 == g2
-        assert K.divexact(a, g1) is not None
+        assert qa == K.divexact(pa, g1) and qb == K.divexact(pb, g1)
 
 
 def test_kernel_gcd_large_coefficients():
@@ -188,9 +188,64 @@ def test_kernel_gcd_large_coefficients():
     u = [rng.randint(-10**8, 10**8) for _ in range(15)] + [1]
     v = [rng.randint(-10**8, 10**8) for _ in range(14)] + [3]
     a, b = K.mul(g, u), K.mul(g, v)
-    got = K.gcd(a, b)
+    got, qa, qb = K.gcd(a, b)
     # u and v are coprime with overwhelming likelihood, so gcd == +-g
     assert got == K._pos(K.primitive_part(g))
+    assert K.mul(got, qa) == a and K.mul(got, qb) == b
+
+
+@st.composite
+def _gcd_factor(draw, lo, hi):
+    """lo..hi coefficients, small or 80-bit, the constant term and the
+    lead nonzero, and one zero run that may span all between them."""
+    n = draw(st.integers(lo, hi))
+    a = draw(st.lists(nonzero, min_size=n, max_size=n))
+    start = draw(st.integers(1, max(n - 1, 1)))
+    stop = min(draw(st.integers(start, start + 30)), n - 1)
+    a[start:stop] = [0] * (stop - start)
+    return a
+
+
+@st.composite
+def _gcd_operands(draw, side):
+    """(a, b) = (s c x^i g u, t d x^j g v): a planted common factor g,
+    cofactors u, v, signs, contents and x-powers of their own, and now
+    and then a zero operand.  The primitive parts stay within 24
+    coefficients for "prs" and pass them in a for "modular"."""
+    if side == "prs":
+        g = draw(_gcd_factor(1, 12))
+        u = draw(_gcd_factor(1, 25 - len(g)))
+        v = draw(_gcd_factor(1, 25 - len(g)))
+    else:
+        g = draw(_gcd_factor(1, 16))
+        u = draw(_gcd_factor(26 - len(g), 34 - len(g)))
+        v = draw(_gcd_factor(2, 24))
+    ops = []
+    for f in (u, v):
+        scale = draw(st.sampled_from((1, -1, 6, -2 ** 40 - 3)))
+        ops.append(K.shift(K.scal(K.mul(g, f), scale),
+                           draw(st.integers(0, 3))))
+    zero = draw(st.sampled_from((None,) * 8 + (0, 1)))
+    if zero is not None:
+        ops[zero] = []
+    return ops
+
+
+@pytest.mark.parametrize("side", ["prs", "modular"])
+def test_kernel_gcd_cofactors(side):
+    @settings(max_examples=120, deadline=None)
+    @given(_gcd_operands(side))
+    def check(ops):
+        a, b = ops
+        with mock.patch.object(K, "_modular_gcd",
+                               wraps=K._modular_gcd) as modular:
+            g, qa, qb = K.gcd(a, b)
+        assert K.mul(g, qa) == a and K.mul(g, qb) == b
+        assert g == K._pos(K._prs_gcd(a, b))
+        assert g[-1] > 0 and K.content(g) == 1
+        assert modular.called == (side == "modular" and bool(a) and bool(b))
+
+    check()
 
 
 def test_kernel_primes():

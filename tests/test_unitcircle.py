@@ -178,6 +178,9 @@ def test_custom_grid_and_validation():
     assert scan.verdict["c2"] == Fraction(3, 2)
     with pytest.raises(ValueError):
         scan_condition_H(q, [1.0 + 0j], 10, c2_grid=[0])
+    for empty in ([], ()):  # an empty grid is an error, not the default
+        with pytest.raises(ValueError, match="empty"):
+            scan_condition_H(q, [1.0 + 0j], 10, c2_grid=empty)
     with pytest.raises(ValueError):
         scan_condition_H(q, [1.0 + 0j], 0)
     with pytest.raises(ValueError):
