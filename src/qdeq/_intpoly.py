@@ -2,15 +2,16 @@
 
 Polynomials are plain Python lists of ints, lowest degree first, with no
 trailing zeros; [] is the zero polynomial.  This module is the speed
-floor of the package: multiplication dispatches between schoolbook over
-the nonzero terms, nnz(a)*nnz(b) steps (small or sparse operands, such as
-1 - q^e), and Kronecker substitution (one big-integer multiply per
-product).  gcd returns its cofactors with it, (g, a/g, b/g), and
-dispatches between a primitive remainder sequence for small operands and
-a small-prime modular algorithm for large ones: per prime the GF(p)
-Euclid kernel euclid_mod, the one that also drives the probe engine's
-rational reconstruction, then CRT lifting by crt_join, and verification
-by exact division alone, whose quotients are the cofactors.
+floor of the package.  Its large operations are CPython big-int
+arithmetic behind one pack/unpack pair (evaluate at xi = 2**k, read an
+integer back as balanced base-xi digits): mul by Kronecker substitution,
+divexact by one big divmod, gcd by the evaluation gcd GCDHEU, each answer
+proved exact.  Small or sparse products (such as by 1 - q^e) run
+schoolbook over the nonzero terms, nnz(a)*nnz(b) steps, and small
+quotients the low-end division loop.  gcd returns its cofactors with it,
+(g, a/g, b/g); if three points fail it runs a small-prime modular gcd on
+euclid_mod, the GF(p) Euclid kernel of the probe engine's rational
+reconstruction, with CRT lifting by crt_join.
 
 Nothing here knows about q, x or fractions; ratfunc builds the public
 types on top.  Functions mutate nothing they receive except where noted.
@@ -26,10 +27,6 @@ def trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def deg(a):
-    return len(a) - 1  # -1 for the zero polynomial
 
 
 def low(a):
@@ -83,25 +80,35 @@ def _pack(a, nbytes):
     return val
 
 
+def _unpack(v, nbytes):
+    """The balanced base-2**(8*nbytes) digits of v, lowest first, trimmed,
+    each in [-2**(8*nbytes-1), 2**(8*nbytes-1)): _pack's inverse there."""
+    half = 1 << (8 * nbytes - 1)
+    n = (v.bit_length() + 1) // (8 * nbytes) + 1
+    # adding half to every digit maps them to [0, 2**(8*nbytes)) with no carries
+    v += int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+    raw = v.to_bytes(nbytes * n, "little")
+    return trim([int.from_bytes(raw[i:i + nbytes], "little") - half
+                 for i in range(0, nbytes * n, nbytes)])
+
+
 def _kron_mul(a, b):
     """Kronecker substitution: pack, one big multiply, unpack balanced digits."""
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
+    ma, mb = max(map(abs, a)), max(map(abs, b))
+    # every product coefficient is below ma*mb*min(len) <= 2**(blen-1)
     blen = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 1
-    blen = (blen + 7) & ~7
-    nbytes = blen >> 3
-    n_out = len(a) + len(b) - 1
-    prod = _pack(a, nbytes) * _pack(b, nbytes)
-    # every true digit d satisfies |d| < 2**(blen-1); adding that half-offset
-    # to each digit makes them all land in [0, 2**blen) with no carries
-    half = 1 << (blen - 1)
-    prod += int.from_bytes(half.to_bytes(nbytes, "little") * n_out, "little")
-    raw = prod.to_bytes(nbytes * n_out, "little")
-    out = [
-        int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half
-        for i in range(n_out)
-    ]
-    return out
+    nbytes = (blen + 7) >> 3
+    return _unpack(_pack(a, nbytes) * _pack(b, nbytes), nbytes)
+
+
+def _read_quotient(a, b, qv, nbytes):
+    """a/b read from the digits of qv = a(xi)/b(xi), xi = 2**(8*nbytes), for
+    |a|_inf < xi/2; None unless b*q == a is proved, by bound (|b|_1*|q|_inf
+    < xi/2 too makes both the balanced digits of a(xi)) or by product."""
+    q = _unpack(qv, nbytes)
+    if sum(map(abs, b)) * max(map(abs, q)) < 1 << (8 * nbytes - 1):
+        return q
+    return q if mul(b, q) == a else None
 
 
 def mul(a, b):
@@ -180,21 +187,30 @@ def divexact(a, b):
     if not a:
         return []
     oa, ob = low(a), low(b)
-    if oa < ob:
-        raise ValueError("not divisible")
-    A = a[oa:]
-    B = b[ob:]
+    A, B = a[oa:], b[ob:]
     lq = len(A) - len(B) + 1
-    if lq <= 0:
+    if oa < ob or lq <= 0:
         raise ValueError("not divisible")
-    b0 = B[0]
+    if lq * len(B) > 4096:
+        # one big divmod at xi = 2**k > 2*|A|_inf*|B|_1, k doubled while the
+        # quotient is not proved; then the loop below
+        nbytes = (max(map(abs, A)).bit_length()
+                  + sum(map(abs, B)).bit_length() + 9) >> 3
+        for _ in range(3):
+            qv, rem = divmod(_pack(A, nbytes), _pack(B, nbytes))
+            if rem:
+                raise ValueError("not divisible")  # B | A would give B(xi) | A(xi)
+            q = _read_quotient(A, B, qv, nbytes)
+            if q is not None:
+                return shift(q, oa - ob)
+            nbytes *= 2
     r = list(A)
     out = [0] * lq
     # division from the low end: each step clears one coefficient exactly
     for k in range(lq):
         c = r[k]
         if c:
-            q, rem = divmod(c, b0)
+            q, rem = divmod(c, B[0])
             if rem:
                 raise ValueError("not divisible")
             out[k] = q
@@ -214,25 +230,6 @@ def _pos(a):
     if a and a[-1] < 0:
         return [-c for c in a]
     return a
-
-
-def _prs_gcd(a, b):
-    """Primitive remainder sequence; fine for small operands only."""
-    if deg(a) < deg(b):
-        a, b = b, a
-    while b:
-        dv = deg(b)
-        lv = b[-1]
-        r = list(a)
-        while r and deg(r) >= dv:
-            dr = deg(r)
-            lead = r[-1]
-            r = [lv * c for c in r[:-1]]
-            for i in range(dv):
-                r[dr - dv + i] -= lead * b[i]
-            trim(r)
-        a, b = b, primitive_part(r)
-    return primitive_part(a)
 
 
 def _is_prime(n):
@@ -331,22 +328,22 @@ def crt_join(xs, M, ys, p):
     return [x + M * ((y - x) % p * inv % p) for x, y in zip(xs, ys)]
 
 
-def _sym(x, m):
-    return x - m if x > m // 2 else x
-
-
 def _modular_gcd(a, b):
-    """(g, a/g, b/g) for primitive a, b, both with nonzero constant term
-    and deg >= 1; g is primitive with positive leading coefficient.  g
-    is accepted once the CRT image stops changing and divides both
-    operands exactly; those quotients are the cofactors."""
+    """gcd's fallback: (g, a/g, b/g) for primitive a, b, both with nonzero
+    constant term and deg >= 1, g primitive with positive lead.  g is
+    accepted once the CRT image stops changing and divides both operands
+    exactly; those quotients are the cofactors.  RuntimeError once the
+    primes past the coefficient bound run out."""
     la, lb = a[-1], b[-1]
     lg = math.gcd(la, lb)
     u, v = (a, b) if len(a) >= len(b) else (b, a)
-    best_deg = None
-    M = 0
-    C = None
-    for p in primes_31():
+    best_deg, M, C = None, 0, None
+    # Mignotte: |C|_inf <= lg * 2**(len(f) - 1) * |f|_2 for f = a and b, so
+    # the symmetric image is exact once M passes twice that; the budget is
+    # the primes that pass it, plus 20 for unlucky ones
+    bound = 2 * lg * min((math.isqrt(sum(c * c for c in f)) + 1) << (len(f) - 1)
+                         for f in (a, b))
+    for _, p in zip(range(bound.bit_length() // 30 + 20), primes_31()):
         if la % p == 0 or lb % p == 0:
             continue
         prev, cur = np.zeros((2, 1, len(u)), dtype=np.int64)
@@ -360,13 +357,14 @@ def _modular_gcd(a, b):
         if best_deg is None or d < best_deg:
             best_deg = d
             M = p
-            C = [_sym(x, p) for x in scaled]
+            C = [x - p if x > p // 2 else x for x in scaled]
             continue
         if d > best_deg:
             continue  # bad prime
         joined = crt_join(C, M, scaled, p)
         M *= p
-        joined = [_sym(x % M, M) for x in joined]  # symmetric lift
+        joined = [x - M if x > M // 2 else x  # symmetric lift
+                  for x in (y % M for y in joined)]
         if joined == C:
             g = _pos(primitive_part(C))
             try:
@@ -374,7 +372,31 @@ def _modular_gcd(a, b):
             except ValueError:
                 pass
         C = joined
-    raise RuntimeError("modular gcd did not stabilize")
+    raise RuntimeError("modular gcd did not stabilize within its prime budget")
+
+
+def _heu_gcd(a, b):
+    """GCDHEU (Char, Geddes and Gonnet 1989): (g, a/g, b/g) for primitive
+    a, b of degree >= 1, g the primitive part of the balanced digits of
+    gcd(a(xi), b(xi)) at xi = 2**k >= 2*max(|a|_inf, |b|_inf) + 2, the
+    cofactors the digits of a(xi)/g(xi), b(xi)/g(xi).  At such xi a g that
+    divides both is the gcd (Geddes, Czapor and Labahn, Algorithms for
+    Computer Algebra, Thm 7.7); None once three xi have failed."""
+    nbytes = (max(map(abs, a + b)).bit_length() + 9) >> 3
+    for _ in range(3):
+        va, vb = _pack(a, nbytes), _pack(b, nbytes)
+        h = math.gcd(va, vb)
+        G = _unpack(h, nbytes)
+        if len(G) == 1:
+            return [1], a, b
+        c = content(G) if G[-1] > 0 else -content(G)
+        g, vg = [x // c for x in G], h // c
+        qa = _read_quotient(a, g, va // vg, nbytes)
+        qb = None if qa is None else _read_quotient(b, g, vb // vg, nbytes)
+        if qb is not None:
+            return g, qa, qb
+        nbytes *= 2
+    return None
 
 
 def gcd(a, b):
@@ -398,10 +420,6 @@ def gcd(a, b):
     B = exact_scal_div(b[ob:], cb)
     if len(A) == 1 or len(B) == 1:
         g = [1]
-    elif max(len(A), len(B)) <= 24:
-        g = _pos(_prs_gcd(A, B))
-        if len(g) > 1:
-            A, B = divexact(A, g), divexact(B, g)
     else:
-        g, A, B = _modular_gcd(A, B)
+        g, A, B = _heu_gcd(A, B) or _modular_gcd(A, B)
     return shift(g, m), shift(scal(A, ca), oa - m), shift(scal(B, cb), ob - m)

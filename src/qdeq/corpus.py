@@ -149,6 +149,9 @@ class CorpusEntry:
         order = self.default_order if order is None else order
         if order < 0:
             raise ValueError(f"order {order} is negative")
+        if order < len(self.seeds) - 1:
+            raise ValueError(f"order {order} is below the seed order "
+                             f"{len(self.seeds) - 1}")
         ctx = {}
         results = [(e.name, e.basis) + e.run(ctx, order) for e in self.expected]
         notes = self._notes(ctx, order) if self._notes else []

@@ -433,6 +433,14 @@ def test_corpus_negative_order_exits_1(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def test_corpus_order_below_seed_order_exits_1(capsys):
+    # qp2's seeds reach order 1, so order 0 is bad input, not a failed check
+    code, out, err = run(capsys, "corpus", "--run", "--order", "0")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message":
+                               "order 0 is below the seed order 1"}
+
+
 def test_diophantine_needs_a_linear_operator(capsys):
     code, _, err = run(capsys, "diophantine", "x*y[1] - y[0] + 1", *GOLDEN)
     assert code == 1

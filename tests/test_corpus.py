@@ -222,6 +222,20 @@ def test_run_rejects_negative_order(monkeypatch):
     assert ran == []  # rejected before any expectation runs
 
 
+def test_run_rejects_order_below_seeds(monkeypatch):
+    ran = []
+    monkeypatch.setattr(Expectation, "run",
+                        lambda self, ctx, order: (ran.append(self.name)
+                                                  or (True, "ran")))
+    entry = get_entry("q-painleve-2")
+    assert len(entry.seeds) == 2
+    with pytest.raises(ValueError, match="below the seed order 1"):
+        entry.run(order=0)
+    assert ran == []
+    entry.run(order=1)  # the seed order itself is a run
+    assert ran == [e.name for e in entry.expected]
+
+
 def test_run_order_override():
     rep = get_entry("q-euler").run(order=5)
     assert rep.passed()

@@ -2,6 +2,7 @@
 
 import operator
 import random
+import time
 from fractions import Fraction
 from functools import reduce
 from unittest import mock
@@ -34,8 +35,6 @@ from qdeq.ratfunc import (
 def test_kernel_basics():
     assert K.trim([1, 2, 0, 0]) == [1, 2]
     assert K.trim([0, 0]) == []
-    assert K.deg([]) == -1
-    assert K.deg([0, 0, 5]) == 2
     assert K.low([0, 0, 5]) == 2
     assert K.add([1, 2], [3, -2]) == [4]
     assert K.mul([1, 1], [-1, 1]) == [-1, 0, 1]
@@ -60,6 +59,44 @@ def _naive_mul(a, b):
         for j, d in enumerate(b):
             out[i + j] += c * d
     return K.trim(out)
+
+
+def _school_divexact(a, b):
+    """a/b over Z by the plain low-end division loop; ValueError when b
+    does not divide a."""
+    oa, ob = K.low(a), K.low(b)
+    A, B = a[oa:], b[ob:]
+    if oa < ob or len(A) < len(B):
+        raise ValueError("not divisible")
+    r, q = list(A), [0] * (len(A) - len(B) + 1)
+    for k in range(len(q)):
+        q[k], rem = divmod(r[k], B[0])
+        if rem:
+            raise ValueError("not divisible")
+        for j, d in enumerate(B):
+            r[k + j] -= q[k] * d
+    if any(r):
+        raise ValueError("not divisible")
+    return K.shift(K.trim(q), oa - ob)
+
+
+def _prs_gcd(a, b):
+    """The primitive gcd of a and b by a primitive remainder sequence: an
+    independent reference for the kernel's gcd, fine for small operands."""
+    a, b = K.primitive_part(a), K.primitive_part(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        dv, lv = len(b) - 1, b[-1]
+        r = list(a)
+        while len(r) > dv:
+            dr, lead = len(r) - 1, r[-1]
+            r = [lv * c for c in r[:-1]]
+            for i in range(dv):
+                r[dr - dv + i] -= lead * b[i]
+            K.trim(r)
+        a, b = b, K.primitive_part(r)
+    return K._pos(a)
 
 
 nonzero = st.one_of(st.integers(-9, 9),
@@ -156,6 +193,85 @@ def test_kernel_divexact():
         assert K.divexact(K.mul(a, b), b) == a
 
 
+@st.composite
+def _div_factor(draw, lo, hi):
+    """lo..hi nonzero coefficients from a seeded generator, a drawn share
+    of them 80-bit and the rest single digits, and one zero run of up to
+    80 between the constant term and the lead."""
+    n = draw(st.integers(lo, hi))
+    wide = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = [rng.choice((-1, 1)) * rng.randint(1, 2 ** 80 if rng.random() < wide
+                                           else 9) for _ in range(n)]
+    start = draw(st.integers(1, max(n - 1, 1)))
+    stop = min(draw(st.integers(start, start + 80)), n - 1)
+    a[start:stop] = [0] * (stop - start)
+    return a
+
+
+@st.composite
+def _div_operands(draw, side):
+    """(a, b, q): b = x^j * f and a = x^i * q * b, i, j in 0..3, with q and
+    f on one side of divexact's Kronecker crossover (len(q)*len(f) > 4096);
+    half the time a is bumped at one coefficient and q is None, which
+    makes most of those pairs non-divisors."""
+    lo, hi = (1, 60) if side == "school" else (65, 110)
+    q = draw(_div_factor(lo, hi))
+    f = draw(_div_factor(lo, hi))
+    j = draw(st.integers(0, 3))
+    b = K.shift(f, j)
+    a = K.shift(K.mul(q, f), j + draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(a) - 1))
+        a[i] += draw(st.sampled_from((1, -1, 2 ** 80 + 1)))
+        a = K.trim(a)
+        q = None
+    return a, b, q
+
+
+@pytest.mark.parametrize("side", ["school", "kronecker"])
+def test_kernel_divexact_matches_schoolbook(side):
+    @settings(max_examples=120, deadline=None)
+    @given(_div_operands(side))
+    def check(ops):
+        a, b, q = ops
+        try:
+            want = _school_divexact(a, b)
+        except ValueError:
+            want = None
+        with mock.patch.object(K, "_pack", wraps=K._pack) as pack:
+            if want is None:
+                with pytest.raises(ValueError):
+                    K.divexact(a, b)
+            else:
+                assert K.divexact(a, b) == want
+        # (a bumped operand may fail the low-order check before either)
+        if side == "school" or q is not None:
+            assert pack.called == (side == "kronecker")
+        if q is not None:
+            assert want == K.shift(q, K.low(a) - K.low(b))
+
+    check()
+
+
+def test_kernel_quotients_wider_than_the_operands():
+    # (x^n - 1)^2 / (x - 1)^2 = (1 + x + ... + x^(n-1))^2 has coefficients
+    # up to n, the operands none above 2: the first xi is too narrow for
+    # the quotient's digits, so the proof fails and a wider xi is tried
+    def check(call, want):
+        with mock.patch.object(K, "_read_quotient",
+                               wraps=K._read_quotient) as read:
+            assert call() == want
+        nbytes = [c.args[3] for c in read.call_args_list]
+        assert nbytes[0] == 1 and max(nbytes) > 1
+
+    n = 700  # 3 * (2n - 1) limb products: above divexact's crossover
+    ones2 = _naive_mul([1] * n, [1] * n)
+    a = [1] + [0] * (n - 1) + [-2] + [0] * (n - 1) + [1]
+    check(lambda: K.divexact(a, [1, -2, 1]), ones2)
+    check(lambda: K.gcd(a, [2, -3, 0, 1]), ([1, -2, 1], ones2, [2, 1]))
+
+
 def test_kernel_gcd_values():
     assert K.gcd([-1, 0, 1], [1, -2, 1]) == ([-1, 1], [1, 1], [-1, 1])
     assert K.gcd([0, 0, -1, 1], [0, 0, 1]) == ([0, 0, 1], [-1, 1], [1])
@@ -173,14 +289,14 @@ def test_kernel_gcd_prs_vs_modular():
         if a[0] == 0 or b[0] == 0:
             continue
         pa, pb = K.primitive_part(a), K.primitive_part(b)
-        g1 = K._pos(K._prs_gcd(list(pa), list(pb)))
+        g1 = _prs_gcd(pa, pb)
         g2, qa, qb = K._modular_gcd(list(pa), list(pb))
         assert g1 == g2
         assert qa == K.divexact(pa, g1) and qb == K.divexact(pb, g1)
 
 
 def test_kernel_gcd_large_coefficients():
-    # force the modular path: degree > 24 with a planted factor
+    # degree 35 and 27-bit coefficients with a planted factor
     rng = random.Random(5)
     g = [rng.randint(-10**8, 10**8) for _ in range(20)] + [1]
     while g[0] == 0:
@@ -207,12 +323,12 @@ def _gcd_factor(draw, lo, hi):
 
 
 @st.composite
-def _gcd_operands(draw, side):
+def _gcd_operands(draw):
     """(a, b) = (s c x^i g u, t d x^j g v): a planted common factor g,
     cofactors u, v, signs, contents and x-powers of their own, and now
     and then a zero operand.  The primitive parts stay within 24
-    coefficients for "prs" and pass them in a for "modular"."""
-    if side == "prs":
+    coefficients or pass them in a."""
+    if draw(st.booleans()):
         g = draw(_gcd_factor(1, 12))
         u = draw(_gcd_factor(1, 25 - len(g)))
         v = draw(_gcd_factor(1, 25 - len(g)))
@@ -231,21 +347,47 @@ def _gcd_operands(draw, side):
     return ops
 
 
-@pytest.mark.parametrize("side", ["prs", "modular"])
-def test_kernel_gcd_cofactors(side):
+# how _heu_gcd is patched: the evaluation gcd itself, or one that fails
+GCD_PATHS = {"heuristic": {"wraps": K._heu_gcd},
+             "fallback": {"return_value": None}}
+
+
+@pytest.mark.parametrize("path", sorted(GCD_PATHS))
+def test_kernel_gcd_cofactors(path):
     @settings(max_examples=120, deadline=None)
-    @given(_gcd_operands(side))
+    @given(_gcd_operands())
     def check(ops):
         a, b = ops
-        with mock.patch.object(K, "_modular_gcd",
-                               wraps=K._modular_gcd) as modular:
+        with mock.patch.object(K, "_heu_gcd", **GCD_PATHS[path]), \
+                mock.patch.object(K, "_modular_gcd",
+                                  wraps=K._modular_gcd) as modular:
             g, qa, qb = K.gcd(a, b)
         assert K.mul(g, qa) == a and K.mul(g, qb) == b
-        assert g == K._pos(K._prs_gcd(a, b))
+        assert g == _prs_gcd(a, b)
         assert g[-1] > 0 and K.content(g) == 1
-        assert modular.called == (side == "modular" and bool(a) and bool(b))
+        # both primitive parts non-constant: the only case either path runs
+        nonconstant = all(f and len(f) - K.low(f) > 1 for f in (a, b))
+        assert modular.called == (path == "fallback" and nonconstant)
 
     check()
+
+
+def _wrong_inverse_join(xs, M, ys, p):
+    """crt_join with a wrong inverse of M mod p: its images never settle."""
+    inv = pow(M % p, p - 3, p)
+    return [x + M * ((y - x) % p * inv % p) for x, y in zip(xs, ys)]
+
+
+def test_kernel_modular_gcd_prime_budget():
+    # an 80-bit coefficient, so the gcd needs several primes to settle
+    g = [7, -3, 2 ** 80 + 1, 5, 1]
+    a, b = K.mul(g, [2, 9, -4, 1]), K.mul(g, [-6, 1, 1])
+    assert K._modular_gcd(a, b) == (g, [2, 9, -4, 1], [-6, 1, 1])
+    t0 = time.perf_counter()
+    with mock.patch.object(K, "crt_join", _wrong_inverse_join), \
+            pytest.raises(RuntimeError, match="prime budget"):
+        K._modular_gcd(a, b)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_kernel_primes():
