@@ -117,25 +117,6 @@ def _dist(zs, u):
     return np.hypot(w.real, w.imag)
 
 
-def _weighted_min(d, w, n0, cf):
-    """(min, earliest argmin n) of d[k] * (n0 + k) ** cf over k.
-
-    w[k] is numpy's (n0 + k) ** cf, which may differ in the last bits
-    from the C library's pow that Python's ** calls.  It only narrows
-    the search: every k within a relative 1e-12 of the least score is
-    scored again with Python's **, so the result is the one a scalar
-    loop over n finds.  A score past the float range is infinite and
-    never a minimum, where Python's ** would raise OverflowError.
-    """
-    with np.errstate(over="ignore"):
-        approx = d * w[: len(d)]
-    least = approx.min()
-    if least == math.inf:
-        return least, n0
-    near = np.flatnonzero(approx <= least * (1.0 + 1e-12))
-    return min((float(d[k]) * (n0 + k) ** cf, n0 + k) for k in near.tolist())
-
-
 class DiophantineScan:
     """Finite-range measurement of the lower bound |q^n - u| >= c1*n^(-c2).
 
@@ -198,11 +179,13 @@ class DiophantineScan:
                 lines.append(f"root {u:.6g}: FAIL at n = {r['witness']} "
                              f"({r['reason']})")
         v = self.verdict
-        if v["status"] == "pass":
+        if v["status"] == "fail":
+            lines.append(f"overall: FAIL, witness n = {v['witness']}")
+        elif v["c1"] is None:
+            lines.append("overall: pass, no roots to scan")
+        else:
             lines.append(f"overall: pass with |q^n - u| >= {v['c1']:.6g} "
                          f"* n^(-{v['c2']})")
-        else:
-            lines.append(f"overall: FAIL, witness n = {v['witness']}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -223,8 +206,10 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
                      theta=None):
     """Scan |q^n - u| for n = 1..N against the grid of decay exponents.
 
-    For each root u on the unit circle the scan tracks, per grid c2, the
-    minimum of |q^n - u| * n^c2 and where it occurred.  A grid point
+    For each root u on the unit circle the scan keeps the records of
+    |q^n - u|, the n where it attains a new strict minimum, and reads
+    from them, per grid c2, the minimum of |q^n - u| * n^c2 and where it
+    first occurred: that n is always a record.  A grid point
     counts as passed when that minimum is positive (above tol) and was
     attained in the first half of the range: a minimum still falling in
     the second half means the constant has not stabilized, and a longer
@@ -248,7 +233,7 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
     if any(c <= 0 for c in grid):
         raise ValueError("decay exponents c2 must be positive")
     _raise_if_root_of_unity(theta, N)
-    if abs(abs(q_numeric) - 1.0) > CIRCLE_TOL:
+    if not abs(abs(q_numeric) - 1.0) <= CIRCLE_TOL:  # a NaN q fails too
         raise ValueError(f"|q| = {abs(q_numeric)} is not on the unit circle")
 
     roots = [complex(u) for u in roots]
@@ -256,20 +241,17 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
     live = [i for i in range(len(roots)) if on_circle[i]]
 
     records = {i: [] for i in range(len(roots))}
-    best_dist = {i: math.inf for i in live}
-    # per root, per grid exponent: (min score, argmin)
-    mins = {i: {c: (math.inf, 0) for c in grid} for i in live}
-    hard_fail = {}  # root index -> witness n
-    exponents = [(c, float(c)) for c in grid]
-
     z = 1.0 + 0j
     for n0 in range(1, N + 1, SCAN_CHUNK):
         m = min(SCAN_CHUNK, N + 1 - n0)
         # z_n = z_(n-1) * q, every product rounded as the scalar
-        # recurrence rounds it; |z| is renormalized at each chunk's end
-        zs = np.full(m, q_numeric, dtype=complex)
+        # recurrence rounds it; |z| is renormalized at each chunk's end.
+        # numpy rounds the one product of a 2-entry accumulate otherwise,
+        # so at least 3 entries are formed and the first m kept.
+        zs = np.full(max(m, 3), q_numeric, dtype=complex)
         zs[0] = z * q_numeric
         np.multiply.accumulate(zs, out=zs)
+        zs = zs[:m]
         z = complex(zs[-1])
         if m == SCAN_CHUNK:
             z /= abs(z)
@@ -277,34 +259,23 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
         hit = np.flatnonzero(_dist(zs, 1.0) <= tol)
         if len(hit):
             raise RootOfUnityDetected(n0 + int(hit[0]))
-        ns = np.arange(n0, n0 + m, dtype=float)
-        with np.errstate(over="ignore"):
-            weights = [(c, cf, ns ** cf) for c, cf in exponents]
         for i in live:
-            if i in hard_fail:
-                continue
+            rows = records[i]
+            best = rows[-1][1] if rows else math.inf
+            if best <= tol:
+                continue  # a hit ended this root's scan
             d = _dist(zs, roots[i])
             prior = np.empty(m)  # least distance over every earlier n
-            prior[0] = best_dist[i]
-            np.minimum(np.minimum.accumulate(d[:-1]), best_dist[i],
-                       out=prior[1:])
+            prior[0] = best
+            np.minimum(np.minimum.accumulate(d[:-1]), best, out=prior[1:])
             for k in np.flatnonzero(d < prior).tolist():
                 n, dk = n0 + k, float(d[k])
-                records[i].append((n, dk, n * dk))
-                best_dist[i] = dk
+                rows.append((n, dk, n * dk))
                 if dk <= tol:
-                    # the hit ends this root's scan: no minimum counts it
-                    hard_fail[i] = n
-                    d = d[:k]
                     break
-            if not len(d):
-                continue
-            for c, cf, w in weights:
-                low = _weighted_min(d, w, n0, cf)
-                if low[0] < mins[i][c][0]:
-                    mins[i][c] = low
 
     per_root = []
+    mins = {}  # live root index -> per grid c2: (min score, argmin)
     overall_c2 = grid[0]
     overall_witness = None
     for i, u in enumerate(roots):
@@ -314,14 +285,29 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
                              "c2": None, "c1": c1, "witness": None,
                              "reason": "off the unit circle"})
             continue
-        if i in hard_fail:
-            n0 = hard_fail[i]
+        rows = records[i]
+        if rows and rows[-1][1] <= tol:
+            n0 = rows[-1][0]
             per_root.append({"root": [u.real, u.imag], "status": "fail",
                              "c2": None, "c1": 0.0, "witness": n0,
                              "reason": f"|q^n - u| <= {tol} at n = {n0}"})
             if overall_witness is None or n0 < overall_witness:
                 overall_witness = n0
             continue
+        # the earliest argmin of d * n^c2 is a record: an earlier n' with
+        # d' <= d would score d' * n'^c2 <= d * n^c2.  A score past the
+        # float range, where Python's ** raises, is never a minimum.
+        mins[i] = {}
+        for c in grid:
+            low = (math.inf, 0)
+            for n, d, _ in rows:
+                try:
+                    s = d * n ** float(c)
+                except OverflowError:
+                    break  # n only grows along the records
+                if s < low[0]:
+                    low = (s, n)
+            mins[i][c] = low
         chosen = None
         for c in grid:
             s, argmin = mins[i][c]

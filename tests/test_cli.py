@@ -280,6 +280,14 @@ def test_diophantine_custom_grid(capsys):
     assert json.loads(out)["verdict"]["c2"] == "3/2"
 
 
+def test_diophantine_constant_resonance_polynomial(capsys):
+    # S[0] - x*S[1] has a constant resonance polynomial: nothing to scan
+    code, out, _ = run(capsys, "diophantine", "S[0] - x*S[1]", "--theta",
+                       "0.6180339887", "--N", "100")
+    assert code == 0
+    assert out.splitlines()[1:] == ["overall: pass, no roots to scan"]
+
+
 def test_usage_error_exits_1(capsys):
     code, _, err = run(capsys, "polygon", "--badflag")
     assert code == 1

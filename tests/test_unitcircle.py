@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdeq.errors import DegenerateAfterEvaluation, RootOfUnityDetected
 from qdeq.ratfunc import Q, RatQ
 from qdeq.skewop import ResonancePoly
-from qdeq.unitcircle import (DEFAULT_C2_GRID, DiophantineScan, _weighted_min,
-                             roots_of, scan_condition_H, unit_q)
+from qdeq.unitcircle import (DEFAULT_C2_GRID, DiophantineScan, roots_of,
+                             scan_condition_H, unit_q)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # fractional part of the golden ratio
 
@@ -185,6 +187,8 @@ def test_custom_grid_and_validation():
         scan_condition_H(q, [1.0 + 0j], 0)
     with pytest.raises(ValueError):
         scan_condition_H(2.0 + 0j, [1.0 + 0j], 10)  # |q| != 1
+    with pytest.raises(ValueError, match="unit circle"):
+        scan_condition_H(complex("nan"), [1j], 10)
 
 
 def test_scan_json_shape():
@@ -240,7 +244,10 @@ def _loop_scan(q_numeric, roots, N, c2_grid=None, tol=1e-9):
                     hard_fail[i] = n
                     continue
             for c in grid:
-                s = d * n ** float(c)
+                try:
+                    s = d * n ** float(c)
+                except OverflowError:  # past the float range: infinite
+                    s = math.inf
                 if s < mins[i][c][0]:
                     mins[i][c] = (s, n)
 
@@ -370,24 +377,73 @@ def test_chunked_scan_matches_loop_without_live_roots(roots):
     _assert_matches_loop(unit_q(GOLDEN), roots, 9000)
 
 
-@pytest.mark.parametrize("cf", [0.5, 4.0, 1 / 3, 2.5])
-def test_weighted_min_rounds_like_python_pow(cf):
-    # scores d * n**cf that all agree to a few ulps, so the argmin rests
-    # on how the power was rounded
-    n0, m = 5000, 4096
-    d = np.array([1.0 / (n0 + k) ** cf for k in range(m)])
-    w = np.arange(n0, n0 + m, dtype=float) ** cf
-    want = min((float(d[k]) * (n0 + k) ** cf, n0 + k) for k in range(m))
-    assert _weighted_min(d, w, n0, cf) == want
+def test_chunked_scan_matches_loop_on_two_entry_chunks():
+    # numpy's multiply.accumulate rounds the product of a 2-entry array
+    # unlike Python's complex *, which a last chunk of N = 2 mod 4096 hit
+    q = unit_q(0.0876346735649226)
+    u = 0.672231728594183 + 0.740340801976547j
+    _assert_matches_loop(q, [u], 2)
+    scan = _assert_matches_loop(q, [q ** 4098 * cmath.exp(1e-7j)], 4098)
+    assert scan.records[0][-1][0] == 4098
 
 
 def test_scores_past_float_range_never_count():
-    # n^200 overflows a float from n = 35 on; the per-n loop raised
-    # OverflowError there, the chunked scan treats those scores as inf
+    # n^200 overflows a float from n = 35 on, where Python's ** raises
+    # OverflowError; the scan and the loop count those scores as inf
     q = unit_q(GOLDEN)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        long = scan_condition_H(q, [1j], 100, c2_grid=[200])
+        long = _assert_matches_loop(q, [1j], 100, c2_grid=[200])
     short = _assert_matches_loop(q, [1j], 30, c2_grid=[200])
     assert long.per_root == short.per_root
     assert long.passed()
+
+
+# ---------------------------------------------------------------------------
+# the chunked scan against the loop on drawn cases
+
+C2_POINTS = [Fraction(1, 10**9), Fraction(1, 1000), Fraction(1, 3),
+             Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(4),
+             Fraction(200)]
+
+
+@st.composite
+def scan_cases(draw):
+    """(q, roots, N, kw) mixing chunk ends, near misses and hits."""
+    N = draw(st.one_of(st.sampled_from([1, 2, 3, 4095, 4096, 4097, 4098]),
+                       st.integers(1, 9000)))
+    rng = draw(st.randoms(use_true_random=True))
+    if rng.random() < 0.75:
+        theta = rng.random()
+    else:
+        # a float p/r is a root of unity to rounding, which the scan
+        # must notice at the loop's n
+        theta = rng.randint(1, 12) / rng.randint(13, 9000)
+    q = unit_q(theta)
+    turn = st.floats(0.0, 1.0).map(lambda a: cmath.exp(2j * math.pi * a))
+    off = st.builds(lambda r, u: r * u,
+                    st.sampled_from([0.5, 1 - 1e-5, 1 + 2e-6, 2.0]), turn)
+    # 1e-8 to 1e-4 off q^k, log-uniform: below tol = 1e-5 it is a hit
+    near = st.builds(lambda k, e, sign: q ** k * cmath.exp(sign * 10.0**e),
+                     st.integers(1, N), st.floats(-8.0, -4.0),
+                     st.sampled_from([1j, -1j]))
+    roots = draw(st.lists(st.one_of(turn, off, near), max_size=3))
+    kw = {"tol": draw(st.sampled_from([1e-9, 1e-5])),
+          "c2_grid": draw(st.lists(st.sampled_from(C2_POINTS), min_size=1,
+                                   max_size=4, unique=True))}
+    return q, roots, N, kw
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_chunked_scan_matches_loop_on_drawn_cases(case):
+    q, roots, N, kw = case
+    try:
+        scan = scan_condition_H(q, roots, N, **kw)
+    except RootOfUnityDetected as got:
+        with pytest.raises(RootOfUnityDetected) as want:
+            _loop_scan(q, roots, N, **kw)
+        assert got.n == want.value.n
+    else:
+        _assert_same((scan.records, scan.per_root, scan.verdict),
+                     _loop_scan(q, roots, N, **kw))
