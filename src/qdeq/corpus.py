@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .dsl import parse, parse_ratq
 from .nonlinear import QdeqPoly, eval_at, linearize
-from .ratfunc import Q, QLaurent, RatQ, pochhammer
+from .ratfunc import Q, QLaurent, RatQ, pochhammer, ratq_sum
 from .series import TruncSeries
 from .skewop import apply, newton_polygon
 from . import growth
@@ -48,12 +48,11 @@ def jones(n):
     """
     if n < 0:
         raise ValueError("color must be a nonnegative integer")
-    total = RatQ(0)
-    for k in range(n + 1):
-        total = total + (RatQ(1).shift_q(n * k)
-                         * pochhammer(RatQ(1).shift_q(-n - 1), "q_inv", k)
-                         * pochhammer(RatQ(1).shift_q(-n + 1), "q", k))
-    return QLaurent(total)
+    terms = [RatQ(1).shift_q(n * k)
+             * pochhammer(RatQ(1).shift_q(-n - 1), "q_inv", k)
+             * pochhammer(RatQ(1).shift_q(-n + 1), "q", k)
+             for k in range(n + 1)]
+    return QLaurent(ratq_sum(terms))
 
 
 def jones_series(order):

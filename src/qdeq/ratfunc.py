@@ -14,16 +14,14 @@ Two immutable value types:
             properties give the dense reduced pair (q^v folded into
             whichever side it belongs to) for printing and evaluation.
 
-ratq_sum adds a list of RatQ terms with one reduction at the end: it
-groups the terms by denominator, merges the groups over one common
-denominator and takes a single gcd, where a left fold of + would take
-one or two gcds per term.  The exact engine's Cauchy sums and residual
-orders go through it, their terms formed by _mul_unreduced with no gcd,
-where RatQ.__mul__ would cross-reduce with two.  RatQ.__add__ keeps its
-own binary path: for two operands, reducing by the gcd of the
-denominators first and then by a gcd against that common factor alone
-(Knuth 4.5.1) works on smaller polynomials than one gcd against the full
-product.
+ratq_sum is the one sum in Q(q).  It adds a list of RatQ terms with one
+reduction at the end: it groups the terms by denominator, merges the
+groups over one common denominator and takes a single gcd.  RatQ.__add__
+is ratq_sum of its two operands, so a caller that holds a list of terms
+sums it in one call rather than a fold of +.  The exact engine's Cauchy
+sums and residual orders go through it, their terms formed by
+_mul_unreduced with no gcd, where RatQ.__mul__ would cross-reduce with
+two.
 
 QLaurent is a RatQ with d = 1 that prints term by term ("q-1+q^-1");
 it adds no arithmetic of its own, and RatQ.from_value turns it back into
@@ -382,29 +380,7 @@ class RatQ:
             return other
         if other.is_zero():
             return RatQ.from_value(self)
-        v = min(self.v, other.v)
-        l = math.lcm(self.n.den, other.n.den)
-        a = K.shift(K.scal(self.n.ints, l // self.n.den), self.v - v)
-        b = K.shift(K.scal(other.n.ints, l // other.n.den), other.v - v)
-        # reduce by the denominator gcd first (Knuth 4.5.1): with both
-        # operands already reduced, the only factor the naive num/den
-        # cross product can share is inside g, so the one gcd left to
-        # take is gcd(t, g) instead of a gcd against d1*d2
-        d1, d2 = list(self.d.ints), list(other.d.ints)
-        if d1 == d2:
-            g, d1, d2 = d1, [1], [1]
-        else:
-            g, d1, d2 = K.gcd(d1, d2)
-        t = K.add(K.mul(a, d2), K.mul(b, d1))
-        if not t:
-            return _ZERO
-        o = K.low(t)  # the constant terms cancelled: q^o moves into v
-        if o:
-            t = t[o:]
-            v += o
-        if len(g) > 1:
-            _, t, g = K.gcd(t, g)
-        return _ratq(v, QPoly(t, l), _qpoly(K.mul(K.mul(d1, d2), g)))
+        return ratq_sum([self, other])
 
     __radd__ = __add__
 
@@ -537,9 +513,11 @@ def ratq_sum(terms):
     """Sum of RatQ terms, reduced once (fraction-free inner product,
     Knuth 4.5.1).
 
-    The terms need not be reduced, only in the layout _mul_unreduced
-    gives (ExactDomain.series_mul and, through ExactDomain.mul_term,
-    Evaluator.eval pass such products), so a single term is reduced too.
+    Its callers: RatQ.__add__ (so +, - and their reflections), the Habiro
+    sum in corpus.jones, ResonancePoly.at_qpow, and the exact engine,
+    where ExactDomain.series_mul and, through ExactDomain.mul_term,
+    Evaluator.eval pass products from _mul_unreduced.  So the terms need
+    not be reduced, only in that layout, and a single term is reduced too.
 
     All terms are brought to q^v / l with v the least valuation and l the
     lcm of the scalar denominators.  Terms that share a denominator d add
@@ -551,8 +529,7 @@ def ratq_sum(terms):
     per merge would keep D at the lcm.  The low zeros of the
     numerator move into v and one gcd with D reduces the result.  D is a
     product of primitive polynomials with positive leading coefficients,
-    so it is one too (Gauss), and the layout is the one RatQ.__add__
-    gives.
+    so it is one too (Gauss), and the result has the canonical layout.
     """
     terms = [t for t in terms if t.n.ints]
     if not terms:

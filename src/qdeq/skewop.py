@@ -32,7 +32,7 @@ its own domain, so both share one row and one certification rule
 from fractions import Fraction
 
 from .errors import EmptyOperator, UncertainOrder
-from .ratfunc import RatQ, fmt_coeff_poly, is_compound
+from .ratfunc import RatQ, fmt_coeff_poly, is_compound, ratq_sum
 from .series import ABOVE_TRUNCATION, TruncSeries, XPoly
 
 
@@ -307,10 +307,7 @@ class ResonancePoly:
 
     def at_qpow(self, h):
         """Exact value at T = q**h."""
-        out = RatQ(0)
-        for j, c in enumerate(self.coeffs):
-            out = out + c.shift_q(j * h)
-        return out
+        return ratq_sum([c.shift_q(j * h) for j, c in enumerate(self.coeffs)])
 
     def coeffs_at(self, qv):
         """Numeric coefficient list at q = qv, ascending in T."""

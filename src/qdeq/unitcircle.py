@@ -47,7 +47,15 @@ SCAN_CHUNK = 4096
 
 
 def unit_q(theta):
-    """exp(2*pi*i*theta) for a rational or float rotation number."""
+    """exp(2*pi*i*theta) for a rational or float rotation number.
+
+    A rational theta is reduced mod 1 exactly before it becomes a float,
+    so a huge or shifted theta gives the q of its fractional part.  A
+    float is taken as given: reducing a negative one would flip the sign
+    of q's imaginary part at rounding level.
+    """
+    if isinstance(theta, (int, Fraction)):
+        theta %= 1
     return cmath.exp(2j * math.pi * float(theta))
 
 
@@ -237,6 +245,9 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
         raise ValueError(f"|q| = {abs(q_numeric)} is not on the unit circle")
 
     roots = [complex(u) for u in roots]
+    for u in roots:
+        if not cmath.isfinite(u):
+            raise ValueError(f"root {u} is not a finite complex number")
     on_circle = [abs(abs(u) - 1.0) <= CIRCLE_TOL for u in roots]
     live = [i for i in range(len(roots)) if on_circle[i]]
 

@@ -435,6 +435,26 @@ def test_diophantine_empty_list_is_an_error(capsys, flag):
     assert json.loads(err)["message"] == f"{flag} is empty"
 
 
+@pytest.mark.parametrize("root", ["nan", "inf", "nanj"])
+def test_diophantine_non_finite_root_exits_1(capsys, root):
+    code, out, err = run(capsys, "diophantine", "--theta", "0.6180339887",
+                         "--roots", root, "--N", "10")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert "not a finite" in json.loads(err)["message"]
+
+
+def test_diophantine_reduces_a_rational_theta_mod_1(capsys):
+    # theta = 10^400 is an integer: q = 1, not a float overflow
+    assert run(capsys, "diophantine", "--theta", "1e400", "--N", "10") == (
+        0, "root of unity: q^1 = 1\n", "")
+    big = run(capsys, "diophantine", "--theta", "700000000000000000001/7",
+              "--N", "5", "--format", "json")
+    small = run(capsys, "diophantine", "--theta", "1/7", "--N", "5",
+                "--format", "json")
+    assert big == small and big[0] == 0
+
+
 def test_corpus_negative_order_exits_1(capsys):
     code, out, err = run(capsys, "corpus", "--run", "--order", "-1")
     assert code == 1 and out == ""

@@ -1,8 +1,8 @@
 """Randomized invariants, at least 200 cases per suite.
 
 Suites: valuation additivity in Q(q), the q^v * n/d layout of RatQ
-against its dense reduced pair, the n-ary sum against a fold of +,
-skew composition soundness,
+against its dense reduced pair, + and the n-ary sum against a fold of
+cross-multiplied dense pairs (_dense_add), skew composition soundness,
 polygon translation invariance, first-order Taylor agreement of the
 linearization, parser round-trip, and exactness of the growth-order
 estimator on synthetic quadratic profiles.
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qdeq.dsl import parse, parse_ratq
 from qdeq.growth import estimate_order
 from qdeq.nonlinear import QdeqPoly, eval_at, linearize
-from qdeq.ratfunc import Q, QPoly, RatQ, ratq_sum
+from qdeq.ratfunc import Q, QLaurent, QPoly, RatQ, ratq_sum
 from qdeq.series import TruncSeries, XPoly
 from qdeq.skewop import SkewOp, apply, newton_polygon, op_mul
 
@@ -67,6 +67,18 @@ def test_valuations_ultrametric_on_sums(a, b):
 
 # -- the q^v * n/d layout against the dense reduced pair -----------------
 
+
+def _dense_add(a, b):
+    """a + b from the dense reduced pairs by cross-multiplication, reduced
+    by RatQ.__init__'s gcd: a reference sum that never calls ratq_sum."""
+    a, b = RatQ.from_value(a), RatQ.from_value(b)
+    return RatQ(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _layout(r):
+    return r.v, r.n.ints, r.n.den, r.d.ints
+
+
 ratq_shifted = st.builds(lambda r, k: r.shift_q(k), ratq_nonzero,
                          st.integers(-40, 40))
 
@@ -75,7 +87,7 @@ ratq_shifted = st.builds(lambda r, k: r.shift_q(k), ratq_nonzero,
 @given(ratq_shifted, ratq_shifted, st.integers(-40, 40))
 def test_layout_matches_dense_pair(a, b, k):
     an, ad, bn, bd = a.num, a.den, b.num, b.den
-    for got, want in ((a + b, RatQ(an * bd + bn * ad, ad * bd)),
+    for got, want in ((a + b, _dense_add(a, b)),
                       (a * b, RatQ(an * bn, ad * bd)),
                       (a / b, RatQ(an * bd, ad * bn))):
         assert got == want and hash(got) == hash(want)
@@ -86,7 +98,7 @@ def test_layout_matches_dense_pair(a, b, k):
     assert parse_ratq(a.to_text()) == a
 
 
-# -- the n-ary sum against a left fold of + -------------------------------
+# -- + and the n-ary sum against a fold of _dense_add ---------------------
 
 # primitive factors whose products give identical, nested, overlapping and
 # coprime denominators
@@ -95,25 +107,33 @@ SUM_FACTORS = (QPoly((1, 1)), QPoly((2, -1)), QPoly((1, 1, 1)),
 
 
 @st.composite
+def factored_term(draw):
+    """q^v * n / (scalar * product of SUM_FACTORS)."""
+    n = QPoly(draw(nz_ints), draw(st.sampled_from((1, 2, 3, 5, 6))))
+    d = QPoly((1,))
+    for f, used in zip(SUM_FACTORS, draw(st.lists(
+            st.booleans(), min_size=5, max_size=5))):
+        if used:
+            d = d * f
+    return RatQ(n, d).shift_q(draw(st.integers(-3, 3)))
+
+
+def _lowest(r):
+    """The lowest-order term of a nonzero r, as a constant times q^v."""
+    return (RatQ(r.n.coeff(0)) / r.d.coeff(0)).shift_q(r.v)
+
+
+@st.composite
 def sum_terms(draw):
-    """Terms q^v * n / (scalar * product of SUM_FACTORS), then maybe one
-    more that cancels the whole sum or its lowest-order coefficient."""
-    terms = []
-    for _ in range(draw(st.integers(0, 6))):
-        n = QPoly(draw(nz_ints), draw(st.sampled_from((1, 2, 3, 5, 6))))
-        d = QPoly((1,))
-        for f, used in zip(SUM_FACTORS, draw(st.lists(
-                st.booleans(), min_size=5, max_size=5))):
-            if used:
-                d = d * f
-        terms.append(RatQ(n, d).shift_q(draw(st.integers(-3, 3))))
+    """Factored terms, then maybe one more that cancels the whole sum or
+    its lowest-order coefficient."""
+    terms = [draw(factored_term()) for _ in range(draw(st.integers(0, 6)))]
     total = reduce(operator.add, terms, RatQ(0))
     tail = draw(st.sampled_from(("none", "all", "lowest")))
     if tail == "all":
         terms.append(-total)
     elif tail == "lowest" and not total.is_zero():
-        lowest = RatQ(total.n.coeff(0)) / total.d.coeff(0)
-        terms.append(-lowest.shift_q(total.v))
+        terms.append(-_lowest(total))
     return draw(st.permutations(terms))
 
 
@@ -121,10 +141,51 @@ def sum_terms(draw):
 @given(sum_terms())
 def test_ratq_sum_matches_fold(terms):
     got = ratq_sum(terms)
-    want = reduce(operator.add, terms, RatQ(0))
+    want = reduce(_dense_add, terms, RatQ(0))
     assert got == want and hash(got) == hash(want)
-    assert (got.v, got.n.ints, got.n.den, got.d.ints) == (
-        want.v, want.n.ints, want.n.den, want.d.ints)
+    assert _layout(got) == _layout(want)
+
+
+@st.composite
+def add_operands(draw):
+    """(kind, a, b): a factored term a and a partner b of the given kind."""
+    a = draw(factored_term())
+    kind = draw(st.sampled_from(("factored", "zero", "int", "fraction",
+                                 "same_den", "cancel_lowest", "laurent")))
+    if kind == "factored":
+        b = draw(factored_term())
+    elif kind == "zero":
+        b = draw(st.sampled_from((0, Fraction(0), RatQ(0))))
+    elif kind == "int":
+        b = draw(st.integers(-5, 5).filter(bool))
+    elif kind == "fraction":
+        b = Fraction(draw(st.integers(-5, 5).filter(bool)),
+                     draw(st.integers(2, 6)))
+    elif kind == "same_den":
+        b = RatQ(QPoly(draw(nz_ints), draw(st.sampled_from((1, 2, 3)))),
+                 a.d).shift_q(draw(st.integers(-3, 3)))
+        assume(b.d == a.d)  # n may share a factor with d and reduce
+    elif kind == "cancel_lowest":
+        # b's lowest term is minus a's, and the rest of b lies higher
+        rest = draw(factored_term())
+        b = rest.shift_q(a.v - rest.v + draw(st.integers(1, 3))) - _lowest(a)
+    else:
+        b = QLaurent(QPoly(draw(nz_ints)), draw(st.integers(-3, 3)))
+    return kind, a, b
+
+
+@settings(max_examples=300, **COMMON)
+@given(add_operands(), st.booleans())
+def test_add_matches_dense_add(operands, swap):
+    kind, a, b = operands
+    x, y = (b, a) if swap else (a, b)  # an int or Fraction x runs __radd__
+    for got, want in ((x + y, _dense_add(x, y)),
+                      (x - y, _dense_add(x, -y))):
+        assert type(got) is RatQ  # a QLaurent operand gives a plain RatQ
+        assert _layout(got) == _layout(want)
+    if kind == "cancel_lowest":
+        s = a + b
+        assert s.is_zero() or s.v > a.v  # the constant term cancelled
 
 
 # -- skew composition soundness ------------------------------------------

@@ -1,6 +1,5 @@
 """Exact q-rational arithmetic: kernel and public value types."""
 
-import operator
 import random
 import time
 from fractions import Fraction
@@ -26,6 +25,7 @@ from qdeq.ratfunc import (
     pochhammer,
     ratq_sum,
 )
+from test_properties import _dense_add, _layout
 
 
 # ---------------------------------------------------------------------------
@@ -628,17 +628,13 @@ def test_ratq_sum_cases():
                   [a, -a, b, -b],       # cancels to zero
                   [Q ** -1, 1 - Q ** -1, Fraction(1, 3) * Q]):  # v moves
         got = ratq_sum(terms)
-        want = sum(terms, RatQ(0))  # a left fold of +
+        want = reduce(_dense_add, terms, RatQ(0))
         assert got == want and hash(got) == hash(want)
     assert ratq_sum([Q ** -1, 1 - Q ** -1, Q]).v == 0  # not -1
 
 
-def _layout(r):
-    return r.v, r.n.ints, r.n.den, r.d.ints
-
-
 def _reduced_fold(pairs):
-    return reduce(operator.add, (a * b for a, b in pairs), RatQ(0))
+    return reduce(_dense_add, (a * b for a, b in pairs), RatQ(0))
 
 
 def test_ratq_sum_of_unreduced_products_cases():

@@ -191,6 +191,22 @@ def test_custom_grid_and_validation():
         scan_condition_H(complex("nan"), [1j], 10)
 
 
+def test_non_finite_root_is_an_error():
+    # a NaN or infinite root is neither on nor off the circle: bad input
+    for u in (complex("nan"), complex("inf"), complex("nanj"),
+              complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="not a finite"):
+            scan_condition_H(unit_q(GOLDEN), [1.0 + 0j, u], 10)
+
+
+def test_unit_q_reduces_a_rational_theta_exactly():
+    assert unit_q(Fraction(7 * 10**20 + 1, 7)) == unit_q(Fraction(1, 7))
+    assert unit_q(Fraction(-6, 7)) == unit_q(Fraction(1, 7))
+    assert unit_q(10**400) == unit_q(0) == 1  # no float overflow
+    # a float is taken as given
+    assert unit_q(-0.25) == cmath.exp(2j * math.pi * -0.25)
+
+
 def test_scan_json_shape():
     scan = scan_condition_H(unit_q(GOLDEN), [1.0 + 0j, 2.0 + 0j], 500)
     j = scan.to_json()
