@@ -22,8 +22,10 @@ Any failure raises EngineError and the caller falls back to the exact
 domain.  Prime counts escalate on demand.  Fits are sized from the
 degrees already reconstructed, grow by half on failure and try the whole
 lane pool once before the solve restarts with four times the lanes.
-The kernels keep numpy calls few: per prime one table of difference
-inverses grows with the largest fit; a divided difference or a node
+The kernels keep numpy calls few: a run's pool lanes are x_i = g r^i, so
+per prime one table of difference inverses grows with the largest fit as
+products 1/(x_a - x_b) = 1/x_b * 1/(r^(a-b) - 1) of two vectors (Bostan
+and Schost, J. Complexity 21, 2005); a divided difference or a node
 reduces once; the Euclid steps run on _intpoly.euclid_mod, the GF(p)
 kernel that _intpoly.gcd runs too, here on a 2-row (remainder, cofactor)
 buffer with no inverse and one fused pass per degree-1 quotient; the CRT
@@ -33,6 +35,7 @@ Horner pass evaluates every polynomial a check needs.
 
 import hashlib
 import json
+from contextlib import suppress
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt
@@ -72,9 +75,11 @@ def _prefix_prod(a, p):
 
 
 def _batch_inv(a, p):
-    """Elementwise inverses of a vector of nonzero residues."""
+    """Elementwise inverses of a vector of residues; ValueError at a zero."""
     n = len(a)
     pref = _prefix_prod(a, p)
+    if pref[-1] == 0:
+        raise ValueError("batch inverse of a zero residue")
     suff = _prefix_prod(a[::-1], p)[::-1]
     total_inv = pow(int(pref[-1]), p - 2, p)
     left = np.ones(n, dtype=np.int64)
@@ -204,16 +209,17 @@ def _from_ratqs(dom, values):
 # rational function reconstruction inside one prime
 
 
-def _dd_inverses(xs, p, start):
-    """Inverses of the node differences Newton's scheme divides by: row j
-    (j = 1..n-1) holds 1/(xs[t] - xs[t-j]) for t >= max(j, start), so the
-    table of a prefix of xs grows by the pairs of its new nodes alone."""
-    n = len(xs)
+def _dd_inverses(take, inv_x, inv_d, p, start):
+    """Inverses of the node differences Newton's scheme divides by at pool
+    lanes take (ascending): row j (j = 1..n-1) holds 1/(x_a - x_b) =
+    inv_x[b] * inv_d[a - b], a = take[t], b = take[t-j], t >= max(j, start)."""
+    n = len(take)
     lo = [max(j, start) for j in range(1, n)]
-    inv = _batch_inv(np.concatenate([(xs[t:] - xs[t - j: n - j]) % p
-                                     for j, t in enumerate(lo, 1)]), p)
+    a = np.concatenate([take[t:] for t in lo])
+    b = np.concatenate([take[t - j: n - j] for j, t in enumerate(lo, 1)])
+    inv = inv_x[b] * inv_d[a - b] % p
     ends = np.cumsum([n - t for t in lo]).tolist()
-    return [inv[a:b] for a, b in zip([0] + ends, ends)]
+    return [inv[s:e] for s, e in zip([0] + ends, ends)]
 
 
 def _times_nodes(m, xs, adds, p):
@@ -322,23 +328,40 @@ def _fingerprint(F, seed, N, prime, attempt, nlanes):
     return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big")
 
 
-def _lane_points(prime, nlanes, rng):
-    pts = np.unique(rng.integers(2, prime - 1, size=2 * nlanes + 16,
-                                 dtype=np.int64))
+def _lane_points(prime, nlanes, rng, avoid=()):
+    """nlanes distinct uniform points in [2, p - 2], none in avoid."""
+    pts = np.setdiff1d(rng.integers(2, prime - 1, size=2 * nlanes + 16,
+                                    dtype=np.int64), avoid)
     rng.shuffle(pts)
     if len(pts) < nlanes:
         raise EngineError("could not sample enough distinct lane points")
     return pts[:nlanes]
 
 
-class _Run:
-    __slots__ = ("prime", "dom", "coeffs", "events", "rows", "nodes", "cands")
+def _geometric_pool(prime, npool, rng):
+    """(x, inv_d): points x_i = g r^i (i < npool), distinct and in [2, p-2],
+    and inv_d[k] = 1/(r^k - 1) for 0 < k < npool; g, r redrawn otherwise."""
+    for _ in range(8):
+        g, r = rng.integers(2, prime - 1, size=2).tolist()
+        rk = _prefix_prod(np.array([1] + [r] * (npool - 1)), prime)
+        xs = g * rk % prime
+        rk[0] = 2  # inv_d[0] is never read
+        if not ((xs == 1) | (xs == prime - 1)).any():
+            with suppress(ValueError):  # some r^k = 1: the points repeat
+                return xs, _batch_inv(rk - 1, prime)
+    raise EngineError(f"no geometric pool of {npool} points at prime {prime}")
 
-    def __init__(self, prime, dom, coeffs, events):
+
+class _Run:
+    __slots__ = ("prime", "dom", "coeffs", "events", "inv_d", "rows",
+                 "nodes", "cands")
+
+    def __init__(self, prime, dom, coeffs, events, inv_d):
         self.prime = prime
-        self.dom = dom
+        self.dom = dom  # pool lanes: the _geometric_pool points of inv_d
         self.coeffs = coeffs
         self.events = events
+        self.inv_d = inv_d
         self.rows = []  # _dd_inverses rows of the largest pool prefix fitted
         self.nodes = {0: np.ones(1, dtype=np.int64)}  # prefix size -> node poly
         self.cands = {}  # (h, n_try) -> fitted (num, den) or None
@@ -350,23 +373,23 @@ class _Run:
         base = self.dom.n - _RESERVE
         return base + np.nonzero(self.dom.alive[base:])[0]
 
-    def interp_tables(self, xs):
-        """(difference-inverse rows, node poly) for xs, a prefix of the
-        pool's points.  The rows grow with the largest prefix seen, so a
-        larger fit inverts only the pairs its new nodes bring and a smaller
+    def interp_tables(self, take):
+        """(difference-inverse rows, node poly) for the points of take, a
+        prefix of the pool.  The rows grow with the largest prefix seen, so
+        a larger fit forms only the pairs its new nodes bring and a smaller
         one reads a prefix of each row; a node poly extends the nearest
         smaller cached one."""
-        n, p = len(xs), self.dom.p
+        n, p = len(take), self.dom.p
         have = len(self.rows) + 1  # nodes the rows cover
         if n > have:
-            new = _dd_inverses(xs, p, have)
+            new = _dd_inverses(take, self.dom.qpow(-1), self.inv_d, p, have)
             self.rows = [np.concatenate((old, part))
                          for old, part in zip(self.rows, new)] + new[have - 1:]
         node = self.nodes.get(n)
         if node is None:
             base = max(k for k in self.nodes if k < n)
-            node = self.nodes[n] = _times_nodes(self.nodes[base], xs[base:],
-                                                repeat(0), p)
+            node = self.nodes[n] = _times_nodes(
+                self.nodes[base], self.dom.q[take[base:]], repeat(0), p)
         return self.rows, node
 
 
@@ -379,10 +402,12 @@ def _start_run(F, seed, N, prime, nlanes):
     for attempt in range(3):
         rng = np.random.default_rng(
             _fingerprint(F, seed, N, prime, attempt, nlanes))
-        dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
+        pool, inv_d = _geometric_pool(prime, nlanes - _RESERVE, rng)
+        dom = ProbeDomain(prime, np.concatenate(
+            (pool, _lane_points(prime, _RESERVE, rng, pool))))
         coeffs, events = _extend_core(F, seed, N, dom)
         if dom.healthy():
-            return _Run(prime, dom, coeffs, events)
+            return _Run(prime, dom, coeffs, events, inv_d)
     raise EngineError(f"lanes kept dying at prime {prime}")
 
 
@@ -410,7 +435,7 @@ def _reconstruct_coeff(runs, h, n_start, grow):
                 hold = pool[n_try: n_try + 16]
                 xs = run.dom.q[take]
                 ys = run.coeffs[h][take]
-                got = _rat_interp(xs, ys, run.dom.p, run.interp_tables(xs))
+                got = _rat_interp(xs, ys, run.dom.p, run.interp_tables(take))
                 if got is not None and not _check_fit(
                         got[0], got[1], run.dom.q[hold],
                         run.coeffs[h][hold], run.dom.p):

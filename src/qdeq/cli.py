@@ -25,6 +25,7 @@ bounds that does not hold).
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -206,7 +207,10 @@ def _cmd_corpus(args):
 def _parse_theta(text):
     if "/" in text or "." not in text:
         return Fraction(text)
-    return float(text)
+    theta = float(text)
+    if not math.isfinite(theta):
+        raise QdeqError(f"--theta {text} is not a finite number")
+    return theta
 
 
 def _split_list(text, convert, flag):

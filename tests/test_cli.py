@@ -455,6 +455,16 @@ def test_diophantine_reduces_a_rational_theta_mod_1(capsys):
     assert big == small and big[0] == 0
 
 
+@pytest.mark.parametrize("theta", ["1.0e400", "-1.0e400"])
+def test_diophantine_non_finite_float_theta_exits_1(capsys, theta):
+    # a dotted theta is a float, and past the float range it is the
+    # input at fault, not the q it would give
+    code, out, err = run(capsys, "diophantine", f"--theta={theta}", "--N", "10")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "QdeqError", "message":
+                               f"--theta {theta} is not a finite number"}
+
+
 def test_corpus_negative_order_exits_1(capsys):
     code, out, err = run(capsys, "corpus", "--run", "--order", "-1")
     assert code == 1 and out == ""

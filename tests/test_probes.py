@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qdeq import _intpoly as K
 from qdeq import _probes as P
-from qdeq.errors import QdeqError
+from qdeq.errors import EngineError, QdeqError
 from qdeq.nonlinear import ExactDomain, QdeqPoly, eval_at
 from qdeq.ratfunc import Q, QPoly, RatQ
 from qdeq.series import TruncSeries
@@ -28,6 +28,19 @@ def _node(xs, p):
     return P._times_nodes(np.ones(1, dtype=np.int64), xs, repeat(0), p)
 
 
+def _rows(take, pool, inv_d, p):
+    """The difference-inverse rows of the lanes take of a geometric pool."""
+    return P._dd_inverses(take, P._batch_inv(pool, p), inv_d, p, 0)
+
+
+def _geometric_run(prime, nlanes, rng):
+    """A run with no data over lanes laid out as _start_run lays them."""
+    pool, inv_d = P._geometric_pool(prime, nlanes - P._RESERVE, rng)
+    dom = P.ProbeDomain(prime, np.concatenate(
+        (pool, P._lane_points(prime, P._RESERVE, rng, pool))))
+    return P._Run(prime, dom, [], [], inv_d)
+
+
 def test_batch_inv():
     # the prefix products double their stride, so lengths at and around
     # a power of two are the edges
@@ -37,6 +50,68 @@ def test_batch_inv():
         inv = P._batch_inv(a, MP)
         assert len(inv) == n
         assert (a * inv % MP == 1).all()
+
+
+@pytest.mark.parametrize("a", [[3, 0, 5], [0], [3, 101, 5]])
+def test_batch_inv_refuses_a_zero_residue(a):
+    # pow(0, p - 2, p) is 0, which would zero every inverse silently
+    with pytest.raises(ValueError):
+        P._batch_inv(np.array(a, dtype=np.int64), 101)
+
+
+class _Scripted:
+    """An rng whose integers() hands out the given (g, r) pairs in turn."""
+
+    def __init__(self, pairs):
+        self.pairs = iter(pairs)
+
+    def integers(self, lo, hi, size):
+        return np.array(next(self.pairs), dtype=np.int64)
+
+
+def test_geometric_pool_redraws_until_the_points_are_usable():
+    # mod 101, 10 has order 4, so 8 points of ratio 10 repeat; 51 * 2 = 1,
+    # so g = 51 with ratio 2 puts x_1 = 1 in the pool; 2 has order 100
+    pool, inv_d = P._geometric_pool(101, 8, _Scripted([(3, 10), (51, 2),
+                                                       (3, 2)]))
+    assert pool.tolist() == [3 * 2 ** i % 101 for i in range(8)]
+    assert [d * (2 ** k - 1) % 101 for k, d in enumerate(inv_d)][1:] == [1] * 7
+
+
+def test_geometric_pool_gives_up_after_eight_draws():
+    # a ninth draw would raise StopIteration instead
+    with pytest.raises(EngineError):
+        P._geometric_pool(101, 8, _Scripted([(3, 10)] * 8))
+
+
+@settings(max_examples=240, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([101, 65537, MP]),
+       npool=st.integers(2, 60), dead=st.floats(0, 0.6),
+       start=st.integers(0, 12))
+def test_geometric_tables_match_fermat(seed, p, npool, dead, start):
+    # every entry of the table over pool lanes with gaps (dead lanes)
+    # against the inverse of the difference itself; mod 101 most ratios
+    # have an order below npool, and such a pool is redrawn or refused
+    rng = np.random.default_rng(seed)
+    try:
+        pool, inv_d = P._geometric_pool(p, npool, rng)
+    except EngineError:
+        assert p == 101
+        return
+    xs = pool.tolist()
+    assert len(set(xs)) == npool and 2 <= min(xs) and max(xs) <= p - 2
+    take = np.nonzero(rng.random(npool) >= dead)[0]
+    if len(take) < 2:
+        return
+    at = pool[take].tolist()
+    want = [[pow(at[t] - at[t - j], p - 2, p) for t in range(j, len(at))]
+            for j in range(1, len(at))]
+    rows = _rows(take, pool, inv_d, p)
+    assert [row.tolist() for row in rows] == want
+    # a grown block holds the pairs of the nodes from start on alone
+    grown = P._dd_inverses(take, P._batch_inv(pool, p), inv_d, p, start)
+    assert [row.tolist() for row in grown] == [
+        w[max(start - j, 0):] for j, w in enumerate(want, 1)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -59,9 +134,11 @@ def test_stacked_eval_matches_rowwise(seed, k, width, m, p):
 def test_newton_interp_matches_eval():
     rng = np.random.default_rng(11)
     poly = rng.integers(0, MP, size=9, dtype=np.int64)
-    xs = np.arange(2, 2 + 15, dtype=np.int64)
+    pool, inv_d = P._geometric_pool(MP, 20, rng)
+    take = np.delete(np.arange(20), [3, 8, 9, 15, 17])  # 15 lanes, gaps
+    xs = pool[take]
     ys = K.eval_many_mod(poly, xs, MP)
-    got = P._newton_interp(xs, ys, MP, P._dd_inverses(xs, MP, 0))
+    got = P._newton_interp(xs, ys, MP, _rows(take, pool, inv_d, MP))
     assert len(got) <= 15
     assert (K.eval_many_mod(got, xs, MP) == ys).all()
     # degree-8 data through 15 points comes back exactly
@@ -71,10 +148,12 @@ def test_newton_interp_matches_eval():
 def test_rat_interp_recovers_planted():
     num = np.array([1, 0, 3], dtype=np.int64)
     den = np.array([5, 1], dtype=np.int64)  # monic
-    xs = np.arange(2, 2 + 24, dtype=np.int64)
+    pool, inv_d = P._geometric_pool(MP, 24, np.random.default_rng(3))
+    take = np.arange(24)
+    xs = pool[take]
     ys = (K.eval_many_mod(num, xs, MP)
           * P._batch_inv(K.eval_many_mod(den, xs, MP), MP) % MP)
-    tables = (P._dd_inverses(xs, MP, 0), _node(xs, MP))
+    tables = (_rows(take, pool, inv_d, MP), _node(xs, MP))
     got = P._rat_interp(xs, ys, MP, tables)
     assert got is not None
     assert list(got[0]) == [1, 0, 3] and list(got[1]) == [5, 1]
@@ -151,10 +230,43 @@ def _ref_rat_interp(xs, ys, p):
     return ([c * inv % p for c in r1], [c * inv % p for c in v1]), top
 
 
+def _some_geometric_pool(p, npool, rng):
+    """P._geometric_pool, drawn again while it gives up: mod 101 most
+    ratios have too small an order or run the points into +-1."""
+    for _ in range(100):
+        try:
+            return P._geometric_pool(p, npool, rng)
+        except EngineError:
+            pass
+    raise AssertionError(f"no geometric pool of {npool} points mod {p}")
+
+
+def _negation_closed_pool(p, pairs, rng):
+    """(x, inv_d) of a geometric pool x_i = g r^i, i < 2m, where r has
+    order 2m, so r^m = -1 and x_(i+m) = -x_i; g outside the powers of r
+    keeps +-1 out.  2m is the least even divisor of p - 1 from 2 * pairs
+    on, or (p - 1) / 2 if that is smaller."""
+    half = (p - 1) // 2
+    m2 = next(d for d in range(min(2 * pairs, half), half + 1)
+              if d % 2 == 0 and (p - 1) % d == 0)
+    rk = []
+    while len(set(rk)) < m2:  # until r has order m2 exactly
+        r = pow(int(rng.integers(2, p - 1)), (p - 1) // m2, p)
+        rk = [pow(r, k, p) for k in range(m2)]
+    g = 1
+    while pow(g, m2, p) == 1:
+        g = int(rng.integers(2, p - 1))
+    inv_d = [0] + [pow(v - 1, p - 2, p) for v in rk[1:]]
+    return (np.array([g * v % p for v in rk], dtype=np.int64),
+            np.array(inv_d, dtype=np.int64))
+
+
 def _interp_data(seed, p, dn, dd, extra, mode):
-    """Nodes and values for a fit: a planted num/den ("plain"), one in q^2
-    over nodes in +-x pairs, so values repeat in pairs and every quotient
-    has even degree ("even"), or values from {0, 1, 2} ("few")."""
+    """Nodes, values and difference-inverse rows for a fit: a planted
+    num/den ("plain"), one in q^2 over nodes in +-x pairs, so values
+    repeat in pairs and every quotient has even degree ("even"), or
+    values from {0, 1, 2} ("few").  The nodes are the lanes of a geometric
+    pool where den is nonzero, so a root of den leaves a gap."""
     rng = np.random.default_rng(seed)
     step = 2 if mode == "even" else 1
     n = max(2 * step * dn + 1, 2 * step * dd, 2) + extra
@@ -165,25 +277,26 @@ def _interp_data(seed, p, dn, dd, extra, mode):
     den = np.zeros(step * dd + 1, dtype=np.int64)
     den[::step] = rng.integers(0, p, size=dd + 1)
     den[-1] = 1
-    pts = np.unique(rng.integers(2, (p - 1) // 2, size=4 * n, dtype=np.int64))
-    rng.shuffle(pts)
-    pts = pts[K.eval_many_mod(den, pts, p) != 0]
-    if mode == "even":
-        pts = pts[K.eval_many_mod(den, -pts % p, p) != 0]
-        xs = np.stack([pts, -pts % p], axis=1).ravel()[:n]
+    if mode == "even":  # den(-x) = den(x): keep or drop whole pairs
+        pool, inv_d = _negation_closed_pool(p, n // 2 + dd, rng)
+        m = len(pool) // 2
+        keep = np.nonzero(K.eval_many_mod(den, pool[:m], p))[0][: n // 2]
+        take = np.sort(np.concatenate([keep, keep + m]))
     else:
-        xs = pts[:n]
+        pool, inv_d = _some_geometric_pool(
+            p, min(n + dd, 40) if p == 101 else n + dd, rng)
+        take = np.nonzero(K.eval_many_mod(den, pool, p))[0][:n]
+    xs = pool[take]
     if mode == "few":
         ys = rng.integers(0, 3, size=len(xs), dtype=np.int64)
     else:
         ys = (K.eval_many_mod(num, xs, p)
               * P._batch_inv(K.eval_many_mod(den, xs, p), p) % p)
-    return xs, ys
+    return xs, ys, _rows(take, pool, inv_d, p)
 
 
-def _fit(xs, ys, p):
-    tables = (P._dd_inverses(xs, p, 0), _node(xs, p))
-    got = P._rat_interp(xs, ys, p, tables)
+def _fit(xs, ys, p, rows):
+    got = P._rat_interp(xs, ys, p, (rows, _node(xs, p)))
     return None if got is None else (got[0].tolist(), got[1].tolist())
 
 
@@ -192,8 +305,8 @@ def _fit(xs, ys, p):
        dn=st.integers(0, 10), dd=st.integers(0, 10), extra=st.integers(0, 20),
        mode=st.sampled_from(["plain", "even", "few"]))
 def test_rat_interp_matches_textbook_euclid(seed, p, dn, dd, extra, mode):
-    xs, ys = _interp_data(seed, p, dn, dd, extra, mode)
-    got = _fit(xs, ys, p)
+    xs, ys, rows = _interp_data(seed, p, dn, dd, extra, mode)
+    got = _fit(xs, ys, p, rows)
     want, _ = _ref_rat_interp(xs, ys, p)
     assert got == want
     if got is not None:
@@ -206,10 +319,10 @@ def test_rat_interp_takes_quotients_of_degree_two():
     # values of a function of q^2 at +-x pairs: the remainder degrees
     # drop by two, so no step has the normal degree-1 quotient
     for seed in range(5):
-        xs, ys = _interp_data(seed, MP, 4, 5, 3, "even")
+        xs, ys, rows = _interp_data(seed, MP, 4, 5, 3, "even")
         want, top = _ref_rat_interp(xs, ys, MP)
         assert top >= 2
-        assert _fit(xs, ys, MP) == want
+        assert _fit(xs, ys, MP, rows) == want
         assert want is not None and len(want[1]) == 11
 
 
@@ -349,19 +462,23 @@ def test_probe_check_solution():
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       sizes=st.lists(st.integers(2, 48), min_size=1, max_size=6))
-def test_grown_tables_match_fresh(seed, sizes):
+       sizes=st.lists(st.integers(2, 40), min_size=1, max_size=6),
+       dead=st.lists(st.integers(0, 47), max_size=8))
+def test_grown_tables_match_fresh(seed, sizes, dead):
     # a run's tables grow with the largest prefix seen and serve smaller
-    # ones from the same rows; each must equal the fresh table
+    # ones from the same rows; each must equal the fresh table, also
+    # where dead pool lanes leave gaps
     rng = np.random.default_rng(seed)
-    dom = P.ProbeDomain(MP, P._lane_points(MP, 48 + P._RESERVE, rng))
-    run = P._Run(MP, dom, [], [])
+    run = _geometric_run(MP, 48 + P._RESERVE, rng)
+    dom = run.dom
+    dom.alive[dead] = False
     pool = run.pool()
     ys = rng.integers(0, MP, size=len(pool), dtype=np.int64)
     for n in sizes:
-        xs = dom.q[pool[:n]]
-        rows, node = run.interp_tables(xs)
-        fresh = P._dd_inverses(xs, MP, 0)
+        take = pool[:n]
+        xs = dom.q[take]
+        rows, node = run.interp_tables(take)
+        fresh = P._dd_inverses(take, dom.qpow(-1), run.inv_d, MP, 0)
         assert len(rows) >= len(fresh) == n - 1
         for j, want in enumerate(fresh, 1):
             assert (rows[j - 1][: n - j] == want).all()
@@ -374,9 +491,9 @@ def _runs_holding(value, h, nlanes):
     """Two runs over distinct primes whose lanes hold value as c_h."""
     runs = []
     for prime in islice(K.primes_31(), 2):
-        rng = np.random.default_rng(prime)
-        dom = P.ProbeDomain(prime, P._lane_points(prime, nlanes, rng))
-        runs.append(P._Run(prime, dom, [None] * h + [dom.from_ratq(value)], []))
+        run = _geometric_run(prime, nlanes, np.random.default_rng(prime))
+        run.coeffs = [None] * h + [run.dom.from_ratq(value)]
+        runs.append(run)
     return runs
 
 
@@ -396,6 +513,20 @@ def test_reconstruct_grows_from_a_small_start():
     got, n_used = P._reconstruct_coeff(runs, 3, 8, 1.5)
     assert got == value
     assert 96 <= n_used < 96 * 3 // 2
+
+
+def test_reconstruct_over_dead_pool_lanes():
+    # dead pool lanes inside the fitted prefix: the fit's nodes are not
+    # consecutive powers of the ratio, and the tables gather by lane index
+    value = _planted_value()
+    runs = _runs_holding(value, 3, 576)
+    for run, dead in zip(runs, ([0, 5, 6, 40, 97], [1, 2, 3, 64, 90, 300])):
+        run.dom.alive[dead] = False
+    got, n_used = P._reconstruct_coeff(runs, 3, 8, 1.5)
+    assert got == value
+    assert n_used >= 96
+    for run in runs:
+        assert (np.diff(run.pool()[:n_used]) > 1).any()
 
 
 def test_need_lanes_only_after_the_whole_pool():
