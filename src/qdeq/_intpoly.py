@@ -9,9 +9,11 @@ divexact by one big divmod, gcd by the evaluation gcd GCDHEU, each answer
 proved exact.  Small or sparse products (such as by 1 - q^e) run
 schoolbook over the nonzero terms, nnz(a)*nnz(b) steps, and small
 quotients the low-end division loop.  gcd returns its cofactors with it,
-(g, a/g, b/g); if three points fail it runs a small-prime modular gcd on
-euclid_mod, the GF(p) Euclid kernel of the probe engine's rational
-reconstruction, with CRT lifting by crt_join.
+(g, a/g, b/g); if three points fail it runs a modular gcd over primes_31
+on euclid_mod, the GF(p) Euclid kernel of the probe engine's rational
+reconstruction, with CRT lifting by crt_join.  The probe engine's primes
+are primes_29, below 2**29, where lazy_terms products of residues sum in
+an int64 before one reduction.
 
 Nothing here knows about q, x or fractions; ratfunc builds the public
 types on top.  Functions mutate nothing they receive except where noted.
@@ -170,12 +172,29 @@ def eval_mod(a, x, p):
 def eval_many_mod(a, xs, p):
     """Horner at a vector of points; xs is a numpy int64 array with values
     in [0, p).  a is one coefficient list, or a 2-D int64 stack of them
-    with entries in [0, p), one polynomial and one row of values per row."""
+    with entries in [0, p), one polynomial and one row of values per row.
+
+    Blocked Horner, B = lazy_terms(p) - 1 coefficients per step (fewer
+    if the polynomials are shorter): with x^0..x^B formed once by
+    doubling, acc <- acc * x^B + (block @ x^0..x^(B-1)) sums B + 1
+    products, each at most (p - 1)**2, so at most 2**63 - 1, and reduces
+    once.  B is 31 for primes_29 and 1, plain Horner, near 2**31.
+    """
     rows = a if getattr(a, "ndim", 1) == 2 else np_mod(a, p)[None, :]
+    width = rows.shape[1]
+    B = max(1, min(lazy_terms(p) - 1, width))
+    X = np.empty((B + 1, len(xs)), dtype=np.int64)  # X[k] = x^k mod p
+    X[0], X[1] = 1, xs
+    k = 1
+    while k < B:
+        top = min(2 * k, B)
+        X[k + 1: top + 1] = X[1: top - k + 1] * X[k] % p
+        k = top
     acc = np.zeros((len(rows), len(xs)), dtype=np.int64)
-    for col in rows.T[::-1, :, None]:
-        acc *= xs
-        acc += col
+    for lo in range((width - 1) // B * B, -1, -B):
+        block = rows[:, lo: lo + B]  # only the first may be short; acc is 0
+        acc *= X[B]
+        acc += block @ X[: block.shape[1]]
         acc %= p
     return acc if rows is a else acc[0]
 
@@ -253,27 +272,47 @@ def _is_prime(n):
     return True
 
 
-_PRIMES_31 = []  # the primes primes_31 has found so far, descending
+def _descending_primes(found, first, step, floor):
+    """Yield the primes among first, first - step, ... above floor.
 
-
-def primes_31():
-    """Yield primes descending from just below 2**31.
-
-    Each candidate is tested once per process: the primes found are kept
-    in a module-level list that every later call replays before it
-    searches further down.
+    found is the list of those primes found so far, descending, kept at
+    module level: every call replays it before it searches further
+    down, so each candidate is tested once per process.
     """
     i = 0
     while True:
-        if i == len(_PRIMES_31):
-            n = _PRIMES_31[-1] - 2 if _PRIMES_31 else (1 << 31) - 1
+        if i == len(found):
+            n = found[-1] - step if found else first
             while not _is_prime(n):
-                n -= 2
-                if n <= 1 << 30:
-                    raise RuntimeError("ran out of 31-bit primes")
-            _PRIMES_31.append(n)
-        yield _PRIMES_31[i]
+                n -= step
+                if n <= floor:
+                    raise RuntimeError(f"no prime left above {floor}")
+            found.append(n)
+        yield found[i]
         i += 1
+
+
+_PRIMES_31 = []
+_PRIMES_29 = []
+
+
+def primes_31():
+    """Yield primes descending from just below 2**31: the modular gcd's."""
+    return _descending_primes(_PRIMES_31, (1 << 31) - 1, 2, 1 << 30)
+
+
+def primes_29():
+    """Yield the primes p = 1 (mod 2**12) below 2**29, descending: the
+    probe engine's.  (p - 1)**2 < 2**58, so an int64 sum of lazy_terms(p)
+    = 32 products of residues needs no reduction before the last."""
+    return _descending_primes(_PRIMES_29, (1 << 29) - (1 << 12) + 1,
+                              1 << 12, 1 << 28)
+
+
+def lazy_terms(p):
+    """The most products of two residues mod p, each at most (p - 1)**2,
+    whose sum fits in an int64: (2**63 - 1) // (p - 1)**2."""
+    return ((1 << 63) - 1) // (p - 1) ** 2
 
 
 def np_mod(a, p):
@@ -285,8 +324,10 @@ def euclid_mod(prev, cur, dp, dc, stop, p):
     """Euclid steps over GF(p), in place, while dc > stop.
 
     prev and cur are (rows, L) int64 buffers with entries in [0, p), p a
-    prime below 2**31.  Row 0 of each is a remainder, of degree dp in prev
-    and dc <= dp in cur, zero above it; further rows (cofactors) take the
+    prime below 2**31: primes_31 for the modular gcd, primes_29 for probe
+    reconstruction.  Every product term stays below 2**62, so each
+    elimination reduces once.  Row 0 of each is a remainder, of degree
+    dp in prev and dc <= dp in cur, zero above it; further rows (cofactors) take the
     same row operations and stay inside the first dp + 1 columns.  A step
     takes no inverse: it scales the older pair by lc, the lead of the
     newer remainder, before each elimination, so every row carries a

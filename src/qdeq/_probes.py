@@ -3,9 +3,13 @@
 The solve loop of solver._extend_core and the substitution engine
 nonlinear.Evaluator are generic in their coefficient domain.  This module
 supplies ProbeDomain, whose values are numpy vectors of evaluations at
-random points q = x_j modulo a 31-bit prime, so one step costs a handful
-of vectorized convolutions instead of exact Q(q) arithmetic; the
-verification and check run the same evaluator in fresh probe domains.
+random points q = x_j modulo a prime p = 1 (mod 2^12) below 2^29
+(_intpoly.primes_29), so one step costs a handful of vectorized
+convolutions instead of exact Q(q) arithmetic; the verification and
+check run the same evaluator in fresh probe domains.  Below 2^29, 32
+products of residues fit in an int64 (_intpoly.lazy_terms), so a Cauchy
+order of series_mul through m = 31 reduces once, and a Horner pass
+reduces once per 31 coefficients.
 A nonzero lane proves a value nonzero; an all-zero vector means zero with
 overwhelming likelihood, and every "zero" the engine acts on is later
 backed by verification:
@@ -29,8 +33,8 @@ and Schost, J. Complexity 21, 2005); a divided difference or a node
 reduces once; the Euclid steps run on _intpoly.euclid_mod, the GF(p)
 kernel that _intpoly.gcd runs too, here on a 2-row (remainder, cofactor)
 buffer with no inverse and one fused pass per degree-1 quotient; the CRT
-lift uses _intpoly.crt_join, as the modular gcd does; and one stacked
-Horner pass evaluates every polynomial a check needs.
+lift uses _intpoly.crt_join, as the modular gcd does; and one stacked,
+blocked Horner pass evaluates every polynomial a check needs.
 """
 
 import hashlib
@@ -149,8 +153,8 @@ class ProbeDomain:
         return self._zero
 
     def sum(self, terms):
-        """One mod p over the plain int64 sum: values below 2^31 leave
-        room for 2^32 terms."""
+        """One mod p over the plain int64 sum: residues below p leave room
+        for (2^63 - 1) // p terms, 2^34 for primes_29."""
         if not terms:
             return self._zero
         acc = terms[0].copy()
@@ -185,10 +189,17 @@ class ProbeDomain:
 
     def series_mul(self, a, b, lo, hi):
         """Orders lo..hi-1 of the Cauchy product of two series held as
-        2-D arrays, one row per order."""
+        2-D arrays, one row per order.  Order m sums m + 1 products, each
+        at most (p - 1)**2: while m + 1 <= K.lazy_terms(p) (32 for
+        primes_29) that sum fits in an int64 and the order reduces once;
+        a longer order reduces its products first."""
+        p, lazy = self.p, K.lazy_terms(self.p)
         out = np.empty((hi - lo, self.n), dtype=np.int64)
         for m in range(lo, hi):
-            out[m - lo] = (a[: m + 1] * b[m::-1] % self.p).sum(axis=0) % self.p
+            terms = a[: m + 1] * b[m::-1]
+            if m >= lazy:
+                terms %= p
+            out[m - lo] = terms.sum(axis=0) % p
         return out
 
     def healthy(self):
@@ -484,7 +495,7 @@ def solve(F, seed, N):
 
 
 def _solve_at(F, seed, N, nlanes):
-    prime_iter = K.primes_31()
+    prime_iter = K.primes_29()
     runs = [_start_run(F, seed, N, next(prime_iter), nlanes)]
     sig = _event_sig(runs[0].events)
 
@@ -553,7 +564,7 @@ def check(F, phi):
     """Probe-mode check_solution: largest V with residual zero through V.
     Raises EngineError when too many lanes die."""
     best = phi.trunc
-    prime_iter = K.primes_31()
+    prime_iter = K.primes_29()
     for _ in range(_CHECK_PRIMES):
         m = _first_nonzero(F, phi.coeffs, next(prime_iter),
                            0xD1B54A32D192ED03, _CHECK_LANES)

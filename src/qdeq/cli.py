@@ -32,7 +32,8 @@ from fractions import Fraction
 from . import growth
 from .corpus import corpus, get_entry, jones
 from .dsl import parse, parse_ratq
-from .errors import DegenerateAfterEvaluation, QdeqError, RootOfUnityDetected
+from .errors import (DegenerateAfterEvaluation, QdeqError,
+                     RootOfUnityDetected, UsageError)
 from .nonlinear import QdeqPoly, linearize
 from .series import TruncSeries
 from .skewop import newton_polygon, resonance_poly
@@ -41,8 +42,29 @@ from .unitcircle import (_raise_if_root_of_unity, roots_of,
                          scan_condition_H, unit_q)
 
 
-def _diag(**fields):
-    print(json.dumps(fields), file=sys.stderr)
+def _value(text, flag, kind):
+    """kind(text); a UsageError naming flag when text does not parse."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"argument {flag}: invalid {kind.__name__} value:"
+                         f" {text!r}") from None
+
+
+def _values(text, flag, kind):
+    """Comma-separated values, each read by _value; empty text is an error."""
+    if not text.strip():
+        raise QdeqError(f"{flag} is empty")
+    return [_value(part.strip(), flag, kind) for part in text.split(",")]
+
+
+def _theta(text):
+    """--theta: p/r or an integer read exactly, else a finite float."""
+    exact = "/" in text or "." not in text
+    theta = _value(text, "--theta", Fraction if exact else float)
+    if not (exact or math.isfinite(theta)):
+        raise QdeqError(f"--theta {text} is not a finite number")
+    return theta
 
 
 def _emit(payload, fmt):
@@ -132,6 +154,8 @@ def _load_series_json(obj):
 
 
 def _cmd_growth(args):
+    order = None if args.s is None else _value(args.s, "--s", Fraction)
+    slack = None if args.C is None else _value(args.C, "--C", Fraction)
     text = _read_text(args).strip()
     polygon = None
     if text.startswith(("[", "{")):
@@ -148,9 +172,9 @@ def _cmd_growth(args):
         y = _extend(F, args).solution
         if args.predict_from_polygon:
             polygon = newton_polygon(linearize(F, y))
-    report = growth.analyze(y, order=args.s, slack=args.C, polygon=polygon)
+    report = growth.analyze(y, order=order, slack=slack, polygon=polygon)
     code = _emit(report, args.format)
-    if (args.s is not None or args.C is not None) and not report.passed():
+    if (order is not None or slack is not None) and not report.passed():
         return 2
     return code
 
@@ -204,25 +228,8 @@ def _cmd_corpus(args):
     return 0 if ok else 2
 
 
-def _parse_theta(text):
-    if "/" in text or "." not in text:
-        return Fraction(text)
-    theta = float(text)
-    if not math.isfinite(theta):
-        raise QdeqError(f"--theta {text} is not a finite number")
-    return theta
-
-
-def _split_list(text, convert, flag):
-    """A comma-separated flag value, converted; empty text is an error
-    rather than the flag's default."""
-    if not text.strip():
-        raise QdeqError(f"{flag} is empty")
-    return [convert(part.strip()) for part in text.split(",")]
-
-
 def _cmd_diophantine(args):
-    theta = _parse_theta(args.theta)
+    theta = _theta(args.theta)
     q = unit_q(theta)
     try:
         if args.equation or args.input:
@@ -241,12 +248,11 @@ def _cmd_diophantine(args):
                 scan_condition_H(q, [], args.N)  # the test for a float theta
                 raise
         elif args.roots is not None:
-            roots = _split_list(args.roots, complex, "--roots")
+            roots = _values(args.roots, "--roots", complex)
         else:
             roots = [1 + 0j]
-        grid = None
-        if args.c2_grid is not None:
-            grid = _split_list(args.c2_grid, Fraction, "--c2-grid")
+        grid = (None if args.c2_grid is None
+                else _values(args.c2_grid, "--c2-grid", Fraction))
         scan = scan_condition_H(q, roots, args.N, c2_grid=grid, theta=theta)
     except RootOfUnityDetected as exc:
         payload = {"verdict": "root_of_unity", "n": exc.n}
@@ -263,11 +269,10 @@ def _cmd_diophantine(args):
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; 2 means expectation failure here,
-    so usage problems are rerouted to the error exit code."""
+    so usage problems raise UsageError, which main reports with exit 1."""
 
     def error(self, message):
-        _diag(error="UsageError", message=message)
-        raise SystemExit(1)
+        raise UsageError(message)
 
 
 def _build_parser():
@@ -307,10 +312,8 @@ def _build_parser():
                        help="q-Gevrey growth report for an equation's"
                             " solution, or for a JSON series or solve"
                             " output")
-    p.add_argument("--s", type=Fraction,
-                   help="assert this growth order on both sides")
-    p.add_argument("--C", type=Fraction,
-                   help="assert this slack constant on both sides")
+    p.add_argument("--s", help="assert this growth order on both sides")
+    p.add_argument("--C", help="assert this slack constant on both sides")
     p.add_argument("--predict-from-polygon", action="store_true",
                    help="compare against the linearized polygon prediction")
     p.set_defaults(fn=_cmd_growth)
@@ -343,17 +346,14 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except QdeqError as exc:
+    except (QdeqError, OSError, ValueError) as exc:
         fields = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "pos"):
             fields["pos"] = exc.pos
-        _diag(**fields)
-        return 1
-    except (OSError, ValueError) as exc:
-        _diag(error=type(exc).__name__, message=str(exc))
+        print(json.dumps(fields), file=sys.stderr)
         return 1
 
 

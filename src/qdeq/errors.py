@@ -77,3 +77,8 @@ class NegativeXPower(QdeqError):
 
 class EngineError(QdeqError):
     """Internal failure of a solver engine (verification mismatch)."""
+
+
+class UsageError(QdeqError):
+    """A command-line flag that does not apply, or a value that does not
+    parse; the message names the flag."""

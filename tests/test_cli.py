@@ -14,7 +14,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
-    # usage errors leave main via SystemExit; everything else returns
+    # --help leaves main via SystemExit; everything else returns
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -463,6 +463,28 @@ def test_diophantine_non_finite_float_theta_exits_1(capsys, theta):
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "QdeqError", "message":
                                f"--theta {theta} is not a finite number"}
+
+
+EULER_3 = ("growth", "x*y[1] - y[0] + 1", "--seed", "1", "--order", "3")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("diophantine", "--theta", "1/0"), "--theta"),
+    (("diophantine", "--theta", "nan"), "--theta"),
+    (("diophantine", "--theta", "1/3", "--c2-grid", "1,1/0"), "--c2-grid"),
+    (("diophantine", "--theta", "1/3", "--roots", "1,,2"), "--roots"),
+    (EULER_3 + ("--s", "1/0"), "--s"),
+    (EULER_3 + ("--C", "1/0"), "--C"),
+])
+def test_bad_flag_value_names_its_flag(capsys, argv, flag):
+    # a value that does not parse, a zero denominator included, is bad
+    # input named by its flag, never a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    last = json.loads(err.splitlines()[-1])
+    assert last["error"] == "UsageError"
+    assert last["message"].startswith(f"argument {flag}: ")
 
 
 def test_corpus_negative_order_exits_1(capsys):

@@ -114,14 +114,25 @@ def test_geometric_tables_match_fermat(seed, p, npool, dead, start):
         w[max(start - j, 0):] for j, w in enumerate(want, 1)]
 
 
+PP = next(K.primes_29())  # the first probe prime, 536813569
+PRIMES = [101, 65537, PP, MP]
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
-       width=st.integers(0, 24), m=st.integers(1, 40),
-       p=st.sampled_from([101, 65537, MP]))
-def test_stacked_eval_matches_rowwise(seed, k, width, m, p):
+       width=st.integers(0, 100), m=st.integers(1, 40),
+       p=st.sampled_from(PRIMES), full=st.booleans())
+def test_stacked_eval_matches_rowwise(seed, k, width, m, p, full):
+    # widths past lazy_terms(p) - 1 = 31 at PP run several Horner blocks;
+    # coefficients p - 1 make each block's unreduced sum the largest its
+    # points allow
     rng = np.random.default_rng(seed)
-    stack = rng.integers(0, p, size=(k, width), dtype=np.int64)
-    xs = rng.integers(0, p, size=m, dtype=np.int64)
+    if full:
+        stack = np.full((k, width), p - 1, dtype=np.int64)
+        xs = np.full(m, p - 1, dtype=np.int64)
+    else:
+        stack = rng.integers(0, p, size=(k, width), dtype=np.int64)
+        xs = rng.integers(0, p, size=m, dtype=np.int64)
     got = K.eval_many_mod(stack, xs, p)
     assert got.shape == (k, m)
     for row, values in zip(stack, got):
@@ -129,6 +140,34 @@ def test_stacked_eval_matches_rowwise(seed, k, width, m, p):
         assert values.tolist() == [K.eval_mod(coeffs, int(x), p) for x in xs]
         # one polynomial, as a list of Python ints, reads the same
         assert (K.eval_many_mod(coeffs, xs, p) == values).all()
+
+
+def test_lazy_terms_bound():
+    # lazy_terms(p) products of residues fit in an int64, one more may not
+    for p in PRIMES:
+        n = K.lazy_terms(p)
+        assert n * (p - 1) ** 2 <= 2**63 - 1 < (n + 1) * (p - 1) ** 2
+    assert K.lazy_terms(PP) == 32 and K.lazy_terms(MP) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([PP, MP]),
+       lo=st.integers(0, 40), span=st.integers(1, 30),
+       full=st.booleans())
+def test_series_mul_matches_reduced_terms(seed, p, lo, span, full):
+    # windows up to hi = 70: orders on both sides of lazy_terms(p) = 32 at
+    # PP sum unreduced or reduce their terms first; every product of the
+    # all-(p - 1) rows is (p - 1)^2
+    hi = min(lo + span, 70)
+    rng = np.random.default_rng(seed)
+    dom = P.ProbeDomain(p, P._lane_points(p, 8, rng))
+    if full:
+        a = b = np.full((hi, dom.n), p - 1, dtype=np.int64)
+    else:
+        a, b = rng.integers(0, p, size=(2, hi, dom.n), dtype=np.int64)
+    want = [[sum(int(a[i, j]) * int(b[m - i, j]) % p for i in range(m + 1)) % p
+             for j in range(dom.n)] for m in range(lo, hi)]
+    assert dom.series_mul(a, b, lo, hi).tolist() == want
 
 
 def test_newton_interp_matches_eval():
@@ -490,7 +529,7 @@ def test_grown_tables_match_fresh(seed, sizes, dead):
 def _runs_holding(value, h, nlanes):
     """Two runs over distinct primes whose lanes hold value as c_h."""
     runs = []
-    for prime in islice(K.primes_31(), 2):
+    for prime in islice(K.primes_29(), 2):
         run = _geometric_run(prime, nlanes, np.random.default_rng(prime))
         run.coeffs = [None] * h + [run.dom.from_ratq(value)]
         runs.append(run)

@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -397,6 +398,31 @@ def test_kernel_primes():
     assert all(p > 1 << 30 for p in ps)
     assert all(K._is_prime(p) for p in ps)
     assert not K._is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_kernel_probe_primes():
+    # a fresh cache: the first call searches, the second replays it
+    with mock.patch.object(K, "_PRIMES_29", []), \
+            mock.patch.object(K, "_is_prime", wraps=K._is_prime) as tested:
+        first = list(islice(K.primes_29(), 40))
+        searched = tested.call_count
+        assert list(islice(K.primes_29(), 40)) == first
+        assert tested.call_count == searched
+    assert first == sorted(set(first), reverse=True)
+    assert all(p < 1 << 29 and p % 4096 == 1 for p in first)
+    assert all(K._is_prime(p) for p in first)
+    # every p = 1 (mod 4096) between two found primes is composite
+    between = range(first[-1] + 4096, first[0], 4096)
+    assert sum(map(K._is_prime, between)) == len(first) - 2
+
+
+def test_kernel_modular_gcd_draws_primes_31():
+    g = [7, -3, 2 ** 80 + 1, 5, 1]
+    a, b = K.mul(g, [2, 9, -4, 1]), K.mul(g, [-6, 1, 1])
+    with mock.patch.object(K, "primes_31", wraps=K.primes_31) as p31, \
+            mock.patch.object(K, "primes_29", side_effect=AssertionError):
+        assert K._modular_gcd(a, b)[0] == g
+    assert p31.called
 
 
 def test_kernel_eval_mod_vector():
