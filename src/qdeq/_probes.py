@@ -26,22 +26,26 @@ Any failure raises EngineError and the caller falls back to the exact
 domain.  Prime counts escalate on demand.  Fits are sized from the
 degrees already reconstructed, grow by half on failure and try the whole
 lane pool once before the solve restarts with four times the lanes.
-The kernels keep numpy calls few: a run's pool lanes are x_i = g r^i, so
-per prime one table of difference inverses grows with the largest fit as
-products 1/(x_a - x_b) = 1/x_b * 1/(r^(a-b) - 1) of two vectors (Bostan
-and Schost, J. Complexity 21, 2005); a divided difference or a node
-reduces once; the Euclid steps run on _intpoly.euclid_mod, the GF(p)
-kernel that _intpoly.gcd runs too, here on a 2-row (remainder, cofactor)
-buffer with no inverse and one fused pass per degree-1 quotient; the CRT
-lift uses _intpoly.crt_join, as the modular gcd does; and one stacked,
-blocked Horner pass evaluates every polynomial a check needs.
+The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
+and interpolation on such a progression has closed forms (Bostan and
+Schost, J. Complexity 21, 2005): per run, _dd_inverses forms O(npool)
+weight vectors once, Newton's divided differences on a pool prefix are
+then one convolution of them and the change to monomial form one more,
+and the node poly is the Cauchy q-binomial sum.  Each convolution splits
+its residues at 2^15 and keeps three np.convolve sums, each below
+n * 2^34, in int64 for n < 2^29 terms (_conv_mod).  The Euclid steps run
+on _intpoly.euclid_mod, the GF(p) kernel that _intpoly.gcd runs too,
+here on a 2-row (remainder, cofactor) buffer with no inverse and one
+fused pass per degree-1 quotient; the CRT lift uses _intpoly.crt_join,
+as the modular gcd does; and one stacked, blocked Horner pass evaluates
+every polynomial a check needs.
 """
 
 import hashlib
 import json
+from collections import namedtuple
 from contextlib import suppress
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, isqrt
 
 import numpy as np
@@ -220,55 +224,77 @@ def _from_ratqs(dom, values):
 # rational function reconstruction inside one prime
 
 
-def _dd_inverses(take, inv_x, inv_d, p, start):
-    """Inverses of the node differences Newton's scheme divides by at pool
-    lanes take (ascending): row j (j = 1..n-1) holds 1/(x_a - x_b) =
-    inv_x[b] * inv_d[a - b], a = take[t], b = take[t-j], t >= max(j, start)."""
-    n = len(take)
-    lo = [max(j, start) for j in range(1, n)]
-    a = np.concatenate([take[t:] for t in lo])
-    b = np.concatenate([take[t - j: n - j] for j, t in enumerate(lo, 1)])
-    inv = inv_x[b] * inv_d[a - b] % p
-    ends = np.cumsum([n - t for t in lo]).tolist()
-    return [inv[s:e] for s, e in zip([0] + ends, ends)]
+def _powers(x, n, p):
+    """x^k mod p for k < n."""
+    return _prefix_prod(np.array([1] + [x] * (n - 1), dtype=np.int64), p)
 
 
-def _times_nodes(m, xs, adds, p):
-    """Ascending GF(p) poly m after m <- m * (q - x) + a, in turn for each
-    x, a of xs, adds."""
-    k = len(m)
-    buf = np.zeros(k + len(xs), dtype=np.int64)
-    buf[:k] = m[::-1]  # highest degree first
-    for k, x, a in zip(range(k, len(buf)), xs, adds):
-        buf[k] = a  # the constant term, before the shift lands on it
-        buf[1: k + 1] -= x * buf[:k]  # below 2^62: one reduction per node
-        buf[: k + 1] %= p
-    return buf[::-1]
+def _conv_mod(a, b, p):
+    """Full convolution of two GF(p) vectors, p < 2^31, exact in int64.
+    Each residue splits at 2^15 into parts below 2^16 and 2^15, and
+    Karatsuba takes three np.convolve calls; the largest convolves the
+    part sums, below 2^17, so a sum of n = min(len(a), len(b)) products
+    stays below n * 2^34 and fits an int64 for n < 2^29.  The three are
+    reduced and joined at the end, the join below 2^62."""
+    a1, a0, b1, b0 = a >> 15, a & 0x7FFF, b >> 15, b & 0x7FFF
+    lo, hi = np.convolve(a0, b0), np.convolve(a1, b1)
+    mid = np.convolve(a0 + a1, b0 + b1) - lo - hi  # a0 b1 + a1 b0 >= 0
+    return ((hi % p << 30) + (mid % p << 15) + lo) % p
 
 
-def _newton_interp(xs, ys, p, rows):
-    """Ascending GF(p) poly through (xs[i], ys[i]); distinct xs.  rows are
-    the _dd_inverses rows of xs or of any longer list that xs begins."""
-    n = len(xs)
-    c = ys.astype(np.int64)
-    for j in range(1, n):
-        d = c[j:] - c[j - 1: -1]
-        d *= rows[j - 1][: n - j]  # |d| < p: one reduction per step
-        np.remainder(d, p, out=c[j:])
-    return np.trim_zeros(_times_nodes(c[-1:], xs[-2::-1], c[-2::-1], p), "b")
+_Weights = namedtuple("_Weights", "alpha gamma beta rr inv_rr delta")
 
 
-def _rat_interp(xs, ys, p, tables):
+def _dd_inverses(g, rk, p):
+    """Weights of the pool x_i = g r^i, rk[i] = r^i (i < npool), from
+    prefix products and one batch inverse.  With (r;r)_k = prod_(t=1..k)
+    (1 - r^t) and C(k,2) = k(k-1)/2, the inverse divided-difference weight
+    1/prod_(j<=k, j!=i) (x_i - x_j) is alpha_i gamma_(k-i) beta_k:
+    alpha_i = (-1)^i/(r;r)_i, gamma_t = r^C(t,2)/(r;r)_t and
+    beta_k = g^-k r^-C(k,2).  rr and inv_rr hold (r;r)_k and its inverse,
+    and delta_t = (-g)^t gamma_t.  ValueError where some r^k = 1: the
+    points repeat."""
+    n = len(rk)
+    rr = _prefix_prod(np.concatenate(([1], (1 - rk[1:]) % p)), p)
+    tri = _prefix_prod(np.concatenate(([1], rk[:-1])), p)  # r^C(k,2)
+    inv_rr, inv_tri = np.split(_batch_inv(np.concatenate((rr, tri)), p), 2)
+    alpha = inv_rr.copy()
+    alpha[1::2] = p - alpha[1::2]
+    gamma = tri * inv_rr % p
+    beta = _powers(pow(g, p - 2, p), n, p) * inv_tri % p
+    delta = _powers(p - g, n, p) * gamma % p
+    return _Weights(alpha, gamma, beta, rr, inv_rr, delta)
+
+
+def _newton_interp(ys, w, p):
+    """Ascending GF(p) poly through (x_i, ys[i]) on the first m = len(ys)
+    points of the pool of weights w, by two convolutions: the Newton
+    coefficients d = beta conv(alpha ys, gamma)[:m], then the monomial
+    ones a_s = 1/(r;r)_s sum_(k>=s) d_k (r;r)_k delta_(k-s)."""
+    m = len(ys)
+    d = _conv_mod(w.alpha[:m] * ys % p, w.gamma[:m], p)[:m] * w.beta[:m] % p
+    a = _conv_mod(d[::-1] * w.rr[m - 1::-1] % p, w.delta[:m], p)
+    return np.trim_zeros(a[m - 1::-1] * w.inv_rr[:m] % p, "b")
+
+
+def _node_poly(m, w, p):
+    """prod_(i<m) (q - x_i), ascending, for m below the pool's size: the
+    Cauchy q-binomial sum over s of (r;r)_m / ((r;r)_s (r;r)_(m-s))
+    (-g)^(m-s) r^C(m-s,2) q^s."""
+    return w.rr[m] * w.inv_rr[: m + 1] % p * w.delta[m::-1] % p
+
+
+def _rat_interp(ys, p, w, node):
     """(num, den) ascending GF(p) polys with den monic and num = den * ys
-    on the nodes; None if n points cannot separate them.  tables are the
-    (difference-inverse rows, node poly) of xs.  The extended Euclid is
-    K.euclid_mod on the (remainder, cofactor) pair down to the balanced
-    stop; the monic form removes the scalar its steps leave."""
-    n = len(xs)
+    on the first n = len(ys) points of the pool of weights w; None if n
+    points cannot separate them.  node is the node poly of those points.
+    The extended Euclid is K.euclid_mod on the (remainder, cofactor) pair
+    down to the balanced stop; the monic form removes the scalar its
+    steps leave."""
+    n = len(ys)
     if not ys.any():
         return np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64)
-    rows, node = tables
-    f = _newton_interp(xs, ys, p, rows)
+    f = _newton_interp(ys, w, p)
     # rows (r, v): deg r = dp in prev; deg r = dc, deg v = n - dp in cur;
     # before the stop, no row of either pair reaches past degree dp
     prev, cur = np.zeros((2, 2, n + 1), dtype=np.int64)
@@ -350,58 +376,35 @@ def _lane_points(prime, nlanes, rng, avoid=()):
 
 
 def _geometric_pool(prime, npool, rng):
-    """(x, inv_d): points x_i = g r^i (i < npool), distinct and in [2, p-2],
-    and inv_d[k] = 1/(r^k - 1) for 0 < k < npool; g, r redrawn otherwise."""
+    """(x, w): points x_i = g r^i (i < npool), distinct and in [2, p-2],
+    and their _dd_inverses weights; g, r redrawn otherwise."""
     for _ in range(8):
         g, r = rng.integers(2, prime - 1, size=2).tolist()
-        rk = _prefix_prod(np.array([1] + [r] * (npool - 1)), prime)
+        rk = _powers(r, npool, prime)
         xs = g * rk % prime
-        rk[0] = 2  # inv_d[0] is never read
         if not ((xs == 1) | (xs == prime - 1)).any():
             with suppress(ValueError):  # some r^k = 1: the points repeat
-                return xs, _batch_inv(rk - 1, prime)
+                return xs, _dd_inverses(g, rk, prime)
     raise EngineError(f"no geometric pool of {npool} points at prime {prime}")
 
 
 class _Run:
-    __slots__ = ("prime", "dom", "coeffs", "events", "inv_d", "rows",
-                 "nodes", "cands")
+    __slots__ = ("prime", "dom", "coeffs", "events", "w", "cands")
 
-    def __init__(self, prime, dom, coeffs, events, inv_d):
+    def __init__(self, prime, dom, coeffs, events, w):
         self.prime = prime
-        self.dom = dom  # pool lanes: the _geometric_pool points of inv_d
+        self.dom = dom  # pool lanes, all alive, are the points of w
         self.coeffs = coeffs
         self.events = events
-        self.inv_d = inv_d
-        self.rows = []  # _dd_inverses rows of the largest pool prefix fitted
-        self.nodes = {0: np.ones(1, dtype=np.int64)}  # prefix size -> node poly
+        self.w = w
         self.cands = {}  # (h, n_try) -> fitted (num, den) or None
 
     def pool(self):
-        return np.nonzero(self.dom.alive[: self.dom.n - _RESERVE])[0]
+        return range(self.dom.n - _RESERVE)
 
     def reserve(self):
         base = self.dom.n - _RESERVE
         return base + np.nonzero(self.dom.alive[base:])[0]
-
-    def interp_tables(self, take):
-        """(difference-inverse rows, node poly) for the points of take, a
-        prefix of the pool.  The rows grow with the largest prefix seen, so
-        a larger fit forms only the pairs its new nodes bring and a smaller
-        one reads a prefix of each row; a node poly extends the nearest
-        smaller cached one."""
-        n, p = len(take), self.dom.p
-        have = len(self.rows) + 1  # nodes the rows cover
-        if n > have:
-            new = _dd_inverses(take, self.dom.qpow(-1), self.inv_d, p, have)
-            self.rows = [np.concatenate((old, part))
-                         for old, part in zip(self.rows, new)] + new[have - 1:]
-        node = self.nodes.get(n)
-        if node is None:
-            base = max(k for k in self.nodes if k < n)
-            node = self.nodes[n] = _times_nodes(
-                self.nodes[base], self.dom.q[take[base:]], repeat(0), p)
-        return self.rows, node
 
 
 def _event_sig(events):
@@ -413,12 +416,12 @@ def _start_run(F, seed, N, prime, nlanes):
     for attempt in range(3):
         rng = np.random.default_rng(
             _fingerprint(F, seed, N, prime, attempt, nlanes))
-        pool, inv_d = _geometric_pool(prime, nlanes - _RESERVE, rng)
+        pool, w = _geometric_pool(prime, nlanes - _RESERVE, rng)
         dom = ProbeDomain(prime, np.concatenate(
             (pool, _lane_points(prime, _RESERVE, rng, pool))))
         coeffs, events = _extend_core(F, seed, N, dom)
-        if dom.healthy():
-            return _Run(prime, dom, coeffs, events, inv_d)
+        if dom.alive[: len(pool)].all():  # a fit takes pool lanes 0..n-1
+            return _Run(prime, dom, coeffs, events, w)
     raise EngineError(f"lanes kept dying at prime {prime}")
 
 
@@ -441,15 +444,12 @@ def _reconstruct_coeff(runs, h, n_start, grow):
         for run in runs:
             key = (h, n_try)
             if key not in run.cands:
-                pool = run.pool()
-                take = pool[:n_try]
-                hold = pool[n_try: n_try + 16]
-                xs = run.dom.q[take]
-                ys = run.coeffs[h][take]
-                got = _rat_interp(xs, ys, run.dom.p, run.interp_tables(take))
+                p, ys = run.dom.p, run.coeffs[h]
+                hold = slice(n_try, n_try + 16)
+                got = _rat_interp(ys[:n_try], p, run.w,
+                                  _node_poly(n_try, run.w, p))
                 if got is not None and not _check_fit(
-                        got[0], got[1], run.dom.q[hold],
-                        run.coeffs[h][hold], run.dom.p):
+                        got[0], got[1], run.dom.q[hold], ys[hold], p):
                     got = None
                 run.cands[key] = got
             cands.append(run.cands[key])

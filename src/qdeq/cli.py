@@ -51,6 +51,24 @@ def _value(text, flag, kind):
                          f" {text!r}") from None
 
 
+def _integer(least):
+    """argparse type of integers from least on: 0 is the order kind (--order,
+    --n), 1 the count kind (--N); argparse names the flag of a bad value."""
+    def integer(text):
+        if int(text) < least:
+            raise argparse.ArgumentTypeError(f"{text} is below {least}")
+        return int(text)
+    return integer
+
+
+def _seed(text):
+    """argparse type of --seed: comma-separated coefficients in Q(q)."""
+    try:
+        return [parse_ratq(part) for part in text.split(",")]
+    except QdeqError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
 def _values(text, flag, kind):
     """Comma-separated values, each read by _value; empty text is an error."""
     if not text.strip():
@@ -87,17 +105,16 @@ def _read_source(args):
     return parse(_read_text(args).strip())
 
 
-def _seed_coeffs(text):
-    if not text:
+def _seed_coeffs(seed):
+    if seed is None:
         raise QdeqError("this command needs --seed \"c0,c1,...\"")
-    return [parse_ratq(part.strip()) for part in text.split(",")]
+    return seed
 
 
 def _as_equation(src):
     """Nonlinear input passes through; operators become sum a_i w_i = 0."""
-    if src.kind == "nonlinear":
-        return src.parsed
-    return QdeqPoly.from_operator(src.parsed)
+    return (src.parsed if src.kind == "nonlinear"
+            else QdeqPoly.from_operator(src.parsed))
 
 
 def _extend(F, args):
@@ -130,11 +147,8 @@ def _cmd_linearize(args):
     if src.kind != "nonlinear":
         raise QdeqError("linearize needs a nonlinear equation; an operator"
                         " is already linear")
-    seed = _seed_coeffs(args.seed)
-    if args.order is None:
-        series = TruncSeries(seed)
-    else:
-        series = extend(src.parsed, seed, args.order).solution
+    series = (TruncSeries(_seed_coeffs(args.seed)) if args.order is None
+              else _extend(src.parsed, args).solution)
     return _emit(linearize(src.parsed, series), args.format)
 
 
@@ -160,13 +174,11 @@ def _cmd_growth(args):
     polygon = None
     if text.startswith(("[", "{")):
         y = _load_series_json(json.loads(text))
-        for flag, given in (("--seed", args.seed is not None),
-                            ("--order", args.order is not None),
+        for flag, given in (("--seed", args.seed), ("--order", args.order),
                             ("--predict-from-polygon",
-                             args.predict_from_polygon)):
-            if given:
-                raise QdeqError(f"{flag} needs an equation, not a bare"
-                                " series")
+                             args.predict_from_polygon or None)):
+            if given is not None:
+                raise QdeqError(f"{flag} needs an equation, not a bare series")
     else:
         F = _as_equation(parse(text))
         y = _extend(F, args).solution
@@ -174,18 +186,15 @@ def _cmd_growth(args):
             polygon = newton_polygon(linearize(F, y))
     report = growth.analyze(y, order=order, slack=slack, polygon=polygon)
     code = _emit(report, args.format)
-    if (order is not None or slack is not None) and not report.passed():
-        return 2
-    return code
+    asserted = order is not None or slack is not None
+    return 2 if asserted and not report.passed() else code
 
 
 def _cmd_jones(args):
     value = jones(args.n)
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "value": value.to_text(),
-                          "deg_q": value.deg_q, "ord_q": value.ord_q}))
-    else:
-        print(value.to_text())
+    print(json.dumps({"n": args.n, "value": value.to_text(),
+                      "deg_q": value.deg_q, "ord_q": value.ord_q})
+          if args.format == "json" else value.to_text())
     return 0
 
 
@@ -210,11 +219,9 @@ def _cmd_corpus(args):
         else:
             for item in listing:
                 print(f"{item['id']}: {item['description']}")
-                if item["seeds"]:
-                    print(f"  seeds: {', '.join(item['seeds'])}")
-                print(f"  expectations: {', '.join(item['expectations'])}")
-                if item["variants"]:
-                    print(f"  variants: {', '.join(item['variants'])}")
+                for key in ("seeds", "expectations", "variants"):
+                    if item[key] or key == "expectations":
+                        print(f"  {key}: {', '.join(item[key])}")
         return 0
     reports = [e.run(order=args.order) for e in entries]
     ok = all(r.passed() for r in reports)
@@ -255,11 +262,8 @@ def _cmd_diophantine(args):
                 else _values(args.c2_grid, "--c2-grid", Fraction))
         scan = scan_condition_H(q, roots, args.N, c2_grid=grid, theta=theta)
     except RootOfUnityDetected as exc:
-        payload = {"verdict": "root_of_unity", "n": exc.n}
-        if args.format == "json":
-            print(json.dumps(payload))
-        else:
-            print(f"root of unity: q^{exc.n} = 1")
+        print(json.dumps({"verdict": "root_of_unity", "n": exc.n})
+              if args.format == "json" else f"root of unity: q^{exc.n} = 1")
         return 0
     return _emit(scan, args.format)
 
@@ -283,8 +287,8 @@ def _build_parser():
                         help="equation text (or give --input)")
     source.add_argument("--input", help="equation file, or - for stdin")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", help="comma-separated seed coefficients")
-    seeded.add_argument("--order", type=int, help="truncation order")
+    seeded.add_argument("--seed", type=_seed, help="seed coefficients c0,c1,...")
+    seeded.add_argument("--order", type=_integer(0), help="truncation order")
 
     top = _Parser(
         prog="qdeq",
@@ -292,21 +296,17 @@ def _build_parser():
                     " growth checks for q-difference equations.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", parents=[source, fmt],
-                       help="echo the canonical form of an equation")
-    p.set_defaults(fn=_cmd_parse)
-
-    p = sub.add_parser("polygon", parents=[source, fmt],
-                       help="Newton polygon of a linear operator")
-    p.set_defaults(fn=_cmd_polygon)
-
-    p = sub.add_parser("linearize", parents=[source, seeded, fmt],
-                       help="operator of partial derivatives along a series")
-    p.set_defaults(fn=_cmd_linearize)
-
-    p = sub.add_parser("solve", parents=[source, seeded, fmt],
-                       help="extend seed coefficients to a series solution")
-    p.set_defaults(fn=_cmd_solve)
+    for name, parents, fn, text in (
+            ("parse", [source], _cmd_parse,
+             "echo the canonical form of an equation"),
+            ("polygon", [source], _cmd_polygon,
+             "Newton polygon of a linear operator"),
+            ("linearize", [source, seeded], _cmd_linearize,
+             "operator of partial derivatives along a series"),
+            ("solve", [source, seeded], _cmd_solve,
+             "extend seed coefficients to a series solution")):
+        sub.add_parser(name, parents=parents + [fmt],
+                       help=text).set_defaults(fn=fn)
 
     p = sub.add_parser("growth", parents=[source, seeded, fmt],
                        help="q-Gevrey growth report for an equation's"
@@ -320,14 +320,14 @@ def _build_parser():
 
     p = sub.add_parser("jones", parents=[fmt],
                        help="figure-eight invariant at one color")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer(0), required=True)
     p.set_defaults(fn=_cmd_jones)
 
     p = sub.add_parser("corpus", parents=[fmt],
                        help="list bundled examples, or run their checks")
     p.add_argument("--run", action="store_true")
     p.add_argument("--entry", help="restrict to one entry id")
-    p.add_argument("--order", type=int, help="truncation order of a run")
+    p.add_argument("--order", type=_integer(0), help="order of a --run")
     p.set_defaults(fn=_cmd_corpus)
 
     p = sub.add_parser("diophantine", parents=[source, fmt],
@@ -337,7 +337,7 @@ def _build_parser():
                    help="rotation number, rational p/r or float")
     p.add_argument("--roots", help="comma-separated complex roots, in place"
                                    " of an operator (default: 1)")
-    p.add_argument("--N", type=int, default=10000)
+    p.add_argument("--N", type=_integer(1), default=10000)
     p.add_argument("--c2-grid", dest="c2_grid",
                    help="comma-separated decay exponents")
     p.set_defaults(fn=_cmd_diophantine)

@@ -186,7 +186,8 @@ def test_jones_text_and_json(capsys):
 def test_jones_negative_exits_1(capsys):
     code, _, err = run(capsys, "jones", "--n", "-1")
     assert code == 1
-    assert json.loads(err)["error"] == "ValueError"
+    assert json.loads(err) == {"error": "UsageError",
+                               "message": "argument --n: -1 is below 0"}
 
 
 def test_corpus_listing(capsys):
@@ -466,6 +467,7 @@ def test_diophantine_non_finite_float_theta_exits_1(capsys, theta):
 
 
 EULER_3 = ("growth", "x*y[1] - y[0] + 1", "--seed", "1", "--order", "3")
+SOLVE = ("solve", "x*y[1] - y[0] + 1")
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -475,6 +477,13 @@ EULER_3 = ("growth", "x*y[1] - y[0] + 1", "--seed", "1", "--order", "3")
     (("diophantine", "--theta", "1/3", "--roots", "1,,2"), "--roots"),
     (EULER_3 + ("--s", "1/0"), "--s"),
     (EULER_3 + ("--C", "1/0"), "--C"),
+    (("jones", "--n", "-3"), "--n"),
+    (("jones", "--n", "3.5"), "--n"),
+    (SOLVE + ("--seed", "1", "--order", "-2"), "--order"),
+    (("diophantine", "--theta", "1/3", "--N", "0"), "--N"),
+    (SOLVE + ("--seed", "1/0", "--order", "3"), "--seed"),
+    (SOLVE + ("--seed", "1,", "--order", "3"), "--seed"),
+    (("linearize", "x*y[1] - y[0] + 1", "--seed", "1,x"), "--seed"),
 ])
 def test_bad_flag_value_names_its_flag(capsys, argv, flag):
     # a value that does not parse, a zero denominator included, is bad
@@ -490,7 +499,19 @@ def test_bad_flag_value_names_its_flag(capsys, argv, flag):
 def test_corpus_negative_order_exits_1(capsys):
     code, out, err = run(capsys, "corpus", "--run", "--order", "-1")
     assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "ValueError"
+    assert json.loads(err) == {"error": "UsageError",
+                               "message": "argument --order: -1 is below 0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("jones", "--n", "0"),
+    ("diophantine", "--theta", "0.6180339887", "--N", "1"),
+    SOLVE + ("--seed", " 1 , 1 ", "--order", "1"),
+])
+def test_smallest_flag_values_are_accepted(capsys, argv):
+    # the order kind starts at 0 and the count kind at 1; seed entries
+    # may carry spaces
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_corpus_order_below_seed_order_exits_1(capsys):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,22 +23,12 @@ from test_solver import geometric_step, painleve_like
 MP = 2147483647  # 2**31 - 1, prime
 
 
-def _node(xs, p):
-    """The node poly of xs, built in one pass."""
-    return P._times_nodes(np.ones(1, dtype=np.int64), xs, repeat(0), p)
-
-
-def _rows(take, pool, inv_d, p):
-    """The difference-inverse rows of the lanes take of a geometric pool."""
-    return P._dd_inverses(take, P._batch_inv(pool, p), inv_d, p, 0)
-
-
 def _geometric_run(prime, nlanes, rng):
     """A run with no data over lanes laid out as _start_run lays them."""
-    pool, inv_d = P._geometric_pool(prime, nlanes - P._RESERVE, rng)
+    pool, w = P._geometric_pool(prime, nlanes - P._RESERVE, rng)
     dom = P.ProbeDomain(prime, np.concatenate(
         (pool, P._lane_points(prime, P._RESERVE, rng, pool))))
-    return P._Run(prime, dom, [], [], inv_d)
+    return P._Run(prime, dom, [], [], w)
 
 
 def test_batch_inv():
@@ -72,10 +62,13 @@ class _Scripted:
 def test_geometric_pool_redraws_until_the_points_are_usable():
     # mod 101, 10 has order 4, so 8 points of ratio 10 repeat; 51 * 2 = 1,
     # so g = 51 with ratio 2 puts x_1 = 1 in the pool; 2 has order 100
-    pool, inv_d = P._geometric_pool(101, 8, _Scripted([(3, 10), (51, 2),
-                                                       (3, 2)]))
+    pool, w = P._geometric_pool(101, 8, _Scripted([(3, 10), (51, 2),
+                                                   (3, 2)]))
     assert pool.tolist() == [3 * 2 ** i % 101 for i in range(8)]
-    assert [d * (2 ** k - 1) % 101 for k, d in enumerate(inv_d)][1:] == [1] * 7
+    rr = [1]  # (2;2)_k: the weights are those of the third draw
+    for t in range(1, 8):
+        rr.append(rr[-1] * (1 - 2 ** t) % 101)
+    assert w.rr.tolist() == rr
 
 
 def test_geometric_pool_gives_up_after_eight_draws():
@@ -86,32 +79,98 @@ def test_geometric_pool_gives_up_after_eight_draws():
 
 @settings(max_examples=240, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([101, 65537, MP]),
-       npool=st.integers(2, 60), dead=st.floats(0, 0.6),
-       start=st.integers(0, 12))
-def test_geometric_tables_match_fermat(seed, p, npool, dead, start):
-    # every entry of the table over pool lanes with gaps (dead lanes)
-    # against the inverse of the difference itself; mod 101 most ratios
-    # have an order below npool, and such a pool is redrawn or refused
+       npool=st.integers(1, 60))
+def test_geometric_weights_match_fermat(seed, p, npool):
+    # every weight alpha_i gamma_(k-i) beta_k against the inverse of the
+    # product of differences itself, and each per-run vector against its
+    # definition; mod 101 most ratios have an order below npool, and such
+    # a pool is redrawn or refused
     rng = np.random.default_rng(seed)
     try:
-        pool, inv_d = P._geometric_pool(p, npool, rng)
+        pool, w = P._geometric_pool(p, npool, rng)
     except EngineError:
         assert p == 101
         return
     xs = pool.tolist()
     assert len(set(xs)) == npool and 2 <= min(xs) and max(xs) <= p - 2
-    take = np.nonzero(rng.random(npool) >= dead)[0]
-    if len(take) < 2:
-        return
-    at = pool[take].tolist()
-    want = [[pow(at[t] - at[t - j], p - 2, p) for t in range(j, len(at))]
-            for j in range(1, len(at))]
-    rows = _rows(take, pool, inv_d, p)
-    assert [row.tolist() for row in rows] == want
-    # a grown block holds the pairs of the nodes from start on alone
-    grown = P._dd_inverses(take, P._batch_inv(pool, p), inv_d, p, start)
-    assert [row.tolist() for row in grown] == [
-        w[max(start - j, 0):] for j, w in enumerate(want, 1)]
+    g = xs[0]
+    r = xs[1] * pow(g, p - 2, p) % p if npool > 1 else 0
+    alpha, gamma, beta = w.alpha.tolist(), w.gamma.tolist(), w.beta.tolist()
+    for i, x in enumerate(xs):
+        prod = 1
+        for j in range(i):
+            prod = prod * (x - xs[j]) % p
+        for k in range(i, npool):
+            if k > i:
+                prod = prod * (x - xs[k]) % p
+            assert alpha[i] * gamma[k - i] * beta[k] % p == pow(prod, p - 2, p)
+    rr = 1
+    for k in range(npool):
+        rr = rr * (1 - pow(r, k, p)) % p if k else 1
+        tri = pow(r, k * (k - 1) // 2, p)
+        assert w.rr[k] == rr and w.inv_rr[k] * rr % p == 1
+        assert alpha[k] == (-1) ** k * w.inv_rr[k] % p
+        assert gamma[k] == tri * w.inv_rr[k] % p
+        assert beta[k] * pow(g, k, p) % p * tri % p == 1
+        assert w.delta[k] == pow(-g, k, p) * gamma[k] % p
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       p=st.sampled_from([101, 7919, 65537, 536813569, 2**31 - 1]),
+       la=st.integers(1, 60), lb=st.integers(1, 60), full=st.booleans())
+def test_conv_mod_matches_reduced_convolution(seed, p, la, lb, full):
+    rng = np.random.default_rng(seed)
+    if full:  # every residue p - 1: the largest parts and part sums
+        a, b = (np.full(n, p - 1, dtype=np.int64) for n in (la, lb))
+    else:
+        a, b = (rng.integers(0, p, size=n, dtype=np.int64) for n in (la, lb))
+    got = P._conv_mod(a, b, p)
+    assert len(got) == la + lb - 1
+    assert _ref_trim(got.tolist()) == _ref_mul(a.tolist(), b.tolist(), p)
+
+
+def test_conv_mod_long_all_top_residues():
+    # a few thousand terms of p - 1 at p = 2^31 - 1: output j sums
+    # min(j + 1, la, lb, la + lb - 1 - j) products (p - 1)^2; the int64
+    # bound of the docstring covers up to 2^29 terms
+    for la, lb in ((3000, 3000), (4096, 1500)):
+        a, b = (np.full(n, MP - 1, dtype=np.int64) for n in (la, lb))
+        want = [min(j + 1, la, lb, la + lb - 1 - j) * (MP - 1) ** 2 % MP
+                for j in range(la + lb - 1)]
+        assert P._conv_mod(a, b, MP).tolist() == want
+
+
+def _ref_node(xs, p):
+    """prod (q - x) over xs, folded with the textbook product."""
+    return reduce(lambda f, x: _ref_mul(f, [-int(x) % p, 1], p), xs, [1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       p=st.sampled_from([101, 7919, 65537, 536813569, 2**31 - 1]),
+       npool=st.integers(1, 80), data=st.data())
+def test_interpolation_on_pool_prefixes(seed, p, npool, data):
+    # the closed forms on the first m points of a geometric pool: the
+    # interpolant has degree below m and takes the values, a planted
+    # poly of lower degree comes back exactly, and the node poly is the
+    # product of the (q - x_i)
+    rng = np.random.default_rng(seed)
+    pool, w = _some_geometric_pool(p, min(npool, 40) if p == 101 else npool,
+                                   rng)
+    m = data.draw(st.integers(1, len(pool)))
+    xs = pool[:m]
+    ys = rng.integers(0, p, size=m, dtype=np.int64)
+    got = P._newton_interp(ys, w, p)
+    assert len(got) <= m and (len(got) == 0 or got[-1] != 0)
+    assert (K.eval_many_mod(got, xs, p) == ys).all()
+    planted = rng.integers(0, p, size=data.draw(st.integers(1, m)),
+                           dtype=np.int64)
+    planted[-1] = rng.integers(1, p)
+    assert (P._newton_interp(K.eval_many_mod(planted, xs, p), w, p)
+            == planted).all()
+    if m < len(pool):
+        assert P._node_poly(m, w, p).tolist() == _ref_node(xs, p)
 
 
 PP = next(K.primes_29())  # the first probe prime, 536813569
@@ -173,11 +232,10 @@ def test_series_mul_matches_reduced_terms(seed, p, lo, span, full):
 def test_newton_interp_matches_eval():
     rng = np.random.default_rng(11)
     poly = rng.integers(0, MP, size=9, dtype=np.int64)
-    pool, inv_d = P._geometric_pool(MP, 20, rng)
-    take = np.delete(np.arange(20), [3, 8, 9, 15, 17])  # 15 lanes, gaps
-    xs = pool[take]
+    pool, w = P._geometric_pool(MP, 20, rng)
+    xs = pool[:15]
     ys = K.eval_many_mod(poly, xs, MP)
-    got = P._newton_interp(xs, ys, MP, _rows(take, pool, inv_d, MP))
+    got = P._newton_interp(ys, w, MP)
     assert len(got) <= 15
     assert (K.eval_many_mod(got, xs, MP) == ys).all()
     # degree-8 data through 15 points comes back exactly
@@ -187,13 +245,11 @@ def test_newton_interp_matches_eval():
 def test_rat_interp_recovers_planted():
     num = np.array([1, 0, 3], dtype=np.int64)
     den = np.array([5, 1], dtype=np.int64)  # monic
-    pool, inv_d = P._geometric_pool(MP, 24, np.random.default_rng(3))
-    take = np.arange(24)
-    xs = pool[take]
+    pool, w = P._geometric_pool(MP, 24, np.random.default_rng(3))
+    xs = pool[:23]
     ys = (K.eval_many_mod(num, xs, MP)
           * P._batch_inv(K.eval_many_mod(den, xs, MP), MP) % MP)
-    tables = (_rows(take, pool, inv_d, MP), _node(xs, MP))
-    got = P._rat_interp(xs, ys, MP, tables)
+    got = P._rat_interp(ys, MP, w, P._node_poly(23, w, MP))
     assert got is not None
     assert list(got[0]) == [1, 0, 3] and list(got[1]) == [5, 1]
 
@@ -281,10 +337,10 @@ def _some_geometric_pool(p, npool, rng):
 
 
 def _negation_closed_pool(p, pairs, rng):
-    """(x, inv_d) of a geometric pool x_i = g r^i, i < 2m, where r has
-    order 2m, so r^m = -1 and x_(i+m) = -x_i; g outside the powers of r
-    keeps +-1 out.  2m is the least even divisor of p - 1 from 2 * pairs
-    on, or (p - 1) / 2 if that is smaller."""
+    """(x, w) of a geometric pool x_i = g r^i, i < 2m, where r has order
+    2m, so r^m = -1 and x_(i+m) = -x_i; g outside the powers of r keeps
+    +-1 out.  2m is the least even divisor of p - 1 from 2 * pairs on, or
+    (p - 1) / 2 if that is smaller."""
     half = (p - 1) // 2
     m2 = next(d for d in range(min(2 * pairs, half), half + 1)
               if d % 2 == 0 and (p - 1) % d == 0)
@@ -295,17 +351,16 @@ def _negation_closed_pool(p, pairs, rng):
     g = 1
     while pow(g, m2, p) == 1:
         g = int(rng.integers(2, p - 1))
-    inv_d = [0] + [pow(v - 1, p - 2, p) for v in rk[1:]]
-    return (np.array([g * v % p for v in rk], dtype=np.int64),
-            np.array(inv_d, dtype=np.int64))
+    rk = np.array(rk, dtype=np.int64)
+    return g * rk % p, P._dd_inverses(g, rk, p)
 
 
 def _interp_data(seed, p, dn, dd, extra, mode):
-    """Nodes, values and difference-inverse rows for a fit: a planted
-    num/den ("plain"), one in q^2 over nodes in +-x pairs, so values
-    repeat in pairs and every quotient has even degree ("even"), or
-    values from {0, 1, 2} ("few").  The nodes are the lanes of a geometric
-    pool where den is nonzero, so a root of den leaves a gap."""
+    """Values, weights and node poly for a fit on a pool prefix: a
+    planted num/den ("plain"), one in q^2 over a whole negation-closed
+    pool, so values repeat in pairs and every quotient has even degree
+    ("even"), or values from {0, 1, 2} ("few"); also the nodes.  The
+    planted den is redrawn while it vanishes on a node."""
     rng = np.random.default_rng(seed)
     step = 2 if mode == "even" else 1
     n = max(2 * step * dn + 1, 2 * step * dd, 2) + extra
@@ -313,29 +368,30 @@ def _interp_data(seed, p, dn, dd, extra, mode):
     num = np.zeros(step * dn + 1, dtype=np.int64)
     num[::step] = rng.integers(0, p, size=dn + 1)
     num[-1] = rng.integers(1, p)
-    den = np.zeros(step * dd + 1, dtype=np.int64)
-    den[::step] = rng.integers(0, p, size=dd + 1)
-    den[-1] = 1
-    if mode == "even":  # den(-x) = den(x): keep or drop whole pairs
-        pool, inv_d = _negation_closed_pool(p, n // 2 + dd, rng)
-        m = len(pool) // 2
-        keep = np.nonzero(K.eval_many_mod(den, pool[:m], p))[0][: n // 2]
-        take = np.sort(np.concatenate([keep, keep + m]))
+    if mode == "even":
+        pool, w = _negation_closed_pool(p, n // 2, rng)
+        xs = pool
     else:
-        pool, inv_d = _some_geometric_pool(
-            p, min(n + dd, 40) if p == 101 else n + dd, rng)
-        take = np.nonzero(K.eval_many_mod(den, pool, p))[0][:n]
-    xs = pool[take]
+        pool, w = _some_geometric_pool(p, n + 1, rng)
+        xs = pool[:n]
+    den = np.zeros(step * dd + 1, dtype=np.int64)
+    while not K.eval_many_mod(den, xs, p).all():
+        den[::step] = rng.integers(0, p, size=dd + 1)
+        den[-1] = 1
     if mode == "few":
         ys = rng.integers(0, 3, size=len(xs), dtype=np.int64)
     else:
         ys = (K.eval_many_mod(num, xs, p)
               * P._batch_inv(K.eval_many_mod(den, xs, p), p) % p)
-    return xs, ys, _rows(take, pool, inv_d, p)
+    # the closed-form node poly needs (r;r)_n != 0, so n below the order
+    # of r, and the ratio of a whole negation-closed pool has order n
+    node = (_ref_node(xs, p) if mode == "even"
+            else P._node_poly(n, w, p).tolist())
+    return xs, ys, w, np.array(node, dtype=np.int64)
 
 
-def _fit(xs, ys, p, rows):
-    got = P._rat_interp(xs, ys, p, (rows, _node(xs, p)))
+def _fit(ys, p, w, node):
+    got = P._rat_interp(ys, p, w, node)
     return None if got is None else (got[0].tolist(), got[1].tolist())
 
 
@@ -344,8 +400,8 @@ def _fit(xs, ys, p, rows):
        dn=st.integers(0, 10), dd=st.integers(0, 10), extra=st.integers(0, 20),
        mode=st.sampled_from(["plain", "even", "few"]))
 def test_rat_interp_matches_textbook_euclid(seed, p, dn, dd, extra, mode):
-    xs, ys, rows = _interp_data(seed, p, dn, dd, extra, mode)
-    got = _fit(xs, ys, p, rows)
+    xs, ys, w, node = _interp_data(seed, p, dn, dd, extra, mode)
+    got = _fit(ys, p, w, node)
     want, _ = _ref_rat_interp(xs, ys, p)
     assert got == want
     if got is not None:
@@ -358,10 +414,10 @@ def test_rat_interp_takes_quotients_of_degree_two():
     # values of a function of q^2 at +-x pairs: the remainder degrees
     # drop by two, so no step has the normal degree-1 quotient
     for seed in range(5):
-        xs, ys, rows = _interp_data(seed, MP, 4, 5, 3, "even")
+        xs, ys, w, node = _interp_data(seed, MP, 4, 5, 3, "even")
         want, top = _ref_rat_interp(xs, ys, MP)
         assert top >= 2
-        assert _fit(xs, ys, MP, rows) == want
+        assert _fit(ys, MP, w, node) == want
         assert want is not None and len(want[1]) == 11
 
 
@@ -499,33 +555,6 @@ def test_probe_check_solution():
     assert check_solution(F, TruncSeries(bad, 16), mode="probe") == 9
 
 
-@settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       sizes=st.lists(st.integers(2, 40), min_size=1, max_size=6),
-       dead=st.lists(st.integers(0, 47), max_size=8))
-def test_grown_tables_match_fresh(seed, sizes, dead):
-    # a run's tables grow with the largest prefix seen and serve smaller
-    # ones from the same rows; each must equal the fresh table, also
-    # where dead pool lanes leave gaps
-    rng = np.random.default_rng(seed)
-    run = _geometric_run(MP, 48 + P._RESERVE, rng)
-    dom = run.dom
-    dom.alive[dead] = False
-    pool = run.pool()
-    ys = rng.integers(0, MP, size=len(pool), dtype=np.int64)
-    for n in sizes:
-        take = pool[:n]
-        xs = dom.q[take]
-        rows, node = run.interp_tables(take)
-        fresh = P._dd_inverses(take, dom.qpow(-1), run.inv_d, MP, 0)
-        assert len(rows) >= len(fresh) == n - 1
-        for j, want in enumerate(fresh, 1):
-            assert (rows[j - 1][: n - j] == want).all()
-        assert (node == _node(xs, MP)).all()
-        assert (P._newton_interp(xs, ys[:n], MP, rows)
-                == P._newton_interp(xs, ys[:n], MP, fresh)).all()
-
-
 def _runs_holding(value, h, nlanes):
     """Two runs over distinct primes whose lanes hold value as c_h."""
     runs = []
@@ -554,18 +583,35 @@ def test_reconstruct_grows_from_a_small_start():
     assert 96 <= n_used < 96 * 3 // 2
 
 
-def test_reconstruct_over_dead_pool_lanes():
-    # dead pool lanes inside the fitted prefix: the fit's nodes are not
-    # consecutive powers of the ratio, and the tables gather by lane index
-    value = _planted_value()
-    runs = _runs_holding(value, 3, 576)
-    for run, dead in zip(runs, ([0, 5, 6, 40, 97], [1, 2, 3, 64, 90, 300])):
-        run.dom.alive[dead] = False
-    got, n_used = P._reconstruct_coeff(runs, 3, 8, 1.5)
-    assert got == value
-    assert n_used >= 96
-    for run in runs:
-        assert (np.diff(run.pool()[:n_used]) > 1).any()
+def test_a_dead_pool_lane_redraws_the_run(monkeypatch):
+    # a fit takes pool lanes 0..n-1, so a run in which a pool lane died
+    # takes _start_run's next attempt, with its own (g, r); three such
+    # attempts raise, as lanes that keep dying do
+    F, N, prime = painleve_like(), 8, PP
+    seed = [RatQ(1), RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))]
+    inner, doms = P.ProbeDomain.div, []
+
+    def div(self, a, b):  # lane 5 of the first `dying` runs' pools dies
+        if not any(d is self for d in doms):
+            doms.append(self)
+        if len(doms) <= dying:
+            self.alive[5] = False
+        return inner(self, a, b)
+
+    monkeypatch.setattr(P.ProbeDomain, "div", div)
+    for dying in (1, 2):
+        doms.clear()
+        run = P._start_run(F, seed, N, prime, 576)
+        assert len(doms) == dying + 1 and run.dom is doms[-1]
+        rng = np.random.default_rng(
+            P._fingerprint(F, seed, N, prime, dying, 576))
+        assert (run.dom.q[:512] == P._geometric_pool(prime, 512, rng)[0]).all()
+        assert run.dom.alive[:512].all()
+    dying = 3
+    doms.clear()
+    with pytest.raises(EngineError, match="lanes kept dying"):
+        P._start_run(F, seed, N, prime, 576)
+    assert len(doms) == 3
 
 
 def test_need_lanes_only_after_the_whole_pool():
