@@ -320,25 +320,26 @@ def np_mod(a, p):
     return np.array([c % p for c in a], dtype=np.int64)
 
 
-def euclid_mod(prev, cur, dp, dc, stop, p):
-    """Euclid steps over GF(p), in place, while dc > stop.
+def euclid_mod(prev, cur, dp, dc, p, gap=False):
+    """Euclid steps over GF(p), in place, until the remainder is zero or,
+    with gap, until dc <= dp - 2 (so every step has a degree-1 quotient).
 
     prev and cur are (rows, L) int64 buffers with entries in [0, p), p a
     prime below 2**31: primes_31 for the modular gcd, primes_29 for probe
     reconstruction.  Every product term stays below 2**62, so each
     elimination reduces once.  Row 0 of each is a remainder, of degree
-    dp in prev and dc <= dp in cur, zero above it; further rows (cofactors) take the
-    same row operations and stay inside the first dp + 1 columns.  A step
-    takes no inverse: it scales the older pair by lc, the lead of the
-    newer remainder, before each elimination, so every row carries a
-    nonzero scalar that the caller's one monic normalisation removes.  A
-    degree-1 quotient is one fused pass, any other is eliminated term by
-    term.  Returns (prev, cur, dp, dc) after the last step; dc is -1 when
-    the remainder reached zero, and prev then holds the gcd.
-    """
-    while dc > stop:
+    dp in prev and dc <= dp in cur, zero above it; further rows (cofactors,
+    which the caller fits in L) take the same row operations over all L
+    columns, a lone row over its first dp + 1.  A step takes no inverse:
+    it scales the older pair by lc, the lead of the newer remainder, so
+    every row carries a nonzero scalar that the caller's monic form
+    removes.  A degree-1 quotient is one fused pass, any other is
+    eliminated term by term.  Returns (prev, cur, dp, dc) after the last
+    step; dc is -1 when the remainder reached zero, prev then the gcd."""
+    while dc >= 0 and not (gap and dp - dc >= 2):
         lc = cur.item(0, dc)
-        head, tail = prev[:, : dp + 1], cur[:, : dp + 1]
+        w = dp + 1 if len(prev) == 1 else prev.shape[1]
+        head, tail = prev[:, :w], cur[:, :w]
         if dp == dc + 1:
             t = prev.item(0, dp)
             below = cur.item(0, dc - 1) if dc else 0
@@ -353,7 +354,7 @@ def euclid_mod(prev, cur, dp, dc, stop, p):
                 t = prev.item(0, d)
                 if t:
                     head *= lc
-                    head[:, d - dc:] -= t * tail[:, : dp + 1 - d + dc]
+                    head[:, d - dc:] -= t * tail[:, : w - d + dc]
                     head %= p
         d = dc - 1
         while d >= 0 and not prev.item(0, d):
@@ -389,7 +390,7 @@ def _modular_gcd(a, b):
             continue
         prev, cur = np.zeros((2, 1, len(u)), dtype=np.int64)
         prev[0], cur[0, : len(v)] = np_mod(u, p), np_mod(v, p)
-        r, _, d, _ = euclid_mod(prev, cur, len(u) - 1, len(v) - 1, -1, p)
+        r, _, d, _ = euclid_mod(prev, cur, len(u) - 1, len(v) - 1, p)
         if d == 0:
             return [1], a, b  # coprime mod a good prime: certified coprime over Q
         # the monic gcd mod p, scaled to the leading coefficient lg

@@ -23,9 +23,12 @@ backed by verification:
 * the reconstructed solution's residual is re-probed on a fresh prime.
 
 Any failure raises EngineError and the caller falls back to the exact
-domain.  Prime counts escalate on demand.  Fits are sized from the
-degrees already reconstructed, grow by half on failure and try the whole
-lane pool once before the solve restarts with four times the lanes.
+domain.  Prime counts escalate on demand.  Each c_h is fitted times G =
+den(c_(h-1)), a guess at a factor of den(c_h) that is never trusted: on
+q-Painleve II it divides and the fit shrinks, and a wrong G only makes
+the fit larger.  Fits are sized from the pairs already fitted, grow by
+half on failure and try the whole lane pool once before the solve
+restarts with four times the lanes.
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
 and interpolation on such a progression has closed forms (Bostan and
 Schost, J. Complexity 21, 2005): per run, _dd_inverses forms O(npool)
@@ -35,10 +38,11 @@ and the node poly is the Cauchy q-binomial sum.  Each convolution splits
 its residues at 2^15 and keeps three np.convolve sums, each below
 n * 2^34, in int64 for n < 2^29 terms (_conv_mod).  The Euclid steps run
 on _intpoly.euclid_mod, the GF(p) kernel that _intpoly.gcd runs too,
-here on a 2-row (remainder, cofactor) buffer with no inverse and one
-fused pass per degree-1 quotient; the CRT lift uses _intpoly.crt_join,
-as the modular gcd does; and one stacked, blocked Horner pass evaluates
-every polynomial a check needs.
+here on a 2-row (remainder, cofactor) buffer with no inverse, stopped at
+the first degree gap (_rat_interp): a fit of num/den takes deg num +
+deg den + 2 points and about deg den fused degree-1 steps.  The CRT lift
+uses _intpoly.crt_join, as the modular gcd does, and one stacked,
+blocked Horner pass evaluates every polynomial a check needs.
 """
 
 import hashlib
@@ -286,28 +290,28 @@ def _node_poly(m, w, p):
 
 def _rat_interp(ys, p, w, node):
     """(num, den) ascending GF(p) polys with den monic and num = den * ys
-    on the first n = len(ys) points of the pool of weights w; None if n
-    points cannot separate them.  node is the node poly of those points.
-    The extended Euclid is K.euclid_mod on the (remainder, cofactor) pair
-    down to the balanced stop; the monic form removes the scalar its
-    steps leave."""
+    on the first n = len(ys) points of the pool of weights w, node their
+    node poly; None if no degree gap shows.  K.euclid_mod runs on the
+    (remainder, cofactor) rows (r_i, v_i) to the first r_j whose degree is
+    2 or more below deg r_(j-1).  Values of a reduced N/D with deg N +
+    deg D <= n - 2, D nonzero on the points, give such a gap: (N, D) is
+    the row with deg r_j <= deg N < deg r_(j-1) up to a scalar (von zur
+    Gathen and Gerhard, Modern Computer Algebra, Thm 5.16), and deg v_j =
+    n - deg r_(j-1) = deg D, so the drop is n - deg D - deg N.  An earlier
+    drop (an unlucky prime, structured points) gives a wrong pair, which
+    the hold-out rejects like any bad fit.  The monic form removes the
+    scalar the steps leave."""
     n = len(ys)
     if not ys.any():
         return np.zeros(0, dtype=np.int64), np.ones(1, dtype=np.int64)
     f = _newton_interp(ys, w, p)
-    # rows (r, v): deg r = dp in prev; deg r = dc, deg v = n - dp in cur;
-    # before the stop, no row of either pair reaches past degree dp
+    # rows (r, v) with r = v f mod node; deg v = n - dp <= n in cur
     prev, cur = np.zeros((2, 2, n + 1), dtype=np.int64)
     prev[0], cur[0, : len(f)], cur[1, 0] = node, f, 1
-    _, cur, dp, dc = K.euclid_mod(prev, cur, n, len(f) - 1, (n - 1) // 2, p)
+    _, cur, dp, dc = K.euclid_mod(prev, cur, n, len(f) - 1, p, gap=True)
     if dc < 0:
         return None
     num, den = cur[0, : dc + 1], cur[1, : n - dp + 1]
-    # No gcd is taken: every pair that agrees with the data within these
-    # degree bounds is a multiple of the one Euclid stops at (von zur
-    # Gathen and Gerhard, Modern Computer Algebra, Thm 5.16), so when the
-    # values come from a reduced num/den that fits, Euclid returns it
-    # reduced, and any other pair fails the hold-out check.
     inv = pow(den.item(-1), p - 2, p)
     return num * inv % p, den * inv % p
 
@@ -397,7 +401,7 @@ class _Run:
         self.coeffs = coeffs
         self.events = events
         self.w = w
-        self.cands = {}  # (h, n_try) -> fitted (num, den) or None
+        self.cands = {}  # (h, n_try) -> (num, den) of c_h * G, or None
 
     def pool(self):
         return range(self.dom.n - _RESERVE)
@@ -425,34 +429,26 @@ def _start_run(F, seed, N, prime, nlanes):
     raise EngineError(f"lanes kept dying at prime {prime}")
 
 
-def _fit_size(value):
-    """Fewest points whose balanced stop in _rat_interp admits the degrees
-    of value's numerator and denominator."""
-    if value.is_zero():
-        return 1
-    return max(2 * value.num.degree + 1, 2 * value.den.degree)
-
-
-def _reconstruct_coeff(runs, h, n_start, grow):
-    """Exact RatQ for coefficient h from the runs' lane data: fit n_start
-    points per prime, times grow after each failure, and the whole pool
-    once before asking for more lanes."""
+def _reconstruct_coeff(runs, h, n_start, grow, G):
+    """(value, points, need) for coefficient h from the runs' lane data:
+    the exact RatQ, the points fitted and len(num) + len(den) of the pair
+    fitted to c_h * G.  Fit n_start points per prime, times grow after
+    each failure, and the whole pool once before asking for more lanes."""
     cap = min(len(run.pool()) for run in runs) - 16
     n_try = min(n_start, cap)
+    scaled = [run.coeffs[h] * _eval_qpolys([G], run.dom.q, run.dom.p)[0]
+              % run.dom.p for run in runs]
     while True:
-        cands = []
-        for run in runs:
-            key = (h, n_try)
-            if key not in run.cands:
-                p, ys = run.dom.p, run.coeffs[h]
-                hold = slice(n_try, n_try + 16)
+        for run, ys in zip(runs, scaled):
+            if (h, n_try) not in run.cands:
+                p, hold = run.dom.p, slice(n_try, n_try + 16)
                 got = _rat_interp(ys[:n_try], p, run.w,
                                   _node_poly(n_try, run.w, p))
                 if got is not None and not _check_fit(
-                        got[0], got[1], run.dom.q[hold], ys[hold], p):
+                        *got, run.dom.q[hold], ys[hold], p):
                     got = None
-                run.cands[key] = got
-            cands.append(run.cands[key])
+                run.cands[h, n_try] = got
+        cands = [run.cands[h, n_try] for run in runs]
         good = [c for c in cands if c is not None]
         if len(good) >= 2:
             # an unlucky prime can only lose leading coefficients, so the
@@ -471,15 +467,14 @@ def _reconstruct_coeff(runs, h, n_start, grow):
     primes = [runs[i].prime for i in group]
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
-    value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den))
+    value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den) * G)
     # num == c_h * den on the reserved lanes wherever den is nonzero
-    num, den = value.num, value.den
     for run in runs:
         p, res = run.dom.p, run.reserve()
-        n_at, d_at = _eval_qpolys([num, den], run.dom.q[res], p)
+        n_at, d_at = _eval_qpolys([value.num, value.den], run.dom.q[res], p)
         if ((n_at != run.coeffs[h][res] * d_at % p) & (d_at != 0)).any():
             raise _NeedPrimes(f"coefficient {h} fails the reserved-lane check")
-    return value, n_try
+    return value, n_try, len(num) + len(den)
 
 
 def solve(F, seed, N):
@@ -524,14 +519,15 @@ def _solve_at(F, seed, N, nlanes):
                                            needs[-2] - needs[-3])
             grow = 1.5
         try:
-            value, n_hint = _reconstruct_coeff(runs, h, n_start, grow)
+            value, n_hint, need = _reconstruct_coeff(runs, h, n_start, grow,
+                                                     exact[-1].den)
         except _NeedPrimes:
             add_run()
             if len(runs) >= 4:  # large integers: grow the modulus faster
                 add_run()
             continue
         exact.append(value)
-        needs.append(_fit_size(value))
+        needs.append(need)
         h += 1
 
     _verify_fresh(F, exact, prime_iter, {run.prime for run in runs})

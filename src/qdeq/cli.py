@@ -76,6 +76,13 @@ def _values(text, flag, kind):
     return [_value(part.strip(), flag, kind) for part in text.split(",")]
 
 
+def positive(text):
+    """The exponent kind of --c2-grid: a rational above 0."""
+    if (value := Fraction(text)) <= 0:
+        raise ValueError(text)
+    return value
+
+
 def _theta(text):
     """--theta: p/r or an integer read exactly, else a finite float."""
     exact = "/" in text or "." not in text
@@ -259,7 +266,7 @@ def _cmd_diophantine(args):
         else:
             roots = [1 + 0j]
         grid = (None if args.c2_grid is None
-                else _values(args.c2_grid, "--c2-grid", Fraction))
+                else _values(args.c2_grid, "--c2-grid", positive))
         scan = scan_condition_H(q, roots, args.N, c2_grid=grid, theta=theta)
     except RootOfUnityDetected as exc:
         print(json.dumps({"verdict": "root_of_unity", "n": exc.n})
@@ -349,7 +356,7 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except (QdeqError, OSError, ValueError) as exc:
+    except (QdeqError, OSError, ValueError, MemoryError) as exc:
         fields = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "pos"):
             fields["pos"] = exc.pos

@@ -30,6 +30,7 @@ for comparison.  Residual status is reported by run(), never asserted.
 from fractions import Fraction
 
 from .dsl import parse, parse_ratq
+from .errors import InsufficientData
 from .nonlinear import QdeqPoly, eval_at, linearize
 from .ratfunc import Q, QLaurent, RatQ, pochhammer, ratq_sum
 from .series import TruncSeries
@@ -77,6 +78,8 @@ class Expectation:
     def run(self, ctx, order):
         try:
             return self._check(ctx, order)
+        except InsufficientData as exc:  # too few coefficients: ok is None
+            return None, str(exc)
         except Exception as exc:  # a broken expectation must not kill the run
             return False, f"error: {exc}"
 
@@ -151,9 +154,14 @@ class CorpusEntry:
         if order < len(self.seeds) - 1:
             raise ValueError(f"order {order} is below the seed order "
                              f"{len(self.seeds) - 1}")
-        ctx = {}
-        results = [(e.name, e.basis) + e.run(ctx, order) for e in self.expected]
-        notes = self._notes(ctx, order) if self._notes else []
+        ctx, results, notes = {}, [], []
+        for e in self.expected:
+            ok, detail = e.run(ctx, order)
+            if ok is None and order < self.default_order:  # a note, no FAIL
+                notes.append(f"{e.name} not evaluated at order {order}: {detail}")
+            else:
+                results.append((e.name, e.basis, bool(ok), detail))
+        notes += self._notes(ctx, order) if self._notes else []
         return EntryReport(self.id, results, notes)
 
     def to_json(self):

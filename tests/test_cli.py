@@ -484,6 +484,11 @@ SOLVE = ("solve", "x*y[1] - y[0] + 1")
     (SOLVE + ("--seed", "1/0", "--order", "3"), "--seed"),
     (SOLVE + ("--seed", "1,", "--order", "3"), "--seed"),
     (("linearize", "x*y[1] - y[0] + 1", "--seed", "1,x"), "--seed"),
+    # a decay exponent must be positive
+    (("diophantine", "S[0] - x*S[1]", "--theta", "0.1", "--c2-grid", "0",
+      "--N", "10"), "--c2-grid"),
+    (("diophantine", "S[0] - x*S[1]", "--theta", "0.1", "--c2-grid", "-1",
+      "--N", "10"), "--c2-grid"),
 ])
 def test_bad_flag_value_names_its_flag(capsys, argv, flag):
     # a value that does not parse, a zero denominator included, is bad
@@ -512,6 +517,29 @@ def test_smallest_flag_values_are_accepted(capsys, argv):
     # the order kind starts at 0 and the count kind at 1; seed entries
     # may carry spaces
     assert run(capsys, *argv)[0] == 0
+
+
+def test_memory_error_is_a_diagnostic(capsys, monkeypatch):
+    # an input too large for memory (say jones --n 10000000000000) ends
+    # in the JSON diagnostic of every error, exit 1; the stand-in raises
+    # without allocating
+    def jones(n):
+        raise MemoryError
+
+    monkeypatch.setattr("qdeq.cli.jones", jones)
+    code, out, err = run(capsys, "jones", "--n", "10000000000000")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "MemoryError", "message": ""}
+
+
+def test_corpus_small_order_notes_what_it_cannot_check(capsys):
+    # order 2 leaves q-Euler too few coefficients to estimate its growth
+    # order: a note, not a failure
+    code, out, _ = run(capsys, "corpus", "--run", "--order", "2")
+    assert code == 0
+    assert ("note: growth-order not evaluated at order 2: order estimation"
+            " needs at least 5 nonzero coefficients") in out
+    assert "FAIL" not in out
 
 
 def test_corpus_order_below_seed_order_exits_1(capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdeq import growth
 from qdeq.corpus import (
     JONES_ANNIHILATOR_TEXT,
     JONES_OPERATOR_TEXT,
@@ -18,6 +19,7 @@ from qdeq.corpus import (
     jones_series,
 )
 from qdeq.dsl import parse, parse_ratq
+from qdeq.errors import InsufficientData
 from qdeq.ratfunc import RatQ, QLaurent
 from qdeq.series import TruncSeries
 from qdeq.skewop import apply, newton_polygon, op_mul
@@ -234,6 +236,40 @@ def test_run_rejects_order_below_seeds(monkeypatch):
     assert ran == []
     entry.run(order=1)  # the seed order itself is a run
     assert ran == [e.name for e in entry.expected]
+
+
+def test_order_too_small_for_a_claim_is_a_note(monkeypatch):
+    # q-Euler's growth order needs 5 nonzero coefficients: below that a
+    # chosen order notes the claim unevaluated, the default order asserts it
+    entry = get_entry("q-euler")
+    for order in (2, 3):
+        rep = entry.run(order=order)
+        assert rep.passed()
+        assert "growth-order" not in [name for name, *_ in rep.results]
+        assert rep.notes == [f"growth-order not evaluated at order {order}:"
+                             " order estimation needs at least 5 nonzero"
+                             " coefficients"]
+    rep = entry.run()
+    assert rep.passed() and not rep.notes
+    assert "growth-order" in [name for name, *_ in rep.results]
+    # at the default order, too few coefficients is a failure
+    monkeypatch.setattr(growth, "estimate_order", _insufficient)
+    rep = entry.run()
+    assert not rep.passed() and not rep.notes
+    assert ("growth-order", "derived", False, "no data") in rep.results
+    # and any other error fails at every order
+    monkeypatch.setattr(growth, "estimate_order", _broken)
+    rep = entry.run(order=2)
+    assert not rep.passed() and not rep.notes
+    assert ("growth-order", "derived", False, "error: boom") in rep.results
+
+
+def _insufficient(*args):
+    raise InsufficientData("no data")
+
+
+def _broken(*args):
+    raise RuntimeError("boom")
 
 
 def test_run_order_override():

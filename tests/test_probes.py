@@ -299,12 +299,11 @@ def _ref_divmod(u, v, p):
 
 def _ref_rat_interp(xs, ys, p):
     """(num, den) or None as _rat_interp returns them, by Lagrange
-    interpolation and the textbook remainder sequence; also the largest
-    quotient degree the sequence met."""
-    n = len(xs)
+    interpolation and the textbook remainder sequence, stopped at the
+    first row whose remainder degree is 2 or more below the row before."""
     xs, ys = [int(x) for x in xs], [int(y) for y in ys]
     if not any(ys):
-        return ([], [1]), 0
+        return [], [1]
     node = [1]
     for x in xs:
         node = _ref_mul(node, [-x % p, 1], p)
@@ -314,15 +313,13 @@ def _ref_rat_interp(xs, ys, p):
         w = ys[i] * pow(K.eval_mod(basis, x, p), p - 2, p) % p
         f = _ref_sub(f, [-w * c % p for c in basis], p)
     r0, r1, v0, v1 = node, f, [], [1]
-    top = 0
-    while r1 and len(r1) - 1 > (n - 1) // 2:
+    while r1 and len(r0) - len(r1) < 2:
         quo, rem = _ref_divmod(r0, r1, p)
-        top = max(top, len(quo) - 1)
         r0, r1, v0, v1 = r1, rem, v1, _ref_sub(v0, _ref_mul(quo, v1, p), p)
     if not r1:
-        return None, top
+        return None
     inv = pow(v1[-1], p - 2, p)
-    return ([c * inv % p for c in r1], [c * inv % p for c in v1]), top
+    return [c * inv % p for c in r1], [c * inv % p for c in v1]
 
 
 def _some_geometric_pool(p, npool, rng):
@@ -355,15 +352,18 @@ def _negation_closed_pool(p, pairs, rng):
     return g * rk % p, P._dd_inverses(g, rk, p)
 
 
-def _interp_data(seed, p, dn, dd, extra, mode):
+def _interp_data(seed, p, dn, dd, extra, mode, tight=False):
     """Values, weights and node poly for a fit on a pool prefix: a
     planted num/den ("plain"), one in q^2 over a whole negation-closed
     pool, so values repeat in pairs and every quotient has even degree
     ("even"), or values from {0, 1, 2} ("few"); also the nodes.  The
-    planted den is redrawn while it vanishes on a node."""
+    planted den is redrawn while it vanishes on a node.  The points are
+    extra more than a balanced fit of the degrees takes, or with tight
+    than the deg num + deg den + 2 the gap rule takes."""
     rng = np.random.default_rng(seed)
     step = 2 if mode == "even" else 1
-    n = max(2 * step * dn + 1, 2 * step * dd, 2) + extra
+    n = (step * (dn + dd) + 2 if tight
+         else max(2 * step * dn + 1, 2 * step * dd, 2)) + extra
     n += n % step  # whole pairs
     num = np.zeros(step * dn + 1, dtype=np.int64)
     num[::step] = rng.integers(0, p, size=dn + 1)
@@ -402,7 +402,7 @@ def _fit(ys, p, w, node):
 def test_rat_interp_matches_textbook_euclid(seed, p, dn, dd, extra, mode):
     xs, ys, w, node = _interp_data(seed, p, dn, dd, extra, mode)
     got = _fit(ys, p, w, node)
-    want, _ = _ref_rat_interp(xs, ys, p)
+    want = _ref_rat_interp(xs, ys, p)
     assert got == want
     if got is not None:
         num, den = got
@@ -410,15 +410,37 @@ def test_rat_interp_matches_textbook_euclid(seed, p, dn, dd, extra, mode):
                 == K.eval_many_mod(den, xs, p) * ys % p).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([536813569, MP]),
+       big=st.integers(40, 100), small=st.integers(0, 3),
+       extra=st.integers(0, 2), num_first=st.booleans())
+def test_rat_interp_fits_unbalanced_degrees(seed, p, big, small, extra,
+                                            num_first):
+    # one degree far above the other, from deg num + deg den + 2 points
+    # (and up to 2 more), where a balanced stop would need 2 max + 1
+    dn, dd = (big, small) if num_first else (small, big)
+    xs, ys, w, node = _interp_data(seed, p, dn, dd, extra, "plain",
+                                   tight=True)
+    got = _fit(ys, p, w, node)
+    assert got == _ref_rat_interp(xs, ys, p)
+    # a reduced pair of these degrees that fits len(xs) >= dn + dd + 2
+    # points is the planted one
+    num, den = got
+    assert (len(num), len(den)) == (dn + 1, dd + 1)
+    assert (K.eval_many_mod(num, xs, p)
+            == K.eval_many_mod(den, xs, p) * ys % p).all()
+
+
 def test_rat_interp_takes_quotients_of_degree_two():
-    # values of a function of q^2 at +-x pairs: the remainder degrees
-    # drop by two, so no step has the normal degree-1 quotient
+    # values of a function of q^2 at +-x pairs: the remainder degrees drop
+    # by two from the first row on, so the gap rule stops there, before
+    # any quotient, and returns the interpolating polynomial over 1; on
+    # these points it is a wrong fit that only a hold-out can reject
     for seed in range(5):
         xs, ys, w, node = _interp_data(seed, MP, 4, 5, 3, "even")
-        want, top = _ref_rat_interp(xs, ys, MP)
-        assert top >= 2
+        want = _ref_rat_interp(xs, ys, MP)
         assert _fit(ys, MP, w, node) == want
-        assert want is not None and len(want[1]) == 11
+        assert len(want[0]) == len(xs) - 1 and want[1] == [1]
 
 
 # -- the same kernel in gcd mode, against textbook long division --------
@@ -440,7 +462,7 @@ def _gcd_mod(a, b, p):
         a, b = b, a
     prev, cur = np.zeros((2, 1, len(a)), dtype=np.int64)
     prev[0], cur[0, : len(b)] = a, b
-    r, _, d, dc = K.euclid_mod(prev, cur, len(a) - 1, len(b) - 1, -1, p)
+    r, _, d, dc = K.euclid_mod(prev, cur, len(a) - 1, len(b) - 1, p)
     assert dc == -1
     return (r[0, : d + 1] * pow(r.item(0, d), p - 2, p) % p).tolist()
 
@@ -470,8 +492,8 @@ def test_euclid_mod_gcd_matches_textbook(seed, p, dg, du, dv, sparse):
 
 def test_euclid_mod_fused_step_at_degree_zero():
     # x^2 + 1 and x + 1: remainders of degree 1, then 0, then zero; the
-    # last step is a degree-1 quotient whose divisor has degree 0, which
-    # the balanced stop of _rat_interp never reaches
+    # last step is a degree-1 quotient whose divisor has degree 0, as in
+    # a _rat_interp whose remainder reaches zero before any degree gap
     for p in (101, 7919, MP):
         assert _gcd_mod([1, 0, 1], [1, 1], p) == [1]
         assert _gcd_mod([p - 1, 0, 1], [1, 1], p) == [1, 1]
@@ -566,21 +588,42 @@ def _runs_holding(value, h, nlanes):
 
 
 def _planted_value():
-    # q^2 * n/d with deg n = 40 and deg d = 48: a fit needs 96 points
+    # q^2 * n/d with deg n = 40 and deg d = 48: a fit of the pair's
+    # 43 + 49 coefficients needs 92 points
     rnd = random.Random(5)
     n = QPoly([rnd.randint(-9, 9) for _ in range(40)] + [1])
     d = QPoly([1] + [rnd.randint(-9, 9) for _ in range(47)] + [2])
     value = (RatQ(n) / RatQ(d)).shift_q(2)
-    assert P._fit_size(value) == 96
+    assert (value.num.degree, value.den.degree) == (42, 48)
     return value
 
 
 def test_reconstruct_grows_from_a_small_start():
     value = _planted_value()
     runs = _runs_holding(value, 3, 576)
-    got, n_used = P._reconstruct_coeff(runs, 3, 8, 1.5)
-    assert got == value
-    assert 96 <= n_used < 96 * 3 // 2
+    got, n_used, need = P._reconstruct_coeff(runs, 3, 8, 1.5, QPoly([1]))
+    assert got == value and need == 92
+    assert 92 <= n_used < 92 * 3 // 2
+
+
+def test_reconstruct_takes_any_denominator_guess():
+    # the guess G scales the fitted values; a factor of den(c_h) shrinks
+    # the fit, a G prime to it grows it, and every G gives the value
+    rnd = random.Random(8)
+    d1 = QPoly([1] + [rnd.randint(-9, 9) for _ in range(19)] + [3])
+    d2 = QPoly([2] + [rnd.randint(-9, 9) for _ in range(9)] + [1])
+    n = QPoly([rnd.randint(-9, 9) for _ in range(30)] + [1])
+    value = RatQ(n) / RatQ(d1 * d2)
+    assert value.den.degree == 30
+    coprime = QPoly([1, 1, 0, 0, 0, 3])
+    assert RatQ(1, coprime * value.den).den.degree == 35
+    for G, need in ((QPoly([1]), 31 + 31), (d1, 31 + 11),
+                    (coprime, 36 + 31)):
+        # fresh runs: their fits are cached by (h, points), not by G
+        runs = _runs_holding(value, 3, 576)
+        got, n_used, got_need = P._reconstruct_coeff(runs, 3, 16, 1.5, G)
+        assert got == value and got_need == need
+        assert need <= n_used
 
 
 def test_a_dead_pool_lane_redraws_the_run(monkeypatch):
@@ -618,9 +661,9 @@ def test_need_lanes_only_after_the_whole_pool():
     value = _planted_value()
     runs = _runs_holding(value, 3, 160)
     cap = min(len(run.pool()) for run in runs) - 16
-    assert cap < 96
+    assert cap < 92
     with pytest.raises(P._NeedLanes):
-        P._reconstruct_coeff(runs, 3, 32, 1.5)
+        P._reconstruct_coeff(runs, 3, 32, 1.5, QPoly([1]))
     # every run tried a fit over its whole usable pool first
     assert all((3, cap) in run.cands for run in runs)
 
