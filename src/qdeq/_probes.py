@@ -27,8 +27,10 @@ domain.  Prime counts escalate on demand.  Each c_h is fitted times G =
 den(c_(h-1)), a guess at a factor of den(c_h) that is never trusted: on
 q-Painleve II it divides and the fit shrinks, and a wrong G only makes
 the fit larger.  Fits are sized from the pairs already fitted, grow by
-half on failure and try the whole lane pool once before the solve
-restarts with four times the lanes.
+half on failure and try the whole lane pool once before every prime's
+pool doubles in place: the solve starts small (_START_LANES), and a
+pool grows by a batch of new points on its own progression, on which
+the solve loop runs alone, so no attempt is thrown away.
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
 and interpolation on such a progression has closed forms (Bostan and
 Schost, J. Complexity 21, 2005): per run, _dd_inverses forms O(npool)
@@ -60,6 +62,8 @@ from .nonlinear import Evaluator
 from .ratfunc import QPoly, RatQ
 
 _RESERVE = 64  # lanes per prime kept out of every interpolation
+_START_LANES = 256  # lanes per prime as a solve starts: pool and reserve
+_MAX_LANES = 42000  # lanes per prime a pool may grow to
 _VERIFY_LANES = 128  # lanes of the fresh-prime verification
 _CHECK_PRIMES = 2  # primes and lanes per prime of the probe-mode check
 _CHECK_LANES = 160
@@ -246,19 +250,20 @@ def _conv_mod(a, b, p):
     return ((hi % p << 30) + (mid % p << 15) + lo) % p
 
 
-_Weights = namedtuple("_Weights", "alpha gamma beta rr inv_rr delta")
+_Weights = namedtuple("_Weights", "g r alpha gamma beta rr inv_rr delta")
 
 
-def _dd_inverses(g, rk, p):
-    """Weights of the pool x_i = g r^i, rk[i] = r^i (i < npool), from
-    prefix products and one batch inverse.  With (r;r)_k = prod_(t=1..k)
-    (1 - r^t) and C(k,2) = k(k-1)/2, the inverse divided-difference weight
+def _dd_inverses(g, r, n, p):
+    """Weights of the pool x_i = g r^i (i < n), from prefix products and
+    one batch inverse.  With (r;r)_k = prod_(t=1..k) (1 - r^t) and
+    C(k,2) = k(k-1)/2, the inverse divided-difference weight
     1/prod_(j<=k, j!=i) (x_i - x_j) is alpha_i gamma_(k-i) beta_k:
     alpha_i = (-1)^i/(r;r)_i, gamma_t = r^C(t,2)/(r;r)_t and
     beta_k = g^-k r^-C(k,2).  rr and inv_rr hold (r;r)_k and its inverse,
-    and delta_t = (-g)^t gamma_t.  ValueError where some r^k = 1: the
-    points repeat."""
-    n = len(rk)
+    and delta_t = (-g)^t gamma_t; g and r let the pool grow.  Each vector
+    of a longer pool starts with the same residues.  ValueError where
+    some r^k = 1: the points repeat."""
+    rk = _powers(r, n, p)
     rr = _prefix_prod(np.concatenate(([1], (1 - rk[1:]) % p)), p)
     tri = _prefix_prod(np.concatenate(([1], rk[:-1])), p)  # r^C(k,2)
     inv_rr, inv_tri = np.split(_batch_inv(np.concatenate((rr, tri)), p), 2)
@@ -267,7 +272,7 @@ def _dd_inverses(g, rk, p):
     gamma = tri * inv_rr % p
     beta = _powers(pow(g, p - 2, p), n, p) * inv_tri % p
     delta = _powers(p - g, n, p) * gamma % p
-    return _Weights(alpha, gamma, beta, rr, inv_rr, delta)
+    return _Weights(g, r, alpha, gamma, beta, rr, inv_rr, delta)
 
 
 def _newton_interp(ys, w, p):
@@ -379,21 +384,28 @@ def _lane_points(prime, nlanes, rng, avoid=()):
     return pts[:nlanes]
 
 
+def _progression(prime, g, r, npool):
+    """(x, w): points x_i = g r^i (i < npool) and their _dd_inverses
+    weights, or None unless the points are distinct and in [2, p-2]."""
+    xs = g * _powers(r, npool, prime) % prime
+    if not ((xs == 1) | (xs == prime - 1)).any():
+        with suppress(ValueError):  # some r^k = 1: the points repeat
+            return xs, _dd_inverses(g, r, npool, prime)
+    return None
+
+
 def _geometric_pool(prime, npool, rng):
-    """(x, w): points x_i = g r^i (i < npool), distinct and in [2, p-2],
-    and their _dd_inverses weights; g, r redrawn otherwise."""
+    """(x, w) of _progression for a random g, r, redrawn while None."""
     for _ in range(8):
-        g, r = rng.integers(2, prime - 1, size=2).tolist()
-        rk = _powers(r, npool, prime)
-        xs = g * rk % prime
-        if not ((xs == 1) | (xs == prime - 1)).any():
-            with suppress(ValueError):  # some r^k = 1: the points repeat
-                return xs, _dd_inverses(g, rk, prime)
+        got = _progression(prime, *rng.integers(2, prime - 1, size=2).tolist(),
+                           npool)
+        if got is not None:
+            return got
     raise EngineError(f"no geometric pool of {npool} points at prime {prime}")
 
 
 class _Run:
-    __slots__ = ("prime", "dom", "coeffs", "events", "w", "cands")
+    __slots__ = ("prime", "dom", "coeffs", "events", "w", "cands", "scaled")
 
     def __init__(self, prime, dom, coeffs, events, w):
         self.prime = prime
@@ -402,6 +414,7 @@ class _Run:
         self.events = events
         self.w = w
         self.cands = {}  # (h, n_try) -> (num, den) of c_h * G, or None
+        self.scaled = None, 0, None  # (h, lanes, c_h * G at the lanes)
 
     def pool(self):
         return range(self.dom.n - _RESERVE)
@@ -415,8 +428,34 @@ def _event_sig(events):
     return [(e["h"], e["kind"], e.get("order")) for e in events]
 
 
-def _start_run(F, seed, N, prime, nlanes):
+def _start_run(F, seed, N, prime, nlanes, run=None):
+    """A run of the solve loop at prime over nlanes lanes [pool | reserve]:
+    pool lanes x_i = g r^i, all alive, and _RESERVE independent uniform
+    ones.  Given run, its pool grows in place to nlanes - _RESERVE lanes
+    instead: its progression continues, the loop runs on the new points
+    alone and must give run's events, and their columns join the pool,
+    so every pool prefix and cached fit stays.  Growth returns whether
+    the new points joined: not where one is +-1 or a reserve point, some
+    r^k = 1 or a new lane dies."""
     from .solver import _extend_core
+    if run is not None:
+        old, reserve = len(run.pool()), run.dom.q[-_RESERVE:]
+        got = _progression(prime, run.w.g, run.w.r, nlanes - _RESERVE)
+        if got is None or np.isin(got[0][old:], reserve).any():
+            return False
+        xs, w = got
+        dom = ProbeDomain(prime, xs[old:])
+        coeffs, events = _extend_core(F, seed, N, dom)
+        if not dom.alive.all():
+            return False
+        if _event_sig(events) != _event_sig(run.events):
+            raise EngineError(f"event mismatch within prime {prime}")
+        grown = ProbeDomain(prime, np.concatenate((xs, reserve)))
+        grown.alive[-_RESERVE:] = run.dom.alive[-_RESERVE:]
+        run.coeffs = [np.concatenate((c[:old], new, c[old:]))
+                      for c, new in zip(run.coeffs, coeffs)]
+        run.dom, run.w = grown, w
+        return True
     for attempt in range(3):
         rng = np.random.default_rng(
             _fingerprint(F, seed, N, prime, attempt, nlanes))
@@ -436,8 +475,12 @@ def _reconstruct_coeff(runs, h, n_start, grow, G):
     each failure, and the whole pool once before asking for more lanes."""
     cap = min(len(run.pool()) for run in runs) - 16
     n_try = min(n_start, cap)
-    scaled = [run.coeffs[h] * _eval_qpolys([G], run.dom.q, run.dom.p)[0]
-              % run.dom.p for run in runs]
+    for run in runs:  # G at the lanes once per coefficient and pool size
+        if run.scaled[:2] != (h, run.dom.n):
+            p = run.dom.p
+            at = _eval_qpolys([G], run.dom.q, p)[0]
+            run.scaled = h, run.dom.n, run.coeffs[h] * at % p
+    scaled = [run.scaled[2] for run in runs]
     while True:
         for run, ys in zip(runs, scaled):
             if (h, n_try) not in run.cands:
@@ -479,14 +522,10 @@ def _reconstruct_coeff(runs, h, n_start, grow, G):
 
 def solve(F, seed, N):
     """Probe-mode extend: returns (exact coefficient list, events); event
-    values such as residuals stay probe-domain vectors."""
-    nlanes = 576
-    while nlanes <= 42000:
-        try:
-            return _solve_at(F, seed, N, nlanes)
-        except _NeedLanes:
-            nlanes *= 4
-    raise EngineError("lane escalation exhausted")
+    values such as residuals stay probe-domain vectors.  Every prime
+    starts at _START_LANES lanes, and all pools double in place when a
+    fit outgrows them, up to _MAX_LANES lanes."""
+    return _solve_at(F, seed, N, _START_LANES)
 
 
 def _solve_at(F, seed, N, nlanes):
@@ -494,13 +533,16 @@ def _solve_at(F, seed, N, nlanes):
     runs = [_start_run(F, seed, N, next(prime_iter), nlanes)]
     sig = _event_sig(runs[0].events)
 
-    def add_run():
-        if len(runs) >= 24:
-            raise EngineError("prime escalation exhausted")
+    def draw():  # a fresh prime at the current size
         run = _start_run(F, seed, N, next(prime_iter), nlanes)
         if _event_sig(run.events) != sig:
             raise EngineError("event mismatch between primes")
-        runs.append(run)
+        return run
+
+    def add_run():
+        if len(runs) >= 24:
+            raise EngineError("prime escalation exhausted")
+        runs.append(draw())
 
     add_run()
     k = len(seed) - 1
@@ -525,6 +567,14 @@ def _solve_at(F, seed, N, nlanes):
             add_run()
             if len(runs) >= 4:  # large integers: grow the modulus faster
                 add_run()
+            continue
+        except _NeedLanes:
+            nlanes = 2 * nlanes - _RESERVE  # twice the pool
+            if nlanes > _MAX_LANES:
+                raise EngineError("lane escalation exhausted") from None
+            # a prime whose pool cannot grow gives way to a fresh one
+            runs[:] = [run if _start_run(F, seed, N, run.prime, nlanes, run)
+                       else draw() for run in runs]
             continue
         exact.append(value)
         needs.append(need)

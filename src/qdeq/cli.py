@@ -24,6 +24,7 @@ bounds that does not hold).
 """
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -103,8 +104,11 @@ def _read_text(args):
     if args.input:
         if args.input == "-":
             return sys.stdin.read()
-        with open(args.input, encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                return fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise QdeqError(f"argument --input: {exc}") from None
     raise QdeqError("no equation given; pass it as an argument or via --input")
 
 
@@ -212,7 +216,7 @@ def _cmd_corpus(args):
         try:
             entries = [get_entry(args.entry)]
         except KeyError as exc:
-            raise QdeqError(str(exc.args[0])) from None
+            raise QdeqError(f"argument --entry: {exc.args[0]}") from None
     else:
         entries = corpus()
     if not args.run:
@@ -263,6 +267,9 @@ def _cmd_diophantine(args):
                 raise
         elif args.roots is not None:
             roots = _values(args.roots, "--roots", complex)
+            if not all(map(cmath.isfinite, roots)):
+                raise ValueError(f"argument --roots: {args.roots!r} holds a"
+                                 f" root that is not a finite complex number")
         else:
             roots = [1 + 0j]
         grid = (None if args.c2_grid is None

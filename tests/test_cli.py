@@ -4,9 +4,12 @@ import argparse
 import io
 import json
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdeq.cli import _build_parser, main
 
@@ -598,3 +601,72 @@ def test_readme_cli_tour(capsys, tmp_path, monkeypatch):
                 assert g.startswith(head) and g.endswith(tail), argv
             else:
                 assert g == want, argv
+
+
+def test_unreadable_input_names_its_flag(capsys, tmp_path):
+    # a file that is not UTF-8, a missing file and a directory
+    binary = tmp_path / "eq.bin"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (binary, tmp_path / "missing.txt", tmp_path):
+        code, out, err = run(capsys, "parse", "--input", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"].startswith("argument --input: ")
+
+
+# -- hostile flag values -------------------------------------------------------
+
+EULER = "x*y[1] - y[0] + 1"
+# (arguments before the value, flag, whether huge values must be dropped):
+# a huge order or count is a valid value that would run for long
+HOSTILE_FLAGS = [
+    (("linearize", EULER), "--seed", False),
+    (("solve", EULER, "--seed", "1"), "--order", True),
+    (("linearize", EULER, "--seed", "1"), "--order", True),
+    (("growth", EULER, "--seed", "1"), "--order", True),
+    (("growth", EULER, "--seed", "1", "--order", "8"), "--s", False),
+    (("growth", EULER, "--seed", "1", "--order", "8"), "--C", False),
+    (("jones",), "--n", True),
+    (("diophantine", "--N", "100"), "--theta", False),
+    (("diophantine", "--theta", "0.6180339887", "--N", "100"), "--roots",
+     False),
+    (("diophantine", "--theta", "0.6180339887", "--N", "100"), "--c2-grid",
+     False),
+    (("diophantine", "--theta", "0.6180339887"), "--N", True),
+    (("corpus",), "--entry", False),
+    (("parse", EULER), "--format", False),
+    (("parse",), "--input", False),
+]
+HUGE = "9" * 40
+SMALL_ATOMS = ["", " ", "\t", "nan", "-nan", "inf", "-inf", "1/0", "0/0",
+               "1e400", "-1e400", "1.0e400", "-0", "0", "-1", "7", " 3 ",
+               "\u0663", "\uff11\uff12", "\u00bd", "1_0", "0x1f", "-" + HUGE,
+               "1/3", "2.5", "q", "\u00e9", "1,", ","]
+ATOMS = SMALL_ATOMS + [HUGE, "1" + "0" * 400]
+
+
+@st.composite
+def hostile_argv(draw):
+    """argv of one command with one flag set to a hostile literal: one
+    to three atoms joined by commas, as "--flag value" or "--flag=value"."""
+    before, flag, small = draw(st.sampled_from(HOSTILE_FLAGS))
+    atoms = st.sampled_from(SMALL_ATOMS if small else ATOMS)
+    value = ",".join(draw(st.lists(atoms, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        return flag, [*before, f"{flag}={value}"]
+    return flag, [*before, flag, value]
+
+
+@settings(max_examples=240, deadline=None)
+@given(hostile_argv())
+def test_hostile_flag_values_end_in_a_diagnostic(case):
+    # any value of any flag exits 0, 1 or 2 with no traceback, and an
+    # error names the flag whose value it rejects
+    flag, argv = case
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        last = json.loads(err.getvalue().splitlines()[-1])
+        assert flag in last["message"], (argv, last)

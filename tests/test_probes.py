@@ -349,7 +349,7 @@ def _negation_closed_pool(p, pairs, rng):
     while pow(g, m2, p) == 1:
         g = int(rng.integers(2, p - 1))
     rk = np.array(rk, dtype=np.int64)
-    return g * rk % p, P._dd_inverses(g, rk, p)
+    return g * rk % p, P._dd_inverses(g, r, m2, p)
 
 
 def _interp_data(seed, p, dn, dd, extra, mode, tight=False):
@@ -537,25 +537,59 @@ def test_probe_matches_exact_linear():
         assert c == RatQ(1).shift_q(h * (h - 1) // 2)
 
 
-def test_probe_matches_exact_nonlinear(monkeypatch):
-    F = painleve_like()
-    lanes = []
-    inner = P._solve_at
+def _qp2_branches():
+    for sign in (1, -1):
+        yield [RatQ(1),
+               sign * RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))]
+
+
+def _solves_match_exact(monkeypatch, N):
+    """Both qp2 branches through N agree with the exact engine, events
+    included, each from a probe solve with no fallback; returns the lanes
+    of every _solve_at."""
+    F, lanes, solved = painleve_like(), [], []
+    inner_at, inner_solve = P._solve_at, P.solve
 
     def counted(*args):
         lanes.append(args[3])
-        return inner(*args)
+        return inner_at(*args)
+
+    def solve(*args):
+        got = inner_solve(*args)
+        solved.append(args[2])
+        return got
 
     monkeypatch.setattr(P, "_solve_at", counted)
-    for sign in (1, -1):
-        a = sign * RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))
-        fast = extend(F, [RatQ(1), a], 14, engine="probe")
-        slow = extend(F, [RatQ(1), a], 14, engine="exact")
+    monkeypatch.setattr(P, "solve", solve)
+    for seed in _qp2_branches():
+        fast = extend(F, seed, N, engine="probe")
+        slow = extend(F, seed, N, engine="exact")
         assert fast.solution.coeffs == slow.solution.coeffs
         assert fast.events == slow.events
-    # c_14 needs 280 points: sized from the degree profile, each branch
-    # fits within its first 576 lanes, with no restart
-    assert lanes == [576, 576]
+    assert solved == [N, N]  # no EngineError fell back to exact
+    return lanes
+
+
+def test_probe_matches_exact_nonlinear(monkeypatch):
+    # one _solve_at per branch, at the start size: a pool grows inside it
+    assert _solves_match_exact(monkeypatch, 14) == [P._START_LANES] * 2
+
+
+def test_a_grown_solve_matches_exact(monkeypatch):
+    # c_14 times den(c_13) takes about 170 points, so a 48-lane start
+    # pool grows at least twice on each branch
+    grown, inner = [], P._start_run
+
+    def start(*args):
+        got = inner(*args)
+        if len(args) > 5:
+            grown.append(got)
+        return got
+
+    monkeypatch.setattr(P, "_START_LANES", P._RESERVE + 48)
+    monkeypatch.setattr(P, "_start_run", start)
+    assert _solves_match_exact(monkeypatch, 14) == [P._RESERVE + 48] * 2
+    assert len(grown) >= 2 * 2 * 2 and all(grown)
 
 
 def test_probe_deterministic():
@@ -666,6 +700,130 @@ def test_need_lanes_only_after_the_whole_pool():
         P._reconstruct_coeff(runs, 3, 32, 1.5, QPoly([1]))
     # every run tried a fit over its whole usable pool first
     assert all((3, cap) in run.cands for run in runs)
+
+
+def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
+    # a re-call at the same h, as after _NeedPrimes, reuses G's values
+    value, G, calls = _planted_value(), QPoly([1, 1]), []
+    runs, inner = _runs_holding(value * RatQ(1, G), 3, 576), P._eval_qpolys
+
+    def evaluate(polys, xs, p):
+        if len(polys) == 1:
+            calls.append(len(xs))
+        return inner(polys, xs, p)
+
+    monkeypatch.setattr(P, "_eval_qpolys", evaluate)
+    for _ in range(2):
+        got = P._reconstruct_coeff(runs, 3, 8, 1.5, G)[0]
+        assert got == value * RatQ(1, G)
+    assert calls == [576, 576]
+
+
+def test_a_grown_pool_is_the_longer_progression():
+    # the same (g, r) drawn for the larger pool gives the same points
+    # and weights bit for bit; the reserve lanes stay last, as they were
+    F, N, seed = painleve_like(), 8, next(_qp2_branches())
+    run = P._start_run(F, seed, N, PP, P._RESERVE + 40)
+    run.dom.alive[40 + 7] = False  # a reserve lane that died stays dead
+    g, r, reserve = run.w.g, run.w.r, run.dom.q[40:].copy()
+    alive = run.dom.alive[40:].copy()
+    assert P._start_run(F, seed, N, PP, P._RESERVE + 80, run)
+    xs, w = P._geometric_pool(PP, 80, _Scripted([(g, r)]))
+    assert (run.dom.q == np.concatenate((xs, reserve))).all()
+    assert run.dom.alive[:80].all() and (run.dom.alive[80:] == alive).all()
+    assert list(run.pool()) == list(range(80))
+    assert all(np.array_equal(a, b) for a, b in zip(run.w, w))
+    # the new columns hold the solution's coefficients at the new points
+    exact = extend(F, seed, N, engine="exact").solution.coeffs
+    for c, val in zip(run.coeffs, exact):
+        assert (c == run.dom.from_ratq(val))[run.dom.alive].all()
+
+
+def test_a_point_on_a_reserve_lane_stops_the_growth():
+    F, N, seed = painleve_like(), 8, next(_qp2_branches())
+    run = P._start_run(F, seed, N, PP, P._RESERVE + 40)
+    run.dom.q[-1] = run.w.g * pow(run.w.r, 60, PP) % PP
+    dom, coeffs, w = run.dom, run.coeffs, run.w
+    assert not P._start_run(F, seed, N, PP, P._RESERVE + 80, run)
+    assert run.dom is dom and run.coeffs is coeffs and run.w is w
+
+
+def test_growth_keeps_every_cached_fit():
+    # pool prefixes are unchanged, so fits cached before the growth are
+    # the fits made again after it
+    F, N, seed = painleve_like(), 8, next(_qp2_branches())
+    runs = [P._start_run(F, seed, N, p, P._RESERVE + 64)
+            for p in islice(K.primes_29(), 2)]
+    before = P._reconstruct_coeff(runs, 2, 16, 2, seed[-1].den)
+    cached = [dict(run.cands) for run in runs]
+    assert all(cached)
+    for run, old in zip(runs, cached):
+        assert P._start_run(F, seed, N, run.prime, P._RESERVE + 128, run)
+        assert run.cands.keys() == old.keys()  # growth keeps the cache
+        run.cands.clear()
+    assert P._reconstruct_coeff(runs, 2, 16, 2, seed[-1].den) == before
+    for run, old in zip(runs, cached):
+        assert run.cands.keys() == old.keys()
+        for key, fit in old.items():
+            if fit is None:
+                assert run.cands[key] is None
+            else:
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(run.cands[key], fit))
+
+
+def test_a_dead_lane_in_a_growth_batch_brings_a_fresh_prime(monkeypatch):
+    # lane 5 of the first growth batch dies: that prime's run is dropped
+    # and a fresh prime joins at the current size, with no EngineError
+    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    inner_div, inner_start = P.ProbeDomain.div, P._start_run
+    inner_verify = P._verify_fresh
+    killing, dropped, fresh, used = [], [], [], []
+
+    def start(*args):
+        growing = len(args) > 5 and not dropped
+        killing.append(growing)
+        got = inner_start(*args)
+        killing.clear()
+        if growing:
+            dropped.append((args[3], got))
+        elif dropped and len(args) == 5:
+            fresh.append(args[4])
+        return got
+
+    def div(self, a, b):
+        if killing and killing[-1]:
+            self.alive[5] = False
+        return inner_div(self, a, b)
+
+    def verify(F, exact, prime_iter, primes):
+        used.extend(primes)
+        return inner_verify(F, exact, prime_iter, primes)
+
+    monkeypatch.setattr(P, "_START_LANES", P._RESERVE + 48)
+    monkeypatch.setattr(P, "_start_run", start)
+    monkeypatch.setattr(P.ProbeDomain, "div", div)
+    monkeypatch.setattr(P, "_verify_fresh", verify)
+    coeffs, _ = P.solve(F, seed, N)
+    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    (prime, ok), = dropped
+    assert not ok and prime not in used and len(used) >= 2
+    assert fresh and fresh[0] == 2 * (P._RESERVE + 48) - P._RESERVE
+
+
+@pytest.mark.parametrize("ceiling, N", [(127, 8), (128, 6)])
+def test_lane_growth_stops_at_the_ceiling(monkeypatch, ceiling, N):
+    # a 32-lane start pool holds fits of 16 points; c_4 needs 20, so the
+    # pool grows to 2 * 96 - 64 = 128 lanes, which a ceiling of 127 refuses
+    monkeypatch.setattr(P, "_START_LANES", P._RESERVE + 32)
+    monkeypatch.setattr(P, "_MAX_LANES", ceiling)
+    F, seed = painleve_like(), next(_qp2_branches())
+    if ceiling < 128:
+        with pytest.raises(EngineError, match="lane escalation exhausted"):
+            P.solve(F, seed, N)
+    else:
+        coeffs, _ = P.solve(F, seed, N)
+        assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
 
 
 def test_probe_domain_sum_matches_folded_add():
