@@ -22,29 +22,27 @@ backed by verification:
   took no part in the fit;
 * the reconstructed solution's residual is re-probed on a fresh prime.
 
-Any failure raises EngineError and the caller falls back to the exact
-domain.  Prime counts escalate on demand.  Each c_h is fitted times G =
-den(c_(h-1)), a guess at a factor of den(c_h) that is never trusted: on
-q-Painleve II it divides and the fit shrinks, and a wrong G only makes
-the fit larger.  Fits are sized from the pairs already fitted, grow by
-half on failure and try the whole lane pool once before every prime's
-pool doubles in place: the solve starts small (_START_LANES), and a
-pool grows by a batch of new points on its own progression, on which
-the solve loop runs alone, so no attempt is thrown away.
+Escalation follows two rules.  A prime's points serve whole, or the
+prime gives way to the next one: a divisor that vanishes at a lane, or
+a scalar denominator that p divides, raises _Pole, and _serving takes
+the next prime (EngineError after 24 in a row).  A fit tries one size,
+3/2 of the points the previous coefficient took plus 16, then the whole
+pool; when that falls short too, every prime's pool doubles in place:
+its progression continues, and the solve loop runs on the new points
+alone, so no attempt is thrown away.  What neither rule mends (events
+that disagree, a failed verification, a spent budget) raises
+EngineError, and the caller falls back to the exact domain.  Each c_h
+is fitted times G = den(c_(h-1)), a guess at a factor of den(c_h) that
+is never trusted: on q-Painleve II it divides and the fit shrinks, and
+a wrong G only makes the fit larger.
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
-and interpolation on such a progression has closed forms (Bostan and
-Schost, J. Complexity 21, 2005): per run, _dd_inverses forms O(npool)
-weight vectors once, Newton's divided differences on a pool prefix are
-then one convolution of them and the change to monomial form one more,
-and the node poly is the Cauchy q-binomial sum.  Each convolution splits
-its residues at 2^15 and keeps three np.convolve sums, each below
-n * 2^34, in int64 for n < 2^29 terms (_conv_mod).  The Euclid steps run
-on _intpoly.euclid_mod, the GF(p) kernel that _intpoly.gcd runs too,
-here on a 2-row (remainder, cofactor) buffer with no inverse, stopped at
-the first degree gap (_rat_interp): a fit of num/den takes deg num +
-deg den + 2 points and about deg den fused degree-1 steps.  The CRT lift
-uses _intpoly.crt_join, as the modular gcd does, and one stacked,
-blocked Horner pass evaluates every polynomial a check needs.
+on which interpolation has closed forms (Bostan and Schost, J.
+Complexity 21, 2005): two convolutions (_conv_mod) of per-run weights
+(_dd_inverses), and a node poly that is a Cauchy q-binomial sum.  The
+Euclid steps run on _intpoly.euclid_mod, which _intpoly.gcd runs too,
+stopped at the first degree gap (_rat_interp), so a fit of num/den
+takes deg num + deg den + 2 points.  The CRT lift uses
+_intpoly.crt_join, as the modular gcd does.
 """
 
 import hashlib
@@ -75,6 +73,10 @@ class _NeedLanes(Exception):
 
 class _NeedPrimes(Exception):
     pass
+
+
+class _Pole(Exception):
+    """A value has a pole at some lane: this prime's points cannot serve."""
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +117,13 @@ def _stack(rows):
 
 def _eval_qpolys(polys, xs, p):
     """QPolys at the points xs modulo p, one row each, in one stacked
-    Horner pass; their scalar denominators are prime to p."""
+    Horner pass; _Pole where p divides a scalar denominator."""
+    try:
+        scale = np.array([pow(f.den, -1, p) for f in polys], dtype=np.int64)
+    except ValueError:
+        raise _Pole(f"a scalar denominator is 0 mod {p}") from None
     at = K.eval_many_mod(_stack([[c % p for c in f.ints] for f in polys]),
                          xs, p)
-    scale = np.array([pow(f.den, p - 2, p) for f in polys], dtype=np.int64)
     return at * scale[:, None] % p
 
 
@@ -129,10 +134,10 @@ def _eval_qpolys(polys, xs, p):
 class ProbeDomain:
     """Vectors of GF(p) evaluations at fixed random points q = x_j.
 
-    Lanes where a division hits zero are marked dead and ignored by
-    zero tests from then on; healthy() reports whether enough survive.
-    Besides the domain members of nonlinear, qpow, mul and healthy are
-    this engine's own.
+    Every lane serves every value: a division by a vector that is 0 at
+    some lane raises _Pole, and so does a value whose scalar denominator
+    p divides, so a zero test reads all lanes.  Besides the domain
+    members of nonlinear, qpow and mul are this engine's own.
     """
 
     name = "probe"
@@ -141,7 +146,6 @@ class ProbeDomain:
         self.p = prime
         self.q = qvals.astype(np.int64) % prime
         self.n = len(qvals)
-        self.alive = np.ones(self.n, dtype=bool)
         self._qpow = {0: np.ones(self.n, dtype=np.int64),
                       1: self.q, -1: _batch_inv(self.q, prime)}
         self._zero = np.zeros(self.n, dtype=np.int64)
@@ -186,15 +190,15 @@ class ProbeDomain:
         return a * self.qpow(e) % self.p
 
     def div(self, a, b):
-        """a / b, row by row for 2-D stacks; a lane where some b is 0 dies."""
-        zero = b == 0
-        if zero.any():
-            self.alive &= ~zero.reshape(-1, self.n).any(axis=0)
-            b = np.where(zero, 1, b)
-        return a * _batch_inv(b.ravel(), self.p).reshape(b.shape) % self.p
+        """a / b, row by row for 2-D stacks; _Pole where some b is 0."""
+        try:
+            inv = _batch_inv(b.ravel(), self.p)
+        except ValueError:
+            raise _Pole(f"a divisor vanishes at a lane mod {self.p}") from None
+        return a * inv.reshape(b.shape) % self.p
 
     def is_zero(self, a):
-        return not a[self.alive].any()
+        return not a.any()
 
     def zeros(self, k):
         return np.zeros((k, self.n), dtype=np.int64)
@@ -214,13 +218,11 @@ class ProbeDomain:
             out[m - lo] = terms.sum(axis=0) % p
         return out
 
-    def healthy(self):
-        return int(self.alive.sum()) >= max(self.n // 2, _RESERVE + 32)
-
 
 def _from_ratqs(dom, values):
     """dom.from_ratq of each value, one row each: the numerators and
-    denominators in one stacked evaluation, and one division."""
+    denominators in one stacked evaluation, and one division; _Pole
+    where a value has a pole at a lane."""
     k, dens = len(values), [r.den for r in values]
     if all(d.is_one() for d in dens):
         return _eval_qpolys([r.num for r in values], dom.q, dom.p)
@@ -368,9 +370,9 @@ def _lift_poly(per_prime, primes):
 # runs
 
 
-def _fingerprint(F, seed, N, prime, attempt, nlanes):
+def _fingerprint(F, seed, N, prime, nlanes):
     blob = json.dumps([F.to_json(), [c.to_text() for c in seed], N,
-                       prime, attempt, nlanes], sort_keys=True)
+                       prime, nlanes], sort_keys=True)
     return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big")
 
 
@@ -394,14 +396,15 @@ def _progression(prime, g, r, npool):
     return None
 
 
-def _geometric_pool(prime, npool, rng):
-    """(x, w) of _progression for a random g, r, redrawn while None."""
-    for _ in range(8):
-        got = _progression(prime, *rng.integers(2, prime - 1, size=2).tolist(),
-                           npool)
-        if got is not None:
-            return got
-    raise EngineError(f"no geometric pool of {npool} points at prime {prime}")
+def _serving(primes, build):
+    """build(p) for the first p of primes at which it neither returns
+    None nor raises _Pole; EngineError after 24 such primes in a row."""
+    for _, prime in zip(range(24), primes):
+        with suppress(_Pole):
+            got = build(prime)
+            if got is not None:
+                return got
+    raise EngineError("24 primes in a row could not serve")
 
 
 class _Run:
@@ -409,19 +412,15 @@ class _Run:
 
     def __init__(self, prime, dom, coeffs, events, w):
         self.prime = prime
-        self.dom = dom  # pool lanes, all alive, are the points of w
+        self.dom = dom  # pool lanes are the points of w
         self.coeffs = coeffs
         self.events = events
         self.w = w
-        self.cands = {}  # (h, n_try) -> (num, den) of c_h * G, or None
+        self.cands = {}  # (h, points) -> (num, den) of c_h * G, or None
         self.scaled = None, 0, None  # (h, lanes, c_h * G at the lanes)
 
     def pool(self):
         return range(self.dom.n - _RESERVE)
-
-    def reserve(self):
-        base = self.dom.n - _RESERVE
-        return base + np.nonzero(self.dom.alive[base:])[0]
 
 
 def _event_sig(events):
@@ -430,94 +429,86 @@ def _event_sig(events):
 
 def _start_run(F, seed, N, prime, nlanes, run=None):
     """A run of the solve loop at prime over nlanes lanes [pool | reserve]:
-    pool lanes x_i = g r^i, all alive, and _RESERVE independent uniform
-    ones.  Given run, its pool grows in place to nlanes - _RESERVE lanes
-    instead: its progression continues, the loop runs on the new points
-    alone and must give run's events, and their columns join the pool,
-    so every pool prefix and cached fit stays.  Growth returns whether
-    the new points joined: not where one is +-1 or a reserve point, some
-    r^k = 1 or a new lane dies."""
+    pool lanes x_i = g r^i and _RESERVE independent uniform ones.  Given
+    run, its pool grows in place to nlanes - _RESERVE lanes instead: its
+    progression continues, the loop runs on the new points alone and must
+    give run's events, and their columns join the pool, so every pool
+    prefix and cached fit stays.  None where the points are unusable (+-1,
+    a repeat, a reserve point); that and a _Pole leave run as it was."""
     from .solver import _extend_core
     if run is not None:
         old, reserve = len(run.pool()), run.dom.q[-_RESERVE:]
         got = _progression(prime, run.w.g, run.w.r, nlanes - _RESERVE)
         if got is None or np.isin(got[0][old:], reserve).any():
-            return False
+            return None
         xs, w = got
-        dom = ProbeDomain(prime, xs[old:])
-        coeffs, events = _extend_core(F, seed, N, dom)
-        if not dom.alive.all():
-            return False
+        coeffs, events = _extend_core(F, seed, N, ProbeDomain(prime, xs[old:]))
         if _event_sig(events) != _event_sig(run.events):
             raise EngineError(f"event mismatch within prime {prime}")
-        grown = ProbeDomain(prime, np.concatenate((xs, reserve)))
-        grown.alive[-_RESERVE:] = run.dom.alive[-_RESERVE:]
         run.coeffs = [np.concatenate((c[:old], new, c[old:]))
                       for c, new in zip(run.coeffs, coeffs)]
-        run.dom, run.w = grown, w
-        return True
-    for attempt in range(3):
-        rng = np.random.default_rng(
-            _fingerprint(F, seed, N, prime, attempt, nlanes))
-        pool, w = _geometric_pool(prime, nlanes - _RESERVE, rng)
-        dom = ProbeDomain(prime, np.concatenate(
-            (pool, _lane_points(prime, _RESERVE, rng, pool))))
-        coeffs, events = _extend_core(F, seed, N, dom)
-        if dom.alive[: len(pool)].all():  # a fit takes pool lanes 0..n-1
-            return _Run(prime, dom, coeffs, events, w)
-    raise EngineError(f"lanes kept dying at prime {prime}")
+        run.dom, run.w = ProbeDomain(prime, np.concatenate((xs, reserve))), w
+        return run
+    rng = np.random.default_rng(_fingerprint(F, seed, N, prime, nlanes))
+    got = _progression(prime, *rng.integers(2, prime - 1, size=2).tolist(),
+                       nlanes - _RESERVE)
+    if got is None:
+        return None
+    pool, w = got
+    dom = ProbeDomain(prime, np.concatenate(
+        (pool, _lane_points(prime, _RESERVE, rng, pool))))
+    coeffs, events = _extend_core(F, seed, N, dom)
+    return _Run(prime, dom, coeffs, events, w)
 
 
-def _reconstruct_coeff(runs, h, n_start, grow, G):
-    """(value, points, need) for coefficient h from the runs' lane data:
-    the exact RatQ, the points fitted and len(num) + len(den) of the pair
-    fitted to c_h * G.  Fit n_start points per prime, times grow after
-    each failure, and the whole pool once before asking for more lanes."""
+def _reconstruct_coeff(runs, h, guess, G):
+    """(value, need) for coefficient h from the runs' lane data: the exact
+    RatQ and len(num) + len(den) of the pair fitted to c_h * G.  Fit
+    guess points per prime, then the whole pool if fewer than two primes
+    fit, and raise _NeedLanes if they still do not."""
     cap = min(len(run.pool()) for run in runs) - 16
-    n_try = min(n_start, cap)
     for run in runs:  # G at the lanes once per coefficient and pool size
         if run.scaled[:2] != (h, run.dom.n):
             p = run.dom.p
             at = _eval_qpolys([G], run.dom.q, p)[0]
             run.scaled = h, run.dom.n, run.coeffs[h] * at % p
-    scaled = [run.scaled[2] for run in runs]
-    while True:
-        for run, ys in zip(runs, scaled):
-            if (h, n_try) not in run.cands:
-                p, hold = run.dom.p, slice(n_try, n_try + 16)
-                got = _rat_interp(ys[:n_try], p, run.w,
-                                  _node_poly(n_try, run.w, p))
+    for n in sorted({min(guess, cap), cap}):
+        for run in runs:
+            if (h, n) not in run.cands:
+                p, ys, hold = run.dom.p, run.scaled[2], slice(n, n + 16)
+                got = _rat_interp(ys[:n], p, run.w, _node_poly(n, run.w, p))
                 if got is not None and not _check_fit(
                         *got, run.dom.q[hold], ys[hold], p):
                     got = None
-                run.cands[h, n_try] = got
-        cands = [run.cands[h, n_try] for run in runs]
-        good = [c for c in cands if c is not None]
-        if len(good) >= 2:
-            # an unlucky prime can only lose leading coefficients, so the
-            # largest shape seen is the true one; lift from primes agreeing
-            shape = max((len(c[0]), len(c[1])) for c in good)
-            group = [i for i, c in enumerate(cands)
-                     if c is not None and (len(c[0]), len(c[1])) == shape]
-            if len(group) < 2:
-                raise _NeedPrimes(f"only one prime sees the full shape "
-                                  f"of coefficient {h}")
+                run.cands[h, n] = got
+        cands = [run.cands[h, n] for run in runs]
+        shapes = [None if c is None else (len(c[0]), len(c[1])) for c in cands]
+        if len(cands) - shapes.count(None) >= 2:
             break
-        if n_try >= cap:
-            raise _NeedLanes(f"coefficient {h} needs more than "
-                             f"{cap + 16} lanes")
-        n_try = min(max(n_try + 1, int(n_try * grow)), cap)
+    else:
+        raise _NeedLanes(f"coefficient {h} needs more than {cap + 16} lanes")
+    # an unlucky prime can only lose leading coefficients, so the largest
+    # shape seen is the true one; lift from the primes that agree on it
+    shape = max(s for s in shapes if s is not None)
+    group = [i for i, s in enumerate(shapes) if s == shape]
+    if len(group) < 2:
+        raise _NeedPrimes(f"only one prime sees the full shape "
+                          f"of coefficient {h}")
     primes = [runs[i].prime for i in group]
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
     value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den) * G)
-    # num == c_h * den on the reserved lanes wherever den is nonzero
+    # num == c_h * den on the reserved lanes, where c_h has no pole, so a
+    # pole there is a wrong lift too
     for run in runs:
-        p, res = run.dom.p, run.reserve()
-        n_at, d_at = _eval_qpolys([value.num, value.den], run.dom.q[res], p)
-        if ((n_at != run.coeffs[h][res] * d_at % p) & (d_at != 0)).any():
+        p, xs = run.dom.p, run.dom.q[-_RESERVE:]
+        try:
+            n_at, d_at = _eval_qpolys([value.num, value.den], xs, p)
+        except _Pole:
+            raise _NeedPrimes(f"coefficient {h} has a pole mod {p}") from None
+        if (n_at != run.coeffs[h][-_RESERVE:] * d_at % p).any():
             raise _NeedPrimes(f"coefficient {h} fails the reserved-lane check")
-    return value, n_try, len(num) + len(den)
+    return value, len(num) + len(den)
 
 
 def solve(F, seed, N):
@@ -529,15 +520,19 @@ def solve(F, seed, N):
 
 
 def _solve_at(F, seed, N, nlanes):
-    prime_iter = K.primes_29()
-    runs = [_start_run(F, seed, N, next(prime_iter), nlanes)]
-    sig = _event_sig(runs[0].events)
+    primes, runs = K.primes_29(), []
 
     def draw():  # a fresh prime at the current size
-        run = _start_run(F, seed, N, next(prime_iter), nlanes)
-        if _event_sig(run.events) != sig:
+        run = _serving(primes, lambda p: _start_run(F, seed, N, p, nlanes))
+        if runs and _event_sig(run.events) != _event_sig(runs[0].events):
             raise EngineError("event mismatch between primes")
         return run
+
+    def grow(run):  # run at the current size, or a fresh prime in its place
+        with suppress(_Pole):
+            if _start_run(F, seed, N, run.prime, nlanes, run):
+                return run
+        return draw()
 
     def add_run():
         if len(runs) >= 24:
@@ -545,24 +540,14 @@ def _solve_at(F, seed, N, nlanes):
         runs.append(draw())
 
     add_run()
-    k = len(seed) - 1
+    add_run()
     exact = list(seed)
-    # fit sizes: 32 and doubling until three coefficients show their need,
-    # then the last need plus the larger of its last two increments (they
-    # alternate with the parity of h on q-Painleve II) and a margin
-    needs = []
-    n_hint = 32
-    h = k + 1
+    need = 0  # points the pair fitted to the previous coefficient took
+    h = len(seed)
     while h < len(runs[0].coeffs):
-        if len(needs) < 3:
-            n_start, grow = n_hint, 2
-        else:
-            n_start = needs[-1] + 16 + max(needs[-1] - needs[-2],
-                                           needs[-2] - needs[-3])
-            grow = 1.5
         try:
-            value, n_hint, need = _reconstruct_coeff(runs, h, n_start, grow,
-                                                     exact[-1].den)
+            value, need = _reconstruct_coeff(runs, h, 3 * need // 2 + 16,
+                                             exact[-1].den)
         except _NeedPrimes:
             add_run()
             if len(runs) >= 4:  # large integers: grow the modulus faster
@@ -572,47 +557,44 @@ def _solve_at(F, seed, N, nlanes):
             nlanes = 2 * nlanes - _RESERVE  # twice the pool
             if nlanes > _MAX_LANES:
                 raise EngineError("lane escalation exhausted") from None
-            # a prime whose pool cannot grow gives way to a fresh one
-            runs[:] = [run if _start_run(F, seed, N, run.prime, nlanes, run)
-                       else draw() for run in runs]
+            runs[:] = [grow(run) for run in runs]
             continue
         exact.append(value)
-        needs.append(need)
         h += 1
 
-    _verify_fresh(F, exact, prime_iter, {run.prime for run in runs})
+    _verify_fresh(F, exact, primes)
     return exact, runs[0].events
 
 
-def _first_nonzero(F, coeffs, prime, salt, nlanes):
-    """Lowest order at which F along coeffs is nonzero on fresh lanes mod
-    prime, through x^(len(coeffs) - 1), or len(coeffs) when no order is.
-    Raises EngineError when too many lanes die."""
-    rng = np.random.default_rng(prime ^ salt)
-    dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
-    res = Evaluator(_from_ratqs(dom, coeffs), len(coeffs) - 1, dom).eval(F)
-    if not dom.healthy():
-        raise EngineError(f"probe lanes died at prime {prime}")
-    return next((m for m, v in enumerate(res) if not dom.is_zero(v)),
-                len(coeffs))
+def _first_nonzero(F, coeffs, primes, salt, nlanes):
+    """Lowest order at which F along coeffs is nonzero on fresh lanes at
+    the next prime of primes that serves, through x^(len(coeffs) - 1), or
+    len(coeffs) when no order is."""
+    def at(prime):
+        rng = np.random.default_rng(prime ^ salt)
+        dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
+        res = Evaluator(_from_ratqs(dom, coeffs), len(coeffs) - 1, dom).eval(F)
+        return next((m for m, v in enumerate(res) if not dom.is_zero(v)),
+                    len(coeffs))
+    return _serving(primes, at)
 
 
-def _verify_fresh(F, exact, prime_iter, used):
-    prime = next(prime_iter)
-    while prime in used:
-        prime = next(prime_iter)
-    m = _first_nonzero(F, exact, prime, 0x9E3779B97F4A7C15, _VERIFY_LANES)
+def _verify_fresh(F, exact, primes):
+    """Re-probe exact's residual on primes of the solve's iterator past
+    every run's."""
+    m = _first_nonzero(F, exact, primes, 0x9E3779B97F4A7C15, _VERIFY_LANES)
     if m < len(exact):
         raise EngineError(f"reconstructed solution fails at order {m}")
 
 
 def check(F, phi):
-    """Probe-mode check_solution: largest V with residual zero through V.
-    Raises EngineError when too many lanes die."""
+    """Probe-mode check_solution: largest V with residual zero through V,
+    on _CHECK_PRIMES primes.  Raises EngineError when 24 primes in a row
+    meet a pole."""
     best = phi.trunc
-    prime_iter = K.primes_29()
+    primes = K.primes_29()
     for _ in range(_CHECK_PRIMES):
-        m = _first_nonzero(F, phi.coeffs, next(prime_iter),
-                           0xD1B54A32D192ED03, _CHECK_LANES)
+        m = _first_nonzero(F, phi.coeffs, primes, 0xD1B54A32D192ED03,
+                           _CHECK_LANES)
         best = min(best, m - 1)
     return best

@@ -168,14 +168,22 @@ def _cmd_solve(args):
 
 
 def _load_series_json(obj):
+    """A list of coefficient strings, or an object holding one as "coeffs"
+    (a series object, or solve output) with an optional integer "trunc"
+    or "resolved_through" >= 0; anything else is an error."""
     if isinstance(obj, list):
-        return TruncSeries([parse_ratq(t) for t in obj])
-    if "coeffs" in obj:  # a series object, or solve output
-        coeffs = [parse_ratq(t) for t in obj["coeffs"]]
-        return TruncSeries(coeffs, obj.get(
-            "trunc", obj.get("resolved_through", len(coeffs) - 1)))
-    raise QdeqError("unrecognized series JSON; expected a coefficient list,"
-                    " a series object, or solve output")
+        obj = {"coeffs": obj}
+    coeffs = obj.get("coeffs") if isinstance(obj, dict) else None
+    if not (isinstance(coeffs, list)
+            and all(isinstance(t, str) for t in coeffs)):
+        raise QdeqError("argument --input: unrecognized series JSON; expected"
+                        " a list of coefficient strings, a series object, or"
+                        " solve output")
+    trunc = obj.get("trunc", obj.get("resolved_through", len(coeffs) - 1))
+    if type(trunc) is not int or trunc < 0:
+        raise QdeqError(f"argument --input: the series truncation must be"
+                        f" an integer >= 0, not {json.dumps(trunc)}")
+    return TruncSeries([parse_ratq(t) for t in coeffs], trunc)
 
 
 def _cmd_growth(args):
@@ -234,7 +242,10 @@ def _cmd_corpus(args):
                     if item[key] or key == "expectations":
                         print(f"  {key}: {', '.join(item[key])}")
         return 0
-    reports = [e.run(order=args.order) for e in entries]
+    try:
+        reports = [e.run(order=args.order) for e in entries]
+    except ValueError as exc:  # an order below an entry's seed order
+        raise UsageError(f"argument --order: {exc}") from None
     ok = all(r.passed() for r in reports)
     if args.format == "json":
         print(json.dumps({"passed": ok,

@@ -255,8 +255,8 @@ def check_solution(F, phi, mode="auto"):
     mode "exact" recomputes the residual in Q(q); mode "probe" tests it
     at random modular points (sound for nonzero detection, zero with
     overwhelming likelihood), which is the default for large nonlinear
-    inputs, and recomputes it in Q(q) when too many of those points hit
-    a pole.
+    inputs, and recomputes it in Q(q) when the points of 24 primes in a
+    row hit a pole.
     """
     if _resolve_engine(mode, F, phi.trunc) == "probe":
         from . import _probes

@@ -389,6 +389,23 @@ def test_growth_series_object_truncation(capsys, tmp_path):
         assert out.splitlines()[0] == f"profiles through order {through}"
 
 
+@pytest.mark.parametrize("text", [
+    '{"coeffs": "12"}', '{"coeffs": ["1", "q"], "trunc": true}', "[1, 2]",
+    "[null]", '{"coeffs": ["1"], "trunc": "x"}',
+    '{"coeffs": ["1"], "trunc": 2.5}', '{"coeffs": ["1"], "trunc": -1}',
+    '{"coeffs": ["1"], "resolved_through": false}', '{"trunc": 3}', "[]",
+])
+def test_growth_series_json_is_read_strictly(capsys, monkeypatch, text):
+    # a list of strings and an integer truncation >= 0, nothing looser: a
+    # string is no coefficient list and true is no truncation order
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "growth", "--input", "-")
+    assert code == 1 and out == ""
+    last = json.loads(err.splitlines()[-1])
+    assert last["error"] == "QdeqError"
+    assert last["message"].startswith("argument --input: ")
+
+
 def test_growth_bound_usage_error_names_fraction(capsys):
     code, _, err = run(capsys, "growth", "x*y[1] - y[0] + 1", "--seed", "1",
                        "--s", "abc")
@@ -549,8 +566,9 @@ def test_corpus_order_below_seed_order_exits_1(capsys):
     # qp2's seeds reach order 1, so order 0 is bad input, not a failed check
     code, out, err = run(capsys, "corpus", "--run", "--order", "0")
     assert code == 1 and out == ""
-    assert json.loads(err) == {"error": "ValueError", "message":
-                               "order 0 is below the seed order 1"}
+    assert json.loads(err) == {"error": "UsageError", "message":
+                               "argument --order: order 0 is below the seed"
+                               " order 1"}
 
 
 def test_diophantine_needs_a_linear_operator(capsys):
@@ -633,6 +651,7 @@ HOSTILE_FLAGS = [
      False),
     (("diophantine", "--theta", "0.6180339887"), "--N", True),
     (("corpus",), "--entry", False),
+    (("corpus", "--run"), "--order", True),
     (("parse", EULER), "--format", False),
     (("parse",), "--input", False),
 ]

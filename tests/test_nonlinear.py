@@ -180,9 +180,8 @@ def assert_engine_matches_reference(F, phi):
     vals = [dom.from_ratq(c) for c in phi.coeffs]
     got = Evaluator(vals, phi.trunc, dom).eval(F)
     images = [dom.from_ratq(c) for c in want.coeffs]
-    assert dom.healthy()
     for g, w in zip(got, images):
-        assert (g == w)[dom.alive].all()
+        assert (g == w).all()
 
 
 # a generic series, not a solution, so every residual order is nonzero

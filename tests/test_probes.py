@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeq import _intpoly as K
+from qdeq import parse
 from qdeq import _probes as P
 from qdeq.errors import EngineError, QdeqError
 from qdeq.nonlinear import ExactDomain, QdeqPoly, eval_at
@@ -23,9 +24,21 @@ from test_solver import geometric_step, painleve_like
 MP = 2147483647  # 2**31 - 1, prime
 
 
+def _draw_pool(p, npool, rng, tries=100):
+    """(x, w) of P._progression for random g and r, drawn again while it
+    refuses them (mod 101 most ratios have too small an order or run the
+    points into +-1); None after tries draws."""
+    for _ in range(tries):
+        got = P._progression(p, *rng.integers(2, p - 1, size=2).tolist(),
+                             npool)
+        if got is not None:
+            return got
+    return None
+
+
 def _geometric_run(prime, nlanes, rng):
     """A run with no data over lanes laid out as _start_run lays them."""
-    pool, w = P._geometric_pool(prime, nlanes - P._RESERVE, rng)
+    pool, w = _draw_pool(prime, nlanes - P._RESERVE, rng)
     dom = P.ProbeDomain(prime, np.concatenate(
         (pool, P._lane_points(prime, P._RESERVE, rng, pool))))
     return P._Run(prime, dom, [], [], w)
@@ -49,32 +62,17 @@ def test_batch_inv_refuses_a_zero_residue(a):
         P._batch_inv(np.array(a, dtype=np.int64), 101)
 
 
-class _Scripted:
-    """An rng whose integers() hands out the given (g, r) pairs in turn."""
-
-    def __init__(self, pairs):
-        self.pairs = iter(pairs)
-
-    def integers(self, lo, hi, size):
-        return np.array(next(self.pairs), dtype=np.int64)
-
-
-def test_geometric_pool_redraws_until_the_points_are_usable():
+def test_progression_refuses_unusable_points():
     # mod 101, 10 has order 4, so 8 points of ratio 10 repeat; 51 * 2 = 1,
     # so g = 51 with ratio 2 puts x_1 = 1 in the pool; 2 has order 100
-    pool, w = P._geometric_pool(101, 8, _Scripted([(3, 10), (51, 2),
-                                                   (3, 2)]))
+    assert P._progression(101, 3, 10, 8) is None
+    assert P._progression(101, 51, 2, 8) is None
+    pool, w = P._progression(101, 3, 2, 8)
     assert pool.tolist() == [3 * 2 ** i % 101 for i in range(8)]
-    rr = [1]  # (2;2)_k: the weights are those of the third draw
+    rr = [1]  # (2;2)_k
     for t in range(1, 8):
         rr.append(rr[-1] * (1 - 2 ** t) % 101)
     assert w.rr.tolist() == rr
-
-
-def test_geometric_pool_gives_up_after_eight_draws():
-    # a ninth draw would raise StopIteration instead
-    with pytest.raises(EngineError):
-        P._geometric_pool(101, 8, _Scripted([(3, 10)] * 8))
 
 
 @settings(max_examples=240, deadline=None)
@@ -84,13 +82,13 @@ def test_geometric_weights_match_fermat(seed, p, npool):
     # every weight alpha_i gamma_(k-i) beta_k against the inverse of the
     # product of differences itself, and each per-run vector against its
     # definition; mod 101 most ratios have an order below npool, and such
-    # a pool is redrawn or refused
+    # a progression is refused
     rng = np.random.default_rng(seed)
-    try:
-        pool, w = P._geometric_pool(p, npool, rng)
-    except EngineError:
+    got = _draw_pool(p, npool, rng, tries=8)
+    if got is None:
         assert p == 101
         return
+    pool, w = got
     xs = pool.tolist()
     assert len(set(xs)) == npool and 2 <= min(xs) and max(xs) <= p - 2
     g = xs[0]
@@ -156,7 +154,7 @@ def test_interpolation_on_pool_prefixes(seed, p, npool, data):
     # poly of lower degree comes back exactly, and the node poly is the
     # product of the (q - x_i)
     rng = np.random.default_rng(seed)
-    pool, w = _some_geometric_pool(p, min(npool, 40) if p == 101 else npool,
+    pool, w = _some_pool(p, min(npool, 40) if p == 101 else npool,
                                    rng)
     m = data.draw(st.integers(1, len(pool)))
     xs = pool[:m]
@@ -232,7 +230,7 @@ def test_series_mul_matches_reduced_terms(seed, p, lo, span, full):
 def test_newton_interp_matches_eval():
     rng = np.random.default_rng(11)
     poly = rng.integers(0, MP, size=9, dtype=np.int64)
-    pool, w = P._geometric_pool(MP, 20, rng)
+    pool, w = _draw_pool(MP, 20, rng)
     xs = pool[:15]
     ys = K.eval_many_mod(poly, xs, MP)
     got = P._newton_interp(ys, w, MP)
@@ -245,7 +243,7 @@ def test_newton_interp_matches_eval():
 def test_rat_interp_recovers_planted():
     num = np.array([1, 0, 3], dtype=np.int64)
     den = np.array([5, 1], dtype=np.int64)  # monic
-    pool, w = P._geometric_pool(MP, 24, np.random.default_rng(3))
+    pool, w = _draw_pool(MP, 24, np.random.default_rng(3))
     xs = pool[:23]
     ys = (K.eval_many_mod(num, xs, MP)
           * P._batch_inv(K.eval_many_mod(den, xs, MP), MP) % MP)
@@ -322,15 +320,11 @@ def _ref_rat_interp(xs, ys, p):
     return [c * inv % p for c in r1], [c * inv % p for c in v1]
 
 
-def _some_geometric_pool(p, npool, rng):
-    """P._geometric_pool, drawn again while it gives up: mod 101 most
-    ratios have too small an order or run the points into +-1."""
-    for _ in range(100):
-        try:
-            return P._geometric_pool(p, npool, rng)
-        except EngineError:
-            pass
-    raise AssertionError(f"no geometric pool of {npool} points mod {p}")
+def _some_pool(p, npool, rng):
+    """_draw_pool, which must find a pool."""
+    got = _draw_pool(p, npool, rng)
+    assert got is not None, f"no geometric pool of {npool} points mod {p}"
+    return got
 
 
 def _negation_closed_pool(p, pairs, rng):
@@ -372,7 +366,7 @@ def _interp_data(seed, p, dn, dd, extra, mode, tight=False):
         pool, w = _negation_closed_pool(p, n // 2, rng)
         xs = pool
     else:
-        pool, w = _some_geometric_pool(p, n + 1, rng)
+        pool, w = _some_pool(p, n + 1, rng)
         xs = pool[:n]
     den = np.zeros(step * dd + 1, dtype=np.int64)
     while not K.eval_many_mod(den, xs, p).all():
@@ -527,7 +521,7 @@ def test_probe_domain_roundtrip():
     x = dom.q
     num = (x * x - 1) % MP
     den = (x * x % MP * x + 2 * x) % MP
-    assert (lanes * den % MP == num % MP)[dom.alive].all()
+    assert (lanes * den % MP == num % MP).all()
 
 
 def test_probe_matches_exact_linear():
@@ -611,10 +605,10 @@ def test_probe_check_solution():
     assert check_solution(F, TruncSeries(bad, 16), mode="probe") == 9
 
 
-def _runs_holding(value, h, nlanes):
-    """Two runs over distinct primes whose lanes hold value as c_h."""
+def _runs_holding(value, h, nlanes, k=2):
+    """Runs over the first k probe primes whose lanes hold value as c_h."""
     runs = []
-    for prime in islice(K.primes_29(), 2):
+    for prime in islice(K.primes_29(), k):
         run = _geometric_run(prime, nlanes, np.random.default_rng(prime))
         run.coeffs = [None] * h + [run.dom.from_ratq(value)]
         runs.append(run)
@@ -632,12 +626,30 @@ def _planted_value():
     return value
 
 
+def _sizes_tried(runs, h):
+    return [sorted(n for k, n in run.cands if k == h) for run in runs]
+
+
 def test_reconstruct_grows_from_a_small_start():
+    # a guess of 8 points falls short, and the fit takes the whole pool:
+    # 512 pool lanes less the 16-point hold-out
     value = _planted_value()
     runs = _runs_holding(value, 3, 576)
-    got, n_used, need = P._reconstruct_coeff(runs, 3, 8, 1.5, QPoly([1]))
-    assert got == value and need == 92
-    assert 92 <= n_used < 92 * 3 // 2
+    assert P._reconstruct_coeff(runs, 3, 8, QPoly([1])) == (value, 92)
+    assert _sizes_tried(runs, 3) == [[8, 496]] * 2
+
+
+@pytest.mark.parametrize("guess, tried", [
+    (91, [91, 496]), (92, [92]), (200, [200]), (496, [496]), (900, [496]),
+])
+def test_a_guess_is_used_as_given_or_the_whole_pool_after_it(guess, tried):
+    # the planted pair needs 92 points: a guess below that falls back to
+    # the whole pool, one at or above it is the only fit, and no fit
+    # takes more than the pool
+    value = _planted_value()
+    runs = _runs_holding(value, 3, 576)
+    assert P._reconstruct_coeff(runs, 3, guess, QPoly([1])) == (value, 92)
+    assert _sizes_tried(runs, 3) == [tried] * 2
 
 
 def test_reconstruct_takes_any_denominator_guess():
@@ -655,40 +667,161 @@ def test_reconstruct_takes_any_denominator_guess():
                     (coprime, 36 + 31)):
         # fresh runs: their fits are cached by (h, points), not by G
         runs = _runs_holding(value, 3, 576)
-        got, n_used, got_need = P._reconstruct_coeff(runs, 3, 16, 1.5, G)
-        assert got == value and got_need == need
-        assert need <= n_used
+        assert P._reconstruct_coeff(runs, 3, 16, G) == (value, need)
 
 
-def test_a_dead_pool_lane_redraws_the_run(monkeypatch):
-    # a fit takes pool lanes 0..n-1, so a run in which a pool lane died
-    # takes _start_run's next attempt, with its own (g, r); three such
-    # attempts raise, as lanes that keep dying do
-    F, N, prime = painleve_like(), 8, PP
-    seed = [RatQ(1), RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))]
-    inner, doms = P.ProbeDomain.div, []
+def _kill_lane(monkeypatch, pick):
+    """Lane pick(dom) of each probe domain for which it is not None dies:
+    every divisor is 0 there, so the domain's first division raises
+    _Pole.  Returns the domains hit, once per division."""
+    inner, hit = P.ProbeDomain.div, []
 
-    def div(self, a, b):  # lane 5 of the first `dying` runs' pools dies
-        if not any(d is self for d in doms):
-            doms.append(self)
-        if len(doms) <= dying:
-            self.alive[5] = False
+    def div(self, a, b):
+        lane = pick(self)
+        if lane is not None:
+            hit.append(self)
+            b = b.copy()
+            b.reshape(-1, self.n)[:, lane] = 0
         return inner(self, a, b)
 
     monkeypatch.setattr(P.ProbeDomain, "div", div)
-    for dying in (1, 2):
-        doms.clear()
-        run = P._start_run(F, seed, N, prime, 576)
-        assert len(doms) == dying + 1 and run.dom is doms[-1]
-        rng = np.random.default_rng(
-            P._fingerprint(F, seed, N, prime, dying, 576))
-        assert (run.dom.q[:512] == P._geometric_pool(prime, 512, rng)[0]).all()
-        assert run.dom.alive[:512].all()
-    dying = 3
-    doms.clear()
-    with pytest.raises(EngineError, match="lanes kept dying"):
-        P._start_run(F, seed, N, prime, 576)
-    assert len(doms) == 3
+    return hit
+
+
+def _runs_started(monkeypatch):
+    """(prime, lanes, grown) of every run that _start_run returns."""
+    inner, started = P._start_run, []
+
+    def start(F, seed, N, prime, nlanes, run=None):
+        got = inner(F, seed, N, prime, nlanes, run)
+        if got is not None:
+            started.append((prime, nlanes, run is not None))
+        return got
+
+    monkeypatch.setattr(P, "_start_run", start)
+    return started
+
+
+def _solves_past_a_dead_lane(monkeypatch, lane):
+    # the first prime's run has a pole at lane: it gives way, the next two
+    # primes serve, and the solve gives the exact answer
+    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    hit = _kill_lane(monkeypatch, lambda dom: lane % dom.n if (
+        dom.p == PP and dom.n == P._START_LANES) else None)
+    started = _runs_started(monkeypatch)
+    coeffs, _ = P.solve(F, seed, N)
+    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    assert len(hit) == 1
+    assert [p for p, _, _ in started][:2] == list(islice(K.primes_29(), 1, 3))
+    assert PP not in [p for p, _, _ in started]
+
+
+def test_a_dead_pool_lane_redraws_the_run(monkeypatch):
+    _solves_past_a_dead_lane(monkeypatch, 5)
+
+
+def test_a_dead_reserve_lane_redraws_the_run(monkeypatch):
+    _solves_past_a_dead_lane(monkeypatch, -1)
+
+
+def test_an_unusable_progression_gives_way_to_the_next_prime(monkeypatch):
+    # _start_run returns None where the drawn g, r give no usable pool (a
+    # point at +-1 or a repeat), and the next prime serves instead
+    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    inner = P._progression
+    monkeypatch.setattr(P, "_progression", lambda prime, *args: (
+        None if prime == PP else inner(prime, *args)))
+    assert P._start_run(F, seed, N, PP, P._START_LANES) is None
+    started = _runs_started(monkeypatch)
+    coeffs, _ = P.solve(F, seed, N)
+    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    assert PP not in [p for p, _, _ in started]
+
+
+def test_a_dead_verification_lane_gives_way(monkeypatch):
+    # the first prime of the fresh-prime verification meets a pole; the
+    # next one verifies, and the solve stands
+    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    verifying = []
+
+    def pick(dom):
+        if dom.n == P._VERIFY_LANES:
+            verifying.append(dom.p)
+            return 0 if dom.p == verifying[0] else None
+        return None
+
+    hit = _kill_lane(monkeypatch, pick)
+    coeffs, _ = P.solve(F, seed, N)
+    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    assert len(hit) == 1 and len(set(verifying)) == 2
+
+
+def test_a_dead_check_lane_gives_way(monkeypatch):
+    # the check's first prime meets a pole: the next two primes check, and
+    # the answers are those of a check with no pole
+    F = painleve_like()
+    phi = extend(F, next(_qp2_branches()), 12, engine="exact").solution
+    bad = list(phi.coeffs)
+    bad[9] = bad[9] + RatQ(1)
+    bad = TruncSeries(bad, 12)
+    want = [P.check(F, phi), P.check(F, bad)]
+    assert want == [12, 9]
+    checking = []
+
+    def pick(dom):
+        if dom.n == P._CHECK_LANES:
+            checking.append(dom.p)
+            return 0 if dom.p == PP else None
+        return None
+
+    hit = _kill_lane(monkeypatch, pick)
+    assert [P.check(F, phi), P.check(F, bad)] == want
+    assert len(hit) == 2
+    assert sorted(set(checking)) == sorted(islice(K.primes_29(), 3))
+
+
+def test_24_dead_primes_in_a_row_raise_engine_error(monkeypatch):
+    # a prime gives way at most 24 times in a row; then the engine gives
+    # up, and extend and check_solution answer in Q(q) instead
+    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    phi = extend(F, seed, N, engine="exact").solution
+    tried = []
+
+    def pick(dom):  # lane 0 of every domain
+        tried.append(dom.p)
+        return 0
+
+    _kill_lane(monkeypatch, pick)
+    for call in (lambda: P.solve(F, seed, N), lambda: P.check(F, phi)):
+        tried.clear()
+        with pytest.raises(EngineError, match="24 primes in a row"):
+            call()
+        assert tried == list(islice(K.primes_29(), 24))
+    assert extend(F, seed, N, engine="probe").solution.coeffs == phi.coeffs
+    assert check_solution(F, phi, mode="probe") == N
+
+
+def _over_a_probe_prime():
+    # p^2 y^2 = 1 with c_0 = 1/p for the first probe prime p: c_0 has no
+    # residue mod p, so p must give way to the next prime
+    return parse(f"{PP * PP}*y[0]^2 - 1").parsed, [Fraction(1, PP)]
+
+
+def test_check_gives_way_where_a_probe_prime_divides_a_denominator():
+    F, seed = _over_a_probe_prime()
+    phi = extend(F, seed, 13, engine="exact").solution
+    for mode in ("auto", "probe", "exact"):
+        assert check_solution(F, phi, mode=mode) == 13
+
+
+def test_extend_gives_way_where_a_probe_prime_divides_a_denominator():
+    F, seed = _over_a_probe_prime()
+    want = extend(F, seed, 13, engine="exact")
+    assert want.resolved_through == 13
+    # the probe engine itself serves the answer, with no EngineError
+    coeffs, _ = P.solve(F, [RatQ.from_value(c) for c in seed], 13)
+    assert tuple(coeffs) == want.solution.coeffs
+    assert extend(F, seed, 13).to_json() == want.to_json()
 
 
 def test_need_lanes_only_after_the_whole_pool():
@@ -696,10 +829,13 @@ def test_need_lanes_only_after_the_whole_pool():
     runs = _runs_holding(value, 3, 160)
     cap = min(len(run.pool()) for run in runs) - 16
     assert cap < 92
-    with pytest.raises(P._NeedLanes):
-        P._reconstruct_coeff(runs, 3, 32, 1.5, QPoly([1]))
-    # every run tried a fit over its whole usable pool first
-    assert all((3, cap) in run.cands for run in runs)
+    for guess in (32, cap, 900):
+        with pytest.raises(P._NeedLanes):
+            P._reconstruct_coeff(runs, 3, guess, QPoly([1]))
+        # every run tried a fit over its whole usable pool, and at most
+        # one other size
+        assert all((3, cap) in run.cands for run in runs)
+    assert _sizes_tried(runs, 3) == [[32, cap]] * 2
 
 
 def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
@@ -714,29 +850,43 @@ def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
 
     monkeypatch.setattr(P, "_eval_qpolys", evaluate)
     for _ in range(2):
-        got = P._reconstruct_coeff(runs, 3, 8, 1.5, G)[0]
+        got = P._reconstruct_coeff(runs, 3, 8, G)[0]
         assert got == value * RatQ(1, G)
     assert calls == [576, 576]
 
 
+def test_fits_survive_a_recall_with_one_more_prime(monkeypatch):
+    # after _NeedPrimes the solve adds a prime and asks again at the same
+    # h: the runs it had keep their fits, and only the new one fits
+    value = _planted_value()
+    runs = _runs_holding(value, 3, 576, k=3)
+    first = P._reconstruct_coeff(runs[:2], 3, 100, QPoly([1]))
+    fits, inner = [], P._rat_interp
+
+    def fit(ys, p, w, node):
+        fits.append(p)
+        return inner(ys, p, w, node)
+
+    monkeypatch.setattr(P, "_rat_interp", fit)
+    assert P._reconstruct_coeff(runs, 3, 100, QPoly([1])) == first
+    assert fits == [runs[2].prime]
+
+
 def test_a_grown_pool_is_the_longer_progression():
-    # the same (g, r) drawn for the larger pool gives the same points
-    # and weights bit for bit; the reserve lanes stay last, as they were
+    # the same (g, r) for the larger pool gives the same points and
+    # weights bit for bit; the reserve lanes stay last, as they were
     F, N, seed = painleve_like(), 8, next(_qp2_branches())
     run = P._start_run(F, seed, N, PP, P._RESERVE + 40)
-    run.dom.alive[40 + 7] = False  # a reserve lane that died stays dead
     g, r, reserve = run.w.g, run.w.r, run.dom.q[40:].copy()
-    alive = run.dom.alive[40:].copy()
-    assert P._start_run(F, seed, N, PP, P._RESERVE + 80, run)
-    xs, w = P._geometric_pool(PP, 80, _Scripted([(g, r)]))
+    assert P._start_run(F, seed, N, PP, P._RESERVE + 80, run) is run
+    xs, w = P._progression(PP, g, r, 80)
     assert (run.dom.q == np.concatenate((xs, reserve))).all()
-    assert run.dom.alive[:80].all() and (run.dom.alive[80:] == alive).all()
     assert list(run.pool()) == list(range(80))
     assert all(np.array_equal(a, b) for a, b in zip(run.w, w))
     # the new columns hold the solution's coefficients at the new points
     exact = extend(F, seed, N, engine="exact").solution.coeffs
     for c, val in zip(run.coeffs, exact):
-        assert (c == run.dom.from_ratq(val))[run.dom.alive].all()
+        assert (c == run.dom.from_ratq(val)).all()
 
 
 def test_a_point_on_a_reserve_lane_stops_the_growth():
@@ -744,7 +894,7 @@ def test_a_point_on_a_reserve_lane_stops_the_growth():
     run = P._start_run(F, seed, N, PP, P._RESERVE + 40)
     run.dom.q[-1] = run.w.g * pow(run.w.r, 60, PP) % PP
     dom, coeffs, w = run.dom, run.coeffs, run.w
-    assert not P._start_run(F, seed, N, PP, P._RESERVE + 80, run)
+    assert P._start_run(F, seed, N, PP, P._RESERVE + 80, run) is None
     assert run.dom is dom and run.coeffs is coeffs and run.w is w
 
 
@@ -754,14 +904,14 @@ def test_growth_keeps_every_cached_fit():
     F, N, seed = painleve_like(), 8, next(_qp2_branches())
     runs = [P._start_run(F, seed, N, p, P._RESERVE + 64)
             for p in islice(K.primes_29(), 2)]
-    before = P._reconstruct_coeff(runs, 2, 16, 2, seed[-1].den)
+    before = P._reconstruct_coeff(runs, 2, 16, seed[-1].den)
     cached = [dict(run.cands) for run in runs]
     assert all(cached)
     for run, old in zip(runs, cached):
         assert P._start_run(F, seed, N, run.prime, P._RESERVE + 128, run)
         assert run.cands.keys() == old.keys()  # growth keeps the cache
         run.cands.clear()
-    assert P._reconstruct_coeff(runs, 2, 16, 2, seed[-1].den) == before
+    assert P._reconstruct_coeff(runs, 2, 16, seed[-1].den) == before
     for run, old in zip(runs, cached):
         assert run.cands.keys() == old.keys()
         for key, fit in old.items():
@@ -773,42 +923,22 @@ def test_growth_keeps_every_cached_fit():
 
 
 def test_a_dead_lane_in_a_growth_batch_brings_a_fresh_prime(monkeypatch):
-    # lane 5 of the first growth batch dies: that prime's run is dropped
-    # and a fresh prime joins at the current size, with no EngineError
+    # lane 5 of the first prime's first growth batch (its 48 new points)
+    # dies: that prime's run is dropped and a fresh prime joins at the
+    # grown size, with no EngineError
     F, N, seed = painleve_like(), 10, next(_qp2_branches())
-    inner_div, inner_start = P.ProbeDomain.div, P._start_run
-    inner_verify = P._verify_fresh
-    killing, dropped, fresh, used = [], [], [], []
-
-    def start(*args):
-        growing = len(args) > 5 and not dropped
-        killing.append(growing)
-        got = inner_start(*args)
-        killing.clear()
-        if growing:
-            dropped.append((args[3], got))
-        elif dropped and len(args) == 5:
-            fresh.append(args[4])
-        return got
-
-    def div(self, a, b):
-        if killing and killing[-1]:
-            self.alive[5] = False
-        return inner_div(self, a, b)
-
-    def verify(F, exact, prime_iter, primes):
-        used.extend(primes)
-        return inner_verify(F, exact, prime_iter, primes)
-
     monkeypatch.setattr(P, "_START_LANES", P._RESERVE + 48)
-    monkeypatch.setattr(P, "_start_run", start)
-    monkeypatch.setattr(P.ProbeDomain, "div", div)
-    monkeypatch.setattr(P, "_verify_fresh", verify)
+    hit = _kill_lane(monkeypatch, lambda dom: 5 if (
+        dom.p == PP and dom.n == 48) else None)
+    started = _runs_started(monkeypatch)
     coeffs, _ = P.solve(F, seed, N)
     assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
-    (prime, ok), = dropped
-    assert not ok and prime not in used and len(used) >= 2
-    assert fresh and fresh[0] == 2 * (P._RESERVE + 48) - P._RESERVE
+    assert len(hit) == 1
+    grown_to = 2 * (P._RESERVE + 48) - P._RESERVE
+    assert (PP, P._RESERVE + 48, False) in started
+    assert not any(p == PP and grown for p, _, grown in started)
+    assert any(p != PP and n == grown_to and not grown
+               for p, n, grown in started)
 
 
 @pytest.mark.parametrize("ceiling, N", [(127, 8), (128, 6)])
@@ -852,7 +982,7 @@ def _public(cls):
 def test_domains_expose_one_protocol():
     assert _public(ExactDomain) == _PROTOCOL
     # the probe engine's own internals, used outside the solve loop
-    assert _public(P.ProbeDomain) - {"qpow", "mul", "healthy"} == _PROTOCOL
+    assert _public(P.ProbeDomain) - {"qpow", "mul"} == _PROTOCOL
 
 
 ratq_maybe_zero = st.builds(lambda r, k: r.shift_q(k), ratq_any,
@@ -866,7 +996,7 @@ def test_probe_domain_conforms_to_exact(a, b, e, lo):
     dom = P.ProbeDomain(MP, P._lane_points(MP, 48, np.random.default_rng(5)))
 
     def same(got, want):
-        assert (got == dom.from_ratq(want))[dom.alive].all()
+        assert (got == dom.from_ratq(want)).all()
 
     pa, pb = dom.from_ratq(a), dom.from_ratq(b)
     same(dom.shift(pa, e), ex.shift(a, e))
@@ -886,20 +1016,27 @@ def test_probe_domain_conforms_to_exact(a, b, e, lo):
     for g, w in zip(got, want):
         same(g, w)
     assert dom.zeros(4).shape == (4, dom.n) and ex.zeros(4) == [0] * 4
-    assert int(dom.alive.sum()) > dom.n // 2
 
 
 @settings(max_examples=100, **COMMON)
 @given(st.lists(ratq_maybe_zero, min_size=1, max_size=5),
        st.sampled_from([101, MP]))
 def test_stacked_from_ratq_matches_one_by_one(values, p):
-    # the probe check converts all coefficients at once; each value and
-    # each dead lane must be what one conversion at a time gives
-    pts = P._lane_points(p, 48, np.random.default_rng(5))
-    one, stacked = P.ProbeDomain(p, pts), P.ProbeDomain(p, pts)
-    rows = [one.from_ratq(v) for v in values]
-    assert (P._from_ratqs(stacked, values) == np.array(rows)).all()
-    assert (stacked.alive == one.alive).all()
+    # the probe check converts all coefficients at once; each value, and
+    # a pole at any lane (frequent mod 101), must be what one conversion
+    # at a time gives
+    dom = P.ProbeDomain(p, P._lane_points(p, 48, np.random.default_rng(5)))
+
+    def converted(convert):
+        try:
+            return np.array(convert())
+        except P._Pole:
+            return None
+
+    rows = converted(lambda: [dom.from_ratq(v) for v in values])
+    stacked = converted(lambda: P._from_ratqs(dom, values))
+    assert (rows is None) == (stacked is None)
+    assert rows is None or (stacked == rows).all()
 
 
 # -- whole solves: exact against probe -------------------------------------

@@ -202,7 +202,7 @@ def test_steady_slope_is_unit_times_resonance_poly():
             A = dom.sum([dom.shift(a, i * h) for i, a in alpha.items()])
             want = L.at_qpow(h).shift_q(m0 * (l + h))
             if dom is probe:
-                assert (A == dom.from_ratq(want))[dom.alive].all()
+                assert (A == dom.from_ratq(want)).all()
             else:
                 assert A == want
                 assert A / L.at_qpow(h) == RatQ(1).shift_q(-(h + 1))
@@ -251,7 +251,7 @@ def test_probe_failure_falls_back_to_exact(monkeypatch):
     want = extend(geometric_step(), [1], 8, engine="exact")
 
     def fail(F, seed, N):
-        raise EngineError("lanes kept dying")
+        raise EngineError("24 primes in a row could not serve")
 
     monkeypatch.setattr(_probes, "solve", fail)
     got = extend(geometric_step(), [1], 8, engine="probe")
@@ -259,12 +259,17 @@ def test_probe_failure_falls_back_to_exact(monkeypatch):
 
 
 def test_probe_check_falls_back_to_exact(monkeypatch):
-    # dead probe lanes raise EngineError; check_solution then answers in Q(q)
+    # a pole at every prime raises EngineError; check_solution then
+    # answers in Q(q)
     F = geometric_step()
     bad = list(extend(F, [1], 8).solution.coeffs)
     bad[5] = bad[5] + RatQ(1)
     phi = TruncSeries(bad, 8)
-    monkeypatch.setattr(_probes.ProbeDomain, "healthy", lambda self: False)
+
+    def pole(polys, xs, p):
+        raise _probes._Pole(f"a scalar denominator is 0 mod {p}")
+
+    monkeypatch.setattr(_probes, "_eval_qpolys", pole)
     with pytest.raises(EngineError):
         _probes.check(F, phi)
     assert check_solution(F, phi, mode="probe") == 4
