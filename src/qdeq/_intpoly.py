@@ -8,18 +8,20 @@ integer back as balanced base-xi digits): mul by Kronecker substitution,
 divexact by one big divmod, gcd by the evaluation gcd GCDHEU, each answer
 proved exact.  Small or sparse products (such as by 1 - q^e) run
 schoolbook over the nonzero terms, nnz(a)*nnz(b) steps, and small
-quotients the low-end division loop.  gcd returns its cofactors with it,
-(g, a/g, b/g); if three points fail it runs a modular gcd over primes_31
-on euclid_mod, the GF(p) Euclid kernel of the probe engine's rational
-reconstruction, with CRT lifting by crt_join.  The probe engine's primes
-are primes_29, below 2**29, where lazy_terms products of residues sum in
-an int64 before one reduction.
+quotients the low-end division loop; div_binomial divides by 1 - x^m
+in running sums.  gcd returns its cofactors with it, (g, a/g, b/g); if
+three points fail it runs a modular gcd over primes_31 on euclid_mod,
+the GF(p) Euclid kernel of the probe engine's rational reconstruction,
+with CRT lifting by crt_join.  The probe engine's primes are primes_29,
+below 2**29, where lazy_terms products of residues sum in an int64
+before one reduction.
 
 Nothing here knows about q, x or fractions; ratfunc builds the public
 types on top.  Functions mutate nothing they receive except where noted.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -239,6 +241,21 @@ def divexact(a, b):
     if any(r[lq:]):
         raise ValueError("not divisible")
     return shift(trim(out), oa - ob)
+
+
+def div_binomial(a, m):
+    """Quotient a/(1 - x**m), m >= 1, by c_i = a_i + c_(i-m): a running
+    sum over each residue class mod m.  1 - x**m divides a exactly when
+    the top m entries of c are zero; ValueError otherwise."""
+    if m < 1:
+        raise ValueError(f"1 - x**{m} is not a binomial of degree >= 1")
+    c = list(a)
+    for r in range(min(m, len(c))):
+        c[r::m] = accumulate(c[r::m])
+    top = max(len(c) - m, 0)
+    if any(c[top:]):
+        raise ValueError("not divisible")
+    return c[:top]
 
 
 # ---------------------------------------------------------------------------

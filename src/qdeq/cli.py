@@ -167,10 +167,15 @@ def _cmd_solve(args):
     return _emit(_extend(_as_equation(_read_source(args)), args), args.format)
 
 
-def _load_series_json(obj):
-    """A list of coefficient strings, or an object holding one as "coeffs"
-    (a series object, or solve output) with an optional integer "trunc"
-    or "resolved_through" >= 0; anything else is an error."""
+def _load_series_json(text):
+    """JSON text of a list of coefficient strings, or of an object holding
+    one as "coeffs" (a series object, or solve output) with an optional
+    integer "trunc" or "resolved_through" >= 0; anything else is an
+    error naming --input, bad JSON and bad coefficients included."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        raise QdeqError(f"argument --input: invalid JSON: {exc}") from None
     if isinstance(obj, list):
         obj = {"coeffs": obj}
     coeffs = obj.get("coeffs") if isinstance(obj, dict) else None
@@ -183,7 +188,12 @@ def _load_series_json(obj):
     if type(trunc) is not int or trunc < 0:
         raise QdeqError(f"argument --input: the series truncation must be"
                         f" an integer >= 0, not {json.dumps(trunc)}")
-    return TruncSeries([parse_ratq(t) for t in coeffs], trunc)
+    try:
+        values = [parse_ratq(t) for t in coeffs]
+    except QdeqError as exc:
+        raise QdeqError(f"argument --input: invalid coefficient: {exc}"
+                        ) from None
+    return TruncSeries(values, trunc)
 
 
 def _cmd_growth(args):
@@ -192,7 +202,7 @@ def _cmd_growth(args):
     text = _read_text(args).strip()
     polygon = None
     if text.startswith(("[", "{")):
-        y = _load_series_json(json.loads(text))
+        y = _load_series_json(text)
         for flag, given in (("--seed", args.seed), ("--order", args.order),
                             ("--predict-from-polygon",
                              args.predict_from_polygon or None)):

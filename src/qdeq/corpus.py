@@ -28,13 +28,15 @@ for comparison.  Residual status is reported by run(), never asserted.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .dsl import parse, parse_ratq
 from .errors import InsufficientData
 from .nonlinear import QdeqPoly, eval_at, linearize
-from .ratfunc import Q, QLaurent, RatQ, pochhammer, ratq_sum
+from .ratfunc import Q, QLaurent, QPoly, RatQ, pochhammer
 from .series import TruncSeries
 from .skewop import apply, newton_polygon
+from . import _intpoly as K
 from . import growth
 from .solver import check_solution, extend
 
@@ -43,17 +45,28 @@ _BASES = ("stated", "derived", "trivial")
 
 def jones(n):
     """Colored Jones invariant of the figure-eight knot at color n,
-    as an exact Laurent polynomial in q:
+    as an exact Laurent polynomial in q (Habiro's sum):
 
         sum_{k=0}^{n}  q^{nk} (q^{-n-1}; q^{-1})_k (q^{-n+1}; q)_k
+
+    Since 1 - q^-m = -q^-m (1 - q^m), term k is a power of q times an
+    integer polynomial, T_k = q^{-nk} (q^{n-k}; q)_k (q^{n+1}; q)_k, and
+    T_n = 0 for n >= 1.  The top term T_{n-1} is two pochhammer products;
+    each lower one is T_{k-1} = q^n T_k / ((1 - q^{n-k}) (1 - q^{n+k})),
+    two exact binomial divisions.  The n terms are added once.
     """
     if n < 0:
         raise ValueError("color must be a nonnegative integer")
-    terms = [RatQ(1).shift_q(n * k)
-             * pochhammer(RatQ(1).shift_q(-n - 1), "q_inv", k)
-             * pochhammer(RatQ(1).shift_q(-n + 1), "q", k)
-             for k in range(n + 1)]
-    return QLaurent(ratq_sum(terms))
+    top = max(n - 1, 0)  # at n = 0 the one term is T_0 = 1
+    p = (pochhammer(RatQ(1).shift_q(n - top), "q", top)
+         * pochhammer(RatQ(1).shift_q(n + 1), "q", top)).num.ints
+    total = [0] * (2 * n * top + 1)  # T_k spans q^{-nk} .. q^{nk}
+    for k in range(top, -1, -1):
+        span = slice(n * (top - k), n * (top - k) + len(p))
+        total[span] = map(add, total[span], p)
+        if k:
+            p = K.div_binomial(K.div_binomial(p, n - k), n + k)
+    return QLaurent(QPoly(total), -n * top)
 
 
 def jones_series(order):

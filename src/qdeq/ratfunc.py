@@ -513,9 +513,9 @@ def ratq_sum(terms):
     """Sum of RatQ terms, reduced once (fraction-free inner product,
     Knuth 4.5.1).
 
-    Its callers: RatQ.__add__ (so +, - and their reflections), the Habiro
-    sum in corpus.jones, ResonancePoly.at_qpow, and the exact engine,
-    where ExactDomain.series_mul and, through ExactDomain.mul_term,
+    Its callers: RatQ.__add__ (so +, - and their reflections),
+    ResonancePoly.at_qpow, and the exact engine, where
+    ExactDomain.series_mul and, through ExactDomain.mul_term,
     Evaluator.eval pass products from _mul_unreduced.  So the terms need
     not be reduced, only in that layout, and a single term is reduced too.
 

@@ -406,6 +406,24 @@ def test_growth_series_json_is_read_strictly(capsys, monkeypatch, text):
     assert last["message"].startswith("argument --input: ")
 
 
+@pytest.mark.parametrize("text, what", [
+    ("[1", "invalid JSON"),
+    ('["1", "q^"]', "invalid coefficient"),
+    ('{"coeffs": ["1/0"]}', "invalid coefficient"),
+])
+def test_growth_malformed_series_json_names_input(capsys, monkeypatch,
+                                                  text, what):
+    # JSON that does not decode and a coefficient that does not parse end
+    # in the same diagnostic as any other bad --input, not in the
+    # decoder's or the parser's own exception
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(capsys, "growth", "--input", "-")
+    assert code == 1 and out == ""
+    last = json.loads(err.splitlines()[-1])
+    assert last["error"] == "QdeqError"
+    assert last["message"].startswith(f"argument --input: {what}: ")
+
+
 def test_growth_bound_usage_error_names_fraction(capsys):
     code, _, err = run(capsys, "growth", "x*y[1] - y[0] + 1", "--seed", "1",
                        "--s", "abc")

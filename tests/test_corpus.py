@@ -20,7 +20,8 @@ from qdeq.corpus import (
 )
 from qdeq.dsl import parse, parse_ratq
 from qdeq.errors import InsufficientData
-from qdeq.ratfunc import RatQ, QLaurent
+from qdeq.nonlinear import QdeqPoly
+from qdeq.ratfunc import RatQ, QLaurent, pochhammer, ratq_sum
 from qdeq.series import TruncSeries
 from qdeq.skewop import apply, newton_polygon, op_mul
 from qdeq.solver import check_solution, extend
@@ -70,6 +71,35 @@ def test_jones_frozen_text():
     assert jones(2).to_text() == "q^2-q+1-q^-1+q^-2"
     assert jones_series(2).coeffs[2].to_text() == "(q^4-q^3+q^2-q+1)/q^2"
     assert type(RatQ.from_value(jones(2))) is RatQ
+
+
+def _habiro_sum(n):
+    """Habiro's sum taken literally: both q-Pochhammer products rebuilt
+    for every k, each term a RatQ, the n + 1 terms added in Q(q)."""
+    return QLaurent(ratq_sum([
+        RatQ(1).shift_q(n * k)
+        * pochhammer(RatQ(1).shift_q(-n - 1), "q_inv", k)
+        * pochhammer(RatQ(1).shift_q(-n + 1), "q", k)
+        for k in range(n + 1)]))
+
+
+def test_jones_matches_literal_habiro_sum():
+    # jones runs its sum from the top term down by exact binomial
+    # divisions; the literal sum shares none of that
+    for n in range(31):
+        want, got = _habiro_sum(n), jones(n)
+        assert got == want, n
+        assert got.to_text() == want.to_text(), n
+
+
+def test_jones_series_solves_the_dense_annihilator():
+    # the solver, seeded with the first three invariants, reproduces the
+    # series from the annihilator alone, every step uniquely determined
+    F = QdeqPoly.from_operator(parse(JONES_ANNIHILATOR_TEXT).parsed)
+    rep = extend(F, [jones(n).to_ratq() for n in range(3)], 15,
+                 engine="exact")
+    assert rep.solution.coeffs == jones_series(15).coeffs
+    assert set(rep.kinds()) == {"unique"}
 
 
 # -- the three operator variants ---------------------------------------------
@@ -178,7 +208,6 @@ def test_phi11_closed_form_spot():
 def test_phi11_alternate_sign_disagrees():
     e = get_entry("phi11-basic")
     alt = e.variants["alternate-sign"].source.parsed
-    from qdeq.nonlinear import QdeqPoly
     rep = extend(QdeqPoly.from_operator(alt), [RatQ(1)], 3)
     assert rep.solution.coeffs[1] != _phi11_coeff(1)
 

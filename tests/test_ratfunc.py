@@ -255,6 +255,42 @@ def test_kernel_divexact_matches_schoolbook(side):
     check()
 
 
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_div_factor(1, 60), _div_factor(65, 200)),
+       st.integers(1, 300), st.integers(0, 3),
+       st.one_of(st.none(), st.tuples(st.integers(0, 10 ** 6),
+                                      st.sampled_from((1, -1, 2 ** 80 + 1)))))
+def test_kernel_div_binomial_matches_divexact(f, m, j, bump):
+    # a = x^j * f * (1 - x^m); bumped at one coefficient it is no multiple
+    # of 1 - x^m, which vanishes at x = 1 where the bump does not
+    want = K.shift(f, j)
+    binomial = [1] + [0] * (m - 1) + [-1]
+    a = K.mul(want, binomial)
+    if bump is not None:
+        i, e = bump
+        a[i % len(a)] += e
+        a = K.trim(a)
+    before = list(a)
+    if bump is None:
+        assert K.div_binomial(a, m) == want == K.divexact(a, binomial)
+    else:
+        with pytest.raises(ValueError):
+            K.div_binomial(a, m)
+        with pytest.raises(ValueError):
+            K.divexact(a, binomial)
+    assert a == before
+
+
+def test_kernel_div_binomial_edges():
+    assert K.div_binomial([], 4) == []
+    assert K.div_binomial([1, 0, 0, -1], 3) == [1]
+    for a, m in (([1], 1), ([1, 1], 1), ([0, 0, 1], 5), ([1, -1], 2)):
+        with pytest.raises(ValueError):
+            K.div_binomial(a, m)
+    with pytest.raises(ValueError):
+        K.div_binomial([1, -1], 0)  # 1 - x^0 is zero, not a binomial
+
+
 def test_kernel_quotients_wider_than_the_operands():
     # (x^n - 1)^2 / (x - 1)^2 = (1 + x + ... + x^(n-1))^2 has coefficients
     # up to n, the operands none above 2: the first xi is too narrow for
