@@ -14,7 +14,9 @@ three points fail it runs a modular gcd over primes_31 on euclid_mod,
 the GF(p) Euclid kernel of the probe engine's rational reconstruction,
 with CRT lifting by crt_join.  The probe engine's primes are primes_29,
 below 2**29, where lazy_terms products of residues sum in an int64
-before one reduction.
+before one reduction.  unit_normal is the one normalisation by the
+content: (c, a/c) with c signed like the lead, so a/c is primitive with
+a positive lead, the form of every gcd and RatQ denominator.
 
 Nothing here knows about q, x or fractions; ratfunc builds the public
 types on top.  Functions mutate nothing they receive except where noted.
@@ -146,14 +148,11 @@ def exact_scal_div(a, k):
     return [c // k for c in a]
 
 
-def primitive_part(a):
-    """a divided by its content, sign preserved; [] for zero."""
-    if not a:
-        return []
-    c = content(a)
-    if c == 1:
-        return list(a)
-    return [x // c for x in a]
+def unit_normal(a):
+    """(c, a/c) for nonzero a: c the content of a, signed like its lead,
+    so a/c is primitive with a positive lead."""
+    c = content(a) if a[-1] > 0 else -content(a)
+    return c, list(a) if c == 1 else [x // c for x in a]
 
 
 def eval_at(a, v):
@@ -260,12 +259,6 @@ def div_binomial(a, m):
 
 # ---------------------------------------------------------------------------
 # gcd
-
-
-def _pos(a):
-    if a and a[-1] < 0:
-        return [-c for c in a]
-    return a
 
 
 def _is_prime(n):
@@ -425,7 +418,7 @@ def _modular_gcd(a, b):
         joined = [x - M if x > M // 2 else x  # symmetric lift
                   for x in (y % M for y in joined)]
         if joined == C:
-            g = _pos(primitive_part(C))
+            _, g = unit_normal(C)
             try:
                 return g, divexact(a, g), divexact(b, g)
             except ValueError:
@@ -448,8 +441,8 @@ def _heu_gcd(a, b):
         G = _unpack(h, nbytes)
         if len(G) == 1:
             return [1], a, b
-        c = content(G) if G[-1] > 0 else -content(G)
-        g, vg = [x // c for x in G], h // c
+        c, g = unit_normal(G)
+        vg = h // c
         qa = _read_quotient(a, g, va // vg, nbytes)
         qb = None if qa is None else _read_quotient(b, g, vb // vg, nbytes)
         if qb is not None:
@@ -467,11 +460,11 @@ def gcd(a, b):
     keeps its operand's content and sign.
     """
     if not a:
-        g = _pos(primitive_part(b))
-        return g, [], [b[-1] // g[-1]]
+        c, g = unit_normal(b)
+        return g, [], [c]
     if not b:
-        g = _pos(primitive_part(a))
-        return g, [a[-1] // g[-1]], []
+        c, g = unit_normal(a)
+        return g, [c], []
     oa, ob = low(a), low(b)
     m = min(oa, ob)
     ca, cb = content(a), content(b)

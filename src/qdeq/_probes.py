@@ -562,7 +562,7 @@ def _solve_at(F, seed, N, nlanes):
         exact.append(value)
         h += 1
 
-    _verify_fresh(F, exact, primes)
+    _verify_fresh(F, exact, runs[0].events, primes)
     return exact, runs[0].events
 
 
@@ -579,11 +579,16 @@ def _first_nonzero(F, coeffs, primes, salt, nlanes):
     return _serving(primes, at)
 
 
-def _verify_fresh(F, exact, primes):
+def _verify_fresh(F, exact, events, primes):
     """Re-probe exact's residual on primes of the solve's iterator past
-    every run's."""
-    m = _first_nonzero(F, exact, primes, 0x9E3779B97F4A7C15, _VERIFY_LANES)
-    if m < len(exact):
+    every run's, through the last step's order N + l, with exact padded
+    by zeros: c_j first enters the residual at order j + l."""
+    top = max((e["order"] for e in events
+               if e["kind"] in ("unique", "resonant_free")),
+              default=len(exact) - 1)
+    padded = exact + [RatQ(0)] * (top + 1 - len(exact))
+    m = _first_nonzero(F, padded, primes, 0x9E3779B97F4A7C15, _VERIFY_LANES)
+    if m <= top:
         raise EngineError(f"reconstructed solution fails at order {m}")
 
 

@@ -39,17 +39,25 @@ from .nonlinear import QdeqPoly, linearize
 from .series import TruncSeries
 from .skewop import newton_polygon, resonance_poly
 from .solver import extend
-from .unitcircle import (_raise_if_root_of_unity, roots_of,
-                         scan_condition_H, unit_q)
+from .unitcircle import roots_of, scan_condition_H, unit_q
 
 
-def _value(text, flag, kind):
-    """kind(text); a UsageError naming flag when text does not parse."""
-    try:
-        return kind(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"argument {flag}: invalid {kind.__name__} value:"
-                         f" {text!r}") from None
+def _kind(read, name):
+    """argparse type of one value read(text); a ValueError or a zero
+    denominator is "invalid <name> value" under the flag's name."""
+    def kind(text):
+        try:
+            return read(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(
+                f"invalid {name} value: {text!r}") from None
+    return kind
+
+
+def _listed(kind):
+    """argparse type of comma-separated kind values; an empty one, as in
+    "" or "1,,2", is invalid like any other."""
+    return lambda text: [kind(part.strip()) for part in text.split(",")]
 
 
 def _integer(least):
@@ -70,13 +78,6 @@ def _seed(text):
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
 
-def _values(text, flag, kind):
-    """Comma-separated values, each read by _value; empty text is an error."""
-    if not text.strip():
-        raise QdeqError(f"{flag} is empty")
-    return [_value(part.strip(), flag, kind) for part in text.split(",")]
-
-
 def positive(text):
     """The exponent kind of --c2-grid: a rational above 0."""
     if (value := Fraction(text)) <= 0:
@@ -84,13 +85,20 @@ def positive(text):
     return value
 
 
+def _finite_complex(text):
+    """The root kind of --roots: a finite complex number."""
+    if not cmath.isfinite(value := complex(text)):
+        raise ValueError(text)
+    return value
+
+
 def _theta(text):
-    """--theta: p/r or an integer read exactly, else a finite float."""
-    exact = "/" in text or "." not in text
-    theta = _value(text, "--theta", Fraction if exact else float)
-    if not (exact or math.isfinite(theta)):
-        raise QdeqError(f"--theta {text} is not a finite number")
-    return theta
+    """--theta's kind: p/r or an integer read exactly, else a finite float."""
+    if "/" in text or "." not in text:
+        return Fraction(text)
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
 
 
 def _emit(payload, fmt):
@@ -197,8 +205,6 @@ def _load_series_json(text):
 
 
 def _cmd_growth(args):
-    order = None if args.s is None else _value(args.s, "--s", Fraction)
-    slack = None if args.C is None else _value(args.C, "--C", Fraction)
     text = _read_text(args).strip()
     polygon = None
     if text.startswith(("[", "{")):
@@ -213,9 +219,9 @@ def _cmd_growth(args):
         y = _extend(F, args).solution
         if args.predict_from_polygon:
             polygon = newton_polygon(linearize(F, y))
-    report = growth.analyze(y, order=order, slack=slack, polygon=polygon)
+    report = growth.analyze(y, order=args.s, slack=args.C, polygon=polygon)
     code = _emit(report, args.format)
-    asserted = order is not None or slack is not None
+    asserted = args.s is not None or args.C is not None
     return 2 if asserted and not report.passed() else code
 
 
@@ -268,8 +274,7 @@ def _cmd_corpus(args):
 
 
 def _cmd_diophantine(args):
-    theta = _theta(args.theta)
-    q = unit_q(theta)
+    q = unit_q(args.theta)
     try:
         if args.equation or args.input:
             if args.roots is not None:
@@ -278,24 +283,17 @@ def _cmd_diophantine(args):
             if src.kind != "linear_operator":
                 raise QdeqError("diophantine needs a linear operator, whose"
                                 " resonance roots it scans")
-            # a q that is a root of unity is the verdict, even where the
-            # resonance polynomial degenerates at q
-            _raise_if_root_of_unity(theta, args.N)
             try:
                 roots = roots_of(resonance_poly(src.parsed), q)
             except DegenerateAfterEvaluation:
-                scan_condition_H(q, [], args.N)  # the test for a float theta
+                # a q that is a root of unity is the verdict, even where
+                # the resonance polynomial degenerates at q
+                scan_condition_H(q, [], args.N, theta=args.theta)
                 raise
-        elif args.roots is not None:
-            roots = _values(args.roots, "--roots", complex)
-            if not all(map(cmath.isfinite, roots)):
-                raise ValueError(f"argument --roots: {args.roots!r} holds a"
-                                 f" root that is not a finite complex number")
         else:
-            roots = [1 + 0j]
-        grid = (None if args.c2_grid is None
-                else _values(args.c2_grid, "--c2-grid", positive))
-        scan = scan_condition_H(q, roots, args.N, c2_grid=grid, theta=theta)
+            roots = [1 + 0j] if args.roots is None else args.roots
+        scan = scan_condition_H(q, roots, args.N, c2_grid=args.c2_grid,
+                                theta=args.theta)
     except RootOfUnityDetected as exc:
         print(json.dumps({"verdict": "root_of_unity", "n": exc.n})
               if args.format == "json" else f"root of unity: q^{exc.n} = 1")
@@ -347,8 +345,11 @@ def _build_parser():
                        help="q-Gevrey growth report for an equation's"
                             " solution, or for a JSON series or solve"
                             " output")
-    p.add_argument("--s", help="assert this growth order on both sides")
-    p.add_argument("--C", help="assert this slack constant on both sides")
+    rational = _kind(Fraction, "Fraction")
+    p.add_argument("--s", type=rational,
+                   help="assert this growth order on both sides")
+    p.add_argument("--C", type=rational,
+                   help="assert this slack constant on both sides")
     p.add_argument("--predict-from-polygon", action="store_true",
                    help="compare against the linearized polygon prediction")
     p.set_defaults(fn=_cmd_growth)
@@ -369,11 +370,15 @@ def _build_parser():
                        help="scan |q^n - u| along the unit circle, for the"
                             " resonance roots u of an operator")
     p.add_argument("--theta", required=True,
+                   type=_kind(_theta, "rotation number"),
                    help="rotation number, rational p/r or float")
-    p.add_argument("--roots", help="comma-separated complex roots, in place"
-                                   " of an operator (default: 1)")
+    p.add_argument("--roots", type=_listed(_kind(_finite_complex,
+                                                 "finite complex")),
+                   help="comma-separated complex roots, in place of an"
+                        " operator (default: 1)")
     p.add_argument("--N", type=_integer(1), default=10000)
     p.add_argument("--c2-grid", dest="c2_grid",
+                   type=_listed(_kind(positive, "positive")),
                    help="comma-separated decay exponents")
     p.set_defaults(fn=_cmd_diophantine)
 

@@ -394,8 +394,10 @@ def _entry_qp2():
         kinds = set(rep.kinds())
         if kinds != {"unique"}:
             return False, f"step kinds {sorted(kinds)}"
-        v = check_solution(src.parsed, rep.solution)
-        if v < order:
+        # c_order first enters the residual at the last step's order
+        padded = TruncSeries(rep.solution.coeffs, rep.events[-1]["order"])
+        v = check_solution(src.parsed, padded)
+        if v < padded.trunc:
             return False, f"residual appears at order {v + 1}"
         return True, f"unique affine steps and zero residual through {order}"
 

@@ -66,8 +66,7 @@ def _promote(v, cls):
         return SkewOp({0: XPoly([v])})
     # v is an XPoly
     if cls is QdeqPoly:
-        return QdeqPoly((0, 0), {(h, ()): c for h, c in enumerate(v.coeffs)
-                                 if not c.is_zero()})
+        return QdeqPoly((0, 0), (((h, ()), c) for h, c in enumerate(v.coeffs)))
     return SkewOp({0: v})
 
 

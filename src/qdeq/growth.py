@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InsufficientData, UncertainPolygon
-from .ratfunc import NEG_INF, POS_INF, deg_q, ord_q
+from .ratfunc import NEG_INF, POS_INF
 from .skewop import NewtonPolygon
 
 _SIDES = ("deg", "ord")
@@ -55,8 +55,8 @@ def valuation_profile(y):
     entry h is deg_q / ord_q of the h-th coefficient, with the NEG_INF /
     POS_INF sentinel where the coefficient is zero.
     """
-    degs = [deg_q(c) for c in y.coeffs]
-    ords = [ord_q(c) for c in y.coeffs]
+    degs = [c.deg_q for c in y.coeffs]
+    ords = [c.ord_q for c in y.coeffs]
     return degs, ords
 
 

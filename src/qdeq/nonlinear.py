@@ -9,8 +9,9 @@ where w_i stands for y(q^i x).  Monomials are stored sparsely as
     (e_x, ((i_1, k_1), ..., (i_r, k_r)))  ->  coefficient in Q(q)
 
 with the shift exponents sorted by index and all k_j >= 1; zero
-coefficients are never stored.  The window may be wider than the set of
-indices actually used, but never narrower.
+coefficients are never stored.  Only the constructor merges monomials
+into this form.  The window may be wider than the set of indices
+actually used, but never narrower.
 
 This module also holds the one substitution engine of the package.
 Evaluator computes F(phi) order by order in a coefficient domain: the
@@ -55,12 +56,8 @@ from .skewop import SkewOp
 
 
 def _canon_exps(exps):
-    if isinstance(exps, dict):
-        items = exps.items()
-    else:
-        items = exps
     out = {}
-    for i, k in items:
+    for i, k in exps:
         i, k = int(i), int(k)
         if k < 0:
             raise ValueError("shift exponents must be nonnegative")
@@ -70,7 +67,14 @@ def _canon_exps(exps):
 
 
 class QdeqPoly:
-    """Polynomial in x and the shifted unknowns w_m .. w_n over Q(q)."""
+    """Polynomial in x and the shifted unknowns w_m .. w_n over Q(q).
+
+    The constructor is where monomials merge: it takes a dict or an
+    iterable of ((e, exps), coeff) pairs, adds the exponents of a
+    repeated shift index, adds the coefficients of equal monomials and
+    drops those that come to zero.  The ring operations, partial and
+    from_operator emit pairs and leave the normal form to it.
+    """
 
     __slots__ = ("window", "monomials")
 
@@ -79,29 +83,21 @@ class QdeqPoly:
         if m > n:
             raise ValueError(f"window [{m}, {n}] is empty")
         store = {}
-        for (e, exps), c in monomials.items():
+        pairs = monomials.items() if isinstance(monomials, dict) else monomials
+        for (e, exps), c in pairs:
             e = int(e)
             if e < 0:
                 raise NegativeXPower("monomials cannot carry negative x-powers")
-            c = RatQ.from_value(c)
-            if c.is_zero():
-                continue
             exps = _canon_exps(exps)
             for i, _ in exps:
                 if not m <= i <= n:
                     raise IndexOutOfWindow(
                         f"shift index {i} outside window [{m}, {n}]")
-            key = (e, exps)
-            if key in store:
-                s = store[key] + c
-                if s.is_zero():
-                    del store[key]
-                else:
-                    store[key] = s
-            else:
-                store[key] = c
+            key, c = (e, exps), RatQ.from_value(c)
+            prev = store.get(key)
+            store[key] = c if prev is None else prev + c
         self.window = (m, n)
-        self.monomials = store
+        self.monomials = {k: c for k, c in store.items() if not c.is_zero()}
 
     # -- constructors ------------------------------------------------------
 
@@ -124,14 +120,10 @@ class QdeqPoly:
         solver unchanged."""
         if op.flavor != "exact":
             raise ValueError("only exact-flavor operators define an equation")
-        mons = {}
-        lo, hi = 0, 0
-        for i, a in op.terms.items():
-            lo, hi = min(lo, i), max(hi, i)
-            for e, c in enumerate(a.coeffs):
-                if not c.is_zero():
-                    mons[(e, ((i, 1),))] = c
-        return cls((lo, hi), mons)
+        idx = list(op.terms) + [0]
+        return cls((min(idx), max(idx)),
+                   (((e, ((i, 1),)), c) for i, a in op.terms.items()
+                    for e, c in enumerate(a.coeffs)))
 
     # -- ring structure ----------------------------------------------------
 
@@ -147,10 +139,8 @@ class QdeqPoly:
             other = QdeqPoly.const(other)
         if not isinstance(other, QdeqPoly):
             return NotImplemented
-        out = dict(self.monomials)
-        for key, c in other.monomials.items():
-            out[key] = out[key] + c if key in out else c
-        return QdeqPoly(self._merged_window(other), out)
+        return QdeqPoly(self._merged_window(other),
+                        [*self.monomials.items(), *other.monomials.items()])
 
     __radd__ = __add__
 
@@ -172,16 +162,10 @@ class QdeqPoly:
             other = QdeqPoly.const(other)
         if not isinstance(other, QdeqPoly):
             return NotImplemented
-        out = {}
-        for (e1, x1), c1 in self.monomials.items():
-            for (e2, x2), c2 in other.monomials.items():
-                d = dict(x1)
-                for i, k in x2:
-                    d[i] = d.get(i, 0) + k
-                key = (e1 + e2, tuple(sorted(d.items())))
-                c = c1 * c2
-                out[key] = out[key] + c if key in out else c
-        return QdeqPoly(self._merged_window(other), out)
+        return QdeqPoly(self._merged_window(other),
+                        (((e1 + e2, x1 + x2), c1 * c2)
+                         for (e1, x1), c1 in self.monomials.items()
+                         for (e2, x2), c2 in other.monomials.items()))
 
     __rmul__ = __mul__
 
@@ -378,20 +362,10 @@ def partial(F, i):
     m, n = F.window
     if not m <= i <= n:
         raise IndexOutOfWindow(f"shift index {i} outside window [{m}, {n}]")
-    out = {}
-    for (e, exps), c in F.monomials.items():
-        d = dict(exps)
-        k = d.get(i, 0)
-        if not k:
-            continue
-        if k == 1:
-            del d[i]
-        else:
-            d[i] = k - 1
-        key = (e, tuple(sorted(d.items())))
-        v = c * k
-        out[key] = out[key] + v if key in out else v
-    return QdeqPoly((m, n), out)
+    return QdeqPoly((m, n), (((e, tuple((j, k - (j == i)) for j, k in exps)),
+                              c * k)
+                             for (e, exps), c in F.monomials.items()
+                             for j, k in exps if j == i))
 
 
 def partial_rows(F, ev):

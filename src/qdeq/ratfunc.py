@@ -27,8 +27,9 @@ QLaurent is a RatQ with d = 1 that prints term by term ("q-1+q^-1");
 it adds no arithmetic of its own, and RatQ.from_value turns it back into
 a plain RatQ.
 
-The two valuations deg_q and ord_q take values in Z extended by the
-NEG_INF / POS_INF sentinels defined here (never magic integers).
+The two valuations are the RatQ properties deg_q and ord_q, with values
+in Z extended by the NEG_INF / POS_INF sentinels defined here (never
+magic integers).
 
 fmt_coeff_poly is the one printer for polynomials over Q(q) in another
 variable: truncated series and x-polynomials (series) and resonance
@@ -318,11 +319,7 @@ class RatQ:
         p = K.low(d_ints)
         self.v = o - p
         n_ints, d_ints = _lowest_terms(n_ints[o:], d_ints[p:])
-        c = K.content(d_ints)
-        if d_ints[-1] < 0:
-            c = -c
-        if c != 1:
-            d_ints = K.exact_scal_div(d_ints, c)
+        c, d_ints = K.unit_normal(d_ints)
         # scalar bookkeeping: value = (n_ints/num.den) * (den.den/(c*d_ints))
         self.n = QPoly(K.scal(n_ints, den.den), num.den * c)
         self.d = _qpoly(d_ints)
@@ -417,12 +414,9 @@ class RatQ:
     def _inverse(self):
         if self.is_zero():
             raise DivisionByZero("division by zero in Q(q)")
-        n = list(self.n.ints)
-        c = K.content(n)
-        if n[-1] < 0:
-            c = -c
+        c, n = K.unit_normal(self.n.ints)
         return _ratq(-self.v, QPoly(K.scal(list(self.d.ints), self.n.den), c),
-                     _qpoly(K.exact_scal_div(n, c)))
+                     _qpoly(n))
 
     def __truediv__(self, other):
         if not isinstance(other, (int, Fraction, QPoly, RatQ)):
@@ -601,24 +595,6 @@ class QLaurent(RatQ):
 
 #: the rational function q itself
 Q = RatQ(QPoly((0, 1)))
-
-
-def deg_q(a):
-    """Degree valuation on Q(q); NEG_INF for zero.  Additive on products."""
-    if isinstance(a, RatQ):
-        return a.deg_q
-    if isinstance(a, QPoly):
-        return a.degree
-    return RatQ.from_value(a).deg_q
-
-
-def ord_q(a):
-    """Order-at-zero valuation on Q(q); POS_INF for zero."""
-    if isinstance(a, RatQ):
-        return a.ord_q
-    if isinstance(a, QPoly):
-        return a.ord
-    return RatQ.from_value(a).ord_q
 
 
 def pochhammer(a, base, k):

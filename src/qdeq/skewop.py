@@ -42,27 +42,24 @@ class SkewOp:
     __slots__ = ("terms", "flavor")
 
     def __init__(self, terms):
-        exact = {}
-        series = {}
-        for i, a in terms.items():
-            i = int(i)
-            if isinstance(a, XPoly):
-                if not a.is_zero():
-                    exact[i] = a
-            elif isinstance(a, TruncSeries):
-                series[i] = a
-            else:
+        """terms: a dict or an iterable of (index, coefficient) pairs.  This
+        is where terms merge: coefficients that share an index add, and
+        zero exact coefficients drop (a series one stays, see above)."""
+        merged = {}
+        for i, a in terms.items() if isinstance(terms, dict) else terms:
+            if not isinstance(a, (XPoly, TruncSeries)):
                 raise TypeError(
                     f"operator coefficient must be XPoly or TruncSeries, "
                     f"not {type(a).__name__}")
-        if exact and series:
+            i = int(i)
+            prev = merged.get(i)
+            merged[i] = a if prev is None else prev + a
+        self.terms = {i: a for i, a in merged.items()
+                      if isinstance(a, TruncSeries) or not a.is_zero()}
+        flavors = {type(a) for a in self.terms.values()}
+        if len(flavors) > 1:
             raise ValueError("cannot mix exact and series coefficients")
-        if series:
-            self.terms = series
-            self.flavor = "series"
-        else:
-            self.terms = exact
-            self.flavor = "exact"
+        self.flavor = "series" if TruncSeries in flavors else "exact"
 
     @classmethod
     def identity(cls):
@@ -80,10 +77,7 @@ class SkewOp:
             return self
         if self.flavor != other.flavor:
             raise ValueError("cannot mix exact and series operators")
-        out = dict(self.terms)
-        for i, a in other.terms.items():
-            out[i] = out[i] + a if i in out else a
-        return SkewOp(out)
+        return SkewOp([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return SkewOp({i: -a for i, a in self.terms.items()})
@@ -138,13 +132,8 @@ def op_mul(A, B):
         return SkewOp({})
     if A.flavor != B.flavor:
         raise ValueError("cannot mix exact and series operators")
-    out = {}
-    for i, a in A.terms.items():
-        for j, b in B.terms.items():
-            c = a * b.sigma(i)
-            k = i + j
-            out[k] = out[k] + c if k in out else c
-    return SkewOp(out)
+    return SkewOp((i + j, a * b.sigma(i))
+                  for i, a in A.terms.items() for j, b in B.terms.items())
 
 
 def apply(A, y):

@@ -252,6 +252,9 @@ def extend(F, seed, N, engine="auto"):
 def check_solution(F, phi, mode="auto"):
     """Largest order V with residual coefficients 0..V all zero.
 
+    The last l coefficients of an extend answer, whose step h decides c_h
+    at order h + l, need it padded with zeros through its last step's order.
+
     mode "exact" recomputes the residual in Q(q); mode "probe" tests it
     at random modular points (sound for nonzero detection, zero with
     overwhelming likelihood), which is the default for large nonlinear

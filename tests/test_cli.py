@@ -471,7 +471,8 @@ def test_diophantine_empty_list_is_an_error(capsys, flag):
     code, out, err = run(capsys, "diophantine", "--theta", "0.6180339887",
                          flag, "")
     assert code == 1 and out == ""
-    assert json.loads(err)["message"] == f"{flag} is empty"
+    assert json.loads(err)["error"] == "UsageError"
+    assert json.loads(err)["message"].startswith(f"argument {flag}: ")
 
 
 @pytest.mark.parametrize("root", ["nan", "inf", "nanj"])
@@ -479,8 +480,9 @@ def test_diophantine_non_finite_root_exits_1(capsys, root):
     code, out, err = run(capsys, "diophantine", "--theta", "0.6180339887",
                          "--roots", root, "--N", "10")
     assert code == 1 and out == ""
-    assert json.loads(err)["error"] == "ValueError"
-    assert "not a finite" in json.loads(err)["message"]
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "message": f"argument --roots: invalid finite complex value: {root!r}"}
 
 
 def test_diophantine_reduces_a_rational_theta_mod_1(capsys):
@@ -500,8 +502,10 @@ def test_diophantine_non_finite_float_theta_exits_1(capsys, theta):
     # input at fault, not the q it would give
     code, out, err = run(capsys, "diophantine", f"--theta={theta}", "--N", "10")
     assert code == 1 and out == ""
-    assert json.loads(err) == {"error": "QdeqError", "message":
-                               f"--theta {theta} is not a finite number"}
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "message": "argument --theta: invalid rotation number value:"
+                   f" {theta!r}"}
 
 
 EULER_3 = ("growth", "x*y[1] - y[0] + 1", "--seed", "1", "--order", "3")

@@ -1,5 +1,6 @@
 """Corpus entries: frozen reference values and entry execution."""
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,11 @@ from qdeq.nonlinear import QdeqPoly
 from qdeq.ratfunc import RatQ, QLaurent, pochhammer, ratq_sum
 from qdeq.series import TruncSeries
 from qdeq.skewop import apply, newton_polygon, op_mul
-from qdeq.solver import check_solution, extend
+from qdeq.solver import SolveReport, check_solution, extend
+
+
+# the package binds the name corpus to the function
+corpus_module = importlib.import_module("qdeq.corpus")
 
 
 def qp(e):
@@ -195,6 +200,24 @@ def test_qp2_alternate_branch_extends():
     rep = extend(e.source.parsed, list(alt.seeds), 8)
     assert set(rep.kinds()) == {"unique"}
     assert check_solution(e.source.parsed, rep.solution) == 8
+
+
+def test_qp2_run_with_a_wrong_last_coefficient_fails(monkeypatch):
+    # c_16 first enters the residual at order 17, the last step's order
+    inner = corpus_module.extend
+
+    def planted(F, seed, N, *args):
+        rep = inner(F, seed, N, *args)
+        if rep.halted():
+            return rep
+        coeffs = list(rep.solution.coeffs)
+        coeffs[N] = coeffs[N] + RatQ(1)
+        return SolveReport(TruncSeries(coeffs), rep.events)
+
+    monkeypatch.setattr(corpus_module, "extend", planted)
+    rep = get_entry("q-painleve-2").run()
+    assert ("solution-extends", "stated", False,
+            "residual appears at order 17") in rep.results
 
 
 def test_phi11_closed_form_spot():

@@ -50,6 +50,35 @@ def test_constructor_canonicalizes():
         QdeqPoly((1, 0), {})
 
 
+def test_constructor_merges_pairs():
+    # repeated keys add, a repeated shift index adds its exponents, and
+    # what cancels or falls to exponent 0 drops
+    w0, w1 = QdeqPoly.w(0), QdeqPoly.w(1)
+    F = QdeqPoly((0, 1), [((0, ((0, 1), (1, 1), (0, 1))), 3),
+                          ((0, ((1, 1), (0, 2))), Q),
+                          ((1, ((0, 0),)), 5),
+                          ((1, ()), -5),
+                          ((2, ((1, 1),)), Q),
+                          ((2, ((1, 1), (0, 0))), -Q),
+                          ((0, ((1, 2),)), 1)])
+    assert F.monomials == {(0, ((0, 2), (1, 1))): 3 + Q,
+                           (0, ((1, 2),)): RatQ(1)}
+    assert F == (3 + Q) * w0 * w0 * w1 + w1 ** 2
+    assert QdeqPoly((0, 0), [((0, ()), 1), ((0, ()), -1)]).is_zero()
+
+
+def test_partial_by_hand():
+    w0, w1 = QdeqPoly.w(0), QdeqPoly.w(1)
+    F = w0 ** 2 * w1
+    assert partial(F, 0) == 2 * w0 * w1
+    assert partial(F, 1) == QdeqPoly((0, 1), {(0, ((0, 2),)): 1})
+    assert partial(w1, 1) == QdeqPoly((0, 1), {(0, ()): 1})
+    assert partial(w1, 0) == QdeqPoly((0, 1), {})
+    G = QdeqPoly((-1, 1), {(3, ((1, 1),)): Q})  # q*x^3*w1
+    assert partial(G, 1) == QdeqPoly((-1, 1), {(3, ()): Q})
+    assert partial(G, 0).is_zero() and partial(G, 0).window == (-1, 1)
+
+
 def test_ring_ops():
     w0 = QdeqPoly.w(0)
     assert (w0 + 1) * (w0 - 1) == w0 * w0 - QdeqPoly.const(1)

@@ -605,6 +605,47 @@ def test_probe_check_solution():
     assert check_solution(F, TruncSeries(bad, 16), mode="probe") == 9
 
 
+def _qp2_wrong_last(N):
+    """F, the exact qp2 report through N, and its answer with 1 added to
+    c_N."""
+    F = painleve_like()
+    rep = extend(F, next(_qp2_branches()), N, engine="exact")
+    bad = list(rep.solution.coeffs)
+    bad[N] = bad[N] + RatQ(1)
+    return F, rep, bad
+
+
+def test_verify_fresh_rejects_a_wrong_last_coefficient():
+    # step h decides c_h at order h + 1, so c_12 first enters the
+    # residual at order 13: only the answer padded through it shows c_12
+    F, rep, bad = _qp2_wrong_last(12)
+    assert [e["order"] for e in rep.events][-1] == 13
+    assert check_solution(F, TruncSeries(bad, 12), mode="exact") == 12
+    assert check_solution(F, TruncSeries(bad, 13), mode="exact") == 12
+    assert check_solution(F, TruncSeries(rep.solution.coeffs, 13),
+                          mode="exact") == 13
+    P._verify_fresh(F, list(rep.solution.coeffs), rep.events, K.primes_29())
+    with pytest.raises(EngineError, match="fails at order 13"):
+        P._verify_fresh(F, bad, rep.events, K.primes_29())
+
+
+def test_a_wrong_last_coefficient_falls_back_to_exact(monkeypatch):
+    F, rep, _ = _qp2_wrong_last(12)
+    seed = next(_qp2_branches())
+    inner = P._reconstruct_coeff
+
+    def planted(runs, h, *args):
+        value, need = inner(runs, h, *args)
+        return (value + RatQ(1) if h == 12 else value), need
+
+    monkeypatch.setattr(P, "_reconstruct_coeff", planted)
+    with pytest.raises(EngineError, match="fails at order 13"):
+        P.solve(F, seed, 12)
+    got = extend(F, seed, 12, engine="probe")
+    assert got.solution.coeffs == rep.solution.coeffs
+    assert got.events == rep.events
+
+
 def _runs_holding(value, h, nlanes, k=2):
     """Runs over the first k probe primes whose lanes hold value as c_h."""
     runs = []

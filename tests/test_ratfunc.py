@@ -1,5 +1,6 @@
 """Exact q-rational arithmetic: kernel and public value types."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -21,8 +22,6 @@ from qdeq.ratfunc import (
     QPoly,
     RatQ,
     _mul_unreduced,
-    deg_q,
-    ord_q,
     pochhammer,
     ratq_sum,
 )
@@ -41,8 +40,20 @@ def test_kernel_basics():
     assert K.mul([1, 1], [-1, 1]) == [-1, 0, 1]
     assert K.mul([], [1, 2]) == []
     assert K.content([6, -9, 12]) == 3
-    assert K.primitive_part([6, -9, 12]) == [2, -3, 4]
-    assert K.primitive_part([-6, -9]) == [-2, -3]
+    assert K.unit_normal([6, -9, 12]) == (3, [2, -3, 4])
+    assert K.unit_normal([-6, -9]) == (-3, [2, 3])
+    assert K.unit_normal([0, 5, -1]) == (-1, [0, -5, 1])
+
+
+def _primitive(a):
+    """a over the gcd of its coefficients, sign kept; [] for zero."""
+    c = reduce(math.gcd, a, 0)
+    return [x // c for x in a] if c else []
+
+
+def _positive(a):
+    """a or -a, whichever has a positive lead."""
+    return [-c for c in a] if a and a[-1] < 0 else a
 
 
 def test_kernel_mul_kronecker_agrees_with_schoolbook():
@@ -84,7 +95,7 @@ def _school_divexact(a, b):
 def _prs_gcd(a, b):
     """The primitive gcd of a and b by a primitive remainder sequence: an
     independent reference for the kernel's gcd, fine for small operands."""
-    a, b = K.primitive_part(a), K.primitive_part(b)
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -96,8 +107,8 @@ def _prs_gcd(a, b):
             for i in range(dv):
                 r[dr - dv + i] -= lead * b[i]
             K.trim(r)
-        a, b = b, K.primitive_part(r)
-    return K._pos(a)
+        a, b = b, _primitive(r)
+    return _positive(a)
 
 
 nonzero = st.one_of(st.integers(-9, 9),
@@ -317,6 +328,19 @@ def test_kernel_gcd_values():
     assert K.gcd([-2, 1], []) == ([-2, 1], [1], [])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=12), nonzero,
+       st.sampled_from((1, -1, 6, -2 ** 40 - 3, 2 ** 80 + 1)))
+def test_kernel_unit_normal(body, lead, scale):
+    # c carries the content and the lead's sign; a/c is primitive with a
+    # positive lead
+    a = K.scal(body + [lead], scale)
+    c, p = K.unit_normal(a)
+    assert p[-1] > 0 and K.content(p) == 1
+    assert K.scal(p, c) == a
+    assert (c < 0) == (a[-1] < 0)
+
+
 def test_kernel_gcd_prs_vs_modular():
     rng = random.Random(11)
     for _ in range(10):
@@ -325,7 +349,7 @@ def test_kernel_gcd_prs_vs_modular():
         b = K.mul(g, [rng.randint(-9, 9) for _ in range(4)] + [1])
         if a[0] == 0 or b[0] == 0:
             continue
-        pa, pb = K.primitive_part(a), K.primitive_part(b)
+        pa, pb = _primitive(a), _primitive(b)
         g1 = _prs_gcd(pa, pb)
         g2, qa, qb = K._modular_gcd(list(pa), list(pb))
         assert g1 == g2
@@ -343,7 +367,7 @@ def test_kernel_gcd_large_coefficients():
     a, b = K.mul(g, u), K.mul(g, v)
     got, qa, qb = K.gcd(a, b)
     # u and v are coprime with overwhelming likelihood, so gcd == +-g
-    assert got == K._pos(K.primitive_part(g))
+    assert got == _positive(_primitive(g))
     assert K.mul(got, qa) == a and K.mul(got, qb) == b
 
 
@@ -539,11 +563,11 @@ def test_qlaurent_arith():
     qq = QLaurent.q_power(1)
     s = qinv + qq
     assert type(s) is RatQ  # arithmetic leaves the print form behind
-    assert ord_q(s) == -1 and deg_q(s) == 1
+    assert s.ord_q == -1 and s.deg_q == 1
     assert QLaurent(s).terms() == [(-1, 1), (1, 1)]
     assert (qq * qinv) == QLaurent.q_power(0)
     cube = qinv ** 3
-    assert ord_q(cube) == deg_q(cube) == -3
+    assert cube.ord_q == cube.deg_q == -3
     assert cube.to_ratq() == RatQ(1, QPoly((0, 0, 0, 1)))
     assert (s - s).is_zero()
     assert qq.terms() == [(1, 1)]
@@ -554,7 +578,7 @@ def test_qlaurent_to_ratq():
     r = l.to_ratq()
     assert type(r) is RatQ and r == l
     assert r.to_text() == "(q+1)/q^2"
-    assert ord_q(r) == -2 and deg_q(r) == -1
+    assert r.ord_q == -2 and r.deg_q == -1
     assert r.num == QPoly((1, 1))
     assert r.den == QPoly((0, 0, 1))
     assert QLaurent(QPoly((1, 1)), 2).to_ratq() == RatQ(QPoly((0, 0, 1, 1)))
@@ -604,18 +628,17 @@ def test_ratq_valuations():
     r = RatQ(QPoly((-1, 0, 1)), QPoly((0, 2, 0, 1)))  # (q^2-1)/(q^3+2q)
     assert r.deg_q == -1
     assert r.ord_q == -1
-    assert deg_q(r) == -1 and ord_q(r) == -1
-    assert deg_q(RatQ(0)) is NEG_INF
-    assert ord_q(RatQ(0)) is POS_INF
-    assert deg_q(Q ** 3) == 3 and ord_q(Q ** 3) == 3
-    assert deg_q(5) == 0 and ord_q(Fraction(1, 3)) == 0
+    assert RatQ(0).deg_q is NEG_INF
+    assert RatQ(0).ord_q is POS_INF
+    assert (Q ** 3).deg_q == 3 and (Q ** 3).ord_q == 3
+    assert RatQ(5).deg_q == 0 and RatQ(Fraction(1, 3)).ord_q == 0
 
 
 def test_valuations_additive_on_products():
     a = RatQ(QPoly((-1, 0, 1)), QPoly((0, 2)))
     b = RatQ(QPoly((0, 0, 3)), QPoly((1, 1)))
-    assert deg_q(a * b) == deg_q(a) + deg_q(b)
-    assert ord_q(a * b) == ord_q(a) + ord_q(b)
+    assert (a * b).deg_q == a.deg_q + b.deg_q
+    assert (a * b).ord_q == a.ord_q + b.ord_q
 
 
 def test_ratq_arith():

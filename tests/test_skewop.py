@@ -54,6 +54,31 @@ def test_op_add_neg():
         resonance_poly(SkewOp({}))
 
 
+def test_exact_terms_that_cancel_leave_the_zero_operator():
+    A = SkewOp({1: X, 0: ONE})
+    B = SkewOp({1: -X, 0: -ONE})
+    assert (A + B).is_zero() and (A + B).terms == {}
+    # (S[1] - 1) o x - q*x o S[1] + x = 0 by the commutation rule
+    C = SkewOp({1: ONE, 0: -ONE})
+    D = SkewOp({1: xp(0, -Q)})
+    got = op_mul(C, SkewOp({0: X})) + D + SkewOp({0: X})
+    assert got.is_zero() and got == SkewOp({})
+    assert SkewOp([(2, X), (2, -X)]).is_zero()
+
+
+def test_series_terms_that_vanish_through_truncation_stay():
+    a = TruncSeries([RatQ(1), RatQ(1)], trunc=1)
+    A = SkewOp({0: a, 1: a})
+    got = A + SkewOp({0: TruncSeries.zero(1), 1: -a})
+    assert sorted(got.terms) == [0, 1]
+    assert got.terms[1] == TruncSeries.zero(1)
+    P = newton_polygon(got)
+    assert P.vertices == [(0, 0)] and P.uncertain == [1]
+    prod = op_mul(SkewOp({0: a}), SkewOp({1: TruncSeries.zero(1)}))
+    assert sorted(prod.terms) == [1]
+    assert prod.terms[1] == TruncSeries.zero(1)
+
+
 def test_apply_exact():
     # x*S[1] - 1 on y = 1 + x + x^2
     A = SkewOp({1: X, 0: -ONE})
