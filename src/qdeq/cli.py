@@ -138,8 +138,12 @@ def _as_equation(src):
 
 def _extend(F, args):
     """The solve report for F from --seed through --order (default 16)."""
+    seed = _seed_coeffs(args.seed)
     order = args.order if args.order is not None else 16
-    return extend(F, _seed_coeffs(args.seed), order)
+    if order < len(seed) - 1:
+        raise UsageError(f"argument --order: target order {order} is below"
+                         f" the seed order {len(seed) - 1}")
+    return extend(F, seed, order)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -244,11 +248,7 @@ def _cmd_corpus(args):
     else:
         entries = corpus()
     if not args.run:
-        listing = [{"id": e.id, "description": e.description,
-                    "seeds": [c.to_text() for c in e.seeds],
-                    "expectations": [x.name for x in e.expected],
-                    "variants": sorted(e.variants)}
-                   for e in entries]
+        listing = [e.to_json() for e in entries]
         if args.format == "json":
             print(json.dumps({"entries": listing}))
         else:

@@ -96,9 +96,6 @@ class Expectation:
         except Exception as exc:  # a broken expectation must not kill the run
             return False, f"error: {exc}"
 
-    def to_json(self):
-        return {"name": self.name, "basis": self.basis, "data": self.data}
-
 
 class Variant:
     """Alternate form of an entry: different text and/or seeds, one note."""
@@ -178,23 +175,11 @@ class CorpusEntry:
         return EntryReport(self.id, results, notes)
 
     def to_json(self):
-        out = {
-            "id": self.id,
-            "description": self.description,
-            "source": self.source.to_json(),
-            "seeds": [c.to_text() for c in self.seeds],
-            "expected": [e.to_json() for e in self.expected],
-        }
-        if self.variants:
-            out["variants"] = {
-                name: {
-                    "text": v.source.text if v.source else None,
-                    "seeds": [c.to_text() for c in v.seeds] if v.seeds else None,
-                    "note": v.note,
-                }
-                for name, v in self.variants.items()
-            }
-        return out
+        """The entry as qdeq corpus lists it."""
+        return {"id": self.id, "description": self.description,
+                "seeds": [c.to_text() for c in self.seeds],
+                "expectations": [e.name for e in self.expected],
+                "variants": sorted(self.variants)}
 
 
 def _solved(ctx, F, seeds, order):
@@ -391,6 +376,8 @@ def _entry_qp2():
 
     def chk_extends(ctx, order):
         rep = _solved(ctx, src.parsed, seeds, order)
+        if not rep.events:
+            raise InsufficientData("extend takes no step past the seeds")
         kinds = set(rep.kinds())
         if kinds != {"unique"}:
             return False, f"step kinds {sorted(kinds)}"

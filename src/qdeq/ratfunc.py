@@ -189,19 +189,6 @@ class QPoly:
     def coeffs(self):
         return tuple(Fraction(c, self.den) for c in self.ints)
 
-    def coeff(self, k):
-        if 0 <= k < len(self.ints):
-            return Fraction(self.ints[k], self.den)
-        return Fraction(0)
-
-    @property
-    def degree(self):
-        return len(self.ints) - 1 if self.ints else NEG_INF
-
-    @property
-    def ord(self):
-        return K.low(list(self.ints)) if self.ints else POS_INF
-
     def __add__(self, other):
         if not isinstance(other, (int, Fraction, QPoly)):
             return NotImplemented
@@ -481,13 +468,6 @@ class RatQ:
         if sum(1 for c in d if c) > 1 or "*" in dtxt:
             dtxt = f"({dtxt})"
         return f"{ptxt}/{dtxt}"
-
-    def to_json(self):
-        num = [[e, str(c.numerator) if c.denominator == 1
-                else f"{c.numerator}/{c.denominator}"]
-               for e, c in enumerate(self.num.coeffs) if c]
-        den = [[e, str(c)] for e, c in enumerate(self.den.ints) if c]
-        return {"num": num, "den": den}
 
     def __repr__(self):
         return f"RatQ({self.to_text()})"

@@ -83,11 +83,6 @@ class TruncSeries:
     def constant(cls, v, trunc):
         return cls([RatQ.from_value(v)], trunc)
 
-    def coeff(self, h):
-        if not 0 <= h <= self.trunc:
-            raise IndexError(f"coefficient {h} is beyond truncation {self.trunc}")
-        return self.coeffs[h]
-
     @property
     def ord_x(self):
         for h, c in enumerate(self.coeffs):
@@ -109,11 +104,7 @@ class TruncSeries:
             [self.coeffs[h] + other.coeffs[h] for h in range(n + 1)], n)
 
     def __sub__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(self.trunc, other.trunc)
-        return TruncSeries(
-            [self.coeffs[h] - other.coeffs[h] for h in range(n + 1)], n)
+        return self + (-other)
 
     def __neg__(self):
         return TruncSeries([-c for c in self.coeffs], self.trunc)
@@ -212,9 +203,6 @@ class XPoly:
     def sigma(self, i):
         """a(x) -> a(q^i x)."""
         return XPoly([c.shift_q(i * h) for h, c in enumerate(self.coeffs)])
-
-    def to_series(self, trunc):
-        return TruncSeries([self.coeff(h) for h in range(trunc + 1)], trunc)
 
     def to_text(self):
         return fmt_coeff_poly(self.coeffs, "x")

@@ -8,7 +8,7 @@ flavor, the shape produced by linearizing a nonlinear equation along an
 approximate solution).
 
 Composition uses the commutation rule  sigma^i o a(x) = a(q^i x) o sigma^i,
-which is what op_mul implements.
+which is what op_mul implements.  apply runs on nonlinear.Evaluator.
 
 In series flavor, a coefficient whose stored part is identically zero is
 not discarded: the truncated data cannot distinguish a structural zero
@@ -137,18 +137,17 @@ def op_mul(A, B):
 
 
 def apply(A, y):
-    """A acting on a series:  sum_i a_i(x) * y(q^i x), truncation-honest."""
+    """A acting on a series:  sum_i a_i(x) * y(q^i x), known through y's
+    truncation and every series coefficient's.  The evaluator substitutes
+    y, cut to that truncation, into the equation sum_i a_i(x) w_i."""
+    from .nonlinear import QdeqPoly, eval_at  # nonlinear imports skewop
+
     if not isinstance(y, TruncSeries):
         raise TypeError("apply expects a TruncSeries argument")
-    out = TruncSeries.zero(y.trunc)
-    for i, a in A.terms.items():
-        sy = y.sigma(i)
-        if A.flavor == "exact":
-            term = a.to_series(sy.trunc) * sy
-        else:
-            term = a * sy
-        out = out + term
-    return out
+    cut = [a.trunc for a in A.terms.values() if A.flavor == "series"]
+    exact = SkewOp({i: XPoly(a.coeffs) for i, a in A.terms.items()})
+    return eval_at(QdeqPoly.from_operator(exact),
+                   TruncSeries(y.coeffs, min([y.trunc, *cut])))
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,21 @@ def test_linearize_order_below_the_seed_is_an_error(capsys):
                          "--seed", "1,1,q", "--order", "1")
     assert code == 1 and out == ""
     assert json.loads(err) == {
-        "error": "ValueError",
-        "message": "target order 1 is below the seed order 2"}
+        "error": "UsageError",
+        "message": "argument --order: target order 1 is below the seed"
+                   " order 2"}
+
+
+@pytest.mark.parametrize("command", ["solve", "growth"])
+def test_order_below_the_seed_names_the_flag(capsys, command):
+    # as in linearize, an order below the seed order is bad usage
+    code, out, err = run(capsys, command, "x*y[1] - y[0] + 1",
+                         "--seed", "1,1,q", "--order", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "UsageError",
+        "message": "argument --order: target order 1 is below the seed"
+                   " order 2"}
 
 
 def test_linearize_order_at_the_seed_validates_it(capsys):
@@ -581,6 +594,16 @@ def test_corpus_small_order_notes_what_it_cannot_check(capsys):
     assert code == 0
     assert ("note: growth-order not evaluated at order 2: order estimation"
             " needs at least 5 nonzero coefficients") in out
+    assert "FAIL" not in out
+
+
+def test_corpus_at_the_seed_order_notes_what_it_cannot_check(capsys):
+    # at qp2's seed order extend takes no step, so the claim that the
+    # solution extends is a note, not a failure
+    code, out, _ = run(capsys, "corpus", "--run", "--order", "1")
+    assert code == 0
+    assert ("note: solution-extends not evaluated at order 1: extend takes"
+            " no step past the seeds") in out
     assert "FAIL" not in out
 
 

@@ -247,11 +247,12 @@ def test_entry_report_json_shape():
 
 
 def test_entry_json_shape():
-    obj = get_entry("jones-figure8").to_json()
-    assert obj["id"] == "jones-figure8"
-    assert obj["source"]["kind"] == "linear_operator"
-    assert set(obj["variants"]) == {"narrow-window", "dense-annihilator"}
-    assert obj["variants"]["dense-annihilator"]["text"] \
+    entry = get_entry("jones-figure8")
+    assert entry.to_json() == {
+        "id": "jones-figure8", "description": entry.description, "seeds": [],
+        "expectations": ["polygon-slopes", "degree-profile", "order-profile"],
+        "variants": ["dense-annihilator", "narrow-window"]}
+    assert entry.variants["dense-annihilator"].source.text \
         == JONES_ANNIHILATOR_TEXT
 
 

@@ -172,6 +172,14 @@ def test_syntax_error_positions():
     with pytest.raises(EquationSyntaxError) as info:
         parse("(q+1")
     assert info.value.pos == 4
+    # a whole equation followed by more input fails at the first token
+    # the grammar cannot take
+    for text, token, pos in (("x y", "y", 2), ("1 )", r"\)", 2),
+                             ("y[0] = 1 = 2", "=", 9)):
+        with pytest.raises(EquationSyntaxError,
+                           match=f"^unexpected '{token}'") as info:
+            parse(text)
+        assert info.value.pos == pos
 
 
 def test_divide_by_unknown_rejected():

@@ -663,7 +663,7 @@ def _planted_value():
     n = QPoly([rnd.randint(-9, 9) for _ in range(40)] + [1])
     d = QPoly([1] + [rnd.randint(-9, 9) for _ in range(47)] + [2])
     value = (RatQ(n) / RatQ(d)).shift_q(2)
-    assert (value.num.degree, value.den.degree) == (42, 48)
+    assert (len(value.num.ints) - 1, len(value.den.ints) - 1) == (42, 48)
     return value
 
 
@@ -701,9 +701,9 @@ def test_reconstruct_takes_any_denominator_guess():
     d2 = QPoly([2] + [rnd.randint(-9, 9) for _ in range(9)] + [1])
     n = QPoly([rnd.randint(-9, 9) for _ in range(30)] + [1])
     value = RatQ(n) / RatQ(d1 * d2)
-    assert value.den.degree == 30
+    assert len(value.den.ints) - 1 == 30
     coprime = QPoly([1, 1, 0, 0, 0, 3])
-    assert RatQ(1, coprime * value.den).den.degree == 35
+    assert len(RatQ(1, coprime * value.den).den.ints) - 1 == 35
     for G, need in ((QPoly([1]), 31 + 31), (d1, 31 + 11),
                     (coprime, 36 + 31)):
         # fresh runs: their fits are cached by (h, points), not by G

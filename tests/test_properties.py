@@ -120,7 +120,7 @@ def factored_term(draw):
 
 def _lowest(r):
     """The lowest-order term of a nonzero r, as a constant times q^v."""
-    return (RatQ(r.n.coeff(0)) / r.d.coeff(0)).shift_q(r.v)
+    return (RatQ(r.n.coeffs[0]) / r.d.coeffs[0]).shift_q(r.v)
 
 
 @st.composite

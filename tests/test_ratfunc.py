@@ -529,14 +529,6 @@ def test_qpoly_arith():
     assert qp1 ** 0 == QPoly((1,))
 
 
-def test_qpoly_degree_ord():
-    assert QPoly((0, 0, 3)).degree == 2
-    assert QPoly((0, 0, 3)).ord == 2
-    assert QPoly().degree is NEG_INF
-    assert QPoly().ord is POS_INF
-    assert QPoly((5,)).degree == 0
-
-
 def test_qpoly_eval():
     p = QPoly((1, 0, 1), 2)  # (1 + q^2)/2
     assert p.eval(Fraction(3)) == Fraction(5)
@@ -685,11 +677,6 @@ def test_ratq_text():
     assert Q.to_text() == "q"
     assert (Q ** 2 - Q).to_text() == "q^2-q"
     assert (1 / Q).to_text() == "1/q"
-
-
-def test_ratq_json():
-    r = RatQ(QPoly((-1, 0, 1), 2))
-    assert r.to_json() == {"num": [[0, "-1/2"], [2, "1/2"]], "den": [[0, "1"]]}
 
 
 def test_ratq_hash_eq():

@@ -14,7 +14,7 @@ def ts(*vals, trunc=None):
 def test_construction_and_padding():
     s = ts(1, 2, 3)
     assert s.trunc == 2
-    assert s.coeff(1) == RatQ(2)
+    assert s.coeffs[1] == RatQ(2)
     t = TruncSeries([RatQ(1)], trunc=4)
     assert t.trunc == 4 and t.coeffs[4] == RatQ(0)
     u = TruncSeries([RatQ(1), RatQ(2), RatQ(3)], trunc=1)
@@ -23,14 +23,6 @@ def test_construction_and_padding():
         TruncSeries([], None)
     with pytest.raises(ValueError):
         TruncSeries([RatQ(1)], -1)
-
-
-def test_coeff_beyond_truncation_is_an_error():
-    s = ts(1, 2)
-    with pytest.raises(IndexError):
-        s.coeff(2)
-    with pytest.raises(IndexError):
-        s.coeff(-1)
 
 
 def test_ord_x_honesty():
@@ -115,10 +107,3 @@ def test_xpoly_arith_and_sigma():
     assert (p - p).is_zero()
     assert p.sigma(2).coeffs == (RatQ(1), Q ** 2)
     assert (Q * p).coeffs == (Q, Q)
-
-
-def test_xpoly_to_series():
-    p = XPoly([RatQ(1), RatQ(1)])
-    s = p.to_series(3)
-    assert s.trunc == 3
-    assert s.coeffs == (RatQ(1), RatQ(1), RatQ(0), RatQ(0))
