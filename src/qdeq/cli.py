@@ -186,7 +186,7 @@ def _load_series_json(text):
     error naming --input, bad JSON and bad coefficients included."""
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise QdeqError(f"argument --input: invalid JSON: {exc}") from None
     if isinstance(obj, list):
         obj = {"coeffs": obj}

@@ -75,17 +75,16 @@ def jones_series(order):
 
 
 class Expectation:
-    """One checkable claim.  data is JSON-compatible reference material;
-    the check callable receives (ctx, order) and returns (ok, detail)."""
+    """One checkable claim: the check callable receives (ctx, order) and
+    returns (ok, detail)."""
 
-    __slots__ = ("name", "basis", "data", "_check")
+    __slots__ = ("name", "basis", "_check")
 
-    def __init__(self, name, basis, data, check):
+    def __init__(self, name, basis, check):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
         self.name = name
         self.basis = basis
-        self.data = data
         self._check = check
 
     def run(self, ctx, order):
@@ -98,14 +97,13 @@ class Expectation:
 
 
 class Variant:
-    """Alternate form of an entry: different text and/or seeds, one note."""
+    """Alternate form of an entry: different text and/or seeds."""
 
-    __slots__ = ("source", "seeds", "note")
+    __slots__ = ("source", "seeds")
 
-    def __init__(self, source=None, seeds=None, note=""):
+    def __init__(self, source=None, seeds=None):
         self.source = source
         self.seeds = tuple(seeds) if seeds is not None else None
-        self.note = note
 
 
 class EntryReport:
@@ -227,12 +225,9 @@ def _entry_qeuler():
         src,
         seeds,
         [
-            Expectation("closed-form-coefficients", "derived",
-                        {"formula": "q^(h*(h-1)/2)", "samples": {"10": "q^45"}},
-                        chk_coeffs),
-            Expectation("growth-order", "derived", {"order": "1"}, chk_growth),
-            Expectation("linearized-slope", "derived", {"slopes": ["1"]},
-                        chk_slope),
+            Expectation("closed-form-coefficients", "derived", chk_coeffs),
+            Expectation("growth-order", "derived", chk_growth),
+            Expectation("linearized-slope", "derived", chk_slope),
         ],
         default_order=30,
     )
@@ -340,25 +335,19 @@ def _entry_jones():
         src,
         (),
         [
-            Expectation("polygon-slopes", "stated",
-                        {"slopes": ["-1/2", "0", "1/2"]}, chk_slopes),
-            Expectation("degree-profile", "derived",
-                        {"formula": "n*(n-1)"}, chk_deg),
-            Expectation("order-profile", "derived",
-                        {"formula": "-n*(n-1)"}, chk_ord),
+            Expectation("polygon-slopes", "stated", chk_slopes),
+            Expectation("degree-profile", "derived", chk_deg),
+            Expectation("order-profile", "derived", chk_ord),
         ],
         variants={
-            "narrow-window": Variant(
-                source=parse(_JONES_NARROW_TEXT),
-                note="row 1 ends in (1-S[1]) instead of (1-S[2]); the"
-                     " polygon's right slope becomes 1 and the shift window"
-                     " [-1, 8] is too narrow to carry an annihilator of the"
-                     " invariant series"),
-            "dense-annihilator": Variant(
-                source=dense,
-                note="minimal annihilator reconstructed from the series"
-                     " itself; window [-1, 9], same slopes {-1/2, 0, 1/2},"
-                     " residual identically zero"),
+            # row 1 ends in (1-S[1]) instead of (1-S[2]); the polygon's
+            # right slope becomes 1 and the shift window [-1, 8] is too
+            # narrow to carry an annihilator of the invariant series
+            "narrow-window": Variant(source=parse(_JONES_NARROW_TEXT)),
+            # minimal annihilator reconstructed from the series itself;
+            # window [-1, 9], same slopes {-1/2, 0, 1/2}, residual
+            # identically zero
+            "dense-annihilator": Variant(source=dense),
         },
         default_order=25,
         notes=notes,
@@ -417,19 +406,13 @@ def _entry_qp2():
         src,
         seeds,
         [
-            Expectation("solution-extends", "stated",
-                        {"seeds": ["1", "q/(1+q)"]}, chk_extends),
-            Expectation("branch-point", "derived",
-                        {"step": 1, "roots": ["q/(1+q)", "-q/(1+q)"]},
-                        chk_branch),
-            Expectation("regular-singular-polygon", "stated",
-                        {"slopes": ["0"], "length": 2}, chk_polygon),
+            Expectation("solution-extends", "stated", chk_extends),
+            Expectation("branch-point", "derived", chk_branch),
+            Expectation("regular-singular-polygon", "stated", chk_polygon),
         ],
         variants={
-            "alternate-branch": Variant(
-                seeds=(RatQ(1), -c1),
-                note="the other root of the step-1 quadratic; extends just"
-                     " as well"),
+            # the other root of the step-1 quadratic; extends just as well
+            "alternate-branch": Variant(seeds=(RatQ(1), -c1)),
         },
         default_order=16,
     )
@@ -475,18 +458,14 @@ def _entry_phi11():
         src,
         seeds,
         [
-            Expectation("coefficient-closed-form", "stated",
-                        {"formula": "q^(h(h-1)) / ((-q;q)_h (q;q)_h)"},
-                        chk_coeffs),
-            Expectation("regular-singular-polygon", "stated",
-                        {"slopes": ["0"], "length": 2}, chk_polygon),
+            Expectation("coefficient-closed-form", "stated", chk_coeffs),
+            Expectation("regular-singular-polygon", "stated", chk_polygon),
         ],
         variants={
+            # carries q^2 x instead of q^-2 x; its recurrence ratio
+            # q^(2h+2)/(1-q^(2h)) does not reproduce the bundled closed form
             "alternate-sign": Variant(
-                source=parse("S[-2]*(S[1]-1)*(S[1]+1) + q^2*x"),
-                note="carries q^2 x instead of q^-2 x; its recurrence ratio"
-                     " q^(2h+2)/(1-q^(2h)) does not reproduce the bundled"
-                     " closed form"),
+                source=parse("S[-2]*(S[1]-1)*(S[1]+1) + q^2*x")),
         },
         default_order=20,
     )

@@ -171,14 +171,11 @@ class _Parser:
             raise NegativeXPower(
                 f"negative power at position {pos} needs an invertible "
                 f"base; x, y[] and S[] are not units")
-        if isinstance(base, XPoly):
-            out = XPoly([RatQ(1)])
-        elif isinstance(base, QdeqPoly):
-            out = QdeqPoly.const(1)
-        else:
-            out = SkewOp.identity()
-        for _ in range(e):
-            out = _combine(out, base, "*", pos)
+        out = _promote(RatQ(1), type(base))
+        for bit in bin(e)[2:]:  # square and multiply, high bit first
+            out = _combine(out, out, "*", pos)
+            if bit == "1":
+                out = _combine(out, base, "*", pos)
         return out
 
     def atom(self):
@@ -249,9 +246,20 @@ class EquationSource:
         return f"EquationSource({self.kind}: {self.canonical_text()})"
 
 
+def _parsed(text, mode):
+    """The value of text in mode; nesting deeper than Python's recursion
+    limit is a syntax error at the token the parser had reached."""
+    p = _Parser(text, mode)
+    try:
+        return p.equation()
+    except RecursionError:
+        pos = p.toks[min(p.i, len(p.toks) - 1)][2]
+        raise EquationSyntaxError("expression nested too deeply", pos) from None
+
+
 def parse(text):
     """Parse equation text into an EquationSource."""
-    got = _Parser(text, "equation").equation()
+    got = _parsed(text, "equation")
     if isinstance(got, SkewOp):
         return EquationSource(text, got, "linear_operator")
     if not isinstance(got, QdeqPoly):
@@ -261,4 +269,4 @@ def parse(text):
 
 def parse_ratq(text):
     """Parse coefficient text (an element of Q(q)) into a RatQ."""
-    return _Parser(text, "coeff").equation()
+    return _parsed(text, "coeff")

@@ -76,10 +76,6 @@ class TruncSeries:
         self.trunc = trunc
 
     @classmethod
-    def zero(cls, trunc):
-        return cls([], trunc)
-
-    @classmethod
     def constant(cls, v, trunc):
         return cls([RatQ.from_value(v)], trunc)
 

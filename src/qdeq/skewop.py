@@ -61,10 +61,6 @@ class SkewOp:
             raise ValueError("cannot mix exact and series coefficients")
         self.flavor = "series" if TruncSeries in flavors else "exact"
 
-    @classmethod
-    def identity(cls):
-        return cls({0: XPoly([RatQ(1)])})
-
     def is_zero(self):
         return not self.terms
 

@@ -160,24 +160,19 @@ class DiophantineScan:
         def frac(v):
             return None if v is None else str(Fraction(v))
 
-        v = dict(self.verdict)
-        if v.get("c2") is not None:
-            v["c2"] = str(v["c2"])
         return {
             "q": cx(self.q_value),
             "scanned_to": self.scanned_to,
             "roots": [cx(u) for u in self.roots],
             "records": {str(i): [[n, d, s] for n, d, s in rows]
                         for i, rows in self.records.items()},
-            "per_root": [
-                {**r, "c2": frac(r["c2"])} for r in self.per_root],
-            "verdict": v,
+            "per_root": [{**r, "c2": frac(r["c2"])} for r in self.per_root],
+            "verdict": {**self.verdict, "c2": frac(self.verdict["c2"])},
         }
 
     def to_text(self):
         lines = [f"q = {self.q_value:.12g}, scanned n <= {self.scanned_to}"]
-        for i, u in enumerate(self.roots):
-            r = self.per_root[i]
+        for u, r in zip(self.roots, self.per_root):
             if r["status"] == "pass":
                 where = (f"c2 = {r['c2']}, c1 = {r['c1']:.6g}"
                          if r["c2"] is not None else
@@ -201,56 +196,9 @@ class DiophantineScan:
                 f"N = {self.scanned_to}, {self.verdict['status']})")
 
 
-def _raise_if_root_of_unity(theta, N):
-    """RootOfUnityDetected(r) for a rational theta = p/r in lowest terms
-    with r <= N, where q^r = 1 exactly; a float theta passes."""
-    if isinstance(theta, (int, Fraction)):
-        r = Fraction(theta).denominator
-        if r <= N:
-            raise RootOfUnityDetected(r)
-
-
-def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
-                     theta=None):
-    """Scan |q^n - u| for n = 1..N against the grid of decay exponents.
-
-    For each root u on the unit circle the scan keeps the records of
-    |q^n - u|, the n where it attains a new strict minimum, and reads
-    from them, per grid c2, the minimum of |q^n - u| * n^c2 and where it
-    first occurred: that n is always a record.  A grid point
-    counts as passed when that minimum is positive (above tol) and was
-    attained in the first half of the range: a minimum still falling in
-    the second half means the constant has not stabilized, and a longer
-    scan would keep pushing it down.  The root's verdict quotes the
-    smallest passing c2.  Roots off the circle pass unconditionally
-    with c1 = |1 - |u|| by the reverse triangle inequality.
-
-    Raises RootOfUnityDetected the moment |q^n - 1| drops below tol
-    (the whole regime assumes q is not a root of unity); passing the
-    rotation number as `theta` makes that check exact for rationals:
-    theta = p/r in lowest terms raises with n = r immediately.
-    """
-    N = int(N)
-    if N < 1:
-        raise ValueError("scan range N must be at least 1")
-    if c2_grid is None:
-        c2_grid = DEFAULT_C2_GRID
-    grid = tuple(sorted(Fraction(c) for c in c2_grid))
-    if not grid:
-        raise ValueError("the grid of decay exponents c2 is empty")
-    if any(c <= 0 for c in grid):
-        raise ValueError("decay exponents c2 must be positive")
-    _raise_if_root_of_unity(theta, N)
-    if not abs(abs(q_numeric) - 1.0) <= CIRCLE_TOL:  # a NaN q fails too
-        raise ValueError(f"|q| = {abs(q_numeric)} is not on the unit circle")
-
-    roots = [complex(u) for u in roots]
-    for u in roots:
-        if not cmath.isfinite(u):
-            raise ValueError(f"root {u} is not a finite complex number")
-    on_circle = [abs(abs(u) - 1.0) <= CIRCLE_TOL for u in roots]
-    live = [i for i in range(len(roots)) if on_circle[i]]
-
+def _records(q, roots, live, N, tol):
+    """Per root index, the (n, d, n*d) rows where d = |q^n - u| attains
+    a new strict minimum; only live roots get rows, and a hit ends them."""
     records = {i: [] for i in range(len(roots))}
     z = 1.0 + 0j
     for n0 in range(1, N + 1, SCAN_CHUNK):
@@ -259,8 +207,8 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
         # recurrence rounds it; |z| is renormalized at each chunk's end.
         # numpy rounds the one product of a 2-entry accumulate otherwise,
         # so at least 3 entries are formed and the first m kept.
-        zs = np.full(max(m, 3), q_numeric, dtype=complex)
-        zs[0] = z * q_numeric
+        zs = np.full(max(m, 3), q, dtype=complex)
+        zs[0] = z * q
         np.multiply.accumulate(zs, out=zs)
         zs = zs[:m]
         z = complex(zs[-1])
@@ -284,77 +232,104 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
                 rows.append((n, dk, n * dk))
                 if dk <= tol:
                     break
+    return records
 
-    per_root = []
-    mins = {}  # live root index -> per grid c2: (min score, argmin)
-    overall_c2 = grid[0]
-    overall_witness = None
-    for i, u in enumerate(roots):
-        if not on_circle[i]:
-            c1 = abs(1.0 - abs(u))
-            per_root.append({"root": [u.real, u.imag], "status": "pass",
-                             "c2": None, "c1": c1, "witness": None,
-                             "reason": "off the unit circle"})
-            continue
-        rows = records[i]
-        if rows and rows[-1][1] <= tol:
-            n0 = rows[-1][0]
-            per_root.append({"root": [u.real, u.imag], "status": "fail",
-                             "c2": None, "c1": 0.0, "witness": n0,
-                             "reason": f"|q^n - u| <= {tol} at n = {n0}"})
-            if overall_witness is None or n0 < overall_witness:
-                overall_witness = n0
-            continue
-        # the earliest argmin of d * n^c2 is a record: an earlier n' with
-        # d' <= d would score d' * n'^c2 <= d * n^c2.  A score past the
-        # float range, where Python's ** raises, is never a minimum.
-        mins[i] = {}
+
+def _min_score(rows, c2):
+    """The least d * n^c2 over one root's records and the first n that
+    reaches it, which is the earliest argmin over every n: an earlier n'
+    with d' <= d would score d' * n'^c2 <= d * n^c2."""
+    low = (math.inf, 0)
+    for n, d, _ in rows:
+        try:
+            s = d * n ** float(c2)
+        except OverflowError:  # past the float range; n only grows
+            break
+        if s < low[0]:
+            low = (s, n)
+    return low
+
+
+def _root_verdict(u, rows, on_circle, grid, N, tol):
+    """The per_root dict of root u, read from its records alone."""
+    r = {"root": [u.real, u.imag], "status": "pass", "c2": None,
+         "c1": None, "witness": None, "reason": None}
+    if not on_circle:
+        r.update(c1=abs(1.0 - abs(u)), reason="off the unit circle")
+    elif rows and rows[-1][1] <= tol:
+        n = rows[-1][0]
+        r.update(status="fail", c1=0.0, witness=n,
+                 reason=f"|q^n - u| <= {tol} at n = {n}")
+    else:
         for c in grid:
-            low = (math.inf, 0)
-            for n, d, _ in rows:
-                try:
-                    s = d * n ** float(c)
-                except OverflowError:
-                    break  # n only grows along the records
-                if s < low[0]:
-                    low = (s, n)
-            mins[i][c] = low
-        chosen = None
-        for c in grid:
-            s, argmin = mins[i][c]
-            if s > tol and 2 * argmin <= N:
-                chosen = c
+            s, n = _min_score(rows, c)
+            if s > tol and 2 * n <= N:
+                r.update(c2=c, c1=s)
                 break
-        if chosen is None:
-            s, argmin = mins[i][grid[-1]]
-            per_root.append({"root": [u.real, u.imag], "status": "fail",
-                             "c2": None, "c1": s, "witness": argmin,
-                             "reason": "weighted minimum still falling at "
-                                       "every grid exponent"})
-            if overall_witness is None or argmin < overall_witness:
-                overall_witness = argmin
-            continue
-        per_root.append({"root": [u.real, u.imag], "status": "pass",
-                         "c2": chosen, "c1": mins[i][chosen][0],
-                         "witness": None, "reason": None})
-        if chosen > overall_c2:
-            overall_c2 = chosen
+        else:  # s, n are the last grid exponent's
+            r.update(status="fail", c1=s, witness=n,
+                     reason="weighted minimum still falling at every "
+                            "grid exponent")
+    return r
 
-    if overall_witness is not None:
+
+def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
+                     theta=None):
+    """Scan |q^n - u| for n = 1..N against the grid of decay exponents.
+
+    For each root u on the unit circle the scan keeps the records of
+    |q^n - u|, the n where it attains a new strict minimum, and reads
+    from them, per grid c2, the minimum of |q^n - u| * n^c2 and where it
+    first occurred.  A grid point counts as passed when that minimum is
+    positive (above tol) and was attained in the first half of the
+    range: a minimum still falling in the second half means the constant
+    has not stabilized, and a longer scan would keep pushing it down.
+    The root's verdict quotes the smallest passing c2.  Roots off the
+    circle pass unconditionally with c1 = |1 - |u|| by the reverse
+    triangle inequality.
+
+    Raises RootOfUnityDetected the moment |q^n - 1| drops below tol
+    (the whole regime assumes q is not a root of unity); passing the
+    rotation number as `theta` makes that check exact for rationals:
+    theta = p/r in lowest terms raises with n = r immediately.
+    """
+    N = int(N)
+    if N < 1:
+        raise ValueError("scan range N must be at least 1")
+    if c2_grid is None:
+        c2_grid = DEFAULT_C2_GRID
+    grid = tuple(sorted(Fraction(c) for c in c2_grid))
+    if not grid:
+        raise ValueError("the grid of decay exponents c2 is empty")
+    if any(c <= 0 for c in grid):
+        raise ValueError("decay exponents c2 must be positive")
+    if isinstance(theta, (int, Fraction)):  # q^r = 1 exactly
+        r = Fraction(theta).denominator
+        if r <= N:
+            raise RootOfUnityDetected(r)
+    if not abs(abs(q_numeric) - 1.0) <= CIRCLE_TOL:  # a NaN q fails too
+        raise ValueError(f"|q| = {abs(q_numeric)} is not on the unit circle")
+    roots = [complex(u) for u in roots]
+    for u in roots:
+        if not cmath.isfinite(u):
+            raise ValueError(f"root {u} is not a finite complex number")
+    on_circle = [abs(abs(u) - 1.0) <= CIRCLE_TOL for u in roots]
+
+    records = _records(q_numeric, roots,
+                       [i for i, on in enumerate(on_circle) if on], N, tol)
+    per_root = [_root_verdict(u, records[i], on_circle[i], grid, N, tol)
+                for i, u in enumerate(roots)]
+    fails = [r["witness"] for r in per_root if r["status"] == "fail"]
+    if fails:
         verdict = {"status": "fail", "c1": None, "c2": None,
-                   "witness": overall_witness}
+                   "witness": min(fails)}
     else:
         # score min is nondecreasing in c2 (n >= 1), so every passing
         # root stays positive at the overall (largest chosen) exponent
-        c1s = []
-        for i, u in enumerate(roots):
-            if not on_circle[i]:
-                c1s.append(abs(1.0 - abs(u)))
-            else:
-                c1s.append(mins[i][overall_c2][0])
-        verdict = {"status": "pass",
-                   "c1": min(c1s) if c1s else None,
-                   "c2": overall_c2 if c1s else None,
-                   "witness": None}
-
+        c2 = max((r["c2"] for r in per_root if r["c2"] is not None),
+                 default=grid[0])
+        c1s = [r["c1"] if r["c2"] is None else _min_score(records[i], c2)[0]
+               for i, r in enumerate(per_root)]
+        verdict = {"status": "pass", "c1": min(c1s, default=None),
+                   "c2": c2 if c1s else None, "witness": None}
     return DiophantineScan(q_numeric, roots, records, per_root, verdict, N)

@@ -59,6 +59,17 @@ def test_linearize(capsys):
     assert "S[1]" in out and "S[0]" in out
 
 
+def test_linearize_json_prints_a_series_operator(capsys):
+    # the seeds 1, 1 are known through order 1, so the operator's
+    # coefficients are series truncated there
+    code, out, _ = run(capsys, "linearize", "x*y[1] - y[0] + 1",
+                       "--seed", "1,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"flavor": "series", "terms": {
+        "0": {"trunc": 1, "coeffs": ["-1", "0"]},
+        "1": {"trunc": 1, "coeffs": ["0", "1"]}}}
+
+
 def test_linearize_order_below_the_seed_is_an_error(capsys):
     code, out, err = run(capsys, "linearize", "x*y[1] - y[0] + 1",
                          "--seed", "1,1,q", "--order", "1")
@@ -324,6 +335,27 @@ def test_syntax_error_carries_position(capsys):
     assert obj["error"] == "EquationSyntaxError" and obj["pos"] == 4
 
 
+DEEP = "(" * 2000 + "1" + ")" * 2000
+
+
+def test_deep_nesting_is_a_syntax_error(capsys):
+    code, out, err = run(capsys, "parse", DEEP)
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "EquationSyntaxError"
+    assert obj["message"].startswith("expression nested too deeply")
+
+
+def test_deep_seed_is_a_usage_error_naming_seed(capsys):
+    code, out, err = run(capsys, "solve", "x*y[1] - y[0] + 1",
+                         "--seed", DEEP)
+    assert code == 1 and out == ""
+    obj = json.loads(err.splitlines()[-1])
+    assert obj["error"] == "UsageError"
+    assert obj["message"].startswith("argument --seed: ")
+    assert "nested too deeply" in obj["message"]
+
+
 # -- flags per command ---------------------------------------------------------
 
 
@@ -421,6 +453,8 @@ def test_growth_series_json_is_read_strictly(capsys, monkeypatch, text):
 
 @pytest.mark.parametrize("text, what", [
     ("[1", "invalid JSON"),
+    # past the decoder's recursion limit
+    pytest.param("[" * 1000, "invalid JSON", id="deep-list"),
     ('["1", "q^"]', "invalid coefficient"),
     ('{"coeffs": ["1/0"]}', "invalid coefficient"),
 ])
@@ -705,7 +739,7 @@ SMALL_ATOMS = ["", " ", "\t", "nan", "-nan", "inf", "-inf", "1/0", "0/0",
                "1e400", "-1e400", "1.0e400", "-0", "0", "-1", "7", " 3 ",
                "\u0663", "\uff11\uff12", "\u00bd", "1_0", "0x1f", "-" + HUGE,
                "1/3", "2.5", "q", "\u00e9", "1,", ","]
-ATOMS = SMALL_ATOMS + [HUGE, "1" + "0" * 400]
+ATOMS = SMALL_ATOMS + [HUGE, "1" + "0" * 400, DEEP]
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,21 @@ def test_parse_operator_power():
     assert parse("S[1]^3").parsed == parse("S[3]").parsed
 
 
+@pytest.mark.parametrize("base, e", [("1+x", 7), ("y[0]+x", 5),
+                                     ("S[1]+x", 5), ("S[1]+x", 0)])
+def test_power_is_the_repeated_product(base, e):
+    product = "*".join([f"({base})"] * e) or "S[0]"
+    assert parse(f"({base})^{e}").parsed == parse(product).parsed
+
+
+def test_large_power_parses_quickly():
+    # square and multiply takes about 2*log2(e) products, not e of them
+    start = time.perf_counter()
+    F = parse("x^20000*y[0] - y[0]").parsed
+    assert time.perf_counter() - start < 5.0
+    assert F == QdeqPoly.x(20000) * QdeqPoly.w(0) - QdeqPoly.w(0)
+
+
 # ---------------------------------------------------------------------------
 # errors
 
@@ -180,6 +196,21 @@ def test_syntax_error_positions():
                            match=f"^unexpected '{token}'") as info:
             parse(text)
         assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("read, text", [
+    (parse, "(" * 2000 + "x*y[0]" + ")" * 2000),
+    (parse, "-(" * 2000 + "1" + ")" * 2000),
+    (parse, "(" * 2000),
+    (parse_ratq, "(" * 2000 + "q" + ")" * 2000),
+], ids=["equation", "negated", "unclosed", "coefficient"])
+def test_deep_nesting_is_a_syntax_error(read, text):
+    # nesting past Python's recursion limit is the parser's own
+    # diagnostic, at a position inside the text, not a RecursionError
+    with pytest.raises(EquationSyntaxError,
+                       match="^expression nested too deeply") as info:
+        read(text)
+    assert 0 <= info.value.pos < len(text)
 
 
 def test_divide_by_unknown_rejected():

@@ -220,7 +220,7 @@ def test_predicted_wired_through_operator():
     # a zero-through-truncation coefficient flows into the polygon with
     # its bound attached and blocks the prediction when it could matter
     op = SkewOp({0: TruncSeries([RatQ(1)], trunc=5),
-                 2: TruncSeries.zero(5)})
+                 2: TruncSeries([], 5)})
     P = newton_polygon(op)
     assert P.uncertain == [2]
     assert P.uncertain_bounds == {2: 6}
@@ -260,7 +260,7 @@ def test_analyze_polynomial_note():
 
 
 def test_analyze_zero_series():
-    rep = analyze(TruncSeries.zero(6))
+    rep = analyze(TruncSeries([], 6))
     assert rep.order_deg is None
     assert any("vanishes" in n for n in rep.notes)
     assert rep.passed()  # vacuous bounds at slack 0

@@ -28,7 +28,7 @@ def test_construction_and_padding():
 def test_ord_x_honesty():
     assert ts(0, 0, 5).ord_x == 2
     assert ts(1).ord_x == 0
-    z = TruncSeries.zero(3)
+    z = TruncSeries([], 3)
     assert z.ord_x is ABOVE_TRUNCATION
     # the sentinel ranks above every stored order
     assert ABOVE_TRUNCATION > 3
@@ -85,7 +85,7 @@ def test_json_round_trip():
 def test_text():
     s = TruncSeries([RatQ(1), Q / (1 + Q), RatQ(0), RatQ(-2)], 3)
     assert s.to_text() == "1 + (q/(q+1))*x + (-2)*x^3 + O(x^4)"
-    assert TruncSeries.zero(2).to_text() == "0 + O(x^3)"
+    assert TruncSeries([], 2).to_text() == "0 + O(x^3)"
     assert ts(0, 1).to_text() == "x + O(x^2)"
     assert XPoly([0, 1 / (1 + Q), -3]).to_text() == "(1/(q+1))*x + (-3)*x^2"
     assert XPoly().to_text() == "0"

@@ -294,7 +294,7 @@ def test_seed_only_run():
 
 def test_resonance_set_exact():
     L = resonance_poly(linearize(shifted_eigen(3, forced=False),
-                                 TruncSeries.zero(2)))
+                                 TruncSeries([], 2)))
     assert resonance_set(L, 10) == {3}
 
 
