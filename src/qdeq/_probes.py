@@ -442,7 +442,7 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
         if got is None or np.isin(got[0][old:], reserve).any():
             return None
         xs, w = got
-        coeffs, events = _extend_core(F, seed, N, ProbeDomain(prime, xs[old:]))
+        coeffs, events, _ = _extend_core(F, seed, N, ProbeDomain(prime, xs[old:]))
         if _event_sig(events) != _event_sig(run.events):
             raise EngineError(f"event mismatch within prime {prime}")
         run.coeffs = [np.concatenate((c[:old], new, c[old:]))
@@ -457,7 +457,7 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
     pool, w = got
     dom = ProbeDomain(prime, np.concatenate(
         (pool, _lane_points(prime, _RESERVE, rng, pool))))
-    coeffs, events = _extend_core(F, seed, N, dom)
+    coeffs, events, _ = _extend_core(F, seed, N, dom)
     return _Run(prime, dom, coeffs, events, w)
 
 

@@ -71,11 +71,15 @@ def _integer(least):
 
 
 def _seed(text):
-    """argparse type of --seed: comma-separated coefficients in Q(q)."""
-    try:
-        return [parse_ratq(part) for part in text.split(",")]
-    except QdeqError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    """argparse type of --seed: comma-separated coefficients in Q(q); a
+    bad one is named by its index, not echoed."""
+    seed = []
+    for i, part in enumerate(text.split(",")):
+        try:
+            seed.append(parse_ratq(part))
+        except (QdeqError, ValueError) as exc:  # int() caps its digits
+            raise argparse.ArgumentTypeError(f"coefficient {i}: {exc}") from None
+    return seed
 
 
 def positive(text):

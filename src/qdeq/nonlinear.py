@@ -37,7 +37,10 @@ sub(zero(), b) and the integer c is from_ratq(RatQ(c)).
 Everything that substitutes a series into a QdeqPoly runs on it: the
 solve loop in solver, through one evaluator per run that recomputes
 only the orders a new coefficient changes, the probe engine's
-verification and checks, and the two exact entry points below.
+verification and checks, and the two exact entry points below.  A
+TruncSeries owns one exact evaluator, made on first use, and every
+exact substitution of it runs there, so its products live as long as
+the series; an exact extend that does not halt hands its run's over.
 
 eval_at substitutes a truncated series phi for y (so w_i becomes
 phi(q^i x)) and returns a series with the same truncation as phi.
@@ -283,7 +286,8 @@ class Evaluator:
     a linearization share every product.  The caches are relaxed
     (online, van der Hoeven 2002): order m of a product depends on
     phi[0..m] alone, so set(h, c) marks only orders >= h stale, and
-    eval recomputes just those, up to the current width.
+    eval recomputes just those, up to the current width.  A series'
+    exact evaluator keeps its products as long as the series.
     """
 
     def __init__(self, phi, trunc, dom):
@@ -347,13 +351,18 @@ class Evaluator:
 
 
 def _exact_evaluator(phi):
+    """phi's one exact evaluator, reading through phi's truncation."""
     if not isinstance(phi, TruncSeries):
         raise TypeError("expected a TruncSeries to substitute")
-    return Evaluator(phi.coeffs, phi.trunc, ExactDomain())
+    if phi.evaluator is None:
+        phi.evaluator = Evaluator(phi.coeffs, phi.trunc, ExactDomain())
+    phi.evaluator.width = phi.trunc + 1
+    return phi.evaluator
 
 
 def eval_at(F, phi):
-    """Substitute w_i -> phi(q^i x); the result keeps phi's truncation."""
+    """Substitute w_i -> phi(q^i x); the result keeps phi's truncation.
+    Runs on phi's own evaluator, reusing the products it holds."""
     return TruncSeries(_exact_evaluator(phi).eval(F), phi.trunc)
 
 
@@ -379,7 +388,8 @@ def linearize(F, phi):
 
     Indices whose partial is structurally zero are omitted; partials that
     merely evaluate to zero through the truncation stay, flagged later by
-    the polygon as uncertain.
+    the polygon as uncertain.  Runs on phi's own evaluator: the partials
+    share the products of F's monomials that it holds.
     """
     rows = partial_rows(F, _exact_evaluator(phi))
     return SkewOp({i: TruncSeries(row, phi.trunc) for i, row in rows.items()})

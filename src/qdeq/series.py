@@ -10,6 +10,9 @@ know: if every stored coefficient vanishes it returns the
 ABOVE_TRUNCATION sentinel ("the order is at least N+1"), never 0 and
 never a made-up number.
 
+A series owns at most one exact evaluator (set by nonlinear on first
+use, or handed over by extend), whose products live as long as it.
+
 XPoly is the exact companion: a genuine polynomial in x over Q(q), with
 no truncation, used for operator coefficients that are known exactly.
 """
@@ -58,7 +61,7 @@ def _mul_coeffs(a, b, n):
 class TruncSeries:
     """c_0 + c_1 x + ... + c_N x^N + O(x^(N+1)) with c_h in Q(q)."""
 
-    __slots__ = ("coeffs", "trunc")
+    __slots__ = ("coeffs", "trunc", "evaluator")
 
     def __init__(self, coeffs, trunc=None):
         coeffs = [RatQ.from_value(c) for c in coeffs]
@@ -74,6 +77,7 @@ class TruncSeries:
             del coeffs[trunc + 1:]
         self.coeffs = tuple(coeffs)
         self.trunc = trunc
+        self.evaluator = None
 
     @classmethod
     def constant(cls, v, trunc):

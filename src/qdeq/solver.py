@@ -41,7 +41,8 @@ every linearization row comes from the one substitution engine,
 nonlinear.Evaluator; _eval_poly is the solve loop's entry point to it.
 A run keeps one evaluator, which owns the coefficient list; setting c_h
 (or a scan sample of it) changes only orders >= h, so each step
-recomputes and checks just the orders it can change.
+recomputes and checks just the orders it can change.  An exact run
+that does not halt hands its evaluator to the series it returns.
 """
 
 from .errors import EngineError, SeedRejected
@@ -70,7 +71,7 @@ def _resolve_engine(choice, F, N):
 
 
 def _extend_core(F, seed, N, dom):
-    """Run the solve loop; returns (coefficient list in dom, events)."""
+    """Run the solve loop; returns (coefficients in dom, events, ev)."""
     if not F.used_indices():
         raise SeedRejected("the equation does not involve the unknown at all")
     k = len(seed) - 1
@@ -95,13 +96,13 @@ def _extend_core(F, seed, N, dom):
         else:
             c, event = _steady_step(F, ev, dom, low, h, cleared)
         events.append(event)
-        if c is None:
-            return ev.phi[:h], events  # without a scan sample left at c_h
+        if c is None:  # no ev: it may hold a scan sample at c_h
+            return ev.phi[:h], events, None
         ev.set(h, c)
         # every step event's order is the highest residual order it
         # certified zero
         cleared = event["order"]
-    return ev.phi, events
+    return ev.phi, events, ev
 
 
 def _steady_step(F, ev, dom, low, h, cleared):
@@ -235,7 +236,7 @@ def extend(F, seed, N, engine="auto"):
     k = len(seed) - 1
     if N < k:
         raise ValueError(f"target order {N} is below the seed order {k}")
-    coeffs = None
+    coeffs = ev = None
     if _resolve_engine(engine, F, N) == "probe":
         from . import _probes
         try:
@@ -245,8 +246,10 @@ def extend(F, seed, N, engine="auto"):
         else:
             events = [_plain_event(e) for e in events]
     if coeffs is None:
-        coeffs, events = _extend_core(F, seed, N, ExactDomain())
-    return SolveReport(TruncSeries(coeffs), events)
+        coeffs, events, ev = _extend_core(F, seed, N, ExactDomain())
+    solution = TruncSeries(coeffs)
+    solution.evaluator = ev  # set(h, c) left only orders >= h stale
+    return SolveReport(solution, events)
 
 
 def check_solution(F, phi, mode="auto"):
@@ -255,11 +258,12 @@ def check_solution(F, phi, mode="auto"):
     The last l coefficients of an extend answer, whose step h decides c_h
     at order h + l, need it padded with zeros through its last step's order.
 
-    mode "exact" recomputes the residual in Q(q); mode "probe" tests it
+    mode "exact" runs on phi's evaluator, where an exact extend answer
+    leaves only order N to compute; mode "probe" tests the residual
     at random modular points (sound for nonzero detection, zero with
     overwhelming likelihood), which is the default for large nonlinear
-    inputs, and recomputes it in Q(q) when the points of 24 primes in a
-    row hit a pole.
+    inputs, and falls back to the exact check when the points of 24
+    primes in a row hit a pole.
     """
     if _resolve_engine(mode, F, phi.trunc) == "probe":
         from . import _probes

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import shlex
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -354,6 +355,26 @@ def test_deep_seed_is_a_usage_error_naming_seed(capsys):
     assert obj["error"] == "UsageError"
     assert obj["message"].startswith("argument --seed: ")
     assert "nested too deeply" in obj["message"]
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("1,q^," + DEEP, "coefficient 1: expected an exponent (at position 2)"),
+    ("1,1," + DEEP, "coefficient 2: expression nested too deeply"),
+    # int() refuses more digits than its limit, where it has one
+    pytest.param("1," + "7" * 5000, "coefficient 1: Exceeds the limit",
+                 marks=pytest.mark.skipif(
+                     not getattr(sys, "get_int_max_str_digits", int)(),
+                     reason="int() has no digit limit")),
+], ids=["bad-exponent", "deep", "many-digits"])
+def test_bad_seed_diagnostic_names_the_coefficient_not_its_text(
+        capsys, seed, message):
+    code, out, err = run(capsys, "solve", "x*y[1] - y[0] + 1", "--seed", seed)
+    assert code == 1 and out == ""
+    last = err.splitlines()[-1]
+    assert len(last) < 300
+    obj = json.loads(last)
+    assert obj["error"] == "UsageError"
+    assert obj["message"].startswith("argument --seed: " + message)
 
 
 # -- flags per command ---------------------------------------------------------
