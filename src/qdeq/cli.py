@@ -77,7 +77,7 @@ def _seed(text):
     for i, part in enumerate(text.split(",")):
         try:
             seed.append(parse_ratq(part))
-        except (QdeqError, ValueError) as exc:  # int() caps its digits
+        except QdeqError as exc:
             raise argparse.ArgumentTypeError(f"coefficient {i}: {exc}") from None
     return seed
 

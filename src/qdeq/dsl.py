@@ -86,6 +86,15 @@ def _combine(a, b, op, pos):
     return a * b
 
 
+def _int(val, pos):
+    """The integer literal val at pos; past int()'s digit limit it is a
+    syntax error there."""
+    try:
+        return int(val)
+    except ValueError as exc:
+        raise EquationSyntaxError(str(exc), pos) from None
+
+
 class _Parser:
     def __init__(self, text, mode):
         self.text = text
@@ -181,7 +190,7 @@ class _Parser:
     def atom(self):
         kind, val, pos = self.take()
         if kind == "int":
-            return RatQ(int(val))
+            return RatQ(_int(val, pos))
         if kind == "sym" and val == "(":
             out = self.expr()
             self.expect_sym(")")
@@ -216,7 +225,7 @@ class _Parser:
             kind, val, pos = self.take()
         if kind != "int":
             raise EquationSyntaxError(f"expected {what}", pos)
-        return -int(val) if neg else int(val)
+        return -_int(val, pos) if neg else _int(val, pos)
 
 
 class EquationSource:

@@ -454,12 +454,12 @@ class RatQ:
 
     def to_text(self):
         """Integer-ratio text form, e.g. (q^2-1)/(q^3+2*q); round-trips by value."""
-        num = self.num
-        p = num.ints
-        d = K.scal(self.den.ints, num.den)
-        ptxt, dtxt = (_fmt_terms([(e, c) for e, c in enumerate(a) if c][::-1])
-                      for a in (p, d))
-        if d == [1]:
+        # q^v enters the exponents, never a dense list: v may be huge
+        p, d = self.n.ints, K.scal(self.d.ints, self.n.den)
+        ptxt, dtxt = (
+            _fmt_terms([(e + k, c) for e, c in enumerate(a) if c][::-1])
+            for a, k in ((p, max(self.v, 0)), (d, max(-self.v, 0))))
+        if dtxt == "1":
             return ptxt
         if sum(1 for c in p if c) > 1:
             ptxt = f"({ptxt})"

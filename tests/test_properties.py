@@ -1,11 +1,11 @@
 """Randomized invariants, at least 200 cases per suite.
 
 Suites: valuation additivity in Q(q), the q^v * n/d layout of RatQ
-against its dense reduced pair, + and the n-ary sum against a fold of
-cross-multiplied dense pairs (_dense_add), skew composition soundness,
-polygon translation invariance, first-order Taylor agreement of the
-linearization, parser round-trip, and exactness of the growth-order
-estimator on synthetic quadratic profiles.
+against its dense reduced pair (its text included), + and the n-ary sum
+against a fold of cross-multiplied dense pairs (_dense_add), skew
+composition soundness, polygon translation invariance, first-order
+Taylor agreement of the linearization, parser round-trip, and exactness
+of the growth-order estimator on synthetic quadratic profiles.
 """
 
 import operator
@@ -79,6 +79,20 @@ def _layout(r):
     return r.v, r.n.ints, r.n.den, r.d.ints
 
 
+def _dense_text(r):
+    """to_text's reference: the text of the dense reduced pair num/den,
+    with num's scalar carried into the denominator."""
+    p, d = list(r.num.ints), [c * r.num.den for c in r.den.ints]
+    ptxt, dtxt = QPoly(p).to_text(), QPoly(d).to_text()
+    if d == [1]:
+        return ptxt
+    if sum(map(bool, p)) > 1:
+        ptxt = f"({ptxt})"
+    if sum(map(bool, d)) > 1 or "*" in dtxt:
+        dtxt = f"({dtxt})"
+    return f"{ptxt}/{dtxt}"
+
+
 ratq_shifted = st.builds(lambda r, k: r.shift_q(k), ratq_nonzero,
                          st.integers(-40, 40))
 
@@ -96,6 +110,8 @@ def test_layout_matches_dense_pair(a, b, k):
     assert a.shift_q(k).shift_q(-k) == a
     assert a.shift_q(k) == a * Q ** k
     assert parse_ratq(a.to_text()) == a
+    for r in (a, a / b):
+        assert r.to_text() == _dense_text(r)
 
 
 # -- + and the n-ary sum against a fold of _dense_add ---------------------
