@@ -32,9 +32,11 @@ its progression continues, and the solve loop runs on the new points
 alone, so no attempt is thrown away.  What neither rule mends (events
 that disagree, a failed verification, a spent budget) raises
 EngineError, and the caller falls back to the exact domain.  Each c_h
-is fitted times G = den(c_(h-1)), a guess at a factor of den(c_h) that
-is never trusted: on q-Painleve II it divides and the fit shrinks, and
-a wrong G only makes the fit larger.
+is fitted times G = d(c_(h-1)), the denominator of c_(h-1) = q^v n/d
+without its q-power: a guess at a factor of den(c_h) that is never
+trusted.  On q-Painleve II it divides and the fit shrinks, and a wrong
+G only makes the fit larger.  Every exact value enters the lanes as
+(v, n, d), with q^v a power of the lanes (ProbeDomain.qpow).
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
 on which interpolation has closed forms (Bostan and Schost, J.
 Complexity 21, 2005): two convolutions (_conv_mod) of per-run weights
@@ -151,15 +153,15 @@ class ProbeDomain:
         self._zero = np.zeros(self.n, dtype=np.int64)
 
     def qpow(self, e):
+        """q^e at the lanes as (q^(e//2))^2 q^(e mod 2), down to the entries
+        for 0 and +-1: O(log |e|) products, each power kept."""
         got = self._qpow.get(e)
         if got is None:
-            step = 1 if e > 0 else -1
-            base = max((k for k in self._qpow if k * step > 0 and abs(k) < abs(e)),
-                       key=abs, default=0)
-            got = self._qpow[base]
-            for k in range(base + step, e + step, step):
-                got = got * self._qpow[step] % self.p
-                self._qpow[k] = got
+            half = self.qpow(e // 2)
+            got = half * half % self.p
+            if e & 1:
+                got = got * self.q % self.p
+            self._qpow[e] = got
         return got
 
     def from_ratq(self, r):
@@ -220,14 +222,16 @@ class ProbeDomain:
 
 
 def _from_ratqs(dom, values):
-    """dom.from_ratq of each value, one row each: the numerators and
-    denominators in one stacked evaluation, and one division; _Pole
+    """dom.from_ratq of each value q^v n/d, one row each: every n and d in
+    one stacked evaluation, q^v by dom.qpow, and one division; _Pole
     where a value has a pole at a lane."""
-    k, dens = len(values), [r.den for r in values]
-    if all(d.is_one() for d in dens):
-        return _eval_qpolys([r.num for r in values], dom.q, dom.p)
-    at = _eval_qpolys([r.num for r in values] + dens, dom.q, dom.p)
-    return dom.div(at[:k], at[k:])
+    k = len(values)
+    dens = [] if all(r.d.is_one() for r in values) else [r.d for r in values]
+    at = _eval_qpolys([r.n for r in values] + dens, dom.q, dom.p)
+    for row, r in zip(at, values):
+        if r.v:
+            row[:] = dom.shift(row, r.v)
+    return dom.div(at[:k], at[k:]) if dens else at
 
 
 # ---------------------------------------------------------------------------
@@ -503,9 +507,10 @@ def _reconstruct_coeff(runs, h, guess, G):
     for run in runs:
         p, xs = run.dom.p, run.dom.q[-_RESERVE:]
         try:
-            n_at, d_at = _eval_qpolys([value.num, value.den], xs, p)
+            n_at, d_at = _eval_qpolys([value.n, value.d], xs, p)
         except _Pole:
             raise _NeedPrimes(f"coefficient {h} has a pole mod {p}") from None
+        n_at = n_at * run.dom.qpow(value.v)[-_RESERVE:] % p
         if (n_at != run.coeffs[h][-_RESERVE:] * d_at % p).any():
             raise _NeedPrimes(f"coefficient {h} fails the reserved-lane check")
     return value, len(num) + len(den)
@@ -547,7 +552,7 @@ def _solve_at(F, seed, N, nlanes):
     while h < len(runs[0].coeffs):
         try:
             value, need = _reconstruct_coeff(runs, h, 3 * need // 2 + 16,
-                                             exact[-1].den)
+                                             exact[-1].d)
         except _NeedPrimes:
             add_run()
             if len(runs) >= 4:  # large integers: grow the modulus faster

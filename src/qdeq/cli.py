@@ -393,7 +393,8 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except (QdeqError, OSError, ValueError, MemoryError) as exc:
+    except (QdeqError, OSError, ValueError, MemoryError,
+            OverflowError) as exc:
         fields = {"error": type(exc).__name__, "message": str(exc)}
         if hasattr(exc, "pos"):
             fields["pos"] = exc.pos

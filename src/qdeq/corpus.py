@@ -58,8 +58,9 @@ def jones(n):
     if n < 0:
         raise ValueError("color must be a nonnegative integer")
     top = max(n - 1, 0)  # at n = 0 the one term is T_0 = 1
+    # a product of factors 1 - q^m (m >= 1): v = 0 and d = 1, so it is n
     p = (pochhammer(RatQ(1).shift_q(n - top), "q", top)
-         * pochhammer(RatQ(1).shift_q(n + 1), "q", top)).num.ints
+         * pochhammer(RatQ(1).shift_q(n + 1), "q", top)).n.ints
     total = [0] * (2 * n * top + 1)  # T_k spans q^{-nk} .. q^{nk}
     for k in range(top, -1, -1):
         span = slice(n * (top - k), n * (top - k) + len(p))

@@ -27,7 +27,7 @@ import re
 
 from .errors import (EquationSyntaxError, MixedKind, NegativeXPower)
 from .nonlinear import QdeqPoly
-from .ratfunc import RatQ
+from .ratfunc import RatQ, power
 from .series import XPoly
 from .skewop import SkewOp
 
@@ -60,13 +60,13 @@ def _promote(v, cls):
         return v
     if isinstance(v, RatQ):
         if cls is XPoly:
-            return XPoly([v])
+            return XPoly({0: v})
         if cls is QdeqPoly:
             return QdeqPoly.const(v)
-        return SkewOp({0: XPoly([v])})
+        return SkewOp({0: XPoly({0: v})})
     # v is an XPoly
     if cls is QdeqPoly:
-        return QdeqPoly((0, 0), (((h, ()), c) for h, c in enumerate(v.coeffs)))
+        return QdeqPoly((0, 0), (((e, ()), c) for e, c in v.terms.items()))
     return SkewOp({0: v})
 
 
@@ -180,12 +180,7 @@ class _Parser:
             raise NegativeXPower(
                 f"negative power at position {pos} needs an invertible "
                 f"base; x, y[] and S[] are not units")
-        out = _promote(RatQ(1), type(base))
-        for bit in bin(e)[2:]:  # square and multiply, high bit first
-            out = _combine(out, out, "*", pos)
-            if bit == "1":
-                out = _combine(out, base, "*", pos)
-        return out
+        return power(base, e, _promote(RatQ(1), type(base)))
 
     def atom(self):
         kind, val, pos = self.take()
@@ -202,7 +197,7 @@ class _Parser:
                 if self.mode == "coeff":
                     raise EquationSyntaxError(
                         "x is not allowed in a coefficient", pos)
-                return XPoly([RatQ(0), RatQ(1)])
+                return XPoly({1: 1})
             # y or S
             if self.mode == "coeff":
                 raise EquationSyntaxError(
@@ -212,7 +207,7 @@ class _Parser:
             self.expect_sym("]")
             if val == "y":
                 return QdeqPoly.w(i)
-            return SkewOp({i: XPoly([RatQ(1)])})
+            return SkewOp({i: XPoly({0: 1})})
         raise EquationSyntaxError(
             f"expected a value, found {val!r}" if val else "unexpected end "
             "of input", pos)

@@ -53,7 +53,7 @@ the lowest row of the linearization from it in its own domain.
 """
 
 from .errors import IndexOutOfWindow, NegativeXPower
-from .ratfunc import RatQ, _mul_unreduced, is_compound, ratq_sum
+from .ratfunc import RatQ, _mul_unreduced, is_compound, power, ratq_sum
 from .series import TruncSeries
 from .skewop import SkewOp
 
@@ -126,7 +126,7 @@ class QdeqPoly:
         idx = list(op.terms) + [0]
         return cls((min(idx), max(idx)),
                    (((e, ((i, 1),)), c) for i, a in op.terms.items()
-                    for e, c in enumerate(a.coeffs)))
+                    for e, c in a.terms.items()))
 
     # -- ring structure ----------------------------------------------------
 
@@ -173,12 +173,7 @@ class QdeqPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a QdeqPoly")
-        out = QdeqPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return power(self, k, QdeqPoly.const(1))
 
     def __eq__(self, other):
         if not isinstance(other, QdeqPoly):

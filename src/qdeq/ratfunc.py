@@ -10,9 +10,10 @@ Two immutable value types:
             q-power shift touches v alone.  n/d is reduced, d is
             primitive with integer coefficients and positive leading
             coefficient, and all rational scalar content lives in n.
-            The zero element is v = 0, n = 0, d = 1.  The num and den
-            properties give the dense reduced pair (q^v folded into
-            whichever side it belongs to) for printing and evaluation.
+            The zero element is v = 0, n = 0, d = 1.  The package
+            reads (v, n, d) alone, so q^v costs one exponent; the num
+            and den properties, a dense pair of size |v|, are kept for
+            the benchmark's checks and the tests.
 
 ratq_sum is the one sum in Q(q).  It adds a list of RatQ terms with one
 reduction at the end: it groups the terms by denominator, merges the
@@ -33,7 +34,8 @@ magic integers).
 
 fmt_coeff_poly is the one printer for polynomials over Q(q) in another
 variable: truncated series and x-polynomials (series) and resonance
-polynomials in T (skewop) all print through it.
+polynomials in T (skewop) all print through it, from (exponent,
+coefficient) pairs.  power is the one square and multiply.
 """
 
 import math
@@ -117,11 +119,11 @@ def is_compound(text):
     return "+" in text or "-" in text or "/" in text
 
 
-def fmt_coeff_poly(coeffs, var):
-    """Ascending coefficients over Q(q) -> text in powers of var, such as
-    "1 + (q/(q+1))*x + x^3"; "0" when every coefficient is zero."""
+def fmt_coeff_poly(terms, var):
+    """Ascending (exponent, coefficient over Q(q)) pairs -> text in powers
+    of var, such as "1 + (q/(q+1))*x + x^3"; "0" when there are none."""
     parts = []
-    for k, c in enumerate(coeffs):
+    for k, c in terms:
         if c.is_zero():
             continue
         t = c.to_text()
@@ -136,6 +138,21 @@ def fmt_coeff_poly(coeffs, var):
                 t = f"({t})"
             parts.append(f"{t}*{vs}")
     return " + ".join(parts) if parts else "0"
+
+
+def power(base, k, one):
+    """base**k (k >= 0) by square and multiply from one; every factor is
+    a power of base, so a * that does not commute gives base**k too."""
+    if k < 0:
+        raise ValueError(f"negative power of a {type(base).__name__}")
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        k >>= 1
+        if k:
+            base = base * base
+    return out
 
 
 class QPoly:
@@ -222,16 +239,7 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a QPoly")
-        out = QPoly((1,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return power(self, k, QPoly((1,)))
 
     def eval(self, v):
         if not self.ints:
@@ -286,8 +294,7 @@ def _ratq(v, n, d):
 class RatQ:
     """Element q^v * n/d of Q(q); the carrier of deg_q and ord_q.
 
-    See the module docstring for the layout.  num and den give the dense
-    reduced pair for printing and evaluation.
+    See the module docstring for the layout.
     """
 
     __slots__ = ("v", "n", "d")
@@ -420,14 +427,7 @@ class RatQ:
             if self.is_zero():
                 raise DivisionByZero("zero to a negative power in Q(q)")
             return self._inverse() ** (-k)
-        out = RatQ(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return power(self, k, RatQ(1))
 
     def shift_q(self, k):
         """Multiply by q**k (either sign of k)."""
@@ -435,9 +435,9 @@ class RatQ:
             return _ZERO
         return _ratq(self.v + k, self.n, self.d)
 
-    def eval(self, v):
-        """Numeric evaluation at q = v; raises ZeroDivisionError at poles."""
-        return self.num.eval(v) / self.den.eval(v)
+    def eval(self, x):
+        """n(x) x^v / d(x) at q = x; ZeroDivisionError at poles."""
+        return self.n.eval(x) * x ** self.v / self.d.eval(x)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):

@@ -15,6 +15,9 @@ use, or handed over by extend), whose products live as long as it.
 
 XPoly is the exact companion: a genuine polynomial in x over Q(q), with
 no truncation, used for operator coefficients that are known exactly.
+It is sparse, {exponent: nonzero coefficient}, so x^e costs one term
+however large e is, and no operation on it spans the exponents between
+its terms.  _mul_coeffs, the dense product, serves TruncSeries alone.
 """
 
 from .ratfunc import POS_INF, RatQ, fmt_coeff_poly
@@ -136,58 +139,62 @@ class TruncSeries:
         return {"trunc": self.trunc, "coeffs": [c.to_text() for c in self.coeffs]}
 
     def to_text(self):
-        return f"{fmt_coeff_poly(self.coeffs, 'x')} + O(x^{self.trunc + 1})"
+        return (f"{fmt_coeff_poly(enumerate(self.coeffs), 'x')}"
+                f" + O(x^{self.trunc + 1})")
 
     def __repr__(self):
         return f"TruncSeries({self.to_text()})"
 
 
 class XPoly:
-    """Exact polynomial in x with coefficients in Q(q)."""
+    """Exact polynomial in a variable (var, x here) over Q(q), stored as
+    terms {exponent: nonzero RatQ}, ascending."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
+    var = "x"
 
-    def __init__(self, coeffs=()):
-        coeffs = [RatQ.from_value(c) for c in coeffs]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+    def __init__(self, terms=()):
+        """terms: a dict or an iterable of (exponent, coefficient) pairs.
+        This is where terms merge: coefficients that share an exponent
+        add, and zeros drop."""
+        merged = {}
+        for e, c in terms.items() if isinstance(terms, dict) else terms:
+            e, c = int(e), RatQ.from_value(c)
+            if e < 0:
+                raise ValueError(f"negative exponent of {self.var}: {e}")
+            prev = merged.get(e)
+            merged[e] = c if prev is None else prev + c
+        self.terms = {e: c for e, c in sorted(merged.items())
+                      if not c.is_zero()}
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
 
     @property
     def ord_x(self):
-        for h, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                return h
-        return POS_INF
+        return next(iter(self.terms), POS_INF)
 
     def coeff(self, h):
-        if 0 <= h < len(self.coeffs):
-            return self.coeffs[h]
-        return RatQ(0)
+        return self.terms.get(h, RatQ(0))
 
     def __add__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return XPoly([self.coeff(h) + other.coeff(h) for h in range(n)])
+        return XPoly([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return XPoly([-c for c in self.coeffs])
+        return XPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, XPoly):
-            if self.is_zero() or other.is_zero():
-                return XPoly()
-            return XPoly(_mul_coeffs(self.coeffs, other.coeffs,
-                                     len(self.coeffs) + len(other.coeffs) - 1))
+            return XPoly((e1 + e2, c1 * c2)
+                         for e1, c1 in self.terms.items()
+                         for e2, c2 in other.terms.items())
         c = RatQ.from_value(other)
-        return XPoly([c * a for a in self.coeffs])
+        return XPoly({e: c * a for e, a in self.terms.items()})
 
     def __rmul__(self, other):
         return self * other
@@ -195,17 +202,17 @@ class XPoly:
     def __eq__(self, other):
         if not isinstance(other, XPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return type(self) is type(other) and self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((type(self), tuple(self.terms.items())))
 
     def sigma(self, i):
         """a(x) -> a(q^i x)."""
-        return XPoly([c.shift_q(i * h) for h, c in enumerate(self.coeffs)])
+        return XPoly({e: c.shift_q(i * e) for e, c in self.terms.items()})
 
     def to_text(self):
-        return fmt_coeff_poly(self.coeffs, "x")
+        return fmt_coeff_poly(self.terms.items(), self.var)
 
     def __repr__(self):
-        return f"XPoly({self.to_text()})"
+        return f"{type(self).__name__}({self.to_text()})"

@@ -21,18 +21,20 @@ prediction passes it the same hull with the truncation-masked points
 added back at their lowest possible orders.
 
 ResonancePoly, the polynomial L(T) over Q(q) read off the lowest vertex
-of the Newton polygon, prints through ratfunc.fmt_coeff_poly, the same
-printer series and x-polynomials use.  lowest_row finds that vertex's
-row in any coefficient domain.  resonance_poly reads it from an
-operator, and the solver reads it from the linearization's values in
-its own domain, so both share one row and one certification rule
+of the Newton polygon, is an XPoly in T: the same sparse terms and the
+same printer.  An exact operator's lowest row is its x^l terms, l the
+least ord_x, so no reader of an exact coefficient spans the exponents
+between its terms; only to_json writes them out densely.  lowest_row
+finds the row in any coefficient domain: resonance_poly reads it from a
+series operator, and the solver from the linearization's values in its
+own domain, so both share one row and one certification rule
 (UncertainOrder).
 """
 
 from fractions import Fraction
 
 from .errors import EmptyOperator, UncertainOrder
-from .ratfunc import RatQ, fmt_coeff_poly, is_compound, ratq_sum
+from .ratfunc import RatQ, is_compound, ratq_sum
 from .series import ABOVE_TRUNCATION, TruncSeries, XPoly
 
 
@@ -110,7 +112,8 @@ class SkewOp:
 
     def to_json(self):
         if self.flavor == "exact":
-            terms = {str(i): [c.to_text() for c in a.coeffs]
+            terms = {str(i): [a.coeff(e).to_text()
+                              for e in range(max(a.terms) + 1)]
                      for i, a in sorted(self.terms.items())}
         else:
             terms = {str(i): a.to_json() for i, a in sorted(self.terms.items())}
@@ -141,8 +144,10 @@ def apply(A, y):
     if not isinstance(y, TruncSeries):
         raise TypeError("apply expects a TruncSeries argument")
     cut = [a.trunc for a in A.terms.values() if A.flavor == "series"]
-    exact = SkewOp({i: XPoly(a.coeffs) for i, a in A.terms.items()})
-    return eval_at(QdeqPoly.from_operator(exact),
+    if cut:  # a series operator acts through its stored coefficients
+        A = SkewOp({i: XPoly(enumerate(a.coeffs))
+                    for i, a in A.terms.items()})
+    return eval_at(QdeqPoly.from_operator(A),
                    TruncSeries(y.coeffs, min([y.trunc, *cut])))
 
 
@@ -267,8 +272,12 @@ def lowest_row(rows, is_zero):
 
 def _lowest(op):
     """(m0, l, alpha): m0 the least index whose coefficient does not
-    vanish through its truncation, (l, alpha) the lowest_row of op."""
+    vanish through its truncation, (l, alpha) the lowest_row of op; an
+    exact op's is l = min ord_x and alpha_i = the x^l term of a_i."""
     pts, _ = _points(op)
+    if op.flavor == "exact":
+        l = min(a.ord_x for a in op.terms.values())
+        return pts[0][0], l, {i: a.coeff(l) for i, a in op.terms.items()}
     l, alpha = lowest_row({i: a.coeffs for i, a in op.terms.items()},
                           RatQ.is_zero)
     return pts[0][0], l, alpha
@@ -278,38 +287,20 @@ def _lowest(op):
 # characteristic-style polynomials in T over Q(q)
 
 
-class ResonancePoly:
-    """Polynomial in T with coefficients in Q(q), trailing zeros trimmed."""
+class ResonancePoly(XPoly):
+    """Polynomial in T over Q(q): an XPoly that prints in T."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [RatQ.from_value(c) for c in coeffs]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+    __slots__ = ()
+    var = "T"
 
     def at_qpow(self, h):
         """Exact value at T = q**h."""
-        return ratq_sum([c.shift_q(j * h) for j, c in enumerate(self.coeffs)])
+        return ratq_sum([c.shift_q(j * h) for j, c in self.terms.items()])
 
     def coeffs_at(self, qv):
         """Numeric coefficient list at q = qv, ascending in T."""
-        return [c.eval(qv) for c in self.coeffs]
-
-    def __eq__(self, other):
-        if not isinstance(other, ResonancePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def to_text(self):
-        return fmt_coeff_poly(self.coeffs, "T")
-
-    def __repr__(self):
-        return f"ResonancePoly({self.to_text()})"
+        return [self.coeff(j).eval(qv)
+                for j in range(max(self.terms, default=-1) + 1)]
 
 
 def resonance_poly(op):
@@ -318,8 +309,8 @@ def resonance_poly(op):
     Built from the lowest vertex (n', l): shift the support to start at 0
     by composing with sigma^(-m0) on the left (which also substitutes
     q^(-m0) x into every coefficient), then collect the x^l coefficient
-    of each term; those past n' are zero and trimmed.
+    of each term; those below m0 and past n' are zero.
     """
     m0, l, alpha = _lowest(op)
-    return ResonancePoly([alpha.get(i, RatQ(0)).shift_q(-m0 * l)
-                          for i in range(m0, max(alpha) + 1)])
+    return ResonancePoly((i - m0, c.shift_q(-m0 * l))
+                         for i, c in alpha.items() if i >= m0)

@@ -126,6 +126,7 @@ GOLDEN = ("--theta", GOLD, "--N", "300", "--format", "json")
 DEEP = "(" * 2000 + "1" + ")" * 2000
 SEVENS = "7" * 5000
 BIG = "100000000000000000000"
+XOP = "x^100000000*S[0] - S[1]"  # an x-power of 10^8, one term
 # int() refuses more digits than its limit, where it has one
 NO_DIGIT_LIMIT = (None if getattr(sys, "get_int_max_str_digits", int)()
                   else "int() has no digit limit")
@@ -222,6 +223,28 @@ CONTRACTS = [
                  f"\n  c[0] = 1\n  c[1] = q^{BIG}"
                  "\n  c[2] = q^200000000000000000001"
                  "\n  c[3] = q^300000000000000000003")),
+    # so does an x-power, and nothing that reads an operator's coefficients
+    # spans the exponents between their terms
+    C("test_a_huge_x_power_is_one_term[parse-nonlinear]",
+      ("parse", "x^100000000*y[0] - 1"), 0,
+      printed("nonlinear: (-1) + x^100000000*y[0]"), seconds=10),
+    C("test_a_huge_x_power_is_one_term[parse-operator]", ("parse", XOP), 0,
+      printed("linear_operator: x^100000000*S[0] + (-1)*S[1]"), seconds=10),
+    C("test_a_huge_x_power_is_one_term[polygon]", ("polygon", XOP), 0,
+      printed("vertices: (0, 100000000), (1, 0); sides: slope -100000000"
+              " (length 1)"), seconds=10),
+    C("test_a_huge_x_power_is_one_term[diophantine]",
+      ("diophantine", XOP, "--theta", "0.3", "--N", "10"), 0,
+      printed("root of unity: q^10 = 1"), seconds=10),
+    # the resonance polynomial evaluates q^v from its exponent too
+    C("test_a_huge_q_power_evaluates_from_its_exponent",
+      ("diophantine", f"q^{BIG}*S[1] - 1", "--theta", "0.3", "--N", "10"), 0,
+      printed("root of unity: q^10 = 1"), seconds=10),
+    # q^(10^20) - 1 has 10^20 + 1 dense coefficients: a diagnostic, not a
+    # traceback
+    C("test_a_dense_coefficient_past_the_index_size_exits_1",
+      ("parse", f"q^{BIG}*y[0] - y[0]"), 1,
+      diagnostic("OverflowError", "", ".*"), seconds=10),
     C("test_polygon_basic", ("polygon", "x*S[1] - 1", "--format", "json"), 0,
       printed(json.dumps({"vertices": [[0, "0"], [1, "1"]],
                           "slopes": ["1"], "uncertain": []}))),

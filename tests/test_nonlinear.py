@@ -139,7 +139,7 @@ def test_linearize_along_qp2_expansion():
     assert P.vertices == [(-1, 1), (1, 1)]
     assert P.sides == [(Fraction(0), 2)]
     R = resonance_poly(L)
-    assert R.coeffs == (Q ** 2, Q + Q ** 2, Q)
+    assert R.terms == {0: Q ** 2, 1: Q + Q ** 2, 2: Q}
 
 
 def test_linearize_drops_structural_zeros():

@@ -3,11 +3,14 @@
 Suites: valuation additivity in Q(q), the q^v * n/d layout of RatQ
 against its dense reduced pair (its text included), + and the n-ary sum
 against a fold of cross-multiplied dense pairs (_dense_add), skew
-composition soundness, polygon translation invariance, first-order
-Taylor agreement of the linearization, parser round-trip, and exactness
-of the growth-order estimator on synthetic quadratic profiles.
+composition soundness, polygon translation invariance, the sparse XPoly
+against dense coefficient lists (_mul_coeffs), the resonance polynomial
+against its dense construction, first-order Taylor agreement of the
+linearization, parser round-trip, and exactness of the growth-order
+estimator on synthetic quadratic profiles.
 """
 
+import cmath
 import operator
 from fractions import Fraction
 from functools import reduce
@@ -18,9 +21,11 @@ from hypothesis import strategies as st
 from qdeq.dsl import parse, parse_ratq
 from qdeq.growth import estimate_order
 from qdeq.nonlinear import QdeqPoly, eval_at, linearize
-from qdeq.ratfunc import Q, QLaurent, QPoly, RatQ, ratq_sum
-from qdeq.series import TruncSeries, XPoly
-from qdeq.skewop import SkewOp, apply, newton_polygon, op_mul
+from qdeq.ratfunc import (POS_INF, Q, QLaurent, QPoly, RatQ, fmt_coeff_poly,
+                          ratq_sum)
+from qdeq.series import TruncSeries, XPoly, _mul_coeffs
+from qdeq.skewop import (SkewOp, apply, lowest_row, newton_polygon, op_mul,
+                         resonance_poly)
 
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -31,7 +36,8 @@ ratq_nonzero = st.builds(lambda n, d: RatQ(QPoly(n), QPoly(d)),
                          nz_ints, nz_ints)
 ratq_any = st.one_of(st.just(RatQ(0)), ratq_nonzero)
 
-xpoly_any = st.lists(ratq_any, min_size=0, max_size=3).map(XPoly)
+xpoly_any = st.lists(ratq_any, min_size=0, max_size=3).map(
+    lambda cs: XPoly(enumerate(cs)))
 xpoly_nonzero = xpoly_any.filter(lambda p: not p.is_zero())
 
 skewop_exact = st.dictionaries(st.integers(-2, 2), xpoly_nonzero,
@@ -230,13 +236,90 @@ def test_op_mul_is_associative(A, B, C):
 def test_polygon_translates_with_sigma_and_x(A, c, k):
     base = newton_polygon(A)
 
-    shifted = newton_polygon(op_mul(SkewOp({c: XPoly([1])}), A))
+    shifted = newton_polygon(op_mul(SkewOp({c: XPoly({0: 1})}), A))
     assert shifted.sides == base.sides
     assert shifted.vertices == [(i + c, l) for i, l in base.vertices]
 
-    lifted = newton_polygon(op_mul(SkewOp({0: XPoly([0] * k + [1])}), A))
+    lifted = newton_polygon(op_mul(SkewOp({0: XPoly({k: 1})}), A))
     assert lifted.sides == base.sides
     assert lifted.vertices == [(i, l + k) for i, l in base.vertices]
+
+
+# -- the sparse XPoly against dense coefficient lists --------------------
+
+# ascending coefficients with runs of up to 40 zeros between the terms
+dense_coeffs = st.lists(st.tuples(st.integers(0, 40), ratq_any),
+                        max_size=4).map(
+    lambda runs: [c for gap, t in runs for c in [RatQ(0)] * gap + [t]])
+
+
+def _terms(dense):
+    """The nonzero entries of a dense coefficient list, by exponent."""
+    return {e: c for e, c in enumerate(dense) if not c.is_zero()}
+
+
+def _dense(p):
+    """p's coefficients x^0 .. x^deg, zeros included."""
+    return [p.coeff(e) for e in range(max(p.terms, default=-1) + 1)]
+
+
+@settings(max_examples=250, **COMMON)
+@given(dense_coeffs, dense_coeffs, st.integers(-3, 3))
+def test_sparse_xpoly_matches_dense_lists(a, b, i):
+    p, r = XPoly(enumerate(a)), XPoly(enumerate(b))
+    n = max(len(a), len(b))
+    pad_a, pad_b = (c + [RatQ(0)] * (n - len(c)) for c in (a, b))
+    for got, dense in (
+            (p, a),
+            (p + r, [x + y for x, y in zip(pad_a, pad_b)]),
+            (p - r, [x - y for x, y in zip(pad_a, pad_b)]),
+            (p * r, _mul_coeffs(a, b, len(a) + len(b) - 1) if a and b else []),
+            (p.sigma(i), [c.shift_q(i * h) for h, c in enumerate(a)])):
+        assert got.terms == _terms(dense)
+        assert got.ord_x == next(
+            (h for h, c in enumerate(dense) if not c.is_zero()), POS_INF)
+        assert got.to_text() == fmt_coeff_poly(enumerate(dense), "x")
+        assert hash(got) == hash(XPoly(_terms(dense)))
+
+
+# -- the resonance polynomial against its dense construction --------------
+
+sparse_xpoly_nonzero = dense_coeffs.map(
+    lambda cs: XPoly(enumerate(cs))).filter(lambda p: not p.is_zero())
+sparse_skewop = st.dictionaries(st.integers(-2, 3), sparse_xpoly_nonzero,
+                                min_size=1, max_size=3).map(SkewOp)
+
+
+def _dense_resonance(op):
+    """L(T), ascending and trimmed, from dense rows: lowest_row over every
+    coefficient's x^0 .. x^deg, then alpha from the least index up."""
+    m0 = min(op.terms)
+    l, alpha = lowest_row({i: _dense(a) for i, a in op.terms.items()},
+                          RatQ.is_zero)
+    L = [alpha.get(i, RatQ(0)).shift_q(-m0 * l)
+         for i in range(m0, max(alpha) + 1)]
+    while L and L[-1].is_zero():
+        L.pop()
+    return L
+
+
+@settings(max_examples=200, **COMMON)
+@given(sparse_skewop, st.integers(0, 6),
+       st.floats(0.01, 0.49, allow_nan=False))
+def test_resonance_poly_matches_dense_rows(op, h, theta):
+    L, dense = resonance_poly(op), _dense_resonance(op)
+    assert L.terms == _terms(dense)
+    assert L.at_qpow(h) == reduce(operator.add, (
+        c.shift_q(j * h) for j, c in enumerate(dense)), RatQ(0))
+    qv = cmath.exp(2j * cmath.pi * theta)
+    try:
+        want = [c.num.eval(qv) / c.den.eval(qv) for c in dense]
+    except ZeroDivisionError:
+        return
+    got = L.coeffs_at(qv)
+    assert len(got) == len(want)
+    assert all(cmath.isclose(g, w, rel_tol=1e-9, abs_tol=1e-12)
+               for g, w in zip(got, want))
 
 
 # -- first-order Taylor agreement of linearize ---------------------------

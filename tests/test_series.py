@@ -87,23 +87,25 @@ def test_text():
     assert s.to_text() == "1 + (q/(q+1))*x + (-2)*x^3 + O(x^4)"
     assert TruncSeries([], 2).to_text() == "0 + O(x^3)"
     assert ts(0, 1).to_text() == "x + O(x^2)"
-    assert XPoly([0, 1 / (1 + Q), -3]).to_text() == "(1/(q+1))*x + (-3)*x^2"
+    assert XPoly({1: 1 / (1 + Q), 2: -3}).to_text() == "(1/(q+1))*x + (-3)*x^2"
     assert XPoly().to_text() == "0"
 
 
 def test_xpoly_exact():
-    p = XPoly([RatQ(0), RatQ(1), RatQ(2)])
+    p = XPoly({1: 1, 2: 2})
     assert p.ord_x == 1
     z = XPoly()
     assert z.is_zero()
     assert z.ord_x is POS_INF
-    assert XPoly([RatQ(1), RatQ(0)]).coeffs == (RatQ(1),)
+    assert XPoly({0: 1, 1: 0}).terms == {0: RatQ(1)}
+    with pytest.raises(ValueError):
+        XPoly({-1: 1})
 
 
 def test_xpoly_arith_and_sigma():
-    p = XPoly([RatQ(1), RatQ(1)])          # 1 + x
+    p = XPoly({0: 1, 1: 1})          # 1 + x
     r = p * p
-    assert r.coeffs == (RatQ(1), RatQ(2), RatQ(1))
+    assert r.terms == {0: RatQ(1), 1: RatQ(2), 2: RatQ(1)}
     assert (p - p).is_zero()
-    assert p.sigma(2).coeffs == (RatQ(1), Q ** 2)
-    assert (Q * p).coeffs == (Q, Q)
+    assert p.sigma(2).terms == {0: RatQ(1), 1: Q ** 2}
+    assert (Q * p).terms == {0: Q, 1: Q}
