@@ -31,12 +31,15 @@ pool; when that falls short too, every prime's pool doubles in place:
 its progression continues, and the solve loop runs on the new points
 alone, so no attempt is thrown away.  What neither rule mends (events
 that disagree, a failed verification, a spent budget) raises
-EngineError, and the caller falls back to the exact domain.  Each c_h
+EngineError, and the caller falls back to the exact domain; so does a
+coefficient of F or of the seed that spans more powers of q than a
+pool may hold lanes, which solve declines before any run.  Each c_h
 is fitted times G = d(c_(h-1)), the denominator of c_(h-1) = q^v n/d
 without its q-power: a guess at a factor of den(c_h) that is never
-trusted.  On q-Painleve II it divides and the fit shrinks, and a wrong
-G only makes the fit larger.  Every exact value enters the lanes as
-(v, n, d), with q^v a power of the lanes (ProbeDomain.qpow).
+trusted, formed at the lanes once per reconstruction call.  On
+q-Painleve II it divides and the fit shrinks, and a wrong G only makes
+the fit larger.  Every exact value enters the lanes as (v, n, d), with
+q^v a power of the lanes (ProbeDomain.qpow).
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
 on which interpolation has closed forms (Bostan and Schost, J.
 Complexity 21, 2005): two convolutions (_conv_mod) of per-run weights
@@ -139,7 +142,7 @@ class ProbeDomain:
     Every lane serves every value: a division by a vector that is 0 at
     some lane raises _Pole, and so does a value whose scalar denominator
     p divides, so a zero test reads all lanes.  Besides the domain
-    members of nonlinear, qpow and mul are this engine's own.
+    members of nonlinear, qpow is this engine's own.
     """
 
     name = "probe"
@@ -183,10 +186,8 @@ class ProbeDomain:
     def sub(self, a, b):
         return (a - b) % self.p
 
-    def mul(self, a, b):
+    def mul_term(self, a, b):  # a product mod p has one form
         return a * b % self.p
-
-    mul_term = mul  # a product mod p has one form, reduced or not
 
     def shift(self, a, e):
         return a * self.qpow(e) % self.p
@@ -412,7 +413,7 @@ def _serving(primes, build):
 
 
 class _Run:
-    __slots__ = ("prime", "dom", "coeffs", "events", "w", "cands", "scaled")
+    __slots__ = ("prime", "dom", "coeffs", "events", "w", "cands")
 
     def __init__(self, prime, dom, coeffs, events, w):
         self.prime = prime
@@ -421,7 +422,6 @@ class _Run:
         self.events = events
         self.w = w
         self.cands = {}  # (h, points) -> (num, den) of c_h * G, or None
-        self.scaled = None, 0, None  # (h, lanes, c_h * G at the lanes)
 
     def pool(self):
         return range(self.dom.n - _RESERVE)
@@ -469,17 +469,18 @@ def _reconstruct_coeff(runs, h, guess, G):
     """(value, need) for coefficient h from the runs' lane data: the exact
     RatQ and len(num) + len(den) of the pair fitted to c_h * G.  Fit
     guess points per prime, then the whole pool if fewer than two primes
-    fit, and raise _NeedLanes if they still do not."""
+    fit, and raise _NeedLanes if they still do not.  c_h * G at a run's
+    lanes is formed once per call, and only for a run that fits."""
     cap = min(len(run.pool()) for run in runs) - 16
-    for run in runs:  # G at the lanes once per coefficient and pool size
-        if run.scaled[:2] != (h, run.dom.n):
-            p = run.dom.p
-            at = _eval_qpolys([G], run.dom.q, p)[0]
-            run.scaled = h, run.dom.n, run.coeffs[h] * at % p
+    scaled = {}  # run -> c_h * G at its lanes
     for n in sorted({min(guess, cap), cap}):
         for run in runs:
             if (h, n) not in run.cands:
-                p, ys, hold = run.dom.p, run.scaled[2], slice(n, n + 16)
+                p, hold = run.dom.p, slice(n, n + 16)
+                if run not in scaled:
+                    at = _eval_qpolys([G], run.dom.q, p)[0]
+                    scaled[run] = run.coeffs[h] * at % p
+                ys = scaled[run]
                 got = _rat_interp(ys[:n], p, run.w, _node_poly(n, run.w, p))
                 if got is not None and not _check_fit(
                         *got, run.dom.q[hold], ys[hold], p):
@@ -520,7 +521,13 @@ def solve(F, seed, N):
     """Probe-mode extend: returns (exact coefficient list, events); event
     values such as residuals stay probe-domain vectors.  Every prime
     starts at _START_LANES lanes, and all pools double in place when a
-    fit outgrows them, up to _MAX_LANES lanes."""
+    fit outgrows them, up to _MAX_LANES lanes.  A coefficient q^v n/d of
+    F or of the seed that spans more powers of q, |v| + len(n) + len(d),
+    than that raises EngineError before any run: the coefficients solved
+    from it would outgrow every pool."""
+    if any(abs(r.v) + len(r.n.ints) + len(r.d.ints) > _MAX_LANES
+           for r in [*F.monomials.values(), *seed]):
+        raise EngineError("a coefficient spans more powers of q than a pool")
     return _solve_at(F, seed, N, _START_LANES)
 
 
@@ -578,7 +585,7 @@ def _first_nonzero(F, coeffs, primes, salt, nlanes):
     def at(prime):
         rng = np.random.default_rng(prime ^ salt)
         dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
-        res = Evaluator(_from_ratqs(dom, coeffs), len(coeffs) - 1, dom).eval(F)
+        res = Evaluator(_from_ratqs(dom, coeffs), dom).eval(F, 0, len(coeffs))
         return next((m for m, v in enumerate(res) if not dom.is_zero(v)),
                     len(coeffs))
     return _serving(primes, at)

@@ -34,13 +34,14 @@ eleven members and nothing else:
 
 Signs, constants and doublings are spelled with these: -b is
 sub(zero(), b) and the integer c is from_ratq(RatQ(c)).
-Everything that substitutes a series into a QdeqPoly runs on it: the
-solve loop in solver, through one evaluator per run that recomputes
-only the orders a new coefficient changes, the probe engine's
-verification and checks, and the two exact entry points below.  A
-TruncSeries owns one exact evaluator, made on first use, and every
-exact substitution of it runs there, so its products live as long as
-the series; an exact extend that does not halt hands its run's over.
+Everything that substitutes a series into a QdeqPoly runs on it, each
+call naming the orders it computes: the solve loop in solver, through
+one evaluator per run that recomputes only the orders a new coefficient
+changes, the probe engine's verification and checks, and the two exact
+entry points below.  A TruncSeries owns one exact evaluator, made on
+first use, where every exact substitution of it runs, so its products
+live as long as the series; an exact extend that does not halt hands
+its run's over.
 
 eval_at substitutes a truncated series phi for y (so w_i becomes
 phi(q^i x)) and returns a series with the same truncation as phi.
@@ -274,21 +275,19 @@ class Evaluator:
     """Substitution of one coefficient list phi into polynomials F.
 
     Works in any coefficient domain (ExactDomain here, the probe engine's
-    ProbeDomain in _probes) and returns F(phi) as a coefficient list
-    through x^(width-1).  It owns phi and caches the images of F's
-    coefficients and the prefix products of the monomials (powers
-    included; a shift w_i is the product ((i, 1),)), so the partials of
-    a linearization share every product.  The caches are relaxed
-    (online, van der Hoeven 2002): order m of a product depends on
-    phi[0..m] alone, so set(h, c) marks only orders >= h stale, and
-    eval recomputes just those, up to the current width.  A series'
-    exact evaluator keeps its products as long as the series.
+    ProbeDomain in _probes); every call names the orders it computes.
+    It owns phi and caches the images of F's coefficients and the prefix
+    products of the monomials (powers included; a shift w_i is the
+    product ((i, 1),)), so the partials of a linearization share every
+    product.  The caches are relaxed (online, van der Hoeven 2002):
+    order m of a product depends on phi[0..m] alone, so set(h, c) marks
+    only orders >= h stale, and a call recomputes just those it reads.
+    A series' exact evaluator keeps its products as long as the series.
     """
 
-    def __init__(self, phi, trunc, dom):
+    def __init__(self, phi, dom):
         self.dom = dom
         self.phi = list(phi)
-        self.width = trunc + 1
         self._products = {}  # exps -> [buffer of orders, count still valid]
         self._coeffs = {}    # RatQ -> its image in dom
 
@@ -298,8 +297,8 @@ class Evaluator:
         for entry in self._products.values():
             entry[1] = min(entry[1], h)
 
-    def _product(self, exps):
-        dom, width = self.dom, self.width
+    def _product(self, exps, width):
+        dom = self.dom
         entry = self._products.get(exps)
         if entry is None:
             entry = self._products[exps] = [dom.zeros(width), 0]
@@ -312,22 +311,22 @@ class Evaluator:
             buf = grown
         entry[1] = width
         i, k = exps[-1]
+        if len(exps) == 1 and k > 1:
+            exps = ((i, k - 1), (i, 1))  # a power times one more factor
         if len(exps) > 1:
-            buf[lo:width] = dom.series_mul(self._product(exps[:-1]),
-                                           self._product(exps[-1:]), lo, width)
-        elif k > 1:
-            buf[lo:width] = dom.series_mul(self._product(((i, k - 1),)),
-                                           self._product(((i, 1),)), lo, width)
+            buf[lo:width] = dom.series_mul(self._product(exps[:-1], width),
+                                           self._product(exps[-1:], width),
+                                           lo, width)
         else:
             for h in range(lo, width):
                 c = self.phi[h] if h < len(self.phi) else dom.zero()
                 buf[h] = c if i == 0 else dom.shift(c, i * h)
         return buf
 
-    def eval(self, F, lo=0):
-        """F(phi) through x^(width-1), accumulated from order lo up;
-        orders below lo are left zero."""
-        dom, width = self.dom, self.width
+    def eval(self, F, lo, width):
+        """F(phi) at orders lo..width-1 of a list of width orders; orders
+        below lo are left zero."""
+        dom = self.dom
         terms = [[] for _ in range(width)]
         for (e, exps), coeff in F.monomials.items():
             if e >= width:
@@ -339,26 +338,27 @@ class Evaluator:
                 if e >= lo:
                     terms[e].append(c)
                 continue
-            term = self._product(exps)
+            term = self._product(exps, width)
             for m in range(max(lo, e), width):
                 terms[m].append(dom.mul_term(term[m - e], c))
         return [dom.sum(t) for t in terms]
 
 
 def _exact_evaluator(phi):
-    """phi's one exact evaluator, reading through phi's truncation."""
+    """phi's one exact evaluator, made on first use: a cache of products
+    that callers read through phi's truncation."""
     if not isinstance(phi, TruncSeries):
         raise TypeError("expected a TruncSeries to substitute")
     if phi.evaluator is None:
-        phi.evaluator = Evaluator(phi.coeffs, phi.trunc, ExactDomain())
-    phi.evaluator.width = phi.trunc + 1
+        phi.evaluator = Evaluator(phi.coeffs, ExactDomain())
     return phi.evaluator
 
 
 def eval_at(F, phi):
     """Substitute w_i -> phi(q^i x); the result keeps phi's truncation.
     Runs on phi's own evaluator, reusing the products it holds."""
-    return TruncSeries(_exact_evaluator(phi).eval(F), phi.trunc)
+    return TruncSeries(_exact_evaluator(phi).eval(F, 0, phi.trunc + 1),
+                       phi.trunc)
 
 
 def partial(F, i):
@@ -372,10 +372,11 @@ def partial(F, i):
                              for j, k in exps if j == i))
 
 
-def partial_rows(F, ev):
-    """{i: (dF/dw_i)(phi)} through one evaluator, for every index i whose
-    partial is not structurally zero (the symbol w_i occurs in F)."""
-    return {i: ev.eval(partial(F, i)) for i in sorted(F.used_indices())}
+def partial_rows(F, ev, width):
+    """{i: (dF/dw_i)(phi)} at orders 0..width-1 through one evaluator, for
+    each i whose partial is not structurally zero (w_i occurs in F)."""
+    return {i: ev.eval(partial(F, i), 0, width)
+            for i in sorted(F.used_indices())}
 
 
 def linearize(F, phi):
@@ -386,5 +387,5 @@ def linearize(F, phi):
     the polygon as uncertain.  Runs on phi's own evaluator: the partials
     share the products of F's monomials that it holds.
     """
-    rows = partial_rows(F, _exact_evaluator(phi))
+    rows = partial_rows(F, _exact_evaluator(phi), phi.trunc + 1)
     return SkewOp({i: TruncSeries(row, phi.trunc) for i, row in rows.items()})

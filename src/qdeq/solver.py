@@ -5,13 +5,13 @@ order N.  Each step treats the next coefficient c as an unknown and
 asks how the residual depends on it:
 
 * in the steady regime some row of the linearization is nonzero below
-  the current width.  skewop.lowest_row, the row resonance_poly reads
+  order h.  skewop.lowest_row, the row resonance_poly reads
   L(T) from, gives the least such order l and the x^l coefficients
   alpha_i, both final.  The residual is then affine in c at the single
   new order h + l, with slope A_h = sum_i alpha_i q^{ih}, so one
   residual evaluation decides the step;
-* while every row of the linearization vanishes through the current
-  width (the scan regime) the solver samples the residual at
+* while every row of the linearization vanishes through order h - 1
+  (the scan regime) the solver samples the residual at
   c = 0, 1, 2, fits a quadratic, and reads the outcome off the first
   order where anything is nonzero or c-dependent.  Rows that vanish
   through order h - 1 put c_h at order 2h or later, so only the first
@@ -54,8 +54,7 @@ from .skewop import ResonancePoly, lowest_row
 
 def _eval_poly(F, ev, trunc, dom, lo=0):
     """F along ev's coefficients in dom, orders lo..trunc (lower ones 0)."""
-    ev.width = trunc + 1
-    return ev.eval(F, lo)
+    return ev.eval(F, lo, trunc + 1)
 
 
 def _resolve_engine(choice, F, N):
@@ -75,7 +74,7 @@ def _extend_core(F, seed, N, dom):
     if not F.used_indices():
         raise SeedRejected("the equation does not involve the unknown at all")
     k = len(seed) - 1
-    ev = Evaluator([dom.from_ratq(c) for c in seed], k, dom)
+    ev = Evaluator([dom.from_ratq(c) for c in seed], dom)
     events = []
 
     # orders 0..k depend on the seed alone: reject now if any is nonzero
@@ -88,9 +87,8 @@ def _extend_core(F, seed, N, dom):
 
     low = None
     for h in range(k + 1, N + 1):
-        if low is None:
-            ev.width = len(ev.phi)  # == h: rows known through x^(h-1)
-            low = lowest_row(partial_rows(F, ev), dom.is_zero)
+        if low is None:  # rows known through x^(h-1)
+            low = lowest_row(partial_rows(F, ev, h), dom.is_zero)
         if low is None:
             c, event = _scan_step(F, ev, dom, h, h + k + 1, cleared)
         else:

@@ -245,6 +245,14 @@ CONTRACTS = [
     C("test_a_dense_coefficient_past_the_index_size_exits_1",
       ("parse", f"q^{BIG}*y[0] - y[0]"), 1,
       diagnostic("OverflowError", "", ".*"), seconds=10),
+    # past order 12 auto picks the probe engine, which declines a
+    # coefficient no pool could fit, and the exact engine answers at once
+    C("test_a_q_power_no_probe_pool_can_fit_is_solved_exactly",
+      ("solve", f"q^{BIG}*x*y[1]*y[0] - y[0] + 1", "--seed", "1",
+       "--order", "13"), 0,
+      "resolved through order 13\nsteps: all unique\ncoefficients:\n"
+      rf"  c\[0\] = 1\n  c\[1\] = q\^{BIG}\n.*"
+      r"  c\[13\] = q\^1300000000000000000078\+[^\n]*\n", seconds=10),
     C("test_polygon_basic", ("polygon", "x*S[1] - 1", "--format", "json"), 0,
       printed(json.dumps({"vertices": [[0, "0"], [1, "1"]],
                           "slopes": ["1"], "uncertain": []}))),

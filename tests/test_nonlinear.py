@@ -207,7 +207,7 @@ def assert_engine_matches_reference(F, phi):
     rng = np.random.default_rng(5)
     dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 128, rng))
     vals = [dom.from_ratq(c) for c in phi.coeffs]
-    got = Evaluator(vals, phi.trunc, dom).eval(F)
+    got = Evaluator(vals, dom).eval(F, 0, phi.trunc + 1)
     images = [dom.from_ratq(c) for c in want.coeffs]
     for g, w in zip(got, images):
         assert (g == w).all()
@@ -249,8 +249,9 @@ def _same(got, want):
 
 
 # (what, value, index or width, lo): "append" c_h, "replace" one earlier
-# coefficient, as a scan sample is replaced, or change the width, to a
-# smaller one too, as the linearization diagnostics do
+# coefficient, as a scan sample is replaced, or "width": the range of the
+# next evaluations, a smaller one too, as the solver reads its rows after
+# a wider residual
 evaluator_ops = st.lists(
     st.tuples(st.sampled_from(["append", "replace", "width"]), ratq_any,
               st.integers(0, 8), st.integers(0, 9)),
@@ -267,19 +268,22 @@ def test_relaxed_evaluator_matches_fresh(F, seed, ops, domain):
         prime = 2147483647
         rng = np.random.default_rng(11)
         dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 48, rng))
-    ev = Evaluator([dom.from_ratq(c) for c in seed], len(seed), dom)
+    ev = Evaluator([dom.from_ratq(c) for c in seed], dom)
+    width = len(seed) + 1
     for what, c, n, lo in ops:
         if what == "append":
             ev.set(len(ev.phi), dom.from_ratq(c))
         elif what == "replace":
             ev.set(n % len(ev.phi), dom.from_ratq(c))
         else:
-            ev.width = n + 1
-        lo = min(lo, ev.width)
-        fresh = Evaluator(ev.phi, ev.width - 1, dom)
-        got, want = ev.eval(F, lo), fresh.eval(F)
+            width = n + 1
+        lo = min(lo, width)
+        fresh = Evaluator(ev.phi, dom)
+        got, want = ev.eval(F, lo, width), fresh.eval(F, 0, width)
+        assert len(got) == width
         assert _same(got[lo:], want[lo:])
         assert all(dom.is_zero(v) for v in got[:lo])
-        rows, want_rows = partial_rows(F, ev), partial_rows(F, fresh)
+        rows = partial_rows(F, ev, width)
+        want_rows = partial_rows(F, fresh, width)
         assert rows.keys() == want_rows.keys()
         assert all(_same(rows[i], want_rows[i]) for i in rows)

@@ -842,6 +842,39 @@ def test_24_dead_primes_in_a_row_raise_engine_error(monkeypatch):
     assert check_solution(F, phi, mode="probe") == N
 
 
+@pytest.mark.parametrize("F, seed", [
+    ("q^100000000000000000000*x*y[1]*y[0] - y[0] + 1", [1]),
+    ("y[1]*y[0] - y[0]^2", [Q ** 50000]),
+    ("y[1]*y[0] - y[0]^2", [1 / (1 - Q ** 50000)]),
+], ids=["equation", "seed-q-power", "seed-denominator"])
+def test_a_coefficient_no_pool_can_fit_is_declined(F, seed, monkeypatch):
+    # a coefficient spanning more powers of q than _MAX_LANES lanes could
+    # never be fitted: the probe engine declines before any run, and
+    # extend answers in Q(q)
+    F = parse(F).parsed
+    want = extend(F, seed, 3, engine="exact").solution.coeffs
+
+    def no_run(*args):
+        raise AssertionError("a declined solve started a run")
+
+    monkeypatch.setattr(P, "_start_run", no_run)
+    with pytest.raises(EngineError, match="spans more powers of q"):
+        P.solve(F, [RatQ.from_value(c) for c in seed], 3)
+    assert extend(F, seed, 3, engine="probe").solution.coeffs == want
+
+
+def test_the_decline_reads_the_lane_ceiling(monkeypatch):
+    # q^12 spans |12| + 1 + 1 = 14 powers of q: a ceiling of 14 lanes
+    # lets the probe engine solve, and one of 13 declines
+    F, seed = parse("q^12*x*y[1]*y[0] - y[0] + 1").parsed, [RatQ(1)]
+    want = extend(F, seed, 3, engine="exact").solution.coeffs
+    monkeypatch.setattr(P, "_MAX_LANES", 14)
+    assert tuple(P.solve(F, seed, 3)[0]) == want
+    monkeypatch.setattr(P, "_MAX_LANES", 13)
+    with pytest.raises(EngineError, match="spans more powers of q"):
+        P.solve(F, seed, 3)
+
+
 def _over_a_probe_prime():
     # p^2 y^2 = 1 with c_0 = 1/p for the first probe prime p: c_0 has no
     # residue mod p, so p must give way to the next prime
@@ -877,6 +910,18 @@ def test_need_lanes_only_after_the_whole_pool():
         # one other size
         assert all((3, cap) in run.cands for run in runs)
     assert _sizes_tried(runs, 3) == [[32, cap]] * 2
+
+
+def test_a_wrong_reserve_lane_fails_the_reconstruction():
+    # every pool lane holds the planted value, so both primes fit it and
+    # the lift is right; one reserve lane holds another value, which only
+    # the reserved-lane check reads
+    value = _planted_value()
+    runs = _runs_holding(value, 3, 576)
+    lanes = runs[1].coeffs[3]
+    lanes[-1] = (lanes[-1] + 1) % runs[1].dom.p
+    with pytest.raises(P._NeedPrimes, match="reserved-lane check"):
+        P._reconstruct_coeff(runs, 3, 100, QPoly([1]))
 
 
 def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
@@ -1022,8 +1067,8 @@ def _public(cls):
 
 def test_domains_expose_one_protocol():
     assert _public(ExactDomain) == _PROTOCOL
-    # the probe engine's own internals, used outside the solve loop
-    assert _public(P.ProbeDomain) - {"qpow", "mul"} == _PROTOCOL
+    # the probe engine's own, used outside the solve loop
+    assert _public(P.ProbeDomain) - {"qpow"} == _PROTOCOL
 
 
 ratq_maybe_zero = st.builds(lambda r, k: r.shift_q(k), ratq_any,

@@ -43,7 +43,7 @@ def _readings(F, phi):
             "check_auto": check_solution(F, phi),
             "eval_at": eval_at(F, phi),
             # the series' evaluator reads through phi's truncation only
-            "raw": _exact_evaluator(phi).eval(F),
+            "raw": _exact_evaluator(phi).eval(F, 0, phi.trunc + 1),
             "rows": dict(L.terms),
             "polygon": _polygon(L)}
 

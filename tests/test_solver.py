@@ -126,10 +126,51 @@ def test_halted_run_matches_fresh_per_step(F, seed, N, engine, monkeypatch):
     assert len(coeffs) == resolved + 1
     # the same run with a fresh evaluator on the current prefix per step
     monkeypatch.setattr(solver, "_eval_poly", lambda F, ev, trunc, dom, lo=0:
-                        Evaluator(ev.phi, trunc, dom).eval(F))
-    monkeypatch.setattr(solver, "partial_rows", lambda F, ev: partial_rows(
-        F, Evaluator(ev.phi, ev.width - 1, ev.dom)))
+                        Evaluator(ev.phi, dom).eval(F, 0, trunc + 1))
+    monkeypatch.setattr(solver, "partial_rows", lambda F, ev, width:
+                        partial_rows(F, Evaluator(ev.phi, ev.dom), width))
     assert _solve_plain(F, seed, N, engine) == got
+
+
+@pytest.mark.parametrize("domain", ["exact", "probe"])
+def test_rows_after_a_wider_residual_match_fresh(domain, monkeypatch):
+    # the scan step at h = 2 evaluates the residual through W = 4; the
+    # next step reads the rows through order 2 < W on the same evaluator,
+    # whose products hold orders past them, and they must be a fresh
+    # evaluator's
+    F = parse("x^2*(y[0]-1-x) + x*(y[0]-1-x)^2 - x^4").parsed
+    if domain == "exact":
+        dom = ExactDomain()
+    else:
+        prime = 2147483647
+        dom = _probes.ProbeDomain(prime, _probes._lane_points(
+            prime, 32, np.random.default_rng(7)))
+    calls = []
+
+    def residual(F, ev, trunc, dom, lo=0):
+        calls.append(("residual", trunc))
+        return ev.eval(F, lo, trunc + 1)
+
+    def rows(F, ev, width):
+        calls.append(("rows", width - 1))
+        got = partial_rows(F, ev, width)
+        want = partial_rows(F, Evaluator(ev.phi, ev.dom), width)
+        assert got.keys() == want.keys()
+        for i, row in got.items():
+            assert len(row) == width
+            assert all(dom.is_zero(dom.sub(a, b))
+                       for a, b in zip(row, want[i]))
+        return got
+
+    monkeypatch.setattr(solver, "_eval_poly", residual)
+    monkeypatch.setattr(solver, "partial_rows", rows)
+    coeffs, events, _ = solver._extend_core(F, [RatQ(1), RatQ(1)], 6, dom)
+    assert calls == [("residual", 1), ("rows", 1)] + [("residual", 4)] * 3 \
+        + [("rows", 2)] + [("residual", W) for W in range(5, 9)]
+    assert [(e["h"], e["kind"], e["order"]) for e in events] == [
+        (h, "unique", h + 2) for h in range(2, 7)]
+    for c, want in zip(coeffs, [1, 1, 1, -1, 2, -5, 14]):
+        assert dom.is_zero(dom.sub(c, dom.from_ratq(RatQ(want))))
 
 
 def test_resonant_free_continues():
@@ -195,8 +236,8 @@ def test_steady_slope_is_unit_times_resonance_poly():
         prime, 32, np.random.default_rng(3)))
     for dom in (ExactDomain(), probe):
         # the row the solver freezes at its first step, h = 2
-        ev = Evaluator([dom.from_ratq(c) for c in seed], 1, dom)
-        l, alpha = lowest_row(partial_rows(F, ev), dom.is_zero)
+        ev = Evaluator([dom.from_ratq(c) for c in seed], dom)
+        l, alpha = lowest_row(partial_rows(F, ev, 2), dom.is_zero)
         assert (m0, l) == (-1, 1)
         for h in range(2, 13):
             A = dom.sum([dom.shift(a, i * h) for i, a in alpha.items()])
