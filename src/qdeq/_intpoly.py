@@ -13,10 +13,11 @@ in running sums.  gcd returns its cofactors with it, (g, a/g, b/g); if
 three points fail it runs a modular gcd over primes_31 on euclid_mod,
 the GF(p) Euclid kernel of the probe engine's rational reconstruction,
 with CRT lifting by crt_join.  The probe engine's primes are primes_29,
-below 2**29, where lazy_terms products of residues sum in an int64
-before one reduction.  unit_normal is the one normalisation by the
-content: (c, a/c) with c signed like the lead, so a/c is primitive with
-a positive lead, the form of every gcd and RatQ denominator.
+below 2**29, and its check's are check_primes, below 3 * 2**27; there
+lazy_terms products of residues sum in an int64 before one reduction.
+unit_normal is the one normalisation by the content: (c, a/c) with c
+signed like the lead, so a/c is primitive with a positive lead, the
+form of every gcd and RatQ denominator.
 
 Nothing here knows about q, x or fractions; ratfunc builds the public
 types on top.  Functions mutate nothing they receive except where noted.
@@ -304,6 +305,7 @@ def _descending_primes(found, first, step, floor):
 
 _PRIMES_31 = []
 _PRIMES_29 = []
+_PRIMES_CHECK = []
 
 
 def primes_31():
@@ -316,6 +318,13 @@ def primes_29():
     probe engine's.  (p - 1)**2 < 2**58, so an int64 sum of lazy_terms(p)
     = 32 products of residues needs no reduction before the last."""
     return _descending_primes(_PRIMES_29, (1 << 29) - (1 << 12) + 1,
+                              1 << 12, 1 << 28)
+
+
+def check_primes():
+    """Yield the primes p = 1 (mod 2**12) below 3 * 2**27, descending, for
+    the probe check: a solve meets them only some 3,000 primes_29 down."""
+    return _descending_primes(_PRIMES_CHECK, 3 * (1 << 27) - (1 << 12) + 1,
                               1 << 12, 1 << 28)
 
 

@@ -6,10 +6,10 @@ supplies ProbeDomain, whose values are numpy vectors of evaluations at
 random points q = x_j modulo a prime p = 1 (mod 2^12) below 2^29
 (_intpoly.primes_29), so one step costs a handful of vectorized
 convolutions instead of exact Q(q) arithmetic; the verification and
-check run the same evaluator in fresh probe domains.  Below 2^29, 32
-products of residues fit in an int64 (_intpoly.lazy_terms), so a Cauchy
-order of series_mul through m = 31 reduces once, and a Horner pass
-reduces once per 31 coefficients.
+check (on _intpoly.check_primes) run the engine in fresh domains.  Below
+2^29, 32 products of residues fit in an int64 (_intpoly.lazy_terms), so
+a Cauchy order of series_mul through m = 31 reduces once, and a Horner
+pass reduces once per 31 coefficients.
 A nonzero lane proves a value nonzero; an all-zero vector means zero with
 overwhelming likelihood, and every "zero" the engine acts on is later
 backed by verification:
@@ -18,9 +18,10 @@ backed by verification:
   must agree;
 * each solved coefficient is recovered per prime by Newton interpolation
   and extended-Euclidean rational reconstruction, lifted by CRT and
-  rational number reconstruction, and checked on reserved lanes that
-  took no part in the fit;
-* the reconstructed solution's residual is re-probed on a fresh prime.
+  rational number reconstruction, and its fits re-checked on reserved
+  lanes (a lift agrees with the fits at every run prime);
+* the reconstructed solution's residual is re-probed on a fresh prime,
+  the one test a wrong lift fails.
 
 Escalation follows two rules.  A prime's points serve whole, or the
 prime gives way to the next one: a divisor that vanishes at a lane, or
@@ -81,7 +82,8 @@ class _NeedPrimes(Exception):
 
 
 class _Pole(Exception):
-    """A value has a pole at some lane: this prime's points cannot serve."""
+    """This prime's points cannot serve: a value has a pole at some lane,
+    or the points themselves are unusable."""
 
 
 # ---------------------------------------------------------------------------
@@ -393,22 +395,20 @@ def _lane_points(prime, nlanes, rng, avoid=()):
 
 def _progression(prime, g, r, npool):
     """(x, w): points x_i = g r^i (i < npool) and their _dd_inverses
-    weights, or None unless the points are distinct and in [2, p-2]."""
+    weights; _Pole unless the points are distinct and in [2, p-2]."""
     xs = g * _powers(r, npool, prime) % prime
     if not ((xs == 1) | (xs == prime - 1)).any():
         with suppress(ValueError):  # some r^k = 1: the points repeat
             return xs, _dd_inverses(g, r, npool, prime)
-    return None
+    raise _Pole(f"the progression of ratio {r} mod {prime} is unusable")
 
 
 def _serving(primes, build):
-    """build(p) for the first p of primes at which it neither returns
-    None nor raises _Pole; EngineError after 24 such primes in a row."""
+    """build(p) for the first p of primes at which it does not raise
+    _Pole; EngineError after 24 such primes in a row."""
     for _, prime in zip(range(24), primes):
         with suppress(_Pole):
-            got = build(prime)
-            if got is not None:
-                return got
+            return build(prime)
     raise EngineError("24 primes in a row could not serve")
 
 
@@ -437,15 +437,14 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
     run, its pool grows in place to nlanes - _RESERVE lanes instead: its
     progression continues, the loop runs on the new points alone and must
     give run's events, and their columns join the pool, so every pool
-    prefix and cached fit stays.  None where the points are unusable (+-1,
-    a repeat, a reserve point); that and a _Pole leave run as it was."""
+    prefix and cached fit stays.  _Pole where the points are unusable
+    (+-1, a repeat, a reserve point) or meet a pole; run stays as it was."""
     from .solver import _extend_core
     if run is not None:
         old, reserve = len(run.pool()), run.dom.q[-_RESERVE:]
-        got = _progression(prime, run.w.g, run.w.r, nlanes - _RESERVE)
-        if got is None or np.isin(got[0][old:], reserve).any():
-            return None
-        xs, w = got
+        xs, w = _progression(prime, run.w.g, run.w.r, nlanes - _RESERVE)
+        if np.isin(xs[old:], reserve).any():
+            raise _Pole(f"a grown point mod {prime} is a reserve lane")
         coeffs, events, _ = _extend_core(F, seed, N, ProbeDomain(prime, xs[old:]))
         if _event_sig(events) != _event_sig(run.events):
             raise EngineError(f"event mismatch within prime {prime}")
@@ -454,11 +453,8 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
         run.dom, run.w = ProbeDomain(prime, np.concatenate((xs, reserve))), w
         return run
     rng = np.random.default_rng(_fingerprint(F, seed, N, prime, nlanes))
-    got = _progression(prime, *rng.integers(2, prime - 1, size=2).tolist(),
-                       nlanes - _RESERVE)
-    if got is None:
-        return None
-    pool, w = got
+    g, r = rng.integers(2, prime - 1, size=2).tolist()
+    pool, w = _progression(prime, g, r, nlanes - _RESERVE)
     dom = ProbeDomain(prime, np.concatenate(
         (pool, _lane_points(prime, _RESERVE, rng, pool))))
     coeffs, events, _ = _extend_core(F, seed, N, dom)
@@ -503,8 +499,8 @@ def _reconstruct_coeff(runs, h, guess, G):
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
     value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den) * G)
-    # num == c_h * den on the reserved lanes, where c_h has no pole, so a
-    # pole there is a wrong lift too
+    # num == c_h * den on the reserved lanes, where c_h has no pole; value
+    # is congruent to the fits mod every run prime, so this tests the fits
     for run in runs:
         p, xs = run.dom.p, run.dom.q[-_RESERVE:]
         try:
@@ -542,8 +538,7 @@ def _solve_at(F, seed, N, nlanes):
 
     def grow(run):  # run at the current size, or a fresh prime in its place
         with suppress(_Pole):
-            if _start_run(F, seed, N, run.prime, nlanes, run):
-                return run
+            return _start_run(F, seed, N, run.prime, nlanes, run)
         return draw()
 
     def add_run():
@@ -609,7 +604,7 @@ def check(F, phi):
     on _CHECK_PRIMES primes.  Raises EngineError when 24 primes in a row
     meet a pole."""
     best = phi.trunc
-    primes = K.primes_29()
+    primes = K.check_primes()
     for _ in range(_CHECK_PRIMES):
         m = _first_nonzero(F, phi.coeffs, primes, 0xD1B54A32D192ED03,
                            _CHECK_LANES)

@@ -66,7 +66,7 @@ def _promote(v, cls):
         return SkewOp({0: XPoly({0: v})})
     # v is an XPoly
     if cls is QdeqPoly:
-        return QdeqPoly((0, 0), (((e, ()), c) for e, c in v.terms.items()))
+        return QdeqPoly({(e, ()): c for e, c in v.terms.items()})
     return SkewOp({0: v})
 
 

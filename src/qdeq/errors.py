@@ -32,7 +32,7 @@ class UncertainPolygon(QdeqError):
 
 
 class IndexOutOfWindow(QdeqError):
-    """A shift index outside the declared window of an equation."""
+    """A shift index outside an equation's window (its indices and 0)."""
 
 
 class SeedRejected(QdeqError):

@@ -4,14 +4,14 @@ A QdeqPoly is a polynomial over Q(q) in the symbols
 
     x,  w_m, ..., w_n        (the window [m, n] of shift indices),
 
-where w_i stands for y(q^i x).  Monomials are stored sparsely as
+where w_i stands for y(q^i x).  It is its monomials, stored sparsely as
 
     (e_x, ((i_1, k_1), ..., (i_r, k_r)))  ->  coefficient in Q(q)
 
 with the shift exponents sorted by index and all k_j >= 1; zero
 coefficients are never stored.  Only the constructor merges monomials
-into this form.  The window may be wider than the set of indices
-actually used, but never narrower.
+into this form.  The window is read from them: the least and greatest
+of the indices used and 0, so an index whose terms all cancel leaves it.
 
 This module also holds the one substitution engine of the package.
 Evaluator computes F(phi) order by order in a coefficient domain: the
@@ -80,42 +80,35 @@ class QdeqPoly:
     from_operator emit pairs and leave the normal form to it.
     """
 
-    __slots__ = ("window", "monomials")
+    __slots__ = ("monomials",)
 
-    def __init__(self, window, monomials):
-        m, n = int(window[0]), int(window[1])
-        if m > n:
-            raise ValueError(f"window [{m}, {n}] is empty")
+    def __init__(self, monomials):
         store = {}
         pairs = monomials.items() if isinstance(monomials, dict) else monomials
         for (e, exps), c in pairs:
             e = int(e)
             if e < 0:
                 raise NegativeXPower("monomials cannot carry negative x-powers")
-            exps = _canon_exps(exps)
-            for i, _ in exps:
-                if not m <= i <= n:
-                    raise IndexOutOfWindow(
-                        f"shift index {i} outside window [{m}, {n}]")
-            key, c = (e, exps), RatQ.from_value(c)
+            key, c = (e, _canon_exps(exps)), RatQ.from_value(c)
             prev = store.get(key)
             store[key] = c if prev is None else prev + c
-        self.window = (m, n)
         self.monomials = {k: c for k, c in store.items() if not c.is_zero()}
+
+    @property
+    def window(self):
+        """(m, n): the least and greatest of the shift indices used and 0."""
+        idx = self.used_indices() | {0}
+        return min(idx), max(idx)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, v):
-        return cls((0, 0), {(0, ()): RatQ.from_value(v)})
-
-    @classmethod
-    def x(cls, e=1):
-        return cls((0, 0), {(e, ()): RatQ(1)})
+        return cls({(0, ()): RatQ.from_value(v)})
 
     @classmethod
     def w(cls, i, k=1):
-        return cls((min(i, 0), max(i, 0)), {(0, ((i, k),)): RatQ(1)})
+        return cls({(0, ((i, k),)): RatQ(1)})
 
     @classmethod
     def from_operator(cls, op):
@@ -124,32 +117,25 @@ class QdeqPoly:
         solver unchanged."""
         if op.flavor != "exact":
             raise ValueError("only exact-flavor operators define an equation")
-        idx = list(op.terms) + [0]
-        return cls((min(idx), max(idx)),
-                   (((e, ((i, 1),)), c) for i, a in op.terms.items()
-                    for e, c in a.terms.items()))
+        return cls([((e, ((i, 1),)), c) for i, a in op.terms.items()
+                    for e, c in a.terms.items()])
 
     # -- ring structure ----------------------------------------------------
 
     def is_zero(self):
         return not self.monomials
 
-    def _merged_window(self, other):
-        return (min(self.window[0], other.window[0]),
-                max(self.window[1], other.window[1]))
-
     def __add__(self, other):
         if isinstance(other, (int, RatQ)):
             other = QdeqPoly.const(other)
         if not isinstance(other, QdeqPoly):
             return NotImplemented
-        return QdeqPoly(self._merged_window(other),
-                        [*self.monomials.items(), *other.monomials.items()])
+        return QdeqPoly([*self.monomials.items(), *other.monomials.items()])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QdeqPoly(self.window, {k: -c for k, c in self.monomials.items()})
+        return QdeqPoly({k: -c for k, c in self.monomials.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, RatQ)):
@@ -166,10 +152,9 @@ class QdeqPoly:
             other = QdeqPoly.const(other)
         if not isinstance(other, QdeqPoly):
             return NotImplemented
-        return QdeqPoly(self._merged_window(other),
-                        (((e1 + e2, x1 + x2), c1 * c2)
+        return QdeqPoly([((e1 + e2, x1 + x2), c1 * c2)
                          for (e1, x1), c1 in self.monomials.items()
-                         for (e2, x2), c2 in other.monomials.items()))
+                         for (e2, x2), c2 in other.monomials.items()])
 
     __rmul__ = __mul__
 
@@ -179,17 +164,13 @@ class QdeqPoly:
     def __eq__(self, other):
         if not isinstance(other, QdeqPoly):
             return NotImplemented
-        return self.window == other.window and self.monomials == other.monomials
+        return self.monomials == other.monomials
 
     def __hash__(self):
-        return hash((self.window, frozenset(self.monomials.items())))
+        return hash(frozenset(self.monomials.items()))
 
     def used_indices(self):
-        out = set()
-        for (_, exps) in self.monomials:
-            for i, _ in exps:
-                out.add(i)
-        return out
+        return {i for _, exps in self.monomials for i, _ in exps}
 
     # -- serialization -----------------------------------------------------
 
@@ -362,14 +343,13 @@ def eval_at(F, phi):
 
 
 def partial(F, i):
-    """Formal partial derivative with respect to w_i (window preserved)."""
+    """Formal partial derivative with respect to w_i, for i in F's window."""
     m, n = F.window
     if not m <= i <= n:
         raise IndexOutOfWindow(f"shift index {i} outside window [{m}, {n}]")
-    return QdeqPoly((m, n), (((e, tuple((j, k - (j == i)) for j, k in exps)),
-                              c * k)
-                             for (e, exps), c in F.monomials.items()
-                             for j, k in exps if j == i))
+    return QdeqPoly([((e, tuple((j, k - (j == i)) for j, k in exps)), c * k)
+                     for (e, exps), c in F.monomials.items()
+                     for j, k in exps if j == i])
 
 
 def partial_rows(F, ev, width):

@@ -192,6 +192,14 @@ CONTRACTS = [
       printed(json.dumps({"text": "x*S[1] - 1", "kind": "linear_operator",
                           "parsed": {"flavor": "exact", "terms": {
                               "0": ["-1"], "1": ["0", "1"]}}}))),
+    # the window is read from the indices the terms use: y[2] cancels
+    C("test_parse_json_window_drops_a_cancelled_index",
+      ("parse", "y[2] - y[2] + y[0] - 1", "--format", "json"), 0,
+      printed(json.dumps({"text": "y[2] - y[2] + y[0] - 1",
+                          "kind": "nonlinear", "parsed": {
+                              "window": [0, 0], "monomials": [
+                                  {"x": 0, "w": {}, "coeff": "-1"},
+                                  {"x": 0, "w": {"0": 1}, "coeff": "1"}]}}))),
     C("test_syntax_error_carries_position", ("parse", "x + %"), 1,
       diagnostic("EquationSyntaxError",
                  "unexpected character '%' (at position 4)", pos="4")),

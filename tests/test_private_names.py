@@ -7,8 +7,10 @@ the package exports it or it is a reference kept for the tests.
 
 Uses are read from the syntax tree of each module: a name (f) or an
 attribute (x.f) counts, inside f-string fields too, while comments,
-docstrings and string literals do not.  A method of a class with a base
-outside src/ is a hook that outside code calls (argparse calls
+docstrings and string literals do not.  A method is reached through an
+attribute; a bare name reaches one only in a statement of its class's
+body, an alias such as __radd__ = __add__.  A method of a class with a
+base outside src/ is a hook that outside code calls (argparse calls
 cli._Parser.error) and is exempt.  What the test cannot see: a method
 that shares its name with one src/ does call through an object of
 unknown class (self.f, x.f) counts as used.
@@ -21,10 +23,11 @@ import qdeq
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qdeq"
 
-# public names only tests call, kept because tests compare against them
-# (_intpoly.eval_mod, QLaurent.q_power, TruncSeries.shift_x and
-# TruncSeries.constant)
-KEPT_TEST_REFERENCES = {"eval_mod", "q_power", "shift_x", "constant"}
+# public names no src/ module uses, kept for their readers outside src/:
+# tests compare against _intpoly.eval_mod, QLaurent.q_power,
+# TruncSeries.shift_x and TruncSeries.constant, and perfbench/checks.py
+# and perfbench/jobs.py read RatQ.num
+KEPT_REFERENCES = {"eval_mod", "q_power", "shift_x", "constant", "num"}
 
 
 def _is_private(name):
@@ -59,6 +62,7 @@ def _class_bases(tree):
 
 ANY = object()  # a use that counts toward every same-named definition
 NOBODY = object()  # a class-qualified use no class of src/ defines
+BARE = object()  # a bare name: it counts toward module-level definitions
 
 
 def _owner(cls, bases, owners):
@@ -75,12 +79,20 @@ def _owner(cls, bases, owners):
 
 def _uses(tree):
     """(name, qualifier, line) of every name and attribute in one parsed
-    module: qualifier is K for K.name, else None."""
+    module.  An attribute K.name has qualifier K, any other attribute ANY.
+    A bare name has BARE, and in a statement of the body of a class C (an
+    alias such as __radd__ = __add__) it comes once more with C."""
+    aliases = {id(n): c.name for c in tree.body if isinstance(c, ast.ClassDef)
+               for stmt in c.body
+               if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+               for n in ast.walk(stmt)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, None, node.lineno
+            yield node.id, BARE, node.lineno
+            if id(node) in aliases:
+                yield node.id, aliases[id(node)], node.lineno
         elif isinstance(node, ast.Attribute):
-            qual = node.value.id if isinstance(node.value, ast.Name) else None
+            qual = node.value.id if isinstance(node.value, ast.Name) else ANY
             yield node.attr, qual, node.lineno
 
 
@@ -89,8 +101,9 @@ def _unreferenced(wanted):
     src/ uses outside every definition of that name.
 
     A use qualified by a class of src/ (RatQ.from_value) counts only
-    toward the method that class has or inherits; any other use
-    (self.name, x.name, name) counts toward every same-named definition.
+    toward the method that class has or inherits, and a bare name only
+    toward module-level definitions; any other use (self.name, x.name)
+    counts toward every same-named definition.
     Leaving out uses inside all same-named definitions, not only the one
     under test, keeps two methods of one name (say, on two classes) from
     counting as each other's uses, and recursion from counting at all.
@@ -105,14 +118,15 @@ def _unreferenced(wanted):
         for name, owner, is_function, first, last in _definitions(tree):
             spans.setdefault(name, []).append(
                 (path, owner, is_function, first, last))
-    used_by = {}  # name -> owning classes of its uses; ANY for all
+    used_by = {}  # name -> owners its uses reach; None is module level
     for path, tree in trees.items():
         for name, qual, line in _uses(tree):
             if any(p == path and first <= line <= last
                    for p, _, _, first, last in spans.get(name, ())):
                 continue
             used_by.setdefault(name, set()).add(
-                _owner(qual, bases, {d[1] for d in spans.get(name, ())})
+                None if qual is BARE
+                else _owner(qual, bases, {d[1] for d in spans.get(name, ())})
                 if qual in bases else ANY)
     return sorted(f"{path.name}:{first} {name}"
                   for name, defs in spans.items()
@@ -130,7 +144,7 @@ def test_every_public_function_is_used_in_src_or_exported():
     def wanted(name, is_function):
         return (is_function and not name.startswith("_")
                 and name not in qdeq.__all__
-                and name not in KEPT_TEST_REFERENCES)
+                and name not in KEPT_REFERENCES)
 
     unused = _unreferenced(wanted)
     assert not unused, (f"public functions and methods no code in src/ "

@@ -1,4 +1,5 @@
 import random
+from contextlib import suppress
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
@@ -26,13 +27,12 @@ MP = 2147483647  # 2**31 - 1, prime
 
 def _draw_pool(p, npool, rng, tries=100):
     """(x, w) of P._progression for random g and r, drawn again while it
-    refuses them (mod 101 most ratios have too small an order or run the
-    points into +-1); None after tries draws."""
+    refuses them with _Pole (mod 101 most ratios have too small an order
+    or run the points into +-1); None after tries draws."""
     for _ in range(tries):
-        got = P._progression(p, *rng.integers(2, p - 1, size=2).tolist(),
-                             npool)
-        if got is not None:
-            return got
+        with suppress(P._Pole):
+            return P._progression(
+                p, *rng.integers(2, p - 1, size=2).tolist(), npool)
     return None
 
 
@@ -65,8 +65,9 @@ def test_batch_inv_refuses_a_zero_residue(a):
 def test_progression_refuses_unusable_points():
     # mod 101, 10 has order 4, so 8 points of ratio 10 repeat; 51 * 2 = 1,
     # so g = 51 with ratio 2 puts x_1 = 1 in the pool; 2 has order 100
-    assert P._progression(101, 3, 10, 8) is None
-    assert P._progression(101, 51, 2, 8) is None
+    for g, r in ((3, 10), (51, 2)):
+        with pytest.raises(P._Pole):
+            P._progression(101, g, r, 8)
     pool, w = P._progression(101, 3, 2, 8)
     assert pool.tolist() == [3 * 2 ** i % 101 for i in range(8)]
     rr = [1]  # (2;2)_k
@@ -575,7 +576,12 @@ def test_a_grown_solve_matches_exact(monkeypatch):
     grown, inner = [], P._start_run
 
     def start(*args):
-        got = inner(*args)
+        try:
+            got = inner(*args)
+        except P._Pole:
+            if len(args) > 5:
+                grown.append(None)  # a refused growth
+            raise
         if len(args) > 5:
             grown.append(got)
         return got
@@ -735,8 +741,7 @@ def _runs_started(monkeypatch):
 
     def start(F, seed, N, prime, nlanes, run=None):
         got = inner(F, seed, N, prime, nlanes, run)
-        if got is not None:
-            started.append((prime, nlanes, run is not None))
+        started.append((prime, nlanes, run is not None))
         return got
 
     monkeypatch.setattr(P, "_start_run", start)
@@ -766,13 +771,19 @@ def test_a_dead_reserve_lane_redraws_the_run(monkeypatch):
 
 
 def test_an_unusable_progression_gives_way_to_the_next_prime(monkeypatch):
-    # _start_run returns None where the drawn g, r give no usable pool (a
+    # _start_run raises _Pole where the drawn g, r give no usable pool (a
     # point at +-1 or a repeat), and the next prime serves instead
     F, N, seed = painleve_like(), 10, next(_qp2_branches())
     inner = P._progression
-    monkeypatch.setattr(P, "_progression", lambda prime, *args: (
-        None if prime == PP else inner(prime, *args)))
-    assert P._start_run(F, seed, N, PP, P._START_LANES) is None
+
+    def progression(prime, *args):
+        if prime == PP:
+            raise P._Pole("unusable")
+        return inner(prime, *args)
+
+    monkeypatch.setattr(P, "_progression", progression)
+    with pytest.raises(P._Pole):
+        P._start_run(F, seed, N, PP, P._START_LANES)
     started = _runs_started(monkeypatch)
     coeffs, _ = P.solve(F, seed, N)
     assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
@@ -800,7 +811,7 @@ def test_a_dead_verification_lane_gives_way(monkeypatch):
 def test_a_dead_check_lane_gives_way(monkeypatch):
     # the check's first prime meets a pole: the next two primes check, and
     # the answers are those of a check with no pole
-    F = painleve_like()
+    F, first = painleve_like(), next(K.check_primes())
     phi = extend(F, next(_qp2_branches()), 12, engine="exact").solution
     bad = list(phi.coeffs)
     bad[9] = bad[9] + RatQ(1)
@@ -812,13 +823,27 @@ def test_a_dead_check_lane_gives_way(monkeypatch):
     def pick(dom):
         if dom.n == P._CHECK_LANES:
             checking.append(dom.p)
-            return 0 if dom.p == PP else None
+            return 0 if dom.p == first else None
         return None
 
     hit = _kill_lane(monkeypatch, pick)
     assert [P.check(F, phi), P.check(F, bad)] == want
     assert len(hit) == 2
-    assert sorted(set(checking)) == sorted(islice(K.primes_29(), 3))
+    assert sorted(set(checking)) == sorted(islice(K.check_primes(), 3))
+
+
+def test_the_check_sees_an_error_that_is_a_multiple_of_the_run_primes():
+    # a probe answer's lifted coefficients are exact modulo its runs'
+    # primes, the first primes_29; an error that is their product is zero
+    # there, and only the check's own primes see it
+    F = painleve_like()
+    phi = extend(F, next(_qp2_branches()), 14, engine="probe").solution
+    p1, p2 = islice(K.primes_29(), 2)
+    bad = list(phi.coeffs)
+    bad[13] = bad[13] + RatQ(p1 * p2)
+    bad = TruncSeries(bad, 14)
+    assert check_solution(F, bad, mode="exact") == 13
+    assert check_solution(F, bad, mode="probe") == 13
 
 
 def test_24_dead_primes_in_a_row_raise_engine_error(monkeypatch):
@@ -833,11 +858,12 @@ def test_24_dead_primes_in_a_row_raise_engine_error(monkeypatch):
         return 0
 
     _kill_lane(monkeypatch, pick)
-    for call in (lambda: P.solve(F, seed, N), lambda: P.check(F, phi)):
+    for call, primes in ((lambda: P.solve(F, seed, N), K.primes_29),
+                         (lambda: P.check(F, phi), K.check_primes)):
         tried.clear()
         with pytest.raises(EngineError, match="24 primes in a row"):
             call()
-        assert tried == list(islice(K.primes_29(), 24))
+        assert tried == list(islice(primes(), 24))
     assert extend(F, seed, N, engine="probe").solution.coeffs == phi.coeffs
     assert check_solution(F, phi, mode="probe") == N
 
@@ -980,7 +1006,8 @@ def test_a_point_on_a_reserve_lane_stops_the_growth():
     run = P._start_run(F, seed, N, PP, P._RESERVE + 40)
     run.dom.q[-1] = run.w.g * pow(run.w.r, 60, PP) % PP
     dom, coeffs, w = run.dom, run.coeffs, run.w
-    assert P._start_run(F, seed, N, PP, P._RESERVE + 80, run) is None
+    with pytest.raises(P._Pole):
+        P._start_run(F, seed, N, PP, P._RESERVE + 80, run)
     assert run.dom is dom and run.coeffs is coeffs and run.w is w
 
 
@@ -1137,7 +1164,7 @@ def seeded_equations(draw):
     seed = draw(st.lists(ratq_nonzero, min_size=1, max_size=3))
     k = len(seed) - 1
     r = eval_at(F, TruncSeries(seed, k))
-    F = F - QdeqPoly((0, 0), {(m, ()): c for m, c in enumerate(r.coeffs)})
+    F = F - QdeqPoly({(m, ()): c for m, c in enumerate(r.coeffs)})
     return F, seed, draw(st.integers(k + 1, 6))
 
 

@@ -17,7 +17,7 @@ from qdeq.solver import check_solution, extend, resonance_set
 
 def geometric_step():
     # x*y(qx) - y(x) + 1 = 0, solved by sum_h q^(h(h-1)/2) x^h
-    x = QdeqPoly.x()
+    x = QdeqPoly({(1, ()): 1})
     return x * QdeqPoly.w(1) - QdeqPoly.w(0) + QdeqPoly.const(1)
 
 
@@ -26,7 +26,7 @@ def painleve_like():
     w0 = QdeqPoly.w(0)
     wp = QdeqPoly.w(1)
     wm = QdeqPoly.w(-1)
-    x = QdeqPoly.x()
+    x = QdeqPoly({(1, ()): 1})
     one = QdeqPoly.const(1)
     return (w0 + x) * (w0 * wp - one) * (w0 * wm - one) - Q * x * x * w0
 
@@ -35,7 +35,7 @@ def shifted_eigen(h0, forced):
     # y(qx) = q^h0 y(x) (+ x^h0): resonant at order h0
     F = QdeqPoly.w(1) - RatQ(1).shift_q(h0) * QdeqPoly.w(0)
     if forced:
-        F = F - QdeqPoly.x(h0)
+        F = F - QdeqPoly({(h0, ()): 1})
     return F
 
 
