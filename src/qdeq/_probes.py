@@ -16,12 +16,14 @@ backed by verification:
 
 * the run is repeated over at least two primes and the event sequences
   must agree;
-* each solved coefficient is recovered per prime by Newton interpolation
-  and extended-Euclidean rational reconstruction, lifted by CRT and
-  rational number reconstruction, and its fits re-checked on reserved
-  lanes (a lift agrees with the fits at every run prime);
-* the reconstructed solution's residual is re-probed on a fresh prime,
-  the one test a wrong lift fails.
+* each solved coefficient is fitted per prime by Newton interpolation
+  and extended-Euclidean rational reconstruction, and each fit is tested
+  on the 16 points past it (the hold-out);
+* the fits of two or more primes are lifted by CRT and rational number
+  reconstruction, and each lift is tested as it is made: its step's
+  residual must vanish on fresh lanes at a prime that no run takes
+  (_verify_fresh).  A lift is congruent to its fits at every run prime,
+  so only such a prime can see a wrong one.
 
 Escalation follows two rules.  A prime's points serve whole, or the
 prime gives way to the next one: a divisor that vanishes at a lane, or
@@ -30,16 +32,16 @@ the next prime (EngineError after 24 in a row).  A fit tries one size,
 3/2 of the points the previous coefficient took plus 16, then the whole
 pool; when that falls short too, every prime's pool doubles in place:
 its progression continues, and the solve loop runs on the new points
-alone, so no attempt is thrown away.  What neither rule mends (events
-that disagree, a failed verification, a spent budget) raises
-EngineError, and the caller falls back to the exact domain; so does a
-coefficient of F or of the seed that spans more powers of q than a
-pool may hold lanes, which solve declines before any run.  Each c_h
-is fitted times G = d(c_(h-1)), the denominator of c_(h-1) = q^v n/d
-without its q-power: a guess at a factor of den(c_h) that is never
-trusted, formed at the lanes once per reconstruction call.  On
-q-Painleve II it divides and the fit shrinks, and a wrong G only makes
-the fit larger.  Every exact value enters the lanes as (v, n, d), with
+alone, so no attempt is thrown away.  A lift that fails its test asks
+for more primes.  What no rule mends (events that disagree, a spent
+budget) raises EngineError, and the caller falls back to the exact
+domain; so does a coefficient of F or of the seed that spans more
+powers of q than a pool may hold lanes, which solve declines before any
+run.  Each c_h is fitted times G = d(c_(h-1)), the denominator of
+c_(h-1) = q^v n/d without its q-power: a guess at a factor of den(c_h)
+that is never trusted, formed at the lanes once per reconstruction
+call.  On q-Painleve II it divides and the fit shrinks, and a wrong G
+only makes the fit larger.  Every exact value enters the lanes as (v, n, d), with
 q^v a power of the lanes (ProbeDomain.qpow).
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
 on which interpolation has closed forms (Bostan and Schost, J.
@@ -65,8 +67,7 @@ from .errors import EngineError
 from .nonlinear import Evaluator
 from .ratfunc import QPoly, RatQ
 
-_RESERVE = 64  # lanes per prime kept out of every interpolation
-_START_LANES = 256  # lanes per prime as a solve starts: pool and reserve
+_START_LANES = 192  # pool lanes per prime as a solve starts
 _MAX_LANES = 42000  # lanes per prime a pool may grow to
 _VERIFY_LANES = 128  # lanes of the fresh-prime verification
 _CHECK_PRIMES = 2  # primes and lanes per prime of the probe-mode check
@@ -383,10 +384,10 @@ def _fingerprint(F, seed, N, prime, nlanes):
     return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big")
 
 
-def _lane_points(prime, nlanes, rng, avoid=()):
-    """nlanes distinct uniform points in [2, p - 2], none in avoid."""
-    pts = np.setdiff1d(rng.integers(2, prime - 1, size=2 * nlanes + 16,
-                                    dtype=np.int64), avoid)
+def _lane_points(prime, nlanes, rng):
+    """nlanes distinct uniform points in [2, p - 2]."""
+    pts = np.unique(rng.integers(2, prime - 1, size=2 * nlanes + 16,
+                                 dtype=np.int64))
     rng.shuffle(pts)
     if len(pts) < nlanes:
         raise EngineError("could not sample enough distinct lane points")
@@ -423,51 +424,46 @@ class _Run:
         self.w = w
         self.cands = {}  # (h, points) -> (num, den) of c_h * G, or None
 
-    def pool(self):
-        return range(self.dom.n - _RESERVE)
-
 
 def _event_sig(events):
     return [(e["h"], e["kind"], e.get("order")) for e in events]
 
 
 def _start_run(F, seed, N, prime, nlanes, run=None):
-    """A run of the solve loop at prime over nlanes lanes [pool | reserve]:
-    pool lanes x_i = g r^i and _RESERVE independent uniform ones.  Given
-    run, its pool grows in place to nlanes - _RESERVE lanes instead: its
-    progression continues, the loop runs on the new points alone and must
-    give run's events, and their columns join the pool, so every pool
-    prefix and cached fit stays.  _Pole where the points are unusable
-    (+-1, a repeat, a reserve point) or meet a pole; run stays as it was."""
+    """A run of the solve loop at prime over a pool of nlanes lanes
+    x_i = g r^i.  Given run, its pool grows in place to nlanes lanes
+    instead: its progression continues, the loop runs on the new points
+    alone and must give run's events, and their columns join the pool, so
+    every pool prefix and cached fit stays.  _Pole where the points are
+    unusable (+-1 or a repeat) or meet a pole; run stays as it was."""
     from .solver import _extend_core
     if run is not None:
-        old, reserve = len(run.pool()), run.dom.q[-_RESERVE:]
-        xs, w = _progression(prime, run.w.g, run.w.r, nlanes - _RESERVE)
-        if np.isin(xs[old:], reserve).any():
-            raise _Pole(f"a grown point mod {prime} is a reserve lane")
+        old = run.dom.n
+        xs, w = _progression(prime, run.w.g, run.w.r, nlanes)
         coeffs, events, _ = _extend_core(F, seed, N, ProbeDomain(prime, xs[old:]))
         if _event_sig(events) != _event_sig(run.events):
             raise EngineError(f"event mismatch within prime {prime}")
-        run.coeffs = [np.concatenate((c[:old], new, c[old:]))
+        run.coeffs = [np.concatenate((c, new))
                       for c, new in zip(run.coeffs, coeffs)]
-        run.dom, run.w = ProbeDomain(prime, np.concatenate((xs, reserve))), w
+        run.dom, run.w = ProbeDomain(prime, xs), w
         return run
     rng = np.random.default_rng(_fingerprint(F, seed, N, prime, nlanes))
     g, r = rng.integers(2, prime - 1, size=2).tolist()
-    pool, w = _progression(prime, g, r, nlanes - _RESERVE)
-    dom = ProbeDomain(prime, np.concatenate(
-        (pool, _lane_points(prime, _RESERVE, rng, pool))))
+    pool, w = _progression(prime, g, r, nlanes)
+    dom = ProbeDomain(prime, pool)
     coeffs, events, _ = _extend_core(F, seed, N, dom)
     return _Run(prime, dom, coeffs, events, w)
 
 
 def _reconstruct_coeff(runs, h, guess, G):
-    """(value, need) for coefficient h from the runs' lane data: the exact
-    RatQ and len(num) + len(den) of the pair fitted to c_h * G.  Fit
-    guess points per prime, then the whole pool if fewer than two primes
-    fit, and raise _NeedLanes if they still do not.  c_h * G at a run's
-    lanes is formed once per call, and only for a run that fits."""
-    cap = min(len(run.pool()) for run in runs) - 16
+    """(value, need) for coefficient h from the runs' lane data: the lift
+    of the pairs fitted to c_h * G, as an exact RatQ, and len(num) +
+    len(den) of the pair.  Fit guess points per prime, then the whole pool
+    if fewer than two primes fit, and raise _NeedLanes if they still do
+    not; the next 16 points hold each fit out.  c_h * G at a run's lanes
+    is formed once per call, and only for a run that fits.  The lift is
+    not evaluated here: _verify_fresh tests it on a prime of its own."""
+    cap = min(run.dom.n for run in runs) - 16
     scaled = {}  # run -> c_h * G at its lanes
     for n in sorted({min(guess, cap), cap}):
         for run in runs:
@@ -499,28 +495,18 @@ def _reconstruct_coeff(runs, h, guess, G):
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
     value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den) * G)
-    # num == c_h * den on the reserved lanes, where c_h has no pole; value
-    # is congruent to the fits mod every run prime, so this tests the fits
-    for run in runs:
-        p, xs = run.dom.p, run.dom.q[-_RESERVE:]
-        try:
-            n_at, d_at = _eval_qpolys([value.n, value.d], xs, p)
-        except _Pole:
-            raise _NeedPrimes(f"coefficient {h} has a pole mod {p}") from None
-        n_at = n_at * run.dom.qpow(value.v)[-_RESERVE:] % p
-        if (n_at != run.coeffs[h][-_RESERVE:] * d_at % p).any():
-            raise _NeedPrimes(f"coefficient {h} fails the reserved-lane check")
     return value, len(num) + len(den)
 
 
 def solve(F, seed, N):
     """Probe-mode extend: returns (exact coefficient list, events); event
     values such as residuals stay probe-domain vectors.  Every prime
-    starts at _START_LANES lanes, and all pools double in place when a
-    fit outgrows them, up to _MAX_LANES lanes.  A coefficient q^v n/d of
-    F or of the seed that spans more powers of q, |v| + len(n) + len(d),
-    than that raises EngineError before any run: the coefficients solved
-    from it would outgrow every pool."""
+    starts at a pool of _START_LANES lanes, and all pools double in place
+    when a fit outgrows them, up to _MAX_LANES lanes.  A coefficient
+    q^v n/d of F or of the seed that spans more powers of q,
+    |v| + len(n) + len(d), than that raises EngineError before any run:
+    the coefficients solved from it would outgrow every pool.  Each lift
+    is accepted by _verify_fresh alone."""
     if any(abs(r.v) + len(r.n.ints) + len(r.d.ints) > _MAX_LANES
            for r in [*F.monomials.values(), *seed]):
         raise EngineError("a coefficient spans more powers of q than a pool")
@@ -528,6 +514,22 @@ def solve(F, seed, N):
 
 
 def _solve_at(F, seed, N, nlanes):
+    """The probe solve from pools of nlanes lanes.  One evaluator over
+    fresh lanes, at a prime of the solve's own primes that no run takes,
+    first checks the seed's orders 0..k; then each lift c_h must clear
+    step h's orders on it, from one past the previous step's event order
+    through its own (_verify_fresh), or more primes lift c_h again.
+    This tests the lift:
+
+    * c_j first enters the residual at order j + l, so the orders through
+      step h's depend on c_0..c_h alone, and the orders checked over the
+      solve are 0 through the last step's, as in one check at the end;
+    * at a unique step the residual at its order is affine in c_h with
+      slope A_h != 0 (beta at the scan step), so a wrong c_h leaves it
+      nonzero in Q(q); a resonant_free step lifts c_h = 0 from lanes that
+      are all zero;
+    * a wrong fit at a run prime enters the lift, so this sees it too;
+      the hold-out tests each fit before it is lifted."""
     primes, runs = K.primes_29(), []
 
     def draw():  # a fresh prime at the current size
@@ -548,55 +550,65 @@ def _solve_at(F, seed, N, nlanes):
 
     add_run()
     add_run()
-    exact = list(seed)
+    exact, events, h = list(seed), runs[0].events, len(seed)
+    order = {h - 1: h - 1, **{e["h"]: e["order"] for e in events}}
+    fresh = _verify_fresh(F, None, exact, h, h - 1, primes)
     need = 0  # points the pair fitted to the previous coefficient took
-    h = len(seed)
     while h < len(runs[0].coeffs):
         try:
-            value, need = _reconstruct_coeff(runs, h, 3 * need // 2 + 16,
+            value, took = _reconstruct_coeff(runs, h, 3 * need // 2 + 16,
                                              exact[-1].d)
+            fresh = _verify_fresh(F, fresh, exact + [value],
+                                  order[h - 1] + 1, order[h], primes)
         except _NeedPrimes:
             add_run()
             if len(runs) >= 4:  # large integers: grow the modulus faster
                 add_run()
             continue
         except _NeedLanes:
-            nlanes = 2 * nlanes - _RESERVE  # twice the pool
+            nlanes *= 2
             if nlanes > _MAX_LANES:
                 raise EngineError("lane escalation exhausted") from None
             runs[:] = [grow(run) for run in runs]
             continue
         exact.append(value)
+        need = took
         h += 1
-
-    _verify_fresh(F, exact, runs[0].events, primes)
-    return exact, runs[0].events
+    return exact, events
 
 
-def _first_nonzero(F, coeffs, primes, salt, nlanes):
-    """Lowest order at which F along coeffs is nonzero on fresh lanes at
-    the next prime of primes that serves, through x^(len(coeffs) - 1), or
-    len(coeffs) when no order is."""
-    def at(prime):
-        rng = np.random.default_rng(prime ^ salt)
-        dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
-        res = Evaluator(_from_ratqs(dom, coeffs), dom).eval(F, 0, len(coeffs))
-        return next((m for m, v in enumerate(res) if not dom.is_zero(v)),
-                    len(coeffs))
-    return _serving(primes, at)
+def _fresh(F, coeffs, width, salt, nlanes, prime):
+    """(ev, orders 0..width-1 of F along coeffs) for an evaluator ev of
+    coeffs over nlanes uniform lanes at prime, drawn from prime ^ salt;
+    _Pole where a value has a pole at a lane."""
+    rng = np.random.default_rng(prime ^ salt)
+    dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
+    ev = Evaluator(_from_ratqs(dom, coeffs), dom)
+    return ev, ev.eval(F, 0, width)
 
 
-def _verify_fresh(F, exact, events, primes):
-    """Re-probe exact's residual on primes of the solve's iterator past
-    every run's, through the last step's order N + l, with exact padded
-    by zeros: c_j first enters the residual at order j + l."""
-    top = max((e["order"] for e in events
-               if e["kind"] in ("unique", "resonant_free")),
-              default=len(exact) - 1)
-    padded = exact + [RatQ(0)] * (top + 1 - len(exact))
-    m = _first_nonzero(F, padded, primes, 0x9E3779B97F4A7C15, _VERIFY_LANES)
-    if m <= top:
+def _verify_fresh(F, ev, coeffs, lo, hi, primes):
+    """Test c_h, the last of coeffs, on the fresh evaluator ev: set it and
+    evaluate orders lo..hi, step h's, of F; returns the evaluator.  A
+    nonzero order there raises _NeedPrimes.  With ev None, or where c_h
+    has a pole at ev's lanes, the evaluator is rebuilt from coeffs at the
+    next prime of primes that serves and evaluates orders 0..hi; one
+    below lo, which earlier steps cleared, raises EngineError if
+    nonzero."""
+    res = None
+    if ev is not None:
+        with suppress(_Pole):
+            ev.set(len(coeffs) - 1, ev.dom.from_ratq(coeffs[-1]))
+            res = ev.eval(F, lo, hi + 1)
+    if res is None:
+        ev, res = _serving(primes, lambda p: _fresh(
+            F, coeffs, hi + 1, 0x9E3779B97F4A7C15, _VERIFY_LANES, p))
+    m = next((m for m, v in enumerate(res) if v.any()), hi + 1)
+    if m < lo:
         raise EngineError(f"reconstructed solution fails at order {m}")
+    if m <= hi:
+        raise _NeedPrimes(f"c_{len(coeffs) - 1} leaves order {m} nonzero")
+    return ev
 
 
 def check(F, phi):
@@ -606,7 +618,9 @@ def check(F, phi):
     best = phi.trunc
     primes = K.check_primes()
     for _ in range(_CHECK_PRIMES):
-        m = _first_nonzero(F, phi.coeffs, primes, 0xD1B54A32D192ED03,
-                           _CHECK_LANES)
-        best = min(best, m - 1)
+        _, res = _serving(primes, lambda p: _fresh(
+            F, phi.coeffs, len(phi.coeffs), 0xD1B54A32D192ED03,
+            _CHECK_LANES, p))
+        best = min(best, next((m for m, v in enumerate(res) if v.any()),
+                              len(res)) - 1)
     return best

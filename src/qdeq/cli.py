@@ -258,7 +258,7 @@ def _cmd_corpus(args):
         else:
             for item in listing:
                 print(f"{item['id']}: {item['description']}")
-                for key in ("seeds", "expectations", "variants"):
+                for key in ("seeds", "expectations"):
                     if item[key] or key == "expectations":
                         print(f"  {key}: {', '.join(item[key])}")
         return 0

@@ -20,11 +20,10 @@ nonzero at order 1 for every reading of the factored rows, because row
 1 carries a trailing factor vanishing at sigma = 1 while row 0 does
 not.  The minimal annihilator was therefore reconstructed from the
 series itself (modular nullspace plus rational reconstruction, then
-verified exactly); it lives in the "dense-annihilator" variant.  Both
-the primary factored text and the dense variant have Newton polygon
-slopes exactly {-1/2, 0, 1/2}; the "narrow-window" variant differs in
-row 1's trailing factor, has right slope 1 instead of 1/2, and is kept
-for comparison.  Residual status is reported by run(), never asserted.
+verified exactly): JONES_ANNIHILATOR_TEXT, whose residual run() reports
+next to the factored text's in its notes.  Both have Newton polygon
+slopes exactly {-1/2, 0, 1/2}.  Residual status is reported by run(),
+never asserted.
 """
 
 from fractions import Fraction
@@ -97,16 +96,6 @@ class Expectation:
             return False, f"error: {exc}"
 
 
-class Variant:
-    """Alternate form of an entry: different text and/or seeds."""
-
-    __slots__ = ("source", "seeds")
-
-    def __init__(self, source=None, seeds=None):
-        self.source = source
-        self.seeds = tuple(seeds) if seeds is not None else None
-
-
 class EntryReport:
     __slots__ = ("entry_id", "results", "notes")
 
@@ -140,19 +129,18 @@ class EntryReport:
 
 
 class CorpusEntry:
-    """A worked example: equation, seeds, expectations, variants."""
+    """A worked example: equation, seeds and expectations."""
 
     __slots__ = ("id", "description", "source", "seeds", "expected",
-                 "variants", "default_order", "_notes")
+                 "default_order", "_notes")
 
     def __init__(self, id, description, source, seeds, expected,
-                 variants=None, default_order=16, notes=None):
+                 default_order=16, notes=None):
         self.id = id
         self.description = description
         self.source = source
         self.seeds = tuple(seeds)
         self.expected = list(expected)
-        self.variants = dict(variants or {})
         self.default_order = default_order
         self._notes = notes
 
@@ -177,8 +165,7 @@ class CorpusEntry:
         """The entry as qdeq corpus lists it."""
         return {"id": self.id, "description": self.description,
                 "seeds": [c.to_text() for c in self.seeds],
-                "expectations": [e.name for e in self.expected],
-                "variants": sorted(self.variants)}
+                "expectations": [e.name for e in self.expected]}
 
 
 def _solved(ctx, F, seeds, order):
@@ -244,19 +231,16 @@ _J_QUARTIC1 = ("(q^4 + (q^3-2*q^4)*S[1] + (-q^3+q^4-q^5)*S[2]"
 _J_QUARTIC2 = ("(q^8 + (q^9-2*q^8)*S[1] - (-q^7+q^8-q^9)*S[2]"
                " + q^7*S[3] + q^8*S[4])")
 _J_ROW1 = ("S[-1]*(1+S[1])*" + _J_QUARTIC1 + "*(q^5-q^2*S[2])*(1-S[2])")
-_J_ROW1_NARROW = ("S[-1]*(1+S[1])*" + _J_QUARTIC1 + "*(q^5-q^2*S[2])*(1-S[1])")
 _J_ROW2 = "q^5*(1-S[1])*(1+S[1])*(1-q^3*S[2])*" + _J_QUARTIC2
 _J_ROW3 = "q^10*S[1]*(1-S[1])*(1+q^2*S[1])*(1-q^5*S[2])"
 
 JONES_OPERATOR_TEXT = (
     f"{_J_ROW0} - x*{_J_ROW1} + x^2*{_J_ROW2} - x^3*{_J_ROW3}")
-_JONES_NARROW_TEXT = (
-    f"{_J_ROW0} - x*{_J_ROW1_NARROW} + x^2*{_J_ROW2} - x^3*{_J_ROW3}")
 
 # Minimal annihilator of the invariant series, reconstructed from the
 # series itself and verified exactly through order 40.  x-degree 3,
 # shift window [-1, 9]; the sigma^8 and sigma^9 tail is what the
-# factored texts are missing.
+# factored text is missing.
 JONES_ANNIHILATOR_TEXT = " + ".join((
     "(-q^11)*x*S[-1]", "(q^11)*x^2*S[-1]",
     "(3*q^11)*x*S[0]", "(-3*q^11)*x^2*S[0]",
@@ -340,16 +324,6 @@ def _entry_jones():
             Expectation("degree-profile", "derived", chk_deg),
             Expectation("order-profile", "derived", chk_ord),
         ],
-        variants={
-            # row 1 ends in (1-S[1]) instead of (1-S[2]); the polygon's
-            # right slope becomes 1 and the shift window [-1, 8] is too
-            # narrow to carry an annihilator of the invariant series
-            "narrow-window": Variant(source=parse(_JONES_NARROW_TEXT)),
-            # minimal annihilator reconstructed from the series itself;
-            # window [-1, 9], same slopes {-1/2, 0, 1/2}, residual
-            # identically zero
-            "dense-annihilator": Variant(source=dense),
-        },
         default_order=25,
         notes=notes,
     )
@@ -411,10 +385,6 @@ def _entry_qp2():
             Expectation("branch-point", "derived", chk_branch),
             Expectation("regular-singular-polygon", "stated", chk_polygon),
         ],
-        variants={
-            # the other root of the step-1 quadratic; extends just as well
-            "alternate-branch": Variant(seeds=(RatQ(1), -c1)),
-        },
         default_order=16,
     )
 
@@ -431,7 +401,7 @@ def _phi11_coeff(h):
 def _entry_phi11():
     # The displayed constant q^2 contradicts the displayed coefficients:
     # substituting the series forces the ratio q^(2h-2)/(1-q^(2h)), which
-    # the q^-2 normalization produces.  See the alternate-sign variant.
+    # the q^-2 normalization produces.
     src = parse("S[-2]*(S[1]-1)*(S[1]+1) + q^-2*x")
     seeds = (RatQ(1),)
 
@@ -462,12 +432,6 @@ def _entry_phi11():
             Expectation("coefficient-closed-form", "stated", chk_coeffs),
             Expectation("regular-singular-polygon", "stated", chk_polygon),
         ],
-        variants={
-            # carries q^2 x instead of q^-2 x; its recurrence ratio
-            # q^(2h+2)/(1-q^(2h)) does not reproduce the bundled closed form
-            "alternate-sign": Variant(
-                source=parse("S[-2]*(S[1]-1)*(S[1]+1) + q^2*x")),
-        },
         default_order=20,
     )
 

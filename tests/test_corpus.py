@@ -9,11 +9,9 @@ from qdeq import growth
 from qdeq.corpus import (
     JONES_ANNIHILATOR_TEXT,
     JONES_OPERATOR_TEXT,
-    _JONES_NARROW_TEXT,
     _phi11_coeff,
     CorpusEntry,
     Expectation,
-    Variant,
     corpus,
     get_entry,
     jones,
@@ -107,7 +105,15 @@ def test_jones_series_solves_the_dense_annihilator():
     assert set(rep.kinds()) == {"unique"}
 
 
-# -- the three operator variants ---------------------------------------------
+# -- the factored text, a narrow-window form of it, and the annihilator -----
+
+# row 1 ends in (1-S[1]) instead of (1-S[2]): the polygon's right slope
+# becomes 1, and the shift window [-1, 8] is too narrow to carry an
+# annihilator of the invariant series
+_ROW1_END = "*(q^5-q^2*S[2])*(1-S[2])"
+assert JONES_OPERATOR_TEXT.count(_ROW1_END) == 1
+_JONES_NARROW_TEXT = JONES_OPERATOR_TEXT.replace(
+    _ROW1_END, "*(q^5-q^2*S[2])*(1-S[1])")
 
 
 def test_jones_polygon_primary():
@@ -193,9 +199,9 @@ def test_qeuler_sample_value():
 
 
 def test_qp2_alternate_branch_extends():
+    # the other root of the step-1 quadratic extends just as well
     e = get_entry("q-painleve-2")
-    alt = e.variants["alternate-branch"]
-    rep = extend(e.source.parsed, list(alt.seeds), 8)
+    rep = extend(e.source.parsed, [RatQ(1), -e.seeds[1]], 8)
     assert set(rep.kinds()) == {"unique"}
     assert check_solution(e.source.parsed, rep.solution) == 8
 
@@ -226,9 +232,13 @@ def test_phi11_closed_form_spot():
     assert _phi11_coeff(2) == want
 
 
+# carries q^2 x instead of q^-2 x; its recurrence ratio
+# q^(2h+2)/(1-q^(2h)) does not reproduce the bundled closed form
+PHI11_ALTERNATE_SIGN_TEXT = "S[-2]*(S[1]-1)*(S[1]+1) + q^2*x"
+
+
 def test_phi11_alternate_sign_disagrees():
-    e = get_entry("phi11-basic")
-    alt = e.variants["alternate-sign"].source.parsed
+    alt = parse(PHI11_ALTERNATE_SIGN_TEXT).parsed
     rep = extend(QdeqPoly.from_operator(alt), [RatQ(1)], 3)
     assert rep.solution.coeffs[1] != _phi11_coeff(1)
 
@@ -248,10 +258,7 @@ def test_entry_json_shape():
     entry = get_entry("jones-figure8")
     assert entry.to_json() == {
         "id": "jones-figure8", "description": entry.description, "seeds": [],
-        "expectations": ["polygon-slopes", "degree-profile", "order-profile"],
-        "variants": ["dense-annihilator", "narrow-window"]}
-    assert entry.variants["dense-annihilator"].source.text \
-        == JONES_ANNIHILATOR_TEXT
+        "expectations": ["polygon-slopes", "degree-profile", "order-profile"]}
 
 
 def test_expectation_rejects_unknown_basis():

@@ -37,11 +37,10 @@ def _draw_pool(p, npool, rng, tries=100):
 
 
 def _geometric_run(prime, nlanes, rng):
-    """A run with no data over lanes laid out as _start_run lays them."""
-    pool, w = _draw_pool(prime, nlanes - P._RESERVE, rng)
-    dom = P.ProbeDomain(prime, np.concatenate(
-        (pool, P._lane_points(prime, P._RESERVE, rng, pool))))
-    return P._Run(prime, dom, [], [], w)
+    """A run with no data over a pool of nlanes lanes, laid out as
+    _start_run lays them."""
+    pool, w = _draw_pool(prime, nlanes, rng)
+    return P._Run(prime, P.ProbeDomain(prime, pool), [], [], w)
 
 
 def test_batch_inv():
@@ -586,9 +585,9 @@ def test_a_grown_solve_matches_exact(monkeypatch):
             grown.append(got)
         return got
 
-    monkeypatch.setattr(P, "_START_LANES", P._RESERVE + 48)
+    monkeypatch.setattr(P, "_START_LANES", 48)
     monkeypatch.setattr(P, "_start_run", start)
-    assert _solves_match_exact(monkeypatch, 14) == [P._RESERVE + 48] * 2
+    assert _solves_match_exact(monkeypatch, 14) == [48] * 2
     assert len(grown) >= 2 * 2 * 2 and all(grown)
 
 
@@ -623,33 +622,95 @@ def _qp2_wrong_last(N):
 
 def test_verify_fresh_rejects_a_wrong_last_coefficient():
     # step h decides c_h at order h + 1, so c_12 first enters the
-    # residual at order 13: only the answer padded through it shows c_12
+    # residual at order 13: only step 12's check, at order 13, shows c_12
     F, rep, bad = _qp2_wrong_last(12)
-    assert [e["order"] for e in rep.events][-1] == 13
+    assert [e["order"] for e in rep.events][-2:] == [12, 13]
     assert check_solution(F, TruncSeries(bad, 12), mode="exact") == 12
     assert check_solution(F, TruncSeries(bad, 13), mode="exact") == 12
     assert check_solution(F, TruncSeries(rep.solution.coeffs, 13),
                           mode="exact") == 13
-    P._verify_fresh(F, list(rep.solution.coeffs), rep.events, K.primes_29())
+    good, primes = list(rep.solution.coeffs), K.primes_29()
+    # c_0..c_11 accepted: orders 0..12 vanish on the fresh lanes
+    ev = P._verify_fresh(F, None, good[:12], 13, 12, primes)
+    with pytest.raises(P._NeedPrimes, match="c_12 leaves order 13 nonzero"):
+        P._verify_fresh(F, ev, bad, 13, 13, primes)
+    # the same evaluator takes the right c_12 in its place
+    assert P._verify_fresh(F, ev, good, 13, 13, primes) is ev
+    # a wrong coefficient that earlier steps accepted fails a rebuild
     with pytest.raises(EngineError, match="fails at order 13"):
-        P._verify_fresh(F, bad, rep.events, K.primes_29())
+        P._verify_fresh(F, None, bad + [RatQ(0)], 14, 14, primes)
+
+
+def _need_primes_raised(monkeypatch):
+    """The list of the _NeedPrimes that _verify_fresh raises."""
+    inner, raised = P._verify_fresh, []
+
+    def verify(*args):
+        try:
+            return inner(*args)
+        except P._NeedPrimes as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(P, "_verify_fresh", verify)
+    return raised
+
+
+def _plant_at_12(monkeypatch, times):
+    """1 is added to the first `times` lifts of c_12."""
+    inner, planted = P._reconstruct_coeff, []
+
+    def lift(runs, h, *args):
+        value, need = inner(runs, h, *args)
+        if h == 12 and len(planted) < times:
+            planted.append(value)
+            value = value + RatQ(1)
+        return value, need
+
+    monkeypatch.setattr(P, "_reconstruct_coeff", lift)
+
+
+def test_a_wrong_lift_costs_one_more_prime(monkeypatch):
+    # the step check rejects the planted c_12, the solve adds a prime
+    # and lifts c_12 again, and the answer is exact
+    F, rep, _ = _qp2_wrong_last(12)
+    _plant_at_12(monkeypatch, 1)
+    raised, started = (_need_primes_raised(monkeypatch),
+                       _runs_started(monkeypatch))
+    coeffs, _ = P.solve(F, next(_qp2_branches()), 12)
+    assert tuple(coeffs) == rep.solution.coeffs
+    assert len(raised) == 1 and len(started) == 3
 
 
 def test_a_wrong_last_coefficient_falls_back_to_exact(monkeypatch):
+    # a wrong c_12 at every retry spends the prime budget: the probe solve
+    # raises EngineError, and extend answers in Q(q)
     F, rep, _ = _qp2_wrong_last(12)
     seed = next(_qp2_branches())
-    inner = P._reconstruct_coeff
-
-    def planted(runs, h, *args):
-        value, need = inner(runs, h, *args)
-        return (value + RatQ(1) if h == 12 else value), need
-
-    monkeypatch.setattr(P, "_reconstruct_coeff", planted)
-    with pytest.raises(EngineError, match="fails at order 13"):
+    _plant_at_12(monkeypatch, 24)
+    raised = _need_primes_raised(monkeypatch)
+    with pytest.raises(EngineError, match="prime escalation exhausted"):
         P.solve(F, seed, 12)
+    assert raised
     got = extend(F, seed, 12, engine="probe")
     assert got.solution.coeffs == rep.solution.coeffs
     assert got.events == rep.events
+
+
+@pytest.mark.parametrize("F, seed, N", [
+    ("y[0]^2 - 1 - x", [1], 20),
+    ("x*y[1] - y[0] + 1000000000000000000000000000001",
+     [1000000000000000000000000000001], 6),
+], ids=["sqrt-1-plus-x", "30-digit-constant"])
+def test_a_lift_past_the_bound_asks_for_a_prime(F, seed, N, monkeypatch):
+    # with two primes, Wang's reconstruction lifts c_16 = -9694845/2^31
+    # of sqrt(1 + x) (and c_1 of the 30-digit equation) as a wrong
+    # fraction; the step check rejects it, and more primes lift it right
+    F, seed = parse(F).parsed, [RatQ.from_value(c) for c in seed]
+    raised = _need_primes_raised(monkeypatch)
+    coeffs, _ = P.solve(F, seed, N)
+    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    assert raised
 
 
 def _runs_holding(value, h, nlanes, k=2):
@@ -681,7 +742,7 @@ def test_reconstruct_grows_from_a_small_start():
     # a guess of 8 points falls short, and the fit takes the whole pool:
     # 512 pool lanes less the 16-point hold-out
     value = _planted_value()
-    runs = _runs_holding(value, 3, 576)
+    runs = _runs_holding(value, 3, 512)
     assert P._reconstruct_coeff(runs, 3, 8, QPoly([1])) == (value, 92)
     assert _sizes_tried(runs, 3) == [[8, 496]] * 2
 
@@ -694,7 +755,7 @@ def test_a_guess_is_used_as_given_or_the_whole_pool_after_it(guess, tried):
     # the whole pool, one at or above it is the only fit, and no fit
     # takes more than the pool
     value = _planted_value()
-    runs = _runs_holding(value, 3, 576)
+    runs = _runs_holding(value, 3, 512)
     assert P._reconstruct_coeff(runs, 3, guess, QPoly([1])) == (value, 92)
     assert _sizes_tried(runs, 3) == [tried] * 2
 
@@ -713,7 +774,7 @@ def test_reconstruct_takes_any_denominator_guess():
     for G, need in ((QPoly([1]), 31 + 31), (d1, 31 + 11),
                     (coprime, 36 + 31)):
         # fresh runs: their fits are cached by (h, points), not by G
-        runs = _runs_holding(value, 3, 576)
+        runs = _runs_holding(value, 3, 512)
         assert P._reconstruct_coeff(runs, 3, 16, G) == (value, need)
 
 
@@ -764,10 +825,6 @@ def _solves_past_a_dead_lane(monkeypatch, lane):
 
 def test_a_dead_pool_lane_redraws_the_run(monkeypatch):
     _solves_past_a_dead_lane(monkeypatch, 5)
-
-
-def test_a_dead_reserve_lane_redraws_the_run(monkeypatch):
-    _solves_past_a_dead_lane(monkeypatch, -1)
 
 
 def test_an_unusable_progression_gives_way_to_the_next_prime(monkeypatch):
@@ -926,8 +983,8 @@ def test_extend_gives_way_where_a_probe_prime_divides_a_denominator():
 
 def test_need_lanes_only_after_the_whole_pool():
     value = _planted_value()
-    runs = _runs_holding(value, 3, 160)
-    cap = min(len(run.pool()) for run in runs) - 16
+    runs = _runs_holding(value, 3, 96)
+    cap = min(run.dom.n for run in runs) - 16
     assert cap < 92
     for guess in (32, cap, 900):
         with pytest.raises(P._NeedLanes):
@@ -938,22 +995,10 @@ def test_need_lanes_only_after_the_whole_pool():
     assert _sizes_tried(runs, 3) == [[32, cap]] * 2
 
 
-def test_a_wrong_reserve_lane_fails_the_reconstruction():
-    # every pool lane holds the planted value, so both primes fit it and
-    # the lift is right; one reserve lane holds another value, which only
-    # the reserved-lane check reads
-    value = _planted_value()
-    runs = _runs_holding(value, 3, 576)
-    lanes = runs[1].coeffs[3]
-    lanes[-1] = (lanes[-1] + 1) % runs[1].dom.p
-    with pytest.raises(P._NeedPrimes, match="reserved-lane check"):
-        P._reconstruct_coeff(runs, 3, 100, QPoly([1]))
-
-
 def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
     # a re-call at the same h, as after _NeedPrimes, reuses G's values
     value, G, calls = _planted_value(), QPoly([1, 1]), []
-    runs, inner = _runs_holding(value * RatQ(1, G), 3, 576), P._eval_qpolys
+    runs, inner = _runs_holding(value * RatQ(1, G), 3, 512), P._eval_qpolys
 
     def evaluate(polys, xs, p):
         if len(polys) == 1:
@@ -964,14 +1009,14 @@ def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
     for _ in range(2):
         got = P._reconstruct_coeff(runs, 3, 8, G)[0]
         assert got == value * RatQ(1, G)
-    assert calls == [576, 576]
+    assert calls == [512, 512]
 
 
 def test_fits_survive_a_recall_with_one_more_prime(monkeypatch):
     # after _NeedPrimes the solve adds a prime and asks again at the same
     # h: the runs it had keep their fits, and only the new one fits
     value = _planted_value()
-    runs = _runs_holding(value, 3, 576, k=3)
+    runs = _runs_holding(value, 3, 512, k=3)
     first = P._reconstruct_coeff(runs[:2], 3, 100, QPoly([1]))
     fits, inner = [], P._rat_interp
 
@@ -986,14 +1031,13 @@ def test_fits_survive_a_recall_with_one_more_prime(monkeypatch):
 
 def test_a_grown_pool_is_the_longer_progression():
     # the same (g, r) for the larger pool gives the same points and
-    # weights bit for bit; the reserve lanes stay last, as they were
+    # weights bit for bit
     F, N, seed = painleve_like(), 8, next(_qp2_branches())
-    run = P._start_run(F, seed, N, PP, P._RESERVE + 40)
-    g, r, reserve = run.w.g, run.w.r, run.dom.q[40:].copy()
-    assert P._start_run(F, seed, N, PP, P._RESERVE + 80, run) is run
+    run = P._start_run(F, seed, N, PP, 40)
+    g, r = run.w.g, run.w.r
+    assert P._start_run(F, seed, N, PP, 80, run) is run
     xs, w = P._progression(PP, g, r, 80)
-    assert (run.dom.q == np.concatenate((xs, reserve))).all()
-    assert list(run.pool()) == list(range(80))
+    assert (run.dom.q == xs).all()
     assert all(np.array_equal(a, b) for a, b in zip(run.w, w))
     # the new columns hold the solution's coefficients at the new points
     exact = extend(F, seed, N, engine="exact").solution.coeffs
@@ -1001,27 +1045,17 @@ def test_a_grown_pool_is_the_longer_progression():
         assert (c == run.dom.from_ratq(val)).all()
 
 
-def test_a_point_on_a_reserve_lane_stops_the_growth():
-    F, N, seed = painleve_like(), 8, next(_qp2_branches())
-    run = P._start_run(F, seed, N, PP, P._RESERVE + 40)
-    run.dom.q[-1] = run.w.g * pow(run.w.r, 60, PP) % PP
-    dom, coeffs, w = run.dom, run.coeffs, run.w
-    with pytest.raises(P._Pole):
-        P._start_run(F, seed, N, PP, P._RESERVE + 80, run)
-    assert run.dom is dom and run.coeffs is coeffs and run.w is w
-
-
 def test_growth_keeps_every_cached_fit():
     # pool prefixes are unchanged, so fits cached before the growth are
     # the fits made again after it
     F, N, seed = painleve_like(), 8, next(_qp2_branches())
-    runs = [P._start_run(F, seed, N, p, P._RESERVE + 64)
+    runs = [P._start_run(F, seed, N, p, 64)
             for p in islice(K.primes_29(), 2)]
     before = P._reconstruct_coeff(runs, 2, 16, seed[-1].den)
     cached = [dict(run.cands) for run in runs]
     assert all(cached)
     for run, old in zip(runs, cached):
-        assert P._start_run(F, seed, N, run.prime, P._RESERVE + 128, run)
+        assert P._start_run(F, seed, N, run.prime, 128, run)
         assert run.cands.keys() == old.keys()  # growth keeps the cache
         run.cands.clear()
     assert P._reconstruct_coeff(runs, 2, 16, seed[-1].den) == before
@@ -1040,28 +1074,35 @@ def test_a_dead_lane_in_a_growth_batch_brings_a_fresh_prime(monkeypatch):
     # dies: that prime's run is dropped and a fresh prime joins at the
     # grown size, with no EngineError
     F, N, seed = painleve_like(), 10, next(_qp2_branches())
-    monkeypatch.setattr(P, "_START_LANES", P._RESERVE + 48)
-    hit = _kill_lane(monkeypatch, lambda dom: 5 if (
-        dom.p == PP and dom.n == 48) else None)
+    monkeypatch.setattr(P, "_START_LANES", 48)
+    at_pp = []  # the 48-lane domains at PP: the start run's, then a batch's
+
+    def pick(dom):
+        if dom.p != PP or dom.n != 48:
+            return None
+        if not any(d is dom for d in at_pp):
+            at_pp.append(dom)
+        return None if dom is at_pp[0] else 5
+
+    hit = _kill_lane(monkeypatch, pick)
     started = _runs_started(monkeypatch)
     coeffs, _ = P.solve(F, seed, N)
     assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
     assert len(hit) == 1
-    grown_to = 2 * (P._RESERVE + 48) - P._RESERVE
-    assert (PP, P._RESERVE + 48, False) in started
+    assert (PP, 48, False) in started
     assert not any(p == PP and grown for p, _, grown in started)
-    assert any(p != PP and n == grown_to and not grown
+    assert any(p != PP and n == 96 and not grown
                for p, n, grown in started)
 
 
-@pytest.mark.parametrize("ceiling, N", [(127, 8), (128, 6)])
+@pytest.mark.parametrize("ceiling, N", [(63, 8), (64, 6)])
 def test_lane_growth_stops_at_the_ceiling(monkeypatch, ceiling, N):
     # a 32-lane start pool holds fits of 16 points; c_4 needs 20, so the
-    # pool grows to 2 * 96 - 64 = 128 lanes, which a ceiling of 127 refuses
-    monkeypatch.setattr(P, "_START_LANES", P._RESERVE + 32)
+    # pool grows to 64 lanes, which a ceiling of 63 refuses
+    monkeypatch.setattr(P, "_START_LANES", 32)
     monkeypatch.setattr(P, "_MAX_LANES", ceiling)
     F, seed = painleve_like(), next(_qp2_branches())
-    if ceiling < 128:
+    if ceiling < 64:
         with pytest.raises(EngineError, match="lane escalation exhausted"):
             P.solve(F, seed, N)
     else:
@@ -1169,13 +1210,21 @@ def seeded_equations(draw):
 
 
 def _outcome(F, seed, N, engine):
+    """The coefficients and event signature of one engine's solve, or the
+    type of the error it raised.  The probe side calls _probes.solve
+    itself, so an EngineError is an outcome of its own, not a silent
+    exact rerun."""
     try:
-        rep = extend(F, seed, N, engine=engine)
+        if engine == "probe":
+            coeffs, events = P.solve(F, [RatQ.from_value(c) for c in seed], N)
+        else:
+            rep = extend(F, seed, N, engine="exact")
+            coeffs, events = rep.solution.coeffs, rep.events
     except QdeqError as exc:
         return type(exc)
-    # probe events carry "(modular)" where exact ones carry a value
-    return (rep.solution.coeffs,
-            [(e["h"], e["kind"], e["order"], sorted(e)) for e in rep.events])
+    # probe events carry vectors where exact ones carry a value
+    return (tuple(coeffs),
+            [(e["h"], e["kind"], e["order"], sorted(e)) for e in events])
 
 
 @settings(max_examples=30, **COMMON)

@@ -182,24 +182,26 @@ def test_resonant_free_continues():
     assert all(c.is_zero() for c in rep.solution.coeffs)
 
 
-def _corpus_solve(entry_id, N, variant=None):
-    """(F, seed, N) of a corpus solve entry or one of its variants."""
+def _corpus_solve(entry_id, N, text=None, seed=None):
+    """(F, seed, N) of a corpus solve entry, or of its equation with
+    another text or another seed."""
     entry = get_entry(entry_id)
-    v = entry.variants[variant] if variant else None
-    src = v.source if v and v.source else entry.source
-    seed = v.seeds if v and v.seeds else entry.seeds
-    F = src.parsed
+    F = parse(text).parsed if text else entry.source.parsed
     if not isinstance(F, QdeqPoly):
         F = QdeqPoly.from_operator(F)
-    return F, list(seed), N
+    return F, list(seed or entry.seeds), N
 
 
 @pytest.mark.parametrize("F, seed, N, resonant", [
     _corpus_solve("q-euler", 30) + (set(),),
     _corpus_solve("q-painleve-2", 8) + (set(),),
-    _corpus_solve("q-painleve-2", 8, "alternate-branch") + (set(),),
+    # the other root of the step-1 quadratic
+    _corpus_solve("q-painleve-2", 8, seed=[RatQ(1), -Q / (1 + Q)])
+    + (set(),),
     _corpus_solve("phi11-basic", 20) + (set(),),
-    _corpus_solve("phi11-basic", 20, "alternate-sign") + (set(),),
+    # q^2 x in place of q^-2 x
+    _corpus_solve("phi11-basic", 20,
+                  "S[-2]*(S[1]-1)*(S[1]+1) + q^2*x") + (set(),),
 ] + [(shifted_eigen(h0, forced), [0], 6, {h0})
      for h0 in range(1, 5) for forced in (False, True)],
     ids=["q-euler", "qp2", "qp2-alternate", "phi11", "phi11-alternate"]
