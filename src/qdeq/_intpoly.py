@@ -1,4 +1,4 @@
-"""Dense integer-polynomial kernel.
+"""Dense integer-polynomial kernel, in Python ints alone.
 
 Polynomials are plain Python lists of ints, lowest degree first, with no
 trailing zeros; [] is the zero polynomial.  This module is the speed
@@ -10,11 +10,13 @@ proved exact.  Small or sparse products (such as by 1 - q^e) run
 schoolbook over the nonzero terms, nnz(a)*nnz(b) steps, and small
 quotients the low-end division loop; div_binomial divides by 1 - x^m
 in running sums.  gcd returns its cofactors with it, (g, a/g, b/g); if
-three points fail it runs a modular gcd over primes_31 on euclid_mod,
-the GF(p) Euclid kernel of the probe engine's rational reconstruction,
-with CRT lifting by crt_join.  The probe engine's primes are primes_29,
-below 2**29, and its check's are check_primes, below 3 * 2**27; there
-lazy_terms products of residues sum in an int64 before one reduction.
+three points fail it runs a modular gcd over primes_31 on
+_probes.euclid_mod, the GF(p) Euclid kernel of the probe engine's
+rational reconstruction, with CRT lifting by crt_join; only that
+fallback imports numpy, as it runs.  The probe engine's primes are
+primes_29, below 2**29, and its check's are check_primes, below
+3 * 2**27; there lazy_terms products of residues sum in an int64
+before one reduction.
 unit_normal is the one normalisation by the content: (c, a/c) with c
 signed like the lead, so a/c is primitive with a positive lead, the
 form of every gcd and RatQ denominator.
@@ -25,8 +27,6 @@ types on top.  Functions mutate nothing they receive except where noted.
 
 import math
 from itertools import accumulate
-
-import numpy as np
 
 
 def trim(a):
@@ -171,36 +171,6 @@ def eval_mod(a, x, p):
     return acc
 
 
-def eval_many_mod(a, xs, p):
-    """Horner at a vector of points; xs is a numpy int64 array with values
-    in [0, p).  a is one coefficient list, or a 2-D int64 stack of them
-    with entries in [0, p), one polynomial and one row of values per row.
-
-    Blocked Horner, B = lazy_terms(p) - 1 coefficients per step (fewer
-    if the polynomials are shorter): with x^0..x^B formed once by
-    doubling, acc <- acc * x^B + (block @ x^0..x^(B-1)) sums B + 1
-    products, each at most (p - 1)**2, so at most 2**63 - 1, and reduces
-    once.  B is 31 for primes_29 and 1, plain Horner, near 2**31.
-    """
-    rows = a if getattr(a, "ndim", 1) == 2 else np_mod(a, p)[None, :]
-    width = rows.shape[1]
-    B = max(1, min(lazy_terms(p) - 1, width))
-    X = np.empty((B + 1, len(xs)), dtype=np.int64)  # X[k] = x^k mod p
-    X[0], X[1] = 1, xs
-    k = 1
-    while k < B:
-        top = min(2 * k, B)
-        X[k + 1: top + 1] = X[1: top - k + 1] * X[k] % p
-        k = top
-    acc = np.zeros((len(rows), len(xs)), dtype=np.int64)
-    for lo in range((width - 1) // B * B, -1, -B):
-        block = rows[:, lo: lo + B]  # only the first may be short; acc is 0
-        acc *= X[B]
-        acc += block @ X[: block.shape[1]]
-        acc %= p
-    return acc if rows is a else acc[0]
-
-
 def divexact(a, b):
     """Quotient a/b over Z when b divides a exactly; ValueError otherwise."""
     if not b:
@@ -334,54 +304,6 @@ def lazy_terms(p):
     return ((1 << 63) - 1) // (p - 1) ** 2
 
 
-def np_mod(a, p):
-    """Reduce a coefficient list mod p into an ascending numpy int64 array."""
-    return np.array([c % p for c in a], dtype=np.int64)
-
-
-def euclid_mod(prev, cur, dp, dc, p, gap=False):
-    """Euclid steps over GF(p), in place, until the remainder is zero or,
-    with gap, until dc <= dp - 2 (so every step has a degree-1 quotient).
-
-    prev and cur are (rows, L) int64 buffers with entries in [0, p), p a
-    prime below 2**31: primes_31 for the modular gcd, primes_29 for probe
-    reconstruction.  Every product term stays below 2**62, so each
-    elimination reduces once.  Row 0 of each is a remainder, of degree
-    dp in prev and dc <= dp in cur, zero above it; further rows (cofactors,
-    which the caller fits in L) take the same row operations over all L
-    columns, a lone row over its first dp + 1.  A step takes no inverse:
-    it scales the older pair by lc, the lead of the newer remainder, so
-    every row carries a nonzero scalar that the caller's monic form
-    removes.  A degree-1 quotient is one fused pass, any other is
-    eliminated term by term.  Returns (prev, cur, dp, dc) after the last
-    step; dc is -1 when the remainder reached zero, prev then the gcd."""
-    while dc >= 0 and not (gap and dp - dc >= 2):
-        lc = cur.item(0, dc)
-        w = dp + 1 if len(prev) == 1 else prev.shape[1]
-        head, tail = prev[:, :w], cur[:, :w]
-        if dp == dc + 1:
-            t = prev.item(0, dp)
-            below = cur.item(0, dc - 1) if dc else 0
-            e = (lc * prev.item(0, dp - 1) - t * below) % p
-            # lc^2 (r0, v0) - (lc t x + e) (r1, v1); every term below 2^62
-            head *= lc * lc % p
-            head[:, 1:] -= lc * t % p * tail[:, :-1]
-            head -= e * tail
-            head %= p
-        else:
-            for d in range(dp, dc - 1, -1):
-                t = prev.item(0, d)
-                if t:
-                    head *= lc
-                    head[:, d - dc:] -= t * tail[:, : w - d + dc]
-                    head %= p
-        d = dc - 1
-        while d >= 0 and not prev.item(0, d):
-            d -= 1
-        prev, cur, dp, dc = cur, prev, dc, d
-    return prev, cur, dp, dc
-
-
 def crt_join(xs, M, ys, p):
     """The residue modulo M*p of each pair x mod M (any representative),
     y mod p (0 <= y < p): x plus the multiple of M that meets y."""
@@ -395,6 +317,8 @@ def _modular_gcd(a, b):
     accepted once the CRT image stops changing and divides both operands
     exactly; those quotients are the cofactors.  RuntimeError once the
     primes past the coefficient bound run out."""
+    import numpy as np
+    from ._probes import euclid_mod, np_mod
     la, lb = a[-1], b[-1]
     lg = math.gcd(la, lb)
     u, v = (a, b) if len(a) >= len(b) else (b, a)

@@ -47,7 +47,7 @@ The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
 on which interpolation has closed forms (Bostan and Schost, J.
 Complexity 21, 2005): two convolutions (_conv_mod) of per-run weights
 (_dd_inverses), and a node poly that is a Cauchy q-binomial sum.  The
-Euclid steps run on _intpoly.euclid_mod, which _intpoly.gcd runs too,
+Euclid steps run on euclid_mod, which _intpoly's modular gcd runs too,
 stopped at the first degree gap (_rat_interp), so a fit of num/den
 takes deg num + deg den + 2 points.  The CRT lift uses
 _intpoly.crt_join, as the modular gcd does.
@@ -115,6 +115,84 @@ def _batch_inv(a, p):
     return left * total_inv % p * right % p
 
 
+def np_mod(a, p):
+    """Reduce a coefficient list mod p into an ascending numpy int64 array."""
+    return np.array([c % p for c in a], dtype=np.int64)
+
+
+def euclid_mod(prev, cur, dp, dc, p, gap=False):
+    """Euclid steps over GF(p), in place, until the remainder is zero or,
+    with gap, until dc <= dp - 2 (so every step has a degree-1 quotient).
+
+    prev and cur are (rows, L) int64 buffers with entries in [0, p), p a
+    prime below 2**31: primes_31 for the modular gcd, primes_29 for probe
+    reconstruction.  Every product term stays below 2**62, so each
+    elimination reduces once.  Row 0 of each is a remainder, of degree
+    dp in prev and dc <= dp in cur, zero above it; further rows (cofactors,
+    which the caller fits in L) take the same row operations over all L
+    columns, a lone row over its first dp + 1.  A step takes no inverse:
+    it scales the older pair by lc, the lead of the newer remainder, so
+    every row carries a nonzero scalar that the caller's monic form
+    removes.  A degree-1 quotient is one fused pass, any other is
+    eliminated term by term.  Returns (prev, cur, dp, dc) after the last
+    step; dc is -1 when the remainder reached zero, prev then the gcd."""
+    while dc >= 0 and not (gap and dp - dc >= 2):
+        lc = cur.item(0, dc)
+        w = dp + 1 if len(prev) == 1 else prev.shape[1]
+        head, tail = prev[:, :w], cur[:, :w]
+        if dp == dc + 1:
+            t = prev.item(0, dp)
+            below = cur.item(0, dc - 1) if dc else 0
+            e = (lc * prev.item(0, dp - 1) - t * below) % p
+            # lc^2 (r0, v0) - (lc t x + e) (r1, v1); every term below 2^62
+            head *= lc * lc % p
+            head[:, 1:] -= lc * t % p * tail[:, :-1]
+            head -= e * tail
+            head %= p
+        else:
+            for d in range(dp, dc - 1, -1):
+                t = prev.item(0, d)
+                if t:
+                    head *= lc
+                    head[:, d - dc:] -= t * tail[:, : w - d + dc]
+                    head %= p
+        d = dc - 1
+        while d >= 0 and not prev.item(0, d):
+            d -= 1
+        prev, cur, dp, dc = cur, prev, dc, d
+    return prev, cur, dp, dc
+
+
+def eval_many_mod(a, xs, p):
+    """Horner at a vector of points; xs is a numpy int64 array with values
+    in [0, p).  a is one coefficient list, or a 2-D int64 stack of them
+    with entries in [0, p), one polynomial and one row of values per row.
+
+    Blocked Horner, B = lazy_terms(p) - 1 coefficients per step (fewer
+    if the polynomials are shorter): with x^0..x^B formed once by
+    doubling, acc <- acc * x^B + (block @ x^0..x^(B-1)) sums B + 1
+    products, each at most (p - 1)**2, so at most 2**63 - 1, and reduces
+    once.  B is 31 for primes_29 and 1, plain Horner, near 2**31.
+    """
+    rows = a if getattr(a, "ndim", 1) == 2 else np_mod(a, p)[None, :]
+    width = rows.shape[1]
+    B = max(1, min(K.lazy_terms(p) - 1, width))
+    X = np.empty((B + 1, len(xs)), dtype=np.int64)  # X[k] = x^k mod p
+    X[0], X[1] = 1, xs
+    k = 1
+    while k < B:
+        top = min(2 * k, B)
+        X[k + 1: top + 1] = X[1: top - k + 1] * X[k] % p
+        k = top
+    acc = np.zeros((len(rows), len(xs)), dtype=np.int64)
+    for lo in range((width - 1) // B * B, -1, -B):
+        block = rows[:, lo: lo + B]  # only the first may be short; acc is 0
+        acc *= X[B]
+        acc += block @ X[: block.shape[1]]
+        acc %= p
+    return acc if rows is a else acc[0]
+
+
 def _stack(rows):
     """Ascending coefficient rows, zero-padded into one 2-D int64 array."""
     out = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
@@ -130,8 +208,8 @@ def _eval_qpolys(polys, xs, p):
         scale = np.array([pow(f.den, -1, p) for f in polys], dtype=np.int64)
     except ValueError:
         raise _Pole(f"a scalar denominator is 0 mod {p}") from None
-    at = K.eval_many_mod(_stack([[c % p for c in f.ints] for f in polys]),
-                         xs, p)
+    at = eval_many_mod(_stack([[c % p for c in f.ints] for f in polys]),
+                       xs, p)
     return at * scale[:, None] % p
 
 
@@ -306,7 +384,7 @@ def _node_poly(m, w, p):
 def _rat_interp(ys, p, w, node):
     """(num, den) ascending GF(p) polys with den monic and num = den * ys
     on the first n = len(ys) points of the pool of weights w, node their
-    node poly; None if no degree gap shows.  K.euclid_mod runs on the
+    node poly; None if no degree gap shows.  euclid_mod runs on the
     (remainder, cofactor) rows (r_i, v_i) to the first r_j whose degree is
     2 or more below deg r_(j-1).  Values of a reduced N/D with deg N +
     deg D <= n - 2, D nonzero on the points, give such a gap: (N, D) is
@@ -323,7 +401,7 @@ def _rat_interp(ys, p, w, node):
     # rows (r, v) with r = v f mod node; deg v = n - dp <= n in cur
     prev, cur = np.zeros((2, 2, n + 1), dtype=np.int64)
     prev[0], cur[0, : len(f)], cur[1, 0] = node, f, 1
-    _, cur, dp, dc = K.euclid_mod(prev, cur, n, len(f) - 1, p, gap=True)
+    _, cur, dp, dc = euclid_mod(prev, cur, n, len(f) - 1, p, gap=True)
     if dc < 0:
         return None
     num, den = cur[0, : dc + 1], cur[1, : n - dp + 1]
@@ -332,7 +410,7 @@ def _rat_interp(ys, p, w, node):
 
 
 def _check_fit(num, den, xs, ys, p):
-    n_at, d_at = K.eval_many_mod(_stack([num, den]), xs, p)
+    n_at, d_at = eval_many_mod(_stack([num, den]), xs, p)
     return bool((d_at != 0).all() and (n_at == d_at * ys % p).all())
 
 

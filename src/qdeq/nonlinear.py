@@ -80,7 +80,7 @@ class QdeqPoly:
     from_operator emit pairs and leave the normal form to it.
     """
 
-    __slots__ = ("monomials",)
+    __slots__ = ("monomials", "_partials")
 
     def __init__(self, monomials):
         store = {}
@@ -93,6 +93,7 @@ class QdeqPoly:
             prev = store.get(key)
             store[key] = c if prev is None else prev + c
         self.monomials = {k: c for k, c in store.items() if not c.is_zero()}
+        self._partials = None  # partial_rows builds them on first use
 
     @property
     def window(self):
@@ -354,9 +355,11 @@ def partial(F, i):
 
 def partial_rows(F, ev, width):
     """{i: (dF/dw_i)(phi)} at orders 0..width-1 through one evaluator, for
-    each i whose partial is not structurally zero (w_i occurs in F)."""
-    return {i: ev.eval(partial(F, i), 0, width)
-            for i in sorted(F.used_indices())}
+    each i whose partial is not structurally zero (w_i occurs in F).
+    F is immutable, so its partials are built once and kept on it."""
+    if F._partials is None:
+        F._partials = {i: partial(F, i) for i in sorted(F.used_indices())}
+    return {i: ev.eval(dF, 0, width) for i, dF in F._partials.items()}
 
 
 def linearize(F, phi):

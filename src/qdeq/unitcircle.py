@@ -15,13 +15,13 @@ All arithmetic in this module is floating complex on purpose: the
 condition is metric, and the exact q-side machinery has nothing to say
 about it.  Root finding goes through numpy's companion-matrix solver;
 only the residual of each returned root is trusted, not the method.
+numpy is imported by the functions that run it, so exact work never
+loads it.
 """
 
 import cmath
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from . import _intpoly as K
 from .errors import DegenerateAfterEvaluation, RootOfUnityDetected
@@ -94,6 +94,7 @@ def roots_of(poly, q_numeric):
             f"the polynomial degenerates there")
     if len(cs) == 1:
         return []
+    import numpy as np
     raw = np.roots(np.array(cs[::-1], dtype=complex))
 
     clusters = []
@@ -121,6 +122,7 @@ def _dist(zs, u):
     np.abs on a complex array may take a SIMD path that differs in the
     last bit.
     """
+    import numpy as np
     w = zs - u
     return np.hypot(w.real, w.imag)
 
@@ -199,6 +201,7 @@ class DiophantineScan:
 def _records(q, roots, live, N, tol):
     """Per root index, the (n, d, n*d) rows where d = |q^n - u| attains
     a new strict minimum; only live roots get rows, and a hit ends them."""
+    import numpy as np
     records = {i: [] for i in range(len(roots))}
     z = 1.0 + 0j
     for n0 in range(1, N + 1, SCAN_CHUNK):

@@ -161,11 +161,11 @@ def test_interpolation_on_pool_prefixes(seed, p, npool, data):
     ys = rng.integers(0, p, size=m, dtype=np.int64)
     got = P._newton_interp(ys, w, p)
     assert len(got) <= m and (len(got) == 0 or got[-1] != 0)
-    assert (K.eval_many_mod(got, xs, p) == ys).all()
+    assert (P.eval_many_mod(got, xs, p) == ys).all()
     planted = rng.integers(0, p, size=data.draw(st.integers(1, m)),
                            dtype=np.int64)
     planted[-1] = rng.integers(1, p)
-    assert (P._newton_interp(K.eval_many_mod(planted, xs, p), w, p)
+    assert (P._newton_interp(P.eval_many_mod(planted, xs, p), w, p)
             == planted).all()
     if m < len(pool):
         assert P._node_poly(m, w, p).tolist() == _ref_node(xs, p)
@@ -190,13 +190,13 @@ def test_stacked_eval_matches_rowwise(seed, k, width, m, p, full):
     else:
         stack = rng.integers(0, p, size=(k, width), dtype=np.int64)
         xs = rng.integers(0, p, size=m, dtype=np.int64)
-    got = K.eval_many_mod(stack, xs, p)
+    got = P.eval_many_mod(stack, xs, p)
     assert got.shape == (k, m)
     for row, values in zip(stack, got):
         coeffs = row.tolist()
         assert values.tolist() == [K.eval_mod(coeffs, int(x), p) for x in xs]
         # one polynomial, as a list of Python ints, reads the same
-        assert (K.eval_many_mod(coeffs, xs, p) == values).all()
+        assert (P.eval_many_mod(coeffs, xs, p) == values).all()
 
 
 def test_lazy_terms_bound():
@@ -232,10 +232,10 @@ def test_newton_interp_matches_eval():
     poly = rng.integers(0, MP, size=9, dtype=np.int64)
     pool, w = _draw_pool(MP, 20, rng)
     xs = pool[:15]
-    ys = K.eval_many_mod(poly, xs, MP)
+    ys = P.eval_many_mod(poly, xs, MP)
     got = P._newton_interp(ys, w, MP)
     assert len(got) <= 15
-    assert (K.eval_many_mod(got, xs, MP) == ys).all()
+    assert (P.eval_many_mod(got, xs, MP) == ys).all()
     # degree-8 data through 15 points comes back exactly
     assert list(got) == list(poly)
 
@@ -245,8 +245,8 @@ def test_rat_interp_recovers_planted():
     den = np.array([5, 1], dtype=np.int64)  # monic
     pool, w = _draw_pool(MP, 24, np.random.default_rng(3))
     xs = pool[:23]
-    ys = (K.eval_many_mod(num, xs, MP)
-          * P._batch_inv(K.eval_many_mod(den, xs, MP), MP) % MP)
+    ys = (P.eval_many_mod(num, xs, MP)
+          * P._batch_inv(P.eval_many_mod(den, xs, MP), MP) % MP)
     got = P._rat_interp(ys, MP, w, P._node_poly(23, w, MP))
     assert got is not None
     assert list(got[0]) == [1, 0, 3] and list(got[1]) == [5, 1]
@@ -369,14 +369,14 @@ def _interp_data(seed, p, dn, dd, extra, mode, tight=False):
         pool, w = _some_pool(p, n + 1, rng)
         xs = pool[:n]
     den = np.zeros(step * dd + 1, dtype=np.int64)
-    while not K.eval_many_mod(den, xs, p).all():
+    while not P.eval_many_mod(den, xs, p).all():
         den[::step] = rng.integers(0, p, size=dd + 1)
         den[-1] = 1
     if mode == "few":
         ys = rng.integers(0, 3, size=len(xs), dtype=np.int64)
     else:
-        ys = (K.eval_many_mod(num, xs, p)
-              * P._batch_inv(K.eval_many_mod(den, xs, p), p) % p)
+        ys = (P.eval_many_mod(num, xs, p)
+              * P._batch_inv(P.eval_many_mod(den, xs, p), p) % p)
     # the closed-form node poly needs (r;r)_n != 0, so n below the order
     # of r, and the ratio of a whole negation-closed pool has order n
     node = (_ref_node(xs, p) if mode == "even"
@@ -400,8 +400,8 @@ def test_rat_interp_matches_textbook_euclid(seed, p, dn, dd, extra, mode):
     assert got == want
     if got is not None:
         num, den = got
-        assert (K.eval_many_mod(num, xs, p)
-                == K.eval_many_mod(den, xs, p) * ys % p).all()
+        assert (P.eval_many_mod(num, xs, p)
+                == P.eval_many_mod(den, xs, p) * ys % p).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -421,8 +421,8 @@ def test_rat_interp_fits_unbalanced_degrees(seed, p, big, small, extra,
     # points is the planted one
     num, den = got
     assert (len(num), len(den)) == (dn + 1, dd + 1)
-    assert (K.eval_many_mod(num, xs, p)
-            == K.eval_many_mod(den, xs, p) * ys % p).all()
+    assert (P.eval_many_mod(num, xs, p)
+            == P.eval_many_mod(den, xs, p) * ys % p).all()
 
 
 def test_rat_interp_takes_quotients_of_degree_two():
@@ -450,13 +450,13 @@ def _ref_gcd(u, v, p):
 
 
 def _gcd_mod(a, b, p):
-    """K.euclid_mod run on one row each down to a zero remainder, made
+    """P.euclid_mod run on one row each down to a zero remainder, made
     monic; a, b nonzero ascending lists with entries in [0, p)."""
     if len(a) < len(b):
         a, b = b, a
     prev, cur = np.zeros((2, 1, len(a)), dtype=np.int64)
     prev[0], cur[0, : len(b)] = a, b
-    r, _, d, dc = K.euclid_mod(prev, cur, len(a) - 1, len(b) - 1, p)
+    r, _, d, dc = P.euclid_mod(prev, cur, len(a) - 1, len(b) - 1, p)
     assert dc == -1
     return (r[0, : d + 1] * pow(r.item(0, d), p - 2, p) % p).tolist()
 
@@ -1232,3 +1232,22 @@ def _outcome(F, seed, N, engine):
 def test_exact_and_probe_solves_agree(problem):
     F, seed, N = problem
     assert _outcome(F, seed, N, "exact") == _outcome(F, seed, N, "probe")
+
+
+@settings(max_examples=30, **COMMON)
+@given(seeded_equations(), st.data())
+def test_probe_check_agrees_with_the_exact_check(problem, data):
+    # on the exact answer and on a copy with one coefficient perturbed,
+    # which moves V off phi.trunc; _probes.check is called itself, so an
+    # EngineError fails the test instead of rerunning exact
+    F, seed, N = problem
+    try:
+        coeffs = list(extend(F, seed, N, engine="exact").solution.coeffs)
+    except QdeqError:
+        coeffs = [RatQ.from_value(c) for c in seed]  # the seed clears 0..k
+    bad = list(coeffs)
+    i = data.draw(st.integers(0, len(bad) - 1))
+    bad[i] = bad[i] + data.draw(ratq_nonzero)
+    for cs in (coeffs, bad):
+        want = check_solution(F, TruncSeries(cs), mode="exact")
+        assert P.check(F, TruncSeries(cs)) == want
