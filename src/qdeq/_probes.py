@@ -6,7 +6,9 @@ supplies ProbeDomain, whose values are numpy vectors of evaluations at
 random points q = x_j modulo a prime p = 1 (mod 2^12) below 2^29
 (_intpoly.primes_29), so one step costs a handful of vectorized
 convolutions instead of exact Q(q) arithmetic; the verification and
-check (on _intpoly.check_primes) run the engine in fresh domains.  Below
+check (on _intpoly.check_primes) run the engine in fresh domains.  The
+points at p come from a generator seeded by p, and no prime serves two
+domains of one solve.  Below
 2^29, 32 products of residues fit in an int64 (_intpoly.lazy_terms), so
 a Cauchy order of series_mul through m = 31 reduces once, and a Horner
 pass reduces once per 31 coefficients.
@@ -49,16 +51,13 @@ Complexity 21, 2005): two convolutions (_conv_mod) of per-run weights
 (_dd_inverses), and a node poly that is a Cauchy q-binomial sum.  The
 Euclid steps run on euclid_mod, which _intpoly's modular gcd runs too,
 stopped at the first degree gap (_rat_interp), so a fit of num/den
-takes deg num + deg den + 2 points.  The CRT lift uses
-_intpoly.crt_join, as the modular gcd does.
+takes deg num + deg den + 2 points.  The CRT lift (_lift_poly) uses
+_intpoly.crt_join and returns integers over one denominator.
 """
 
-import hashlib
-import json
 from collections import namedtuple
 from contextlib import suppress
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -419,7 +418,7 @@ def _check_fit(num, den, xs, ys, p):
 
 
 def _wang(c, M):
-    """Fraction p/r with p/r = c mod M, |p|, r <= sqrt(M/2); None if absent."""
+    """Coprime (p, r > 0) with p/r = c mod M, |p|, r <= sqrt(M/2); or None."""
     bound = isqrt(M // 2)
     r0, r1 = M, c % M
     t0, t1 = 0, 1
@@ -433,43 +432,32 @@ def _wang(c, M):
     den = abs(t1)
     if gcd(num, den) != 1:  # gcd(0, 1) == 1 keeps the zero case
         return None
-    return Fraction(num, den)
+    return num, den
 
 
 def _lift_poly(per_prime, primes):
-    """CRT + rational reconstruction of one ascending coefficient list."""
+    """CRT + rational reconstruction of one ascending coefficient list,
+    as one QPoly over the lcm of the denominators."""
     residues = per_prime[0].tolist()
     modulus = primes[0]
     for arr, p in zip(per_prime[1:], primes[1:]):
         residues = K.crt_join(residues, modulus, arr.tolist(), p)
         modulus *= p
-    out = []
-    for i, residue in enumerate(residues):
-        frac = _wang(residue, modulus)
-        if frac is None:
-            raise _NeedPrimes(f"coefficient {i} exceeds the lifting bound")
-        out.append(frac)
-    return out
+    pairs = [_wang(c, modulus) for c in residues]
+    if None in pairs:
+        raise _NeedPrimes(f"coefficient {pairs.index(None)} cannot lift")
+    den = lcm(*(d for _, d in pairs))
+    return QPoly([n * (den // d) for n, d in pairs], den)
 
 
 # ---------------------------------------------------------------------------
 # runs
 
 
-def _fingerprint(F, seed, N, prime, nlanes):
-    blob = json.dumps([F.to_json(), [c.to_text() for c in seed], N,
-                       prime, nlanes], sort_keys=True)
-    return int.from_bytes(hashlib.sha256(blob.encode()).digest()[:8], "big")
-
-
 def _lane_points(prime, nlanes, rng):
-    """nlanes distinct uniform points in [2, p - 2]."""
-    pts = np.unique(rng.integers(2, prime - 1, size=2 * nlanes + 16,
-                                 dtype=np.int64))
-    rng.shuffle(pts)
-    if len(pts) < nlanes:
-        raise EngineError("could not sample enough distinct lane points")
-    return pts[:nlanes]
+    """nlanes uniform points in [2, p - 2], drawn by rng without
+    replacement: distinct by construction, for any nlanes <= p - 3."""
+    return rng.choice(prime - 3, nlanes, replace=False) + 2
 
 
 def _progression(prime, g, r, npool):
@@ -509,11 +497,12 @@ def _event_sig(events):
 
 def _start_run(F, seed, N, prime, nlanes, run=None):
     """A run of the solve loop at prime over a pool of nlanes lanes
-    x_i = g r^i.  Given run, its pool grows in place to nlanes lanes
-    instead: its progression continues, the loop runs on the new points
-    alone and must give run's events, and their columns join the pool, so
-    every pool prefix and cached fit stays.  _Pole where the points are
-    unusable (+-1 or a repeat) or meet a pole; run stays as it was."""
+    x_i = g r^i, g and r drawn from a generator seeded by the prime.
+    Given run, its pool grows in place to nlanes lanes instead: its
+    progression continues, the loop runs on the new points alone and must
+    give run's events, and their columns join the pool, so every pool
+    prefix and cached fit stays.  _Pole where the points are unusable
+    (+-1 or a repeat) or meet a pole; run stays as it was."""
     from .solver import _extend_core
     if run is not None:
         old = run.dom.n
@@ -525,8 +514,7 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
                       for c, new in zip(run.coeffs, coeffs)]
         run.dom, run.w = ProbeDomain(prime, xs), w
         return run
-    rng = np.random.default_rng(_fingerprint(F, seed, N, prime, nlanes))
-    g, r = rng.integers(2, prime - 1, size=2).tolist()
+    g, r = np.random.default_rng(prime).integers(2, prime - 1, 2).tolist()
     pool, w = _progression(prime, g, r, nlanes)
     dom = ProbeDomain(prime, pool)
     coeffs, events, _ = _extend_core(F, seed, N, dom)
@@ -535,10 +523,10 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
 
 def _reconstruct_coeff(runs, h, guess, G):
     """(value, need) for coefficient h from the runs' lane data: the lift
-    of the pairs fitted to c_h * G, as an exact RatQ, and len(num) +
-    len(den) of the pair.  Fit guess points per prime, then the whole pool
-    if fewer than two primes fit, and raise _NeedLanes if they still do
-    not; the next 16 points hold each fit out.  c_h * G at a run's lanes
+    num/den of the pairs fitted to c_h * G, as the exact RatQ num/(den G),
+    and len(num) + len(den).  Fit guess points per prime, then the whole
+    pool if fewer than two primes fit, and raise _NeedLanes if they still
+    do not; the next 16 points hold each fit out.  c_h * G at a run's lanes
     is formed once per call, and only for a run that fits.  The lift is
     not evaluated here: _verify_fresh tests it on a prime of its own."""
     cap = min(run.dom.n for run in runs) - 16
@@ -572,8 +560,7 @@ def _reconstruct_coeff(runs, h, guess, G):
     primes = [runs[i].prime for i in group]
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
-    value = RatQ(QPoly.from_fractions(num), QPoly.from_fractions(den) * G)
-    return value, len(num) + len(den)
+    return RatQ(num, den * G), sum(shape)
 
 
 def solve(F, seed, N):
@@ -655,11 +642,11 @@ def _solve_at(F, seed, N, nlanes):
     return exact, events
 
 
-def _fresh(F, coeffs, width, salt, nlanes, prime):
+def _fresh(F, coeffs, width, nlanes, prime):
     """(ev, orders 0..width-1 of F along coeffs) for an evaluator ev of
-    coeffs over nlanes uniform lanes at prime, drawn from prime ^ salt;
-    _Pole where a value has a pole at a lane."""
-    rng = np.random.default_rng(prime ^ salt)
+    coeffs over nlanes uniform lanes at prime, drawn from a generator
+    seeded by the prime; _Pole where a value has a pole at a lane."""
+    rng = np.random.default_rng(prime)
     dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
     ev = Evaluator(_from_ratqs(dom, coeffs), dom)
     return ev, ev.eval(F, 0, width)
@@ -680,7 +667,7 @@ def _verify_fresh(F, ev, coeffs, lo, hi, primes):
             res = ev.eval(F, lo, hi + 1)
     if res is None:
         ev, res = _serving(primes, lambda p: _fresh(
-            F, coeffs, hi + 1, 0x9E3779B97F4A7C15, _VERIFY_LANES, p))
+            F, coeffs, hi + 1, _VERIFY_LANES, p))
     m = next((m for m, v in enumerate(res) if v.any()), hi + 1)
     if m < lo:
         raise EngineError(f"reconstructed solution fails at order {m}")
@@ -697,8 +684,7 @@ def check(F, phi):
     primes = K.check_primes()
     for _ in range(_CHECK_PRIMES):
         _, res = _serving(primes, lambda p: _fresh(
-            F, phi.coeffs, len(phi.coeffs), 0xD1B54A32D192ED03,
-            _CHECK_LANES, p))
+            F, phi.coeffs, len(phi.coeffs), _CHECK_LANES, p))
         best = min(best, next((m for m, v in enumerate(res) if v.any()),
                               len(res)) - 1)
     return best

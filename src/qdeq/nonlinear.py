@@ -53,6 +53,8 @@ set.  partial_rows computes those partials' values; the solver reads
 the lowest row of the linearization from it in its own domain.
 """
 
+from operator import index
+
 from .errors import IndexOutOfWindow, NegativeXPower
 from .ratfunc import RatQ, _mul_unreduced, is_compound, power, ratq_sum
 from .series import TruncSeries
@@ -62,7 +64,7 @@ from .skewop import SkewOp
 def _canon_exps(exps):
     out = {}
     for i, k in exps:
-        i, k = int(i), int(k)
+        i, k = index(i), index(k)
         if k < 0:
             raise ValueError("shift exponents must be nonnegative")
         if k:
@@ -86,7 +88,7 @@ class QdeqPoly:
         store = {}
         pairs = monomials.items() if isinstance(monomials, dict) else monomials
         for (e, exps), c in pairs:
-            e = int(e)
+            e = index(e)
             if e < 0:
                 raise NegativeXPower("monomials cannot carry negative x-powers")
             key, c = (e, _canon_exps(exps)), RatQ.from_value(c)

@@ -40,6 +40,7 @@ coefficient) pairs.  power is the one square and multiply.
 
 import math
 from fractions import Fraction
+from operator import index
 
 from . import _intpoly as K
 from .errors import DivisionByZero
@@ -161,9 +162,9 @@ class QPoly:
     __slots__ = ("ints", "den")
 
     def __init__(self, ints=(), den=1):
-        ints = [int(c) for c in ints]
+        ints = list(map(index, ints))  # exact integers only
         K.trim(ints)
-        den = int(den)
+        den = index(den)
         if den == 0:
             raise DivisionByZero("QPoly denominator is zero")
         if not ints:
@@ -189,12 +190,6 @@ class QPoly:
         if isinstance(v, Fraction):
             return cls((v.numerator,), v.denominator)
         raise TypeError(f"cannot make a QPoly from {type(v).__name__}")
-
-    @classmethod
-    def from_fractions(cls, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        return cls([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def is_zero(self):
         return not self.ints
@@ -552,7 +547,7 @@ class QLaurent(RatQ):
     __slots__ = ()
 
     def __init__(self, body, shift=0):
-        r = RatQ.from_value(body).shift_q(shift)
+        r = RatQ.from_value(body).shift_q(index(shift))
         if not r.d.is_one():
             raise ValueError("a QLaurent has denominator 1")
         self.v, self.n, self.d = r.v, r.n, r.d

@@ -20,6 +20,8 @@ however large e is, and no operation on it spans the exponents between
 its terms.  _mul_coeffs, the dense product, serves TruncSeries alone.
 """
 
+from operator import index
+
 from .ratfunc import POS_INF, RatQ, fmt_coeff_poly
 
 
@@ -159,7 +161,7 @@ class XPoly:
         add, and zeros drop."""
         merged = {}
         for e, c in terms.items() if isinstance(terms, dict) else terms:
-            e, c = int(e), RatQ.from_value(c)
+            e, c = index(e), RatQ.from_value(c)
             if e < 0:
                 raise ValueError(f"negative exponent of {self.var}: {e}")
             prev = merged.get(e)
@@ -210,6 +212,9 @@ class XPoly:
     def sigma(self, i):
         """a(x) -> a(q^i x)."""
         return XPoly({e: c.shift_q(i * e) for e, c in self.terms.items()})
+
+    def to_json(self):
+        return {str(e): c.to_text() for e, c in self.terms.items()}
 
     def to_text(self):
         return fmt_coeff_poly(self.terms.items(), self.var)

@@ -23,8 +23,8 @@ added back at their lowest possible orders.
 ResonancePoly, the polynomial L(T) over Q(q) read off the lowest vertex
 of the Newton polygon, is an XPoly in T: the same sparse terms and the
 same printer.  An exact operator's lowest row is its x^l terms, l the
-least ord_x, so no reader of an exact coefficient spans the exponents
-between its terms; only to_json writes them out densely.  lowest_row
+least ord_x, so no reader of an exact coefficient, to_json included,
+spans the exponents between its terms.  lowest_row
 finds the row in any coefficient domain: resonance_poly reads it from a
 series operator, and the solver from the linearization's values in its
 own domain, so both share one row and one certification rule
@@ -32,6 +32,7 @@ own domain, so both share one row and one certification rule
 """
 
 from fractions import Fraction
+from operator import index
 
 from .errors import EmptyOperator, UncertainOrder
 from .ratfunc import RatQ, is_compound, ratq_sum
@@ -53,7 +54,7 @@ class SkewOp:
                 raise TypeError(
                     f"operator coefficient must be XPoly or TruncSeries, "
                     f"not {type(a).__name__}")
-            i = int(i)
+            i = index(i)
             prev = merged.get(i)
             merged[i] = a if prev is None else prev + a
         self.terms = {i: a for i, a in merged.items()
@@ -111,13 +112,9 @@ class SkewOp:
         return " + ".join(parts)
 
     def to_json(self):
-        if self.flavor == "exact":
-            terms = {str(i): [a.coeff(e).to_text()
-                              for e in range(max(a.terms) + 1)]
-                     for i, a in sorted(self.terms.items())}
-        else:
-            terms = {str(i): a.to_json() for i, a in sorted(self.terms.items())}
-        return {"flavor": self.flavor, "terms": terms}
+        return {"flavor": self.flavor,
+                "terms": {str(i): a.to_json()
+                          for i, a in sorted(self.terms.items())}}
 
     def __repr__(self):
         return f"SkewOp({self.to_text()})"

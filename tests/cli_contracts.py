@@ -191,7 +191,7 @@ CONTRACTS = [
     C("test_parse_json", ("parse", "x*S[1] - 1", "--format", "json"), 0,
       printed(json.dumps({"text": "x*S[1] - 1", "kind": "linear_operator",
                           "parsed": {"flavor": "exact", "terms": {
-                              "0": ["-1"], "1": ["0", "1"]}}}))),
+                              "0": {"0": "-1"}, "1": {"1": "1"}}}}))),
     # the window is read from the indices the terms use: y[2] cancels
     C("test_parse_json_window_drops_a_cancelled_index",
       ("parse", "y[2] - y[2] + y[0] - 1", "--format", "json"), 0,
@@ -238,6 +238,12 @@ CONTRACTS = [
       printed("nonlinear: (-1) + x^100000000*y[0]"), seconds=10),
     C("test_a_huge_x_power_is_one_term[parse-operator]", ("parse", XOP), 0,
       printed("linear_operator: x^100000000*S[0] + (-1)*S[1]"), seconds=10),
+    C("test_a_huge_x_power_is_one_term[parse-operator-json]",
+      ("parse", XOP, "--format", "json"), 0,
+      printed(json.dumps({"text": XOP, "kind": "linear_operator",
+                          "parsed": {"flavor": "exact", "terms": {
+                              "0": {"100000000": "1"}, "1": {"0": "-1"}}}})),
+      seconds=10),
     C("test_a_huge_x_power_is_one_term[polygon]", ("polygon", XOP), 0,
       printed("vertices: (0, 100000000), (1, 0); sides: slope -100000000"
               " (length 1)"), seconds=10),

@@ -508,9 +508,29 @@ def test_wang_lift():
     for frac in (Fraction(-3, 7), Fraction(22, 1), Fraction(0),
                  Fraction(10**6, 10**6 + 1)):
         c = frac.numerator * pow(frac.denominator, -1, M) % M
-        assert P._wang(c, M) == frac
+        assert P._wang(c, M) == (frac.numerator, frac.denominator)
     # a numerator past the bound cannot lift
     assert P._wang(Fraction(2**40, 3).numerator * pow(3, -1, M) % M, M) is None
+
+
+def test_lift_poly_is_one_qpoly_over_the_lcm():
+    # -3/7 + 22 q + q^2 / 6 from two primes: integers over 42, in lowest
+    # terms; an empty list lifts to zero
+    primes = list(islice(K.primes_29(), 2))
+    want = QPoly([-18, 924, 7], 42)
+    per_prime = [np.array([-18 * pow(42, -1, p) % p, 22, pow(6, -1, p)])
+                 for p in primes]
+    got = P._lift_poly(per_prime, primes)
+    assert (got.ints, got.den) == (want.ints, want.den)
+    empty = [np.zeros(0, dtype=np.int64)] * 2
+    assert P._lift_poly(empty, primes).is_zero()
+
+
+def test_lane_points_take_the_whole_range():
+    # 94 of the 94 points in [2, 95] mod 97: distinct by construction
+    for seed in range(20):
+        pts = P._lane_points(97, 94, np.random.default_rng(seed))
+        assert sorted(pts.tolist()) == list(range(2, 96))
 
 
 def test_probe_domain_roundtrip():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qdeq import _intpoly as K
 from qdeq.errors import DivisionByZero
+from qdeq.nonlinear import QdeqPoly
 from qdeq.ratfunc import (
     NEG_INF,
     POS_INF,
@@ -25,6 +26,8 @@ from qdeq.ratfunc import (
     pochhammer,
     ratq_sum,
 )
+from qdeq.series import XPoly
+from qdeq.skewop import SkewOp
 from test_properties import _dense_add, _layout
 
 
@@ -513,11 +516,31 @@ def test_qpoly_canonical_form():
         QPoly((1,), 0)
 
 
-def test_qpoly_from_fractions():
-    p = QPoly.from_fractions([Fraction(1, 2), Fraction(1, 3)])
-    assert p.ints == (3, 2) and p.den == 6
-    assert p.coeffs == (Fraction(1, 2), Fraction(1, 3))
-    assert QPoly.from_fractions([]).is_zero()
+@pytest.mark.parametrize("make", [
+    lambda: QPoly([Fraction(1, 2), 3]),
+    lambda: QPoly([0.9]),
+    lambda: QPoly([1], Fraction(1, 2)),
+    lambda: XPoly({2.5: 1}),
+    lambda: QdeqPoly({(1.9, ((0, 1),)): 1}),
+    lambda: SkewOp({1.5: XPoly({0: 1})}),
+], ids=["qpoly-coeff", "qpoly-float", "qpoly-den", "xpoly-exponent",
+        "qdeqpoly-x-exponent", "skewop-index"])
+def test_constructors_take_exact_integers_only(make):
+    # exponents, indices, coefficients and denominators are exact
+    # integers: a float or a Fraction raises rather than truncates
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_constructors_take_numpy_ints_and_bools():
+    import numpy as np
+    assert QPoly([np.int64(3), True], np.int64(2)) == QPoly([3, 1], 2)
+    assert XPoly({np.int64(2): 1}) == XPoly({2: 1})
+    assert SkewOp({np.int32(1): XPoly({True: 1})}) == SkewOp(
+        {1: XPoly({1: 1})})
+    assert QdeqPoly({(np.int64(1), ((np.int8(0), True),)): 1}) == QdeqPoly(
+        {(1, ((0, 1),)): 1})
+    assert QLaurent(1, np.int64(2)) == QLaurent(1, 2)
 
 
 def test_qpoly_arith():
