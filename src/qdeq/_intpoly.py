@@ -3,11 +3,12 @@
 Polynomials are plain Python lists of ints, lowest degree first, with no
 trailing zeros; [] is the zero polynomial.  This module is the speed
 floor of the package.  Its large operations are CPython big-int
-arithmetic behind one pack/unpack pair (evaluate at xi = 2**k, read an
-integer back as balanced base-xi digits): mul by Kronecker substitution,
-divexact by one big divmod, gcd by the evaluation gcd GCDHEU, each answer
-proved exact.  Small or sparse products (such as by 1 - q^e) run
-schoolbook over the nonzero terms, nnz(a)*nnz(b) steps, and small
+arithmetic behind _pack/_unpack, which split a list in halves down to
+_LEAF coefficients (evaluate at xi = 2**k, read an integer back as
+balanced base-xi digits): mul by Kronecker substitution, divexact by
+one big divmod, gcd by the evaluation gcd GCDHEU, each answer proved
+exact.  Products with few nonzero pairs or a factor of up to 3 terms
+(such as 1 - q^e) run schoolbook, nnz(a)*nnz(b) steps, and small
 quotients the low-end division loop; div_binomial divides by 1 - x^m
 in running sums.  gcd returns its cofactors with it, (g, a/g, b/g); if
 three points fail it runs a modular gcd over primes_31 on
@@ -27,6 +28,8 @@ types on top.  Functions mutate nothing they receive except where noted.
 
 import math
 from itertools import accumulate
+
+_LEAF = 32  # _pack and _unpack split a longer list in halves
 
 
 def trim(a):
@@ -56,7 +59,7 @@ def add(a, b):
 def scal(a, k):
     if k == 0:
         return []
-    return [c * k for c in a]
+    return list(a) if k == 1 else [c * k for c in a]
 
 
 def shift(a, k):
@@ -78,25 +81,40 @@ def _school_mul(a, b):
 
 
 def _pack(a, nbytes):
-    """Signed coefficients -> sum(a_i * 2**(8*nbytes*i))."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in a)
-    val = int.from_bytes(pos, "little")
-    if any(c < 0 for c in a):
-        negb = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in a)
-        val -= int.from_bytes(negb, "little")
-    return val
+    """Signed coefficients -> sum(a_i * 2**(8*nbytes*i)): up to _LEAF by
+    Horner shift-and-add, a longer list as its two halves."""
+    k = 8 * nbytes
+    if len(a) <= _LEAF:
+        v = 0
+        for c in reversed(a):
+            v = (v << k) + c
+        return v
+    h = len(a) // 2
+    return _pack(a[:h], nbytes) + (_pack(a[h:], nbytes) << (k * h))
+
+
+def _digits(u, k, n, half, out):
+    """Append the n base-2**k digits of u, 0 <= u < 2**(k*n), less half
+    each, to out: up to _LEAF by mask and shift, more as two halves."""
+    if n > _LEAF:
+        h = n // 2
+        _digits(u & ((1 << (k * h)) - 1), k, h, half, out)
+        return _digits(u >> (k * h), k, n - h, half, out)
+    mask = (1 << k) - 1
+    for _ in range(n):
+        out.append((u & mask) - half)
+        u >>= k
 
 
 def _unpack(v, nbytes):
     """The balanced base-2**(8*nbytes) digits of v, lowest first, trimmed,
     each in [-2**(8*nbytes-1), 2**(8*nbytes-1)): _pack's inverse there."""
-    half = 1 << (8 * nbytes - 1)
-    n = (v.bit_length() + 1) // (8 * nbytes) + 1
-    # adding half to every digit maps them to [0, 2**(8*nbytes)) with no carries
-    v += int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
-    raw = v.to_bytes(nbytes * n, "little")
-    return trim([int.from_bytes(raw[i:i + nbytes], "little") - half
-                 for i in range(0, nbytes * n, nbytes)])
+    k = 8 * nbytes
+    n, half = (v.bit_length() + 1) // k + 1, 1 << (k - 1)
+    # adding half to every digit maps them to [0, 2**k) with no carries
+    out = []
+    _digits(v + half * ((1 << (k * n)) - 1) // ((1 << k) - 1), k, n, half, out)
+    return trim(out)
 
 
 def _kron_mul(a, b):
@@ -126,13 +144,14 @@ def mul(a, b):
     if len(a) == 1:
         return scal(b, a[0])
     la, lb = len(a), len(b)
-    if la * lb <= 4096:
-        return trim(_school_mul(a, b))
-    nza = sum(1 for c in a if c)
-    nzb = sum(1 for c in b if c)
-    if nza * nzb * 16 <= la * lb:
-        return trim(_school_mul(a, b))
-    return trim(_kron_mul(a, b))
+    if la * lb > 256:
+        nza = sum(1 for c in a if c)
+        nzb = sum(1 for c in b if c)
+        # Kronecker once schoolbook's nza*nzb steps are over 256 and over
+        # a 16th of la*lb, unless a factor has 3 terms or fewer
+        if min(nza, nzb) > 3 and nza * nzb > max(256, la * lb >> 4):
+            return trim(_kron_mul(a, b))
+    return trim(_school_mul(a, b))
 
 
 def content(a):

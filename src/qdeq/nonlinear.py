@@ -311,7 +311,7 @@ class Evaluator:
         """F(phi) at orders lo..width-1 of a list of width orders; orders
         below lo are left zero."""
         dom = self.dom
-        terms = [[] for _ in range(width)]
+        terms = [[] for _ in range(lo, width)]
         for (e, exps), coeff in F.monomials.items():
             if e >= width:
                 continue
@@ -320,12 +320,12 @@ class Evaluator:
                 c = self._coeffs[coeff] = dom.from_ratq(coeff)
             if not exps:
                 if e >= lo:
-                    terms[e].append(c)
+                    terms[e - lo].append(c)
                 continue
             term = self._product(exps, width)
             for m in range(max(lo, e), width):
-                terms[m].append(dom.mul_term(term[m - e], c))
-        return [dom.sum(t) for t in terms]
+                terms[m - lo].append(dom.mul_term(term[m - e], c))
+        return [dom.zero()] * lo + [dom.sum(t) for t in terms]
 
 
 def _exact_evaluator(phi):

@@ -40,7 +40,7 @@ coefficient) pairs.  power is the one square and multiply.
 
 import math
 from fractions import Fraction
-from operator import index
+from operator import add, index
 
 from . import _intpoly as K
 from .errors import DivisionByZero
@@ -206,8 +206,8 @@ class QPoly:
             return NotImplemented
         other = QPoly.from_value(other)
         l = math.lcm(self.den, other.den)
-        a = K.scal(list(self.ints), l // self.den)
-        b = K.scal(list(other.ints), l // other.den)
+        a = K.scal(self.ints, l // self.den)
+        b = K.scal(other.ints, l // other.den)
         return QPoly(K.add(a, b), l)
 
     __radd__ = __add__
@@ -404,7 +404,7 @@ class RatQ:
         if self.is_zero():
             raise DivisionByZero("division by zero in Q(q)")
         c, n = K.unit_normal(self.n.ints)
-        return _ratq(-self.v, QPoly(K.scal(list(self.d.ints), self.n.den), c),
+        return _ratq(-self.v, QPoly(K.scal(self.d.ints, self.n.den), c),
                      _qpoly(n))
 
     def __truediv__(self, other):
@@ -474,8 +474,9 @@ _ZERO = RatQ(0)
 def _mul_unreduced(a, b):
     """a*b with no gcd, as a term for ratq_sum: n/d and n's scalar are
     left as the factors' products give them."""
-    return _ratq(a.v + b.v, _qpoly(K.mul(a.n.ints, b.n.ints), a.n.den * b.n.den),
-                 _qpoly(K.mul(a.d.ints, b.d.ints)))
+    d = (b.d if a.d.ints == (1,) else a.d if b.d.ints == (1,)
+         else _qpoly(K.mul(a.d.ints, b.d.ints)))
+    return _ratq(a.v + b.v, _qpoly(K.mul(a.n.ints, b.n.ints), a.n.den * b.n.den), d)
 
 
 def ratq_sum(terms):
@@ -512,8 +513,8 @@ def ratq_sum(terms):
         top = off + len(t.n.ints)
         if len(acc) < top:
             acc.extend([0] * (top - len(acc)))
-        for i, c in enumerate(t.n.ints, off):
-            acc[i] += c * s
+        ints = t.n.ints if s == 1 else K.scal(t.n.ints, s)
+        acc[off:top] = map(add, acc[off:top], ints)
     D, N = [1], []
     for d, a in sorted(groups.items(), key=lambda g: -len(g[0])):
         if not K.trim(a):

@@ -1,6 +1,7 @@
 """Nonlinear equation polynomials: evaluation, partials, linearization."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -287,3 +288,16 @@ def test_relaxed_evaluator_matches_fresh(F, seed, ops, domain):
         want_rows = partial_rows(F, fresh, width)
         assert rows.keys() == want_rows.keys()
         assert all(_same(rows[i], want_rows[i]) for i in rows)
+
+
+@pytest.mark.parametrize("lo", [0, 1, 3, 6, 7])
+def test_eval_sums_only_the_orders_it_computes(lo):
+    dom = ExactDomain()
+    ev = Evaluator(PHI_GENERIC.coeffs, dom)
+    width = PHI_GENERIC.trunc + 1
+    with mock.patch.object(dom, "sum", wraps=dom.sum) as summed:
+        got = ev.eval(qp2(), lo, width)
+    assert summed.call_count == width - lo
+    assert len(got) == width
+    assert all(v.is_zero() for v in got[:lo])
+    assert got[lo:] == list(eval_at(qp2(), PHI_GENERIC).coeffs[lo:])

@@ -156,13 +156,22 @@ def test_kernel_mul_dense_by_sparse(a, b, swap):
     assert K.mul(a, b) == want
 
 
+# 4 to 8 terms, each after a zero run of 20 to 80: a 16th dense or less
+spread_polys = st.lists(st.tuples(st.integers(20, 80), nonzero),
+                        min_size=4, max_size=8).map(
+    lambda runs: [x for gap, c in runs for x in [0] * gap + [c]])
+
 # operand pairs for each branch of K.mul, and the routine it should call
 MUL_BRANCHES = {
-    "school by size": (st.tuples(dense_polys(2, 64), dense_polys(2, 64)),
+    "school by size": (st.tuples(dense_polys(2, 16), dense_polys(2, 16)),
                        "_school_mul"),
-    "school by sparsity": (st.tuples(dense_polys(100, 200), binomials(100)),
+    "school by few terms": (st.tuples(dense_polys(90, 200),
+                                      st.one_of(binomials(1),
+                                                dense_polys(3, 3))),
+                            "_school_mul"),
+    "school by sparsity": (st.tuples(dense_polys(100, 200), spread_polys),
                            "_school_mul"),
-    "kronecker": (st.tuples(dense_polys(70, 150), dense_polys(70, 150)),
+    "kronecker": (st.tuples(dense_polys(17, 150), dense_polys(17, 150)),
                   "_kron_mul"),
 }
 
@@ -188,6 +197,58 @@ def test_kernel_mul_branches(branch):
 
 def test_kernel_kronecker_negative_coefficients():
     assert K._kron_mul([-5, 3], [7, -2]) == [-35, 31, -6]
+
+
+def _bytes_pack(a, nbytes):
+    """_pack's reference: the byte-string packing it replaced."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in a)
+    val = int.from_bytes(pos, "little")
+    if any(c < 0 for c in a):
+        negb = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little")
+                        for c in a)
+        val -= int.from_bytes(negb, "little")
+    return val
+
+
+def _bytes_unpack(v, nbytes):
+    """_unpack's reference: every digit offset by half the base, so the
+    digits are v's bytes read with no carries."""
+    half = 1 << (8 * nbytes - 1)
+    n = (v.bit_length() + 1) // (8 * nbytes) + 1
+    v += int.from_bytes(half.to_bytes(nbytes, "little") * n, "little")
+    raw = v.to_bytes(nbytes * n, "little")
+    return K.trim([int.from_bytes(raw[i:i + nbytes], "little") - half
+                   for i in range(0, nbytes * n, nbytes)])
+
+
+@st.composite
+def _pack_operands(draw):
+    """(a, nbytes): 0..5,000 coefficients of up to 80 bits, so lists
+    within one leaf and past several halvings, with a zero run of any
+    length, a negative lead half the time, and slots of up to 2 bytes
+    more than the coefficients need."""
+    n = draw(st.one_of(st.integers(0, 70), st.integers(0, 5000)))
+    bits = draw(st.sampled_from((1, 4, 31, 80)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    a = [rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+    start = draw(st.integers(0, n))
+    stop = draw(st.integers(start, n))
+    a[start:stop] = [0] * (stop - start)
+    if a and draw(st.booleans()):
+        a[-1] = -abs(a[-1]) or -1
+    return a, (bits + 9 >> 3) + draw(st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pack_operands(), st.integers(-3, 3))
+def test_kernel_pack_matches_bytes(ops, m):
+    a, nbytes = ops
+    v = K._pack(a, nbytes)
+    assert v == _bytes_pack(a, nbytes) == K._pack(tuple(a), nbytes)
+    assert K._unpack(v, nbytes) == K.trim(list(a))
+    # the digits of any integer, not only of a packed list
+    w = v * m + m
+    assert K._unpack(w, nbytes) == _bytes_unpack(w, nbytes)
 
 
 def test_kernel_divexact():
@@ -784,6 +845,23 @@ def test_ratq_sum_of_unreduced_products_matches_fold(pairs, cancel):
     want = _reduced_fold(pairs)
     assert _layout(got) == _layout(want)
     assert cancel != "all" or got.is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(factored_ratq(), factored_ratq(),
+       st.sampled_from(("a", "b", "both", "neither")))
+def test_mul_unreduced_with_unit_denominators(a, b, unit):
+    # dropping the denominator gives a factor with d = 1
+    if unit in ("a", "both"):
+        a = RatQ(a.num)
+    if unit in ("b", "both"):
+        b = RatQ(b.num)
+    t = _mul_unreduced(a, b)
+    assert _layout(ratq_sum([t])) == _layout(a * b)
+    if a.d.ints == (1,):
+        assert t.d is b.d  # a unit factor's partner keeps its denominator
+    elif b.d.ints == (1,):
+        assert t.d is a.d
 
 
 # ---------------------------------------------------------------------------
