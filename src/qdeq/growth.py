@@ -36,13 +36,14 @@ def _tri(h):
 
 
 def _finite(v):
-    return v is not NEG_INF and v is not POS_INF
+    # by value (-POS_INF is a new float); math.isfinite overflows on huge ints
+    return v != NEG_INF and v != POS_INF
 
 
 def _oriented(profile, side):
     """The profile as the deg side sees it: ord_q bounds from below what
     deg_q bounds from above, so the ord side is the deg side of -profile
-    (the sentinels swap, -POS_INF being NEG_INF)."""
+    (the infinities swap, -POS_INF equal to NEG_INF)."""
     if side not in _SIDES:
         raise ValueError(f"side must be 'deg' or 'ord', not {side!r}")
     return list(profile) if side == "deg" else [-v for v in profile]
@@ -52,8 +53,8 @@ def valuation_profile(y):
     """Per-coefficient valuations of a truncated series.
 
     Returns (deg_profile, ord_profile), both of length y.trunc + 1:
-    entry h is deg_q / ord_q of the h-th coefficient, with the NEG_INF /
-    POS_INF sentinel where the coefficient is zero.
+    entry h is deg_q / ord_q of the h-th coefficient, NEG_INF / POS_INF
+    (the float infinities, equal by value) where the coefficient is zero.
     """
     degs = [c.deg_q for c in y.coeffs]
     ords = [c.ord_q for c in y.coeffs]
@@ -107,7 +108,7 @@ def verify_bound(profile, order, slack, side):
     deg side:  profile[h] <= order*h(h-1)/2 + slack*h + slack;
     ord side:  profile[h] >= -(order*h(h-1)/2 + slack*h + slack).
 
-    Zero coefficients (sentinel entries) satisfy any bound vacuously.
+    Zero coefficients (infinite entries) satisfy any bound vacuously.
     Returns BoundVerdict(ok, witness) with the smallest violating h.
     """
     profile = _oriented(profile, side)
@@ -175,7 +176,7 @@ def _orders_from_slopes(slopes):
 class GrowthReport:
     """Measured growth of one series solution, with verdicts.
 
-    deg_profile / ord_profile    valuation sequences with sentinels;
+    deg_profile / ord_profile    valuation sequences, infinite at zeros;
     order_deg / order_ord        estimated orders (None when the data
                                  cannot support an estimate);
     slack_deg / slack_ord        fitted linear-slack constants for the

@@ -28,9 +28,9 @@ QLaurent is a RatQ with d = 1 that prints term by term ("q-1+q^-1");
 it adds no arithmetic of its own, and RatQ.from_value turns it back into
 a plain RatQ.
 
-The two valuations are the RatQ properties deg_q and ord_q, with values
-in Z extended by the NEG_INF / POS_INF sentinels defined here (never
-magic integers).
+The two valuations are the RatQ properties deg_q and ord_q: ints, and
+NEG_INF, POS_INF = -math.inf, math.inf at 0, which order against ints and
+negate into each other by value (-POS_INF is a new float: compare by ==).
 
 fmt_coeff_poly is the one printer for polynomials over Q(q) in another
 variable: truncated series and x-polynomials (series) and resonance
@@ -46,52 +46,7 @@ from . import _intpoly as K
 from .errors import DivisionByZero
 
 
-class _Inf:
-    """Signed infinity sentinel for valuations of the zero element."""
-
-    __slots__ = ("sign",)
-
-    def __init__(self, sign):
-        self.sign = sign
-
-    def __repr__(self):
-        return "POS_INF" if self.sign > 0 else "NEG_INF"
-
-    def __lt__(self, other):
-        if other is self:
-            return False
-        return self.sign < 0
-
-    def __gt__(self, other):
-        if other is self:
-            return False
-        return self.sign > 0
-
-    def __le__(self, other):
-        return self is other or self.sign < 0
-
-    def __ge__(self, other):
-        return self is other or self.sign > 0
-
-    def __neg__(self):
-        return NEG_INF if self.sign > 0 else POS_INF
-
-    def __add__(self, other):
-        if isinstance(other, _Inf) and other.sign != self.sign:
-            raise ArithmeticError("POS_INF + NEG_INF is undefined")
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other) if isinstance(other, _Inf) else self
-
-    def __rsub__(self, other):
-        return -self
-
-
-NEG_INF = _Inf(-1)
-POS_INF = _Inf(+1)
+NEG_INF, POS_INF = -math.inf, math.inf
 
 
 def _fmt_terms(pairs, var="q"):
@@ -197,10 +152,6 @@ class QPoly:
     def is_one(self):
         return self.ints == (1,) and self.den == 1
 
-    @property
-    def coeffs(self):
-        return tuple(Fraction(c, self.den) for c in self.ints)
-
     def __add__(self, other):
         if not isinstance(other, (int, Fraction, QPoly)):
             return NotImplemented
@@ -276,6 +227,14 @@ def _lowest_terms(n, d):
         _, n, d = K.gcd(n, d)
         return n, d
     return list(n), list(d)
+
+
+def _mul_ints(a, b):
+    """a*b of integer lists or tuples; a unit factor gives its partner
+    itself, where K.mul's scal(a, 1) would copy it."""
+    if len(a) == 1 == a[0]:
+        return b
+    return a if len(b) == 1 == b[0] else K.mul(a, b)
 
 
 def _ratq(v, n, d):
@@ -395,8 +354,8 @@ class RatQ:
         n1, d2 = _lowest_terms(self.n.ints, other.d.ints)
         n2, d1 = _lowest_terms(other.n.ints, self.d.ints)
         return _ratq(self.v + other.v,
-                     QPoly(K.mul(n1, n2), self.n.den * other.n.den),
-                     _qpoly(K.mul(d1, d2)))
+                     QPoly(_mul_ints(n1, n2), self.n.den * other.n.den),
+                     _qpoly(_mul_ints(d1, d2)))
 
     __rmul__ = __mul__
 
@@ -474,9 +433,9 @@ _ZERO = RatQ(0)
 def _mul_unreduced(a, b):
     """a*b with no gcd, as a term for ratq_sum: n/d and n's scalar are
     left as the factors' products give them."""
-    d = (b.d if a.d.ints == (1,) else a.d if b.d.ints == (1,)
-         else _qpoly(K.mul(a.d.ints, b.d.ints)))
-    return _ratq(a.v + b.v, _qpoly(K.mul(a.n.ints, b.n.ints), a.n.den * b.n.den), d)
+    return _ratq(a.v + b.v,
+                 _qpoly(_mul_ints(a.n.ints, b.n.ints), a.n.den * b.n.den),
+                 _qpoly(_mul_ints(a.d.ints, b.d.ints)))
 
 
 def ratq_sum(terms):

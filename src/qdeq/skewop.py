@@ -295,9 +295,11 @@ class ResonancePoly(XPoly):
         return ratq_sum([c.shift_q(j * h) for j, c in self.terms.items()])
 
     def coeffs_at(self, qv):
-        """Numeric coefficient list at q = qv, ascending in T."""
-        return [self.coeff(j).eval(qv)
-                for j in range(max(self.terms, default=-1) + 1)]
+        """Numeric coefficient list at q = qv, ascending in T; only the
+        stored terms are evaluated."""
+        zero = RatQ(0).eval(qv)  # an absent power's value
+        vals = {j: c.eval(qv) for j, c in self.terms.items()}
+        return [vals.get(j, zero) for j in range(max(vals, default=-1) + 1)]
 
 
 def resonance_poly(op):

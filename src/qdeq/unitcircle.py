@@ -13,10 +13,10 @@ reports the constants it survived, or the place where it broke.
 
 All arithmetic in this module is floating complex on purpose: the
 condition is metric, and the exact q-side machinery has nothing to say
-about it.  Root finding goes through numpy's companion-matrix solver;
-only the residual of each returned root is trusted, not the method.
-numpy is imported by the functions that run it, so exact work never
-loads it.
+about it.  Root finding takes the eigenvalues of np.roots's companion
+matrix; only the residual of each returned root is trusted, not the
+method.  numpy is imported by the functions that run it, so exact work
+never loads it.
 """
 
 import cmath
@@ -75,27 +75,35 @@ def roots_of(poly, q_numeric):
     """
     if isinstance(poly, ResonancePoly):
         try:
-            cs = poly.coeffs_at(q_numeric)
+            terms = {j: c.eval(q_numeric) for j, c in poly.terms.items()}
         except ZeroDivisionError:
             raise DegenerateAfterEvaluation(
                 f"a coefficient of the resonance polynomial has a pole "
                 f"at q = {q_numeric}") from None
+        dense = poly.coeffs_at
     else:
         cs = [complex(c) for c in poly]
-    if not cs:
+        terms, dense = dict(enumerate(cs)), lambda _: cs
+    if not terms:
         raise ValueError("empty polynomial has no roots to find")
-    scale = max(abs(c) for c in cs)
+    scale = max(abs(c) for c in terms.values())
     if scale == 0.0:
         raise DegenerateAfterEvaluation(
             f"every coefficient vanished at q = {q_numeric}")
-    if abs(cs[-1]) <= 1e-12 * scale:
+    n = max(terms)
+    if abs(terms[n]) <= 1e-12 * scale:
         raise DegenerateAfterEvaluation(
             f"leading coefficient vanished at q = {q_numeric}; "
             f"the polynomial degenerates there")
-    if len(cs) == 1:
-        return []
     import numpy as np
-    raw = np.roots(np.array(cs[::-1], dtype=complex))
+    # the companion matrix, allocated before the dense list so that a degree
+    # too large for it raises MemoryError at once; built as np.roots does
+    m = min(j for j, c in terms.items() if c)
+    A = np.zeros((n - m, n - m), complex)
+    cs = dense(q_numeric)
+    np.fill_diagonal(A[1:], 1)
+    A[:1] = -np.array(cs[m:n][::-1], dtype=complex) / np.complex128(cs[n])
+    raw = np.concatenate((np.linalg.eigvals(A), np.zeros(m, complex)))
 
     clusters = []
     for r in sorted(raw, key=lambda z: (z.real, z.imag)):

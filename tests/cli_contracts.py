@@ -254,6 +254,12 @@ CONTRACTS = [
     C("test_a_huge_q_power_evaluates_from_its_exponent",
       ("diophantine", f"q^{BIG}*S[1] - 1", "--theta", "0.3", "--N", "10"), 0,
       printed("root of unity: q^10 = 1"), seconds=10),
+    # a shift index of 10^8: T^(10^8) - 1 is two stored terms, and its
+    # 10^8 x 10^8 companion matrix is refused before any pass over 10^8
+    # coefficients
+    C("test_a_huge_shift_index_is_refused_at_its_matrix",
+      ("diophantine", "S[100000000] - S[0]", "--theta", "0.3", "--N", "10"),
+      1, diagnostic("MemoryError", "Unable to allocate ", ".*"), seconds=10),
     # q^(10^20) - 1 has 10^20 + 1 dense coefficients: a diagnostic, not a
     # traceback
     C("test_a_dense_coefficient_past_the_index_size_exits_1",

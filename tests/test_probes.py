@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from qdeq import _intpoly as K
 from qdeq import parse
 from qdeq import _probes as P
+from qdeq.dsl import parse_ratq
 from qdeq.errors import EngineError, QdeqError
 from qdeq.nonlinear import ExactDomain, QdeqPoly, eval_at
 from qdeq.ratfunc import Q, QPoly, RatQ
 from qdeq.series import TruncSeries
-from qdeq.solver import check_solution, extend
+from qdeq.solver import _extend_core, check_solution, extend
 
 from test_properties import (COMMON, qdeq_polys, ratq_any, ratq_nonzero,
                              ratq_shifted)
@@ -717,20 +718,51 @@ def test_a_wrong_last_coefficient_falls_back_to_exact(monkeypatch):
     assert got.events == rep.events
 
 
-@pytest.mark.parametrize("F, seed, N", [
-    ("y[0]^2 - 1 - x", [1], 20),
+@pytest.mark.parametrize("F, seed, N, reach", [
+    # a fit outgrows the 192-lane start pools: one pool growth, 5 runs
+    ("(y[0]+x)*(y[0]*y[1]-1)*(y[0]*y[-1]-1) - q*x^2*y[0]",
+     ["1", "q/(1+q)"], 20, {"lanes": 1, "runs": 5}),
+    # with two primes, Wang's reconstruction lifts c_1 as a wrong
+    # fraction: the fresh-prime check rejects three lifts, and a third
+    # and a fourth prime join (7 runs)
     ("x*y[1] - y[0] + 1000000000000000000000000000001",
-     [1000000000000000000000000000001], 6),
-], ids=["sqrt-1-plus-x", "30-digit-constant"])
-def test_a_lift_past_the_bound_asks_for_a_prime(F, seed, N, monkeypatch):
-    # with two primes, Wang's reconstruction lifts c_16 = -9694845/2^31
-    # of sqrt(1 + x) (and c_1 of the 30-digit equation) as a wrong
-    # fraction; the step check rejects it, and more primes lift it right
-    F, seed = parse(F).parsed, [RatQ.from_value(c) for c in seed]
-    raised = _need_primes_raised(monkeypatch)
-    coeffs, _ = P.solve(F, seed, N)
-    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
-    assert raised
+     ["1000000000000000000000000000001"], 6, {"rejected": 3, "runs": 7}),
+    # the same for c_16 = -9694845/2^31 of sqrt(1 + x), a q-free
+    # algebraic series: one rejected lift, 3 runs
+    ("y[0]^2 - 1 - x", ["1"], 20, {"rejected": 1, "runs": 3}),
+    # a resonant_free step at h = 13, past auto's order-12 switch
+    ("y[1] - q^13*y[0] + x^2*y[0]^2", ["0"], 14, {"resonant_free": 13}),
+], ids=["qp2-pool-growth", "30-digit-constant", "sqrt-1-plus-x",
+        "resonant-free-at-13"])
+def test_a_lift_past_the_bound_asks_for_a_prime(F, seed, N, reach,
+                                                monkeypatch):
+    # each row reaches its regime, counted by wrapping the probe solve's
+    # steps; its reach is the counts measured when it was written, so a
+    # change that makes a row easier fails here; the answer and events
+    # are the exact domain's
+    F, seed = parse(F).parsed, [parse_ratq(c) for c in seed]
+    inner, grown = P._reconstruct_coeff, []
+
+    def reconstruct(*args):
+        try:
+            return inner(*args)
+        except P._NeedLanes as exc:
+            grown.append(exc)
+            raise
+
+    monkeypatch.setattr(P, "_reconstruct_coeff", reconstruct)
+    rejected = _need_primes_raised(monkeypatch)
+    started = _runs_started(monkeypatch)
+    coeffs, events = P.solve(F, seed, N)
+    want, want_events, _ = _extend_core(F, seed, N, ExactDomain())
+    assert coeffs == want
+    assert ([(e["h"], e["kind"], e["order"]) for e in events]
+            == [(e["h"], e["kind"], e["order"]) for e in want_events])
+    got = {"lanes": len(grown), "rejected": len(rejected),
+           "runs": sum(not regrown for _, _, regrown in started),
+           "resonant_free": max((e["h"] for e in events
+                                 if e["kind"] == "resonant_free"), default=0)}
+    assert all(got[k] >= v for k, v in reach.items()), got
 
 
 def _runs_holding(value, h, nlanes, k=2):

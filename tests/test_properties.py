@@ -142,7 +142,7 @@ def factored_term(draw):
 
 def _lowest(r):
     """The lowest-order term of a nonzero r, as a constant times q^v."""
-    return (RatQ(r.n.coeffs[0]) / r.d.coeffs[0]).shift_q(r.v)
+    return (RatQ(Fraction(r.n.ints[0], r.n.den)) / r.d.ints[0]).shift_q(r.v)
 
 
 @st.composite

@@ -84,10 +84,11 @@ def test_roots_residual_invariant():
 
 
 def test_roots_rejects_a_non_root(monkeypatch):
-    # whatever the root finder returns is re-substituted; a candidate
-    # that is not a root must not come back as one
-    monkeypatch.setattr("numpy.roots",
-                        lambda coeffs: np.array([0.5 + 0j]))
+    # whatever the root finder (the companion matrix's eigenvalues)
+    # returns is re-substituted; a candidate that is not a root must not
+    # come back as one
+    monkeypatch.setattr("numpy.linalg.eigvals",
+                        lambda a: np.array([0.5 + 0j]))
     with pytest.raises(DegenerateAfterEvaluation):
         roots_of([1j, -(1 + 1j), 1], unit_q(GOLDEN))
 
