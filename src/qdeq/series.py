@@ -1,9 +1,9 @@
 """Power series in x over Q(q), truncated, plus exact x-polynomials.
 
 TruncSeries stores the coefficients c_0 .. c_N of a formal series
-together with its truncation order N.  Everything is dense and eager;
-arithmetic propagates the minimum truncation of the operands, because a
-sum or product is only trustworthy as far as both inputs are.
+together with its truncation order N.  It is a record: it has no ring
+operations, because series arithmetic is the evaluator's
+(nonlinear.Evaluator substitutes a series into an equation).
 
 ord_x on a TruncSeries is honest about what a truncated object can
 know: if every stored coefficient vanishes it returns the
@@ -17,7 +17,7 @@ XPoly is the exact companion: a genuine polynomial in x over Q(q), with
 no truncation, used for operator coefficients that are known exactly.
 It is sparse, {exponent: nonzero coefficient}, so x^e costs one term
 however large e is, and no operation on it spans the exponents between
-its terms.  _mul_coeffs, the dense product, serves TruncSeries alone.
+its terms.
 """
 
 from operator import index
@@ -33,34 +33,8 @@ class _AboveTruncation:
     def __repr__(self):
         return "ABOVE_TRUNCATION"
 
-    # ranks above every stored order, mirroring "at least N+1"
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
 
 ABOVE_TRUNCATION = _AboveTruncation()
-
-
-def _mul_coeffs(a, b, n):
-    """Coefficients 0..n-1 of the product of two ascending coefficient
-    lists, skipping zero factors."""
-    out = [RatQ(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b[:n - i]):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return out
 
 
 class TruncSeries:
@@ -74,6 +48,7 @@ class TruncSeries:
             if not coeffs:
                 raise ValueError("empty series needs an explicit truncation")
             trunc = len(coeffs) - 1
+        trunc = index(trunc)
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
         if len(coeffs) < trunc + 1:
@@ -84,10 +59,6 @@ class TruncSeries:
         self.trunc = trunc
         self.evaluator = None
 
-    @classmethod
-    def constant(cls, v, trunc):
-        return cls([RatQ.from_value(v)], trunc)
-
     @property
     def ord_x(self):
         for h, c in enumerate(self.coeffs):
@@ -95,47 +66,10 @@ class TruncSeries:
                 return h
         return ABOVE_TRUNCATION
 
-    def shift_x(self, k):
-        """Multiply by x**k (k >= 0); knowledge extends to trunc + k."""
-        if k < 0:
-            raise ValueError("series cannot absorb a negative x-power")
-        return TruncSeries([RatQ(0)] * k + list(self.coeffs), self.trunc + k)
-
-    def __add__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        n = min(self.trunc, other.trunc)
-        return TruncSeries(
-            [self.coeffs[h] + other.coeffs[h] for h in range(n + 1)], n)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TruncSeries([-c for c in self.coeffs], self.trunc)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncSeries):
-            n = min(self.trunc, other.trunc)
-            return TruncSeries(_mul_coeffs(self.coeffs, other.coeffs, n + 1), n)
-        c = RatQ.from_value(other)
-        return TruncSeries([c * a for a in self.coeffs], self.trunc)
-
-    def __rmul__(self, other):
-        return self * other
-
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self.trunc == other.trunc and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.trunc, self.coeffs))
-
-    def sigma(self, i):
-        """The q-shift sigma^i: y(x) -> y(q^i x), so c_h -> c_h * q^(i*h)."""
-        return TruncSeries(
-            [c.shift_q(i * h) for h, c in enumerate(self.coeffs)], self.trunc)
 
     def to_json(self):
         return {"trunc": self.trunc, "coeffs": [c.to_text() for c in self.coeffs]}
@@ -191,15 +125,11 @@ class XPoly:
         return XPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, XPoly):
-            return XPoly((e1 + e2, c1 * c2)
-                         for e1, c1 in self.terms.items()
-                         for e2, c2 in other.terms.items())
-        c = RatQ.from_value(other)
-        return XPoly({e: c * a for e, a in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self * other
+        if not isinstance(other, XPoly):
+            return NotImplemented
+        return XPoly((e1 + e2, c1 * c2)
+                     for e1, c1 in self.terms.items()
+                     for e2, c2 in other.terms.items())
 
     def __eq__(self, other):
         if not isinstance(other, XPoly):

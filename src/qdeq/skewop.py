@@ -8,7 +8,10 @@ flavor, the shape produced by linearizing a nonlinear equation along an
 approximate solution).
 
 Composition uses the commutation rule  sigma^i o a(x) = a(q^i x) o sigma^i,
-which is what op_mul implements.  apply runs on nonlinear.Evaluator.
+which is what op_mul implements.  Sums and composition are for exact
+operators: a series operator is an output, to inspect (its Newton
+polygon, its resonance_poly) and to apply, and apply runs on
+nonlinear.Evaluator.
 
 In series flavor, a coefficient whose stored part is identically zero is
 not discarded: the truncated data cannot distinguish a structural zero
@@ -70,15 +73,15 @@ class SkewOp:
     def __add__(self, other):
         if not isinstance(other, SkewOp):
             return NotImplemented
+        _exact(self, other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.flavor != other.flavor:
-            raise ValueError("cannot mix exact and series operators")
         return SkewOp([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
+        _exact(self)
         return SkewOp({i: -a for i, a in self.terms.items()})
 
     def __sub__(self, other):
@@ -120,14 +123,21 @@ class SkewOp:
         return f"SkewOp({self.to_text()})"
 
 
+def _exact(*ops):
+    """Operator arithmetic needs its coefficients' ring operations, which
+    only an exact operator's XPoly coefficients have."""
+    if any(op.flavor == "series" for op in ops):
+        raise ValueError("operator arithmetic is for exact operators; "
+                         "a series operator can only be inspected and applied")
+
+
 def op_mul(A, B):
     """Compose operators: (A o B), normalizing with sigma^i o b = b(q^i x) o sigma^i."""
     if not isinstance(A, SkewOp) or not isinstance(B, SkewOp):
         raise TypeError("op_mul needs two SkewOp operands")
+    _exact(A, B)
     if A.is_zero() or B.is_zero():
         return SkewOp({})
-    if A.flavor != B.flavor:
-        raise ValueError("cannot mix exact and series operators")
     return SkewOp((i + j, a * b.sigma(i))
                   for i, a in A.terms.items() for j, b in B.terms.items())
 

@@ -24,10 +24,9 @@ import qdeq
 SRC = Path(__file__).resolve().parent.parent / "src" / "qdeq"
 
 # public names no src/ module uses, kept for their readers outside src/:
-# tests compare against _intpoly.eval_mod, QLaurent.q_power,
-# TruncSeries.shift_x and TruncSeries.constant, and perfbench/checks.py
-# and perfbench/jobs.py read RatQ.num
-KEPT_REFERENCES = {"eval_mod", "q_power", "shift_x", "constant", "num"}
+# tests compare against _intpoly.eval_mod and QLaurent.q_power, and
+# perfbench/checks.py and perfbench/jobs.py read RatQ.num
+KEPT_REFERENCES = {"eval_mod", "q_power", "num"}
 
 
 def _is_private(name):
@@ -141,6 +140,11 @@ def test_every_private_name_is_referenced_in_src():
 
 
 def test_every_public_function_is_used_in_src_or_exported():
+    defined = {name for p in SRC.glob("*.py")
+               for name, *_ in _definitions(ast.parse(p.read_text()))}
+    stale = sorted(KEPT_REFERENCES - defined)
+    assert not stale, f"KEPT_REFERENCES names no definition in src/: {stale}"
+
     def wanted(name, is_function):
         return (is_function and not name.startswith("_")
                 and name not in qdeq.__all__
