@@ -426,4 +426,10 @@ def gcd(a, b):
         g = [1]
     else:
         g, A, B = _heu_gcd(A, B) or _modular_gcd(A, B)
-    return shift(g, m), shift(scal(A, ca), oa - m), shift(scal(B, cb), ob - m)
+    return _place(g, 1, m), _place(A, ca, oa - m), _place(B, cb, ob - m)
+
+
+def _place(f, c, k):
+    """c * x^k * f for gcd's own list f, reused where scal and shift copy."""
+    f = f if c == 1 else [x * c for x in f]
+    return [0] * k + f if k else f

@@ -27,7 +27,7 @@ never asserted.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, index
 
 from .dsl import parse, parse_ratq
 from .errors import InsufficientData
@@ -145,7 +145,7 @@ class CorpusEntry:
         self._notes = notes
 
     def run(self, order=None):
-        order = self.default_order if order is None else order
+        order = self.default_order if order is None else index(order)
         if order < 0:
             raise ValueError(f"order {order} is negative")
         if order < len(self.seeds) - 1:

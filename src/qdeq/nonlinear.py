@@ -56,7 +56,7 @@ the lowest row of the linearization from it in its own domain.
 from operator import index
 
 from .errors import IndexOutOfWindow, NegativeXPower
-from .ratfunc import RatQ, _mul_unreduced, is_compound, power, ratq_sum
+from .ratfunc import RatQ, _mul_unreduced, is_compound, ratq_sum
 from .series import TruncSeries
 from .skewop import SkewOp
 
@@ -80,6 +80,9 @@ class QdeqPoly:
     repeated shift index, adds the coefficients of equal monomials and
     drops those that come to zero.  The ring operations, partial and
     from_operator emit pairs and leave the normal form to it.
+
+    +, - and * take QdeqPolys only (a number enters through the DSL or
+    QdeqPoly.const); equations compare with == and are not hashable.
     """
 
     __slots__ = ("monomials", "_partials")
@@ -125,52 +128,30 @@ class QdeqPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def is_zero(self):
-        return not self.monomials
-
     def __add__(self, other):
-        if isinstance(other, (int, RatQ)):
-            other = QdeqPoly.const(other)
         if not isinstance(other, QdeqPoly):
             return NotImplemented
         return QdeqPoly([*self.monomials.items(), *other.monomials.items()])
-
-    __radd__ = __add__
 
     def __neg__(self):
         return QdeqPoly({k: -c for k, c in self.monomials.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, RatQ)):
-            other = QdeqPoly.const(other)
         if not isinstance(other, QdeqPoly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, RatQ)):
-            other = QdeqPoly.const(other)
         if not isinstance(other, QdeqPoly):
             return NotImplemented
         return QdeqPoly([((e1 + e2, x1 + x2), c1 * c2)
                          for (e1, x1), c1 in self.monomials.items()
                          for (e2, x2), c2 in other.monomials.items()])
 
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return power(self, k, QdeqPoly.const(1))
-
     def __eq__(self, other):
         if not isinstance(other, QdeqPoly):
             return NotImplemented
         return self.monomials == other.monomials
-
-    def __hash__(self):
-        return hash(frozenset(self.monomials.items()))
 
     def used_indices(self):
         return {i for _, exps in self.monomials for i, _ in exps}

@@ -153,39 +153,20 @@ class QPoly:
         return self.ints == (1,) and self.den == 1
 
     def __add__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly)):
+        if not isinstance(other, QPoly):
             return NotImplemented
-        other = QPoly.from_value(other)
         l = math.lcm(self.den, other.den)
         a = K.scal(self.ints, l // self.den)
         b = K.scal(other.ints, l // other.den)
         return QPoly(K.add(a, b), l)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly)):
-            return NotImplemented
-        return self + (-QPoly.from_value(other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly)):
-            return NotImplemented
-        return QPoly.from_value(other) + (-self)
-
     def __neg__(self):
         return QPoly([-c for c in self.ints], self.den)
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, QPoly)):
+        if not isinstance(other, QPoly):
             return NotImplemented
-        other = QPoly.from_value(other)
         return QPoly(K.mul(list(self.ints), list(other.ints)), self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return power(self, k, QPoly((1,)))
 
     def eval(self, v):
         if not self.ints:
@@ -193,8 +174,6 @@ class QPoly:
         return K.eval_at(list(self.ints), v) / self.den
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.from_value(other)
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.ints == other.ints and self.den == other.den
@@ -384,7 +363,8 @@ class RatQ:
         return power(self, k, RatQ(1))
 
     def shift_q(self, k):
-        """Multiply by q**k (either sign of k)."""
+        """Multiply by q**k (either sign of k; an exact integer)."""
+        k = index(k)
         if self.is_zero():
             return _ZERO
         return _ratq(self.v + k, self.n, self.d)
@@ -507,7 +487,7 @@ class QLaurent(RatQ):
     __slots__ = ()
 
     def __init__(self, body, shift=0):
-        r = RatQ.from_value(body).shift_q(index(shift))
+        r = RatQ.from_value(body).shift_q(shift)
         if not r.d.is_one():
             raise ValueError("a QLaurent has denominator 1")
         self.v, self.n, self.d = r.v, r.n, r.d

@@ -99,9 +99,6 @@ class SkewOp:
             return NotImplemented
         return self.flavor == other.flavor and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.flavor, tuple(sorted(self.terms.items()))))
-
     def to_text(self):
         if not self.terms:
             return "0"

@@ -22,6 +22,7 @@ never loads it.
 import cmath
 import math
 from fractions import Fraction
+from operator import index
 
 from . import _intpoly as K
 from .errors import DegenerateAfterEvaluation, RootOfUnityDetected
@@ -304,7 +305,7 @@ def scan_condition_H(q_numeric, roots, N, c2_grid=None, tol=DISTANCE_TOL,
     rotation number as `theta` makes that check exact for rationals:
     theta = p/r in lowest terms raises with n = r immediately.
     """
-    N = int(N)
+    N = index(N)
     if N < 1:
         raise ValueError("scan range N must be at least 1")
     if c2_grid is None:

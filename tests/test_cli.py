@@ -3,6 +3,7 @@ and the checks no row can make: runs compared with each other, input
 files, a patched package, the README's tour and hostile flag values."""
 
 import argparse
+import ast
 import io
 import json
 import shlex
@@ -187,6 +188,26 @@ def test_readme_cli_tour(capsys, tmp_path, monkeypatch):
                 assert g.startswith(head) and g.endswith(tail), argv
             else:
                 assert g == want, argv
+
+
+def test_readme_library_tour():
+    """The python block of the README's library tour runs, and each bare
+    expression in it shows the value its comment gives."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library tour", 1)[1].split("```python\n", 1)[1]
+    block = block.split("\n```", 1)[0]
+    lines, ns, shown = block.splitlines(), {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            value = eval(compile(ast.Expression(stmt.value), "tour", "eval"), ns)
+            comment = lines[stmt.end_lineno - 1].split("#", 1)[1].strip()
+            shown.append((repr(value), comment))
+        else:
+            exec(compile(ast.Module([stmt], []), "tour", "exec"), ns)
+    assert len(shown) == 4
+    for value, comment in shown[:3]:  # "RatQ(q^10)", "Fraction(1, 1): ..."
+        assert comment.split(":")[0] == value
+    assert shown[3] == ("True", "deg <= 1*h(h-1)/2 holds sharply")
 
 
 def test_unreadable_input_names_its_flag(capsys, tmp_path):

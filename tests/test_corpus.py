@@ -278,6 +278,9 @@ def test_run_rejects_negative_order(monkeypatch):
                         lambda self, ctx, order: ran.append(self.name))
     with pytest.raises(ValueError, match="negative"):
         get_entry("q-euler").run(order=-1)
+    for order in (3.0, "3"):  # an order is an exact integer
+        with pytest.raises(TypeError):
+            get_entry("q-euler").run(order=order)
     assert ran == []  # rejected before any expectation runs
 
 

@@ -11,6 +11,8 @@ from qdeq.ratfunc import Q, RatQ
 from qdeq.series import XPoly
 from qdeq.skewop import SkewOp
 
+from test_solver import painleve_like
+
 
 def ratq(num, den=1):
     return RatQ.from_value(Fraction(num, den))
@@ -78,10 +80,7 @@ def test_parse_painleve_text():
     src = parse(text)
     assert src.kind == "nonlinear"
     assert src.parsed.window == (-1, 1)
-    w0, wp, wm = QdeqPoly.w(0), QdeqPoly.w(1), QdeqPoly.w(-1)
-    x, one = QdeqPoly({(1, ()): 1}), QdeqPoly.const(1)
-    F = (w0 + x) * (w0 * wp - one) * (w0 * wm - one) - Q * x * x * w0
-    assert src.parsed == F
+    assert src.parsed == painleve_like()
 
 
 def test_parse_equals_normalizes():

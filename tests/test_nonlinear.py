@@ -25,24 +25,15 @@ from qdeq.series import TruncSeries
 from qdeq.skewop import newton_polygon, resonance_poly
 
 from test_properties import COMMON, _mul_coeffs, qdeq_polys, ratq_any
-
-
-def qp2():
-    """(w0 + x)(w0*w1 - 1)(w0*w_{-1} - 1) - q*x^2*w0 on window [-1, 1]."""
-    w0 = QdeqPoly.w(0)
-    wp = QdeqPoly.w(1)
-    wm = QdeqPoly.w(-1)
-    x = QdeqPoly({(1, ()): 1})
-    one = QdeqPoly.const(1)
-    return (w0 + x) * (w0 * wp - one) * (w0 * wm - one) - Q * x * x * w0
+from test_solver import painleve_like
 
 
 def test_constructor_canonicalizes():
     # the two keys canonicalize to the same monomial (k = 0 entries drop)
     F = QdeqPoly({(0, ((0, 1),)): RatQ(2), (0, ((0, 1), (1, 0))): RatQ(-2)})
-    assert F.is_zero()
+    assert F == QdeqPoly({})
     G = QdeqPoly({(1, ()): RatQ(0)})
-    assert G.is_zero()
+    assert G == QdeqPoly({})
     with pytest.raises(NegativeXPower):
         QdeqPoly({(-1, ()): RatQ(1)})
 
@@ -60,29 +51,38 @@ def test_constructor_merges_pairs():
                   ((0, ((1, 2),)), 1)])
     assert F.monomials == {(0, ((0, 2), (1, 1))): 3 + Q,
                            (0, ((1, 2),)): RatQ(1)}
-    assert F == (3 + Q) * w0 * w0 * w1 + w1 ** 2
-    assert QdeqPoly([((0, ()), 1), ((0, ()), -1)]).is_zero()
+    assert F == QdeqPoly.const(3 + Q) * w0 * w0 * w1 + w1 * w1
+    assert QdeqPoly([((0, ()), 1), ((0, ()), -1)]) == QdeqPoly({})
 
 
 def test_partial_by_hand():
     w0, w1 = QdeqPoly.w(0), QdeqPoly.w(1)
-    F = w0 ** 2 * w1
-    assert partial(F, 0) == 2 * w0 * w1
+    F = w0 * w0 * w1
+    assert partial(F, 0) == QdeqPoly.const(2) * w0 * w1
     assert partial(F, 1) == QdeqPoly({(0, ((0, 2),)): 1})
     assert partial(w1, 1) == QdeqPoly({(0, ()): 1})
     assert partial(w1, 0) == QdeqPoly({})
     G = QdeqPoly({(3, ((1, 1),)): Q})  # q*x^3*w1
     assert partial(G, 1) == QdeqPoly({(3, ()): Q})
-    assert partial(G, 0).is_zero() and partial(G, 0).window == (0, 0)
+    assert partial(G, 0) == QdeqPoly({}) and partial(G, 0).window == (0, 0)
     with pytest.raises(IndexOutOfWindow):  # G's window is [0, 1]
         partial(G, -1)
 
 
 def test_ring_ops():
-    w0 = QdeqPoly.w(0)
-    assert (w0 + 1) * (w0 - 1) == w0 * w0 - QdeqPoly.const(1)
-    assert (w0 + 1) ** 2 == w0 * w0 + 2 * w0 + QdeqPoly.const(1)
-    assert (w0 - w0).is_zero()
+    w0, one = QdeqPoly.w(0), QdeqPoly.const(1)
+    assert (w0 + one) * (w0 - one) == w0 * w0 - one
+    assert (w0 + one) * (w0 + one) == w0 * w0 + QdeqPoly.const(2) * w0 + one
+    assert w0 - w0 == QdeqPoly({})
+    # a number enters an equation through QdeqPoly.const or the DSL only,
+    # and neither equations nor exact operators are hashable
+    op = parse("x*S[1] - S[0]").parsed
+    assert op.flavor == "exact"
+    for bad in (lambda: w0 + 1, lambda: 2 * w0, lambda: w0 ** 2,
+                lambda: 1 - w0, lambda: w0 * Q, lambda: hash(w0),
+                lambda: hash(op)):
+        with pytest.raises(TypeError):
+            bad()
     wm = QdeqPoly.w(-2)
     assert (w0 * wm).window == (-2, 0)
     assert w0.used_indices() == {0}
@@ -92,13 +92,13 @@ def test_ring_ops():
 
 
 def test_qp2_monomial_count():
-    F = qp2()
+    F = painleve_like()
     assert F.window == (-1, 1)
     assert len(F.monomials) == 9
 
 
 def test_eval_at_constant_one():
-    F = qp2()
+    F = painleve_like()
     phi = TruncSeries([1], 2)
     r = eval_at(F, phi)
     assert r.trunc == 2
@@ -115,7 +115,7 @@ def test_eval_at_respects_truncation():
 
 
 def test_partial():
-    F = qp2()
+    F = painleve_like()
     # d/dw1 = (w0 + x) * w0 * (w0*w_{-1} - 1)
     P = partial(F, 1)
     w0 = QdeqPoly.w(0)
@@ -127,7 +127,7 @@ def test_partial():
 
 
 def test_linearize_along_qp2_expansion():
-    F = qp2()
+    F = painleve_like()
     a = Q / (1 + Q)
     phi = TruncSeries([RatQ(1), a], trunc=1)
     L = linearize(F, phi)
@@ -161,7 +161,7 @@ def test_text():
     F = QdeqPoly.w(0) * QdeqPoly.w(1) - QdeqPoly({(1, ()): 1})
     assert F.to_text() == "y[0]*y[1] + (-1)*x"
     assert QdeqPoly.const(0).to_text() == "0"
-    G = QdeqPoly.w(-1, 2) * Q
+    G = QdeqPoly.w(-1, 2) * QdeqPoly.const(Q)
     assert G.to_text() == "q*y[-1]^2"
 
 
@@ -225,7 +225,7 @@ PHI_GENERIC = TruncSeries([RatQ(1), Q / (1 + Q), RatQ(0), Q ** 2 - 3,
 
 
 def test_engine_matches_reference_qp2():
-    assert_engine_matches_reference(qp2(), PHI_GENERIC)
+    assert_engine_matches_reference(painleve_like(), PHI_GENERIC)
 
 
 def test_engine_matches_reference_phi11():
@@ -301,8 +301,8 @@ def test_eval_sums_only_the_orders_it_computes(lo):
     ev = Evaluator(PHI_GENERIC.coeffs, dom)
     width = PHI_GENERIC.trunc + 1
     with mock.patch.object(dom, "sum", wraps=dom.sum) as summed:
-        got = ev.eval(qp2(), lo, width)
+        got = ev.eval(painleve_like(), lo, width)
     assert summed.call_count == width - lo
     assert len(got) == width
     assert all(v.is_zero() for v in got[:lo])
-    assert got[lo:] == list(eval_at(qp2(), PHI_GENERIC).coeffs[lo:])
+    assert got[lo:] == list(eval_at(painleve_like(), PHI_GENERIC).coeffs[lo:])

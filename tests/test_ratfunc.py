@@ -608,11 +608,17 @@ def test_qpoly_arith():
     qm1 = QPoly((-1, 1))
     qp1 = QPoly((1, 1))
     assert qm1 * qp1 == QPoly((-1, 0, 1))
-    assert qp1 ** 2 == QPoly((1, 2, 1))
-    assert qp1 - qp1 == QPoly()
-    assert (qm1 + 1) == QPoly((0, 1))
-    assert 2 * qp1 == QPoly((2, 2))
-    assert qp1 ** 0 == QPoly((1,))
+    assert qp1 * qp1 == QPoly((1, 2, 1))
+    assert qm1 + QPoly((1,)) == QPoly((0, 1))
+    assert qp1 + (-qp1) == QPoly()
+    # QPoly keeps only what RatQ, the probe lift and the test references
+    # use: no scalar operands, no binary -, no **, and no QPoly equals a
+    # number
+    assert QPoly((1,)) != 1
+    for bad in (lambda: qp1 + 1, lambda: 2 * qp1, lambda: qp1 - qp1,
+                lambda: qp1 ** 2):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_qpoly_eval():
@@ -746,6 +752,10 @@ def test_ratq_shift_q():
     assert Q.shift_q(-2) == RatQ(QPoly((1,)), QPoly((0, 1)))
     assert Q.shift_q(2) == Q ** 3
     assert RatQ(1).shift_q(-1).ord_q == -1
+    for k in (2.5, 2.0, "2"):  # q^k for an exact integer k only
+        for r in (Q, RatQ(0)):
+            with pytest.raises(TypeError):
+                r.shift_q(k)
 
 
 def test_ratq_eval():

@@ -27,13 +27,13 @@ def painleve_like():
     wp = QdeqPoly.w(1)
     wm = QdeqPoly.w(-1)
     x = QdeqPoly({(1, ()): 1})
-    one = QdeqPoly.const(1)
-    return (w0 + x) * (w0 * wp - one) * (w0 * wm - one) - Q * x * x * w0
+    one, q = QdeqPoly.const(1), QdeqPoly.const(Q)
+    return (w0 + x) * (w0 * wp - one) * (w0 * wm - one) - q * x * x * w0
 
 
 def shifted_eigen(h0, forced):
     # y(qx) = q^h0 y(x) (+ x^h0): resonant at order h0
-    F = QdeqPoly.w(1) - RatQ(1).shift_q(h0) * QdeqPoly.w(0)
+    F = QdeqPoly.w(1) - QdeqPoly.const(RatQ(1).shift_q(h0)) * QdeqPoly.w(0)
     if forced:
         F = F - QdeqPoly({(h0, ()): 1})
     return F

@@ -186,6 +186,9 @@ def test_custom_grid_and_validation():
             scan_condition_H(q, [1.0 + 0j], 10, c2_grid=empty)
     with pytest.raises(ValueError):
         scan_condition_H(q, [1.0 + 0j], 0)
+    for N in (10.9, 10.0, "12"):  # a scan range is an exact integer
+        with pytest.raises(TypeError):
+            scan_condition_H(q, [1.0 + 0j], N)
     with pytest.raises(ValueError):
         scan_condition_H(2.0 + 0j, [1.0 + 0j], 10)  # |q| != 1
     with pytest.raises(ValueError, match="unit circle"):
