@@ -27,6 +27,7 @@ types on top.  Functions mutate nothing they receive except where noted.
 """
 
 import math
+import operator
 from itertools import accumulate
 
 _LEAF = 32  # _pack and _unpack split a longer list in halves
@@ -51,8 +52,7 @@ def add(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
+    out[:len(b)] = map(operator.add, a, b)
     return trim(out)
 
 

@@ -112,10 +112,10 @@ def verify_bound(profile, order, slack, side):
     Returns BoundVerdict(ok, witness) with the smallest violating h.
     """
     profile = _oriented(profile, side)
-    order = Fraction(order)
-    slack = Fraction(slack)
+    (a, b), (c, d) = (Fraction(x).as_integer_ratio() for x in (order, slack))
+    # in integers: both sides times the denominators b of order, d of slack
     for h, v in enumerate(profile):
-        if _finite(v) and v > order * _tri(h) + slack * h + slack:
+        if _finite(v) and v * b * d > a * d * _tri(h) + c * b * (h + 1):
             return BoundVerdict(False, h)
     return BoundVerdict(True, None)
 
@@ -127,15 +127,16 @@ def fit_slack(profile, order, side):
     image for ord) for every finite entry and returns the max demand.
     """
     profile = _oriented(profile, side)
-    order = Fraction(order)
-    best = Fraction(0)
+    a, b = Fraction(order).as_integer_ratio()
+    # the demand at h is (b*v - a*T(h)) / (b*(h+1)); the largest so far,
+    # num/den with den > 0, is compared by cross-multiplying
+    num, den = 0, 1
     for h, v in enumerate(profile):
-        if not _finite(v):
-            continue
-        need = Fraction(v - order * _tri(h), h + 1)
-        if need > best:
-            best = need
-    return best
+        if _finite(v):
+            p, r = b * v - a * _tri(h), b * (h + 1)
+            if p * den > num * r:
+                num, den = p, r
+    return Fraction(num, den)
 
 
 def predicted_orders(polygon):

@@ -56,7 +56,7 @@ the lowest row of the linearization from it in its own domain.
 from operator import index
 
 from .errors import IndexOutOfWindow, NegativeXPower
-from .ratfunc import RatQ, _mul_unreduced, is_compound, ratq_sum
+from .ratfunc import _ZERO, RatQ, _mul_unreduced, is_compound, ratq_sum
 from .series import TruncSeries
 from .skewop import SkewOp
 
@@ -199,7 +199,7 @@ class ExactDomain:
         return r
 
     def zero(self):
-        return RatQ(0)
+        return _ZERO  # RatQ is immutable: one zero serves every caller
 
     def sum(self, terms):
         return ratq_sum(terms)
@@ -219,7 +219,7 @@ class ExactDomain:
         return a.is_zero()
 
     def zeros(self, k):
-        return [RatQ(0)] * k
+        return [_ZERO] * k
 
     def series_mul(self, a, b, lo, hi):
         """Orders lo..hi-1 of the Cauchy product, skipping zero coefficients;

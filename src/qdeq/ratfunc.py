@@ -40,7 +40,7 @@ coefficient) pairs.  power is the one square and multiply.
 
 import math
 from fractions import Fraction
-from operator import add, index
+from operator import add, index, sub
 
 from . import _intpoly as K
 from .errors import DivisionByZero
@@ -248,7 +248,9 @@ class RatQ:
         n_ints, d_ints = _lowest_terms(n_ints[o:], d_ints[p:])
         c, d_ints = K.unit_normal(d_ints)
         # scalar bookkeeping: value = (n_ints/num.den) * (den.den/(c*d_ints))
-        self.n = QPoly(K.scal(n_ints, den.den), num.den * c)
+        if den.den > 1:
+            n_ints = K.scal(n_ints, den.den)
+        self.n = QPoly(n_ints, num.den * c)
         self.d = _qpoly(d_ints)
 
     @staticmethod
@@ -370,7 +372,13 @@ class RatQ:
         return _ratq(self.v + k, self.n, self.d)
 
     def eval(self, x):
-        """n(x) x^v / d(x) at q = x; ZeroDivisionError at poles."""
+        """n(x) x^v / d(x) at q = x; ZeroDivisionError at poles.
+
+        n and d are evaluated separately, so at |x| = 1 cancellation loses
+        every digit once the coefficients are large (q-Painleve II's c_30
+        comes out with a relative error near 2e5; ROADMAP finding G).
+        Never use it for a solution's point values.
+        """
         return self.n.eval(x) * x ** self.v / self.d.eval(x)
 
     def __eq__(self, other):
@@ -502,7 +510,11 @@ class QLaurent(RatQ):
                 for e, c in enumerate(self.n.ints) if c]
 
     def to_text(self):
-        return _fmt_terms(self.terms()[::-1])
+        if self.n.den > 1:
+            return _fmt_terms(self.terms()[::-1])
+        # integer coefficients print as they are, with no Fraction each
+        return _fmt_terms([(e + self.v, c) for e, c in enumerate(self.n.ints)
+                           if c][::-1])
 
     def __repr__(self):
         return f"QLaurent({self.to_text()})"
@@ -516,9 +528,14 @@ def pochhammer(a, base, k):
     """(a; q)_k = (1-a)(1-a*q)...(1-a*q^(k-1)) for a Laurent polynomial a.
 
     base="q_inv" uses ratio q^-1 instead of q.  The empty product (k=0)
-    is 1.  a*q^(±j) is a q-shift of a, which moves its ord_q alone.  The
-    product is taken in RatQ and returned as a QLaurent; a product with a
-    nontrivial denominator raises ValueError.
+    is 1.  The product runs on integer lists: with a = q^v * n/c (n an
+    integer polynomial, c its scalar denominator), c times factor j is
+    c - q^e * n with e = v ± j, so each factor costs one scale of the
+    running product by c, one product with n (a scal when a is a
+    monomial) and one shifted subtraction, and the Laurent offset is an
+    int.  One QLaurent over c^k is built at the end.  For k >= 1 an a
+    with a nontrivial denominator raises ValueError: the product keeps
+    that denominator.
     """
     if k < 0:
         raise ValueError("pochhammer length must be nonnegative")
@@ -529,7 +546,23 @@ def pochhammer(a, base, k):
     else:
         raise ValueError(f"unknown base {base!r}; use 'q' or 'q_inv'")
     a = RatQ.from_value(a)
-    out = RatQ(1)
+    if k == 0 or a.is_zero():
+        return QLaurent(1)
+    if not a.d.is_one():
+        raise ValueError("pochhammer takes a Laurent polynomial")
+    n, c = a.n.ints, a.n.den
+    out, o = [1], 0  # the product so far is q^o * out / c^j
     for j in range(k):
-        out = out * (1 - a.shift_q(step * j))
-    return QLaurent(out)
+        e = a.v + step * j
+        t = _mul_ints(out, n)
+        out = K.scal(out, c)  # a new list: t may be out itself
+        if e < 0:  # q^o * (c*out - q^e*t) = q^(o+e) * (q^-e*c*out - t)
+            out[:0] = [0] * -e
+            o += e
+            e = 0
+        top = e + len(t)
+        if len(out) < top:
+            out.extend([0] * (top - len(out)))
+        out[e:top] = map(sub, out[e:top], t)
+        K.trim(out)
+    return QLaurent(QPoly(out, c ** k), o)

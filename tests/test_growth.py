@@ -182,6 +182,62 @@ def test_ord_side_mirrors_deg_side(prof, order, slack):
 
 
 # ---------------------------------------------------------------------------
+# verify_bound and fit_slack against their Fraction references
+
+
+def _finite_ref(v):
+    return v != NEG_INF and v != POS_INF
+
+
+def _verify_bound_ref(profile, order, slack, side):
+    """verify_bound in Fraction arithmetic at every h."""
+    profile = list(profile) if side == "deg" else [-v for v in profile]
+    order, slack = Fraction(order), Fraction(slack)
+    for h, v in enumerate(profile):
+        if _finite_ref(v) and v > order * tri(h) + slack * h + slack:
+            return (False, h)
+    return (True, None)
+
+
+def _fit_slack_ref(profile, order, side):
+    """fit_slack in Fraction arithmetic at every h."""
+    profile = list(profile) if side == "deg" else [-v for v in profile]
+    order = Fraction(order)
+    best = Fraction(0)
+    for h, v in enumerate(profile):
+        if _finite_ref(v):
+            best = max(best, Fraction(v - order * tri(h), h + 1))
+    return best
+
+
+HUGE = RatQ(1).shift_q(10 ** 400).deg_q
+wide_profiles = st.lists(
+    st.one_of(st.integers(-80, 80), st.integers(-2 ** 90, 2 ** 90),
+              st.sampled_from([NEG_INF, POS_INF, HUGE, -HUGE])),
+    max_size=16)
+wide_fractions = st.one_of(
+    small_fractions, st.integers(-5, 5), st.fractions(),
+    st.builds(Fraction, st.sampled_from((HUGE, -HUGE, 3 * HUGE + 1)),
+              st.integers(1, 10 ** 6)))
+
+
+@settings(max_examples=300, **COMMON)
+@given(wide_profiles, wide_fractions, wide_fractions,
+       st.sampled_from(("deg", "ord")))
+def test_bounds_match_fraction_references(prof, order, slack, side):
+    got = verify_bound(prof, order, slack, side)
+    assert tuple(got) == _verify_bound_ref(prof, order, slack, side)
+    fitted = fit_slack(prof, order, side)
+    assert type(fitted) is Fraction
+    assert fitted == _fit_slack_ref(prof, order, side)
+    # and the fitted slack is the least that passes
+    assert verify_bound(prof, order, fitted, side).ok
+    if fitted > 0:
+        assert not verify_bound(prof, order, fitted * (1 - Fraction(1, 10 ** 9)),
+                                side).ok
+
+
+# ---------------------------------------------------------------------------
 # predicted_orders
 
 

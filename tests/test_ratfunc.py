@@ -118,6 +118,41 @@ nonzero = st.one_of(st.integers(-9, 9),
                     st.integers(-2 ** 80, 2 ** 80)).filter(bool)
 
 
+def _add_ref(a, b):
+    """K.add's reference: a per-index loop, then the trailing zeros go."""
+    out = [0] * max(len(a), len(b))
+    for p in (a, b):
+        for i, c in enumerate(p):
+            out[i] += c
+    return K.trim(out)
+
+
+trimmed = st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=12).map(K.trim)
+
+
+@settings(max_examples=250, deadline=None)
+@given(trimmed, trimmed, st.sampled_from(("drawn", "negated", "top cancels")),
+       st.booleans())
+def test_kernel_add_matches_loop(a, b, case, swap):
+    if case == "negated":
+        b = [-c for c in a]
+    elif case == "top cancels" and a:
+        # b below a's top terms, then a's top terms negated
+        b = b[:len(a) - 1]
+        b = b + [-c for c in a[len(b):]]
+    if swap:
+        a, b = b, a
+    a0, b0 = list(a), list(b)
+    got = K.add(a, b)
+    assert got == _add_ref(a, b)
+    assert (a, b) == (a0, b0)  # the operands are not mutated
+    assert not got or got[-1]  # the sum is trimmed
+    if case == "negated":
+        assert got == []
+    elif case == "top cancels" and a and b:
+        assert len(got) < max(len(a), len(b))
+
+
 def binomials(kmin):
     """+-1 +- c*q^k with kmin <= k <= 300: a Pochhammer product's factor."""
     return st.builds(lambda s, c, k: [s] + [0] * (k - 1) + [c],
@@ -896,6 +931,59 @@ def test_sentinel_algebra():
     assert POS_INF - 7 == POS_INF
     assert max(NEG_INF, 5) == 5
     assert min(POS_INF, 5) == 5
+
+
+def _pochhammer_ref(a, base, k):
+    """pochhammer's reference: the product taken factor by factor in RatQ,
+    each 1 - a*q^(+-j) a reduced RatQ."""
+    step = {"q": 1, "q_inv": -1}[base]
+    a = RatQ.from_value(a)
+    out = RatQ(1)
+    for j in range(k):
+        out = out * (1 - a.shift_q(step * j))
+    return QLaurent(out)
+
+
+@st.composite
+def pochhammer_bases(draw):
+    """(kind, a): a monomial or multi-term Laurent polynomial with a
+    rational scalar and either sign of v, 0, 1, or a RatQ whose
+    denominator is not constant."""
+    kind = draw(st.sampled_from(
+        ("monomial", "multi-term", "zero", "one", "denominator")))
+    if kind == "zero":
+        return kind, RatQ(0)
+    if kind == "one":
+        return kind, RatQ(1)
+    # over 1 + c*q a monomial stays unreduced, so the denominator stays
+    size = 1 if kind != "multi-term" else draw(st.integers(2, 4))
+    body = draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size))
+    body[0] = draw(st.integers(-6, 6).filter(bool))
+    body[-1] = draw(st.integers(-6, 6).filter(bool))
+    num = QPoly(body, draw(st.sampled_from((1, 2, 3, 4, 12))))
+    den = QPoly((1,))
+    if kind == "denominator":
+        den = QPoly((1, draw(st.integers(-3, 3).filter(bool))))
+    return kind, RatQ(num, den).shift_q(draw(st.integers(-6, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pochhammer_bases(), st.sampled_from(("q", "q_inv")),
+       st.integers(0, 12))
+def test_pochhammer_matches_ratq_product(kind_a, base, k):
+    kind, a = kind_a
+    if kind == "denominator" and k:
+        for f in (pochhammer, _pochhammer_ref):
+            with pytest.raises(ValueError):
+                f(a, base, k)
+        return
+    got = pochhammer(a, base, k)
+    assert type(got) is QLaurent
+    assert _layout(got) == _layout(_pochhammer_ref(a, base, k))
+    if k == 0 or kind == "zero":
+        assert got.is_one()
+    elif kind == "one":
+        assert got.is_zero()  # the factor j = 0 is 1 - 1
 
 
 def test_pochhammer():
