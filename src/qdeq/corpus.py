@@ -50,16 +50,16 @@ def jones(n):
 
     Since 1 - q^-m = -q^-m (1 - q^m), term k is a power of q times an
     integer polynomial, T_k = q^{-nk} (q^{n-k}; q)_k (q^{n+1}; q)_k, and
-    T_n = 0 for n >= 1.  The top term T_{n-1} is two pochhammer products;
-    each lower one is T_{k-1} = q^n T_k / ((1 - q^{n-k}) (1 - q^{n+k})),
-    two exact binomial divisions.  The n terms are added once.
+    T_n = 0 for n >= 1.  Past its q-power T_{n-1} = (q; q)_{2n-1}/(1 - q^n),
+    and T_{k-1} = q^n T_k / ((1 - q^{n-k}) (1 - q^{n+k})): one pochhammer
+    product and exact binomial divisions; the n terms are added once.
     """
     if n < 0:
         raise ValueError("color must be a nonnegative integer")
     top = max(n - 1, 0)  # at n = 0 the one term is T_0 = 1
     # a product of factors 1 - q^m (m >= 1): v = 0 and d = 1, so it is n
-    p = (pochhammer(RatQ(1).shift_q(n - top), "q", top)
-         * pochhammer(RatQ(1).shift_q(n + 1), "q", top)).n.ints
+    p = K.div_binomial(pochhammer(RatQ(1).shift_q(1), "q", 2 * top + 1).n.ints,
+                       top + 1)
     total = [0] * (2 * n * top + 1)  # T_k spans q^{-nk} .. q^{nk}
     for k in range(top, -1, -1):
         span = slice(n * (top - k), n * (top - k) + len(p))

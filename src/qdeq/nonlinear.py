@@ -38,10 +38,10 @@ Everything that substitutes a series into a QdeqPoly runs on it, each
 call naming the orders it computes: the solve loop in solver, through
 one evaluator per run that recomputes only the orders a new coefficient
 changes, the probe engine's verification and checks, and the two exact
-entry points below.  A TruncSeries owns one exact evaluator, made on
-first use, where every exact substitution of it runs, so its products
-live as long as the series; an exact extend that does not halt hands
-its run's over.
+entry points below, building each equation's products by its plan.
+A TruncSeries owns one exact evaluator, made on first use, where every
+exact substitution of it runs, so its products live as long as the
+series; an exact extend that does not halt hands its run's over.
 
 eval_at substitutes a truncated series phi for y (so w_i becomes
 phi(q^i x)) and returns a series with the same truncation as phi.
@@ -85,7 +85,7 @@ class QdeqPoly:
     QdeqPoly.const); equations compare with == and are not hashable.
     """
 
-    __slots__ = ("monomials", "_partials")
+    __slots__ = ("monomials", "_partials", "_plan")
 
     def __init__(self, monomials):
         store = {}
@@ -99,6 +99,7 @@ class QdeqPoly:
             store[key] = c if prev is None else prev + c
         self.monomials = {k: c for k, c in store.items() if not c.is_zero()}
         self._partials = None  # partial_rows builds them on first use
+        self._plan = None  # the first evaluation plans its products
 
     @property
     def window(self):
@@ -241,13 +242,15 @@ class Evaluator:
 
     Works in any coefficient domain (ExactDomain here, the probe engine's
     ProbeDomain in _probes); every call names the orders it computes.
-    It owns phi and caches the images of F's coefficients and the prefix
-    products of the monomials (powers included; a shift w_i is the
-    product ((i, 1),)), so the partials of a linearization share every
-    product.  The caches are relaxed (online, van der Hoeven 2002):
-    order m of a product depends on phi[0..m] alone, so set(h, c) marks
-    only orders >= h stale, and a call recomputes just those it reads.
-    A series' exact evaluator keeps its products as long as the series.
+    It owns phi and caches the images of F's coefficients and the
+    products of F's monomials (a shift w_i is the product ((i, 1),)),
+    built by F's plan: each monomial of degree >= 2 from another of F's
+    own where one fits, so q-Painleve II takes six Cauchy products, not
+    nine, and F's partials extend it with the products only they need.
+    The caches are relaxed (online, van der Hoeven 2002): order m of a
+    product depends on phi[0..m] alone, so set(h, c) marks only orders
+    >= h stale, and a call recomputes just those it reads.  A series'
+    exact evaluator keeps its products as long as the series.
     """
 
     def __init__(self, phi, dom):
@@ -262,7 +265,7 @@ class Evaluator:
         for entry in self._products.values():
             entry[1] = min(entry[1], h)
 
-    def _product(self, exps, width):
+    def _product(self, exps, width, plan):
         dom = self.dom
         entry = self._products.get(exps)
         if entry is None:
@@ -275,14 +278,13 @@ class Evaluator:
             grown[:lo] = buf[:lo]
             buf = grown
         entry[1] = width
-        i, k = exps[-1]
-        if len(exps) == 1 and k > 1:
-            exps = ((i, k - 1), (i, 1))  # a power times one more factor
-        if len(exps) > 1:
-            buf[lo:width] = dom.series_mul(self._product(exps[:-1], width),
-                                           self._product(exps[-1:], width),
+        if exps in plan:
+            rest, w = plan[exps]
+            buf[lo:width] = dom.series_mul(self._product(rest, width, plan),
+                                           self._product(w, width, plan),
                                            lo, width)
-        else:
+        else:  # a single shift w_i: phi's coefficients moved by q^(i*h)
+            (i, _), = exps
             for h in range(lo, width):
                 c = self.phi[h] if h < len(self.phi) else dom.zero()
                 buf[h] = c if i == 0 else dom.shift(c, i * h)
@@ -292,6 +294,9 @@ class Evaluator:
         """F(phi) at orders lo..width-1 of a list of width orders; orders
         below lo are left zero."""
         dom = self.dom
+        plan = F._plan
+        if plan is None:
+            plan = F._plan = _plan(F.monomials, {})
         terms = [[] for _ in range(lo, width)]
         for (e, exps), coeff in F.monomials.items():
             if e >= width:
@@ -303,10 +308,27 @@ class Evaluator:
                 if e >= lo:
                     terms[e - lo].append(c)
                 continue
-            term = self._product(exps, width)
+            term = self._product(exps, width, plan)
             for m in range(max(lo, e), width):
                 terms[m - lo].append(dom.mul_term(term[m - e], c))
         return [dom.zero()] * lo + [dom.sum(t) for t in terms]
+
+
+def _plan(monomials, plan):
+    """Plan each exps of degree >= 2 among monomials' keys (e, exps), by
+    ascending degree, as w_i times a rest that is a shift or planned; else
+    the rest drops a factor of the last index and is planned first."""
+    for d, exps in sorted((sum(k for _, k in x), x) for _, x in monomials):
+        if d < 2 or exps in plan:
+            continue
+        for i, _ in exps:
+            rest = tuple((j, k - (j == i)) for j, k in exps if j != i or k > 1)
+            if d == 2 or rest in plan:
+                break
+        else:
+            _plan([(0, rest)], plan)
+        plan[exps] = (rest, ((i, 1),))
+    return plan
 
 
 def _exact_evaluator(phi):
@@ -339,9 +361,12 @@ def partial(F, i):
 def partial_rows(F, ev, width):
     """{i: (dF/dw_i)(phi)} at orders 0..width-1 through one evaluator, for
     each i whose partial is not structurally zero (w_i occurs in F).
-    F is immutable, so its partials are built once and kept on it."""
+    F is immutable: its partials, planned over F's plan, are kept on it."""
     if F._partials is None:
         F._partials = {i: partial(F, i) for i in sorted(F.used_indices())}
+        base = F._plan if F._plan is not None else _plan(F.monomials, {})
+        for dF in F._partials.values():
+            dF._plan = _plan(dF.monomials, dict(base))
     return {i: ev.eval(dF, 0, width) for i, dF in F._partials.items()}
 
 

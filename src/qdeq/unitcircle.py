@@ -84,7 +84,7 @@ def roots_of(poly, q_numeric):
         dense = poly.coeffs_at
     else:
         cs = [complex(c) for c in poly]
-        terms, dense = dict(enumerate(cs)), lambda _: cs
+        terms, dense = dict(enumerate(cs)), lambda _, lo: cs[lo:]
     if not terms:
         raise ValueError("empty polynomial has no roots to find")
     scale = max(abs(c) for c in terms.values())
@@ -97,14 +97,15 @@ def roots_of(poly, q_numeric):
             f"leading coefficient vanished at q = {q_numeric}; "
             f"the polynomial degenerates there")
     import numpy as np
-    # the companion matrix, allocated before the dense list so that a degree
-    # too large for it raises MemoryError at once; built as np.roots does
+    # T^m s(T): its m roots at 0 skip every dense pass; s's companion matrix
+    # comes first, so a degree too large for it raises MemoryError at once
     m = min(j for j, c in terms.items() if c)
     A = np.zeros((n - m, n - m), complex)
-    cs = dense(q_numeric)
+    cs = dense(q_numeric, m)
     np.fill_diagonal(A[1:], 1)
-    A[:1] = -np.array(cs[m:n][::-1], dtype=complex) / np.complex128(cs[n])
-    raw = np.concatenate((np.linalg.eigvals(A), np.zeros(m, complex)))
+    A[:1] = -np.array(cs[:-1][::-1], dtype=complex) / np.complex128(cs[-1])
+    zero = 0j  # the m roots at 0 as one entry, counted m times in its mean
+    raw = [*np.linalg.eigvals(A), *[zero] * (m > 0)]
 
     clusters = []
     for r in sorted(raw, key=lambda z: (z.real, z.imag)):
@@ -114,9 +115,12 @@ def roots_of(poly, q_numeric):
                 break
         else:
             clusters.append([r])
-    out = [complex(np.mean(c)) for c in clusters]
+    out = [complex(np.sum(c) / (len(c) + (m - 1) * any(r is zero for r in c)))
+           for c in clusters]
 
-    bad = [t for t in out if abs(K.eval_at(cs, t)) > RESIDUAL_TOL * scale]
+    with np.errstate(over="ignore", invalid="ignore"):  # |t|^m may be inf
+        bad = [t for t in out if abs(K.eval_at(cs, t))
+               * np.float64(abs(t)) ** m > RESIDUAL_TOL * scale]
     if bad:
         raise DegenerateAfterEvaluation(
             f"root candidates {bad} have residuals above tolerance; "

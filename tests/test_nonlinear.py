@@ -24,7 +24,8 @@ from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
 from qdeq.skewop import newton_polygon, resonance_poly
 
-from test_properties import COMMON, _mul_coeffs, qdeq_polys, ratq_any
+from test_properties import (COMMON, _mul_coeffs, qdeq_polys, ratq_any,
+                             ratq_nonzero)
 from test_solver import painleve_like
 
 
@@ -306,3 +307,85 @@ def test_eval_sums_only_the_orders_it_computes(lo):
     assert len(got) == width
     assert all(v.is_zero() for v in got[:lo])
     assert got[lo:] == list(eval_at(painleve_like(), PHI_GENERIC).coeffs[lo:])
+
+
+# ---------------------------------------------------------------------------
+# the product plan
+
+
+def test_qp2_takes_six_cauchy_products():
+    # qp2's six monomials of degree >= 2 are each one shift times another
+    # of its own (y0^2*y1 = y0*y1 * y0, ...), so an evaluation forms six
+    # products and no chain link such as y0^2 that no monomial needs
+    F = painleve_like()
+    assert F._plan is None  # planned on first evaluation, not before
+    dom = ExactDomain()
+    ev = Evaluator(PHI_GENERIC.coeffs, dom)
+    width = PHI_GENERIC.trunc + 1
+    with mock.patch.object(dom, "series_mul", wraps=dom.series_mul) as mul:
+        ev.eval(F, 0, width)
+    assert mul.call_count == 6
+    # the partials reuse those six and add the four only they need:
+    # y0^3*y1, y-1*y0^3, y0^2 and y-1*y0*y1
+    with mock.patch.object(dom, "series_mul", wraps=dom.series_mul) as mul:
+        partial_rows(F, ev, width)
+    assert mul.call_count == 4
+
+
+@st.composite
+def chained_polys(draw):
+    """Equations whose monomials divide one another: each is an earlier
+    one (or 1) times one or two more shift powers, so the plan builds it
+    from that one, where splitting off the last index would not."""
+    chain, mons = [()], {}
+    for _ in range(draw(st.integers(1, 5))):
+        base = draw(st.sampled_from(chain))
+        more = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(1, 2)),
+                             min_size=1, max_size=2))
+        (_, exps), = QdeqPoly({(0, base + tuple(more)): 1}).monomials
+        if sum(k for _, k in exps) <= 6:
+            chain.append(exps)
+            mons[draw(st.integers(0, 2)), exps] = draw(ratq_nonzero)
+    return QdeqPoly(mons)
+
+
+# (what, value, index): "set" c_h at the index, or at one past the end if
+# it is beyond, or "eval" through one order past phi F (index 0 mod 3), its
+# partials (1) or the second equation (2)
+plan_ops = st.lists(
+    st.tuples(st.sampled_from(["set", "eval"]), ratq_any, st.integers(0, 4)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=200, **COMMON)
+@given(chained_polys(), chained_polys(), st.lists(ratq_any, min_size=1,
+                                                 max_size=3),
+       plan_ops, st.sampled_from(["exact", "probe"]))
+def test_planned_products_match_reference(F, G, seed, ops, domain):
+    # F, its partials and G share one evaluator and its products, each
+    # equation following its own plan, while coefficients are set
+    if domain == "exact":
+        dom = ExactDomain()
+    else:
+        prime = 2147483647
+        rng = np.random.default_rng(13)
+        dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 32, rng))
+    phi = list(seed)
+    ev = Evaluator([dom.from_ratq(c) for c in phi], dom)
+    for what, c, n in ops:
+        if what == "set":
+            h = min(n, len(phi))
+            phi[h:h + 1] = [c]
+            ev.set(h, dom.from_ratq(c))
+            continue
+        width = len(phi) + 1
+        ref = TruncSeries(phi, width - 1)
+        if n % 3 == 1:
+            rows = partial_rows(F, ev, width)
+            pairs = [(rows[i], partial(F, i)) for i in rows]
+        else:
+            E = G if n % 3 == 2 else F
+            pairs = [(ev.eval(E, 0, width), E)]
+        for got, E in pairs:
+            want = reference_residual(E, ref).coeffs
+            assert _same(got, [dom.from_ratq(w) for w in want])

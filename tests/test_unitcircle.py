@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdeq import _intpoly as K
 from qdeq.errors import DegenerateAfterEvaluation, RootOfUnityDetected
 from qdeq.ratfunc import Q, RatQ
 from qdeq.skewop import ResonancePoly
@@ -95,6 +96,33 @@ def test_roots_rejects_a_non_root(monkeypatch):
 
 def test_roots_constant_poly():
     assert roots_of([5.0], unit_q(0.1)) == []
+
+
+def test_roots_of_a_power_of_t_build_no_list_of_its_zeros(monkeypatch):
+    # T^m s(T): the m roots at 0 are split off before any dense pass, so
+    # T^1000000 builds no coefficient list and evaluates none longer than
+    # s's, where a dense pass would build and walk 1000001 entries
+    built, walked = [], []
+    coeffs_at, horner = ResonancePoly.coeffs_at, K.eval_at
+
+    def record(into, f):
+        def wrapped(*args):
+            out = f(*args)
+            into.append(len(out if f is coeffs_at else args[0]))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(ResonancePoly, "coeffs_at", record(built, coeffs_at))
+    monkeypatch.setattr(K, "eval_at", record(walked, horner))
+    assert roots_of(ResonancePoly({10 ** 6: Q}), unit_q(0.3)) == [0j]
+    assert max(built) == 1 and max(walked) == 1
+    # a root within CLUSTER_TOL of 0 joins the zeros, and the cluster's
+    # mean counts all of them: T^3 (T - 4e-8) (T - 2)
+    got = roots_of(ResonancePoly({3: RatQ(Fraction(8, 10 ** 8)),
+                                  4: RatQ(Fraction(-2 - 4 * 10 ** -8)),
+                                  5: RatQ(1)}), unit_q(0.3))
+    assert len(got) == 2 and close(got[1], 2)
+    assert abs(got[0] - 1e-8) < 1e-20
 
 
 # ---------------------------------------------------------------------------
