@@ -7,11 +7,11 @@ random points q = x_j modulo a prime p = 1 (mod 2^12) below 2^29
 (_intpoly.primes_29), so one step costs a handful of vectorized
 convolutions instead of exact Q(q) arithmetic; the verification and
 check (on _intpoly.check_primes) run the engine in fresh domains.  The
-points at p come from a generator seeded by p, and no prime serves two
-domains of one solve.  Below
-2^29, 32 products of residues fit in an int64 (_intpoly.lazy_terms), so
-a Cauchy order of series_mul through m = 31 reduces once, and a Horner
-pass reduces once per 31 coefficients.
+points at p come from random.Random(p), not numpy.random, and no prime
+serves two domains of one solve.  Below 2^29, 32 products of residues
+fit in an int64 (_intpoly.lazy_terms), so a Cauchy order of series_mul
+through m = 31 reduces once, and a Horner pass reduces once per 31
+coefficients.
 A nonzero lane proves a value nonzero; an all-zero vector means zero with
 overwhelming likelihood, and every "zero" the engine acts on is later
 backed by verification:
@@ -58,6 +58,7 @@ _intpoly.crt_join and returns integers over one denominator.
 from collections import namedtuple
 from contextlib import suppress
 from math import gcd, isqrt, lcm
+from random import Random
 
 import numpy as np
 
@@ -454,10 +455,10 @@ def _lift_poly(per_prime, primes):
 # runs
 
 
-def _lane_points(prime, nlanes, rng):
-    """nlanes uniform points in [2, p - 2], drawn by rng without
-    replacement: distinct by construction, for any nlanes <= p - 3."""
-    return rng.choice(prime - 3, nlanes, replace=False) + 2
+def _lane_points(prime, nlanes, rnd):
+    """nlanes uniform points in [2, p - 2], drawn by the random.Random rnd
+    without replacement: distinct by construction, for nlanes <= p - 3."""
+    return np.array(rnd.sample(range(2, prime - 1), nlanes), dtype=np.int64)
 
 
 def _progression(prime, g, r, npool):
@@ -497,7 +498,7 @@ def _event_sig(events):
 
 def _start_run(F, seed, N, prime, nlanes, run=None):
     """A run of the solve loop at prime over a pool of nlanes lanes
-    x_i = g r^i, g and r drawn from a generator seeded by the prime.
+    x_i = g r^i, g and r in [2, p - 2] drawn by random.Random(prime).
     Given run, its pool grows in place to nlanes lanes instead: its
     progression continues, the loop runs on the new points alone and must
     give run's events, and their columns join the pool, so every pool
@@ -514,7 +515,8 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
                       for c, new in zip(run.coeffs, coeffs)]
         run.dom, run.w = ProbeDomain(prime, xs), w
         return run
-    g, r = np.random.default_rng(prime).integers(2, prime - 1, 2).tolist()
+    rnd = Random(prime)
+    g, r = rnd.randrange(2, prime - 1), rnd.randrange(2, prime - 1)
     pool, w = _progression(prime, g, r, nlanes)
     dom = ProbeDomain(prime, pool)
     coeffs, events, _ = _extend_core(F, seed, N, dom)
@@ -644,10 +646,9 @@ def _solve_at(F, seed, N, nlanes):
 
 def _fresh(F, coeffs, width, nlanes, prime):
     """(ev, orders 0..width-1 of F along coeffs) for an evaluator ev of
-    coeffs over nlanes uniform lanes at prime, drawn from a generator
-    seeded by the prime; _Pole where a value has a pole at a lane."""
-    rng = np.random.default_rng(prime)
-    dom = ProbeDomain(prime, _lane_points(prime, nlanes, rng))
+    coeffs over nlanes uniform lanes at prime, drawn by
+    random.Random(prime); _Pole where a value has a pole at a lane."""
+    dom = ProbeDomain(prime, _lane_points(prime, nlanes, Random(prime)))
     ev = Evaluator(_from_ratqs(dom, coeffs), dom)
     return ev, ev.eval(F, 0, width)
 

@@ -67,8 +67,8 @@ def roots_of(poly, q_numeric):
     q_numeric first) or a plain sequence of complex coefficients
     ascending in T.  Roots closer than CLUSTER_TOL are merged into one
     representative (their mean), so a double root is reported once.
-    Every returned root is re-substituted and must leave a residual
-    below RESIDUAL_TOL times the coefficient scale.
+    Of T^m s(T), each root of s must leave s a residual below
+    RESIDUAL_TOL times the coefficient scale; the m roots at 0 are exact.
 
     Raises DegenerateAfterEvaluation when the leading coefficient dies
     at q_numeric (the degree is not what the exact side thought) or a
@@ -115,12 +115,12 @@ def roots_of(poly, q_numeric):
                 break
         else:
             clusters.append([r])
-    out = [complex(np.sum(c) / (len(c) + (m - 1) * any(r is zero for r in c)))
-           for c in clusters]
+    at0 = [any(r is zero for r in c) for c in clusters]
+    out = [complex(np.sum(c) / (len(c) + (m - 1) * z))
+           for c, z in zip(clusters, at0)]
 
-    with np.errstate(over="ignore", invalid="ignore"):  # |t|^m may be inf
-        bad = [t for t in out if abs(K.eval_at(cs, t))
-               * np.float64(abs(t)) ** m > RESIDUAL_TOL * scale]
+    bad = [t for t, z in zip(out, at0)
+           if not z and abs(K.eval_at(cs, t)) > RESIDUAL_TOL * scale]
     if bad:
         raise DegenerateAfterEvaluation(
             f"root candidates {bad} have residuals above tolerance; "

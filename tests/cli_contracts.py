@@ -496,6 +496,13 @@ CONTRACTS = [
     # the resonance roots of OP are 1 and q
     C("test_diophantine_op_file", ("diophantine", "--input", FILE, *GOLDEN),
       0, TWO_ROOTS, file=OP + "\n"),
+    # T^100 s(T) with s = -T^2 + T + 1: each root of s answers to s's own
+    # residual, not to |T|^100 times it, which at the golden root is 1e20
+    # times larger
+    C("test_diophantine_roots_past_a_power_of_t",
+      ("diophantine", "x*S[0] + S[100] + S[101] - S[102]", "--theta", GOLD,
+       "--N", "10"), 0,
+      r"q = [^\n]*, scanned n <= 10\n(?:.*\n)?root 1\.61803\+0j: pass .*"),
     # a constant resonance polynomial leaves no roots to scan: a pass
     C("test_diophantine_constant_resonance_polynomial",
       ("diophantine", "S[0] - x*S[1]", "--theta", GOLD, "--N", "100"), 0,

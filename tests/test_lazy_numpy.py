@@ -62,9 +62,11 @@ def test_modular_gcd_in_a_cold_process():
 
 
 def test_probe_extend_in_a_cold_process():
-    # qp2 at order 13; the probe engine must answer, not the exact fallback
+    # qp2 at order 13; the probe engine must answer, not the exact fallback,
+    # and its check must pass the answer; neither draws its points through
+    # numpy.random, whose import costs about 6 MB
     _cold("""
-        from qdeq import extend, parse, parse_ratq, solver
+        from qdeq import check_solution, extend, parse, parse_ratq, solver
         F = parse("(y[0]+x)*(y[0]*y[1]-1)*(y[0]*y[-1]-1) - q*x^2*y[0]").parsed
         seed = [parse_ratq("1"), parse_ratq("q/(1+q)")]
         want = extend(F, seed, 13, engine="exact").solution.coeffs
@@ -76,7 +78,10 @@ def test_probe_extend_in_a_cold_process():
             return core(F, seed, N, dom)
 
         solver._extend_core = probe_only
-        assert extend(F, seed, 13, engine="probe").solution.coeffs == want
+        phi = extend(F, seed, 13, engine="probe").solution
+        assert phi.coeffs == want
+        assert check_solution(F, phi, mode="probe") == 13
+        assert "numpy.random" not in sys.modules
         """)
 
 

@@ -1,5 +1,6 @@
 """Nonlinear equation polynomials: evaluation, partials, linearization."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -211,8 +212,8 @@ def assert_engine_matches_reference(F, phi):
     # the same evaluator in the probe domain: values at random points
     # modulo a prime must be the images of the exact coefficients
     prime = 2147483647
-    rng = np.random.default_rng(5)
-    dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 128, rng))
+    rnd = random.Random(5)
+    dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 128, rnd))
     vals = [dom.from_ratq(c) for c in phi.coeffs]
     got = Evaluator(vals, dom).eval(F, 0, phi.trunc + 1)
     images = [dom.from_ratq(c) for c in want.coeffs]
@@ -273,8 +274,8 @@ def test_relaxed_evaluator_matches_fresh(F, seed, ops, domain):
         dom = ExactDomain()
     else:
         prime = 2147483647
-        rng = np.random.default_rng(11)
-        dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 48, rng))
+        rnd = random.Random(11)
+        dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 48, rnd))
     ev = Evaluator([dom.from_ratq(c) for c in seed], dom)
     width = len(seed) + 1
     for what, c, n, lo in ops:
@@ -368,8 +369,8 @@ def test_planned_products_match_reference(F, G, seed, ops, domain):
         dom = ExactDomain()
     else:
         prime = 2147483647
-        rng = np.random.default_rng(13)
-        dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 32, rng))
+        rnd = random.Random(13)
+        dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 32, rnd))
     phi = list(seed)
     ev = Evaluator([dom.from_ratq(c) for c in phi], dom)
     for what, c, n in ops:

@@ -218,7 +218,7 @@ def test_series_mul_matches_reduced_terms(seed, p, lo, span, full):
     # all-(p - 1) rows is (p - 1)^2
     hi = min(lo + span, 70)
     rng = np.random.default_rng(seed)
-    dom = P.ProbeDomain(p, P._lane_points(p, 8, rng))
+    dom = P.ProbeDomain(p, P._lane_points(p, 8, random.Random(seed)))
     if full:
         a = b = np.full((hi, dom.n), p - 1, dtype=np.int64)
     else:
@@ -530,13 +530,43 @@ def test_lift_poly_is_one_qpoly_over_the_lcm():
 def test_lane_points_take_the_whole_range():
     # 94 of the 94 points in [2, 95] mod 97: distinct by construction
     for seed in range(20):
-        pts = P._lane_points(97, 94, np.random.default_rng(seed))
+        pts = P._lane_points(97, 94, random.Random(seed))
         assert sorted(pts.tolist()) == list(range(2, 96))
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([*islice(K.primes_29(), 3), 97, 101]),
+       data=st.data())
+def test_points_depend_on_the_prime_alone(p, data):
+    # a fresh evaluator's lanes and a run's (g, r) are drawn by
+    # random.Random(p) alone: two draws at p agree, and at 97 and 101 the
+    # lanes may take the whole range [2, p - 2]
+    nlanes = data.draw(st.integers(1, min(p - 3, 200)))
+    F = parse("y[0] - 1").parsed
+    lanes = [P._fresh(F, [RatQ(1)], 1, nlanes, p)[0].dom.q.tolist()
+             for _ in range(2)]
+    assert lanes[0] == lanes[1]
+    assert lanes[0] == P._lane_points(p, nlanes, random.Random(p)).tolist()
+    assert len(set(lanes[0])) == nlanes
+    assert all(2 <= x <= p - 2 for x in lanes[0])
+    # _start_run hands its (g, r) to _progression, which refuses them here
+    drawn = []
+
+    def refuse(prime, g, r, npool):
+        drawn.append((prime, g, r))
+        raise P._Pole("recorded")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "_progression", refuse)
+        for _ in range(2):
+            with pytest.raises(P._Pole):
+                P._start_run(F, [RatQ(1)], 1, p, nlanes)
+    assert drawn[0] == drawn[1]
+    assert drawn[0][0] == p and all(2 <= v <= p - 2 for v in drawn[0][1:])
+
+
 def test_probe_domain_roundtrip():
-    rng = np.random.default_rng(3)
-    dom = P.ProbeDomain(MP, P._lane_points(MP, 64, rng))
+    dom = P.ProbeDomain(MP, P._lane_points(MP, 64, random.Random(3)))
     val = (Q ** 2 - 1) / (Q ** 3 + 2 * Q)
     lanes = dom.from_ratq(val)
     x = dom.q
@@ -1164,7 +1194,7 @@ def test_lane_growth_stops_at_the_ceiling(monkeypatch, ceiling, N):
 
 def test_probe_domain_sum_matches_folded_add():
     rng = np.random.default_rng(11)
-    dom = P.ProbeDomain(MP, P._lane_points(MP, 64, rng))
+    dom = P.ProbeDomain(MP, P._lane_points(MP, 64, random.Random(11)))
     for k in range(6):
         terms = [rng.integers(0, MP, size=dom.n, dtype=np.int64)
                  for _ in range(k)]
@@ -1199,7 +1229,7 @@ ratq_maybe_zero = st.builds(lambda r, k: r.shift_q(k), ratq_any,
 @given(ratq_maybe_zero, ratq_shifted, st.integers(-30, 30), st.integers(0, 2))
 def test_probe_domain_conforms_to_exact(a, b, e, lo):
     ex = ExactDomain()
-    dom = P.ProbeDomain(MP, P._lane_points(MP, 48, np.random.default_rng(5)))
+    dom = P.ProbeDomain(MP, P._lane_points(MP, 48, random.Random(5)))
 
     def same(got, want):
         assert (got == dom.from_ratq(want)).all()
@@ -1231,7 +1261,7 @@ def test_stacked_from_ratq_matches_one_by_one(values, p):
     # the probe check converts all coefficients at once; each value, and
     # a pole at any lane (frequent mod 101), must be what one conversion
     # at a time gives
-    dom = P.ProbeDomain(p, P._lane_points(p, 48, np.random.default_rng(5)))
+    dom = P.ProbeDomain(p, P._lane_points(p, 48, random.Random(5)))
 
     def converted(convert):
         try:

@@ -1,6 +1,6 @@
+import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from qdeq import _probes, solver
@@ -144,7 +144,7 @@ def test_rows_after_a_wider_residual_match_fresh(domain, monkeypatch):
     else:
         prime = 2147483647
         dom = _probes.ProbeDomain(prime, _probes._lane_points(
-            prime, 32, np.random.default_rng(7)))
+            prime, 32, random.Random(7)))
     calls = []
 
     def residual(F, ev, trunc, dom, lo=0):
@@ -235,7 +235,7 @@ def test_steady_slope_is_unit_times_resonance_poly():
     m0 = newton_polygon(lin).vertices[0][0]
     prime = 2147483647
     probe = _probes.ProbeDomain(prime, _probes._lane_points(
-        prime, 32, np.random.default_rng(3)))
+        prime, 32, random.Random(3)))
     for dom in (ExactDomain(), probe):
         # the row the solver freezes at its first step, h = 2
         ev = Evaluator([dom.from_ratq(c) for c in seed], dom)

@@ -125,6 +125,18 @@ def test_roots_of_a_power_of_t_build_no_list_of_its_zeros(monkeypatch):
     assert abs(got[0] - 1e-8) < 1e-20
 
 
+def test_roots_past_a_high_power_of_t():
+    # T^100 (1 + T - T^2): each root of s answers to s's own residual,
+    # which |T|^100 would scale by 1.618^100 (about 8e20) at the golden
+    # root; the roots at 0 come back as one, untested
+    phi = (1 + math.sqrt(5)) / 2
+    for m in (20, 100):
+        P = ResonancePoly({m: 1, m + 1: 1, m + 2: -1})
+        got = sorted(roots_of(P, unit_q(GOLDEN)), key=lambda z: z.real)
+        assert len(got) == 3
+        assert close(got[0], 1 - phi) and got[1] == 0 and close(got[2], phi)
+
+
 # ---------------------------------------------------------------------------
 # scan_condition_H
 
