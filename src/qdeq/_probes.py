@@ -40,11 +40,12 @@ budget) raises EngineError, and the caller falls back to the exact
 domain; so does a coefficient of F or of the seed that spans more
 powers of q than a pool may hold lanes, which solve declines before any
 run.  Each c_h is fitted times G = d(c_(h-1)), the denominator of
-c_(h-1) = q^v n/d without its q-power: a guess at a factor of den(c_h)
-that is never trusted, formed at the lanes once per reconstruction
-call.  On q-Painleve II it divides and the fit shrinks, and a wrong G
-only makes the fit larger.  Every exact value enters the lanes as (v, n, d), with
-q^v a power of the lanes (ProbeDomain.qpow).
+c_(h-1) = q^v n/(s d) without its q-power and scalar: a guess at a
+factor of den(c_h) that is never trusted, formed at the lanes once per
+reconstruction call.  On q-Painleve II it divides and the fit shrinks,
+and a wrong G only makes the fit larger.  Every exact value enters the
+lanes as its integer record (v, n, s, d), with q^v a power of the lanes
+(ProbeDomain.qpow) and 1/s a scalar inverse mod p.
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
 on which interpolation has closed forms (Bostan and Schost, J.
 Complexity 21, 2005): two convolutions (_conv_mod) of per-run weights
@@ -201,14 +202,15 @@ def _stack(rows):
     return out
 
 
-def _eval_qpolys(polys, xs, p):
-    """QPolys at the points xs modulo p, one row each, in one stacked
-    Horner pass; _Pole where p divides a scalar denominator."""
+def _eval_polys(polys, xs, p):
+    """Polynomials ints/s, given as (ints, s) pairs of an integer tuple
+    and a positive scalar, at the points xs modulo p, one row each, in
+    one stacked Horner pass; _Pole where p divides a scalar s."""
     try:
-        scale = np.array([pow(f.den, -1, p) for f in polys], dtype=np.int64)
+        scale = np.array([pow(s, -1, p) for _, s in polys], dtype=np.int64)
     except ValueError:
         raise _Pole(f"a scalar denominator is 0 mod {p}") from None
-    at = eval_many_mod(_stack([[c % p for c in f.ints] for f in polys]),
+    at = eval_many_mod(_stack([[c % p for c in ints] for ints, _ in polys]),
                        xs, p)
     return at * scale[:, None] % p
 
@@ -304,12 +306,13 @@ class ProbeDomain:
 
 
 def _from_ratqs(dom, values):
-    """dom.from_ratq of each value q^v n/d, one row each: every n and d in
-    one stacked evaluation, q^v by dom.qpow, and one division; _Pole
-    where a value has a pole at a lane."""
+    """dom.from_ratq of each value q^v n/(s d), one row each: every n/s
+    and d in one stacked evaluation, q^v by dom.qpow, and one division;
+    _Pole where a value has a pole at a lane."""
     k = len(values)
-    dens = [] if all(r.d.is_one() for r in values) else [r.d for r in values]
-    at = _eval_qpolys([r.n for r in values] + dens, dom.q, dom.p)
+    dens = ([] if all(r.d == (1,) for r in values)
+            else [(r.d, 1) for r in values])
+    at = _eval_polys([(r.n, r.s) for r in values] + dens, dom.q, dom.p)
     for row, r in zip(at, values):
         if r.v:
             row[:] = dom.shift(row, r.v)
@@ -526,11 +529,12 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
 def _reconstruct_coeff(runs, h, guess, G):
     """(value, need) for coefficient h from the runs' lane data: the lift
     num/den of the pairs fitted to c_h * G, as the exact RatQ num/(den G),
-    and len(num) + len(den).  Fit guess points per prime, then the whole
-    pool if fewer than two primes fit, and raise _NeedLanes if they still
-    do not; the next 16 points hold each fit out.  c_h * G at a run's lanes
-    is formed once per call, and only for a run that fits.  The lift is
-    not evaluated here: _verify_fresh tests it on a prime of its own."""
+    and len(num) + len(den); G is an integer tuple, the d of c_(h-1).
+    Fit guess points per prime, then the whole pool if fewer than two
+    primes fit, and raise _NeedLanes if they still do not; the next 16
+    points hold each fit out.  c_h * G at a run's lanes is formed once
+    per call, and only for a run that fits.  The lift is not evaluated
+    here: _verify_fresh tests it on a prime of its own."""
     cap = min(run.dom.n for run in runs) - 16
     scaled = {}  # run -> c_h * G at its lanes
     for n in sorted({min(guess, cap), cap}):
@@ -538,7 +542,7 @@ def _reconstruct_coeff(runs, h, guess, G):
             if (h, n) not in run.cands:
                 p, hold = run.dom.p, slice(n, n + 16)
                 if run not in scaled:
-                    at = _eval_qpolys([G], run.dom.q, p)[0]
+                    at = _eval_polys([(G, 1)], run.dom.q, p)[0]
                     scaled[run] = run.coeffs[h] * at % p
                 ys = scaled[run]
                 got = _rat_interp(ys[:n], p, run.w, _node_poly(n, run.w, p))
@@ -562,7 +566,7 @@ def _reconstruct_coeff(runs, h, guess, G):
     primes = [runs[i].prime for i in group]
     num = _lift_poly([cands[i][0] for i in group], primes)
     den = _lift_poly([cands[i][1] for i in group], primes)
-    return RatQ(num, den * G), sum(shape)
+    return RatQ(num, den * QPoly(G)), sum(shape)
 
 
 def solve(F, seed, N):
@@ -570,11 +574,11 @@ def solve(F, seed, N):
     values such as residuals stay probe-domain vectors.  Every prime
     starts at a pool of _START_LANES lanes, and all pools double in place
     when a fit outgrows them, up to _MAX_LANES lanes.  A coefficient
-    q^v n/d of F or of the seed that spans more powers of q,
+    q^v n/(s d) of F or of the seed that spans more powers of q,
     |v| + len(n) + len(d), than that raises EngineError before any run:
     the coefficients solved from it would outgrow every pool.  Each lift
     is accepted by _verify_fresh alone."""
-    if any(abs(r.v) + len(r.n.ints) + len(r.d.ints) > _MAX_LANES
+    if any(abs(r.v) + len(r.n) + len(r.d) > _MAX_LANES
            for r in [*F.monomials.values(), *seed]):
         raise EngineError("a coefficient spans more powers of q than a pool")
     return _solve_at(F, seed, N, _START_LANES)

@@ -57,8 +57,8 @@ def jones(n):
     if n < 0:
         raise ValueError("color must be a nonnegative integer")
     top = max(n - 1, 0)  # at n = 0 the one term is T_0 = 1
-    # a product of factors 1 - q^m (m >= 1): v = 0 and d = 1, so it is n
-    p = K.div_binomial(pochhammer(RatQ(1).shift_q(1), "q", 2 * top + 1).n.ints,
+    # a product of factors 1 - q^m (m >= 1): v = 0 and s = d = 1, so it is n
+    p = K.div_binomial(pochhammer(RatQ(1).shift_q(1), "q", 2 * top + 1).n,
                        top + 1)
     total = [0] * (2 * n * top + 1)  # T_k spans q^{-nk} .. q^{nk}
     for k in range(top, -1, -1):

@@ -5,15 +5,17 @@ Two immutable value types:
 * QPoly     polynomial in q with rational coefficients, stored as a tuple
             of integers over one positive integer denominator with
             gcd(content, den) = 1 and no trailing zero coefficient;
-* RatQ      the element q^v * n/d of Q(q), with QPolys n and d that have
+* RatQ      the element q^v * n/(s*d) of Q(q), one flat record of
+            integers (v, n, s, d).  n and d are integer tuples with
             nonzero constant terms, so v is the exact ord_q and a
             q-power shift touches v alone.  n/d is reduced, d is
-            primitive with integer coefficients and positive leading
-            coefficient, and all rational scalar content lives in n.
-            The zero element is v = 0, n = 0, d = 1.  The package
-            reads (v, n, d) alone, so q^v costs one exponent; the num
-            and den properties, a dense pair of size |v|, are kept for
-            the benchmark's checks and the tests.
+            primitive with a positive leading coefficient, and the
+            positive integer s carries all rational scalar content,
+            with gcd(content(n), s) = 1.  The zero element is
+            (0, (), 1, (1,)).  The package reads the record alone, so
+            q^v costs one exponent; the num and den properties, dense
+            QPolys of size |v|, are kept for the benchmark's checks and
+            the tests.
 
 ratq_sum is the one sum in Q(q).  It adds a list of RatQ terms with one
 reduction at the end: it groups the terms by denominator, merges the
@@ -111,6 +113,20 @@ def power(base, k, one):
     return out
 
 
+def _reduced(ints, s):
+    """The scalar normal form of ints/s, for nonzero s: (tuple, s) with
+    s > 0 and gcd(content, s) = 1, so the zero polynomial gives ((), 1).
+    QPoly's constructor goes through it, and so does every RatQ
+    operation that forms a new numerator: the constructor, *, _inverse
+    and ratq_sum.  _mul_unreduced leaves its product to ratq_sum."""
+    if s < 0:
+        ints, s = [-c for c in ints], -s
+    g = math.gcd(K.content(ints), s)
+    if g > 1:
+        ints, s = [c // g for c in ints], s // g
+    return tuple(ints), s
+
+
 class QPoly:
     """Polynomial in q over Q.  See the module docstring for the layout."""
 
@@ -118,23 +134,10 @@ class QPoly:
 
     def __init__(self, ints=(), den=1):
         ints = list(map(index, ints))  # exact integers only
-        K.trim(ints)
         den = index(den)
         if den == 0:
             raise DivisionByZero("QPoly denominator is zero")
-        if not ints:
-            self.ints = ()
-            self.den = 1
-            return
-        if den < 0:
-            ints = [-c for c in ints]
-            den = -den
-        g = math.gcd(K.content(ints), den)
-        if g > 1:
-            ints = [c // g for c in ints]
-            den //= g
-        self.ints = tuple(ints)
-        self.den = den
+        self.ints, self.den = _reduced(K.trim(ints), den)
 
     @classmethod
     def from_value(cls, v):
@@ -149,9 +152,6 @@ class QPoly:
     def is_zero(self):
         return not self.ints
 
-    def is_one(self):
-        return self.ints == (1,) and self.den == 1
-
     def __add__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
@@ -160,26 +160,15 @@ class QPoly:
         b = K.scal(other.ints, l // other.den)
         return QPoly(K.add(a, b), l)
 
-    def __neg__(self):
-        return QPoly([-c for c in self.ints], self.den)
-
     def __mul__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
         return QPoly(K.mul(list(self.ints), list(other.ints)), self.den * other.den)
 
-    def eval(self, v):
-        if not self.ints:
-            return 0 * v
-        return K.eval_at(list(self.ints), v) / self.den
-
     def __eq__(self, other):
         if not isinstance(other, QPoly):
             return NotImplemented
         return self.ints == other.ints and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.ints, self.den))
 
     def __bool__(self):
         return bool(self.ints)
@@ -190,14 +179,6 @@ class QPoly:
 
     def __repr__(self):
         return f"QPoly({self.to_text()})"
-
-
-def _qpoly(ints, den=1):
-    """QPoly from an already normalized integer list; no checks."""
-    p = object.__new__(QPoly)
-    p.ints = tuple(ints)
-    p.den = den
-    return p
 
 
 def _lowest_terms(n, d):
@@ -216,21 +197,22 @@ def _mul_ints(a, b):
     return a if len(b) == 1 == b[0] else K.mul(a, b)
 
 
-def _ratq(v, n, d):
+def _ratq(v, n, s, d):
     r = object.__new__(RatQ)
     r.v = v
     r.n = n
+    r.s = s
     r.d = d
     return r
 
 
 class RatQ:
-    """Element q^v * n/d of Q(q); the carrier of deg_q and ord_q.
+    """Element q^v * n/(s*d) of Q(q); the carrier of deg_q and ord_q.
 
     See the module docstring for the layout.
     """
 
-    __slots__ = ("v", "n", "d")
+    __slots__ = ("v", "n", "s", "d")
 
     def __init__(self, num, den=1):
         num = QPoly.from_value(num)
@@ -238,7 +220,7 @@ class RatQ:
         if den.is_zero():
             raise DivisionByZero("zero denominator in Q(q)")
         if num.is_zero():
-            self.v, self.n, self.d = 0, _qpoly(()), _qpoly((1,))
+            self.v, self.n, self.s, self.d = 0, (), 1, (1,)
             return
         n_ints = list(num.ints)
         d_ints = list(den.ints)
@@ -250,16 +232,17 @@ class RatQ:
         # scalar bookkeeping: value = (n_ints/num.den) * (den.den/(c*d_ints))
         if den.den > 1:
             n_ints = K.scal(n_ints, den.den)
-        self.n = QPoly(n_ints, num.den * c)
-        self.d = _qpoly(d_ints)
+        self.n, self.s = _reduced(n_ints, num.den * c)
+        self.d = tuple(d_ints)
 
     @staticmethod
     def from_value(v):
-        """v as a plain RatQ; a QLaurent loses its Laurent print form."""
+        """v as a plain RatQ (a QLaurent loses its Laurent print form);
+        an int, Fraction or QPoly through the constructor."""
         if type(v) is RatQ:
             return v
         if isinstance(v, RatQ):
-            return _ratq(v.v, v.n, v.d)
+            return _ratq(v.v, v.n, v.s, v.d)
         return RatQ(v)
 
     def to_ratq(self):
@@ -268,29 +251,29 @@ class RatQ:
 
     @property
     def num(self):
-        """Dense reduced numerator: q^v * n when v > 0, else n."""
-        if self.v > 0:
-            return _qpoly(K.shift(self.n.ints, self.v), self.n.den)
-        return self.n
+        """Dense reduced numerator, a QPoly: q^v * n/s when v > 0, else
+        n/s."""
+        return QPoly(K.shift(self.n, self.v) if self.v > 0 else self.n,
+                     self.s)
 
     @property
     def den(self):
-        """Dense reduced denominator: q^-v * d when v < 0, else d."""
-        if self.v < 0:
-            return _qpoly(K.shift(self.d.ints, -self.v))
-        return self.d
+        """Dense reduced denominator, a QPoly with integer coefficients:
+        q^-v * d when v < 0, else d."""
+        return QPoly(K.shift(self.d, -self.v) if self.v < 0 else self.d)
 
     def is_zero(self):
-        return not self.n.ints
+        return not self.n
 
     def is_one(self):
-        return self.v == 0 and self.n.is_one() and self.d.is_one()
+        return (self.v == 0 and self.n == (1,) and self.s == 1
+                and self.d == (1,))
 
     @property
     def deg_q(self):
         if self.is_zero():
             return NEG_INF
-        return self.v + len(self.n.ints) - len(self.d.ints)
+        return self.v + len(self.n) - len(self.d)
 
     @property
     def ord_q(self):
@@ -311,7 +294,7 @@ class RatQ:
     __radd__ = __add__
 
     def __neg__(self):
-        return _ratq(self.v, -self.n, self.d)
+        return _ratq(self.v, tuple([-c for c in self.n]), self.s, self.d)
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, QPoly, RatQ)):
@@ -332,20 +315,19 @@ class RatQ:
         # cross-reduce before multiplying to keep intermediates small;
         # by Gauss's lemma the product of the primitive denominators is
         # primitive, so only the numerator's scalar needs reducing
-        n1, d2 = _lowest_terms(self.n.ints, other.d.ints)
-        n2, d1 = _lowest_terms(other.n.ints, self.d.ints)
+        n1, d2 = _lowest_terms(self.n, other.d)
+        n2, d1 = _lowest_terms(other.n, self.d)
         return _ratq(self.v + other.v,
-                     QPoly(_mul_ints(n1, n2), self.n.den * other.n.den),
-                     _qpoly(_mul_ints(d1, d2)))
+                     *_reduced(_mul_ints(n1, n2), self.s * other.s),
+                     tuple(_mul_ints(d1, d2)))
 
     __rmul__ = __mul__
 
     def _inverse(self):
         if self.is_zero():
             raise DivisionByZero("division by zero in Q(q)")
-        c, n = K.unit_normal(self.n.ints)
-        return _ratq(-self.v, QPoly(K.scal(self.d.ints, self.n.den), c),
-                     _qpoly(n))
+        c, n = K.unit_normal(self.n)
+        return _ratq(-self.v, *_reduced(K.scal(self.d, self.s), c), tuple(n))
 
     def __truediv__(self, other):
         if not isinstance(other, (int, Fraction, QPoly, RatQ)):
@@ -369,27 +351,29 @@ class RatQ:
         k = index(k)
         if self.is_zero():
             return _ZERO
-        return _ratq(self.v + k, self.n, self.d)
+        return _ratq(self.v + k, self.n, self.s, self.d)
 
     def eval(self, x):
-        """n(x) x^v / d(x) at q = x; ZeroDivisionError at poles.
+        """n(x) x^v / (s d(x)) at q = x; ZeroDivisionError at poles.
 
         n and d are evaluated separately, so at |x| = 1 cancellation loses
         every digit once the coefficients are large (q-Painleve II's c_30
         comes out with a relative error near 2e5; ROADMAP finding G).
         Never use it for a solution's point values.
         """
-        return self.n.eval(x) * x ** self.v / self.d.eval(x)
+        n = K.eval_at(self.n, x) / self.s if self.n else 0 * x
+        return n * x ** self.v / K.eval_at(self.d, x)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QPoly)):
             other = RatQ(other)
         if not isinstance(other, RatQ):
             return NotImplemented
-        return self.v == other.v and self.n == other.n and self.d == other.d
+        return (self.v == other.v and self.n == other.n
+                and self.s == other.s and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.v, self.n, self.d))
+        return hash((self.v, self.n, self.s, self.d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -397,7 +381,7 @@ class RatQ:
     def to_text(self):
         """Integer-ratio text form, e.g. (q^2-1)/(q^3+2*q); round-trips by value."""
         # q^v enters the exponents, never a dense list: v may be huge
-        p, d = self.n.ints, K.scal(self.d.ints, self.n.den)
+        p, d = self.n, K.scal(self.d, self.s)
         ptxt, dtxt = (
             _fmt_terms([(e + k, c) for e, c in enumerate(a) if c][::-1])
             for a, k in ((p, max(self.v, 0)), (d, max(-self.v, 0))))
@@ -419,11 +403,10 @@ _ZERO = RatQ(0)
 
 
 def _mul_unreduced(a, b):
-    """a*b with no gcd, as a term for ratq_sum: n/d and n's scalar are
+    """a*b with no gcd, as a term for ratq_sum: n/d and the scalar s are
     left as the factors' products give them."""
-    return _ratq(a.v + b.v,
-                 _qpoly(_mul_ints(a.n.ints, b.n.ints), a.n.den * b.n.den),
-                 _qpoly(_mul_ints(a.d.ints, b.d.ints)))
+    return _ratq(a.v + b.v, tuple(_mul_ints(a.n, b.n)), a.s * b.s,
+                 tuple(_mul_ints(a.d, b.d)))
 
 
 def ratq_sum(terms):
@@ -448,19 +431,19 @@ def ratq_sum(terms):
     product of primitive polynomials with positive leading coefficients,
     so it is one too (Gauss), and the result has the canonical layout.
     """
-    terms = [t for t in terms if t.n.ints]
+    terms = [t for t in terms if t.n]
     if not terms:
         return _ZERO
     v = min(t.v for t in terms)
-    l = math.lcm(*(t.n.den for t in terms))
+    l = math.lcm(*(t.s for t in terms))
     groups = {}
     for t in terms:
-        acc = groups.setdefault(t.d.ints, [])
-        off, s = t.v - v, l // t.n.den
-        top = off + len(t.n.ints)
+        acc = groups.setdefault(t.d, [])
+        off, s = t.v - v, l // t.s
+        top = off + len(t.n)
         if len(acc) < top:
             acc.extend([0] * (top - len(acc)))
-        ints = t.n.ints if s == 1 else K.scal(t.n.ints, s)
+        ints = t.n if s == 1 else K.scal(t.n, s)
         acc[off:top] = map(add, acc[off:top], ints)
     D, N = [1], []
     for d, a in sorted(groups.items(), key=lambda g: -len(g[0])):
@@ -481,7 +464,7 @@ def ratq_sum(terms):
         return _ZERO
     o = K.low(N)  # the constant terms cancelled: q^o moves into v
     N, D = _lowest_terms(N[o:], D)
-    return _ratq(v + o, QPoly(N, l), _qpoly(D))
+    return _ratq(v + o, *_reduced(N, l), tuple(D))
 
 
 class QLaurent(RatQ):
@@ -496,9 +479,9 @@ class QLaurent(RatQ):
 
     def __init__(self, body, shift=0):
         r = RatQ.from_value(body).shift_q(shift)
-        if not r.d.is_one():
+        if r.d != (1,):
             raise ValueError("a QLaurent has denominator 1")
-        self.v, self.n, self.d = r.v, r.n, r.d
+        self.v, self.n, self.s, self.d = r.v, r.n, r.s, r.d
 
     @classmethod
     def q_power(cls, k):
@@ -506,14 +489,14 @@ class QLaurent(RatQ):
 
     def terms(self):
         """[(exponent, Fraction)] for nonzero coefficients, ascending."""
-        return [(e + self.v, Fraction(c, self.n.den))
-                for e, c in enumerate(self.n.ints) if c]
+        return [(e + self.v, Fraction(c, self.s))
+                for e, c in enumerate(self.n) if c]
 
     def to_text(self):
-        if self.n.den > 1:
+        if self.s > 1:
             return _fmt_terms(self.terms()[::-1])
         # integer coefficients print as they are, with no Fraction each
-        return _fmt_terms([(e + self.v, c) for e, c in enumerate(self.n.ints)
+        return _fmt_terms([(e + self.v, c) for e, c in enumerate(self.n)
                            if c][::-1])
 
     def __repr__(self):
@@ -527,11 +510,11 @@ Q = RatQ(QPoly((0, 1)))
 def pochhammer(a, base, k):
     """(a; q)_k = (1-a)(1-a*q)...(1-a*q^(k-1)) for a Laurent polynomial a.
 
-    base="q_inv" uses ratio q^-1 instead of q.  The empty product (k=0)
-    is 1.  The product runs on integer lists: with a = q^v * n/c (n an
-    integer polynomial, c its scalar denominator), c times factor j is
-    c - q^e * n with e = v ± j, so each factor costs one scale of the
-    running product by c, one product with n (a scal when a is a
+    base must be "q"; (a; q^-1)_k is (a*q^(1-k); q)_k.  The empty
+    product (k=0) is 1.  The product runs on integer lists: with a =
+    q^v * n/c (n an integer polynomial, c its scalar denominator), c
+    times factor j is c - q^(v+j) * n, so each factor costs one scale of
+    the running product by c, one product with n (a scal when a is a
     monomial) and one shifted subtraction, and the Laurent offset is an
     int.  One QLaurent over c^k is built at the end.  For k >= 1 an a
     with a nontrivial denominator raises ValueError: the product keeps
@@ -539,21 +522,17 @@ def pochhammer(a, base, k):
     """
     if k < 0:
         raise ValueError("pochhammer length must be nonnegative")
-    if base == "q":
-        step = 1
-    elif base == "q_inv":
-        step = -1
-    else:
-        raise ValueError(f"unknown base {base!r}; use 'q' or 'q_inv'")
+    if base != "q":
+        raise ValueError(f"unknown base {base!r}; use 'q'")
     a = RatQ.from_value(a)
     if k == 0 or a.is_zero():
         return QLaurent(1)
-    if not a.d.is_one():
+    if a.d != (1,):
         raise ValueError("pochhammer takes a Laurent polynomial")
-    n, c = a.n.ints, a.n.den
+    n, c = a.n, a.s
     out, o = [1], 0  # the product so far is q^o * out / c^j
     for j in range(k):
-        e = a.v + step * j
+        e = a.v + j
         t = _mul_ints(out, n)
         out = K.scal(out, c)  # a new list: t may be out itself
         if e < 0:  # q^o * (c*out - q^e*t) = q^(o+e) * (q^-e*c*out - t)

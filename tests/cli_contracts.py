@@ -315,6 +315,32 @@ CONTRACTS = [
           "resolved_through": 2,
           "events": [{"h": 1, "kind": "unique", "order": 1},
                      {"h": 2, "kind": "unique", "order": 2}]}))),
+    # an exact coefficient with both a scalar s > 1 and a denominator d != 1
+    C("test_solve_prints_a_scalar_and_a_polynomial_denominator",
+      ("solve", "x*y[1] - 2*(1+q)*y[0] + 1", "--seed", "1/(2+2*q)",
+       "--order", "2", "--format", "json"), 0,
+      printed(json.dumps({
+          "coeffs": ["1/(2*q+2)", "1/(4*q^2+8*q+4)",
+                     "q/(8*q^3+24*q^2+24*q+8)"],
+          "resolved_through": 2,
+          "events": [{"h": 1, "kind": "unique", "order": 1},
+                     {"h": 2, "kind": "unique", "order": 2}]}))),
+    # past order 12 the probe engine solves it: the scalars reach 2^36,
+    # which enter the lanes through a modular inverse
+    C("test_probe_solve_carries_a_scalar_of_2_to_the_36",
+      ("solve", "y[0]^2 - (1+q)^2*(1 + x/2)", "--seed", "1+q", "--order",
+       "13", "--format", "json"), 0,
+      printed(json.dumps({
+          "coeffs": ["q+1", "(q+1)/4", "(-q-1)/32", "(q+1)/128",
+                     "(-5*q-5)/2048", "(7*q+7)/8192", "(-21*q-21)/65536",
+                     "(33*q+33)/262144", "(-429*q-429)/8388608",
+                     "(715*q+715)/33554432", "(-2431*q-2431)/268435456",
+                     "(4199*q+4199)/1073741824",
+                     "(-29393*q-29393)/17179869184",
+                     "(52003*q+52003)/68719476736"],
+          "resolved_through": 13,
+          "events": [{"h": h, "kind": "unique", "order": h}
+                     for h in range(1, 14)]})), seconds=10),
     C("test_solve_needs_seed", SOLVE, 1,
       qdeq_error('this command needs --seed "c0,c1,..."')),
     C("test_deep_seed_is_a_usage_error_naming_seed",

@@ -81,7 +81,7 @@ def _habiro_sum(n):
     for every k, each term a RatQ, the n + 1 terms added in Q(q)."""
     return QLaurent(ratq_sum([
         RatQ(1).shift_q(n * k)
-        * pochhammer(RatQ(1).shift_q(-n - 1), "q_inv", k)
+        * pochhammer(RatQ(1).shift_q(-n - k), "q", k)  # (q^(-n-1); q^-1)_k
         * pochhammer(RatQ(1).shift_q(-n + 1), "q", k)
         for k in range(n + 1)]))
 

@@ -1,8 +1,9 @@
 """Randomized invariants, at least 200 cases per suite.
 
-Suites: valuation additivity in Q(q), the q^v * n/d layout of RatQ
+Suites: valuation additivity in Q(q), the q^v * n/(s*d) layout of RatQ
 against its dense reduced pair (its text included), + and the n-ary sum
-against a fold of cross-multiplied dense pairs (_dense_add), skew
+against a fold of cross-multiplied dense pairs (_dense_add), the
+canonical layout of every operation's result, skew
 composition soundness, polygon translation invariance, the sparse XPoly
 against dense coefficient lists (_mul_coeffs), the resonance polynomial
 against its dense construction, first-order Taylor agreement of the
@@ -11,6 +12,7 @@ estimator on synthetic quadratic profiles.
 """
 
 import cmath
+import math
 import operator
 from fractions import Fraction
 from functools import reduce
@@ -21,8 +23,8 @@ from hypothesis import strategies as st
 from qdeq.dsl import parse, parse_ratq
 from qdeq.growth import estimate_order
 from qdeq.nonlinear import QdeqPoly, eval_at, linearize
-from qdeq.ratfunc import (POS_INF, Q, QLaurent, QPoly, RatQ, fmt_coeff_poly,
-                          ratq_sum)
+from qdeq.ratfunc import (POS_INF, Q, QLaurent, QPoly, RatQ, _mul_unreduced,
+                          fmt_coeff_poly, pochhammer, ratq_sum)
 from qdeq.series import TruncSeries, XPoly
 from qdeq.skewop import (SkewOp, apply, lowest_row, newton_polygon, op_mul,
                          resonance_poly)
@@ -71,7 +73,7 @@ def test_valuations_ultrametric_on_sums(a, b):
         assert s.ord_q == min(a.ord_q, b.ord_q)
 
 
-# -- the q^v * n/d layout against the dense reduced pair -----------------
+# -- the q^v * n/(s*d) layout against the dense reduced pair -------------
 
 
 def _dense_add(a, b):
@@ -82,7 +84,15 @@ def _dense_add(a, b):
 
 
 def _layout(r):
-    return r.v, r.n.ints, r.n.den, r.d.ints
+    return r.v, r.n, r.s, r.d
+
+
+def _dense_eval(p, x):
+    """A dense QPoly p at q = x by Horner's rule."""
+    acc = 0
+    for c in reversed(p.ints):
+        acc = acc * x + c
+    return acc / p.den
 
 
 def _dense_text(r):
@@ -142,7 +152,7 @@ def factored_term(draw):
 
 def _lowest(r):
     """The lowest-order term of a nonzero r, as a constant times q^v."""
-    return (RatQ(Fraction(r.n.ints[0], r.n.den)) / r.d.ints[0]).shift_q(r.v)
+    return (RatQ(Fraction(r.n[0], r.s)) / r.d[0]).shift_q(r.v)
 
 
 @st.composite
@@ -185,7 +195,7 @@ def add_operands(draw):
                      draw(st.integers(2, 6)))
     elif kind == "same_den":
         b = RatQ(QPoly(draw(nz_ints), draw(st.sampled_from((1, 2, 3)))),
-                 a.d).shift_q(draw(st.integers(-3, 3)))
+                 QPoly(a.d)).shift_q(draw(st.integers(-3, 3)))
         assume(b.d == a.d)  # n may share a factor with d and reduce
     elif kind == "cancel_lowest":
         # b's lowest term is minus a's, and the rest of b lies higher
@@ -208,6 +218,83 @@ def test_add_matches_dense_add(operands, swap):
     if kind == "cancel_lowest":
         s = a + b
         assert s.is_zero() or s.v > a.v  # the constant term cancelled
+
+
+# -- the canonical layout of every RatQ result ----------------------------
+
+
+def _assert_canonical(r):
+    """(v, n, s, d) as the ratfunc docstring states it: integer tuples n
+    and d over an integer s >= 1 with gcd(content(n), s) = 1, d primitive
+    with a positive lead, nonzero constant and leading terms, and zero
+    exactly (0, (), 1, (1,))."""
+    v, n, s, d = _layout(r)
+    assert type(n) is tuple and type(d) is tuple
+    assert all(type(c) is int for c in (v, s, *n, *d))
+    if not n:
+        assert (v, n, s, d) == (0, (), 1, (1,))
+        return
+    assert s >= 1 and math.gcd(*n, s) == 1
+    assert d and math.gcd(*d) == 1 and d[-1] > 0
+    assert n[0] and n[-1] and d[0]
+
+
+LAYOUT_OPS = ("init", "add", "sub", "cancel", "mul", "div", "inverse",
+              "pow", "shift_q", "sum_unreduced", "pochhammer")
+
+# operands with scalars, shared factors and either sign of v, or numbers
+layout_operand = st.one_of(factored_term(), st.integers(-6, 6),
+                           st.builds(Fraction, st.integers(-6, 6),
+                                     st.integers(1, 12)))
+
+
+@st.composite
+def layout_results(draw):
+    """(operation, result) for one operation that builds a RatQ."""
+    op = draw(st.sampled_from(LAYOUT_OPS))
+    a, b = draw(factored_term()), draw(layout_operand)
+    if op == "init":
+        # any signs, scalars and low zeros on either side
+        num = QPoly(draw(st.lists(st.integers(-6, 6), max_size=5)),
+                    draw(st.sampled_from((1, -1, 2, -3, 4, 6, -12))))
+        den = QPoly(draw(nz_ints), draw(st.sampled_from((1, -2, 3, 6))))
+        return op, RatQ(num, den)
+    if op == "add":
+        return op, b + a if draw(st.booleans()) else a + b
+    if op == "sub":
+        return op, b - a if draw(st.booleans()) else a - b
+    if op == "cancel":
+        return op, a + (-a) if draw(st.booleans()) else a - a
+    if op == "mul":
+        return op, b * a if draw(st.booleans()) else a * b
+    if op == "div":
+        assume(b != 0)
+        return op, b / a if draw(st.booleans()) else a / b
+    if op == "inverse":
+        # / and a negative ** multiply by it, and the product would hide a
+        # sign of s that it left negative
+        return op, a._inverse()
+    if op == "pow":
+        return op, a ** draw(st.integers(-3, 3))
+    if op == "shift_q":
+        return op, a.shift_q(draw(st.integers(-5, 5)))
+    if op == "sum_unreduced":
+        pairs = draw(st.lists(st.tuples(factored_term(), factored_term()),
+                              min_size=1, max_size=4))
+        if draw(st.booleans()):  # the whole sum cancels
+            pairs += [(-x, y) for x, y in pairs]
+        return op, ratq_sum([_mul_unreduced(x, y) for x, y in pairs])
+    body = draw(nz_ints)
+    base = RatQ(QPoly(body, draw(st.sampled_from((1, 2, 3, 12)))))
+    return op, pochhammer(base.shift_q(draw(st.integers(-4, 4))), "q",
+                          draw(st.integers(0, 6)))
+
+
+@settings(max_examples=400, **COMMON)
+@given(layout_results())
+def test_every_result_has_the_canonical_layout(op_result):
+    _, r = op_result
+    _assert_canonical(r)
 
 
 # -- skew composition soundness ------------------------------------------
@@ -326,7 +413,8 @@ def test_resonance_poly_matches_dense_rows(op, h, theta):
         c.shift_q(j * h) for j, c in enumerate(dense)), RatQ(0))
     qv = cmath.exp(2j * cmath.pi * theta)
     try:
-        want = [c.num.eval(qv) / c.den.eval(qv) for c in dense]
+        want = [_dense_eval(c.num, qv) / _dense_eval(c.den, qv)
+                for c in dense]
     except ZeroDivisionError:
         return
     got = L.coeffs_at(qv)

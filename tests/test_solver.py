@@ -312,7 +312,7 @@ def test_probe_check_falls_back_to_exact(monkeypatch):
     def pole(polys, xs, p):
         raise _probes._Pole(f"a scalar denominator is 0 mod {p}")
 
-    monkeypatch.setattr(_probes, "_eval_qpolys", pole)
+    monkeypatch.setattr(_probes, "_eval_polys", pole)
     with pytest.raises(EngineError):
         _probes.check(F, phi)
     assert check_solution(F, phi, mode="probe") == 4
