@@ -117,8 +117,9 @@ def _reduced(ints, s):
     """The scalar normal form of ints/s, for nonzero s: (tuple, s) with
     s > 0 and gcd(content, s) = 1, so the zero polynomial gives ((), 1).
     QPoly's constructor goes through it, and so does every RatQ
-    operation that forms a new numerator: the constructor, *, _inverse
-    and ratq_sum.  _mul_unreduced leaves its product to ratq_sum."""
+    operation that forms a new numerator: the constructor, * and
+    ratq_sum.  _mul_unreduced leaves its product to ratq_sum, and
+    _inverse needs only a sign."""
     if s < 0:
         ints, s = [-c for c in ints], -s
     g = math.gcd(K.content(ints), s)
@@ -327,7 +328,10 @@ class RatQ:
         if self.is_zero():
             raise DivisionByZero("division by zero in Q(q)")
         c, n = K.unit_normal(self.n)
-        return _ratq(-self.v, *_reduced(K.scal(self.d, self.s), c), tuple(n))
+        # gcd(content(s*d), c) = gcd(s, c) = 1 (d is primitive and n/s in
+        # lowest terms), so only c's sign moves to the numerator
+        s = self.s if c > 0 else -self.s
+        return _ratq(-self.v, tuple(K.scal(self.d, s)), abs(c), tuple(n))
 
     def __truediv__(self, other):
         if not isinstance(other, (int, Fraction, QPoly, RatQ)):

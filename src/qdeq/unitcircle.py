@@ -128,16 +128,24 @@ def roots_of(poly, q_numeric):
     return out
 
 
-def _dist(zs, u):
-    """|z - u| elementwise, rounded as Python's abs(complex) rounds it.
+def _dist(w):
+    """|w| elementwise, rounded as Python's abs(complex) rounds it.
 
     np.hypot goes to the C library's hypot like abs(complex) does;
     np.abs on a complex array may take a SIMD path that differs in the
     last bit.
     """
     import numpy as np
-    w = zs - u
     return np.hypot(w.real, w.imag)
+
+
+def _beyond(w, r):
+    """True when every |w_n| is sure to exceed r, judged from the squares
+    |w_n|^2 alone; False when that is not sure.  See _records for why
+    the factor 1 + 2^-40 makes the answer exact."""
+    b = r * r * (1 + 2.0 ** -40)
+    # a subnormal bound is no relative one, and inf or NaN skips nothing
+    return 1e-300 <= b < math.inf and (w * w.conj()).real.min() > b
 
 
 class DiophantineScan:
@@ -213,7 +221,20 @@ class DiophantineScan:
 
 def _records(q, roots, live, N, tol):
     """Per root index, the (n, d, n*d) rows where d = |q^n - u| attains
-    a new strict minimum; only live roots get rows, and a hit ends them."""
+    a new strict minimum; only live roots get rows, and a hit ends them.
+
+    A chunk where every d exceeds the root's record distance best holds
+    no row, and _beyond finds most such chunks without a hypot: it
+    compares s = |w|^2, w = z - u, with b = best^2 * (1 + eps) and
+    eps = 2^-40.  For the floats x, y of w, s is within a few ulps of
+    x^2 + y^2, hypot is within one ulp of sqrt(x^2 + y^2), and b's two
+    roundings move it by at most two half ulps; with eta = 2^-53, s > b
+    gives d > best * (1 + eps/2 - 4*eta), and eps/2 covers 4*eta about
+    1,000 times over.  So a skipped chunk is one the exact path would leave
+    without a row, and the rows stay bit-identical.  Below 1e-300 the
+    roundings are not relative (tol = 0 reaches there), so _beyond skips
+    nothing; nor while best is still inf.  The test for a root of unity,
+    d <= tol at u = 1, is skipped by the same bound at tol."""
     import numpy as np
     records = {i: [] for i in range(len(roots))}
     z = 1.0 + 0j
@@ -231,15 +252,20 @@ def _records(q, roots, live, N, tol):
         if m == SCAN_CHUNK:
             z /= abs(z)
             zs[-1] = z
-        hit = np.flatnonzero(_dist(zs, 1.0) <= tol)
-        if len(hit):
-            raise RootOfUnityDetected(n0 + int(hit[0]))
+        w = zs - 1.0
+        if not _beyond(w, tol):
+            hit = np.flatnonzero(_dist(w) <= tol)
+            if len(hit):
+                raise RootOfUnityDetected(n0 + int(hit[0]))
         for i in live:
             rows = records[i]
             best = rows[-1][1] if rows else math.inf
             if best <= tol:
                 continue  # a hit ended this root's scan
-            d = _dist(zs, roots[i])
+            w = zs - roots[i]
+            if _beyond(w, best):
+                continue  # every d > best: no new minimum here
+            d = _dist(w)
             prior = np.empty(m)  # least distance over every earlier n
             prior[0] = best
             np.minimum(np.minimum.accumulate(d[:-1]), best, out=prior[1:])
@@ -256,13 +282,14 @@ def _min_score(rows, c2):
     reaches it, which is the earliest argmin over every n: an earlier n'
     with d' <= d would score d' * n'^c2 <= d * n^c2."""
     low = (math.inf, 0)
-    for n, d, _ in rows:
-        try:
-            s = d * n ** float(c2)
-        except OverflowError:  # past the float range; n only grows
-            break
-        if s < low[0]:
-            low = (s, n)
+    try:
+        c2 = float(c2)
+        for n, d, _ in rows:
+            s = d * n ** c2
+            if s < low[0]:
+                low = (s, n)
+    except OverflowError:  # past the float range; n only grows
+        pass
     return low
 
 

@@ -513,6 +513,67 @@ CONTRACTS = [
     C("test_diophantine_golden_small",
       ("diophantine", "--theta", GOLD, "--N", "500", "--format", "json"), 0,
       VERDICT % '"status": "pass"'),
+    # the north star's size: 10^6 steps over the roots -1 and 1 of T^2 - 1,
+    # whose 38 records fall ever further apart, so almost every chunk
+    # after the first is skipped without a hypot
+    C("test_diophantine_golden_million",
+      ("diophantine", "S[2]-S[0]", "--theta", GOLD, "--N", "1000000",
+       "--format", "json"), 0,
+      printed(json.dumps({
+          "q": [-0.7373688782900851, -0.6754902940303595],
+          "scanned_to": 1000000,
+          "roots": [[-0.9999999999999999, 0.0], [0.9999999999999996, 0.0]],
+          "records": {
+              "0": [
+                  [1, 0.7247497798687693, 0.7247497798687693],
+                  [4, 0.17485145068311353, 0.6994058027324541],
+                  [17, 0.04132664449274999, 0.7025529563767499],
+                  [72, 0.009756576898548794, 0.7024735366955132],
+                  [305, 0.002303123056469844, 0.7024525322233024],
+                  [1292, 0.000544121327607625, 0.7030047552690515],
+                  [5473, 0.00012663822813698114, 0.6930910225936978],
+                  [23184, 3.756842143051254e-05, 0.8709862824450028],
+                  [98209, 2.3635457472123676e-05, 2.321214642879794],
+                  [173234, 9.702493528776987e-06, 1.6808017639641526],
+                  [248259, 4.2304704329738955e-06, 1.0502523592196664],
+                  [669752, 1.241552700204361e-06, 0.8315324040672711]],
+              "1": [
+                  [1, 1.8640648477400588, 1.8640648477400588],
+                  [2, 1.3509805880607189, 2.7019611761214377],
+                  [3, 0.8849419639360722, 2.6548258918082164],
+                  [5, 0.5590075211413257, 2.7950376057066286],
+                  [8, 0.3483639032282753, 2.7869112258262025],
+                  [13, 0.2159825247409533, 2.807772821632393],
+                  [21, 0.13364571182589713, 2.80655994834384],
+                  [34, 0.08263564174489685, 2.8096118193264927],
+                  [55, 0.05108064652958455, 2.8094355591271505],
+                  [89, 0.0315716589710507, 2.8098776484235124],
+                  [144, 0.019512921611643988, 2.809860712076734],
+                  [233, 0.012059666081270093, 2.8099021969359317],
+                  [377, 0.007453474777683825, 2.809959991186802],
+                  [610, 0.0046062430587827715, 2.8098082658574906],
+                  [987, 0.0028472439380649176, 2.8102297668700738],
+                  [1597, 0.0017590020044050596, 2.8091262010348803],
+                  [2584, 0.0010882426149399836, 2.8120189170049175],
+                  [4181, 0.0006707595499675392, 2.8044456784142815],
+                  [6765, 0.00041748310306489783, 2.824273192234034],
+                  [10946, 0.00025327645576811854, 2.7723640848378257],
+                  [17711, 0.00016420664946782383, 2.908263968724628],
+                  [28657, 8.90698067598923e-05, 2.5524734523182335],
+                  [46368, 7.51368428435597e-05, 3.483945128970176],
+                  [75025, 1.39329639450344e-05, 1.045320619976206],
+                  [421493, 5.472023099327302e-06, 2.3064194322047626],
+                  [918011, 2.9889177040087983e-06, 2.743859330374821]]},
+          "per_root": [
+              {"root": [-0.9999999999999999, 0.0], "status": "pass",
+               "c2": "1", "c1": 0.6930910225936978, "witness": None,
+               "reason": None},
+              {"root": [0.9999999999999996, 0.0], "status": "pass",
+               "c2": "1", "c1": 1.045320619976206, "witness": None,
+               "reason": None}],
+          "verdict": {"status": "pass", "c1": 0.6930910225936978,
+                      "c2": "1", "witness": None}})),
+      seconds=20),
     C("test_diophantine_custom_grid",
       ("diophantine", "--theta", GOLD, "--N", "500", "--c2-grid", "3/2,2",
        "--format", "json"), 0, VERDICT % '"c2": "3/2"'),

@@ -12,8 +12,8 @@ from qdeq import _intpoly as K
 from qdeq.errors import DegenerateAfterEvaluation, RootOfUnityDetected
 from qdeq.ratfunc import Q, RatQ
 from qdeq.skewop import ResonancePoly
-from qdeq.unitcircle import (DEFAULT_C2_GRID, DiophantineScan, roots_of,
-                             scan_condition_H, unit_q)
+from qdeq.unitcircle import (DEFAULT_C2_GRID, SCAN_CHUNK, DiophantineScan,
+                             _beyond, roots_of, scan_condition_H, unit_q)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # fractional part of the golden ratio
 
@@ -494,10 +494,7 @@ def scan_cases(draw):
     return q, roots, N, kw
 
 
-@settings(max_examples=200, deadline=None)
-@given(scan_cases())
-def test_chunked_scan_matches_loop_on_drawn_cases(case):
-    q, roots, N, kw = case
+def _assert_matches_loop_or_raises_with_it(q, roots, N, **kw):
     try:
         scan = scan_condition_H(q, roots, N, **kw)
     except RootOfUnityDetected as got:
@@ -507,3 +504,73 @@ def test_chunked_scan_matches_loop_on_drawn_cases(case):
     else:
         _assert_same((scan.records, scan.per_root, scan.verdict),
                      _loop_scan(q, roots, N, **kw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_chunked_scan_matches_loop_on_drawn_cases(case):
+    q, roots, N, kw = case
+    _assert_matches_loop_or_raises_with_it(q, roots, N, **kw)
+
+
+# ---------------------------------------------------------------------------
+# the squared-distance test that lets the scan skip a chunk without hypot
+
+# normal floats from 2^-450 to 2^451, so x^2 + y^2 stays a normal float
+SIGNED = st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+                   st.floats(1.0, 2.0, exclude_max=True),
+                   st.integers(-450, 450), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGNED, st.one_of(SIGNED, st.just(0.0)))
+def test_the_skip_never_passes_over_a_record(x, y):
+    # d = |x + iy| as the scan rounds it is a new minimum against the next
+    # float above it, however near |w|^2 and best^2 come: no skip
+    w = np.array([complex(x, y)])
+    d = float(np.hypot(x, y))
+    assert not _beyond(w, float(np.nextafter(d, math.inf)))
+    # and a best 2^-30 below d does skip, so the test is not vacuous
+    assert _beyond(w, d * (1 - 2.0 ** -30))
+
+
+def _chain(q, N):
+    """q^1..q^N as the scan forms them, one product at a time."""
+    zs, z = [], 1.0 + 0j
+    for n in range(1, N + 1):
+        z *= q
+        if n % SCAN_CHUNK == 0:
+            z /= abs(z)
+        zs.append(z)
+    return zs
+
+
+def _closest_return(zs):
+    """(k1, k2): k1 <= SCAN_CHUNK < k2 with q^k1 and q^k2 closest in
+    angle, so no q^n with n < k2 comes nearer their bisector than q^k1."""
+    phase = np.angle(zs)
+    order = np.argsort(phase)
+    gap = np.diff(phase[order], append=phase[order[0]] + 2 * math.pi)
+    first = order < SCAN_CHUNK
+    cross = first != np.roll(first, -1)  # neighbors from both sides
+    j = int(np.flatnonzero(cross)[np.argmin(gap[cross])])
+    a, b = int(order[j]) + 1, int(order[(j + 1) % len(order)]) + 1
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.integers(4200, 12000),
+       st.sampled_from([0.0, 1e-16, -1e-16, 3e-16, -3e-16]),
+       st.sampled_from([1e-9, 0.0]))
+def test_chunked_scan_matches_loop_at_near_ties_across_chunks(theta, N,
+                                                             nudge, tol):
+    # a root on the bisector of q^k1 and its nearest return q^k2 in a
+    # later chunk: d(k2) ties the record d(k1) to about 1e-12, so the
+    # chunk of k2 is skipped or scanned on the last bits of the margin
+    q = unit_q(theta)
+    zs = _chain(q, N)
+    k1, k2 = _closest_return(zs)
+    a, b = cmath.phase(zs[k1 - 1]), cmath.phase(zs[k2 - 1])
+    mid = (a + b) / 2 + (math.pi if abs(a - b) > math.pi else 0.0)
+    _assert_matches_loop_or_raises_with_it(
+        q, [cmath.exp(1j * (mid + nudge))], N, tol=tol)
