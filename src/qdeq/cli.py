@@ -200,6 +200,9 @@ def _load_series_json(text):
         raise QdeqError("argument --input: unrecognized series JSON; expected"
                         " a list of coefficient strings, a series object, or"
                         " solve output")
+    if not coeffs and not {"trunc", "resolved_through"} & obj.keys():
+        raise QdeqError("argument --input: an empty coefficient list has"
+                        " no truncation order")
     trunc = obj.get("trunc", obj.get("resolved_through", len(coeffs) - 1))
     if type(trunc) is not int or trunc < 0:
         raise QdeqError(f"argument --input: the series truncation must be"

@@ -51,11 +51,8 @@ class TruncSeries:
         trunc = index(trunc)
         if trunc < 0:
             raise ValueError("truncation order must be >= 0")
-        if len(coeffs) < trunc + 1:
-            coeffs += [RatQ(0)] * (trunc + 1 - len(coeffs))
-        elif len(coeffs) > trunc + 1:
-            del coeffs[trunc + 1:]
-        self.coeffs = tuple(coeffs)
+        zeros = (RatQ(0),) * (trunc + 1 - len(coeffs))
+        self.coeffs = tuple(coeffs[:trunc + 1]) + zeros
         self.trunc = trunc
         self.evaluator = None
 
@@ -135,9 +132,6 @@ class XPoly:
         if not isinstance(other, XPoly):
             return NotImplemented
         return type(self) is type(other) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((type(self), tuple(self.terms.items())))
 
     def sigma(self, i):
         """a(x) -> a(q^i x)."""

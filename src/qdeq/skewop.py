@@ -301,14 +301,6 @@ class ResonancePoly(XPoly):
         """Exact value at T = q**h."""
         return ratq_sum([c.shift_q(j * h) for j, c in self.terms.items()])
 
-    def coeffs_at(self, qv, lo=0):
-        """Numeric coefficients of T^lo .. T^deg at q = qv, ascending; only
-        the stored terms from T^lo up are evaluated."""
-        zero = RatQ(0).eval(qv)  # an absent power's value
-        vals = {j: c.eval(qv) for j, c in self.terms.items() if j >= lo}
-        top = max(vals, default=lo - 1)
-        return [vals.get(j, zero) for j in range(lo, top + 1)]
-
 
 def resonance_poly(op):
     """The polynomial L(T) whose values L(q^h) drive the order-h step.

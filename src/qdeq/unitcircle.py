@@ -74,17 +74,14 @@ def roots_of(poly, q_numeric):
     at q_numeric (the degree is not what the exact side thought) or a
     coefficient has a pole there.
     """
-    if isinstance(poly, ResonancePoly):
-        try:
-            terms = {j: c.eval(q_numeric) for j, c in poly.terms.items()}
-        except ZeroDivisionError:
-            raise DegenerateAfterEvaluation(
-                f"a coefficient of the resonance polynomial has a pole "
-                f"at q = {q_numeric}") from None
-        dense = poly.coeffs_at
-    else:
-        cs = [complex(c) for c in poly]
-        terms, dense = dict(enumerate(cs)), lambda _, lo: cs[lo:]
+    try:
+        terms = ({j: c.eval(q_numeric) for j, c in poly.terms.items()}
+                 if isinstance(poly, ResonancePoly)
+                 else dict(enumerate(map(complex, poly))))
+    except ZeroDivisionError:
+        raise DegenerateAfterEvaluation(
+            f"a coefficient of the resonance polynomial has a pole "
+            f"at q = {q_numeric}") from None
     if not terms:
         raise ValueError("empty polynomial has no roots to find")
     scale = max(abs(c) for c in terms.values())
@@ -98,10 +95,10 @@ def roots_of(poly, q_numeric):
             f"the polynomial degenerates there")
     import numpy as np
     # T^m s(T): its m roots at 0 skip every dense pass; s's companion matrix
-    # comes first, so a degree too large for it raises MemoryError at once
+    # precedes its coefficient list, so a huge degree raises MemoryError first
     m = min(j for j, c in terms.items() if c)
     A = np.zeros((n - m, n - m), complex)
-    cs = dense(q_numeric, m)
+    cs = [terms.get(j, 0j) for j in range(m, n + 1)]
     np.fill_diagonal(A[1:], 1)
     A[:1] = -np.array(cs[:-1][::-1], dtype=complex) / np.complex128(cs[-1])
     zero = 0j  # the m roots at 0 as one entry, counted m times in its mean

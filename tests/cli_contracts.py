@@ -139,6 +139,23 @@ Q2 = printed("root of unity: q^2 = 1")
 Q2_JSON = printed(json.dumps({"verdict": "root_of_unity", "n": 2}))
 DEGENERATE = diagnostic("DegenerateAfterEvaluation", "", ".*")
 SERIES_5 = ["1", "q", "q^3", "q^6", "q^10"]
+CORPUS_LISTING = """\
+q-euler: one-step equation x y(qx) - y(x) + 1 = 0 with the factorially \
+divergent solution sum q^(h(h-1)/2) x^h
+  seeds: 1
+  expectations: closed-form-coefficients, growth-order, linearized-slope
+jones-figure8: linearized recurrence operator for the generating series \
+of the figure-eight colored Jones invariants
+  expectations: polygon-slopes, degree-profile, order-profile
+q-painleve-2: nonlinear second-order equation \
+(y+x)(y(x)y(qx)-1)(y(x)y(x/q)-1) = q x^2 y with a convergent formal solution
+  seeds: 1, q/(q+1)
+  expectations: solution-extends, branch-point, regular-singular-polygon
+phi11-basic: balanced basic hypergeometric series solving the linear \
+equation y(x/q^2) scaled against (sigma-1)(sigma+1), with q-Gevrey \
+coefficients q^(h(h-1)) / ((-q;q)_h (q;q)_h)
+  seeds: 1
+  expectations: coefficient-closed-form, regular-singular-polygon"""
 NOT_READ = [
     ("parse", "x*S[1] - 1", "--seed", "1"),
     ("parse", "x*S[1] - 1", "--order", "3"),
@@ -200,9 +217,17 @@ CONTRACTS = [
                               "window": [0, 0], "monomials": [
                                   {"x": 0, "w": {}, "coeff": "-1"},
                                   {"x": 0, "w": {"0": 1}, "coeff": "1"}]}}))),
+    # "lhs = rhs" is the equation lhs - rhs
+    C("test_parse_an_equals_sign", ("parse", "y[1] = y[0] + 1"), 0,
+      printed("nonlinear: (-1) + (-1)*y[0] + y[1]")),
+    C("test_parse_subtracts_x_polynomials", ("parse", "(x - x^2)*y[0] - 1"),
+      0, printed("nonlinear: (-1) + x*y[0] + (-1)*x^2*y[0]")),
     C("test_syntax_error_carries_position", ("parse", "x + %"), 1,
       diagnostic("EquationSyntaxError",
                  "unexpected character '%' (at position 4)", pos="4")),
+    C("test_syntax_error_carries_position", ("parse", "y[0] 2"), 1,
+      diagnostic("EquationSyntaxError", "unexpected '2' (at position 5)",
+                 pos="5")),
     # nesting past the recursion limit is a syntax error
     C("test_deep_nesting_is_a_syntax_error", ("parse", DEEP), 1,
       diagnostic("EquationSyntaxError", "expression nested too deeply",
@@ -421,7 +446,14 @@ CONTRACTS = [
                            ({"coeffs": SERIES_5, "trunc": 2,
                              "resolved_through": 3}, 2),
                            ({"coeffs": SERIES_5, "resolved_through": 3}, 3),
-                           ({"coeffs": SERIES_5}, 4))),
+                           ({"coeffs": SERIES_5}, 4),
+                           ({"coeffs": [], "trunc": 2}, 2))),
+    # an empty list leaves no length to read a truncation from
+    *(C(f"test_growth_empty_series_needs_a_truncation[{text}]",
+        ("growth", "--input", "-"), 1,
+        qdeq_error("argument --input: an empty coefficient list has no"
+                   " truncation order"), stdin=text)
+      for text in ("[]", '{"coeffs": []}')),
     *(C(f"test_growth_series_json_is_read_strictly[{text}]",
         ("growth", "--input", "-"), 1,
         qdeq_error("argument --input: ", ".*"), stdin=text)
@@ -458,6 +490,7 @@ CONTRACTS = [
       r'\{"entries": \[%s\]\}\n' % ", ".join(
           r'\{"id": "%s", [^{}]*\}' % e for e in (
               "q-euler", "jones-figure8", "q-painleve-2", "phi11-basic"))),
+    C("test_corpus_listing", ("corpus",), 0, printed(CORPUS_LISTING)),
     C("test_corpus_runs_every_entry", ("corpus", "--run", "--format", "json"),
       0, r'\{"passed": true, "entries": \[.*\]\}\n'),
     C("test_corpus_run_single_entry",

@@ -11,12 +11,12 @@ linearization, parser round-trip, and exactness of the growth-order
 estimator on synthetic quadratic profiles.
 """
 
-import cmath
 import math
 import operator
 from fractions import Fraction
 from functools import reduce
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -85,14 +85,6 @@ def _dense_add(a, b):
 
 def _layout(r):
     return r.v, r.n, r.s, r.d
-
-
-def _dense_eval(p, x):
-    """A dense QPoly p at q = x by Horner's rule."""
-    acc = 0
-    for c in reversed(p.ints):
-        acc = acc * x + c
-    return acc / p.den
 
 
 def _dense_text(r):
@@ -379,7 +371,8 @@ def test_sparse_xpoly_matches_dense_lists(a, b, i):
         assert got.ord_x == next(
             (h for h, c in enumerate(dense) if not c.is_zero()), POS_INF)
         assert got.to_text() == fmt_coeff_poly(enumerate(dense), "x")
-        assert hash(got) == hash(XPoly(_terms(dense)))
+        with pytest.raises(TypeError):
+            hash(got)
 
 
 # -- the resonance polynomial against its dense construction --------------
@@ -404,23 +397,12 @@ def _dense_resonance(op):
 
 
 @settings(max_examples=200, **COMMON)
-@given(sparse_skewop, st.integers(0, 6),
-       st.floats(0.01, 0.49, allow_nan=False))
-def test_resonance_poly_matches_dense_rows(op, h, theta):
+@given(sparse_skewop, st.integers(0, 6))
+def test_resonance_poly_matches_dense_rows(op, h):
     L, dense = resonance_poly(op), _dense_resonance(op)
     assert L.terms == _terms(dense)
     assert L.at_qpow(h) == reduce(operator.add, (
         c.shift_q(j * h) for j, c in enumerate(dense)), RatQ(0))
-    qv = cmath.exp(2j * cmath.pi * theta)
-    try:
-        want = [_dense_eval(c.num, qv) / _dense_eval(c.den, qv)
-                for c in dense]
-    except ZeroDivisionError:
-        return
-    got = L.coeffs_at(qv)
-    assert len(got) == len(want)
-    assert all(cmath.isclose(g, w, rel_tol=1e-9, abs_tol=1e-12)
-               for g, w in zip(got, want))
 
 
 # -- first-order Taylor agreement of linearize ---------------------------

@@ -74,8 +74,9 @@ def test_roots_pole_in_coefficient():
 
 def test_roots_residual_invariant():
     qv = unit_q(0.317)
-    P = ResonancePoly(enumerate([RatQ(3), -Q, RatQ(1), RatQ(1).shift_q(2)]))
-    cs = P.coeffs_at(qv)
+    coeffs = [RatQ(3), -Q, RatQ(1), RatQ(1).shift_q(2)]
+    P = ResonancePoly(enumerate(coeffs))
+    cs = [c.eval(qv) for c in coeffs]
     scale = max(abs(c) for c in cs)
     for r in roots_of(P, qv):
         val = 0j
@@ -99,23 +100,26 @@ def test_roots_constant_poly():
 
 
 def test_roots_of_a_power_of_t_build_no_list_of_its_zeros(monkeypatch):
-    # T^m s(T): the m roots at 0 are split off before any dense pass, so
-    # T^1000000 builds no coefficient list and evaluates none longer than
-    # s's, where a dense pass would build and walk 1000001 entries
-    built, walked = [], []
-    coeffs_at, horner = ResonancePoly.coeffs_at, K.eval_at
+    # T^m s(T): the m roots at 0 are split off before any dense pass, and
+    # each stored coefficient is evaluated once, so T^1000000 (T - 2)
+    # evaluates 2 coefficients and walks a residual list of 2, where a
+    # dense pass would build and walk 1000002 entries
+    evals, walked = [], []
+    ratq_eval, horner = RatQ.eval, K.eval_at
 
-    def record(into, f):
-        def wrapped(*args):
-            out = f(*args)
-            into.append(len(out if f is coeffs_at else args[0]))
-            return out
-        return wrapped
+    def counted_eval(self, x):
+        evals.append(self)
+        return ratq_eval(self, x)
 
-    monkeypatch.setattr(ResonancePoly, "coeffs_at", record(built, coeffs_at))
-    monkeypatch.setattr(K, "eval_at", record(walked, horner))
-    assert roots_of(ResonancePoly({10 ** 6: Q}), unit_q(0.3)) == [0j]
-    assert max(built) == 1 and max(walked) == 1
+    def recorded_horner(a, v):
+        walked.append(len(a))
+        return horner(a, v)
+
+    monkeypatch.setattr(RatQ, "eval", counted_eval)
+    monkeypatch.setattr(K, "eval_at", recorded_horner)
+    got = roots_of(ResonancePoly({10 ** 6: -2, 10 ** 6 + 1: 1}), unit_q(0.3))
+    assert got[0] == 0j and close(got[1], 2) and len(got) == 2
+    assert len(evals) == 2 and max(walked) == 2
     # a root within CLUSTER_TOL of 0 joins the zeros, and the cluster's
     # mean counts all of them: T^3 (T - 4e-8) (T - 2)
     got = roots_of(ResonancePoly({3: RatQ(Fraction(8, 10 ** 8)),
