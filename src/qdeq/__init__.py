@@ -13,7 +13,7 @@ from .errors import (DegenerateAfterEvaluation, EngineError,
 from .growth import (GrowthReport, analyze, estimate_order, fit_slack,
                      predicted_orders, valuation_profile, verify_bound)
 from .nonlinear import QdeqPoly, eval_at, linearize, partial
-from .ratfunc import QLaurent, QPoly, RatQ, pochhammer
+from .ratfunc import QLaurent, RatQ, pochhammer
 from .series import TruncSeries, XPoly
 from .skewop import (NewtonPolygon, ResonancePoly, SkewOp, apply,
                      newton_polygon, op_mul, resonance_poly)
@@ -28,7 +28,7 @@ __all__ = [
     "CorpusEntry", "DegenerateAfterEvaluation", "DiophantineScan",
     "EngineError", "EquationSource", "EquationSyntaxError", "GrowthReport",
     "InsufficientData", "MixedKind", "NegativeXPower", "NewtonPolygon",
-    "QLaurent", "QPoly", "QdeqError", "QdeqPoly", "RatQ",
+    "QLaurent", "QdeqError", "QdeqPoly", "RatQ",
     "ResonancePoly", "RootOfUnityDetected", "SkewOp", "SolveReport",
     "TruncSeries", "UncertainPolygon", "XPoly", "analyze", "apply",
     "check_solution", "corpus", "estimate_order", "eval_at", "extend",

@@ -66,7 +66,7 @@ import numpy as np
 from . import _intpoly as K
 from .errors import EngineError
 from .nonlinear import Evaluator
-from .ratfunc import QPoly, RatQ
+from .ratfunc import RatQ
 
 _START_LANES = 192  # pool lanes per prime as a solve starts
 _MAX_LANES = 42000  # lanes per prime a pool may grow to
@@ -165,9 +165,10 @@ def euclid_mod(prev, cur, dp, dc, p, gap=False):
 
 
 def eval_many_mod(a, xs, p):
-    """Horner at a vector of points; xs is a numpy int64 array with values
-    in [0, p).  a is one coefficient list, or a 2-D int64 stack of them
-    with entries in [0, p), one polynomial and one row of values per row.
+    """Horner at a vector of points: a is a 2-D int64 stack of
+    coefficient rows with entries in [0, p), such as _stack gives, and xs
+    a numpy int64 array with values in [0, p); one row of values per row
+    of a.
 
     Blocked Horner, B = lazy_terms(p) - 1 coefficients per step (fewer
     if the polynomials are shorter): with x^0..x^B formed once by
@@ -175,8 +176,7 @@ def eval_many_mod(a, xs, p):
     products, each at most (p - 1)**2, so at most 2**63 - 1, and reduces
     once.  B is 31 for primes_29 and 1, plain Horner, near 2**31.
     """
-    rows = a if getattr(a, "ndim", 1) == 2 else np_mod(a, p)[None, :]
-    width = rows.shape[1]
+    width = a.shape[1]
     B = max(1, min(K.lazy_terms(p) - 1, width))
     X = np.empty((B + 1, len(xs)), dtype=np.int64)  # X[k] = x^k mod p
     X[0], X[1] = 1, xs
@@ -185,13 +185,13 @@ def eval_many_mod(a, xs, p):
         top = min(2 * k, B)
         X[k + 1: top + 1] = X[1: top - k + 1] * X[k] % p
         k = top
-    acc = np.zeros((len(rows), len(xs)), dtype=np.int64)
+    acc = np.zeros((len(a), len(xs)), dtype=np.int64)
     for lo in range((width - 1) // B * B, -1, -B):
-        block = rows[:, lo: lo + B]  # only the first may be short; acc is 0
+        block = a[:, lo: lo + B]  # only the first may be short; acc is 0
         acc *= X[B]
         acc += block @ X[: block.shape[1]]
         acc %= p
-    return acc if rows is a else acc[0]
+    return acc
 
 
 def _stack(rows):
@@ -441,7 +441,8 @@ def _wang(c, M):
 
 def _lift_poly(per_prime, primes):
     """CRT + rational reconstruction of one ascending coefficient list,
-    as one QPoly over the lcm of the denominators."""
+    as (ints, den): an integer list over den, the lcm of the
+    coefficients' denominators."""
     residues = per_prime[0].tolist()
     modulus = primes[0]
     for arr, p in zip(per_prime[1:], primes[1:]):
@@ -451,7 +452,7 @@ def _lift_poly(per_prime, primes):
     if None in pairs:
         raise _NeedPrimes(f"coefficient {pairs.index(None)} cannot lift")
     den = lcm(*(d for _, d in pairs))
-    return QPoly([n * (den // d) for n, d in pairs], den)
+    return [n * (den // d) for n, d in pairs], den
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +565,10 @@ def _reconstruct_coeff(runs, h, guess, G):
         raise _NeedPrimes(f"only one prime sees the full shape "
                           f"of coefficient {h}")
     primes = [runs[i].prime for i in group]
-    num = _lift_poly([cands[i][0] for i in group], primes)
-    den = _lift_poly([cands[i][1] for i in group], primes)
-    return RatQ(num, den * QPoly(G)), sum(shape)
+    num, s = _lift_poly([cands[i][0] for i in group], primes)
+    den, t = _lift_poly([cands[i][1] for i in group], primes)
+    # (num/s) / ((den/t) * G) = num*t / (s * den*G)
+    return RatQ.from_ints(K.scal(num, t), s, K.mul(den, G)), sum(shape)
 
 
 def solve(F, seed, N):

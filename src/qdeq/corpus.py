@@ -32,7 +32,7 @@ from operator import add, index
 from .dsl import parse, parse_ratq
 from .errors import InsufficientData
 from .nonlinear import QdeqPoly, eval_at, linearize
-from .ratfunc import Q, QLaurent, QPoly, RatQ, pochhammer
+from .ratfunc import Q, QLaurent, RatQ, pochhammer
 from .series import TruncSeries
 from .skewop import apply, newton_polygon
 from . import _intpoly as K
@@ -66,7 +66,7 @@ def jones(n):
         total[span] = map(add, total[span], p)
         if k:
             p = K.div_binomial(K.div_binomial(p, n - k), n + k)
-    return QLaurent(QPoly(total), -n * top)
+    return QLaurent(RatQ.from_ints(total, v=-n * top))
 
 
 def jones_series(order):

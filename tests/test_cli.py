@@ -204,10 +204,10 @@ def test_readme_library_tour():
             shown.append((repr(value), comment))
         else:
             exec(compile(ast.Module([stmt], []), "tour", "exec"), ns)
-    assert len(shown) == 4
-    for value, comment in shown[:3]:  # "RatQ(q^10)", "Fraction(1, 1): ..."
+    assert len(shown) == 5
+    for value, comment in shown[:4]:  # "RatQ(q^10)", "Fraction(1, 1): ..."
         assert comment.split(":")[0] == value
-    assert shown[3] == ("True", "deg <= 1*h(h-1)/2 holds sharply")
+    assert shown[4] == ("True", "deg <= 1*h(h-1)/2 holds sharply")
 
 
 def test_unreadable_input_names_its_flag(capsys, tmp_path):

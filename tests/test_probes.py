@@ -15,7 +15,7 @@ from qdeq import _probes as P
 from qdeq.dsl import parse_ratq
 from qdeq.errors import EngineError, QdeqError
 from qdeq.nonlinear import ExactDomain, QdeqPoly, eval_at
-from qdeq.ratfunc import Q, QPoly, RatQ
+from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
 from qdeq.solver import _extend_core, check_solution, extend
 
@@ -140,6 +140,12 @@ def test_conv_mod_long_all_top_residues():
         assert P._conv_mod(a, b, MP).tolist() == want
 
 
+def _eval_row(a, xs, p):
+    """One coefficient list with entries in [0, p) at the points xs:
+    eval_many_mod's row 0 for the one-row stack of a."""
+    return P.eval_many_mod(P._stack([a]), xs, p)[0]
+
+
 def _ref_node(xs, p):
     """prod (q - x) over xs, folded with the textbook product."""
     return reduce(lambda f, x: _ref_mul(f, [-int(x) % p, 1], p), xs, [1])
@@ -162,11 +168,11 @@ def test_interpolation_on_pool_prefixes(seed, p, npool, data):
     ys = rng.integers(0, p, size=m, dtype=np.int64)
     got = P._newton_interp(ys, w, p)
     assert len(got) <= m and (len(got) == 0 or got[-1] != 0)
-    assert (P.eval_many_mod(got, xs, p) == ys).all()
+    assert (_eval_row(got, xs, p) == ys).all()
     planted = rng.integers(0, p, size=data.draw(st.integers(1, m)),
                            dtype=np.int64)
     planted[-1] = rng.integers(1, p)
-    assert (P._newton_interp(P.eval_many_mod(planted, xs, p), w, p)
+    assert (P._newton_interp(_eval_row(planted, xs, p), w, p)
             == planted).all()
     if m < len(pool):
         assert P._node_poly(m, w, p).tolist() == _ref_node(xs, p)
@@ -196,8 +202,8 @@ def test_stacked_eval_matches_rowwise(seed, k, width, m, p, full):
     for row, values in zip(stack, got):
         coeffs = row.tolist()
         assert values.tolist() == [K.eval_mod(coeffs, int(x), p) for x in xs]
-        # one polynomial, as a list of Python ints, reads the same
-        assert (P.eval_many_mod(coeffs, xs, p) == values).all()
+        # one polynomial, as a one-row stack, reads the same
+        assert (_eval_row(coeffs, xs, p) == values).all()
 
 
 def test_lazy_terms_bound():
@@ -233,10 +239,10 @@ def test_newton_interp_matches_eval():
     poly = rng.integers(0, MP, size=9, dtype=np.int64)
     pool, w = _draw_pool(MP, 20, rng)
     xs = pool[:15]
-    ys = P.eval_many_mod(poly, xs, MP)
+    ys = _eval_row(poly, xs, MP)
     got = P._newton_interp(ys, w, MP)
     assert len(got) <= 15
-    assert (P.eval_many_mod(got, xs, MP) == ys).all()
+    assert (_eval_row(got, xs, MP) == ys).all()
     # degree-8 data through 15 points comes back exactly
     assert list(got) == list(poly)
 
@@ -246,8 +252,8 @@ def test_rat_interp_recovers_planted():
     den = np.array([5, 1], dtype=np.int64)  # monic
     pool, w = _draw_pool(MP, 24, np.random.default_rng(3))
     xs = pool[:23]
-    ys = (P.eval_many_mod(num, xs, MP)
-          * P._batch_inv(P.eval_many_mod(den, xs, MP), MP) % MP)
+    ys = (_eval_row(num, xs, MP)
+          * P._batch_inv(_eval_row(den, xs, MP), MP) % MP)
     got = P._rat_interp(ys, MP, w, P._node_poly(23, w, MP))
     assert got is not None
     assert list(got[0]) == [1, 0, 3] and list(got[1]) == [5, 1]
@@ -370,14 +376,14 @@ def _interp_data(seed, p, dn, dd, extra, mode, tight=False):
         pool, w = _some_pool(p, n + 1, rng)
         xs = pool[:n]
     den = np.zeros(step * dd + 1, dtype=np.int64)
-    while not P.eval_many_mod(den, xs, p).all():
+    while not _eval_row(den, xs, p).all():
         den[::step] = rng.integers(0, p, size=dd + 1)
         den[-1] = 1
     if mode == "few":
         ys = rng.integers(0, 3, size=len(xs), dtype=np.int64)
     else:
-        ys = (P.eval_many_mod(num, xs, p)
-              * P._batch_inv(P.eval_many_mod(den, xs, p), p) % p)
+        ys = (_eval_row(num, xs, p)
+              * P._batch_inv(_eval_row(den, xs, p), p) % p)
     # the closed-form node poly needs (r;r)_n != 0, so n below the order
     # of r, and the ratio of a whole negation-closed pool has order n
     node = (_ref_node(xs, p) if mode == "even"
@@ -401,8 +407,8 @@ def test_rat_interp_matches_textbook_euclid(seed, p, dn, dd, extra, mode):
     assert got == want
     if got is not None:
         num, den = got
-        assert (P.eval_many_mod(num, xs, p)
-                == P.eval_many_mod(den, xs, p) * ys % p).all()
+        assert (_eval_row(num, xs, p)
+                == _eval_row(den, xs, p) * ys % p).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -422,8 +428,8 @@ def test_rat_interp_fits_unbalanced_degrees(seed, p, big, small, extra,
     # points is the planted one
     num, den = got
     assert (len(num), len(den)) == (dn + 1, dd + 1)
-    assert (P.eval_many_mod(num, xs, p)
-            == P.eval_many_mod(den, xs, p) * ys % p).all()
+    assert (_eval_row(num, xs, p)
+            == _eval_row(den, xs, p) * ys % p).all()
 
 
 def test_rat_interp_takes_quotients_of_degree_two():
@@ -514,17 +520,15 @@ def test_wang_lift():
     assert P._wang(Fraction(2**40, 3).numerator * pow(3, -1, M) % M, M) is None
 
 
-def test_lift_poly_is_one_qpoly_over_the_lcm():
+def test_lift_poly_is_one_integer_list_over_the_lcm():
     # -3/7 + 22 q + q^2 / 6 from two primes: integers over 42, in lowest
     # terms; an empty list lifts to zero
     primes = list(islice(K.primes_29(), 2))
-    want = QPoly([-18, 924, 7], 42)
     per_prime = [np.array([-18 * pow(42, -1, p) % p, 22, pow(6, -1, p)])
                  for p in primes]
-    got = P._lift_poly(per_prime, primes)
-    assert (got.ints, got.den) == (want.ints, want.den)
+    assert P._lift_poly(per_prime, primes) == ([-18, 924, 7], 42)
     empty = [np.zeros(0, dtype=np.int64)] * 2
-    assert P._lift_poly(empty, primes).is_zero()
+    assert P._lift_poly(empty, primes) == ([], 1)
 
 
 def test_lane_points_take_the_whole_range():
@@ -809,9 +813,9 @@ def _planted_value():
     # q^2 * n/d with deg n = 40 and deg d = 48: a fit of the pair's
     # 43 + 49 coefficients needs 92 points
     rnd = random.Random(5)
-    n = QPoly([rnd.randint(-9, 9) for _ in range(40)] + [1])
-    d = QPoly([1] + [rnd.randint(-9, 9) for _ in range(47)] + [2])
-    value = (RatQ(n) / RatQ(d)).shift_q(2)
+    n = [rnd.randint(-9, 9) for _ in range(40)] + [1]
+    d = [1] + [rnd.randint(-9, 9) for _ in range(47)] + [2]
+    value = (RatQ.from_ints(n) / RatQ.from_ints(d)).shift_q(2)
     assert (len(value.num.ints) - 1, len(value.den.ints) - 1) == (42, 48)
     return value
 
@@ -846,15 +850,15 @@ def test_reconstruct_takes_any_denominator_guess():
     # the guess G scales the fitted values; a factor of den(c_h) shrinks
     # the fit, a G prime to it grows it, and every G gives the value
     rnd = random.Random(8)
-    d1 = QPoly([1] + [rnd.randint(-9, 9) for _ in range(19)] + [3])
-    d2 = QPoly([2] + [rnd.randint(-9, 9) for _ in range(9)] + [1])
-    n = QPoly([rnd.randint(-9, 9) for _ in range(30)] + [1])
-    value = RatQ(n) / RatQ(d1 * d2)
+    d1 = (1,) + tuple(rnd.randint(-9, 9) for _ in range(19)) + (3,)
+    d2 = (2,) + tuple(rnd.randint(-9, 9) for _ in range(9)) + (1,)
+    n = [rnd.randint(-9, 9) for _ in range(30)] + [1]
+    value = RatQ.from_ints(n) / RatQ.from_ints(K.mul(d1, d2))
     assert len(value.den.ints) - 1 == 30
-    coprime = QPoly([1, 1, 0, 0, 0, 3])
-    assert len(RatQ(1, coprime * value.den).den.ints) - 1 == 35
-    for G, need in (((1,), 31 + 31), (d1.ints, 31 + 11),
-                    (coprime.ints, 36 + 31)):
+    coprime = (1, 1, 0, 0, 0, 3)
+    assert len((1 / RatQ.from_ints(K.mul(coprime, value.den.ints))
+                ).den.ints) - 1 == 35
+    for G, need in (((1,), 31 + 31), (d1, 31 + 11), (coprime, 36 + 31)):
         # fresh runs: their fits are cached by (h, points), not by G
         runs = _runs_holding(value, 3, 512)
         assert P._reconstruct_coeff(runs, 3, 16, G) == (value, need)
@@ -1080,7 +1084,7 @@ def test_need_lanes_only_after_the_whole_pool():
 def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
     # a re-call at the same h, as after _NeedPrimes, reuses G's values
     value, G, calls = _planted_value(), (1, 1), []
-    runs, inner = _runs_holding(value / QPoly(G), 3, 512), P._eval_polys
+    runs, inner = _runs_holding(value / RatQ.from_ints(G), 3, 512), P._eval_polys
 
     def evaluate(polys, xs, p):
         if len(polys) == 1:
@@ -1090,7 +1094,7 @@ def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
     monkeypatch.setattr(P, "_eval_polys", evaluate)
     for _ in range(2):
         got = P._reconstruct_coeff(runs, 3, 8, G)[0]
-        assert got == value / QPoly(G)
+        assert got == value / RatQ.from_ints(G)
     assert calls == [512, 512]
 
 

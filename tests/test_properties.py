@@ -1,8 +1,9 @@
 """Randomized invariants, at least 200 cases per suite.
 
 Suites: valuation additivity in Q(q), the q^v * n/(s*d) layout of RatQ
-against its dense reduced pair (its text included), + and the n-ary sum
-against a fold of cross-multiplied dense pairs (_dense_add), the
+against its dense reduced pair of integer lists (its text included), +
+and the n-ary sum against a fold of cross-multiplied dense pairs
+(_dense_add, with schoolbook products from _mul_coeffs), the
 canonical layout of every operation's result, skew
 composition soundness, polygon translation invariance, the sparse XPoly
 against dense coefficient lists (_mul_coeffs), the resonance polynomial
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from qdeq.dsl import parse, parse_ratq
 from qdeq.growth import estimate_order
 from qdeq.nonlinear import QdeqPoly, eval_at, linearize
-from qdeq.ratfunc import (POS_INF, Q, QLaurent, QPoly, RatQ, _mul_unreduced,
+from qdeq.ratfunc import (POS_INF, Q, QLaurent, RatQ, _mul_unreduced,
                           fmt_coeff_poly, pochhammer, ratq_sum)
 from qdeq.series import TruncSeries, XPoly
 from qdeq.skewop import (SkewOp, apply, lowest_row, newton_polygon, op_mul,
@@ -34,7 +35,7 @@ COMMON = dict(deadline=None,
                                      HealthCheck.filter_too_much])
 
 nz_ints = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any)
-ratq_nonzero = st.builds(lambda n, d: RatQ(QPoly(n), QPoly(d)),
+ratq_nonzero = st.builds(lambda n, d: RatQ.from_ints(n, d=d),
                          nz_ints, nz_ints)
 ratq_any = st.one_of(st.just(RatQ(0)), ratq_nonzero)
 
@@ -76,11 +77,26 @@ def test_valuations_ultrametric_on_sums(a, b):
 # -- the q^v * n/(s*d) layout against the dense reduced pair -------------
 
 
+def _imul(a, b):
+    """The product of two ascending integer lists, by _mul_coeffs'
+    schoolbook loop."""
+    if not a or not b:
+        return []
+    return _mul_coeffs(list(a), list(b), len(a) + len(b) - 1, 0)
+
+
 def _dense_add(a, b):
-    """a + b from the dense reduced pairs by cross-multiplication, reduced
-    by RatQ.__init__'s gcd: a reference sum that never calls ratq_sum."""
+    """a + b from the dense reduced pairs of integer lists by
+    cross-multiplication, reduced by RatQ.from_ints' gcd: a reference sum
+    that never calls ratq_sum or the _intpoly products."""
     a, b = RatQ.from_value(a), RatQ.from_value(b)
-    return RatQ(a.num * b.den + b.num * a.den, a.den * b.den)
+    an, ad, bn, bd = a.num, a.den.ints, b.num, b.den.ints
+    x = [c * bn.den for c in _imul(an.ints, bd)]
+    y = [c * an.den for c in _imul(bn.ints, ad)]
+    size = max(len(x), len(y))
+    x, y = (z + [0] * (size - len(z)) for z in (x, y))
+    return RatQ.from_ints(list(map(operator.add, x, y)), an.den * bn.den,
+                          _imul(ad, bd))
 
 
 def _layout(r):
@@ -91,7 +107,7 @@ def _dense_text(r):
     """to_text's reference: the text of the dense reduced pair num/den,
     with num's scalar carried into the denominator."""
     p, d = list(r.num.ints), [c * r.num.den for c in r.den.ints]
-    ptxt, dtxt = QPoly(p).to_text(), QPoly(d).to_text()
+    ptxt, dtxt = RatQ.from_ints(p).to_text(), RatQ.from_ints(d).to_text()
     if d == [1]:
         return ptxt
     if sum(map(bool, p)) > 1:
@@ -109,9 +125,13 @@ ratq_shifted = st.builds(lambda r, k: r.shift_q(k), ratq_nonzero,
 @given(ratq_shifted, ratq_shifted, st.integers(-40, 40))
 def test_layout_matches_dense_pair(a, b, k):
     an, ad, bn, bd = a.num, a.den, b.num, b.den
-    for got, want in ((a + b, _dense_add(a, b)),
-                      (a * b, RatQ(an * bn, ad * bd)),
-                      (a / b, RatQ(an * bd, ad * bn))):
+    for got, want in (
+            (a + b, _dense_add(a, b)),
+            (a * b, RatQ.from_ints(_imul(an.ints, bn.ints), an.den * bn.den,
+                                   _imul(ad.ints, bd.ints))),
+            (a / b, RatQ.from_ints([c * bn.den
+                                    for c in _imul(an.ints, bd.ints)],
+                                   an.den, _imul(ad.ints, bn.ints)))):
         assert got == want and hash(got) == hash(want)
     # the constant terms cancel whenever ord_q(a) > ord_q(b)
     assert (a + b) - b == a
@@ -126,20 +146,19 @@ def test_layout_matches_dense_pair(a, b, k):
 
 # primitive factors whose products give identical, nested, overlapping and
 # coprime denominators
-SUM_FACTORS = (QPoly((1, 1)), QPoly((2, -1)), QPoly((1, 1, 1)),
-               QPoly((1, 0, 3)), QPoly((-1, 2, 0, 1)))
+SUM_FACTORS = ((1, 1), (2, -1), (1, 1, 1), (1, 0, 3), (-1, 2, 0, 1))
 
 
 @st.composite
 def factored_term(draw):
     """q^v * n / (scalar * product of SUM_FACTORS)."""
-    n = QPoly(draw(nz_ints), draw(st.sampled_from((1, 2, 3, 5, 6))))
-    d = QPoly((1,))
+    n, s = draw(nz_ints), draw(st.sampled_from((1, 2, 3, 5, 6)))
+    d = [1]
     for f, used in zip(SUM_FACTORS, draw(st.lists(
             st.booleans(), min_size=5, max_size=5))):
         if used:
-            d = d * f
-    return RatQ(n, d).shift_q(draw(st.integers(-3, 3)))
+            d = _imul(d, f)
+    return RatQ.from_ints(n, s, d, draw(st.integers(-3, 3)))
 
 
 def _lowest(r):
@@ -186,15 +205,15 @@ def add_operands(draw):
         b = Fraction(draw(st.integers(-5, 5).filter(bool)),
                      draw(st.integers(2, 6)))
     elif kind == "same_den":
-        b = RatQ(QPoly(draw(nz_ints), draw(st.sampled_from((1, 2, 3)))),
-                 QPoly(a.d)).shift_q(draw(st.integers(-3, 3)))
+        b = RatQ.from_ints(draw(nz_ints), draw(st.sampled_from((1, 2, 3))),
+                           a.d, draw(st.integers(-3, 3)))
         assume(b.d == a.d)  # n may share a factor with d and reduce
     elif kind == "cancel_lowest":
         # b's lowest term is minus a's, and the rest of b lies higher
         rest = draw(factored_term())
         b = rest.shift_q(a.v - rest.v + draw(st.integers(1, 3))) - _lowest(a)
     else:
-        b = QLaurent(QPoly(draw(nz_ints)), draw(st.integers(-3, 3)))
+        b = QLaurent(RatQ.from_ints(draw(nz_ints)), draw(st.integers(-3, 3)))
     return kind, a, b
 
 
@@ -246,11 +265,13 @@ def layout_results(draw):
     op = draw(st.sampled_from(LAYOUT_OPS))
     a, b = draw(factored_term()), draw(layout_operand)
     if op == "init":
-        # any signs, scalars and low zeros on either side
-        num = QPoly(draw(st.lists(st.integers(-6, 6), max_size=5)),
-                    draw(st.sampled_from((1, -1, 2, -3, 4, 6, -12))))
-        den = QPoly(draw(nz_ints), draw(st.sampled_from((1, -2, 3, 6))))
-        return op, RatQ(num, den)
+        # any signs, scalars and low zeros on either side, and either
+        # sign of v; the denominator's scalar t scales the numerator
+        n = draw(st.lists(st.integers(-6, 6), max_size=5))
+        s = draw(st.sampled_from((1, -1, 2, -3, 4, 6, -12)))
+        t = draw(st.sampled_from((1, -2, 3, 6)))
+        return op, RatQ.from_ints([c * t for c in n], s, draw(nz_ints),
+                                  draw(st.integers(-5, 5)))
     if op == "add":
         return op, b + a if draw(st.booleans()) else a + b
     if op == "sub":
@@ -277,7 +298,7 @@ def layout_results(draw):
             pairs += [(-x, y) for x, y in pairs]
         return op, ratq_sum([_mul_unreduced(x, y) for x, y in pairs])
     body = draw(nz_ints)
-    base = RatQ(QPoly(body, draw(st.sampled_from((1, 2, 3, 12)))))
+    base = RatQ.from_ints(body, draw(st.sampled_from((1, 2, 3, 12))))
     return op, pochhammer(base.shift_q(draw(st.integers(-4, 4))), "q",
                           draw(st.integers(0, 6)))
 
@@ -342,15 +363,16 @@ def _dense(p):
     return [p.coeff(e) for e in range(max(p.terms, default=-1) + 1)]
 
 
-def _mul_coeffs(a, b, n):
+def _mul_coeffs(a, b, n, zero=RatQ(0)):
     """Coefficients 0..n-1 of the product of two ascending coefficient
-    lists, skipping zero factors: the dense Cauchy product."""
-    out = [RatQ(0)] * n
+    lists, of RatQs or of ints (zero=0), skipping zero factors: the dense
+    Cauchy product."""
+    out = [zero] * n
     for i, x in enumerate(a[:n]):
-        if x.is_zero():
+        if not x:
             continue
         for j, y in enumerate(b[:n - i]):
-            if not y.is_zero():
+            if y:
                 out[i + j] = out[i + j] + x * y
     return out
 

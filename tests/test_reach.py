@@ -45,16 +45,14 @@ KEPT = {
     "series.TruncSeries.__eq__": EQUALITY,
     "skewop.SkewOp.__eq__": EQUALITY,
     "series.XPoly.__eq__": EQUALITY,
-    "ratfunc.QPoly.__eq__": EQUALITY,
-    "ratfunc.QPoly.__bool__": TRUTH,
     "ratfunc.RatQ.__bool__": TRUTH,
     "ratfunc.RatQ.__rsub__": "RatQ is the public element of Q(q): 1 - Q",
     "ratfunc.RatQ.__rtruediv__": "RatQ is the public element of Q(q): 1 / Q",
     "_intpoly.eval_mod": REFERENCE,
-    "ratfunc.QPoly.__add__": REFERENCE + " (_dense_add)",
-    "ratfunc.QPoly.to_text": REFERENCE + " (_dense_text)",
-    "ratfunc.RatQ.num": "perfbench reads the dense numerator",
-    "ratfunc.RatQ.den": "perfbench reads the dense denominator",
+    "ratfunc.RatQ.num": ("perfbench reads the dense numerator: checks._at,"
+                         " checks._ratq_terms and jobs.coeff_size"),
+    "ratfunc.RatQ.den": ("perfbench reads the dense denominator: checks._at,"
+                         " checks._ratq_terms and jobs.coeff_size"),
     "ratfunc.QLaurent.terms": "perfbench reads a Jones value's terms",
     "ratfunc.QLaurent.q_power": "A8 builds its expectation from it",
     "unitcircle.DiophantineScan.passed": "A7 reads a scan's verdict with it",
