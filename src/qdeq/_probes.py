@@ -8,7 +8,9 @@ random points q = x_j modulo a prime p = 1 (mod 2^12) below 2^29
 convolutions instead of exact Q(q) arithmetic; the verification and
 check (on _intpoly.check_primes) run the engine in fresh domains.  The
 points at p come from random.Random(p), not numpy.random, and no prime
-serves two domains of one solve.  Below 2^29, 32 products of residues
+serves two domains of one solve.  A prime's lanes at a start size, with
+their weights and power tables, are built once per process (_lanes) and
+only read.  Below 2^29, 32 products of residues
 fit in an int64 (_intpoly.lazy_terms), so a Cauchy order of series_mul
 through m = 31 reduces once, and a Horner pass reduces once per 31
 coefficients.
@@ -164,34 +166,44 @@ def euclid_mod(prev, cur, dp, dc, p, gap=False):
     return prev, cur, dp, dc
 
 
-def eval_many_mod(a, xs, p):
+def eval_many_mod(a, X, p):
     """Horner at a vector of points: a is a 2-D int64 stack of
-    coefficient rows with entries in [0, p), such as _stack gives, and xs
-    a numpy int64 array with values in [0, p); one row of values per row
-    of a.
+    coefficient rows with entries in [0, p), such as _stack gives, and X
+    the rows x^0..x^T (1 <= T < lazy_terms(p)) of the points, or a column
+    slice of them, such as ProbeDomain._horner gives; one row per row of a.
 
-    Blocked Horner, B = lazy_terms(p) - 1 coefficients per step (fewer
-    if the polynomials are shorter): with x^0..x^B formed once by
-    doubling, acc <- acc * x^B + (block @ x^0..x^(B-1)) sums B + 1
-    products, each at most (p - 1)**2, so at most 2**63 - 1, and reduces
-    once.  B is 31 for primes_29 and 1, plain Horner, near 2**31.
+    Blocked Horner, B = min(T, width) coefficients per step:
+    acc <- acc * x^B + (block @ x^0..x^(B-1)) sums B + 1 products, each
+    at most (p - 1)**2, so at most 2**63 - 1, and reduces once.  B is at
+    most 31 for primes_29 and 1, plain Horner, near 2**31.
     """
     width = a.shape[1]
-    B = max(1, min(K.lazy_terms(p) - 1, width))
-    X = np.empty((B + 1, len(xs)), dtype=np.int64)  # X[k] = x^k mod p
-    X[0], X[1] = 1, xs
-    k = 1
-    while k < B:
-        top = min(2 * k, B)
-        X[k + 1: top + 1] = X[1: top - k + 1] * X[k] % p
-        k = top
-    acc = np.zeros((len(a), len(xs)), dtype=np.int64)
-    for lo in range((width - 1) // B * B, -1, -B):
-        block = a[:, lo: lo + B]  # only the first may be short; acc is 0
+    B = max(1, min(len(X) - 1, width))
+    top = max(width - 1, 0) // B * B
+    acc = a[:, top:] @ X[: width - top] % p  # the top block may be short
+    for lo in range(top - B, -1, -B):
         acc *= X[B]
-        acc += block @ X[: block.shape[1]]
+        acc += a[:, lo: lo + B] @ X[:B]
         acc %= p
     return acc
+
+
+def _power_table(X, T, p):
+    """The rows x^0..x^k of some points (1 <= k <= T) extended to
+    x^0..x^T by doubling, row k + j = row k * row j; read-only."""
+    k = len(X) - 1
+    out = np.empty((T + 1, X.shape[1]), dtype=np.int64)
+    out[: k + 1] = X
+    while k < T:
+        top = min(2 * k, T)
+        out[k + 1: top + 1] = out[1: top - k + 1] * out[k] % p
+        k = top
+    return _frozen(out)
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
 
 
 def _stack(rows):
@@ -202,17 +214,17 @@ def _stack(rows):
     return out
 
 
-def _eval_polys(polys, xs, p):
+def _eval_polys(polys, dom):
     """Polynomials ints/s, given as (ints, s) pairs of an integer tuple
-    and a positive scalar, at the points xs modulo p, one row each, in
-    one stacked Horner pass; _Pole where p divides a scalar s."""
+    and a positive scalar, at the lanes of dom, one row each, in one
+    stacked Horner pass; _Pole where p divides a scalar s."""
+    p = dom.p
     try:
         scale = np.array([pow(s, -1, p) for _, s in polys], dtype=np.int64)
     except ValueError:
         raise _Pole(f"a scalar denominator is 0 mod {p}") from None
-    at = eval_many_mod(_stack([[c % p for c in ints] for ints, _ in polys]),
-                       xs, p)
-    return at * scale[:, None] % p
+    a = _stack([[c % p for c in ints] for ints, _ in polys])
+    return eval_many_mod(a, dom._horner(a.shape[1]), p) * scale[:, None] % p
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +244,13 @@ class ProbeDomain:
 
     def __init__(self, prime, qvals):
         self.p = prime
-        self.q = qvals.astype(np.int64) % prime
+        self.q = _frozen(qvals.astype(np.int64) % prime)
         self.n = len(qvals)
-        self._qpow = {0: np.ones(self.n, dtype=np.int64),
-                      1: self.q, -1: _batch_inv(self.q, prime)}
-        self._zero = np.zeros(self.n, dtype=np.int64)
+        one = _frozen(np.ones(self.n, dtype=np.int64))
+        self._qpow = {0: one, 1: self.q,
+                      -1: _frozen(_batch_inv(self.q, prime))}
+        self._zero = _frozen(np.zeros(self.n, dtype=np.int64))
+        self._X = _frozen(np.stack((one, self.q)))  # x^0, x^1; see _horner
 
     def qpow(self, e):
         """q^e at the lanes as (q^(e//2))^2 q^(e mod 2), down to the entries
@@ -247,8 +261,17 @@ class ProbeDomain:
             got = half * half % self.p
             if e & 1:
                 got = got * self.q % self.p
-            self._qpow[e] = got
+            self._qpow[e] = _frozen(got)
         return got
+
+    def _horner(self, width):
+        """x^0..x^T at the lanes for eval_many_mod, T = min(width,
+        lazy_terms(p) - 1) or more: built on first use and grown when a
+        wider polynomial comes, so no wider than the widest one."""
+        T = min(width, K.lazy_terms(self.p) - 1)
+        if T >= len(self._X):
+            self._X = _power_table(self._X, T, self.p)
+        return self._X
 
     def from_ratq(self, r):
         return _from_ratqs(self, [r])[0]
@@ -312,7 +335,7 @@ def _from_ratqs(dom, values):
     k = len(values)
     dens = ([] if all(r.d == (1,) for r in values)
             else [(r.d, 1) for r in values])
-    at = _eval_polys([(r.n, r.s) for r in values] + dens, dom.q, dom.p)
+    at = _eval_polys([(r.n, r.s) for r in values] + dens, dom)
     for row, r in zip(at, values):
         if r.v:
             row[:] = dom.shift(row, r.v)
@@ -363,7 +386,8 @@ def _dd_inverses(g, r, n, p):
     gamma = tri * inv_rr % p
     beta = _powers(pow(g, p - 2, p), n, p) * inv_tri % p
     delta = _powers(p - g, n, p) * gamma % p
-    return _Weights(g, r, alpha, gamma, beta, rr, inv_rr, delta)
+    return _Weights(g, r, *map(_frozen, (alpha, gamma, beta, rr, inv_rr,
+                                          delta)))
 
 
 def _newton_interp(ys, w, p):
@@ -412,8 +436,9 @@ def _rat_interp(ys, p, w, node):
     return num * inv % p, den * inv % p
 
 
-def _check_fit(num, den, xs, ys, p):
-    n_at, d_at = eval_many_mod(_stack([num, den]), xs, p)
+def _check_fit(num, den, dom, cols, ys):
+    a, p = _stack([num, den]), dom.p
+    n_at, d_at = eval_many_mod(a, dom._horner(a.shape[1])[:, cols], p)
     return bool((d_at != 0).all() and (n_at == d_at * ys % p).all())
 
 
@@ -475,6 +500,28 @@ def _progression(prime, g, r, npool):
     raise _Pole(f"the progression of ratio {r} mod {prime} is unusable")
 
 
+_LANES = {}  # (prime, nlanes, pooled) -> (ProbeDomain, _Weights or None)
+
+
+def _lanes(prime, nlanes, pooled):
+    """(dom, w) over nlanes lanes at prime drawn by random.Random(prime):
+    a pool x_i = g r^i, g and r drawn first, and its _dd_inverses weights
+    w, or uniform lanes and w None; _Pole where the pool is unusable.
+    Kept for the process at the three start sizes alone."""
+    got = _LANES.get((prime, nlanes, pooled))
+    if got is None:
+        rnd = Random(prime)
+        if pooled:
+            g, r = rnd.randrange(2, prime - 1), rnd.randrange(2, prime - 1)
+            xs, w = _progression(prime, g, r, nlanes)
+        else:
+            xs, w = _lane_points(prime, nlanes, rnd), None
+        got = ProbeDomain(prime, xs), w
+        if nlanes in (_START_LANES, _VERIFY_LANES, _CHECK_LANES):
+            _LANES[prime, nlanes, pooled] = got
+    return got
+
+
 def _serving(primes, build):
     """build(p) for the first p of primes at which it does not raise
     _Pole; EngineError after 24 such primes in a row."""
@@ -501,8 +548,7 @@ def _event_sig(events):
 
 
 def _start_run(F, seed, N, prime, nlanes, run=None):
-    """A run of the solve loop at prime over a pool of nlanes lanes
-    x_i = g r^i, g and r in [2, p - 2] drawn by random.Random(prime).
+    """A run of the solve loop at prime over _lanes' pool of nlanes lanes.
     Given run, its pool grows in place to nlanes lanes instead: its
     progression continues, the loop runs on the new points alone and must
     give run's events, and their columns join the pool, so every pool
@@ -519,10 +565,7 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
                       for c, new in zip(run.coeffs, coeffs)]
         run.dom, run.w = ProbeDomain(prime, xs), w
         return run
-    rnd = Random(prime)
-    g, r = rnd.randrange(2, prime - 1), rnd.randrange(2, prime - 1)
-    pool, w = _progression(prime, g, r, nlanes)
-    dom = ProbeDomain(prime, pool)
+    dom, w = _lanes(prime, nlanes, True)
     coeffs, events, _ = _extend_core(F, seed, N, dom)
     return _Run(prime, dom, coeffs, events, w)
 
@@ -543,12 +586,12 @@ def _reconstruct_coeff(runs, h, guess, G):
             if (h, n) not in run.cands:
                 p, hold = run.dom.p, slice(n, n + 16)
                 if run not in scaled:
-                    at = _eval_polys([(G, 1)], run.dom.q, p)[0]
+                    at = _eval_polys([(G, 1)], run.dom)[0]
                     scaled[run] = run.coeffs[h] * at % p
                 ys = scaled[run]
                 got = _rat_interp(ys[:n], p, run.w, _node_poly(n, run.w, p))
                 if got is not None and not _check_fit(
-                        *got, run.dom.q[hold], ys[hold], p):
+                        *got, run.dom, hold, ys[hold]):
                     got = None
                 run.cands[h, n] = got
         cands = [run.cands[h, n] for run in runs]
@@ -652,9 +695,9 @@ def _solve_at(F, seed, N, nlanes):
 
 def _fresh(F, coeffs, width, nlanes, prime):
     """(ev, orders 0..width-1 of F along coeffs) for an evaluator ev of
-    coeffs over nlanes uniform lanes at prime, drawn by
-    random.Random(prime); _Pole where a value has a pole at a lane."""
-    dom = ProbeDomain(prime, _lane_points(prime, nlanes, Random(prime)))
+    coeffs over _lanes' nlanes uniform lanes at prime; _Pole where a
+    value has a pole at a lane."""
+    dom, _ = _lanes(prime, nlanes, False)
     ev = Evaluator(_from_ratqs(dom, coeffs), dom)
     return ev, ev.eval(F, 0, width)
 

@@ -140,10 +140,17 @@ def test_conv_mod_long_all_top_residues():
         assert P._conv_mod(a, b, MP).tolist() == want
 
 
+def _table(xs, width, p):
+    """The power table of the points xs for polynomials of width
+    coefficients, sized as ProbeDomain._horner sizes its own."""
+    base = np.stack((np.ones_like(xs), xs))
+    return P._power_table(base, max(1, min(width, K.lazy_terms(p) - 1)), p)
+
+
 def _eval_row(a, xs, p):
     """One coefficient list with entries in [0, p) at the points xs:
     eval_many_mod's row 0 for the one-row stack of a."""
-    return P.eval_many_mod(P._stack([a]), xs, p)[0]
+    return P.eval_many_mod(P._stack([a]), _table(xs, len(a), p), p)[0]
 
 
 def _ref_node(xs, p):
@@ -197,13 +204,43 @@ def test_stacked_eval_matches_rowwise(seed, k, width, m, p, full):
     else:
         stack = rng.integers(0, p, size=(k, width), dtype=np.int64)
         xs = rng.integers(0, p, size=m, dtype=np.int64)
-    got = P.eval_many_mod(stack, xs, p)
+    got = P.eval_many_mod(stack, _table(xs, width, p), p)
     assert got.shape == (k, m)
     for row, values in zip(stack, got):
         coeffs = row.tolist()
         assert values.tolist() == [K.eval_mod(coeffs, int(x), p) for x in xs]
         # one polynomial, as a one-row stack, reads the same
         assert (_eval_row(coeffs, xs, p) == values).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       p=st.sampled_from([97, 101, *islice(K.primes_29(), 3)]),
+       widths=st.lists(st.integers(0, 100), min_size=1, max_size=4),
+       full=st.booleans(), data=st.data())
+def test_domain_power_table_matches_eval_mod(seed, p, widths, full, data):
+    # one domain's table serves widths up to 100 in any order, past the
+    # block of lazy_terms(p) - 1 = 31 coefficients at primes_29; at 97
+    # and 101 lazy_terms(p) is about 10^15, so the table is exactly as
+    # wide as the widest polynomial so far.  A column slice of 16 lanes,
+    # as the hold-out reads, evaluates like the whole table
+    rng = random.Random(seed)
+    dom = P.ProbeDomain(p, P._lane_points(p, min(p - 3, 48), rng))
+    for i, width in enumerate(widths):
+        rows = [[p - 1 if full else rng.randrange(p) for _ in range(width)]
+                for _ in range(3)]
+        X = dom._horner(width)
+        assert len(X) == 1 + max(1, min(max(widths[: i + 1]),
+                                        K.lazy_terms(p) - 1))
+        assert not X.flags.writeable
+        lo = data.draw(st.integers(0, dom.n - 1))
+        cols = slice(lo, lo + 16)
+        got = P.eval_many_mod(P._stack(rows), X[:, cols], p)
+        assert got.tolist() == [[K.eval_mod(row, x, p)
+                                 for x in dom.q[cols].tolist()]
+                                for row in rows]
+        whole = P.eval_many_mod(P._stack(rows), X, p)
+        assert (whole[:, cols] == got).all()
 
 
 def test_lazy_terms_bound():
@@ -561,6 +598,7 @@ def test_points_depend_on_the_prime_alone(p, data):
         raise P._Pole("recorded")
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(P, "_LANES", {})  # a cached pool would skip refuse
         mp.setattr(P, "_progression", refuse)
         for _ in range(2):
             with pytest.raises(P._Pole):
@@ -924,6 +962,7 @@ def test_an_unusable_progression_gives_way_to_the_next_prime(monkeypatch):
             raise P._Pole("unusable")
         return inner(prime, *args)
 
+    monkeypatch.setattr(P, "_LANES", {})  # a cached pool would skip it
     monkeypatch.setattr(P, "_progression", progression)
     with pytest.raises(P._Pole):
         P._start_run(F, seed, N, PP, P._START_LANES)
@@ -931,6 +970,47 @@ def test_an_unusable_progression_gives_way_to_the_next_prime(monkeypatch):
     coeffs, _ = P.solve(F, seed, N)
     assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
     assert PP not in [p for p, _, _ in started]
+
+
+def test_the_lane_cache_never_changes_an_answer(monkeypatch):
+    # in one process, a probe solve and check cold and then warm give
+    # the same coefficients, events and verdicts, and the warm pass
+    # draws no lanes; every cached array is read-only
+    monkeypatch.setattr(P, "_LANES", {})
+    F, seed, N = painleve_like(), next(_qp2_branches()), 14
+    passes = []
+    for _ in range(2):
+        cached = dict(P._LANES)
+        coeffs, events = P.solve(F, seed, N)
+        phi = TruncSeries(coeffs, N)
+        passes.append((coeffs, P._event_sig(events), P.check(F, phi),
+                       check_solution(F, phi, mode="probe"),
+                       extend(F, seed, N, engine="probe").to_json()))
+    assert passes[0] == passes[1]
+    assert cached and P._LANES.keys() == cached.keys()
+    assert all(P._LANES[key] is got for key, got in cached.items())
+    assert passes[0][0] == list(extend(F, seed, N, engine="exact")
+                                .solution.coeffs)
+    for dom, w in P._LANES.values():
+        arrays = [dom.q, dom._zero, dom._X, *dom._qpow.values(),
+                  *(w[2:] if w else ())]
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            dom.q[0] = 0
+
+
+def test_a_grown_solve_caches_no_grown_size(monkeypatch):
+    # qp2 N=20 outgrows its 192-lane pools; only the start sizes are
+    # kept, a pool at 192 and the verification's and check's lanes
+    monkeypatch.setattr(P, "_LANES", {})
+    started = _runs_started(monkeypatch)
+    F, seed, N = painleve_like(), next(_qp2_branches()), 20
+    coeffs, _ = P.solve(F, seed, N)
+    P.check(F, TruncSeries(coeffs, N))
+    assert any(grown for _, _, grown in started)
+    assert {(n, pooled) for _, n, pooled in P._LANES} == {
+        (P._START_LANES, True), (P._VERIFY_LANES, False),
+        (P._CHECK_LANES, False)}
 
 
 def test_a_dead_verification_lane_gives_way(monkeypatch):
@@ -1086,10 +1166,10 @@ def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
     value, G, calls = _planted_value(), (1, 1), []
     runs, inner = _runs_holding(value / RatQ.from_ints(G), 3, 512), P._eval_polys
 
-    def evaluate(polys, xs, p):
+    def evaluate(polys, dom):
         if len(polys) == 1:
-            calls.append(len(xs))
-        return inner(polys, xs, p)
+            calls.append(dom.n)
+        return inner(polys, dom)
 
     monkeypatch.setattr(P, "_eval_polys", evaluate)
     for _ in range(2):

@@ -586,12 +586,13 @@ def test_kernel_modular_gcd_draws_primes_31():
 def test_kernel_eval_mod_vector():
     import numpy as np
 
-    from qdeq._probes import _stack, eval_many_mod
+    from qdeq._probes import _power_table, _stack, eval_many_mod
 
     p = next(K.primes_31())
     a = [3, -1, 0, 7, 2]
     xs = np.array([0, 1, 5, 12345, p - 1], dtype=np.int64)
-    got = eval_many_mod(_stack([[c % p for c in a]]), xs, p)[0]
+    X = _power_table(np.stack((np.ones_like(xs), xs)), 1, p)  # x^0, x^1
+    got = eval_many_mod(_stack([[c % p for c in a]]), X, p)[0]
     for x, g in zip(xs, got):
         assert int(g) == K.eval_mod(a, int(x), p)
 

@@ -309,8 +309,8 @@ def test_probe_check_falls_back_to_exact(monkeypatch):
     bad[5] = bad[5] + RatQ(1)
     phi = TruncSeries(bad, 8)
 
-    def pole(polys, xs, p):
-        raise _probes._Pole(f"a scalar denominator is 0 mod {p}")
+    def pole(polys, dom):
+        raise _probes._Pole(f"a scalar denominator is 0 mod {dom.p}")
 
     monkeypatch.setattr(_probes, "_eval_polys", pole)
     with pytest.raises(EngineError):
