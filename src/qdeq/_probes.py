@@ -45,7 +45,10 @@ run.  Each c_h is fitted times G = d(c_(h-1)), the denominator of
 c_(h-1) = q^v n/(s d) without its q-power and scalar: a guess at a
 factor of den(c_h) that is never trusted, formed at the lanes once per
 reconstruction call.  On q-Painleve II it divides and the fit shrinks,
-and a wrong G only makes the fit larger.  Every exact value enters the
+and a wrong G only makes the fit larger.  The fit also leaves out q^v,
+v = 2 ord_q(c_(h-1)) - ord_q(c_(h-2)) (ord_q(c_(h-1)) after a zero or at
+h = 1), so a q-power that grows with h costs no points; a wrong v, like
+a wrong G, only widens the fit.  Every exact value enters the
 lanes as its integer record (v, n, s, d), with q^v a power of the lanes
 (ProbeDomain.qpow) and 1/s a scalar inverse mod p.
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
@@ -570,24 +573,25 @@ def _start_run(F, seed, N, prime, nlanes, run=None):
     return _Run(prime, dom, coeffs, events, w)
 
 
-def _reconstruct_coeff(runs, h, guess, G):
+def _reconstruct_coeff(runs, h, guess, G, v):
     """(value, need) for coefficient h from the runs' lane data: the lift
-    num/den of the pairs fitted to c_h * G, as the exact RatQ num/(den G),
-    and len(num) + len(den); G is an integer tuple, the d of c_(h-1).
+    num/den of the pairs fitted to c_h * G * q^-v, as the exact RatQ
+    q^v num/(den G), and len(num) + len(den); G is an integer tuple, the
+    d of c_(h-1), and v a guess at ord_q(c_h).
     Fit guess points per prime, then the whole pool if fewer than two
     primes fit, and raise _NeedLanes if they still do not; the next 16
-    points hold each fit out.  c_h * G at a run's lanes is formed once
-    per call, and only for a run that fits.  The lift is not evaluated
-    here: _verify_fresh tests it on a prime of its own."""
+    points hold each fit out.  c_h * G * q^-v at a run's lanes is formed
+    once per call, and only for a run that fits.  The lift is not
+    evaluated here: _verify_fresh tests it on a prime of its own."""
     cap = min(run.dom.n for run in runs) - 16
-    scaled = {}  # run -> c_h * G at its lanes
+    scaled = {}  # run -> c_h * G * q^-v at its lanes
     for n in sorted({min(guess, cap), cap}):
         for run in runs:
             if (h, n) not in run.cands:
                 p, hold = run.dom.p, slice(n, n + 16)
                 if run not in scaled:
                     at = _eval_polys([(G, 1)], run.dom)[0]
-                    scaled[run] = run.coeffs[h] * at % p
+                    scaled[run] = run.dom.shift(run.coeffs[h] * at % p, -v)
                 ys = scaled[run]
                 got = _rat_interp(ys[:n], p, run.w, _node_poly(n, run.w, p))
                 if got is not None and not _check_fit(
@@ -610,8 +614,8 @@ def _reconstruct_coeff(runs, h, guess, G):
     primes = [runs[i].prime for i in group]
     num, s = _lift_poly([cands[i][0] for i in group], primes)
     den, t = _lift_poly([cands[i][1] for i in group], primes)
-    # (num/s) / ((den/t) * G) = num*t / (s * den*G)
-    return RatQ.from_ints(K.scal(num, t), s, K.mul(den, G)), sum(shape)
+    # q^v (num/s) / ((den/t) * G) = q^v num*t / (s * den*G)
+    return RatQ.from_ints(K.scal(num, t), s, K.mul(den, G), v), sum(shape)
 
 
 def solve(F, seed, N):
@@ -671,9 +675,11 @@ def _solve_at(F, seed, N, nlanes):
     fresh = _verify_fresh(F, None, exact, h, h - 1, primes)
     need = 0  # points the pair fitted to the previous coefficient took
     while h < len(runs[0].coeffs):
+        a, b = exact[-1], exact[-2] if h > 1 else RatQ(0)
+        v = a.v if a.is_zero() or b.is_zero() else 2 * a.v - b.v
         try:
             value, took = _reconstruct_coeff(runs, h, 3 * need // 2 + 16,
-                                             exact[-1].d)
+                                             a.d, v)
             fresh = _verify_fresh(F, fresh, exact + [value],
                                   order[h - 1] + 1, order[h], primes)
         except _NeedPrimes:

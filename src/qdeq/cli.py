@@ -33,8 +33,8 @@ from fractions import Fraction
 from . import growth
 from .corpus import corpus, get_entry, jones
 from .dsl import parse, parse_ratq
-from .errors import (DegenerateAfterEvaluation, QdeqError,
-                     RootOfUnityDetected, UsageError)
+from .errors import (DegenerateAfterEvaluation, EmptyOperator, QdeqError,
+                     RootOfUnityDetected, UncertainOrder, UsageError)
 from .nonlinear import QdeqPoly, linearize
 from .series import TruncSeries
 from .skewop import newton_polygon, resonance_poly
@@ -217,7 +217,7 @@ def _load_series_json(text):
 
 def _cmd_growth(args):
     text = _read_text(args).strip()
-    polygon = None
+    polygon = halt = None
     if text.startswith(("[", "{")):
         y = _load_series_json(text)
         for flag, given in (("--seed", args.seed), ("--order", args.order),
@@ -227,10 +227,22 @@ def _cmd_growth(args):
                 raise QdeqError(f"{flag} needs an equation, not a bare series")
     else:
         F = _as_equation(parse(text))
-        y = _extend(F, args).solution
+        solved = _extend(F, args)
+        y = solved.solution
+        if solved.halted():
+            e = solved.events[-1]
+            halt = (f"the solve halted at h = {e['h']}: {e['kind']} at order"
+                    f" {e['order']}")
         if args.predict_from_polygon:
-            polygon = newton_polygon(linearize(F, y))
+            try:
+                polygon = newton_polygon(linearize(F, y))
+            except (EmptyOperator, UncertainOrder) as exc:
+                if halt is None:
+                    raise
+                raise type(exc)(f"{halt}; {exc}") from None
     report = growth.analyze(y, order=args.s, slack=args.C, polygon=polygon)
+    if halt is not None:  # the CLI's note: analyze's JSON stays as it is
+        report.notes.append(halt)
     code = _emit(report, args.format)
     asserted = args.s is not None or args.C is not None
     return 2 if asserted and not report.passed() else code

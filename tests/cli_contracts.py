@@ -366,6 +366,12 @@ CONTRACTS = [
           "resolved_through": 13,
           "events": [{"h": h, "kind": "unique", "order": h}
                      for h in range(1, 14)]})), seconds=10),
+    # c_h = q^(1000 h) n_h: the probe fits leave the q-power out, so
+    # they stay as small as n_h (all of c_h took over 16,000 lanes)
+    C("test_probe_solve_fits_a_growing_qpower_quickly",
+      ("solve", "q^1000*x*y[1]*y[0] - y[0] + 1", "--seed", "1", "--order",
+       "13"), 0, r"resolved through order 13\nsteps: all unique\n.*\n"
+      r"  c\[13\] = q\^13078\+[^\n]*\+q\^13000\n", seconds=5),
     C("test_solve_needs_seed", SOLVE, 1,
       qdeq_error('this command needs --seed "c0,c1,..."')),
     C("test_deep_seed_is_a_usage_error_naming_seed",
@@ -431,6 +437,22 @@ CONTRACTS = [
        "--predict-from-polygon", "--format", "json"), 0,
       r'\{.*"notes": \["measured deg-side order 0 within polygon prediction'
       r' 0", "measured ord-side order 0 within polygon prediction 0"\]\}\n'),
+    # a solve that halts says so; the polygon of the series it leaves is
+    # printed when it can be built, and named with the halt when not
+    C("test_growth_notes_where_its_solve_halted",
+      ("growth", QP2, "--seed", "1", "--order", "5"), 0,
+      r"profiles through order 0\n.*\n"
+      + printed("the solve halted at h = 1: nonaffine_step at order 2")),
+    C("test_growth_names_the_halt_when_no_polygon_can_be_built",
+      ("growth", QP2, "--seed", "1", "--order", "5",
+       "--predict-from-polygon"), 1,
+      diagnostic("EmptyOperator", "the solve halted at h = 1: nonaffine_step"
+                 " at order 2; every coefficient vanishes", ".*")),
+    C("test_growth_prints_the_polygon_of_a_halted_solve",
+      ("growth", "y[1] - q^3*y[0] - x^3", "--seed", "0", "--order", "6",
+       "--predict-from-polygon", "--format", "json"), 0,
+      r'\{"deg_profile": \[null, null, null\], .*"notes": \[.*, "the solve'
+      r' halted at h = 3: obstruction_no_solution at order 3"\]\}\n'),
     C("test_growth_predict_needs_equation",
       ("growth", "--input", "-", "--predict-from-polygon"), 1,
       qdeq_error("--predict-from-polygon needs an equation, not a bare"

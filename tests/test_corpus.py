@@ -25,6 +25,8 @@ from qdeq.series import TruncSeries
 from qdeq.skewop import apply, newton_polygon, op_mul
 from qdeq.solver import SolveReport, check_solution, extend
 
+from families import phi11
+
 
 # the package binds the name corpus to the function
 corpus_module = importlib.import_module("qdeq.corpus")
@@ -232,14 +234,10 @@ def test_phi11_closed_form_spot():
     assert _phi11_coeff(2) == want
 
 
-# carries q^2 x instead of q^-2 x; its recurrence ratio
-# q^(2h+2)/(1-q^(2h)) does not reproduce the bundled closed form
-PHI11_ALTERNATE_SIGN_TEXT = "S[-2]*(S[1]-1)*(S[1]+1) + q^2*x"
-
-
 def test_phi11_alternate_sign_disagrees():
-    alt = parse(PHI11_ALTERNATE_SIGN_TEXT).parsed
-    rep = extend(QdeqPoly.from_operator(alt), [RatQ(1)], 3)
+    # q^2 x in place of q^-2 x: its recurrence ratio q^(2h+2)/(1-q^(2h))
+    # does not reproduce the bundled closed form
+    rep = extend(*phi11(e=2, N=3)[:3])
     assert rep.solution.coeffs[1] != _phi11_coeff(1)
 
 

@@ -11,7 +11,7 @@ from qdeq.ratfunc import Q, RatQ
 from qdeq.series import XPoly
 from qdeq.skewop import SkewOp
 
-from test_solver import painleve_like
+from families import qp2
 
 
 def ratq(num, den=1):
@@ -76,11 +76,13 @@ def test_parse_one_step_equation():
 
 
 def test_parse_painleve_text():
-    text = "(y[0]+x)*(y[0]*y[1]-1)*(y[0]*y[-1]-1) - q*x^2*y[0]"
-    src = parse(text)
+    src = parse(qp2().text)
     assert src.kind == "nonlinear"
     assert src.parsed.window == (-1, 1)
-    assert src.parsed == painleve_like()
+    w0, w1, wm = map(QdeqPoly.w, (0, 1, -1))
+    x, one = QdeqPoly({(1, ()): 1}), QdeqPoly.const(1)
+    assert src.parsed == ((w0 + x) * (w0 * w1 - one) * (w0 * wm - one)
+                          - QdeqPoly.const(Q) * x * x * w0)
 
 
 def test_parse_equals_normalizes():
@@ -231,7 +233,7 @@ def test_unknownless_equation_is_nonlinear_constant():
 def test_equation_round_trip_nonlinear():
     texts = [
         "x*y[1] - y[0] + 1",
-        "(y[0]+x)*(y[0]*y[1]-1)*(y[0]*y[-1]-1) - q*x^2*y[0]",
+        qp2().text,
         "q/(1+q)*y[0]^2 - y[-2]*x^3 + 5/7",
     ]
     for t in texts:

@@ -13,8 +13,8 @@ from qdeq.series import TruncSeries
 from qdeq.skewop import NewtonPolygon, SkewOp, newton_polygon
 from qdeq.solver import extend
 
+from families import linear
 from test_properties import COMMON
-from test_solver import geometric_step
 
 
 def tri(h):
@@ -325,7 +325,7 @@ def test_analyze_zero_series():
 def test_analyze_solver_consistency():
     # the one-step equation: measured deg-side order equals the polygon
     # prediction exactly, as rationals
-    F = geometric_step()
+    F = linear().F
     rep_solve = extend(F, [RatQ(1)], 12)
     y = rep_solve.solution
     L = linearize(F, y)

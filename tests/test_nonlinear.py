@@ -1,6 +1,5 @@
 """Nonlinear equation polynomials: evaluation, partials, linearization."""
 
-import random
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdeq import _probes
 from qdeq.dsl import parse
 from qdeq.errors import IndexOutOfWindow, NegativeXPower
 from qdeq.nonlinear import (
@@ -25,9 +23,9 @@ from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
 from qdeq.skewop import newton_polygon, resonance_poly
 
-from test_properties import (COMMON, _mul_coeffs, qdeq_polys, ratq_any,
-                             ratq_nonzero)
-from test_solver import painleve_like
+from families import (linear, make_domain, phi11, qdeq_polys, qp2, ratq_any,
+                      ratq_nonzero)
+from test_properties import COMMON, _mul_coeffs
 
 
 def test_constructor_canonicalizes():
@@ -94,13 +92,13 @@ def test_ring_ops():
 
 
 def test_qp2_monomial_count():
-    F = painleve_like()
+    F = qp2().F
     assert F.window == (-1, 1)
     assert len(F.monomials) == 9
 
 
 def test_eval_at_constant_one():
-    F = painleve_like()
+    F = qp2().F
     phi = TruncSeries([1], 2)
     r = eval_at(F, phi)
     assert r.trunc == 2
@@ -117,7 +115,7 @@ def test_eval_at_respects_truncation():
 
 
 def test_partial():
-    F = painleve_like()
+    F = qp2().F
     # d/dw1 = (w0 + x) * w0 * (w0*w_{-1} - 1)
     P = partial(F, 1)
     w0 = QdeqPoly.w(0)
@@ -129,10 +127,8 @@ def test_partial():
 
 
 def test_linearize_along_qp2_expansion():
-    F = painleve_like()
-    a = Q / (1 + Q)
-    phi = TruncSeries([RatQ(1), a], trunc=1)
-    L = linearize(F, phi)
+    F, seed = qp2()[:2]
+    L = linearize(F, TruncSeries(seed, trunc=1))
     assert L.flavor == "series"
     assert sorted(L.terms) == [-1, 0, 1]
     assert L.terms[-1].coeffs == (RatQ(0), Q)
@@ -211,9 +207,7 @@ def assert_engine_matches_reference(F, phi):
     assert eval_at(F, phi) == want
     # the same evaluator in the probe domain: values at random points
     # modulo a prime must be the images of the exact coefficients
-    prime = 2147483647
-    rnd = random.Random(5)
-    dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 128, rnd))
+    dom = make_domain("probe", 128, 5)
     vals = [dom.from_ratq(c) for c in phi.coeffs]
     got = Evaluator(vals, dom).eval(F, 0, phi.trunc + 1)
     images = [dom.from_ratq(c) for c in want.coeffs]
@@ -227,17 +221,15 @@ PHI_GENERIC = TruncSeries([RatQ(1), Q / (1 + Q), RatQ(0), Q ** 2 - 3,
 
 
 def test_engine_matches_reference_qp2():
-    assert_engine_matches_reference(painleve_like(), PHI_GENERIC)
+    assert_engine_matches_reference(qp2().F, PHI_GENERIC)
 
 
 def test_engine_matches_reference_phi11():
-    op = parse("S[-2]*(S[1]-1)*(S[1]+1) - 2*q^-2*x").parsed
-    assert_engine_matches_reference(QdeqPoly.from_operator(op), PHI_GENERIC)
+    assert_engine_matches_reference(phi11(-2).F, PHI_GENERIC)
 
 
 def test_engine_matches_reference_linear():
-    F = parse("x*y[1] - y[0] + 1").parsed
-    assert_engine_matches_reference(F, PHI_GENERIC)
+    assert_engine_matches_reference(linear().F, PHI_GENERIC)
 
 
 @settings(max_examples=40, **COMMON)
@@ -270,12 +262,7 @@ evaluator_ops = st.lists(
 @given(qdeq_polys(), st.lists(ratq_any, min_size=1, max_size=3),
        evaluator_ops, st.sampled_from(["exact", "probe"]))
 def test_relaxed_evaluator_matches_fresh(F, seed, ops, domain):
-    if domain == "exact":
-        dom = ExactDomain()
-    else:
-        prime = 2147483647
-        rnd = random.Random(11)
-        dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 48, rnd))
+    dom = make_domain(domain, 48, 11)
     ev = Evaluator([dom.from_ratq(c) for c in seed], dom)
     width = len(seed) + 1
     for what, c, n, lo in ops:
@@ -303,11 +290,11 @@ def test_eval_sums_only_the_orders_it_computes(lo):
     ev = Evaluator(PHI_GENERIC.coeffs, dom)
     width = PHI_GENERIC.trunc + 1
     with mock.patch.object(dom, "sum", wraps=dom.sum) as summed:
-        got = ev.eval(painleve_like(), lo, width)
+        got = ev.eval(qp2().F, lo, width)
     assert summed.call_count == width - lo
     assert len(got) == width
     assert all(v.is_zero() for v in got[:lo])
-    assert got[lo:] == list(eval_at(painleve_like(), PHI_GENERIC).coeffs[lo:])
+    assert got[lo:] == list(eval_at(qp2().F, PHI_GENERIC).coeffs[lo:])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +305,7 @@ def test_qp2_takes_six_cauchy_products():
     # qp2's six monomials of degree >= 2 are each one shift times another
     # of its own (y0^2*y1 = y0*y1 * y0, ...), so an evaluation forms six
     # products and no chain link such as y0^2 that no monomial needs
-    F = painleve_like()
+    F = qp2().F
     assert F._plan is None  # planned on first evaluation, not before
     dom = ExactDomain()
     ev = Evaluator(PHI_GENERIC.coeffs, dom)
@@ -365,12 +352,7 @@ plan_ops = st.lists(
 def test_planned_products_match_reference(F, G, seed, ops, domain):
     # F, its partials and G share one evaluator and its products, each
     # equation following its own plan, while coefficients are set
-    if domain == "exact":
-        dom = ExactDomain()
-    else:
-        prime = 2147483647
-        rnd = random.Random(13)
-        dom = _probes.ProbeDomain(prime, _probes._lane_points(prime, 32, rnd))
+    dom = make_domain(domain, 32, 13)
     phi = list(seed)
     ev = Evaluator([dom.from_ratq(c) for c in phi], dom)
     for what, c, n in ops:

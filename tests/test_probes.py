@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 from qdeq import _intpoly as K
 from qdeq import parse
 from qdeq import _probes as P
-from qdeq.dsl import parse_ratq
-from qdeq.errors import EngineError, QdeqError
-from qdeq.nonlinear import ExactDomain, QdeqPoly, eval_at
+from qdeq.errors import EngineError
+from qdeq.nonlinear import ExactDomain
 from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
-from qdeq.solver import _extend_core, check_solution, extend
+from qdeq.solver import check_solution, extend
 
-from test_properties import (COMMON, qdeq_polys, ratq_any, ratq_nonzero,
-                             ratq_shifted)
-from test_solver import geometric_step, painleve_like
+from families import (big_constant, counted, linear, make_domain, outcome, qp2,
+                      qpower, ratq_any, ratq_nonzero, resonant,
+                      seeded_equations, sqrt)
+from test_properties import COMMON, ratq_shifted
 
 MP = 2147483647  # 2**31 - 1, prime
 
@@ -608,7 +608,7 @@ def test_points_depend_on_the_prime_alone(p, data):
 
 
 def test_probe_domain_roundtrip():
-    dom = P.ProbeDomain(MP, P._lane_points(MP, 64, random.Random(3)))
+    dom = make_domain("probe", 64, 3)
     val = (Q ** 2 - 1) / (Q ** 3 + 2 * Q)
     lanes = dom.from_ratq(val)
     x = dom.q
@@ -618,42 +618,25 @@ def test_probe_domain_roundtrip():
 
 
 def test_probe_matches_exact_linear():
-    rep = extend(geometric_step(), [1], 20, engine="probe")
+    rep = extend(linear().F, [1], 20, engine="probe")
     assert rep.resolved_through == 20
     for h, c in enumerate(rep.solution.coeffs):
         assert c == RatQ(1).shift_q(h * (h - 1) // 2)
 
 
-def _qp2_branches():
-    for sign in (1, -1):
-        yield [RatQ(1),
-               sign * RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))]
-
-
 def _solves_match_exact(monkeypatch, N):
     """Both qp2 branches through N agree with the exact engine, events
-    included, each from a probe solve with no fallback; returns the lanes
-    of every _solve_at."""
-    F, lanes, solved = painleve_like(), [], []
-    inner_at, inner_solve = P._solve_at, P.solve
+    included; returns the lanes of every _solve_at."""
+    lanes, inner = [], P._solve_at
 
-    def counted(*args):
+    def sized(*args):
         lanes.append(args[3])
-        return inner_at(*args)
+        return inner(*args)
 
-    def solve(*args):
-        got = inner_solve(*args)
-        solved.append(args[2])
-        return got
-
-    monkeypatch.setattr(P, "_solve_at", counted)
-    monkeypatch.setattr(P, "solve", solve)
-    for seed in _qp2_branches():
-        fast = extend(F, seed, N, engine="probe")
-        slow = extend(F, seed, N, engine="exact")
-        assert fast.solution.coeffs == slow.solution.coeffs
-        assert fast.events == slow.events
-    assert solved == [N, N]  # no EngineError fell back to exact
+    monkeypatch.setattr(P, "_solve_at", sized)
+    for sign in (1, -1):
+        F, seed = qp2(sign=sign)[:2]
+        assert outcome(F, seed, N, "probe") == outcome(F, seed, N, "exact")
     return lanes
 
 
@@ -685,17 +668,15 @@ def test_a_grown_solve_matches_exact(monkeypatch):
 
 
 def test_probe_deterministic():
-    F = painleve_like()
-    a = RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))
-    r1 = extend(F, [RatQ(1), a], 13)
-    r2 = extend(F, [RatQ(1), a], 13)
+    F, seed = qp2()[:2]
+    r1 = extend(F, seed, 13)
+    r2 = extend(F, seed, 13)
     assert r1.solution.coeffs == r2.solution.coeffs
 
 
 def test_probe_check_solution():
-    F = painleve_like()
-    a = RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))
-    rep = extend(F, [RatQ(1), a], 16)
+    F, seed = qp2()[:2]
+    rep = extend(F, seed, 16)
     assert check_solution(F, rep.solution, mode="probe") == 16
     bad = list(rep.solution.coeffs)
     bad[9] = bad[9] + RatQ(1)
@@ -706,8 +687,8 @@ def test_probe_check_solution():
 def _qp2_wrong_last(N):
     """F, the exact qp2 report through N, and its answer with 1 added to
     c_N."""
-    F = painleve_like()
-    rep = extend(F, next(_qp2_branches()), N, engine="exact")
+    F, seed = qp2()[:2]
+    rep = extend(F, seed, N, engine="exact")
     bad = list(rep.solution.coeffs)
     bad[N] = bad[N] + RatQ(1)
     return F, rep, bad
@@ -734,21 +715,6 @@ def test_verify_fresh_rejects_a_wrong_last_coefficient():
         P._verify_fresh(F, None, bad + [RatQ(0)], 14, 14, primes)
 
 
-def _need_primes_raised(monkeypatch):
-    """The list of the _NeedPrimes that _verify_fresh raises."""
-    inner, raised = P._verify_fresh, []
-
-    def verify(*args):
-        try:
-            return inner(*args)
-        except P._NeedPrimes as exc:
-            raised.append(exc)
-            raise
-
-    monkeypatch.setattr(P, "_verify_fresh", verify)
-    return raised
-
-
 def _plant_at_12(monkeypatch, times):
     """1 is added to the first `times` lifts of c_12."""
     inner, planted = P._reconstruct_coeff, []
@@ -768,20 +734,18 @@ def test_a_wrong_lift_costs_one_more_prime(monkeypatch):
     # and lifts c_12 again, and the answer is exact
     F, rep, _ = _qp2_wrong_last(12)
     _plant_at_12(monkeypatch, 1)
-    raised, started = (_need_primes_raised(monkeypatch),
-                       _runs_started(monkeypatch))
-    coeffs, _ = P.solve(F, next(_qp2_branches()), 12)
+    got = counted(monkeypatch)
+    coeffs, _ = P.solve(F, qp2().seed, 12)
     assert tuple(coeffs) == rep.solution.coeffs
-    assert len(raised) == 1 and len(started) == 3
+    assert len(got["rejected"]) == 1 and len(got["runs"]) == 3
 
 
 def test_a_wrong_last_coefficient_falls_back_to_exact(monkeypatch):
     # a wrong c_12 at every retry spends the prime budget: the probe solve
     # raises EngineError, and extend answers in Q(q)
-    F, rep, _ = _qp2_wrong_last(12)
-    seed = next(_qp2_branches())
+    (F, rep, _), seed = _qp2_wrong_last(12), qp2().seed
     _plant_at_12(monkeypatch, 24)
-    raised = _need_primes_raised(monkeypatch)
+    raised = counted(monkeypatch)["rejected"]
     with pytest.raises(EngineError, match="prime escalation exhausted"):
         P.solve(F, seed, 12)
     assert raised
@@ -790,50 +754,33 @@ def test_a_wrong_last_coefficient_falls_back_to_exact(monkeypatch):
     assert got.events == rep.events
 
 
-@pytest.mark.parametrize("F, seed, N, reach", [
+@pytest.mark.parametrize("family, reach", [
     # a fit outgrows the 192-lane start pools: one pool growth, 5 runs
-    ("(y[0]+x)*(y[0]*y[1]-1)*(y[0]*y[-1]-1) - q*x^2*y[0]",
-     ["1", "q/(1+q)"], 20, {"lanes": 1, "runs": 5}),
+    (qp2(N=20), {"lanes": 1, "runs": 5}),
     # with two primes, Wang's reconstruction lifts c_1 as a wrong
     # fraction: the fresh-prime check rejects three lifts, and a third
     # and a fourth prime join (7 runs)
-    ("x*y[1] - y[0] + 1000000000000000000000000000001",
-     ["1000000000000000000000000000001"], 6, {"rejected": 3, "runs": 7}),
+    (big_constant(10 ** 30 + 1), {"rejected": 3, "runs": 7}),
     # the same for c_16 = -9694845/2^31 of sqrt(1 + x), a q-free
     # algebraic series: one rejected lift, 3 runs
-    ("y[0]^2 - 1 - x", ["1"], 20, {"rejected": 1, "runs": 3}),
+    (sqrt(1), {"rejected": 1, "runs": 3}),
     # a resonant_free step at h = 13, past auto's order-12 switch
-    ("y[1] - q^13*y[0] + x^2*y[0]^2", ["0"], 14, {"resonant_free": 13}),
+    (resonant(13), {"resonant_free": 13}),
 ], ids=["qp2-pool-growth", "30-digit-constant", "sqrt-1-plus-x",
         "resonant-free-at-13"])
-def test_a_lift_past_the_bound_asks_for_a_prime(F, seed, N, reach,
-                                                monkeypatch):
+def test_a_lift_past_the_bound_asks_for_a_prime(family, reach, monkeypatch):
     # each row reaches its regime, counted by wrapping the probe solve's
     # steps; its reach is the counts measured when it was written, so a
     # change that makes a row easier fails here; the answer and events
     # are the exact domain's
-    F, seed = parse(F).parsed, [parse_ratq(c) for c in seed]
-    inner, grown = P._reconstruct_coeff, []
-
-    def reconstruct(*args):
-        try:
-            return inner(*args)
-        except P._NeedLanes as exc:
-            grown.append(exc)
-            raise
-
-    monkeypatch.setattr(P, "_reconstruct_coeff", reconstruct)
-    rejected = _need_primes_raised(monkeypatch)
-    started = _runs_started(monkeypatch)
-    coeffs, events = P.solve(F, seed, N)
-    want, want_events, _ = _extend_core(F, seed, N, ExactDomain())
-    assert coeffs == want
-    assert ([(e["h"], e["kind"], e["order"]) for e in events]
-            == [(e["h"], e["kind"], e["order"]) for e in want_events])
-    got = {"lanes": len(grown), "rejected": len(rejected),
-           "runs": sum(not regrown for _, _, regrown in started),
-           "resonant_free": max((e["h"] for e in events
-                                 if e["kind"] == "resonant_free"), default=0)}
+    F, seed, N = family[:3]
+    seen = counted(monkeypatch)
+    answer = outcome(F, seed, N, "probe")
+    assert answer == outcome(F, seed, N, "exact")
+    got = {"lanes": len(seen["lanes"]), "rejected": len(seen["rejected"]),
+           "runs": sum(not grown for _, _, grown in seen["runs"]),
+           "resonant_free": max((h for h, kind, _, _ in answer[1]
+                                 if kind == "resonant_free"), default=0)}
     assert all(got[k] >= v for k, v in reach.items()), got
 
 
@@ -867,7 +814,7 @@ def test_reconstruct_grows_from_a_small_start():
     # 512 pool lanes less the 16-point hold-out
     value = _planted_value()
     runs = _runs_holding(value, 3, 512)
-    assert P._reconstruct_coeff(runs, 3, 8, (1,)) == (value, 92)
+    assert P._reconstruct_coeff(runs, 3, 8, (1,), 0) == (value, 92)
     assert _sizes_tried(runs, 3) == [[8, 496]] * 2
 
 
@@ -880,26 +827,30 @@ def test_a_guess_is_used_as_given_or_the_whole_pool_after_it(guess, tried):
     # takes more than the pool
     value = _planted_value()
     runs = _runs_holding(value, 3, 512)
-    assert P._reconstruct_coeff(runs, 3, guess, (1,)) == (value, 92)
+    assert P._reconstruct_coeff(runs, 3, guess, (1,), 0) == (value, 92)
     assert _sizes_tried(runs, 3) == [tried] * 2
 
 
 def test_reconstruct_takes_any_denominator_guess():
-    # the guess G scales the fitted values; a factor of den(c_h) shrinks
-    # the fit, a G prime to it grows it, and every G gives the value
+    # the guesses G and v scale the fitted values by G q^-v; a factor of
+    # den(c_h) or v = ord_q(c_h) shrinks the fit, a G prime to den(c_h) or
+    # another v grows it, and every guess gives the value
     rnd = random.Random(8)
     d1 = (1,) + tuple(rnd.randint(-9, 9) for _ in range(19)) + (3,)
     d2 = (2,) + tuple(rnd.randint(-9, 9) for _ in range(9)) + (1,)
     n = [rnd.randint(-9, 9) for _ in range(30)] + [1]
     value = RatQ.from_ints(n) / RatQ.from_ints(K.mul(d1, d2))
-    assert len(value.den.ints) - 1 == 30
+    assert len(value.den.ints) - 1 == 30 and value.ord_q == 0
     coprime = (1, 1, 0, 0, 0, 3)
     assert len((1 / RatQ.from_ints(K.mul(coprime, value.den.ints))
                 ).den.ints) - 1 == 35
-    for G, need in (((1,), 31 + 31), (d1, 31 + 11), (coprime, 36 + 31)):
-        # fresh runs: their fits are cached by (h, points), not by G
-        runs = _runs_holding(value, 3, 512)
-        assert P._reconstruct_coeff(runs, 3, 16, G) == (value, need)
+    for G, e, v, need in (((1,), 0, 0, 31 + 31), (d1, 0, 0, 31 + 11),
+                          (coprime, 0, 0, 36 + 31), ((1,), 0, 3, 31 + 34),
+                          ((1,), 40, 40, 31 + 31), ((1,), 40, 0, 71 + 31)):
+        # fresh runs: their fits are cached by (h, points), not by G or v
+        runs = _runs_holding(value.shift_q(e), 3, 512)
+        assert P._reconstruct_coeff(runs, 3, 16, G, v) == (
+            value.shift_q(e), need)
 
 
 def _kill_lane(monkeypatch, pick):
@@ -920,28 +871,14 @@ def _kill_lane(monkeypatch, pick):
     return hit
 
 
-def _runs_started(monkeypatch):
-    """(prime, lanes, grown) of every run that _start_run returns."""
-    inner, started = P._start_run, []
-
-    def start(F, seed, N, prime, nlanes, run=None):
-        got = inner(F, seed, N, prime, nlanes, run)
-        started.append((prime, nlanes, run is not None))
-        return got
-
-    monkeypatch.setattr(P, "_start_run", start)
-    return started
-
-
 def _solves_past_a_dead_lane(monkeypatch, lane):
     # the first prime's run has a pole at lane: it gives way, the next two
     # primes serve, and the solve gives the exact answer
-    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    F, seed, N = qp2(N=10)[:3]
     hit = _kill_lane(monkeypatch, lambda dom: lane % dom.n if (
         dom.p == PP and dom.n == P._START_LANES) else None)
-    started = _runs_started(monkeypatch)
-    coeffs, _ = P.solve(F, seed, N)
-    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    started = counted(monkeypatch)["runs"]
+    assert outcome(F, seed, N, "probe") == outcome(F, seed, N, "exact")
     assert len(hit) == 1
     assert [p for p, _, _ in started][:2] == list(islice(K.primes_29(), 1, 3))
     assert PP not in [p for p, _, _ in started]
@@ -954,7 +891,7 @@ def test_a_dead_pool_lane_redraws_the_run(monkeypatch):
 def test_an_unusable_progression_gives_way_to_the_next_prime(monkeypatch):
     # _start_run raises _Pole where the drawn g, r give no usable pool (a
     # point at +-1 or a repeat), and the next prime serves instead
-    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    F, seed, N = qp2(N=10)[:3]
     inner = P._progression
 
     def progression(prime, *args):
@@ -966,9 +903,8 @@ def test_an_unusable_progression_gives_way_to_the_next_prime(monkeypatch):
     monkeypatch.setattr(P, "_progression", progression)
     with pytest.raises(P._Pole):
         P._start_run(F, seed, N, PP, P._START_LANES)
-    started = _runs_started(monkeypatch)
-    coeffs, _ = P.solve(F, seed, N)
-    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    started = counted(monkeypatch)["runs"]
+    assert outcome(F, seed, N, "probe") == outcome(F, seed, N, "exact")
     assert PP not in [p for p, _, _ in started]
 
 
@@ -977,7 +913,7 @@ def test_the_lane_cache_never_changes_an_answer(monkeypatch):
     # the same coefficients, events and verdicts, and the warm pass
     # draws no lanes; every cached array is read-only
     monkeypatch.setattr(P, "_LANES", {})
-    F, seed, N = painleve_like(), next(_qp2_branches()), 14
+    F, seed, N = qp2(N=14)[:3]
     passes = []
     for _ in range(2):
         cached = dict(P._LANES)
@@ -1003,8 +939,8 @@ def test_a_grown_solve_caches_no_grown_size(monkeypatch):
     # qp2 N=20 outgrows its 192-lane pools; only the start sizes are
     # kept, a pool at 192 and the verification's and check's lanes
     monkeypatch.setattr(P, "_LANES", {})
-    started = _runs_started(monkeypatch)
-    F, seed, N = painleve_like(), next(_qp2_branches()), 20
+    started = counted(monkeypatch)["runs"]
+    F, seed, N = qp2(N=20)[:3]
     coeffs, _ = P.solve(F, seed, N)
     P.check(F, TruncSeries(coeffs, N))
     assert any(grown for _, _, grown in started)
@@ -1016,7 +952,7 @@ def test_a_grown_solve_caches_no_grown_size(monkeypatch):
 def test_a_dead_verification_lane_gives_way(monkeypatch):
     # the first prime of the fresh-prime verification meets a pole; the
     # next one verifies, and the solve stands
-    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    F, seed, N = qp2(N=10)[:3]
     verifying = []
 
     def pick(dom):
@@ -1026,16 +962,15 @@ def test_a_dead_verification_lane_gives_way(monkeypatch):
         return None
 
     hit = _kill_lane(monkeypatch, pick)
-    coeffs, _ = P.solve(F, seed, N)
-    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    assert outcome(F, seed, N, "probe") == outcome(F, seed, N, "exact")
     assert len(hit) == 1 and len(set(verifying)) == 2
 
 
 def test_a_dead_check_lane_gives_way(monkeypatch):
     # the check's first prime meets a pole: the next two primes check, and
     # the answers are those of a check with no pole
-    F, first = painleve_like(), next(K.check_primes())
-    phi = extend(F, next(_qp2_branches()), 12, engine="exact").solution
+    (F, seed), first = qp2()[:2], next(K.check_primes())
+    phi = extend(F, seed, 12, engine="exact").solution
     bad = list(phi.coeffs)
     bad[9] = bad[9] + RatQ(1)
     bad = TruncSeries(bad, 12)
@@ -1059,8 +994,8 @@ def test_the_check_sees_an_error_that_is_a_multiple_of_the_run_primes():
     # a probe answer's lifted coefficients are exact modulo its runs'
     # primes, the first primes_29; an error that is their product is zero
     # there, and only the check's own primes see it
-    F = painleve_like()
-    phi = extend(F, next(_qp2_branches()), 14, engine="probe").solution
+    F, seed = qp2()[:2]
+    phi = extend(F, seed, 14, engine="probe").solution
     p1, p2 = islice(K.primes_29(), 2)
     bad = list(phi.coeffs)
     bad[13] = bad[13] + RatQ(p1 * p2)
@@ -1072,7 +1007,7 @@ def test_the_check_sees_an_error_that_is_a_multiple_of_the_run_primes():
 def test_24_dead_primes_in_a_row_raise_engine_error(monkeypatch):
     # a prime gives way at most 24 times in a row; then the engine gives
     # up, and extend and check_solution answer in Q(q) instead
-    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    F, seed, N = qp2(N=10)[:3]
     phi = extend(F, seed, N, engine="exact").solution
     tried = []
 
@@ -1115,10 +1050,9 @@ def test_a_coefficient_no_pool_can_fit_is_declined(F, seed, monkeypatch):
 def test_the_decline_reads_the_lane_ceiling(monkeypatch):
     # q^12 spans |12| + 1 + 1 = 14 powers of q: a ceiling of 14 lanes
     # lets the probe engine solve, and one of 13 declines
-    F, seed = parse("q^12*x*y[1]*y[0] - y[0] + 1").parsed, [RatQ(1)]
-    want = extend(F, seed, 3, engine="exact").solution.coeffs
+    F, seed = qpower(12)[:2]
     monkeypatch.setattr(P, "_MAX_LANES", 14)
-    assert tuple(P.solve(F, seed, 3)[0]) == want
+    assert outcome(F, seed, 3, "probe") == outcome(F, seed, 3, "exact")
     monkeypatch.setattr(P, "_MAX_LANES", 13)
     with pytest.raises(EngineError, match="spans more powers of q"):
         P.solve(F, seed, 3)
@@ -1142,8 +1076,7 @@ def test_extend_gives_way_where_a_probe_prime_divides_a_denominator():
     want = extend(F, seed, 13, engine="exact")
     assert want.resolved_through == 13
     # the probe engine itself serves the answer, with no EngineError
-    coeffs, _ = P.solve(F, [RatQ.from_value(c) for c in seed], 13)
-    assert tuple(coeffs) == want.solution.coeffs
+    assert outcome(F, seed, 13, "probe") == outcome(F, seed, 13, "exact")
     assert extend(F, seed, 13).to_json() == want.to_json()
 
 
@@ -1154,7 +1087,7 @@ def test_need_lanes_only_after_the_whole_pool():
     assert cap < 92
     for guess in (32, cap, 900):
         with pytest.raises(P._NeedLanes):
-            P._reconstruct_coeff(runs, 3, guess, (1,))
+            P._reconstruct_coeff(runs, 3, guess, (1,), 0)
         # every run tried a fit over its whole usable pool, and at most
         # one other size
         assert all((3, cap) in run.cands for run in runs)
@@ -1173,7 +1106,7 @@ def test_g_is_evaluated_once_per_coefficient_and_pool(monkeypatch):
 
     monkeypatch.setattr(P, "_eval_polys", evaluate)
     for _ in range(2):
-        got = P._reconstruct_coeff(runs, 3, 8, G)[0]
+        got = P._reconstruct_coeff(runs, 3, 8, G, 0)[0]
         assert got == value / RatQ.from_ints(G)
     assert calls == [512, 512]
 
@@ -1183,7 +1116,7 @@ def test_fits_survive_a_recall_with_one_more_prime(monkeypatch):
     # h: the runs it had keep their fits, and only the new one fits
     value = _planted_value()
     runs = _runs_holding(value, 3, 512, k=3)
-    first = P._reconstruct_coeff(runs[:2], 3, 100, (1,))
+    first = P._reconstruct_coeff(runs[:2], 3, 100, (1,), 0)
     fits, inner = [], P._rat_interp
 
     def fit(ys, p, w, node):
@@ -1191,14 +1124,14 @@ def test_fits_survive_a_recall_with_one_more_prime(monkeypatch):
         return inner(ys, p, w, node)
 
     monkeypatch.setattr(P, "_rat_interp", fit)
-    assert P._reconstruct_coeff(runs, 3, 100, (1,)) == first
+    assert P._reconstruct_coeff(runs, 3, 100, (1,), 0) == first
     assert fits == [runs[2].prime]
 
 
 def test_a_grown_pool_is_the_longer_progression():
     # the same (g, r) for the larger pool gives the same points and
     # weights bit for bit
-    F, N, seed = painleve_like(), 8, next(_qp2_branches())
+    F, seed, N = qp2(N=8)[:3]
     run = P._start_run(F, seed, N, PP, 40)
     g, r = run.w.g, run.w.r
     assert P._start_run(F, seed, N, PP, 80, run) is run
@@ -1214,17 +1147,17 @@ def test_a_grown_pool_is_the_longer_progression():
 def test_growth_keeps_every_cached_fit():
     # pool prefixes are unchanged, so fits cached before the growth are
     # the fits made again after it
-    F, N, seed = painleve_like(), 8, next(_qp2_branches())
+    F, seed, N = qp2(N=8)[:3]
     runs = [P._start_run(F, seed, N, p, 64)
             for p in islice(K.primes_29(), 2)]
-    before = P._reconstruct_coeff(runs, 2, 16, seed[-1].d)
+    before = P._reconstruct_coeff(runs, 2, 16, seed[-1].d, 0)
     cached = [dict(run.cands) for run in runs]
     assert all(cached)
     for run, old in zip(runs, cached):
         assert P._start_run(F, seed, N, run.prime, 128, run)
         assert run.cands.keys() == old.keys()  # growth keeps the cache
         run.cands.clear()
-    assert P._reconstruct_coeff(runs, 2, 16, seed[-1].d) == before
+    assert P._reconstruct_coeff(runs, 2, 16, seed[-1].d, 0) == before
     for run, old in zip(runs, cached):
         assert run.cands.keys() == old.keys()
         for key, fit in old.items():
@@ -1239,7 +1172,7 @@ def test_a_dead_lane_in_a_growth_batch_brings_a_fresh_prime(monkeypatch):
     # lane 5 of the first prime's first growth batch (its 48 new points)
     # dies: that prime's run is dropped and a fresh prime joins at the
     # grown size, with no EngineError
-    F, N, seed = painleve_like(), 10, next(_qp2_branches())
+    F, seed, N = qp2(N=10)[:3]
     monkeypatch.setattr(P, "_START_LANES", 48)
     at_pp = []  # the 48-lane domains at PP: the start run's, then a batch's
 
@@ -1251,9 +1184,8 @@ def test_a_dead_lane_in_a_growth_batch_brings_a_fresh_prime(monkeypatch):
         return None if dom is at_pp[0] else 5
 
     hit = _kill_lane(monkeypatch, pick)
-    started = _runs_started(monkeypatch)
-    coeffs, _ = P.solve(F, seed, N)
-    assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+    started = counted(monkeypatch)["runs"]
+    assert outcome(F, seed, N, "probe") == outcome(F, seed, N, "exact")
     assert len(hit) == 1
     assert (PP, 48, False) in started
     assert not any(p == PP and grown for p, _, grown in started)
@@ -1267,18 +1199,17 @@ def test_lane_growth_stops_at_the_ceiling(monkeypatch, ceiling, N):
     # pool grows to 64 lanes, which a ceiling of 63 refuses
     monkeypatch.setattr(P, "_START_LANES", 32)
     monkeypatch.setattr(P, "_MAX_LANES", ceiling)
-    F, seed = painleve_like(), next(_qp2_branches())
+    F, seed = qp2()[:2]
     if ceiling < 64:
         with pytest.raises(EngineError, match="lane escalation exhausted"):
             P.solve(F, seed, N)
     else:
-        coeffs, _ = P.solve(F, seed, N)
-        assert tuple(coeffs) == extend(F, seed, N, engine="exact").solution.coeffs
+        assert outcome(F, seed, N, "probe") == outcome(F, seed, N, "exact")
 
 
 def test_probe_domain_sum_matches_folded_add():
     rng = np.random.default_rng(11)
-    dom = P.ProbeDomain(MP, P._lane_points(MP, 64, random.Random(11)))
+    dom = make_domain("probe", 64, 11)
     for k in range(6):
         terms = [rng.integers(0, MP, size=dom.n, dtype=np.int64)
                  for _ in range(k)]
@@ -1313,7 +1244,7 @@ ratq_maybe_zero = st.builds(lambda r, k: r.shift_q(k), ratq_any,
 @given(ratq_maybe_zero, ratq_shifted, st.integers(-30, 30), st.integers(0, 2))
 def test_probe_domain_conforms_to_exact(a, b, e, lo):
     ex = ExactDomain()
-    dom = P.ProbeDomain(MP, P._lane_points(MP, 48, random.Random(5)))
+    dom = make_domain("probe", 48, 5)
 
     def same(got, want):
         assert (got == dom.from_ratq(want)).all()
@@ -1362,42 +1293,11 @@ def test_stacked_from_ratq_matches_one_by_one(values, p):
 # -- whole solves: exact against probe -------------------------------------
 
 
-@st.composite
-def seeded_equations(draw):
-    """A small QdeqPoly F, a seed c_0..c_k and a target order N, with
-    k < N <= 6; F's constant monomials move so that the seed clears
-    orders 0..k."""
-    F = draw(qdeq_polys())
-    seed = draw(st.lists(ratq_nonzero, min_size=1, max_size=3))
-    k = len(seed) - 1
-    r = eval_at(F, TruncSeries(seed, k))
-    F = F - QdeqPoly({(m, ()): c for m, c in enumerate(r.coeffs)})
-    return F, seed, draw(st.integers(k + 1, 6))
-
-
-def _outcome(F, seed, N, engine):
-    """The coefficients and event signature of one engine's solve, or the
-    type of the error it raised.  The probe side calls _probes.solve
-    itself, so an EngineError is an outcome of its own, not a silent
-    exact rerun."""
-    try:
-        if engine == "probe":
-            coeffs, events = P.solve(F, [RatQ.from_value(c) for c in seed], N)
-        else:
-            rep = extend(F, seed, N, engine="exact")
-            coeffs, events = rep.solution.coeffs, rep.events
-    except QdeqError as exc:
-        return type(exc)
-    # probe events carry vectors where exact ones carry a value
-    return (tuple(coeffs),
-            [(e["h"], e["kind"], e["order"], sorted(e)) for e in events])
-
-
 @settings(max_examples=30, **COMMON)
 @given(seeded_equations())
 def test_exact_and_probe_solves_agree(problem):
     F, seed, N = problem
-    assert _outcome(F, seed, N, "exact") == _outcome(F, seed, N, "probe")
+    assert outcome(F, seed, N, "exact") == outcome(F, seed, N, "probe")
 
 
 @settings(max_examples=30, **COMMON)
@@ -1407,10 +1307,8 @@ def test_probe_check_agrees_with_the_exact_check(problem, data):
     # which moves V off phi.trunc; _probes.check is called itself, so an
     # EngineError fails the test instead of rerunning exact
     F, seed, N = problem
-    try:
-        coeffs = list(extend(F, seed, N, engine="exact").solution.coeffs)
-    except QdeqError:
-        coeffs = [RatQ.from_value(c) for c in seed]  # the seed clears 0..k
+    got = outcome(F, seed, N, "exact")  # on an error, the seed clears 0..k
+    coeffs = list(seed if isinstance(got, type) else got[0])
     bad = list(coeffs)
     i = data.draw(st.integers(0, len(bad) - 1))
     bad[i] = bad[i] + data.draw(ratq_nonzero)

@@ -23,21 +23,18 @@ from hypothesis import strategies as st
 
 from qdeq.dsl import parse, parse_ratq
 from qdeq.growth import estimate_order
-from qdeq.nonlinear import QdeqPoly, eval_at, linearize
+from qdeq.nonlinear import eval_at, linearize
 from qdeq.ratfunc import (POS_INF, Q, QLaurent, RatQ, _mul_unreduced,
                           fmt_coeff_poly, pochhammer, ratq_sum)
 from qdeq.series import TruncSeries, XPoly
 from qdeq.skewop import (SkewOp, apply, lowest_row, newton_polygon, op_mul,
                          resonance_poly)
 
+from families import nz_ints, qdeq_polys, ratq_any, ratq_nonzero
+
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.filter_too_much])
-
-nz_ints = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any)
-ratq_nonzero = st.builds(lambda n, d: RatQ.from_ints(n, d=d),
-                         nz_ints, nz_ints)
-ratq_any = st.one_of(st.just(RatQ(0)), ratq_nonzero)
 
 xpoly_any = st.lists(ratq_any, min_size=0, max_size=3).map(
     lambda cs: XPoly(enumerate(cs)))
@@ -428,21 +425,6 @@ def test_resonance_poly_matches_dense_rows(op, h):
 
 
 # -- first-order Taylor agreement of linearize ---------------------------
-
-
-@st.composite
-def qdeq_polys(draw):
-    m = draw(st.integers(-2, 0))
-    n = draw(st.integers(0, 2))
-    mons = {}
-    for _ in range(draw(st.integers(1, 4))):
-        e = draw(st.integers(0, 2))
-        idxs = draw(st.lists(st.integers(m, n), unique=True, max_size=2))
-        exps = tuple((i, draw(st.integers(1, 2))) for i in idxs)
-        key = (e, exps)
-        c = draw(ratq_nonzero)
-        mons[key] = mons.get(key, RatQ(0)) + c
-    return QdeqPoly(mons)
 
 
 @settings(max_examples=200, **COMMON)

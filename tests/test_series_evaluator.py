@@ -9,19 +9,14 @@ a fresh copy of the same coefficients.
 
 from hypothesis import given, settings
 
-from qdeq.dsl import parse
 from qdeq.errors import QdeqError
 from qdeq.nonlinear import _exact_evaluator, eval_at, linearize, partial
-from qdeq.ratfunc import Q
 from qdeq.series import TruncSeries
 from qdeq.skewop import newton_polygon
 from qdeq.solver import check_solution, extend
 
-from test_probes import seeded_equations
-from test_properties import COMMON, qdeq_polys
-from test_solver import geometric_step, painleve_like, shifted_eigen
-
-QP2_SEED = [1, Q / (1 + Q)]
+from families import eigen, linear, qdeq_polys, qp2, scan, seeded_equations
+from test_properties import COMMON
 
 
 def _fresh(phi):
@@ -70,41 +65,35 @@ def test_exact_answer_reads_like_a_fresh_series(problem, G):
 
 
 def test_halted_runs_hand_over_nothing():
-    for F, seed, N, kind in [
-            (painleve_like(), [1], 5, "nonaffine_step"),
-            (shifted_eigen(3, forced=True), [0], 10,
-             "obstruction_no_solution"),
-            (parse("(y[0]-1)^2 - x").parsed, [1], 4,
-             "obstruction_no_solution")]:
+    for F, seed, N, kind, _ in [qp2(N=5, branch=False),
+                                eigen(3, True, N=10), scan(1, 0, 2)]:
         rep = extend(F, seed, N, engine="exact")
         assert rep.kinds()[-1] == kind and rep.solution.evaluator is None
         _assert_shared_matches_fresh(rep.solution, F)
 
 
 def test_scan_step_run_hands_over_its_products():
-    for text, seed, N in [("x*y[0] - x - x^2", [1], 4),
-                          ("x^2*y[0] - x^2 - x^4", [1, 0, 1], 8)]:
-        F = parse(text).parsed
+    for F, seed, N in [scan(1, 1)[:3], (scan(2, 2).F, [1, 0, 1], 8)]:
         rep = extend(F, seed, N, engine="exact")
         assert rep.solution.evaluator is not None
-        _assert_shared_matches_fresh(rep.solution, F, geometric_step())
+        _assert_shared_matches_fresh(rep.solution, F, linear().F)
 
 
 def test_answer_at_the_seed_order():
-    F = painleve_like()
-    rep = extend(F, QP2_SEED, 1, engine="exact")
+    F, seed = qp2()[:2]
+    rep = extend(F, seed, 1, engine="exact")
     assert rep.events == [] and rep.solution.evaluator is not None
     _assert_shared_matches_fresh(rep.solution, F, partial(F, 0))
 
 
 def test_probe_answer_gets_its_evaluator_on_first_use():
-    F = painleve_like()
-    rep = extend(F, QP2_SEED, 14, engine="probe")
+    F, seed = qp2()[:2]
+    rep = extend(F, seed, 14, engine="probe")
     assert rep.solution.evaluator is None
     _assert_shared_matches_fresh(rep.solution, F)
 
 
 def test_two_equations_on_one_series():
-    F, G = painleve_like(), geometric_step()
-    rep = extend(F, QP2_SEED, 8, engine="exact")
+    (F, seed), G = qp2()[:2], linear().F
+    rep = extend(F, seed, 8, engine="exact")
     _assert_shared_matches_fresh(rep.solution, G, F, partial(F, 1), G)

@@ -1,63 +1,37 @@
-import random
-from fractions import Fraction
-
 import pytest
 
 from qdeq import _probes, solver
-from qdeq.corpus import get_entry
 from qdeq.dsl import parse
 from qdeq.errors import EngineError, SeedRejected
-from qdeq.nonlinear import (Evaluator, ExactDomain, QdeqPoly, linearize,
-                            partial_rows)
-from qdeq.ratfunc import Q, RatQ
+from qdeq.nonlinear import Evaluator, ExactDomain, linearize, partial_rows
+from qdeq.ratfunc import RatQ
 from qdeq.series import TruncSeries
 from qdeq.skewop import lowest_row, newton_polygon, resonance_poly
 from qdeq.solver import check_solution, extend, resonance_set
 
+from families import eigen, linear, make_domain, outcome, phi11, qp2, scan
 
-def geometric_step():
-    # x*y(qx) - y(x) + 1 = 0, solved by sum_h q^(h(h-1)/2) x^h
-    x = QdeqPoly({(1, ()): 1})
-    return x * QdeqPoly.w(1) - QdeqPoly.w(0) + QdeqPoly.const(1)
-
-
-def painleve_like():
-    # (y + x)(y*sigma(y) - 1)(y*sigma^-1(y) - 1) = q x^2 y
-    w0 = QdeqPoly.w(0)
-    wp = QdeqPoly.w(1)
-    wm = QdeqPoly.w(-1)
-    x = QdeqPoly({(1, ()): 1})
-    one, q = QdeqPoly.const(1), QdeqPoly.const(Q)
-    return (w0 + x) * (w0 * wp - one) * (w0 * wm - one) - q * x * x * w0
-
-
-def shifted_eigen(h0, forced):
-    # y(qx) = q^h0 y(x) (+ x^h0): resonant at order h0
-    F = QdeqPoly.w(1) - QdeqPoly.const(RatQ(1).shift_q(h0)) * QdeqPoly.w(0)
-    if forced:
-        F = F - QdeqPoly({(h0, ()): 1})
-    return F
+GEOMETRIC = linear().F  # x*y[1] - y[0] + 1: c_h = q^(h(h-1)/2)
 
 
 def test_geometric_closed_form():
-    rep = extend(geometric_step(), [1], 12)
+    rep = extend(GEOMETRIC, [1], 12)
     assert rep.resolved_through == 12
     assert rep.kinds() == ["unique"] * 12
     for h, c in enumerate(rep.solution.coeffs):
         assert c == RatQ(1).shift_q(h * (h - 1) // 2)
-    assert check_solution(geometric_step(), rep.solution) == 12
+    assert check_solution(GEOMETRIC, rep.solution) == 12
 
 
 def test_geometric_events_increasing():
-    rep = extend(geometric_step(), [1], 6)
+    rep = extend(GEOMETRIC, [1], 6)
     hs = [e["h"] for e in rep.events]
     assert hs == sorted(hs) and len(set(hs)) == len(hs)
 
 
 def test_painleve_unique_run():
-    F = painleve_like()
-    a = RatQ(1).shift_q(1) / (RatQ(1) + RatQ(1).shift_q(1))  # q/(1+q)
-    rep = extend(F, [RatQ(1), a], 8, engine="exact")
+    F, seed = qp2()[:2]
+    rep = extend(F, seed, 8, engine="exact")
     assert rep.resolved_through == 8
     assert rep.kinds() == ["unique"] * 7
     assert check_solution(F, rep.solution, mode="exact") == 8
@@ -67,7 +41,7 @@ def test_painleve_unique_run():
 
 
 def test_painleve_constant_seed_goes_nonaffine():
-    F = painleve_like()
+    F = qp2().F
     rep = extend(F, [1], 5, engine="exact")
     assert rep.resolved_through == 0
     assert rep.halted()
@@ -84,52 +58,37 @@ def test_painleve_constant_seed_goes_nonaffine():
 
 
 def test_obstruction_stops_with_partial_solution():
-    rep = extend(shifted_eigen(3, forced=True), [0], 10)
+    rep = extend(eigen(3, True).F, [0], 10)
     assert rep.resolved_through == 2
     assert rep.kinds() == ["unique", "unique", "obstruction_no_solution"]
     assert rep.events[-1]["h"] == 3
     assert rep.halted()
 
 
-QP2_TEXT = "(y[0]+x)*(y[0]*y[1]-1)*(y[0]*y[-1]-1) - {c}*x^2*y[0]"
-
-
-def _solve_plain(F, seed, N, engine):
-    """(coefficient texts, plain events, resolved order) of one run."""
-    if engine == "probe":
-        coeffs, events = _probes.solve(F, [RatQ.from_value(c) for c in seed], N)
-        resolved = len(coeffs) - 1
-    else:
-        rep = extend(F, seed, N, engine="exact")
-        coeffs, events, resolved = rep.solution.coeffs, rep.events, rep.resolved_through
-    return ([c.to_text() for c in coeffs],
-            [solver._plain_event(e) for e in events], resolved)
-
-
 @pytest.mark.parametrize("engine", ["exact", "probe"])
 @pytest.mark.parametrize("F, seed, N", [
     # order-4 branch points of the q-Painleve II family
-    (parse(QP2_TEXT.format(c="4*q^3")).parsed, [1], 4),
-    (parse(QP2_TEXT.format(c="9*q")).parsed, [1], 4),
+    qp2(2, 1, N=4, branch=False)[:3],
+    qp2(3, 0, N=4, branch=False)[:3],
     # the A5 equation
-    (parse(QP2_TEXT.format(c="q")).parsed, [1], 10),
-    (shifted_eigen(3, forced=True), [0], 10),
-    # (y-1)^2 = x: the scan step finds order 1 nonzero, out of c_1's reach
-    (parse("(y[0]-1)^2 - x").parsed, [1], 4),
+    qp2(N=10, branch=False)[:3],
+    eigen(3, True, N=10)[:3],
+    # x y^2 = 2x: the scan step finds order 1 nonzero, out of c_1's reach
+    scan(1, 0, 2)[:3],
 ], ids=["branch-1", "branch-2", "a5", "obstruction", "scan-obstruction"])
 def test_halted_run_matches_fresh_per_step(F, seed, N, engine, monkeypatch):
-    got = _solve_plain(F, seed, N, engine)
-    coeffs, events, resolved = got
-    assert events[-1]["kind"] in ("nonaffine_step", "obstruction_no_solution")
+    got = coeffs, events = outcome(F, seed, N, engine)
+    report = extend(F, seed, N, engine=engine).to_json()  # events' values
+    assert events[-1][1] in ("nonaffine_step", "obstruction_no_solution")
     # no scan sample of the halting step is returned as a coefficient
-    assert resolved == events[-1]["h"] - 1
-    assert len(coeffs) == resolved + 1
+    assert len(coeffs) == events[-1][0]
     # the same run with a fresh evaluator on the current prefix per step
     monkeypatch.setattr(solver, "_eval_poly", lambda F, ev, trunc, dom, lo=0:
                         Evaluator(ev.phi, dom).eval(F, 0, trunc + 1))
     monkeypatch.setattr(solver, "partial_rows", lambda F, ev, width:
                         partial_rows(F, Evaluator(ev.phi, ev.dom), width))
-    assert _solve_plain(F, seed, N, engine) == got
+    assert outcome(F, seed, N, engine) == got
+    assert extend(F, seed, N, engine=engine).to_json() == report
 
 
 @pytest.mark.parametrize("domain", ["exact", "probe"])
@@ -139,12 +98,7 @@ def test_rows_after_a_wider_residual_match_fresh(domain, monkeypatch):
     # whose products hold orders past them, and they must be a fresh
     # evaluator's
     F = parse("x^2*(y[0]-1-x) + x*(y[0]-1-x)^2 - x^4").parsed
-    if domain == "exact":
-        dom = ExactDomain()
-    else:
-        prime = 2147483647
-        dom = _probes.ProbeDomain(prime, _probes._lane_points(
-            prime, 32, random.Random(7)))
+    dom = make_domain(domain, 32, 7)
     calls = []
 
     def residual(F, ev, trunc, dom, lo=0):
@@ -174,7 +128,7 @@ def test_rows_after_a_wider_residual_match_fresh(domain, monkeypatch):
 
 
 def test_resonant_free_continues():
-    rep = extend(shifted_eigen(3, forced=False), [0], 6)
+    rep = extend(eigen(3, False).F, [0], 6)
     assert rep.resolved_through == 6
     kinds = rep.kinds()
     assert kinds[2] == "resonant_free"
@@ -182,27 +136,15 @@ def test_resonant_free_continues():
     assert all(c.is_zero() for c in rep.solution.coeffs)
 
 
-def _corpus_solve(entry_id, N, text=None, seed=None):
-    """(F, seed, N) of a corpus solve entry, or of its equation with
-    another text or another seed."""
-    entry = get_entry(entry_id)
-    F = parse(text).parsed if text else entry.source.parsed
-    if not isinstance(F, QdeqPoly):
-        F = QdeqPoly.from_operator(F)
-    return F, list(seed or entry.seeds), N
-
-
 @pytest.mark.parametrize("F, seed, N, resonant", [
-    _corpus_solve("q-euler", 30) + (set(),),
-    _corpus_solve("q-painleve-2", 8) + (set(),),
+    linear(N=30)[:3] + (set(),),
+    qp2()[:3] + (set(),),
     # the other root of the step-1 quadratic
-    _corpus_solve("q-painleve-2", 8, seed=[RatQ(1), -Q / (1 + Q)])
-    + (set(),),
-    _corpus_solve("phi11-basic", 20) + (set(),),
+    qp2(sign=-1)[:3] + (set(),),
+    phi11(N=20)[:3] + (set(),),
     # q^2 x in place of q^-2 x
-    _corpus_solve("phi11-basic", 20,
-                  "S[-2]*(S[1]-1)*(S[1]+1) + q^2*x") + (set(),),
-] + [(shifted_eigen(h0, forced), [0], 6, {h0})
+    phi11(N=20, e=2)[:3] + (set(),),
+] + [eigen(h0, forced)[:3] + ({h0},)
      for h0 in range(1, 5) for forced in (False, True)],
     ids=["q-euler", "qp2", "qp2-alternate", "phi11", "phi11-alternate"]
     + [f"eigen-{h0}-{'forced' if forced else 'free'}"
@@ -228,14 +170,11 @@ def test_vanishing_slopes_are_the_resonance_set(F, seed, N, resonant):
 def test_steady_slope_is_unit_times_resonance_poly():
     # qp2: A_h = q^(m0 (l+h)) L(q^h) with m0 = -1, l = 1, so the steady
     # slope and L(q^h) differ by the unit q^-(h+1)
-    F = parse(QP2_TEXT.format(c="q")).parsed
-    seed = [RatQ(1), Q / (1 + Q)]
+    F, seed = qp2()[:2]
     lin = linearize(F, TruncSeries(seed))
     L = resonance_poly(lin)
     m0 = newton_polygon(lin).vertices[0][0]
-    prime = 2147483647
-    probe = _probes.ProbeDomain(prime, _probes._lane_points(
-        prime, 32, random.Random(3)))
+    probe = make_domain("probe", 32, 3)
     for dom in (ExactDomain(), probe):
         # the row the solver freezes at its first step, h = 2
         ev = Evaluator([dom.from_ratq(c) for c in seed], dom)
@@ -253,26 +192,25 @@ def test_steady_slope_is_unit_times_resonance_poly():
 
 def test_seed_rejected():
     with pytest.raises(SeedRejected):
-        extend(shifted_eigen(3, forced=False), [1], 6)
+        extend(eigen(3, False).F, [1], 6)
     with pytest.raises(SeedRejected):
-        extend(geometric_step(), [1, 5], 6)
+        extend(GEOMETRIC, [1, 5], 6)
     # the x^1 row is nonzero, and the seed 1 + 0*x leaves -x^2, found by
     # the first steady step rather than the check of orders 0..k
     for engine in ("exact", "probe"):
         with pytest.raises(SeedRejected, match="order 2"):
-            extend(parse("x*y[0] - x - x^2").parsed, [1, 0], 4,
-                   engine=engine)
+            extend(scan(1, 1).F, [1, 0], 4, engine=engine)
 
 
 @pytest.mark.parametrize("engine", ["exact", "probe"])
-@pytest.mark.parametrize("text, short, longer", [
-    ("x^5*y[0] - x^5 - x^6", [1], [1, 1, 0, 0, 0, 0]),
-    ("x^2*y[0] - x^2 - x^4", [1], [1, 0, 1]),
+@pytest.mark.parametrize("family, longer", [
+    (scan(5, 1), [1, 1, 0, 0, 0, 0]),
+    (scan(2, 2), [1, 0, 1]),
 ], ids=["1+x", "1+x^2"])
-def test_scan_rejects_a_seed_too_short_to_decide(text, short, longer, engine):
+def test_scan_rejects_a_seed_too_short_to_decide(family, longer, engine):
     # every row vanishes through x^(h-1), so c_h first enters at order
     # 2h; with the short seed no order of the scan window decides c_1
-    F = parse(text).parsed
+    F, short = family[:2]
     with pytest.raises(SeedRejected, match="too short"):
         extend(F, short, 8, engine=engine)
     rep = extend(F, longer, 8, engine=engine)
@@ -285,26 +223,26 @@ def test_scan_rejects_a_seed_too_short_to_decide(text, short, longer, engine):
 @pytest.mark.parametrize("engine", ["exact", "probe"])
 def test_scan_step_unique(engine):
     # x*y - x - x^2: every row vanishes at h = 1; c_1 = 1 at order 2
-    rep = extend(parse("x*y[0] - x - x^2").parsed, [1], 4, engine=engine)
+    rep = extend(*scan(1, 1)[:3], engine=engine)
     assert rep.events[0] == {"h": 1, "kind": "unique", "order": 2}
     assert rep.solution.coeffs == TruncSeries([1, 1], 4).coeffs
 
 
 def test_probe_failure_falls_back_to_exact(monkeypatch):
-    want = extend(geometric_step(), [1], 8, engine="exact")
+    want = extend(GEOMETRIC, [1], 8, engine="exact")
 
     def fail(F, seed, N):
         raise EngineError("24 primes in a row could not serve")
 
     monkeypatch.setattr(_probes, "solve", fail)
-    got = extend(geometric_step(), [1], 8, engine="probe")
+    got = extend(GEOMETRIC, [1], 8, engine="probe")
     assert got.to_json() == want.to_json()
 
 
 def test_probe_check_falls_back_to_exact(monkeypatch):
     # a pole at every prime raises EngineError; check_solution then
     # answers in Q(q)
-    F = geometric_step()
+    F = GEOMETRIC
     bad = list(extend(F, [1], 8).solution.coeffs)
     bad[5] = bad[5] + RatQ(1)
     phi = TruncSeries(bad, 8)
@@ -320,7 +258,7 @@ def test_probe_check_falls_back_to_exact(monkeypatch):
 
 
 def test_one_resolver_rejects_an_unknown_engine():
-    F = geometric_step()
+    F = GEOMETRIC
     phi = extend(F, [1], 4).solution
     for call in (lambda: extend(F, [1], 4, engine="bogus"),
                  lambda: check_solution(F, phi, mode="bogus")):
@@ -330,19 +268,19 @@ def test_one_resolver_rejects_an_unknown_engine():
 
 
 def test_seed_only_run():
-    rep = extend(geometric_step(), [1], 1)
+    rep = extend(GEOMETRIC, [1], 1)
     assert rep.resolved_through == 1
     assert rep.solution.coeffs == (RatQ(1), RatQ(1))
 
 
 def test_resonance_set_exact():
-    L = resonance_poly(linearize(shifted_eigen(3, forced=False),
+    L = resonance_poly(linearize(eigen(3, False).F,
                                  TruncSeries([], 2)))
     assert resonance_set(L, 10) == {3}
 
 
 def test_check_solution_spots_corruption():
-    F = geometric_step()
+    F = GEOMETRIC
     rep = extend(F, [1], 8)
     good = rep.solution
     assert check_solution(F, good) == 8
@@ -352,7 +290,7 @@ def test_check_solution_spots_corruption():
 
 
 def test_report_json():
-    rep = extend(geometric_step(), [1], 3)
+    rep = extend(GEOMETRIC, [1], 3)
     js = rep.to_json()
     assert js["coeffs"] == ["1", "1", "q", "q^3"]
     assert js["resolved_through"] == 3
