@@ -46,9 +46,10 @@ c_(h-1) = q^v n/(s d) without its q-power and scalar: a guess at a
 factor of den(c_h) that is never trusted, formed at the lanes once per
 reconstruction call.  On q-Painleve II it divides and the fit shrinks,
 and a wrong G only makes the fit larger.  The fit also leaves out q^v,
-v = 2 ord_q(c_(h-1)) - ord_q(c_(h-2)) (ord_q(c_(h-1)) after a zero or at
-h = 1), so a q-power that grows with h costs no points; a wrong v, like
-a wrong G, only widens the fit.  Every exact value enters the
+v = 2 ord_q(c_(h-1)) - ord_q(c_(h-2)) (ord_q(c_(h-1)) after a zero; at
+h = 1, ord_q(c_1) from one exact step, _first_qpower), so a q-power that
+grows with h costs no points; a wrong v, like a wrong G, only widens the
+fit.  Every exact value enters the
 lanes as its integer record (v, n, s, d), with q^v a power of the lanes
 (ProbeDomain.qpow) and 1/s a scalar inverse mod p.
 The kernels keep numpy calls few.  A run's pool lanes are x_i = g r^i,
@@ -69,8 +70,8 @@ from random import Random
 import numpy as np
 
 from . import _intpoly as K
-from .errors import EngineError
-from .nonlinear import Evaluator
+from .errors import EngineError, QdeqError
+from .nonlinear import Evaluator, ExactDomain
 from .ratfunc import RatQ
 
 _START_LANES = 192  # pool lanes per prime as a solve starts
@@ -674,9 +675,14 @@ def _solve_at(F, seed, N, nlanes):
     order = {h - 1: h - 1, **{e["h"]: e["order"] for e in events}}
     fresh = _verify_fresh(F, None, exact, h, h - 1, primes)
     need = 0  # points the pair fitted to the previous coefficient took
+    first = _first_qpower(F, seed) if h == 1 else None
     while h < len(runs[0].coeffs):
-        a, b = exact[-1], exact[-2] if h > 1 else RatQ(0)
-        v = a.v if a.is_zero() or b.is_zero() else 2 * a.v - b.v
+        a = exact[-1]
+        if h == 1:
+            v = first
+        else:
+            b = exact[-2]
+            v = a.v if a.is_zero() or b.is_zero() else 2 * a.v - b.v
         try:
             value, took = _reconstruct_coeff(runs, h, 3 * need // 2 + 16,
                                              a.d, v)
@@ -697,6 +703,18 @@ def _solve_at(F, seed, N, nlanes):
         need = took
         h += 1
     return exact, events
+
+
+def _first_qpower(F, seed):
+    """The guess at ord_q(c_1) from a one-coefficient seed: one exact
+    step through order 1 gives c_1 itself, so its q-power costs the fit
+    no points.  ord_q(c_0) where that step halts, raises or finds 0."""
+    from .solver import _extend_core
+    with suppress(QdeqError):
+        c = _extend_core(F, seed, 1, ExactDomain())[0]
+        if len(c) == 2 and not c[1].is_zero():
+            return c[1].v
+    return seed[0].v
 
 
 def _fresh(F, coeffs, width, nlanes, prime):

@@ -1,8 +1,10 @@
 """Command line interface.
 
 Output goes to stdout in the format chosen by --format (text or json);
-diagnostics go to stderr as one JSON object per line.  Each subcommand
-takes only the flags it reads, and any other flag is a usage error:
+diagnostics go to stderr as one JSON object per line: an error, or a
+solve whose probe engine gave way to the exact one, with its reason.
+Each subcommand takes only the flags it reads, and any other flag is a
+usage error:
 
     parse, polygon      EQUATION or --input, --format
     linearize, solve    as parse, plus --seed, --order
@@ -147,7 +149,11 @@ def _extend(F, args):
     if order < len(seed) - 1:
         raise UsageError(f"argument --order: target order {order} is below"
                          f" the seed order {len(seed) - 1}")
-    return extend(F, seed, order)
+    report = extend(F, seed, order)
+    if report.fallback is not None:
+        print(json.dumps({"fallback": "probe engine to exact",
+                          "reason": report.fallback}), file=sys.stderr)
+    return report
 
 
 # -- subcommands -------------------------------------------------------------

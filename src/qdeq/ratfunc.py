@@ -26,15 +26,16 @@ two.
 
 QLaurent is a print-only subclass: a RatQ with d = 1 that prints term
 by term ("q-1+q^-1").  It adds no arithmetic of its own, and
-RatQ.from_value turns it back into a plain RatQ.
+RatQ.from_value turns it back into a plain RatQ.  _terms_text, the one
+printer of Q(q), reads an integer list once from its top coefficient,
+for RatQ.to_text (n, then s*d, q^v in the exponents) and QLaurent's.
 
 The two valuations are the RatQ properties deg_q and ord_q: ints, and
 NEG_INF, POS_INF = -math.inf, math.inf at 0, which order against ints and
 negate into each other by value (-POS_INF is a new float: compare by ==).
 
-fmt_coeff_poly is the one printer for polynomials over Q(q) in another
-variable: truncated series and x-polynomials (series) and resonance
-polynomials in T (skewop) all print through it, from (exponent,
+fmt_coeff_poly prints polynomials over Q(q) in another variable (series
+and x-polynomials, resonance polynomials in T) from (exponent,
 coefficient) pairs.  power is the one square and multiply.
 """
 
@@ -53,24 +54,29 @@ NEG_INF, POS_INF = -math.inf, math.inf
 Dense = namedtuple("Dense", "ints den")
 
 
-def _fmt_terms(pairs, var="q"):
-    """[(exponent, nonzero int or Fraction)] descending -> text; exponents
-    may be < 0."""
-    if not pairs:
-        return "0"
+def _terms_text(ints, v, s=1):
+    """(text, count of nonzero terms) of q^v * sum_e ints[e] q^e / s, from
+    the top term down, each one f-string ("-3*q^-2", "+q", "1/2*q"); "0"
+    for none.  A Fraction forms only for s > 1, which a QLaurent passes."""
     out = []
-    for e, c in pairs:
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        if e == 0:
-            body = cs
+    e = v + len(ints)
+    for c in reversed(ints):
+        e -= 1
+        if not c:
+            continue
+        sign = "+"
+        if c < 0:
+            sign, c = "-", -c
+        if s > 1:
+            c = Fraction(c, s)  # prints as "3/4", or "3" over 1
+        if not e:
+            out.append(f"{sign}{c}")
+        elif c == 1:
+            out.append(f"{sign}q" if e == 1 else f"{sign}q^{e}")
         else:
-            v = var if e == 1 else f"{var}^{e}"
-            body = v if c == 1 else f"{cs}*{v}"
-        out.append(sign + body)
-    text = "".join(out)
-    return text[1:] if text[0] == "+" else text
+            out.append(f"{sign}{c}*q" if e == 1 else f"{sign}{c}*q^{e}")
+    text = "".join(out) or "0"
+    return text[1:] if text[0] == "+" else text, len(out)
 
 
 def is_compound(text):
@@ -344,19 +350,17 @@ class RatQ:
         return not self.is_zero()
 
     def to_text(self):
-        """Integer-ratio text form, e.g. (q^2-1)/(q^3+2*q); round-trips by value."""
-        # q^v enters the exponents, never a dense list: v may be huge
-        p, d = self.n, K.scal(self.d, self.s)
-        ptxt, dtxt = (
-            _fmt_terms([(e + k, c) for e, c in enumerate(a) if c][::-1])
-            for a, k in ((p, max(self.v, 0)), (d, max(-self.v, 0))))
-        if dtxt == "1":
+        """Integer-ratio text form, e.g. (q^2-1)/(q^3+2*q); round-trips by
+        value.  q^v enters the exponents, never a dense list."""
+        ptxt, terms = _terms_text(self.n, max(self.v, 0))
+        if self.v >= 0 and self.s == 1 and self.d == (1,):
             return ptxt
-        if sum(1 for c in p if c) > 1:
+        if terms > 1:
             ptxt = f"({ptxt})"
+        dtxt, terms = _terms_text(K.scal(self.d, self.s), max(-self.v, 0))
         # "1/2*q" would reparse as (1/2)*q, so a monomial like 2*q needs
         # parentheses just as much as a sum does
-        if sum(1 for c in d if c) > 1 or "*" in dtxt:
+        if terms > 1 or "*" in dtxt:
             dtxt = f"({dtxt})"
         return f"{ptxt}/{dtxt}"
 
@@ -458,11 +462,7 @@ class QLaurent(RatQ):
                 for e, c in enumerate(self.n) if c]
 
     def to_text(self):
-        if self.s > 1:
-            return _fmt_terms(self.terms()[::-1])
-        # integer coefficients print as they are, with no Fraction each
-        return _fmt_terms([(e + self.v, c) for e, c in enumerate(self.n)
-                           if c][::-1])
+        return _terms_text(self.n, self.v, self.s)[0]
 
     def __repr__(self):
         return f"QLaurent({self.to_text()})"

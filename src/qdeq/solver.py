@@ -175,13 +175,16 @@ def _plain_event(e):
 
 
 class SolveReport:
-    """Outcome of extend(): the solution found and the per-step events."""
+    """Outcome of extend(): the solution found and the per-step events.
+    fallback is None, or why the probe engine gave way to the exact one;
+    to_json leaves it out, as the answer is the same either way."""
 
-    __slots__ = ("solution", "events")
+    __slots__ = ("solution", "events", "fallback")
 
-    def __init__(self, solution, events):
+    def __init__(self, solution, events, fallback=None):
         self.solution = solution
         self.events = events
+        self.fallback = fallback
 
     @property
     def resolved_through(self):
@@ -226,7 +229,7 @@ def extend(F, seed, N, engine="auto"):
     engine: "exact", "probe", or "auto" (probe for nonlinear equations
     past order 12, exact otherwise; probe results are reconstructed to
     exact coefficients and verified, falling back to exact on any
-    engine failure).
+    engine failure, whose reason the report's fallback keeps).
     """
     seed = [RatQ.from_value(c) for c in seed]
     if not seed:
@@ -234,20 +237,20 @@ def extend(F, seed, N, engine="auto"):
     k = len(seed) - 1
     if N < k:
         raise ValueError(f"target order {N} is below the seed order {k}")
-    coeffs = ev = None
+    coeffs = ev = fallback = None
     if _resolve_engine(engine, F, N) == "probe":
         from . import _probes
         try:
             coeffs, events = _probes.solve(F, seed, N)
-        except EngineError:
-            pass  # the exact engine runs instead
+        except EngineError as exc:
+            fallback = str(exc)  # the exact engine runs instead
         else:
             events = [_plain_event(e) for e in events]
     if coeffs is None:
         coeffs, events, ev = _extend_core(F, seed, N, ExactDomain())
     solution = TruncSeries(coeffs)
     solution.evaluator = ev  # set(h, c) left only orders >= h stale
-    return SolveReport(solution, events)
+    return SolveReport(solution, events, fallback)
 
 
 def check_solution(F, phi, mode="auto"):

@@ -2,9 +2,11 @@
 
 A row gives qdeq's argv, its stdin, its exit code and a pattern that must
 match (re.fullmatch, dots matching newlines) its whole stdout, or its
-stderr line when the code is 1.  Tier-1 (tests/test_cli.py) runs each row
-through cli.main; run as a script, this file runs each through the qdeq
-console script on PATH, so that the installed entry point keeps them too:
+stderr line when the code is 1; any other run prints nothing on stderr
+unless the row gives a pattern for that too.  Tier-1 (tests/test_cli.py)
+runs each row through cli.main; run as a script, this file runs each
+through the qdeq console script on PATH, so that the installed entry
+point keeps them too:
 
     python tests/cli_contracts.py
 """
@@ -25,8 +27,9 @@ FILE = "<file>"  # in argv, the path of a file holding Contract.file
 class Contract:
     """One row.  test is the tier-1 test id that runs it.  Optionally:
     the text of the file FILE names, a bound on the bytes of the stderr
-    line with its newline, a wall-time budget in seconds, and why the row
-    cannot run on this Python."""
+    line with its newline, a wall-time budget in seconds, why the row
+    cannot run on this Python, and a pattern of the whole stderr of a run
+    that does not exit 1 (by default it must be empty)."""
 
     test: str
     argv: tuple
@@ -37,6 +40,7 @@ class Contract:
     max_bytes: int | None = None
     seconds: float | None = None
     skip: str | None = None
+    stderr: str = ""
 
     def args(self, directory):
         """argv, FILE written under directory and replaced by its path."""
@@ -70,7 +74,7 @@ def check(row, code, out, err, seconds):
                "the stderr line is no diagnostic")
         got = err[:-1]
     else:
-        expect(err == "", "output on stderr")
+        expect(re.fullmatch(row.stderr, err), "unexpected output on stderr")
         got = out
     expect(re.fullmatch(row.pattern, got, re.DOTALL),
            f"no match for {row.pattern!r}")
@@ -105,6 +109,12 @@ def qdeq_error(message, rest=""):
     return diagnostic("QdeqError", message, rest)
 
 
+def fallback(reason):
+    """Pattern of the stderr line of a solve that fell back to exact."""
+    return printed(json.dumps({"fallback": "probe engine to exact",
+                               "reason": reason}))
+
+
 def _q_euler(order):
     """solve's JSON line for EULER from seed 1 through order: each step is
     unique and c_h = q^(h(h-1)/2)."""
@@ -131,6 +141,8 @@ XOP = "x^100000000*S[0] - S[1]"  # an x-power of 10^8, one term
 NO_DIGIT_LIMIT = (None if getattr(sys, "get_int_max_str_digits", int)()
                   else "int() has no digit limit")
 PAST_DIGITS = r"Exceeds the limit .* \(at position "
+# c_13's numerator, about 365 bits, is more than 24 probe primes can lift
+OUTGROWN = ("y[0]^2 - 1 - 123456789*x", "--seed", "1", "--order", "13")
 BELOW_SEED = "argument --order: target order 1 is below the seed order 2"
 ESTIMATE_1 = r'\{.*"estimated_order_deg": "1", .*\}\n'
 VERDICT = r'\{.*"verdict": \{[^{}]*%s[^{}]*\}\}\n'
@@ -291,13 +303,15 @@ CONTRACTS = [
       ("parse", f"q^{BIG}*y[0] - y[0]"), 1,
       diagnostic("OverflowError", "", ".*"), seconds=10),
     # past order 12 auto picks the probe engine, which declines a
-    # coefficient no pool could fit, and the exact engine answers at once
+    # coefficient no pool could fit, and the exact engine answers at once;
+    # stderr says so
     C("test_a_q_power_no_probe_pool_can_fit_is_solved_exactly",
       ("solve", f"q^{BIG}*x*y[1]*y[0] - y[0] + 1", "--seed", "1",
        "--order", "13"), 0,
       "resolved through order 13\nsteps: all unique\ncoefficients:\n"
       rf"  c\[0\] = 1\n  c\[1\] = q\^{BIG}\n.*"
-      r"  c\[13\] = q\^1300000000000000000078\+[^\n]*\n", seconds=10),
+      r"  c\[13\] = q\^1300000000000000000078\+[^\n]*\n", seconds=10,
+      stderr=fallback("a coefficient spans more powers of q than a pool")),
     C("test_polygon_basic", ("polygon", "x*S[1] - 1", "--format", "json"), 0,
       printed(json.dumps({"vertices": [[0, "0"], [1, "1"]],
                           "slopes": ["1"], "uncertain": []}))),
@@ -372,6 +386,33 @@ CONTRACTS = [
       ("solve", "q^1000*x*y[1]*y[0] - y[0] + 1", "--seed", "1", "--order",
        "13"), 0, r"resolved through order 13\nsteps: all unique\n.*\n"
       r"  c\[13\] = q\^13078\+[^\n]*\+q\^13000\n", seconds=5),
+    # c_1 = q^5000 from a one-coefficient seed: one exact step guesses
+    # ord_q(c_1), so the first fit leaves q^5000 out as well
+    C("test_probe_solve_guesses_the_first_qpower",
+      ("solve", "q^5000*x*y[1]*y[0] - y[0] + 1", "--seed", "1", "--order",
+       "13"), 0, r"resolved through order 13\nsteps: all unique\n.*\n"
+      r"  c\[1\] = q\^5000\n.*\n"
+      r"  c\[13\] = q\^65078\+[^\n]*\+q\^65000\n", seconds=3),
+    # the exact engine answers, and one stderr line says why it ran
+    C("test_probe_fallback_is_one_stderr_line[solve]",
+      ("solve", *OUTGROWN, "--format", "json"), 0,
+      r'\{"coeffs": \["1", "123456789/2", .*, "resolved_through": 13, .*\}\n',
+      stderr=fallback("prime escalation exhausted")),
+    C("test_probe_fallback_is_one_stderr_line[growth]", ("growth", *OUTGROWN),
+      0, r"profiles through order 13\n.*",
+      stderr=fallback("prime escalation exhausted")),
+    # whole outputs, byte for byte: the scalar folds into a (1+q)^h
+    # denominator, and a sum in the numerator takes parentheses
+    C("test_solve_json_prints_a_scalar_over_1_plus_q",
+      ("solve", "x*y[1] - (2+2*q)*y[0] + 1 - x", "--seed", "1/(2+2*q)",
+       "--order", "3", "--format", "json"), 0,
+      printed(json.dumps({
+          "coeffs": ["1/(2*q+2)", "(-2*q-1)/(4*q^2+8*q+4)",
+                     "(-2*q^2-q)/(8*q^3+24*q^2+24*q+8)",
+                     "(-2*q^4-q^3)/(16*q^4+64*q^3+96*q^2+64*q+16)"],
+          "resolved_through": 3,
+          "events": [{"h": h, "kind": "unique", "order": h}
+                     for h in range(1, 4)]}))),
     C("test_solve_needs_seed", SOLVE, 1,
       qdeq_error('this command needs --seed "c0,c1,..."')),
     C("test_deep_seed_is_a_usage_error_naming_seed",
@@ -500,6 +541,10 @@ CONTRACTS = [
     # -- jones, corpus -------------------------------------------------------
     C("test_jones_text_and_json", ("jones", "--n", "2"), 0,
       printed("q^2-q+1-q^-1+q^-2")),
+    # terms descend through negative exponents
+    C("test_jones_4_prints_every_term", ("jones", "--n", "4"), 0,
+      printed("q^12-q^11-q^10+2*q^8-2*q^6+3*q^4-3*q^2+3-3*q^-2+3*q^-4"
+              "-2*q^-6+2*q^-8-q^-10-q^-11+q^-12")),
     C("test_jones_text_and_json", ("jones", "--n", "3", "--format", "json"),
       0, r'\{"n": 3, "value": "[^"]*", "deg_q": 6, "ord_q": -6\}\n'),
     C("test_jones_at_color_100_takes_seconds",

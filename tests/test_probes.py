@@ -1058,6 +1058,46 @@ def test_the_decline_reads_the_lane_ceiling(monkeypatch):
         P.solve(F, seed, 3)
 
 
+def test_the_first_fit_leaves_its_qpower_out(monkeypatch):
+    # c_1 = q^5000 from seed 1: one exact step guesses ord_q(c_1), so no
+    # pool grows, where the guess ord_q(c_0) = 0 grew every pool five times
+    F, seed, N = qpower(5000)[:3]
+    seen = counted(monkeypatch)
+    assert outcome(F, seed, N, "probe") == outcome(F, seed, N, "exact")
+    assert seen["lanes"] == []
+
+
+@pytest.mark.parametrize("text, c0, v", [
+    ("q^7*x*y[1]*y[0] - y[0] + 1", RatQ(1), 7),  # c_1 = q^7
+    ("y[0] - q^3", Q ** 3, 3),  # c_1 = 0
+    ("y[0] - 1", Q ** 3, 3),  # the seed is rejected
+    # a branch point: the first step halts, nonaffine
+    ("(y[0]+q^3*x)*(y[0]*y[1]-q^6)*(y[0]*y[-1]-q^6) - q^13*x^2*y[0]",
+     Q ** 3, 3),
+], ids=["unique", "zero", "rejected", "nonaffine"])
+def test_the_first_qpower_guess_is_ord_c0_unless_c1_is_found(text, c0, v):
+    assert P._first_qpower(parse(text).parsed, [c0]) == v
+
+
+def test_a_two_coefficient_seed_takes_no_exact_step(monkeypatch):
+    def no_step(F, seed):
+        raise AssertionError("an exact step for a two-coefficient seed")
+
+    monkeypatch.setattr(P, "_first_qpower", no_step)
+    F, seed = qp2().F, qp2().seed
+    assert outcome(F, seed, 13, "probe") == outcome(F, seed, 13, "exact")
+
+
+def test_a_probe_fallback_is_on_the_report_and_not_in_its_json():
+    # c_13 needs about 365 bits, more than 24 primes lift
+    F = parse("y[0]^2 - 1 - 123456789*x").parsed
+    got = extend(F, [1], 13)
+    assert got.fallback == "prime escalation exhausted"
+    exact = extend(F, [1], 13, engine="exact")
+    assert exact.fallback is None and got.to_json() == exact.to_json()
+    assert extend(*qp2(N=13)[:3]).fallback is None
+
+
 def _over_a_probe_prime():
     # p^2 y^2 = 1 with c_0 = 1/p for the first probe prime p: c_0 has no
     # residue mod p, so p must give way to the next prime
