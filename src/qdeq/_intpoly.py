@@ -10,14 +10,17 @@ one big divmod, gcd by the evaluation gcd GCDHEU, each answer proved
 exact.  Products with few nonzero pairs or a factor of up to 3 terms
 (such as 1 - q^e) run schoolbook, nnz(a)*nnz(b) steps, and small
 quotients the low-end division loop; div_binomial divides by 1 - x^m
-in running sums.  gcd returns its cofactors with it, (g, a/g, b/g); if
-three points fail it runs a modular gcd over primes_31 on
-_probes.euclid_mod, the GF(p) Euclid kernel of the probe engine's
-rational reconstruction, with CRT lifting by crt_join; only that
-fallback imports numpy, as it runs.  The probe engine's primes are
-primes_29, below 2**29, and its check's are check_primes, below
-3 * 2**27; there lazy_terms products of residues sum in an int64
-before one reduction.
+in running sums.  gcd and divexact take the operands RatQ holds,
+nonempty with nonzero constant terms (of length >= 2 for gcd), so no
+power of x is split off; a divisor with constant term 0 makes divexact
+raise ValueError, as any b that does not divide a does.  gcd returns
+its cofactors with it, (g, a/g, b/g); if three points fail it runs a
+modular gcd over primes_31 on _probes.euclid_mod, the GF(p) Euclid
+kernel of the probe engine's rational reconstruction, with CRT lifting
+by crt_join; only that fallback imports numpy, as it runs.  The probe
+engine's primes are primes_29, below 2**29, and its check's are
+check_primes, below 3 * 2**27; there lazy_terms products of residues
+sum in an int64 before one reduction.
 unit_normal is the one normalisation by the content: (c, a/c) with c
 signed like the lead, so a/c is primitive with a positive lead, the
 form of every gcd and RatQ denominator.
@@ -60,13 +63,6 @@ def scal(a, k):
     if k == 0:
         return []
     return list(a) if k == 1 else [c * k for c in a]
-
-
-def shift(a, k):
-    """Multiply by x**k, k >= 0."""
-    if not a:
-        return []
-    return [0] * k + list(a)
 
 
 def _school_mul(a, b):
@@ -183,53 +179,44 @@ def eval_at(a, v):
     return acc
 
 
-def eval_mod(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def divexact(a, b):
-    """Quotient a/b over Z when b divides a exactly; ValueError otherwise."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return []
-    oa, ob = low(a), low(b)
-    A, B = a[oa:], b[ob:]
-    lq = len(A) - len(B) + 1
-    if oa < ob or lq <= 0:
+    """Quotient a/b over Z when b divides a exactly; ValueError otherwise.
+
+    a is nonempty and b has a nonzero constant term, as RatQ's n and d
+    do; a b whose constant term is 0 (a wrong CRT image of the modular
+    gcd, say) raises ValueError too."""
+    lq = len(a) - len(b) + 1
+    if lq <= 0 or not b[0]:
         raise ValueError("not divisible")
-    if lq * len(B) > 4096:
-        # one big divmod at xi = 2**k > 2*|A|_inf*|B|_1, k doubled while the
+    if lq * len(b) > 4096:
+        # one big divmod at xi = 2**k > 2*|a|_inf*|b|_1, k doubled while the
         # quotient is not proved; then the loop below
-        nbytes = (max(map(abs, A)).bit_length()
-                  + sum(map(abs, B)).bit_length() + 9) >> 3
+        nbytes = (max(map(abs, a)).bit_length()
+                  + sum(map(abs, b)).bit_length() + 9) >> 3
         for _ in range(3):
-            qv, rem = divmod(_pack(A, nbytes), _pack(B, nbytes))
+            qv, rem = divmod(_pack(a, nbytes), _pack(b, nbytes))
             if rem:
-                raise ValueError("not divisible")  # B | A would give B(xi) | A(xi)
-            q = _read_quotient(A, B, qv, nbytes)
+                raise ValueError("not divisible")  # b | a would give b(xi) | a(xi)
+            q = _read_quotient(a, b, qv, nbytes)
             if q is not None:
-                return shift(q, oa - ob)
+                return q
             nbytes *= 2
-    r = list(A)
+    r = list(a)
     out = [0] * lq
     # division from the low end: each step clears one coefficient exactly
     for k in range(lq):
         c = r[k]
         if c:
-            q, rem = divmod(c, B[0])
+            q, rem = divmod(c, b[0])
             if rem:
                 raise ValueError("not divisible")
             out[k] = q
-            for j in range(1, len(B)):
-                if B[j]:
-                    r[k + j] -= q * B[j]
+            for j in range(1, len(b)):
+                if b[j]:
+                    r[k + j] -= q * b[j]
     if any(r[lq:]):
         raise ValueError("not divisible")
-    return shift(trim(out), oa - ob)
+    return trim(out)
 
 
 def div_binomial(a, m):
@@ -337,7 +324,7 @@ def _modular_gcd(a, b):
     exactly; those quotients are the cofactors.  RuntimeError once the
     primes past the coefficient bound run out."""
     import numpy as np
-    from ._probes import euclid_mod, np_mod
+    from ._probes import euclid_mod
     la, lb = a[-1], b[-1]
     lg = math.gcd(la, lb)
     u, v = (a, b) if len(a) >= len(b) else (b, a)
@@ -351,7 +338,7 @@ def _modular_gcd(a, b):
         if la % p == 0 or lb % p == 0:
             continue
         prev, cur = np.zeros((2, 1, len(u)), dtype=np.int64)
-        prev[0], cur[0, : len(v)] = np_mod(u, p), np_mod(v, p)
+        prev[0], cur[0, : len(v)] = [c % p for c in u], [c % p for c in v]
         r, _, d, _ = euclid_mod(prev, cur, len(u) - 1, len(v) - 1, p)
         if d == 0:
             return [1], a, b  # coprime mod a good prime: certified coprime over Q
@@ -405,31 +392,15 @@ def _heu_gcd(a, b):
 
 def gcd(a, b):
     """(g, a/g, b/g): g the primitive gcd over Z with positive leading
-    coefficient; a and b are not both zero.
+    coefficient, for a and b of length >= 2 with nonzero constant terms,
+    as RatQ's n and d are.
 
     Integer content of the inputs is ignored: g is the gcd of the
-    primitive parts (times the common power of x), so each cofactor
-    keeps its operand's content and sign.
+    primitive parts, so each cofactor keeps its operand's content and
+    sign.
     """
-    if not a:
-        c, g = unit_normal(b)
-        return g, [], [c]
-    if not b:
-        c, g = unit_normal(a)
-        return g, [c], []
-    oa, ob = low(a), low(b)
-    m = min(oa, ob)
     ca, cb = content(a), content(b)
-    A = exact_scal_div(a[oa:], ca)
-    B = exact_scal_div(b[ob:], cb)
-    if len(A) == 1 or len(B) == 1:
-        g = [1]
-    else:
-        g, A, B = _heu_gcd(A, B) or _modular_gcd(A, B)
-    return _place(g, 1, m), _place(A, ca, oa - m), _place(B, cb, ob - m)
-
-
-def _place(f, c, k):
-    """c * x^k * f for gcd's own list f, reused where scal and shift copy."""
-    f = f if c == 1 else [x * c for x in f]
-    return [0] * k + f if k else f
+    A, B = exact_scal_div(a, ca), exact_scal_div(b, cb)
+    g, A, B = _heu_gcd(A, B) or _modular_gcd(A, B)
+    return (g, A if ca == 1 else [x * ca for x in A],
+            B if cb == 1 else [x * cb for x in B])

@@ -122,11 +122,6 @@ def _batch_inv(a, p):
     return left * total_inv % p * right % p
 
 
-def np_mod(a, p):
-    """Reduce a coefficient list mod p into an ascending numpy int64 array."""
-    return np.array([c % p for c in a], dtype=np.int64)
-
-
 def euclid_mod(prev, cur, dp, dc, p, gap=False):
     """Euclid steps over GF(p), in place, until the remainder is zero or,
     with gap, until dc <= dp - 2 (so every step has a degree-1 quotient).
@@ -751,7 +746,7 @@ def _verify_fresh(F, ev, coeffs, lo, hi, primes):
 
 
 def check(F, phi):
-    """Probe-mode check_solution: largest V with residual zero through V,
+    """check_solution's probe test: largest V with residual zero through V,
     on _CHECK_PRIMES primes.  Raises EngineError when 24 primes in a row
     meet a pole."""
     best = phi.trunc

@@ -54,9 +54,9 @@ class RootOfUnityDetected(QdeqError):
     Attribute n holds the smallest witness exponent with q**n = 1.
     """
 
-    def __init__(self, n, message=None):
+    def __init__(self, n):
         self.n = n
-        super().__init__(message or f"q is a root of unity: q^{n} = 1")
+        super().__init__(f"q is a root of unity: q^{n} = 1")
 
 
 class EquationSyntaxError(QdeqError):

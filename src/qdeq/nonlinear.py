@@ -114,8 +114,8 @@ class QdeqPoly:
         return cls({(0, ()): RatQ.from_value(v)})
 
     @classmethod
-    def w(cls, i, k=1):
-        return cls({(0, ((i, k),)): RatQ(1)})
+    def w(cls, i):
+        return cls({(0, ((i, 1),)): RatQ(1)})
 
     @classmethod
     def from_operator(cls, op):

@@ -216,15 +216,13 @@ class RatQ:
     def num(self):
         """Dense reduced numerator, a Dense record: q^v * n over s when
         v > 0, else n over s."""
-        return Dense(tuple(K.shift(self.n, self.v)) if self.v > 0 else self.n,
-                     self.s)
+        return Dense((0,) * self.v + self.n if self.v > 0 else self.n, self.s)
 
     @property
     def den(self):
         """Dense reduced denominator, a Dense record over 1: q^-v * d when
         v < 0, else d."""
-        return Dense(tuple(K.shift(self.d, -self.v)) if self.v < 0 else self.d,
-                     1)
+        return Dense((0,) * -self.v + self.d if self.v < 0 else self.d, 1)
 
     def is_zero(self):
         return not self.n

@@ -253,22 +253,20 @@ def extend(F, seed, N, engine="auto"):
     return SolveReport(solution, events, fallback)
 
 
-def check_solution(F, phi, mode="auto"):
+def check_solution(F, phi):
     """Largest order V with residual coefficients 0..V all zero.
 
     The last l coefficients of an extend answer, whose step h decides c_h
     at order h + l, need it padded with zeros through its last step's order.
 
-    mode "exact" runs on phi's evaluator, where an exact extend answer
-    leaves only order N's products to compute, but F's terms are summed
-    again at every order 0..N (about 15% of a linear-exact benchmark
-    pass, 12% of a nonlinear-small one); mode "probe" tests the residual
-    at random modular points (sound for nonzero detection, zero with
-    overwhelming likelihood), which is the default for large nonlinear
-    inputs, and falls back to the exact check when the points of 24
-    primes in a row hit a pole.
+    For nonlinear F past order 12 the residual is tested at random
+    modular points (sound for nonzero detection, zero with overwhelming
+    likelihood), and the exact check runs instead when the points of 24
+    primes in a row hit a pole.  Otherwise it is computed in Q(q) on
+    phi's evaluator, where an exact extend answer leaves only order N's
+    products to compute.
     """
-    if _resolve_engine(mode, F, phi.trunc) == "probe":
+    if _resolve_engine("auto", F, phi.trunc) == "probe":
         from . import _probes
         try:
             return _probes.check(F, phi)

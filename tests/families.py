@@ -1,4 +1,5 @@
-"""The suites' equations, one family each, and the one engine comparison.
+"""The suites' equations, one family each, the one engine comparison and
+the one exact check.
 
 A family is a function of integer parameters that returns a Family: F
 and its text, the seed c_0..c_k, an order N and the regime the solve
@@ -6,7 +7,8 @@ reaches there (README's Testing section lists them).  qp2, linear and
 phi11 are the benchmark's own job builders (perfbench/workloads.py), so
 the suites and the benchmark read one text of each.  A suite draws the
 parameters with st.builds(family, ...) and compares the engines with
-outcome().
+outcome(); exact_check() answers as check_solution's exact path does,
+for any F and order.
 """
 
 from random import Random
@@ -120,6 +122,14 @@ def outcome(F, seed, N, engine):
         return type(exc)
     return (tuple(coeffs),
             [(e["h"], e["kind"], e["order"], sorted(e)) for e in events])
+
+
+def exact_check(F, phi):
+    """The largest V with the residual of F along phi zero through order
+    V, read off eval_at in Q(q)."""
+    r = eval_at(F, phi)
+    return next((m - 1 for m, c in enumerate(r.coeffs) if not c.is_zero()),
+                phi.trunc)
 
 
 def counted(mp):

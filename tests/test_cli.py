@@ -7,6 +7,7 @@ import ast
 import io
 import json
 import shlex
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_contracts import CONTRACTS, DEEP, EULER, GOLDEN, OP, check
+from cli_contracts import CONTRACTS, DEEP, EULER, GOLDEN, OP, QP2, check
+from qdeq import _intpoly as K
 from qdeq.cli import _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -118,6 +120,35 @@ def test_memory_error_is_a_diagnostic(capsys, monkeypatch):
     code, out, err = run(capsys, "jones", "--n", "10000000000000")
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": "MemoryError", "message": ""}
+
+
+def test_exact_commands_send_the_kernel_ratq_layout(capsys, monkeypatch):
+    # gcd and divexact take operands with nonzero constant terms, gcd's of
+    # length >= 2: the layout of RatQ's n and d.  A caller outside it
+    # fails here, where divexact would answer "not divisible" instead.
+    # Calls from the kernel itself do not count: _modular_gcd may try a
+    # CRT image whose constant term is 0, which divexact rejects
+    seen, outside = {"gcd": 0, "divexact": 0}, []
+
+    def watch(name, shortest):
+        inner = getattr(K, name)
+
+        def call(a, b):
+            if sys._getframe(1).f_globals is not vars(K):
+                seen[name] += 1
+                if not all(len(f) >= shortest and f[0] for f in (a, b)):
+                    outside.append((name, a, b))
+            return inner(a, b)
+
+        monkeypatch.setattr(K, name, call)
+
+    watch("gcd", 2)
+    watch("divexact", 1)
+    for argv in (("corpus", "--run"), ("jones", "--n", "30"),
+                 ("solve", QP2, "--seed", "1,q/(1+q)", "--order", "12")):
+        assert run(capsys, *argv)[0] == 0
+    assert seen["gcd"] and seen["divexact"]
+    assert not outside
 
 
 def _flag_sets():

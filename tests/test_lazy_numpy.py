@@ -80,7 +80,7 @@ def test_probe_extend_in_a_cold_process():
         solver._extend_core = probe_only
         phi = extend(F, seed, 13, engine="probe").solution
         assert phi.coeffs == want
-        assert check_solution(F, phi, mode="probe") == 13
+        assert check_solution(F, phi) == 13
         assert "numpy.random" not in sys.modules
         """)
 

@@ -159,7 +159,7 @@ def test_text():
     F = QdeqPoly.w(0) * QdeqPoly.w(1) - QdeqPoly({(1, ()): 1})
     assert F.to_text() == "y[0]*y[1] + (-1)*x"
     assert QdeqPoly.const(0).to_text() == "0"
-    G = QdeqPoly.w(-1, 2) * QdeqPoly.const(Q)
+    G = QdeqPoly.w(-1) * QdeqPoly.w(-1) * QdeqPoly.const(Q)
     assert G.to_text() == "q*y[-1]^2"
 
 

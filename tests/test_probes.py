@@ -18,10 +18,11 @@ from qdeq.ratfunc import Q, RatQ
 from qdeq.series import TruncSeries
 from qdeq.solver import check_solution, extend
 
-from families import (big_constant, counted, linear, make_domain, outcome, qp2,
-                      qpower, ratq_any, ratq_nonzero, resonant,
+from families import (big_constant, counted, exact_check, linear, make_domain,
+                      outcome, qp2, qpower, ratq_any, ratq_nonzero, resonant,
                       seeded_equations, sqrt)
 from test_properties import COMMON, ratq_shifted
+from test_ratfunc import eval_mod
 
 MP = 2147483647  # 2**31 - 1, prime
 
@@ -208,7 +209,7 @@ def test_stacked_eval_matches_rowwise(seed, k, width, m, p, full):
     assert got.shape == (k, m)
     for row, values in zip(stack, got):
         coeffs = row.tolist()
-        assert values.tolist() == [K.eval_mod(coeffs, int(x), p) for x in xs]
+        assert values.tolist() == [eval_mod(coeffs, int(x), p) for x in xs]
         # one polynomial, as a one-row stack, reads the same
         assert (_eval_row(coeffs, xs, p) == values).all()
 
@@ -236,7 +237,7 @@ def test_domain_power_table_matches_eval_mod(seed, p, widths, full, data):
         lo = data.draw(st.integers(0, dom.n - 1))
         cols = slice(lo, lo + 16)
         got = P.eval_many_mod(P._stack(rows), X[:, cols], p)
-        assert got.tolist() == [[K.eval_mod(row, x, p)
+        assert got.tolist() == [[eval_mod(row, x, p)
                                  for x in dom.q[cols].tolist()]
                                 for row in rows]
         whole = P.eval_many_mod(P._stack(rows), X, p)
@@ -352,7 +353,7 @@ def _ref_rat_interp(xs, ys, p):
     f = []
     for i, x in enumerate(xs):
         basis, _ = _ref_divmod(node, [-x % p, 1], p)
-        w = ys[i] * pow(K.eval_mod(basis, x, p), p - 2, p) % p
+        w = ys[i] * pow(eval_mod(basis, x, p), p - 2, p) % p
         f = _ref_sub(f, [-w * c % p for c in basis], p)
     r0, r1, v0, v1 = node, f, [], [1]
     while r1 and len(r0) - len(r1) < 2:
@@ -677,11 +678,11 @@ def test_probe_deterministic():
 def test_probe_check_solution():
     F, seed = qp2()[:2]
     rep = extend(F, seed, 16)
-    assert check_solution(F, rep.solution, mode="probe") == 16
+    assert check_solution(F, rep.solution) == 16
     bad = list(rep.solution.coeffs)
     bad[9] = bad[9] + RatQ(1)
     # the linearized operator starts at x^1, so the damage surfaces at order 10
-    assert check_solution(F, TruncSeries(bad, 16), mode="probe") == 9
+    assert check_solution(F, TruncSeries(bad, 16)) == 9
 
 
 def _qp2_wrong_last(N):
@@ -699,10 +700,9 @@ def test_verify_fresh_rejects_a_wrong_last_coefficient():
     # residual at order 13: only step 12's check, at order 13, shows c_12
     F, rep, bad = _qp2_wrong_last(12)
     assert [e["order"] for e in rep.events][-2:] == [12, 13]
-    assert check_solution(F, TruncSeries(bad, 12), mode="exact") == 12
-    assert check_solution(F, TruncSeries(bad, 13), mode="exact") == 12
-    assert check_solution(F, TruncSeries(rep.solution.coeffs, 13),
-                          mode="exact") == 13
+    assert exact_check(F, TruncSeries(bad, 12)) == 12
+    assert exact_check(F, TruncSeries(bad, 13)) == 12
+    assert exact_check(F, TruncSeries(rep.solution.coeffs, 13)) == 13
     good, primes = list(rep.solution.coeffs), K.primes_29()
     # c_0..c_11 accepted: orders 0..12 vanish on the fresh lanes
     ev = P._verify_fresh(F, None, good[:12], 13, 12, primes)
@@ -920,7 +920,7 @@ def test_the_lane_cache_never_changes_an_answer(monkeypatch):
         coeffs, events = P.solve(F, seed, N)
         phi = TruncSeries(coeffs, N)
         passes.append((coeffs, P._event_sig(events), P.check(F, phi),
-                       check_solution(F, phi, mode="probe"),
+                       check_solution(F, phi),
                        extend(F, seed, N, engine="probe").to_json()))
     assert passes[0] == passes[1]
     assert cached and P._LANES.keys() == cached.keys()
@@ -1000,14 +1000,15 @@ def test_the_check_sees_an_error_that_is_a_multiple_of_the_run_primes():
     bad = list(phi.coeffs)
     bad[13] = bad[13] + RatQ(p1 * p2)
     bad = TruncSeries(bad, 14)
-    assert check_solution(F, bad, mode="exact") == 13
-    assert check_solution(F, bad, mode="probe") == 13
+    assert exact_check(F, bad) == 13
+    assert check_solution(F, bad) == 13
 
 
 def test_24_dead_primes_in_a_row_raise_engine_error(monkeypatch):
     # a prime gives way at most 24 times in a row; then the engine gives
-    # up, and extend and check_solution answer in Q(q) instead
-    F, seed, N = qp2(N=10)[:3]
+    # up, and extend and check_solution (which probes past order 12)
+    # answer in Q(q) instead
+    F, seed, N = qp2(N=13)[:3]
     phi = extend(F, seed, N, engine="exact").solution
     tried = []
 
@@ -1023,7 +1024,7 @@ def test_24_dead_primes_in_a_row_raise_engine_error(monkeypatch):
             call()
         assert tried == list(islice(primes(), 24))
     assert extend(F, seed, N, engine="probe").solution.coeffs == phi.coeffs
-    assert check_solution(F, phi, mode="probe") == N
+    assert check_solution(F, phi) == N
 
 
 @pytest.mark.parametrize("F, seed", [
@@ -1107,8 +1108,8 @@ def _over_a_probe_prime():
 def test_check_gives_way_where_a_probe_prime_divides_a_denominator():
     F, seed = _over_a_probe_prime()
     phi = extend(F, seed, 13, engine="exact").solution
-    for mode in ("auto", "probe", "exact"):
-        assert check_solution(F, phi, mode=mode) == 13
+    assert check_solution(F, phi) == P.check(F, phi) == 13
+    assert exact_check(F, phi) == 13
 
 
 def test_extend_gives_way_where_a_probe_prime_divides_a_denominator():
@@ -1353,5 +1354,5 @@ def test_probe_check_agrees_with_the_exact_check(problem, data):
     i = data.draw(st.integers(0, len(bad) - 1))
     bad[i] = bad[i] + data.draw(ratq_nonzero)
     for cs in (coeffs, bad):
-        want = check_solution(F, TruncSeries(cs), mode="exact")
+        want = exact_check(F, TruncSeries(cs))
         assert P.check(F, TruncSeries(cs)) == want

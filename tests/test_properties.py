@@ -31,6 +31,7 @@ from qdeq.skewop import (SkewOp, apply, lowest_row, newton_polygon, op_mul,
                          resonance_poly)
 
 from families import nz_ints, qdeq_polys, ratq_any, ratq_nonzero
+from test_ratq_text import ref_ratq_text
 
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow,
@@ -100,20 +101,6 @@ def _layout(r):
     return r.v, r.n, r.s, r.d
 
 
-def _dense_text(r):
-    """to_text's reference: the text of the dense reduced pair num/den,
-    with num's scalar carried into the denominator."""
-    p, d = list(r.num.ints), [c * r.num.den for c in r.den.ints]
-    ptxt, dtxt = RatQ.from_ints(p).to_text(), RatQ.from_ints(d).to_text()
-    if d == [1]:
-        return ptxt
-    if sum(map(bool, p)) > 1:
-        ptxt = f"({ptxt})"
-    if sum(map(bool, d)) > 1 or "*" in dtxt:
-        dtxt = f"({dtxt})"
-    return f"{ptxt}/{dtxt}"
-
-
 ratq_shifted = st.builds(lambda r, k: r.shift_q(k), ratq_nonzero,
                          st.integers(-40, 40))
 
@@ -136,7 +123,7 @@ def test_layout_matches_dense_pair(a, b, k):
     assert a.shift_q(k) == a * Q ** k
     assert parse_ratq(a.to_text()) == a
     for r in (a, a / b):
-        assert r.to_text() == _dense_text(r)
+        assert r.to_text() == ref_ratq_text(r)
 
 
 # -- + and the n-ary sum against a fold of _dense_add ---------------------

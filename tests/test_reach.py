@@ -34,7 +34,6 @@ REPR = "__repr__"
 
 EQUALITY = "value equality: tests compare parse output and answers with it"
 TRUTH = "truth of a value; without it bool(zero) would be silently true"
-REFERENCE = "a test reference: tests compare src/ against it"
 GCD_FALLBACK = ("gcd's modular fallback, for the inputs where GCDHEU fails;"
                 " no contract row's gcd fails")
 ITEM_12 = "waits for the probe solve's exact check (ROADMAP item 12)"
@@ -48,7 +47,6 @@ KEPT = {
     "ratfunc.RatQ.__bool__": TRUTH,
     "ratfunc.RatQ.__rsub__": "RatQ is the public element of Q(q): 1 - Q",
     "ratfunc.RatQ.__rtruediv__": "RatQ is the public element of Q(q): 1 / Q",
-    "_intpoly.eval_mod": REFERENCE,
     "ratfunc.RatQ.num": ("perfbench reads the dense numerator: checks._at,"
                          " checks._ratq_terms and jobs.coeff_size"),
     "ratfunc.RatQ.den": ("perfbench reads the dense denominator: checks._at,"
@@ -58,7 +56,6 @@ KEPT = {
     "unitcircle.DiophantineScan.passed": "A7 reads a scan's verdict with it",
     "_intpoly._modular_gcd": GCD_FALLBACK,
     "_intpoly.primes_31": GCD_FALLBACK,
-    "_probes.np_mod": GCD_FALLBACK,
     "skewop.ResonancePoly.at_qpow": ITEM_12,
     "solver.resonance_set": ITEM_12,
 }

@@ -15,7 +15,8 @@ from qdeq.series import TruncSeries
 from qdeq.skewop import newton_polygon
 from qdeq.solver import check_solution, extend
 
-from families import eigen, linear, qdeq_polys, qp2, scan, seeded_equations
+from families import (eigen, exact_check, linear, qdeq_polys, qp2, scan,
+                      seeded_equations)
 from test_properties import COMMON
 
 
@@ -34,8 +35,8 @@ def _polygon(L):
 def _readings(F, phi):
     """What the exact substitutions read about F along phi."""
     L = linearize(F, phi)
-    return {"check": check_solution(F, phi, mode="exact"),
-            "check_auto": check_solution(F, phi),
+    return {"check": exact_check(F, phi),
+            "check_solution": check_solution(F, phi),
             "eval_at": eval_at(F, phi),
             # the series' evaluator reads through phi's truncation only
             "raw": _exact_evaluator(phi).eval(F, 0, phi.trunc + 1),

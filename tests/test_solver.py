@@ -9,7 +9,8 @@ from qdeq.series import TruncSeries
 from qdeq.skewop import lowest_row, newton_polygon, resonance_poly
 from qdeq.solver import check_solution, extend, resonance_set
 
-from families import eigen, linear, make_domain, outcome, phi11, qp2, scan
+from families import (eigen, exact_check, linear, make_domain, outcome, phi11,
+                      qp2, scan)
 
 GEOMETRIC = linear().F  # x*y[1] - y[0] + 1: c_h = q^(h(h-1)/2)
 
@@ -34,7 +35,7 @@ def test_painleve_unique_run():
     rep = extend(F, seed, 8, engine="exact")
     assert rep.resolved_through == 8
     assert rep.kinds() == ["unique"] * 7
-    assert check_solution(F, rep.solution, mode="exact") == 8
+    assert check_solution(F, rep.solution) == 8
     # the linearization along the solution keeps its single slope-zero side
     L = resonance_poly(linearize(F, rep.solution))
     assert resonance_set(L, 40) == set()
@@ -217,7 +218,7 @@ def test_scan_rejects_a_seed_too_short_to_decide(family, longer, engine):
     assert rep.resolved_through == 8
     assert set(rep.kinds()) == {"unique"}
     assert rep.solution.coeffs == TruncSeries(longer, 8).coeffs
-    assert check_solution(F, rep.solution, mode="exact") == 8
+    assert check_solution(F, rep.solution) == 8
 
 
 @pytest.mark.parametrize("engine", ["exact", "probe"])
@@ -240,12 +241,12 @@ def test_probe_failure_falls_back_to_exact(monkeypatch):
 
 
 def test_probe_check_falls_back_to_exact(monkeypatch):
-    # a pole at every prime raises EngineError; check_solution then
-    # answers in Q(q)
-    F = GEOMETRIC
-    bad = list(extend(F, [1], 8).solution.coeffs)
+    # a pole at every prime raises EngineError; check_solution, which
+    # probes a nonlinear F past order 12, then answers in Q(q)
+    F, seed = qp2()[:2]
+    bad = list(extend(F, seed, 13, engine="exact").solution.coeffs)
     bad[5] = bad[5] + RatQ(1)
-    phi = TruncSeries(bad, 8)
+    phi = TruncSeries(bad, 13)
 
     def pole(polys, dom):
         raise _probes._Pole(f"a scalar denominator is 0 mod {dom.p}")
@@ -253,18 +254,13 @@ def test_probe_check_falls_back_to_exact(monkeypatch):
     monkeypatch.setattr(_probes, "_eval_polys", pole)
     with pytest.raises(EngineError):
         _probes.check(F, phi)
-    assert check_solution(F, phi, mode="probe") == 4
-    assert check_solution(F, phi, mode="exact") == 4
+    assert check_solution(F, phi) == exact_check(F, phi) == 5
 
 
 def test_one_resolver_rejects_an_unknown_engine():
-    F = GEOMETRIC
-    phi = extend(F, [1], 4).solution
-    for call in (lambda: extend(F, [1], 4, engine="bogus"),
-                 lambda: check_solution(F, phi, mode="bogus")):
-        with pytest.raises(ValueError, match="unknown engine 'bogus'") as exc:
-            call()
-        assert exc.traceback[-1].name == "_resolve_engine"
+    with pytest.raises(ValueError, match="unknown engine 'bogus'") as exc:
+        extend(GEOMETRIC, [1], 4, engine="bogus")
+    assert exc.traceback[-1].name == "_resolve_engine"
 
 
 def test_seed_only_run():
